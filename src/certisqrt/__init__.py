@@ -56,7 +56,6 @@ from .lut import (
     build_root_table,
     round_up_to_step,
     sup_fn,
-    sup_rational,
     validate_step,
 )
 from .newton import (

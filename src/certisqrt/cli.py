@@ -25,7 +25,14 @@ from .floatmodel import (
     encode_rational,
     value_of,
 )
-from .lut import RootTable, StepConfig, build_root_table, validate_step
+from .lut import (
+    RootTable,
+    StepConfig,
+    build_root_table,
+    first_bad_root,
+    table_indices,
+    validate_step,
+)
 from .newton import (
     Trace,
     derive_eps_for_ulp,
@@ -166,19 +173,16 @@ def load_table(path: str, fix: FixProfile, profile_hash: str,
     if not isinstance(roots, list) or \
             any(isinstance(r, bool) or not isinstance(r, int) for r in roots):
         raise FileFormatError("table.roots: expected a list of integers")
-    k_min = d // stp_count + 1
-    k_max = fix.sup_count // stp_count
-    if len(roots) != k_max - k_min + 1:
+    indices = table_indices(fix, stp_count)
+    if len(roots) != len(indices):
         raise DomainError(f"table {path} has {len(roots)} entries, "
-                          f"expected {k_max - k_min + 1}")
-    table = RootTable(fix, fix.val(stp_count), k_min, tuple(roots))
+                          f"expected {len(indices)}")
+    table = RootTable(fix, fix.val(stp_count), indices.start, tuple(roots))
     if revalidate:
-        for k, count in enumerate(roots, start=k_min):
-            target = k * stp_count * d
-            if not (count * count >= target
-                    and (count - 1) * (count - 1) < target):
-                raise DomainError(
-                    f"table {path} failed revalidation at index {k}")
+        bad = first_bad_root(table)
+        if bad is not None:
+            raise DomainError(
+                f"table {path} failed revalidation at index {bad}")
     return table
 
 

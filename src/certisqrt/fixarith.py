@@ -19,7 +19,7 @@ from .errors import (
     RangeOverflow,
 )
 from .exact import Ordering, _ordering_of_sign
-from .report import CheckResult, VerifyReport, failed, passed
+from .report import VerifyReport, check
 
 
 @dataclass(frozen=True)
@@ -168,13 +168,12 @@ def fix_div(x: FixVal, y: FixVal) -> FixVal:
     profile = _same_profile(x, y)
     if y.count == 0:
         raise DivisionByZero(f"{x} / {y}")
-    d = profile.delta_den
-    exact = Fraction(x.count, y.count)  # x/y in real value
-    if not (-profile.inf_value <= exact <= profile.sup_value):
-        raise RangeOverflow(f"{x} / {y} overflows the range")
-    num, den = x.count * d, y.count
+    num, den = x.count * profile.delta_den, y.count
     if den < 0:
         num, den = -num, -den
+    # the exact quotient in counts is num/den, den > 0
+    if not -profile.inf_count * den <= num <= profile.sup_count * den:
+        raise RangeOverflow(f"{x} / {y} overflows the range")
     return FixVal(round_half_even(num, den), profile)
 
 
@@ -224,28 +223,23 @@ def check_profile_assumptions(profile: FixProfile,
     deterministic sample of the given size.
     """
     d = profile.delta_den
-    checks: list[CheckResult] = []
-
-    def rule(name: str, rule_id: str, ok: bool, witness: dict) -> None:
-        checks.append(passed(name, rule_id, witness) if ok
-                      else failed(name, rule_id, witness))
-
-    rule("grid step below one half", "profile.delta-range",
-         d >= 3, {"delta": profile.delta})
-    rule("lower bound above two", "profile.inf-min",
-         profile.inf_count > 2 * d, {"inf": profile.inf_value})
-    rule("upper bound above two", "profile.sup-min",
-         profile.sup_count > 2 * d, {"sup": profile.sup_value})
-    rule("reciprocal step is a natural number", "profile.delta-unit",
-         d >= 1, {"delta_den": d})
-
     # every integer in range must be a grid point inside the count range
     int_lo = -(profile.inf_count // d)
     int_hi = profile.sup_count // d
     ints_ok = profile.contains_count(int_lo * d) and \
         profile.contains_count(int_hi * d)
-    rule("integers in range are grid points", "profile.integers-on-grid",
-         ints_ok, {"smallest": int_lo, "largest": int_hi})
+    checks = [
+        check("grid step below one half", "profile.delta-range",
+              d >= 3, {"delta": profile.delta}),
+        check("lower bound above two", "profile.inf-min",
+              profile.inf_count > 2 * d, {"inf": profile.inf_value}),
+        check("upper bound above two", "profile.sup-min",
+              profile.sup_count > 2 * d, {"sup": profile.sup_value}),
+        check("reciprocal step is a natural number", "profile.delta-unit",
+              d >= 1, {"delta_den": d}),
+        check("integers in range are grid points", "profile.integers-on-grid",
+              ints_ok, {"smallest": int_lo, "largest": int_hi}),
+    ]
 
     add_ok, add_witness = True, {}
     contract_ok, contract_witness = True, {}
@@ -286,10 +280,12 @@ def check_profile_assumptions(profile: FixProfile,
                     contract_witness = witness
         add_witness = dict(add_witness, pairs=total)
         contract_witness = dict(contract_witness, pairs=total)
-    rule("addition and subtraction exact", "fix.add-exact",
-         add_ok, add_witness)
-    rule("multiply/divide correctly rounded", "fix.rounding-contract",
-         contract_ok, contract_witness)
+    checks += [
+        check("addition and subtraction exact", "fix.add-exact",
+              add_ok, add_witness),
+        check("multiply/divide correctly rounded", "fix.rounding-contract",
+              contract_ok, contract_witness),
+    ]
 
     subject = f"fix-profile delta=1/{d} inf={profile.inf_value} " \
               f"sup={profile.sup_value}"

@@ -19,7 +19,7 @@ from .errors import (
     RangeOverflow,
 )
 from .fixarith import FixProfile, FixVal, quantize
-from .report import CheckResult, VerifyReport, failed, passed
+from .report import VerifyReport, check
 
 
 @dataclass(frozen=True)
@@ -163,23 +163,21 @@ def encode_rational(q: Fraction, profile: FloatProfile) -> tuple[FloatVal, bool]
 
 def check_float_profile(profile: FloatProfile) -> VerifyReport:
     """Reportable version of the float-profile validity rules."""
-    checks: list[CheckResult] = []
-
-    def rule(name: str, rule_id: str, ok: bool, witness: dict) -> None:
-        checks.append(passed(name, rule_id, witness) if ok
-                      else failed(name, rule_id, witness))
-
-    rule("underlying grid valid", "float.fix-valid", profile.fix.is_valid(), {})
-    rule("base at least two", "float.base-min",
-         profile.base >= 2, {"base": profile.base})
-    rule("base inside the grid integers", "float.base-in-grid",
-         Fraction(profile.base) <= profile.fix.sup_value,
-         {"base": profile.base, "sup": profile.fix.sup_value})
-    rule("grid bound exceeds base squared", "float.sup-over-base-squared",
-         profile.fix.sup_value > profile.base * profile.base,
-         {"sup": profile.fix.sup_value, "base_squared": profile.base ** 2})
-    rule("float range bounds above two", "float.range-min",
-         profile.inf_f > 2 and profile.sup_f > 2,
-         {"inf_f": profile.inf_f, "sup_f": profile.sup_f})
+    checks = (
+        check("underlying grid valid", "float.fix-valid",
+              profile.fix.is_valid(), {}),
+        check("base at least two", "float.base-min",
+              profile.base >= 2, {"base": profile.base}),
+        check("base inside the grid integers", "float.base-in-grid",
+              Fraction(profile.base) <= profile.fix.sup_value,
+              {"base": profile.base, "sup": profile.fix.sup_value}),
+        check("grid bound exceeds base squared", "float.sup-over-base-squared",
+              profile.fix.sup_value > profile.base * profile.base,
+              {"sup": profile.fix.sup_value,
+               "base_squared": profile.base ** 2}),
+        check("float range bounds above two", "float.range-min",
+              profile.inf_f > 2 and profile.sup_f > 2,
+              {"inf_f": profile.inf_f, "sup_f": profile.sup_f}),
+    )
     subject = f"float-profile base={profile.base}"
-    return VerifyReport(subject, tuple(checks))
+    return VerifyReport(subject, checks)

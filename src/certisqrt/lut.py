@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -22,7 +21,7 @@ from .errors import (
 )
 from .exact import Ordering, cmp_sqrt
 from .fixarith import FixProfile, FixVal
-from .report import CheckResult, VerifyReport, failed, passed
+from .report import VerifyReport, check
 
 ENV_MAX_TABLE = "CERTISQRT_MAX_TABLE"
 DEFAULT_MAX_TABLE = 1_000_000
@@ -68,26 +67,54 @@ class RootTable:
 
 
 def validate_step(stp: FixVal, eps: FixVal, profile: FixProfile) -> VerifyReport:
-    """Report whether (stp, eps) is a legal step configuration."""
-    checks: list[CheckResult] = []
+    """Report whether (stp, eps) is a legal step configuration.
 
-    def rule(name: str, rule_id: str, ok: bool, witness: dict) -> None:
-        checks.append(passed(name, rule_id, witness) if ok
-                      else failed(name, rule_id, witness))
+    With eps = stp it decides whether stp alone is a legal table step,
+    since a positive step is a multiple of itself.
+    """
+    checks = (
+        check("step positive", "step.positive",
+              stp.count > 0, {"stp": str(stp)}),
+        check("accuracy positive", "step.eps-positive",
+              eps.count > 0, {"eps": str(eps)}),
+        check("step is a multiple of the accuracy", "step.multiple-of-eps",
+              eps.count > 0 and stp.count % eps.count == 0,
+              {"stp": str(stp), "eps": str(eps)}),
+        check("step divides the range bound", "step.divides-sup",
+              stp.count > 0 and profile.sup_count % stp.count == 0,
+              {"stp": str(stp), "sup": profile.sup_value}),
+        check("step spans at least two grid units", "step.min-two-units",
+              stp.count >= 2, {"stp_count": stp.count}),
+    )
+    return VerifyReport(f"step stp={stp} eps={eps}", checks)
 
-    rule("step positive", "step.positive", stp.count > 0, {"stp": str(stp)})
-    rule("accuracy positive", "step.eps-positive",
-         eps.count > 0, {"eps": str(eps)})
-    rule("step is a multiple of the accuracy", "step.multiple-of-eps",
-         eps.count > 0 and stp.count % eps.count == 0,
-         {"stp": str(stp), "eps": str(eps)})
-    rule("step divides the range bound", "step.divides-sup",
-         stp.count > 0 and profile.sup_count % stp.count == 0,
-         {"stp": str(stp), "sup": profile.sup_value})
-    rule("step spans at least two grid units", "step.min-two-units",
-         stp.count >= 2, {"stp_count": stp.count})
-    subject = f"step stp={stp} eps={eps}"
-    return VerifyReport(subject, tuple(checks))
+
+def require_legal_step(stp: FixVal, eps: FixVal, profile: FixProfile) -> None:
+    """Raise DomainError naming every rule validate_step finds broken."""
+    report = validate_step(stp, eps, profile)
+    if not report.overall:
+        names = ", ".join(c.rule for c in report.failures())
+        raise DomainError(f"step configuration invalid: {names}")
+
+
+def table_indices(profile: FixProfile, stp_count: int) -> range:
+    """Indices k of the step multiples k*stp in (1, sup]."""
+    if stp_count <= 0:
+        raise DomainError(f"table step must be positive, got count "
+                          f"{stp_count}")
+    return range(profile.delta_den // stp_count + 1,
+                 profile.sup_count // stp_count + 1)
+
+
+def first_bad_root(table: RootTable) -> int | None:
+    """Index of the first entry that is not the least count g with
+    g**2 >= k*stp*d, or None when every entry is."""
+    scale = table.stp.count * table.profile.delta_den
+    for k, g in enumerate(table.roots, table.k_min):
+        target = k * scale
+        if not g * g >= target > (g - 1) * (g - 1):
+            return k
+    return None
 
 
 def table_size_limit() -> int:
@@ -111,30 +138,20 @@ def build_root_table(profile: FixProfile, stp: FixVal,
     profile.validate()
     if stp.profile != profile:
         raise ProfileMismatch("step value belongs to a different grid")
-    if stp.count <= 0:
-        raise DomainError("step must be positive")
-    if profile.sup_count % stp.count != 0:
-        raise DomainError(f"step {stp} does not divide the range bound "
-                          f"{profile.sup_value}")
-    if stp.count < 2:
-        raise DomainError("step must span at least two grid units")
-    d = profile.delta_den
-    k_min = d // stp.count + 1
-    k_max = profile.sup_count // stp.count
-    size = k_max - k_min + 1
+    require_legal_step(stp, stp, profile)  # the table-step rules
+    indices = table_indices(profile, stp.count)
     limit = table_size_limit() if max_entries is None else max_entries
-    if size > limit:
-        raise ResourceLimit(f"table would need {size} entries, cap {limit}")
-    roots = []
-    for k in range(k_min, k_max + 1):
-        target = k * stp.count * d  # g*g >= target in counts
-        g = math.isqrt(target)
-        if g * g < target:
-            g += 1
-        if not (g * g >= target and (g - 1) * (g - 1) < target):
-            raise InternalInvariantError(f"root entry for index {k} broken")
-        roots.append(g)
-    return RootTable(profile, stp, k_min, tuple(roots))
+    if len(indices) > limit:
+        raise ResourceLimit(f"table would need {len(indices)} entries, "
+                            f"cap {limit}")
+    scale = stp.count * profile.delta_den
+    roots = tuple([math.isqrt(t - 1) + 1 for t in
+                   range(indices.start * scale, indices.stop * scale, scale)])
+    table = RootTable(profile, stp, indices.start, roots)
+    bad = first_bad_root(table)
+    if bad is not None:
+        raise InternalInvariantError(f"root entry for index {bad} broken")
+    return table
 
 
 def round_up_to_step(u: FixVal, stp: FixVal) -> FixVal:
@@ -173,17 +190,3 @@ def sup_fn(u: FixVal, table: RootTable) -> FixVal:
         raise InternalInvariantError(f"seed {result} more than one step "
                                      f"above sqrt({u})")
     return result
-
-
-def sup_rational(u: Fraction, table: RootTable) -> Fraction:
-    """Seed for exact-arithmetic runs: table-backed inside (1, sup],
-    identity above the table range."""
-    if u <= 1:
-        raise DomainError(f"seed function requires u > 1, got {u}")
-    profile = table.profile
-    if u > profile.sup_value:
-        return u
-    stp_value = table.stp.value
-    k = math.ceil(u / stp_value)
-    root = table.root_at(k)
-    return min(u, root.value)

@@ -14,10 +14,13 @@ Every run returns the result together with a complete per-iteration
 trace; all correctness checks live in the verify module and operate on
 those traces after the fact.
 
-The exact variants iterate on raw integer pairs kept in lowest terms by
-stripping common factors of 2*num(y)*den(y) each step (the only primes a
-common factor can contain), because a full gcd at the sizes reached by
-long runs is quadratic and would dominate the runtime.
+The three exact variants share one integer-pair step, _newton_steps,
+and differ only in their seed and exit rule.  It keeps the pairs in
+lowest terms by stripping common factors of 2*num(y)*den(y) each step
+(the only primes a common factor can contain), because a full gcd at the
+sizes reached by long runs is quadratic and would dominate the runtime.
+fix_sqr and mix_sqr share their preconditions on grids, accuracy and
+step, and one grid loop.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .errors import (
 from .exact import Ordering, cmp_sqrt, decide_radical_lt, fraction_from_coprime
 from .fixarith import FixVal, fix_add, fix_div, fix_mul
 from .floatmodel import FloatProfile, FloatVal, compose, decompose
-from .lut import RootTable, sup_fn, validate_step
+from .lut import RootTable, require_legal_step, sup_fn
 
 SeedFn = Callable[[Fraction], Fraction]
 
@@ -102,6 +105,32 @@ def _pow2(k: int) -> Fraction:
     return Fraction(2) ** k
 
 
+def _newton_steps(y: Fraction, x: Fraction, passes: int):
+    """Up to `passes` exact steps x -> x - (x*x - y)/(2x) from x > 0.
+
+    Yields (k, x, ad, ad_num, ad_den, x_next) per pass: the iterate, the
+    correction magnitude ad = (x*x - y)/(2x), also as the unreduced pair
+    ad_num/ad_den with ad_den > 0, and the next iterate x - ad.
+    """
+    a, b = y.numerator, y.denominator
+    small = 2 * a * b
+    p, q = x.numerator, x.denominator
+    for k in range(passes):
+        if p <= 0:
+            raise InternalInvariantError("iterate left the positive half-line")
+        bpp, aqq = b * p * p, a * q * q
+        ad_num, ad_den = bpp - aqq, 2 * b * p * q
+        p, q = _strip_small(bpp + aqq, ad_den, small)
+        x_next = fraction_from_coprime(p, q)
+        yield k, x, _reduced(ad_num, ad_den, small), ad_num, ad_den, x_next
+        x = x_next
+
+
+def _until_passes(y: Fraction, eps: Fraction) -> int:
+    """Pass cap of the until-loops; reaching it means the run diverged."""
+    return (y.numerator * eps.denominator).bit_length() + 65
+
+
 def sqr_exact(y: Fraction, eps: Fraction,
               c_style: bool = False) -> tuple[Fraction, Trace]:
     """Until-loop Newton square root in exact rational arithmetic.
@@ -116,35 +145,21 @@ def sqr_exact(y: Fraction, eps: Fraction,
         raise DomainError(f"sqr_exact requires y >= 1, got {y}")
     if eps <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
-    a, b = y.numerator, y.denominator
     en, ed = eps.numerator, eps.denominator
-    small = 2 * a * b
-    p, q = a, b
     steps: list[TraceStep] = []
-    k = 0
-    guard = (a * ed).bit_length() + 64
-    while True:
-        if p <= 0:
-            raise InternalInvariantError("iterate left the positive half-line")
-        qq = q * q
-        d_num = a * qq - b * p * p
-        d_den = 2 * b * p * q
-        x_now = fraction_from_coprime(p, q)
-        d_frac = _reduced(d_num, d_den, small)
-        stop = 2 * ed * abs(d_num) < en * d_den
+    for k, x, ad, ad_num, ad_den, x_next in _newton_steps(
+            y, y, _until_passes(y, eps)):
+        stop = 2 * ed * abs(ad_num) < en * ad_den
         if stop and not c_style:
-            steps.append(TraceStep(k, x_now, d_frac, x_now))
-            final = x_now
+            steps.append(TraceStep(k, x, -ad, x))
+            final = x
             break
-        p, q = _strip_small(b * p * p + a * qq, d_den, small)
-        x_after = fraction_from_coprime(p, q)
-        steps.append(TraceStep(k, x_now, d_frac, x_after))
+        steps.append(TraceStep(k, x, -ad, x_next))
         if stop:
-            final = x_after
+            final = x_next
             break
-        k += 1
-        if k > guard:
-            raise InternalInvariantError("iteration guard exceeded")
+    else:
+        raise InternalInvariantError("iteration guard exceeded")
     trace = Trace("sqr_exact", y=y, eps=eps, final_x=final,
                   steps=tuple(steps), seed=y,
                   notes={"exit_style": "c" if c_style else "flowchart"})
@@ -166,31 +181,17 @@ def isqr_exact(y: Fraction, eps: Fraction,
         raise DomainError(f"accuracy must be positive, got {eps}")
     s = seed(y)
     _check_seed(s, y)
-    a, b = y.numerator, y.denominator
     en, ed = eps.numerator, eps.denominator
-    small = 2 * a * b
-    p, q = s.numerator, s.denominator
     steps: list[TraceStep] = []
-    k = 0
-    guard = (a * ed).bit_length() + 64
-    while True:
-        if p <= 0:
-            raise InternalInvariantError("iterate left the positive half-line")
-        qq = q * q
-        ad_num = b * p * p - a * qq
-        ad_den = 2 * b * p * q
-        x_now = fraction_from_coprime(p, q)
-        ad_frac = _reduced(ad_num, ad_den, small)
+    for k, x, ad, ad_num, ad_den, x_next in _newton_steps(
+            y, s, _until_passes(y, eps)):
         if 2 * ed * ad_num < en * ad_den:
-            steps.append(TraceStep(k, x_now, ad_frac, x_now))
-            final = x_now
+            steps.append(TraceStep(k, x, ad, x))
+            final = x
             break
-        p, q = _strip_small(b * p * p + a * qq, ad_den, small)
-        x_after = fraction_from_coprime(p, q)
-        steps.append(TraceStep(k, x_now, ad_frac, x_after))
-        k += 1
-        if k > guard:
-            raise InternalInvariantError("iteration guard exceeded")
+        steps.append(TraceStep(k, x, ad, x_next))
+    else:
+        raise InternalInvariantError("iteration guard exceeded")
     trace = Trace("isqr_exact", y=y, eps=eps, final_x=final,
                   steps=tuple(steps), seed=s)
     return final, trace
@@ -248,54 +249,35 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: SeedFn,
     if cmp_sqrt(s - eps * _pow2(n - 1), y) is Ordering.GREATER:
         raise IterationBudgetError(
             f"n={n} below the legal minimum for seed {s}")
-    a, b = y.numerator, y.denominator
-    small = 2 * a * b
-    p, q = s.numerator, s.denominator
-    steps: list[TraceStep] = []
-    for k in range(n):
-        if p <= 0:
-            raise InternalInvariantError("iterate left the positive half-line")
-        qq = q * q
-        ad_num = b * p * p - a * qq
-        ad_den = 2 * b * p * q
-        x_now = fraction_from_coprime(p, q)
-        ad_frac = _reduced(ad_num, ad_den, small)
-        p, q = _strip_small(b * p * p + a * qq, ad_den, small)
-        x_after = fraction_from_coprime(p, q)
-        steps.append(TraceStep(k, x_now, ad_frac, x_after))
-    final = fraction_from_coprime(p, q)
+    steps = [TraceStep(k, x, ad, x_next)
+             for k, x, ad, _, _, x_next in _newton_steps(y, s, n)]
+    final = steps[-1].x_after if steps else s
     trace = Trace("fsqr_exact", y=y, eps=eps, final_x=final,
                   steps=tuple(steps), n_planned=n, seed=s)
     return final, trace
 
 
-def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
-            n: int) -> tuple[FixVal, Trace]:
-    """For-loop Newton square root in grid arithmetic.
-
-    x := seed(y); then exactly n iterations of
-    x := (x / 2) + (y / (x + x)) with correctly rounded grid division and
-    exact addition.  Requires 1 < y <= sup/2 (so x + x cannot overflow), a
-    step configuration valid for eps, and n at least
-    min_iterations_for_step(stp, eps).  The result satisfies
-    |x - sqrt(y)| < eps/2 + n*step_of_grid.
-    """
+def _check_grid_config(y: FixVal, eps: FixVal, table: RootTable) -> None:
+    """Preconditions fix_sqr and mix_sqr share on grids, accuracy and step."""
     profile = y.profile
     if eps.profile != profile or table.profile != profile:
         raise ProfileMismatch("inputs belong to different grids")
+    if eps.count <= 0:
+        raise DomainError(f"accuracy must be positive, got {eps}")
+    require_legal_step(table.stp, eps, profile)
+
+
+def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
+                 n: int) -> tuple[FixVal, Trace]:
+    """fix_sqr after _check_grid_config: the checks on y and n, then the
+    table-seeded grid loop."""
+    profile = y.profile
     profile.validate()
-    d = profile.delta_den
-    if y.count <= d:
+    if y.count <= profile.delta_den:
         raise DomainError(f"fix_sqr requires y > 1, got {y}")
     if 2 * y.count > profile.sup_count:
         raise DomainError(f"fix_sqr requires y <= {profile.sup_value}/2 "
                           f"so the loop's x + x stays in range, got {y}")
-    if eps.count <= 0:
-        raise DomainError(f"accuracy must be positive, got {eps}")
-    step_report = validate_step(table.stp, eps, profile)
-    if not step_report.overall:
-        names = ", ".join(c.rule for c in step_report.failures())
-        raise DomainError(f"step configuration invalid: {names}")
     n_min = min_iterations_for_step(table.stp, eps)
     if n < n_min:
         raise IterationBudgetError(f"n={n} below the minimum {n_min} for "
@@ -313,9 +295,31 @@ def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
         x_new = fix_add(half, quot)
         steps.append(TraceStep(k, x, x_new.value - x.value, x_new))
         x = x_new
-    trace = Trace("fix_sqr", y=y, eps=eps, final_x=x, steps=tuple(steps),
+    trace = Trace(algorithm, y=y, eps=eps, final_x=x, steps=tuple(steps),
                   stp=table.stp, n_planned=n, seed=x0)
     return x, trace
+
+
+def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
+            n: int) -> tuple[FixVal, Trace]:
+    """For-loop Newton square root in grid arithmetic.
+
+    x := seed(y); then exactly n iterations of
+    x := (x / 2) + (y / (x + x)) with correctly rounded grid division and
+    exact addition.  Requires 1 < y <= sup/2 (so x + x cannot overflow), a
+    step configuration valid for eps, and n at least
+    min_iterations_for_step(stp, eps).  The result satisfies
+    |x - sqrt(y)| < eps/2 + n*step_of_grid.
+    """
+    _check_grid_config(y, eps, table)
+    return _grid_newton("fix_sqr", y, eps, table, n)
+
+
+def _min_eps_count(stp_count: int, eps_count: int) -> int:
+    """Accuracy count 2*(2 + ceil(log2(stp/eps))) that mix_sqr requires:
+    below it no iteration count meets both the convergence and the
+    rounding-error budget."""
+    return 2 * (2 + _ceil_log2_ratio(stp_count, eps_count))
 
 
 def mix_sqr(y: FixVal, eps: FixVal, table: RootTable) -> tuple[FixVal, Trace]:
@@ -326,23 +330,14 @@ def mix_sqr(y: FixVal, eps: FixVal, table: RootTable) -> tuple[FixVal, Trace]:
     the rounding-error budget, and EpsTooSmall is raised.  The result
     satisfies |x - sqrt(y)| < eps.
     """
-    profile = y.profile
-    if eps.profile != profile or table.profile != profile:
-        raise ProfileMismatch("inputs belong to different grids")
-    if eps.count <= 0:
-        raise DomainError(f"accuracy must be positive, got {eps}")
-    step_report = validate_step(table.stp, eps, profile)
-    if not step_report.overall:
-        names = ", ".join(c.rule for c in step_report.failures())
-        raise DomainError(f"step configuration invalid: {names}")
-    log_term = _ceil_log2_ratio(table.stp.count, eps.count)
-    if eps.count < 2 * (2 + log_term):
+    _check_grid_config(y, eps, table)
+    need = _min_eps_count(table.stp.count, eps.count)
+    if eps.count < need:
         raise EpsTooSmall(
             f"eps={eps} below 2*delta*(2 + ceil(log2(stp/eps))) = "
-            f"{Fraction(2 * (2 + log_term), profile.delta_den)}")
-    n = min_iterations_for_step(table.stp, eps)
-    x, trace = fix_sqr(y, eps, table, n)
-    return x, replace(trace, algorithm="mix_sqr")
+            f"{Fraction(need, y.profile.delta_den)}")
+    return _grid_newton("mix_sqr", y, eps, table,
+                        min_iterations_for_step(table.stp, eps))
 
 
 def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
@@ -404,8 +399,7 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
         raise DomainError(f"ulp must be positive, got {ulp}")
     if stp.profile != profile.fix:
         raise ProfileMismatch("step belongs to a different grid")
-    if stp.count < 2 or profile.fix.sup_count % stp.count != 0:
-        raise DomainError(f"step {stp} is not a legal table step")
+    require_legal_step(stp, stp, profile.fix)  # the table-step rules
     d = profile.fix.delta_den
     beta = profile.base
     half_ulp = ulp / 2
@@ -415,7 +409,7 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
         if not decide_radical_lt(eps_value, half_ulp, radical_coeff,
                                  Fraction(beta)):
             continue
-        if count < 2 * (2 + _ceil_log2_ratio(stp.count, count)):
+        if count < _min_eps_count(stp.count, count):
             continue
         return FixVal(count, profile.fix)
     raise NoFeasibleEps(f"no grid accuracy below ulp/2 = {half_ulp} "

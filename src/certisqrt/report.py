@@ -78,11 +78,10 @@ class VerifyReport:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
 
-def passed(name: str, rule: str, witness: dict[str, Any] | None = None,
-           strict: bool | None = None) -> CheckResult:
-    return CheckResult(name, rule, True, witness or {}, strict)
-
-
-def failed(name: str, rule: str, witness: dict[str, Any] | None = None,
-           strict: bool | None = None) -> CheckResult:
-    return CheckResult(name, rule, False, witness or {}, strict)
+def check(name: str, rule: str, ok: bool, witness: dict[str, Any],
+          failure: dict[str, Any] | None = None) -> CheckResult:
+    """Outcome of one rule; ``failure``, when given, is the witness
+    reported instead of ``witness`` when the rule fails."""
+    if not ok and failure is not None:
+        witness = failure
+    return CheckResult(name, rule, ok, witness)

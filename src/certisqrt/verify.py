@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, UsageError
 from .exact import (
@@ -32,7 +32,7 @@ from .newton import (
     min_legal_iterations,
     sqr_exact,
 )
-from .report import CheckResult, VerifyReport, failed, passed
+from .report import CheckResult, VerifyReport, check
 
 
 def approx_abs_err(q: Fraction, y: Fraction) -> float:
@@ -113,12 +113,9 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
         if cmp_sqrt(x, y) is Ordering.LESS or x > y:
             inv_ok, inv_witness = False, {"k": k, "x": x}
             break
-    checks.append(
-        passed("sqrt(y) <= x <= y at every boundary", "sqr.loop-invariant",
-               {"boundaries": len(boundary)})
-        if inv_ok else
-        failed("sqrt(y) <= x <= y at every boundary", "sqr.loop-invariant",
-               inv_witness))
+    checks.append(check("sqrt(y) <= x <= y at every boundary",
+                        "sqr.loop-invariant", inv_ok,
+                        {"boundaries": len(boundary)}, inv_witness))
 
     halv_ok, halv_witness = True, {}
     corrections = [s.correction for s in trace.steps]
@@ -128,12 +125,10 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
             halv_ok = False
             halv_witness = {"i": i, "d_i": prev, "d_next": cur}
             break
-    checks.append(
-        passed("each correction below half its predecessor", "sqr.halving",
-               {"pairs": max(0, len(corrections) - 1)})
-        if halv_ok else
-        failed("each correction below half its predecessor", "sqr.halving",
-               halv_witness))
+    checks.append(check("each correction below half its predecessor",
+                        "sqr.halving", halv_ok,
+                        {"pairs": max(0, len(corrections) - 1)},
+                        halv_witness))
 
     final = trace.final_x
     post_ok = within_of_sqrt(final, y, eps)
@@ -146,14 +141,12 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     if y > 1:
         cap = iteration_cap(y, eps)
         applied = applied_corrections(trace)
-        checks.append(CheckResult(
-            "applied corrections within the logarithmic cap",
-            "sqr.iteration-cap", applied <= cap,
-            {"applied": applied, "cap": cap,
-             "loop_passes": len(trace.steps)}))
+        cap_ok, cap_witness = applied <= cap, {
+            "applied": applied, "cap": cap, "loop_passes": len(trace.steps)}
     else:
-        checks.append(passed("applied corrections within the logarithmic cap",
-                             "sqr.iteration-cap", {"vacuous": True}))
+        cap_ok, cap_witness = True, {"vacuous": True}
+    checks.append(check("applied corrections within the logarithmic cap",
+                        "sqr.iteration-cap", cap_ok, cap_witness))
 
     subject = f"sqr_exact y={rat_str(y)} eps={rat_str(eps)}"
     return VerifyReport(subject, tuple(checks))
@@ -181,12 +174,9 @@ def check_fsqr_annotations(trace: Trace, y: Fraction, eps: Fraction,
             if cmp_sqrt(lhs, y) is Ordering.GREATER:
                 prog_ok, prog_witness = False, {"k": k, "x": seq[k]}
                 break
-    checks.append(
-        passed("progress bound holds at every boundary", "fsqr.progress",
-               {"boundaries": len(seq)})
-        if prog_ok else
-        failed("progress bound holds at every boundary", "fsqr.progress",
-               prog_witness))
+    checks.append(check("progress bound holds at every boundary",
+                        "fsqr.progress", prog_ok, {"boundaries": len(seq)},
+                        prog_witness))
 
     final = trace.final_x
     bound = eps / 2
@@ -237,13 +227,9 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
         if gap_ok and gap > bound:
             gap_ok = False
             gap_witness = {"k": k, "gap": gap, "bound": bound}
-    checks = [
-        passed("runs stay within k grid steps of each other",
-               "adjust.gap-bound", {"iterations": n})
-        if gap_ok else
-        failed("runs stay within k grid steps of each other",
-               "adjust.gap-bound", gap_witness)
-    ]
+    checks = [check("runs stay within k grid steps of each other",
+                    "adjust.gap-bound", gap_ok, {"iterations": n},
+                    gap_witness)]
     final_bound = eps.value / 2 + n * delta
     final_ok = within_of_sqrt(x_fix.value, y.value, final_bound, strict=True)
     checks.append(CheckResult(
@@ -302,11 +288,9 @@ def check_table_properties(table: RootTable, profile: FixProfile,
     checks: list[CheckResult] = list(validate_step(stp, eps, profile).checks)
 
     consistent = table.profile == profile and table.stp == stp
-    checks.append(
-        passed("table matches the profile and step", "table.consistent", {})
-        if consistent else
-        failed("table matches the profile and step", "table.consistent",
-               {"table_stp": str(table.stp), "stp": str(stp)}))
+    checks.append(check("table matches the profile and step",
+                        "table.consistent", consistent, {},
+                        {"table_stp": str(table.stp), "stp": str(stp)}))
 
     if consistent:
         delta = profile.delta
@@ -318,12 +302,9 @@ def check_table_properties(table: RootTable, profile: FixProfile,
                 root_ok = False
                 root_witness = {"index": str(v), "root": str(root)}
                 break
-        checks.append(
-            passed("every entry is the least grid upper root", "table.root",
-                   {"entries": len(table)})
-            if root_ok else
-            failed("every entry is the least grid upper root", "table.root",
-                   root_witness))
+        checks.append(check("every entry is the least grid upper root",
+                            "table.root", root_ok, {"entries": len(table)},
+                            root_witness))
 
         round_ok, round_witness = True, {}
         for count in range(profile.delta_den + 1, profile.sup_count + 1):
@@ -336,12 +317,10 @@ def check_table_properties(table: RootTable, profile: FixProfile,
                 round_ok = False
                 round_witness = {"u": str(u), "rounded": str(r)}
                 break
-        checks.append(
-            passed("rounding up lands on the next index", "table.round-up",
-                   {"grid_values": profile.sup_count - profile.delta_den})
-            if round_ok else
-            failed("rounding up lands on the next index", "table.round-up",
-                   round_witness))
+        checks.append(check(
+            "rounding up lands on the next index", "table.round-up", round_ok,
+            {"grid_values": profile.sup_count - profile.delta_den},
+            round_witness))
 
     subject = f"table stp={stp} entries={len(table)}"
     return VerifyReport(subject, tuple(checks))
@@ -426,55 +405,46 @@ def grid_values(profile: FixProfile, hi: Fraction) -> list[FixVal]:
             for c in range(profile.delta_den + 1, hi_count + 1)]
 
 
-def _suite_report(subject: str, results: Iterable[tuple[str, bool, dict]],
-                  rule: str) -> VerifyReport:
-    checks = tuple(
-        CheckResult(name, rule, ok, witness) for name, ok, witness in results)
-    return VerifyReport(subject, checks)
+def _suite_check(name: str, rule: str, rep: VerifyReport) -> CheckResult:
+    """One suite entry: an input's verdict, naming the rules it failed."""
+    return check(name, rule, rep.overall, {},
+                 {"failed": [c.rule for c in rep.failures()]})
 
 
 def run_sqr_suite(inputs: Sequence[tuple[Fraction, Fraction]]) -> VerifyReport:
     """sqr_exact over a corpus; one aggregated verdict per input."""
-    results = []
+    checks = []
     for y, eps in inputs:
         _, trace = sqr_exact(y, eps)
         rep = check_sqr_annotations(trace, y, eps)
-        witness = {} if rep.overall else \
-            {"failed": [c.rule for c in rep.failures()]}
-        results.append((f"y={rat_str(y)} eps={rat_str(eps)}",
-                        rep.overall, witness))
-    return _suite_report(f"sqr suite ({len(inputs)} inputs)", results,
-                         "suite.sqr")
+        checks.append(_suite_check(f"y={rat_str(y)} eps={rat_str(eps)}",
+                                   "suite.sqr", rep))
+    return VerifyReport(f"sqr suite ({len(inputs)} inputs)", tuple(checks))
 
 
 def run_fsqr_suite(table: RootTable, eps: FixVal,
                    ys: Sequence[FixVal]) -> VerifyReport:
     """fsqr_exact with table-derived seeds and minimal legal iteration
     counts over grid inputs."""
-    results = []
+    checks = []
     for y in ys:
         y_val = y.value
         seed_value = sup_fn(y, table).value
         n = min_legal_iterations(y_val, eps.value, seed_value)
         _, trace = fsqr_exact(y_val, eps.value, lambda _u: seed_value, n)
         rep = check_fsqr_annotations(trace, y_val, eps.value, seed_value)
-        witness = {} if rep.overall else \
-            {"failed": [c.rule for c in rep.failures()]}
-        results.append((f"y={y} n={n}", rep.overall, witness))
-    return _suite_report(f"fsqr suite ({len(ys)} inputs)", results,
-                         "suite.fsqr")
+        checks.append(_suite_check(f"y={y} n={n}", "suite.fsqr", rep))
+    return VerifyReport(f"fsqr suite ({len(ys)} inputs)", tuple(checks))
 
 
 def run_adjust_suite(table: RootTable, eps: FixVal, ys: Sequence[FixVal],
                      ns: Sequence[int] = (1, 2, 3, 4, 5, 6)) -> VerifyReport:
     """Lockstep adjustment over grid inputs and iteration counts."""
-    results = []
+    checks = []
     for y in ys:
         for n in ns:
             _, rep = adjust_runs(y, eps, table, n)
-            witness = {} if rep.overall else \
-                {"failed": [c.rule for c in rep.failures()]}
-            results.append((f"y={y} n={n}", rep.overall, witness))
-    return _suite_report(
+            checks.append(_suite_check(f"y={y} n={n}", "suite.adjust", rep))
+    return VerifyReport(
         f"adjust suite ({len(ys)} inputs x {len(list(ns))} counts)",
-        results, "suite.adjust")
+        tuple(checks))

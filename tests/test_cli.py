@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -107,6 +108,38 @@ class TestTableBuild:
             load_table(str(bad), fix, digest)
         table = load_table(str(bad), fix, digest, revalidate=False)
         assert table.roots[3] == doc["roots"][3]
+
+    @pytest.mark.parametrize("stp_count", [0, -25])
+    def test_load_rejects_nonpositive_step(self, demo_profile_path,
+                                           demo_table_path, tmp_path,
+                                           stp_count):
+        doc = json.loads(open(demo_table_path).read())
+        doc["stp_count"], doc["roots"] = stp_count, []
+        bad = tmp_path / "bad_table.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["sqrt", demo_profile_path, str(bad), "--mode", "mix",
+                     "--value", "3", "--eps", "1/4"]) == 1
+
+
+class TestGoldenDigests:
+    """SHA-256 of the demo profile's table file and of two reports' bytes,
+    taken before the exact, step, table and report rules were each given
+    one home; a change that keeps behaviour keeps them."""
+
+    def test_demo_outputs(self, demo_profile_path, demo_table_path, capsys):
+        def digest(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        capsys.readouterr()
+        assert digest(open(demo_table_path, "rb").read()) == \
+            "f0ac122dacb20b5d7b3ba1c0761abbf9e5b40e7f1bbdbb364df42ce9d441fa5e"
+        assert main(["verify", demo_profile_path, demo_table_path,
+                     "--suite", "all", "--exhaustive"]) == 0
+        assert digest(capsys.readouterr().out.encode()) == \
+            "b23d910e4a0165df72f3784e738eeaf02e3945193acf34626e78506e596bdbb4"
+        assert main(["profile-check", demo_profile_path]) == 0
+        assert digest(capsys.readouterr().out.encode()) == \
+            "70582321cbf878abe8f9e4ee70e577adc848ef03320d85f7e2ba21c2ccd36cc6"
 
 
 class TestSqrt:

@@ -150,6 +150,40 @@ class TestDiv:
         with pytest.raises(RangeOverflow):
             fix_div(p100.val(1600), p100.val(1))
 
+    @pytest.mark.parametrize("profile", [FixProfile(10, 40, 40),
+                                         FixProfile(10, 30, 50)],
+                             ids=["micro", "asymmetric"])
+    def test_range_check_matches_fraction_reference(self, profile):
+        def reference(x, y):
+            # the range check written over Fraction, as the reference
+            exact = F(x.count, y.count)
+            if not -profile.inf_value <= exact <= profile.sup_value:
+                raise RangeOverflow(f"{x} / {y}")
+            num, den = x.count * profile.delta_den, y.count
+            if den < 0:
+                num, den = -num, -den
+            return round_half_even(num, den)
+
+        boundaries = {profile.sup_value, -profile.sup_value,
+                      -profile.inf_value}
+        seen = set()
+        counts = range(-profile.inf_count, profile.sup_count + 1)
+        for nx in counts:
+            for ny in counts:
+                if ny == 0:
+                    continue
+                x, y = profile.val(nx), profile.val(ny)
+                if F(nx, ny) in boundaries:
+                    seen.add(F(nx, ny))
+                try:
+                    want = reference(x, y)
+                except RangeOverflow:
+                    with pytest.raises(RangeOverflow):
+                        fix_div(x, y)
+                else:
+                    assert fix_div(x, y).count == want, (nx, ny)
+        assert seen == boundaries
+
 
 class TestCmp:
     def test_examples(self, p100):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,9 +8,10 @@ from certisqrt.exact import Ordering, cmp_sqrt
 from certisqrt.fixarith import FixProfile
 from certisqrt.lut import (
     build_root_table,
+    first_bad_root,
     round_up_to_step,
     sup_fn,
-    sup_rational,
+    table_indices,
     validate_step,
 )
 
@@ -77,6 +79,27 @@ class TestBuildTable:
             build_root_table(demo_profile, demo_stp, max_entries=10)
 
 
+class TestTableRules:
+    def test_indices(self, demo_profile):
+        assert table_indices(demo_profile, 25) == range(5, 65)
+
+    @pytest.mark.parametrize("stp_count", [0, -25])
+    def test_indices_need_positive_step(self, demo_profile, stp_count):
+        with pytest.raises(DomainError):
+            table_indices(demo_profile, stp_count)
+
+    def test_built_table_has_no_bad_root(self, demo_table):
+        assert first_bad_root(demo_table) is None
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_first_bad_root_named(self, demo_table, offset):
+        roots = list(demo_table.roots)
+        roots[3] += offset
+        roots[7] += offset
+        broken = replace(demo_table, roots=tuple(roots))
+        assert first_bad_root(broken) == demo_table.k_min + 3
+
+
 class TestRoundUp:
     @pytest.mark.parametrize("u,expected", [(130, 150), (125, 125),
                                             (101, 125)])
@@ -118,22 +141,3 @@ class TestSupFn:
             assert s.count <= u.count
             assert cmp_sqrt(s.value - stp_val, u.value) is not Ordering.GREATER
 
-
-class TestSupRational:
-    def test_matches_grid_seed(self, demo_profile, demo_table):
-        for count in (110, 157, 300, 400, 777):
-            u = demo_profile.val(count)
-            assert sup_rational(u.value, demo_table) == \
-                sup_fn(u, demo_table).value
-
-    def test_off_grid_value(self, demo_table):
-        s = sup_rational(F(10, 3), demo_table)
-        assert cmp_sqrt(s, F(10, 3)) is not Ordering.LESS
-        assert s <= F(10, 3)
-
-    def test_identity_above_range(self, demo_table):
-        assert sup_rational(F(100), demo_table) == 100
-
-    def test_requires_above_one(self, demo_table):
-        with pytest.raises(DomainError):
-            sup_rational(F(1), demo_table)

@@ -1,0 +1,145 @@
+"""Exception type of every single violated precondition of the grid
+algorithms, the table builder and the accuracy derivation.
+
+Each case breaks one precondition of an otherwise valid call on the demo
+profile; the one deliberate exception is mix_sqr with both an illegal
+step and an accuracy small enough for EpsTooSmall, which pins that the
+step is checked first.
+"""
+from fractions import Fraction as F
+
+import pytest
+
+from certisqrt.errors import (
+    DomainError,
+    EpsTooSmall,
+    ExponentRange,
+    IterationBudgetError,
+    MantissaRange,
+    NoFeasibleEps,
+    ProfileMismatch,
+    ResourceLimit,
+)
+from certisqrt.fixarith import FixProfile, FixVal
+from certisqrt.floatmodel import FloatProfile, FloatVal
+from certisqrt.lut import RootTable, build_root_table
+from certisqrt.newton import derive_eps_for_ulp, fix_sqr, flt_sqr, mix_sqr
+
+DEMO = FixProfile(100, 1600, 1600)
+MICRO = FixProfile(10, 40, 40)
+FLOAT = FloatProfile(2, DEMO, F(65536), F(65536))
+TABLE = build_root_table(DEMO, DEMO.val(25))
+MICRO_TABLE = build_root_table(MICRO, MICRO.val(8))
+# a step and table on a grid whose step is not below 1/2
+COARSE = FixProfile(2, 40, 40)
+COARSE_TABLE = RootTable(COARSE, FixVal(4, COARSE), 1, (0,) * 10)
+
+Y, EPS = DEMO.val(300), DEMO.val(25)
+
+FIX_CASES = {
+    "eps-other-grid": (Y, MICRO.val(8), TABLE, 2, ProfileMismatch),
+    "table-other-grid": (Y, EPS, MICRO_TABLE, 2, ProfileMismatch),
+    "invalid-profile": (FixVal(5, COARSE), FixVal(4, COARSE), COARSE_TABLE,
+                        2, DomainError),
+    "y-at-most-one": (DEMO.val(100), EPS, TABLE, 2, DomainError),
+    "y-above-half-sup": (DEMO.val(801), EPS, TABLE, 2, DomainError),
+    "eps-zero": (Y, DEMO.val(0), TABLE, 2, DomainError),
+    "step-not-multiple-of-eps": (Y, DEMO.val(10), TABLE, 3, DomainError),
+    "n-below-minimum": (Y, EPS, TABLE, 0, IterationBudgetError),
+}
+
+MIX_CASES = {
+    "eps-other-grid": (Y, MICRO.val(8), TABLE, ProfileMismatch),
+    "table-other-grid": (Y, EPS, MICRO_TABLE, ProfileMismatch),
+    "invalid-profile": (FixVal(5, COARSE), FixVal(4, COARSE), COARSE_TABLE,
+                        DomainError),
+    "eps-zero": (Y, DEMO.val(0), TABLE, DomainError),
+    "step-not-multiple-of-eps": (Y, DEMO.val(10), TABLE, DomainError),
+    "eps-too-small": (Y, DEMO.val(5), TABLE, EpsTooSmall),
+    "illegal-step-and-eps-too-small": (Y, DEMO.val(2), TABLE, DomainError),
+    "y-at-most-one": (DEMO.val(100), EPS, TABLE, DomainError),
+    "y-above-half-sup": (DEMO.val(801), EPS, TABLE, DomainError),
+}
+
+A = FloatVal(DEMO.val(300), 2, 2)
+
+FLT_CASES = {
+    "invalid-float-profile": (A, EPS, FloatProfile(1, DEMO, F(65536),
+                                                   F(65536)), TABLE,
+                              DomainError),
+    "eps-other-grid": (A, MICRO.val(8), FLOAT, TABLE, ProfileMismatch),
+    "table-other-grid": (A, EPS, FLOAT, MICRO_TABLE, ProfileMismatch),
+    "input-other-grid": (FloatVal(MICRO.val(30), 2, 2), EPS, FLOAT, TABLE,
+                         ProfileMismatch),
+    "step-not-multiple-of-eps": (A, DEMO.val(10), FLOAT, TABLE, DomainError),
+    "eps-too-small": (A, DEMO.val(5), FLOAT, TABLE, EpsTooSmall),
+    "result-mantissa-at-one": (FloatVal(DEMO.val(101), 0, 2), EPS, FLOAT,
+                               TABLE, MantissaRange),
+    "result-exponent-above-max": (FloatVal(DEMO.val(300), 40, 2), EPS,
+                                  FLOAT, TABLE, ExponentRange),
+}
+
+BUILD_CASES = {
+    "invalid-profile": (COARSE, FixVal(4, COARSE), None, DomainError),
+    "step-other-grid": (DEMO, MICRO.val(8), None, ProfileMismatch),
+    "step-zero": (DEMO, DEMO.val(0), None, DomainError),
+    "step-negative": (DEMO, DEMO.val(-25), None, DomainError),
+    "step-not-dividing-sup": (DEMO, DEMO.val(30), None, DomainError),
+    "step-one-unit": (DEMO, DEMO.val(1), None, DomainError),
+    "over-size-cap": (DEMO, DEMO.val(25), 10, ResourceLimit),
+}
+
+DERIVE_CASES = {
+    "invalid-float-profile": (F(1), FloatProfile(1, DEMO, F(65536),
+                                                 F(65536)),
+                              DEMO.val(25), DomainError),
+    "ulp-zero": (F(0), FLOAT, DEMO.val(25), DomainError),
+    "step-other-grid": (F(1), FLOAT, MICRO.val(8), ProfileMismatch),
+    "step-not-dividing-sup": (F(1), FLOAT, DEMO.val(30), DomainError),
+    "step-one-unit": (F(1), FLOAT, DEMO.val(1), DomainError),
+    "no-feasible-eps": (F(1, 10 ** 6), FLOAT, DEMO.val(25), NoFeasibleEps),
+}
+
+
+@pytest.mark.parametrize("y,eps,table,n,error", FIX_CASES.values(),
+                         ids=FIX_CASES.keys())
+def test_fix_sqr(y, eps, table, n, error):
+    with pytest.raises(error):
+        fix_sqr(y, eps, table, n)
+
+
+@pytest.mark.parametrize("y,eps,table,error", MIX_CASES.values(),
+                         ids=MIX_CASES.keys())
+def test_mix_sqr(y, eps, table, error):
+    with pytest.raises(error):
+        mix_sqr(y, eps, table)
+
+
+@pytest.mark.parametrize("a,eps,profile,table,error", FLT_CASES.values(),
+                         ids=FLT_CASES.keys())
+def test_flt_sqr(a, eps, profile, table, error):
+    with pytest.raises(error):
+        flt_sqr(a, eps, profile, table)
+
+
+@pytest.mark.parametrize("profile,stp,cap,error", BUILD_CASES.values(),
+                         ids=BUILD_CASES.keys())
+def test_build_root_table(profile, stp, cap, error):
+    with pytest.raises(error):
+        build_root_table(profile, stp, cap)
+
+
+@pytest.mark.parametrize("ulp,profile,stp,error", DERIVE_CASES.values(),
+                         ids=DERIVE_CASES.keys())
+def test_derive_eps_for_ulp(ulp, profile, stp, error):
+    with pytest.raises(error):
+        derive_eps_for_ulp(ulp, profile, stp)
+
+
+def test_valid_baselines():
+    """The calls the cases above break one precondition of all succeed."""
+    fix_sqr(Y, EPS, TABLE, 2)
+    mix_sqr(Y, EPS, TABLE)
+    flt_sqr(A, EPS, FLOAT, TABLE)
+    build_root_table(DEMO, DEMO.val(25), 100)
+    derive_eps_for_ulp(F(1), FLOAT, DEMO.val(25))
