@@ -30,7 +30,6 @@ from .lut import (
     StepConfig,
     build_root_table,
     first_bad_root,
-    table_indices,
     validate_step,
 )
 from .newton import (
@@ -173,16 +172,22 @@ def load_table(path: str, fix: FixProfile, profile_hash: str,
     if not isinstance(roots, list) or \
             any(isinstance(r, bool) or not isinstance(r, int) for r in roots):
         raise FileFormatError("table.roots: expected a list of integers")
-    indices = table_indices(fix, stp_count)
-    if len(roots) != len(indices):
-        raise DomainError(f"table {path} has {len(roots)} entries, "
-                          f"expected {len(indices)}")
-    table = RootTable(fix, fix.val(stp_count), indices.start, tuple(roots))
+    table = RootTable(fix, fix.val(stp_count), tuple(roots))
     if revalidate:
         bad = first_bad_root(table)
         if bad is not None:
             raise DomainError(
                 f"table {path} failed revalidation at index {bad}")
+    return table
+
+
+def _bound_table(args: argparse.Namespace, fix: FixProfile,
+                 fprof: FloatProfile, step: StepConfig) -> RootTable:
+    """The table file args.table, bound to the profile and to its step."""
+    table = load_table(args.table, fix, profile_digest(fix, fprof, step),
+                       revalidate=not args.no_revalidate)
+    if table.stp != step.stp:
+        raise DomainError(f"table {args.table} was built for another step")
     return table
 
 
@@ -279,9 +284,7 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
             print("error: modes fix/mix/float require a table file",
                   file=sys.stderr)
             return 2
-        table = load_table(args.table, fix,
-                           profile_digest(fix, fprof, step),
-                           revalidate=not args.no_revalidate)
+        table = _bound_table(args, fix, fprof, step)
     if args.ulp is not None:
         eps_fix = derive_eps_for_ulp(args.ulp, fprof, step.stp)
     elif args.eps is not None:
@@ -341,8 +344,7 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     fix, fprof, step = load_profile(args.profile)
-    table = load_table(args.table, fix, profile_digest(fix, fprof, step),
-                       revalidate=not args.no_revalidate)
+    table = _bound_table(args, fix, fprof, step)
     eps = step.eps
     reports: list[VerifyReport] = []
     suites = ("table", "sqr", "fsqr", "adjust") if args.suite == "all" \

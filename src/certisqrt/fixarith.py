@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     RangeOverflow,
 )
 from .exact import Ordering, _ordering_of_sign
-from .report import VerifyReport, check
+from .report import CheckResult, VerifyReport, check, require
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,8 @@ class FixProfile:
     """Grid parameters: step 1/delta_den on [-inf_count/d, sup_count/d].
 
     Construction only checks positivity so that deliberately broken
-    profiles can still be fed to check_profile_assumptions; operations
-    that rely on the grid assumptions call validate() first.
+    profiles can still be fed to check_profile_assumptions; the grid
+    assumptions are decided once, on first use, into rule_checks.
     """
 
     delta_den: int
@@ -52,21 +53,33 @@ class FixProfile:
     def sup_value(self) -> Fraction:
         return Fraction(self.sup_count, self.delta_den)
 
-    def is_valid(self) -> bool:
+    @cached_property
+    def rule_checks(self) -> tuple[CheckResult, ...]:
         d = self.delta_den
-        return d >= 3 and self.inf_count > 2 * d and self.sup_count > 2 * d
+        # every integer in range must be a grid point inside the count range
+        int_lo = -(self.inf_count // d)
+        int_hi = self.sup_count // d
+        ints_ok = self.contains_count(int_lo * d) and \
+            self.contains_count(int_hi * d)
+        return (
+            check("grid step below one half", "profile.delta-range",
+                  d >= 3, {"delta": self.delta}),
+            check("lower bound above two", "profile.inf-min",
+                  self.inf_count > 2 * d, {"inf": self.inf_value}),
+            check("upper bound above two", "profile.sup-min",
+                  self.sup_count > 2 * d, {"sup": self.sup_value}),
+            check("reciprocal step is a natural number", "profile.delta-unit",
+                  d >= 1, {"delta_den": d}),
+            check("integers in range are grid points",
+                  "profile.integers-on-grid", ints_ok,
+                  {"smallest": int_lo, "largest": int_hi}),
+        )
+
+    def is_valid(self) -> bool:
+        return all(c.passed for c in self.rule_checks)
 
     def validate(self) -> None:
-        if self.delta_den < 3:
-            raise DomainError(
-                f"grid step must be < 1/2: delta_den={self.delta_den} gives "
-                f"step {self.delta}")
-        if self.inf_count <= 2 * self.delta_den:
-            raise DomainError(f"lower range bound must exceed 2, "
-                              f"got {self.inf_value}")
-        if self.sup_count <= 2 * self.delta_den:
-            raise DomainError(f"upper range bound must exceed 2, "
-                              f"got {self.sup_value}")
+        require("grid profile", self.rule_checks)
 
     def contains_count(self, count: int) -> bool:
         return -self.inf_count <= count <= self.sup_count
@@ -222,29 +235,9 @@ def check_profile_assumptions(profile: FixProfile,
     are probed either exhaustively (budget="exhaustive") or over a seeded
     deterministic sample of the given size.
     """
-    d = profile.delta_den
-    # every integer in range must be a grid point inside the count range
-    int_lo = -(profile.inf_count // d)
-    int_hi = profile.sup_count // d
-    ints_ok = profile.contains_count(int_lo * d) and \
-        profile.contains_count(int_hi * d)
-    checks = [
-        check("grid step below one half", "profile.delta-range",
-              d >= 3, {"delta": profile.delta}),
-        check("lower bound above two", "profile.inf-min",
-              profile.inf_count > 2 * d, {"inf": profile.inf_value}),
-        check("upper bound above two", "profile.sup-min",
-              profile.sup_count > 2 * d, {"sup": profile.sup_value}),
-        check("reciprocal step is a natural number", "profile.delta-unit",
-              d >= 1, {"delta_den": d}),
-        check("integers in range are grid points", "profile.integers-on-grid",
-              ints_ok, {"smallest": int_lo, "largest": int_hi}),
-    ]
-
     add_ok, add_witness = True, {}
     contract_ok, contract_witness = True, {}
-    structural_ok = all(c.passed for c in checks)
-    if not structural_ok:
+    if not profile.is_valid():
         add_witness = contract_witness = {"skipped":
                                           "structural assumptions failed"}
     else:
@@ -280,13 +273,12 @@ def check_profile_assumptions(profile: FixProfile,
                     contract_witness = witness
         add_witness = dict(add_witness, pairs=total)
         contract_witness = dict(contract_witness, pairs=total)
-    checks += [
+    checks = profile.rule_checks + (
         check("addition and subtraction exact", "fix.add-exact",
               add_ok, add_witness),
         check("multiply/divide correctly rounded", "fix.rounding-contract",
               contract_ok, contract_witness),
-    ]
-
-    subject = f"fix-profile delta=1/{d} inf={profile.inf_value} " \
-              f"sup={profile.sup_value}"
-    return VerifyReport(subject, tuple(checks))
+    )
+    subject = f"fix-profile delta=1/{profile.delta_den} " \
+              f"inf={profile.inf_value} sup={profile.sup_value}"
+    return VerifyReport(subject, checks)

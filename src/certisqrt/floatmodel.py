@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -19,38 +20,41 @@ from .errors import (
     RangeOverflow,
 )
 from .fixarith import FixProfile, FixVal, quantize
-from .report import VerifyReport, check
+from .report import CheckResult, VerifyReport, check, require
 
 
 @dataclass(frozen=True)
 class FloatProfile:
-    """Exponent base plus the underlying grid and outer range bounds."""
+    """Exponent base plus the underlying grid and outer range bounds;
+    like FixProfile, it decides its rules once, on first use."""
 
     base: int
     fix: FixProfile
     inf_f: Fraction
     sup_f: Fraction
 
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except DomainError:
-            return False
-        return True
+    @cached_property
+    def rule_checks(self) -> tuple[CheckResult, ...]:
+        fix, base = self.fix, self.base
+        return (
+            check("underlying grid valid", "float.fix-valid",
+                  fix.is_valid(), {}),
+            check("base at least two", "float.base-min",
+                  base >= 2, {"base": base}),
+            check("base inside the grid integers", "float.base-in-grid",
+                  Fraction(base) <= fix.sup_value,
+                  {"base": base, "sup": fix.sup_value}),
+            check("grid bound exceeds base squared",
+                  "float.sup-over-base-squared",
+                  fix.sup_value > base * base,
+                  {"sup": fix.sup_value, "base_squared": base ** 2}),
+            check("float range bounds above two", "float.range-min",
+                  self.inf_f > 2 and self.sup_f > 2,
+                  {"inf_f": self.inf_f, "sup_f": self.sup_f}),
+        )
 
     def validate(self) -> None:
-        self.fix.validate()
-        if self.base < 2:
-            raise DomainError(f"base must be an integer >= 2, got {self.base}")
-        if Fraction(self.base) > self.fix.sup_value:
-            raise DomainError(
-                f"base {self.base} is not an integer of the grid range")
-        if self.fix.sup_value <= self.base * self.base:
-            raise DomainError(
-                f"grid upper bound {self.fix.sup_value} must exceed "
-                f"base**2 = {self.base * self.base}")
-        if self.inf_f <= 2 or self.sup_f <= 2:
-            raise DomainError("float range bounds must exceed 2")
+        require("float profile", self.rule_checks)
 
     @property
     def exp_min(self) -> int:
@@ -163,21 +167,5 @@ def encode_rational(q: Fraction, profile: FloatProfile) -> tuple[FloatVal, bool]
 
 def check_float_profile(profile: FloatProfile) -> VerifyReport:
     """Reportable version of the float-profile validity rules."""
-    checks = (
-        check("underlying grid valid", "float.fix-valid",
-              profile.fix.is_valid(), {}),
-        check("base at least two", "float.base-min",
-              profile.base >= 2, {"base": profile.base}),
-        check("base inside the grid integers", "float.base-in-grid",
-              Fraction(profile.base) <= profile.fix.sup_value,
-              {"base": profile.base, "sup": profile.fix.sup_value}),
-        check("grid bound exceeds base squared", "float.sup-over-base-squared",
-              profile.fix.sup_value > profile.base * profile.base,
-              {"sup": profile.fix.sup_value,
-               "base_squared": profile.base ** 2}),
-        check("float range bounds above two", "float.range-min",
-              profile.inf_f > 2 and profile.sup_f > 2,
-              {"inf_f": profile.inf_f, "sup_f": profile.sup_f}),
-    )
-    subject = f"float-profile base={profile.base}"
-    return VerifyReport(subject, checks)
+    return VerifyReport(f"float-profile base={profile.base}",
+                        profile.rule_checks)

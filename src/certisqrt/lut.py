@@ -4,13 +4,13 @@ The table stores, for every step multiple v in (1, sup], the least grid
 value g with g**2 >= v, so g - step_of_grid < sqrt(v) <= g.  The seed of
 the table-backed square-root algorithms is min(u, root[round_up(u)]),
 which is sandwiched between sqrt(u) and u and lies within one table step
-of sqrt(u).
+of sqrt(u).  A RootTable checks its configuration once, when it is made.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DomainError,
@@ -21,7 +21,7 @@ from .errors import (
 )
 from .exact import Ordering, cmp_sqrt
 from .fixarith import FixProfile, FixVal
-from .report import VerifyReport, check
+from .report import VerifyReport, check, require
 
 ENV_MAX_TABLE = "CERTISQRT_MAX_TABLE"
 DEFAULT_MAX_TABLE = 1_000_000
@@ -37,12 +37,20 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class RootTable:
-    """Root counts for index values k*stp, k in [k_min, k_min+len-1]."""
+    """Root counts for index values k*stp in (1, sup], k >= k_min; made
+    only for a legal configuration (first_bad_root checks the roots)."""
 
     profile: FixProfile
     stp: FixVal
-    k_min: int
     roots: tuple[int, ...]
+    k_min: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        indices = _check_table_config(self.profile, self.stp)
+        if len(self.roots) != len(indices):
+            raise DomainError(f"table has {len(self.roots)} entries, "
+                              f"expected {len(indices)}")
+        object.__setattr__(self, "k_min", indices.start)
 
     @property
     def k_max(self) -> int:
@@ -61,8 +69,7 @@ class RootTable:
         return FixVal(self.roots[k - self.k_min], self.profile)
 
     def items(self):
-        for offset, count in enumerate(self.roots):
-            k = self.k_min + offset
+        for k, count in enumerate(self.roots, self.k_min):
             yield self.index_value(k), FixVal(count, self.profile)
 
 
@@ -78,7 +85,7 @@ def validate_step(stp: FixVal, eps: FixVal, profile: FixProfile) -> VerifyReport
         check("accuracy positive", "step.eps-positive",
               eps.count > 0, {"eps": str(eps)}),
         check("step is a multiple of the accuracy", "step.multiple-of-eps",
-              eps.count > 0 and stp.count % eps.count == 0,
+              step_multiple_of_eps(stp, eps),
               {"stp": str(stp), "eps": str(eps)}),
         check("step divides the range bound", "step.divides-sup",
               stp.count > 0 and profile.sup_count % stp.count == 0,
@@ -89,12 +96,9 @@ def validate_step(stp: FixVal, eps: FixVal, profile: FixProfile) -> VerifyReport
     return VerifyReport(f"step stp={stp} eps={eps}", checks)
 
 
-def require_legal_step(stp: FixVal, eps: FixVal, profile: FixProfile) -> None:
-    """Raise DomainError naming every rule validate_step finds broken."""
-    report = validate_step(stp, eps, profile)
-    if not report.overall:
-        names = ", ".join(c.rule for c in report.failures())
-        raise DomainError(f"step configuration invalid: {names}")
+def step_multiple_of_eps(stp: FixVal, eps: FixVal) -> bool:
+    """Rule step.multiple-of-eps: eps is positive and divides stp."""
+    return eps.count > 0 and stp.count % eps.count == 0
 
 
 def table_indices(profile: FixProfile, stp_count: int) -> range:
@@ -117,6 +121,15 @@ def first_bad_root(table: RootTable) -> int | None:
     return None
 
 
+def _check_table_config(profile: FixProfile, stp: FixVal) -> range:
+    """table_indices of stp, once the grid, profile and step rules pass."""
+    if stp.profile != profile:
+        raise ProfileMismatch("step value belongs to a different grid")
+    profile.validate()
+    require("step configuration", validate_step(stp, stp, profile).checks)
+    return table_indices(profile, stp.count)
+
+
 def table_size_limit() -> int:
     raw = os.environ.get(ENV_MAX_TABLE)
     if raw is None:
@@ -135,11 +148,7 @@ def build_root_table(profile: FixProfile, stp: FixVal,
     For index value v = count_v/d the entry is ceil(sqrt(count_v*d)) in
     grid counts: the least count g with (g/d)**2 >= v.
     """
-    profile.validate()
-    if stp.profile != profile:
-        raise ProfileMismatch("step value belongs to a different grid")
-    require_legal_step(stp, stp, profile)  # the table-step rules
-    indices = table_indices(profile, stp.count)
+    indices = _check_table_config(profile, stp)
     limit = table_size_limit() if max_entries is None else max_entries
     if len(indices) > limit:
         raise ResourceLimit(f"table would need {len(indices)} entries, "
@@ -147,7 +156,7 @@ def build_root_table(profile: FixProfile, stp: FixVal,
     scale = stp.count * profile.delta_den
     roots = tuple([math.isqrt(t - 1) + 1 for t in
                    range(indices.start * scale, indices.stop * scale, scale)])
-    table = RootTable(profile, stp, indices.start, roots)
+    table = RootTable(profile, stp, roots)
     bad = first_bad_root(table)
     if bad is not None:
         raise InternalInvariantError(f"root entry for index {bad} broken")

@@ -19,8 +19,8 @@ and differ only in their seed and exit rule.  It keeps the pairs in
 lowest terms by stripping common factors of 2*num(y)*den(y) each step
 (the only primes a common factor can contain), because a full gcd at the
 sizes reached by long runs is quadratic and would dominate the runtime.
-fix_sqr and mix_sqr share their preconditions on grids, accuracy and
-step, and one grid loop.
+fix_sqr and mix_sqr share one grid loop and their per-request checks;
+the table checked its profile and step when it was made.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .errors import (
 from .exact import Ordering, cmp_sqrt, decide_radical_lt, fraction_from_coprime
 from .fixarith import FixVal, fix_add, fix_div, fix_mul
 from .floatmodel import FloatProfile, FloatVal, compose, decompose
-from .lut import RootTable, require_legal_step, sup_fn
+from .lut import RootTable, _check_table_config, step_multiple_of_eps, sup_fn
 
 SeedFn = Callable[[Fraction], Fraction]
 
@@ -258,27 +258,26 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: SeedFn,
 
 
 def _check_grid_config(y: FixVal, eps: FixVal, table: RootTable) -> None:
-    """Preconditions fix_sqr and mix_sqr share on grids, accuracy and step."""
+    """Per-request preconditions fix_sqr and mix_sqr share."""
     profile = y.profile
     if eps.profile != profile or table.profile != profile:
         raise ProfileMismatch("inputs belong to different grids")
     if eps.count <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
-    require_legal_step(table.stp, eps, profile)
+    if not step_multiple_of_eps(table.stp, eps):
+        raise DomainError("step configuration invalid: step.multiple-of-eps")
 
 
 def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
-                 n: int) -> tuple[FixVal, Trace]:
-    """fix_sqr after _check_grid_config: the checks on y and n, then the
-    table-seeded grid loop."""
+                 n: int, n_min: int) -> tuple[FixVal, Trace]:
+    """fix_sqr after _check_grid_config: the checks on y and on n against
+    the minimal count n_min, then the table-seeded grid loop."""
     profile = y.profile
-    profile.validate()
     if y.count <= profile.delta_den:
         raise DomainError(f"fix_sqr requires y > 1, got {y}")
     if 2 * y.count > profile.sup_count:
         raise DomainError(f"fix_sqr requires y <= {profile.sup_value}/2 "
                           f"so the loop's x + x stays in range, got {y}")
-    n_min = min_iterations_for_step(table.stp, eps)
     if n < n_min:
         raise IterationBudgetError(f"n={n} below the minimum {n_min} for "
                                    f"stp={table.stp}, eps={eps}")
@@ -312,7 +311,8 @@ def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
     |x - sqrt(y)| < eps/2 + n*step_of_grid.
     """
     _check_grid_config(y, eps, table)
-    return _grid_newton("fix_sqr", y, eps, table, n)
+    return _grid_newton("fix_sqr", y, eps, table, n,
+                        min_iterations_for_step(table.stp, eps))
 
 
 def _min_eps_count(stp_count: int, eps_count: int) -> int:
@@ -336,8 +336,8 @@ def mix_sqr(y: FixVal, eps: FixVal, table: RootTable) -> tuple[FixVal, Trace]:
         raise EpsTooSmall(
             f"eps={eps} below 2*delta*(2 + ceil(log2(stp/eps))) = "
             f"{Fraction(need, y.profile.delta_den)}")
-    return _grid_newton("mix_sqr", y, eps, table,
-                        min_iterations_for_step(table.stp, eps))
+    n = min_iterations_for_step(table.stp, eps)
+    return _grid_newton("mix_sqr", y, eps, table, n, n)
 
 
 def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
@@ -397,9 +397,7 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
     profile.validate()
     if ulp <= 0:
         raise DomainError(f"ulp must be positive, got {ulp}")
-    if stp.profile != profile.fix:
-        raise ProfileMismatch("step belongs to a different grid")
-    require_legal_step(stp, stp, profile.fix)  # the table-step rules
+    _check_table_config(profile.fix, stp)
     d = profile.fix.delta_den
     beta = profile.base
     half_ulp = ulp / 2

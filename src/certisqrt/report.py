@@ -8,7 +8,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
+
+from .errors import DomainError
 
 
 def _encode(value: Any) -> Any:
@@ -85,3 +87,10 @@ def check(name: str, rule: str, ok: bool, witness: dict[str, Any],
     if not ok and failure is not None:
         witness = failure
     return CheckResult(name, rule, ok, witness)
+
+
+def require(what: str, checks: Iterable[CheckResult]) -> None:
+    """Raise DomainError naming every rule among ``checks`` that failed."""
+    failed = [c.rule for c in checks if not c.passed]
+    if failed:
+        raise DomainError(f"{what} invalid: {', '.join(failed)}")

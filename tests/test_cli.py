@@ -9,10 +9,19 @@ from certisqrt.cli import (
     load_table,
     main,
     profile_digest,
+    table_file_bytes,
     trace_rows,
 )
 from certisqrt.errors import DomainError
 from certisqrt.newton import sqr_exact
+
+
+# a profile whose grid step is 1/2, not below it
+HALF_STEP_PROFILE = {
+    "fix": {"delta_den": 2, "inf_count": 100, "sup_count": 100},
+    "float": {"base": 2, "inf_F": "8/1", "sup_F": "8/1"},
+    "step": {"stp_count": 25, "eps_count": 25},
+}
 
 
 @pytest.fixture
@@ -35,11 +44,7 @@ class TestProfileCheck:
 
     def test_half_step_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "fix": {"delta_den": 2, "inf_count": 100, "sup_count": 100},
-            "float": {"base": 2, "inf_F": "8/1", "sup_F": "8/1"},
-            "step": {"stp_count": 25, "eps_count": 25},
-        }))
+        path.write_text(json.dumps(HALF_STEP_PROFILE))
         assert main(["profile-check", str(path)]) == 1
         doc = json.loads(capsys.readouterr().out)
         rules = {c["rule"] for r in doc["reports"] for c in r["checks"]
@@ -109,6 +114,25 @@ class TestTableBuild:
         table = load_table(str(bad), fix, digest, revalidate=False)
         assert table.roots[3] == doc["roots"][3]
 
+    @pytest.mark.parametrize("command", [
+        ["sqrt", "--mode", "mix", "--value", "3", "--eps", "1/4"],
+        ["verify", "--suite", "table"],
+    ], ids=["sqrt", "verify"])
+    def test_table_bound_to_profile_step(self, demo_profile_path, tmp_path,
+                                         capsys, command):
+        from certisqrt.lut import build_root_table
+        fix, fprof, step = load_profile(demo_profile_path)
+        other = tmp_path / "other_step.json"
+        other.write_bytes(table_file_bytes(
+            build_root_table(fix, fix.val(50)),
+            profile_digest(fix, fprof, step)))
+        capsys.readouterr()
+        assert main(command[:1] + [demo_profile_path, str(other)]
+                    + command[1:]) == 1
+        captured = capsys.readouterr()
+        assert "DomainError" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("stp_count", [0, -25])
     def test_load_rejects_nonpositive_step(self, demo_profile_path,
                                            demo_table_path, tmp_path,
@@ -122,9 +146,10 @@ class TestTableBuild:
 
 
 class TestGoldenDigests:
-    """SHA-256 of the demo profile's table file and of two reports' bytes,
-    taken before the exact, step, table and report rules were each given
-    one home; a change that keeps behaviour keeps them."""
+    """SHA-256 of the demo profile's table file, of two reports' bytes and
+    of the sqrt request path's output, taken before the rules were each
+    given one home and decided once; a change that keeps behaviour keeps
+    them."""
 
     def test_demo_outputs(self, demo_profile_path, demo_table_path, capsys):
         def digest(data: bytes) -> str:
@@ -140,6 +165,31 @@ class TestGoldenDigests:
         assert main(["profile-check", demo_profile_path]) == 0
         assert digest(capsys.readouterr().out.encode()) == \
             "70582321cbf878abe8f9e4ee70e577adc848ef03320d85f7e2ba21c2ccd36cc6"
+
+    @pytest.mark.parametrize("args,expected", [
+        (["--mode", "mix", "--value", "3.00", "--eps", "0.25"],
+         "d3c7e3218da6cd0c37333ef58f81f906c7adcfb85e0a41db94ba2cf5df313a01"),
+        (["--mode", "float", "--value", "12", "--eps", "0.25"],
+         "35fc3f612c398cddc228c41b3b650a5c98709b8cf5814e0e87762cc73354df43"),
+        (["--mode", "fix", "--value", "3.00", "--eps", "0.25", "--n", "3"],
+         "e80fcd1769c9e4f7b3c4091b3f9b0049b9c2dd4c17c7c521bced9ada8a83143c"),
+    ], ids=["mix", "float", "fix"])
+    def test_sqrt_outputs(self, demo_profile_path, demo_table_path, capsys,
+                          args, expected):
+        capsys.readouterr()
+        assert main(["sqrt", demo_profile_path, demo_table_path] + args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+            == expected
+
+    def test_invalid_profile_check(self, tmp_path, capsys):
+        expected = \
+            "ee2c99545fd4c82d65e3fa68b6bc125164281092dd6d0a1cd805852f78c02e90"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(HALF_STEP_PROFILE))
+        capsys.readouterr()
+        assert main(["profile-check", str(path)]) == 1
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+            == expected
 
 
 class TestSqrt:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,16 @@ from certisqrt.exact import (
     sqrt_enclosure,
     within_of_sqrt,
 )
-from certisqrt.floatmodel import FloatVal, compose, value_of
+from certisqrt import lut
+from certisqrt.fixarith import FixProfile
+from certisqrt.floatmodel import (
+    FloatProfile,
+    FloatVal,
+    compose,
+    encode_rational,
+    value_of,
+)
+from certisqrt.lut import build_root_table
 from certisqrt.newton import (
     derive_eps_for_ulp,
     fix_sqr,
@@ -388,3 +398,38 @@ class TestDeriveEps:
         for count in (20,):
             assert not decide_radical_lt(F(count, 100), F(3, 20),
                                          F(-1, 400), F(2))
+
+
+class TestValidateOnce:
+    """The profile, step and table rules are decided when a table and a
+    profile are made and first used; requests rely on them."""
+
+    def test_requests_do_not_recheck(self, monkeypatch):
+        def counting(fn, counter, key):
+            def wrapper(*args, **kwargs):
+                counter[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        decided = Counter()
+        for cls in (FixProfile, FloatProfile):
+            prop = cls.__dict__["rule_checks"]
+            monkeypatch.setattr(prop, "func",
+                                counting(prop.func, decided, cls.__name__))
+        fix = FixProfile(100, 1600, 1600)  # fresh: nothing decided yet
+        fprof = FloatProfile(2, fix, F(65536), F(65536))
+        table = build_root_table(fix, fix.val(25))
+        eps = fix.val(25)
+
+        calls = Counter()
+        monkeypatch.setattr(lut, "validate_step",
+                            counting(lut.validate_step, calls, "step"))
+        monkeypatch.setattr(FixProfile, "validate",
+                            counting(FixProfile.validate, calls, "profile"))
+        for count in range(101, 801, 4):
+            mix_sqr(fix.val(count), eps, table)
+        for count in range(110, 800, 4):
+            a, _ = encode_rational(F(count, 100) * 2 ** (count % 7), fprof)
+            flt_sqr(a, eps, fprof, table)
+        assert calls == Counter()
+        assert decided == Counter(FixProfile=1, FloatProfile=1)

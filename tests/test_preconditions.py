@@ -1,5 +1,6 @@
 """Exception type of every single violated precondition of the grid
-algorithms, the table builder and the accuracy derivation.
+algorithms, the table constructor and builder and the accuracy
+derivation.
 
 Each case breaks one precondition of an otherwise valid call on the demo
 profile; the one deliberate exception is mix_sqr with both an illegal
@@ -30,16 +31,26 @@ MICRO = FixProfile(10, 40, 40)
 FLOAT = FloatProfile(2, DEMO, F(65536), F(65536))
 TABLE = build_root_table(DEMO, DEMO.val(25))
 MICRO_TABLE = build_root_table(MICRO, MICRO.val(8))
-# a step and table on a grid whose step is not below 1/2
+# a grid whose step is not below 1/2
 COARSE = FixProfile(2, 40, 40)
-COARSE_TABLE = RootTable(COARSE, FixVal(4, COARSE), 1, (0,) * 10)
+
+
+def coarse_table():
+    """A table on COARSE: making it raises, so a request on that grid
+    fails before it reaches the algorithm."""
+    return RootTable(COARSE, FixVal(4, COARSE), (0,) * 10)
+
+
+def _made(table):
+    return table() if callable(table) else table
+
 
 Y, EPS = DEMO.val(300), DEMO.val(25)
 
 FIX_CASES = {
     "eps-other-grid": (Y, MICRO.val(8), TABLE, 2, ProfileMismatch),
     "table-other-grid": (Y, EPS, MICRO_TABLE, 2, ProfileMismatch),
-    "invalid-profile": (FixVal(5, COARSE), FixVal(4, COARSE), COARSE_TABLE,
+    "invalid-profile": (FixVal(5, COARSE), FixVal(4, COARSE), coarse_table,
                         2, DomainError),
     "y-at-most-one": (DEMO.val(100), EPS, TABLE, 2, DomainError),
     "y-above-half-sup": (DEMO.val(801), EPS, TABLE, 2, DomainError),
@@ -51,7 +62,7 @@ FIX_CASES = {
 MIX_CASES = {
     "eps-other-grid": (Y, MICRO.val(8), TABLE, ProfileMismatch),
     "table-other-grid": (Y, EPS, MICRO_TABLE, ProfileMismatch),
-    "invalid-profile": (FixVal(5, COARSE), FixVal(4, COARSE), COARSE_TABLE,
+    "invalid-profile": (FixVal(5, COARSE), FixVal(4, COARSE), coarse_table,
                         DomainError),
     "eps-zero": (Y, DEMO.val(0), TABLE, DomainError),
     "step-not-multiple-of-eps": (Y, DEMO.val(10), TABLE, DomainError),
@@ -77,6 +88,19 @@ FLT_CASES = {
                                TABLE, MantissaRange),
     "result-exponent-above-max": (FloatVal(DEMO.val(300), 40, 2), EPS,
                                   FLOAT, TABLE, ExponentRange),
+}
+
+# a table with an illegal configuration cannot be made, so no request
+# can receive one
+TABLE_CASES = {
+    "invalid-profile": (COARSE, FixVal(4, COARSE), (0,) * 10, DomainError),
+    "step-other-grid": (DEMO, MICRO.val(8), TABLE.roots, ProfileMismatch),
+    "step-zero": (DEMO, DEMO.val(0), TABLE.roots, DomainError),
+    "step-negative": (DEMO, DEMO.val(-25), TABLE.roots, DomainError),
+    "step-not-dividing-sup": (DEMO, DEMO.val(30), TABLE.roots, DomainError),
+    "step-one-unit": (DEMO, DEMO.val(1), TABLE.roots, DomainError),
+    "one-root-short": (DEMO, DEMO.val(25), TABLE.roots[:-1], DomainError),
+    "one-root-over": (DEMO, DEMO.val(25), TABLE.roots + (401,), DomainError),
 }
 
 BUILD_CASES = {
@@ -105,14 +129,14 @@ DERIVE_CASES = {
                          ids=FIX_CASES.keys())
 def test_fix_sqr(y, eps, table, n, error):
     with pytest.raises(error):
-        fix_sqr(y, eps, table, n)
+        fix_sqr(y, eps, _made(table), n)
 
 
 @pytest.mark.parametrize("y,eps,table,error", MIX_CASES.values(),
                          ids=MIX_CASES.keys())
 def test_mix_sqr(y, eps, table, error):
     with pytest.raises(error):
-        mix_sqr(y, eps, table)
+        mix_sqr(y, eps, _made(table))
 
 
 @pytest.mark.parametrize("a,eps,profile,table,error", FLT_CASES.values(),
@@ -120,6 +144,13 @@ def test_mix_sqr(y, eps, table, error):
 def test_flt_sqr(a, eps, profile, table, error):
     with pytest.raises(error):
         flt_sqr(a, eps, profile, table)
+
+
+@pytest.mark.parametrize("profile,stp,roots,error", TABLE_CASES.values(),
+                         ids=TABLE_CASES.keys())
+def test_root_table(profile, stp, roots, error):
+    with pytest.raises(error):
+        RootTable(profile, stp, roots)
 
 
 @pytest.mark.parametrize("profile,stp,cap,error", BUILD_CASES.values(),
@@ -141,5 +172,6 @@ def test_valid_baselines():
     fix_sqr(Y, EPS, TABLE, 2)
     mix_sqr(Y, EPS, TABLE)
     flt_sqr(A, EPS, FLOAT, TABLE)
+    RootTable(DEMO, DEMO.val(25), TABLE.roots)
     build_root_table(DEMO, DEMO.val(25), 100)
     derive_eps_for_ulp(F(1), FLOAT, DEMO.val(25))
