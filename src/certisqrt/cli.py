@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import CertisqrtError, DomainError
-from .exact import rat_str, sqrt_abs_err_lt, within_of_sqrt
+from .exact import encode_int, rat_str, sqrt_abs_err_lt, within_of_sqrt
 from .fixarith import FixProfile, FixVal, check_profile_assumptions
 from .floatmodel import (
     FloatProfile,
@@ -201,7 +201,8 @@ def trace_rows(trace: Trace) -> list[dict]:
     def value_cols(x) -> dict:
         if isinstance(x, FixVal):
             return {"x_num": "", "x_den": "", "x_count": x.count}
-        return {"x_num": x.numerator, "x_den": x.denominator, "x_count": ""}
+        return {"x_num": encode_int(x.numerator),
+                "x_den": encode_int(x.denominator), "x_count": ""}
 
     exact = not isinstance(trace.final_x, FixVal)
     for s in trace.steps:

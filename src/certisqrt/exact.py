@@ -5,6 +5,17 @@ ordering a rational against sqrt(y), deciding |q - sqrt(y)| <= bound,
 refinable enclosures of sqrt(y), and sign-tracked decisions for
 inequalities containing one or two radicals.  Host floating point never
 participates in a verdict.
+
+cmp_sqrt is a filtered predicate.  Its verdict is the sign of
+num(q)**2*den(y) - num(y)*den(q)**2, a difference of two products that
+cmp_products decides in stages.  Bit lengths come first.  Next each
+factor is cut to its top _FILTER_BITS bits: dropping low bits moves a
+factor by less than one unit of its last kept bit, so each product lies
+in a bracket of small integers, and disjoint brackets decide the sign.
+Only overlapping brackets need the full products, which also decide
+every short q.  Each stage is exact, so the verdict is too; the filter
+only skips squaring operands of 100K+ bits when a 128-bit bracket
+already settles the comparison.
 """
 from __future__ import annotations
 
@@ -45,9 +56,25 @@ def fraction_from_coprime(num: int, den: int) -> Fraction:
     return f
 
 
+# Below 2**2126 < 10**640 an integer has at most 640 decimal digits, the
+# least int-to-str limit an interpreter can be set to.
+_DECIMAL_MAX_BITS = 2126
+
+
+def encode_int(n: int) -> int | str:
+    """n itself when every interpreter setting prints it in decimal,
+    otherwise its lossless hex string ("0x..." or "-0x...").
+
+    Both forms read back with int(text, 0).  Hex is also linear-time,
+    where CPython's decimal conversion is quadratic.
+    """
+    return n if n.bit_length() <= _DECIMAL_MAX_BITS else hex(n)
+
+
 def rat_str(q: Fraction) -> str:
-    """Canonical "num/den" serialization used in reports."""
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical "num/den" serialization used in reports; each part as
+    encode_int writes it."""
+    return f"{encode_int(q.numerator)}/{encode_int(q.denominator)}"
 
 
 def isqrt(n: int) -> int:
@@ -57,20 +84,81 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
+# The filter keeps the top _FILTER_BITS bits of each factor; cmp_sqrt
+# uses it once a part of q is longer than 2*_FILTER_BITS bits.
+_FILTER_BITS = 128
+
+
+def _exact_sign(x1: int, x2: int, y1: int, y2: int) -> int:
+    """Sign of x1*x2 - y1*y2, from the full products."""
+    lhs, rhs = x1 * x2, y1 * y2
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _truncate(n: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo*2**s <= n <= hi*2**s, from the top
+    _FILTER_BITS bits of n >= 0; lo == hi when no bit is dropped."""
+    s = max(n.bit_length() - _FILTER_BITS, 0)
+    lo = n >> s
+    return lo, lo + (s > 0), s
+
+
+def _filtered_sign(x1: int, x2: int, y1: int, y2: int) -> int:
+    """Sign of x1*x2 - y1*y2 (factors >= 0) from truncated factors; 0
+    when their brackets overlap and cannot decide it."""
+    a_lo, a_hi, sa = _truncate(x1)
+    b_lo, b_hi, sb = _truncate(x2)
+    c_lo, c_hi, sc = _truncate(y1)
+    d_lo, d_hi, sd = _truncate(y2)
+    lhs_lo, lhs_hi = a_lo * b_lo, a_hi * b_hi
+    rhs_lo, rhs_hi = c_lo * d_lo, c_hi * d_hi
+    shift = sa + sb - sc - sd
+    if shift >= 0:
+        lhs_lo, lhs_hi = lhs_lo << shift, lhs_hi << shift
+    else:
+        rhs_lo, rhs_hi = rhs_lo << -shift, rhs_hi << -shift
+    if lhs_lo > rhs_hi:
+        return 1
+    if lhs_hi < rhs_lo:
+        return -1
+    return 0
+
+
+def cmp_products(x1: int, x2: int, y1: int, y2: int) -> int:
+    """Sign of x1*x2 - y1*y2 for integers >= 0, decided exactly.
+
+    Each stage runs only when the one before cannot decide: bit lengths
+    (a product of an a-bit and a b-bit number has a+b-1 or a+b bits),
+    then brackets from the top _FILTER_BITS bits of each factor, then
+    the full products.
+    """
+    if not (x1 and x2 and y1 and y2):
+        return bool(x1 and x2) - bool(y1 and y2)
+    lx = x1.bit_length() + x2.bit_length()
+    ly = y1.bit_length() + y2.bit_length()
+    if lx < ly - 1:
+        return -1
+    if ly < lx - 1:
+        return 1
+    return _filtered_sign(x1, x2, y1, y2) or _exact_sign(x1, x2, y1, y2)
+
+
 def cmp_sqrt(q: Fraction, y: Fraction) -> Ordering:
     """Order q relative to sqrt(y), decided exactly.
 
     Negative q is LESS whenever y >= 0; otherwise the verdict is the sign
-    of q**2 - y computed on cross-multiplied integers.
+    of num(q)**2*den(y) - num(y)*den(q)**2, through cmp_products once a
+    part of q is long.
     """
-    if y < 0:
+    a, b = y.numerator, y.denominator
+    if a < 0:
         raise DomainError(f"cmp_sqrt requires y >= 0, got {y}")
-    if q < 0:
-        return Ordering.LESS
     qn, qd = q.numerator, q.denominator
-    lhs = qn * qn * y.denominator
-    rhs = y.numerator * qd * qd
-    return _ordering_of_sign((lhs > rhs) - (lhs < rhs))
+    if qn < 0:
+        return Ordering.LESS
+    if max(qn.bit_length(), qd.bit_length()) > 2 * _FILTER_BITS:
+        return _ordering_of_sign(cmp_products(qn, qn * b, a * qd, qd))
+    return _ordering_of_sign(_exact_sign(qn, qn * b, a * qd, qd))
 
 
 def within_of_sqrt(q: Fraction, y: Fraction, bound: Fraction,

@@ -11,16 +11,18 @@ from fractions import Fraction
 from typing import Any, Iterable
 
 from .errors import DomainError
+from .exact import encode_int, rat_str
 
 
 def _encode(value: Any) -> Any:
-    """Make a witness value JSON-ready; rationals become "num/den" strings."""
+    """Make a witness value JSON-ready; rationals become rat_str strings
+    and integers take encode_int's form."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return rat_str(value)
     if isinstance(value, int):
-        return value
+        return encode_int(value)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, str):

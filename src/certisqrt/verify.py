@@ -16,6 +16,7 @@ from typing import Sequence
 from .errors import DomainError, UsageError
 from .exact import (
     Ordering,
+    cmp_products,
     cmp_sqrt,
     rat_str,
     sqrt_enclosure,
@@ -98,6 +99,13 @@ def applied_corrections(trace: Trace) -> int:
     return sum(1 for s in trace.steps if s.x_after != s.x_before)
 
 
+def halves(prev: Fraction, cur: Fraction) -> bool:
+    """Decide 2*|cur| < |prev| on integer parts, with no Fraction
+    arithmetic; False whenever prev is 0."""
+    return cmp_products(2 * abs(cur.numerator), prev.denominator,
+                        abs(prev.numerator), cur.denominator) < 0
+
+
 def check_sqr_annotations(trace: Trace, y: Fraction,
                           eps: Fraction) -> VerifyReport:
     """Check a sqr_exact trace: loop invariant, correction halving, final
@@ -121,7 +129,7 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     corrections = [s.correction for s in trace.steps]
     for i in range(len(corrections) - 1):
         prev, cur = corrections[i], corrections[i + 1]
-        if prev == 0 or 2 * abs(cur) >= abs(prev):
+        if not halves(prev, cur):
             halv_ok = False
             halv_witness = {"i": i, "d_i": prev, "d_next": cur}
             break

@@ -1,13 +1,18 @@
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 from certisqrt.fixarith import FixProfile
 from certisqrt.floatmodel import FloatProfile
+from certisqrt.exact import within_of_sqrt
 from certisqrt.lut import build_root_table
+from certisqrt.newton import sqr_exact
+from certisqrt.verify import applied_corrections, iteration_cap, sample_rationals
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CORPUS_SEED = 20240801
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +50,19 @@ def demo_float_profile(demo_profile) -> FloatProfile:
 def micro_profile() -> FixProfile:
     # 1/10 grid on [-4, 4]
     return FixProfile(10, 40, 40)
+
+
+@pytest.fixture(scope="session")
+def sqr_corpus():
+    """1000 seeded random (y, eps) runs shared by acceptance criteria 1
+    and 2 and the exact-oracle filter tests."""
+    inputs = sample_rationals(1000, seed=CORPUS_SEED)
+    t0 = perf_counter()
+    runs = []
+    for y, eps in inputs:
+        x, trace = sqr_exact(y, eps)
+        post_ok = within_of_sqrt(x, y, eps)
+        cap_ok = applied_corrections(trace) <= iteration_cap(y, eps)
+        runs.append((y, eps, trace, post_ok, cap_ok))
+    elapsed = perf_counter() - t0
+    return runs, elapsed

@@ -23,18 +23,12 @@ from certisqrt.newton import (
     fsqr_exact,
     min_legal_iterations,
     mix_sqr,
-    sqr_exact,
 )
 from certisqrt.verify import (
-    applied_corrections,
     check_table_properties,
     grid_values,
-    iteration_cap,
     monotonicity_probe,
-    sample_rationals,
 )
-
-CORPUS_SEED = 20240801
 
 
 def _report(num: int, label: str, ok: bool, extra: str = "") -> None:
@@ -42,21 +36,6 @@ def _report(num: int, label: str, ok: bool, extra: str = "") -> None:
     suffix = f" ({extra})" if extra else ""
     print(f"\nACCEPTANCE {num:02d} {label}: {status}{suffix}")
     assert ok, f"acceptance criterion {num} failed"
-
-
-@pytest.fixture(scope="module")
-def sqr_corpus():
-    """1000 seeded random (y, eps) runs shared by criteria 1 and 2."""
-    inputs = sample_rationals(1000, seed=CORPUS_SEED)
-    t0 = perf_counter()
-    runs = []
-    for y, eps in inputs:
-        x, trace = sqr_exact(y, eps)
-        post_ok = within_of_sqrt(x, y, eps)
-        cap_ok = applied_corrections(trace) <= iteration_cap(y, eps)
-        runs.append((y, eps, trace, post_ok, cap_ok))
-    elapsed = perf_counter() - t0
-    return runs, elapsed
 
 
 @pytest.fixture(scope="module")

@@ -269,6 +269,46 @@ class TestSqrt:
         assert rows[-1]["x_count"] == 173
 
 
+class TestWideExactResult:
+    """An exact result with parts far past 4300 decimal digits prints and
+    traces in the lossless hex form."""
+
+    ARGS = ["--mode", "exact", "--value", "1000000", "--eps", "1/1000000"]
+
+    @staticmethod
+    def parse(text):
+        num, den = text.split("/")
+        return F(int(num, 0), int(den, 0))
+
+    def test_prints_hex(self, demo_profile_path, capsys):
+        code = main(["sqrt", demo_profile_path, *self.ARGS])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        lines = dict(line.split(" = ", 1)
+                     for line in captured.out.splitlines())
+        x = self.parse(lines["x"].split(" ")[0])
+        assert x == sqr_exact(F(10 ** 6), F(1, 10 ** 6))[0]
+        assert x.denominator.bit_length() > 14300
+        assert lines["check"] == "PASS"
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_trace_written(self, demo_profile_path, tmp_path, capsys,
+                           suffix):
+        out = tmp_path / f"trace.{suffix}"
+        code = main(["sqrt", demo_profile_path, *self.ARGS,
+                     "--trace", str(out)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        if suffix == "json":
+            last = json.loads(out.read_text())[-1]
+        else:
+            header, *_, row = out.read_text().splitlines()
+            last = dict(zip(header.split(","), row.split(",")))
+        x = F(int(last["x_num"], 0), int(last["x_den"], 0))
+        assert x == sqr_exact(F(10 ** 6), F(1, 10 ** 6))[0]
+
+
 class TestVerifyCommand:
     def test_samples_deterministic(self, demo_profile_path, demo_table_path,
                                    capsys):

@@ -1,14 +1,18 @@
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certisqrt import exact, verify
 from certisqrt.errors import DomainError
 from certisqrt.exact import (
     Ordering,
     cmp_sqrt,
     decide_radical_lt,
+    encode_int,
     fraction_from_coprime,
     isqrt,
     rat_str,
@@ -16,6 +20,7 @@ from certisqrt.exact import (
     sqrt_enclosure,
     within_of_sqrt,
 )
+from certisqrt.report import CheckResult, VerifyReport
 
 rationals = st.fractions(min_value=F(-100), max_value=F(100),
                          max_denominator=1000)
@@ -64,6 +69,120 @@ class TestCmpSqrt:
     @given(rationals, nonneg_rationals)
     def test_equal_iff_square(self, q, y):
         assert (cmp_sqrt(q, y) is Ordering.EQUAL) == (q >= 0 and q * q == y)
+
+
+def reference_cmp(q, y):
+    """q against sqrt(y) by plain cross-multiplication, with no filter."""
+    if q < 0:
+        return Ordering.LESS
+    lhs = q.numerator * q.numerator * y.denominator
+    rhs = y.numerator * q.denominator * q.denominator
+    return Ordering((lhs > rhs) - (lhs < rhs))
+
+
+def wide_ints(lo_bits, hi_bits):
+    """Positive integers of lo_bits to hi_bits bits."""
+    return st.integers(lo_bits, hi_bits).flatmap(
+        lambda n: st.integers(1 << (n - 1), (1 << n) - 1))
+
+
+class TestFilteredCmpSqrt:
+    """The truncation filter in front of cmp_sqrt against reference_cmp."""
+
+    def test_corpus_boundaries(self, sqr_corpus):
+        runs, _ = sqr_corpus
+        filtered = 0
+        for y, _eps, trace, _post, _cap in runs:
+            xs = [s.x_before for s in trace.steps] + [trace.final_x]
+            for x in xs:
+                assert cmp_sqrt(x, y) is reference_cmp(x, y), (y, x)
+                filtered += x.denominator.bit_length() \
+                    > 2 * exact._FILTER_BITS
+        assert filtered > 1000
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_ints(200, 20000), wide_ints(200, 20000),
+           st.fractions(min_value=F(0), max_value=F(10 ** 6),
+                        max_denominator=1000))
+    def test_wide_rationals(self, num, den, y):
+        q = F(num, den)
+        assert cmp_sqrt(q, y) is reference_cmp(q, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(min_value=F(0), max_value=F(10 ** 6),
+                        max_denominator=1000),
+           st.integers(100, 10000), st.integers(-3, 3))
+    def test_wide_near_root(self, y, p, offset):
+        # a p-bit isqrt approximation of sqrt(y), moved by offset units
+        a, b = y.numerator, y.denominator
+        n = math.isqrt((a * b) << (2 * p)) + offset
+        q = F(n, b << p)
+        assert cmp_sqrt(q, y) is reference_cmp(q, y)
+
+    def test_exact_root_with_huge_parts_falls_back(self, monkeypatch):
+        calls = []
+        real = exact._exact_sign
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(exact, "_exact_sign", counted)
+        q = F(3 ** 400 + 2, 7 ** 150)  # coprime parts of ~630 and ~420 bits
+        assert cmp_sqrt(q, q * q) is Ordering.EQUAL
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [64, 128, 200, 256, 512, 1024, 4096])
+    @pytest.mark.parametrize("y", [F(2), F(3), F(10 ** 6 - 1),
+                                   F(999999, 1000), F(5, 7), F(4), F(9, 4)])
+    def test_isqrt_bracket_neighbours(self, y, p):
+        a, b = y.numerator, y.denominator
+        n = math.isqrt((a * b) << (2 * p))
+        for offset in (-1, 0, 1, 2):
+            q = F(n + offset, b << p)
+            assert cmp_sqrt(q, y) is reference_cmp(q, y), (offset, q)
+
+    @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 2])
+    def test_threshold_straddle(self, delta):
+        bits = 2 * exact._FILTER_BITS + delta
+        big = (1 << (bits - 1)) + 12345
+        for y in (F(2), F(10 ** 6 - 1, 7), F(0), F(1)):
+            for q in (F(big, big - 1), F(big + 1, 3), F(5, big),
+                      F(big, (1 << (bits - 1)) + 1)):
+                assert cmp_sqrt(q, y) is reference_cmp(q, y), (q, y)
+            # the nearest p-bit approximations of sqrt(y) at this size
+            n = math.isqrt((y.numerator * y.denominator) << (2 * bits))
+            for offset in (-1, 0, 1):
+                q = F(n + offset, y.denominator << bits)
+                assert cmp_sqrt(q, y) is reference_cmp(q, y), (q, y)
+
+    def test_fast_path_used(self, sqr_corpus, monkeypatch):
+        """On 100 corpus checks, fewer than 1% of the filtered
+        comparisons fall back to the full products."""
+        counts = {"filtered": 0, "fallback": 0}
+        inside = []
+        real_products, real_exact = exact.cmp_products, exact._exact_sign
+
+        def products(*args):
+            counts["filtered"] += 1
+            inside.append(True)
+            try:
+                return real_products(*args)
+            finally:
+                inside.pop()
+
+        def exact_sign(*args):
+            counts["fallback"] += bool(inside)
+            return real_exact(*args)
+
+        monkeypatch.setattr(exact, "cmp_products", products)
+        monkeypatch.setattr(verify, "cmp_products", products)
+        monkeypatch.setattr(exact, "_exact_sign", exact_sign)
+        runs, _ = sqr_corpus
+        for y, eps, trace, _post, _cap in runs[:100]:
+            assert verify.check_sqr_annotations(trace, y, eps).overall
+        assert counts["filtered"] > 1000
+        assert counts["fallback"] < 0.01 * counts["filtered"], counts
 
 
 class TestWithinOfSqrt:
@@ -177,3 +296,35 @@ def test_fraction_from_coprime_matches_fraction():
 
 def test_rat_str_canonical():
     assert rat_str(F(346, 200)) == "173/100"
+
+
+def _parse_rat(text):
+    num, den = text.split("/")
+    return F(int(num, 0), int(den, 0))
+
+
+class TestLosslessEncoding:
+    def test_decimal_up_to_the_threshold(self):
+        n = (1 << exact._DECIMAL_MAX_BITS) - 1
+        assert len(str(n)) <= 640
+        assert encode_int(n) == n
+        assert encode_int(-n) == -n
+
+    def test_hex_above_the_threshold(self):
+        n = 1 << exact._DECIMAL_MAX_BITS
+        assert encode_int(n) == hex(n)
+        assert encode_int(-n) == "-" + hex(n)
+
+    def test_rat_str_round_trips(self):
+        for q in (F(173, 100), F(-(3 ** 5000), 7), F(3, 2 ** 9000 + 1),
+                  F(-(5 ** 3000) - 2, 3 ** 2000)):
+            assert _parse_rat(rat_str(q)) == q
+
+    def test_report_value_round_trips(self):
+        x = F(3 ** 20000 + 1, 2 ** 30000)
+        rep = VerifyReport("s", (CheckResult("c", "r", True,
+                                             {"x": x, "n": 7 ** 5000}),))
+        witness = json.loads(rep.to_json())["checks"][0]["witness"]
+        assert witness["x"].startswith("0x")
+        assert _parse_rat(witness["x"]) == x
+        assert int(witness["n"], 0) == 7 ** 5000

@@ -2,6 +2,8 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certisqrt.errors import UsageError
 from certisqrt.exact import Ordering
@@ -16,6 +18,7 @@ from certisqrt.verify import (
     check_table_properties,
     cmp_abs_err,
     grid_values,
+    halves,
     iteration_cap,
     monotonicity_probe,
     run_adjust_suite,
@@ -81,6 +84,108 @@ class TestCheckSqr:
         _, trace = fsqr_exact(F(3), F(1, 4), lambda _y: F(174, 100), 1)
         with pytest.raises(UsageError):
             check_sqr_annotations(trace, F(3), F(1, 4))
+
+
+def fraction_halves(prev, cur):
+    """The sqr.halving rule in Fraction arithmetic, as first written."""
+    return not (prev == 0 or 2 * abs(cur) >= abs(prev))
+
+
+# a run long enough that its last corrections have parts of 100K+ bits
+LONG_Y, LONG_EPS = F(99999989, 991), F(1, 999999)
+
+
+@pytest.fixture(scope="module")
+def long_corrections():
+    _, trace = sqr_exact(LONG_Y, LONG_EPS)
+    return [s.correction for s in trace.steps]
+
+
+def signed(q):
+    return (q, -q)
+
+
+class TestHalves:
+    """halves against the Fraction form of the sqr.halving rule."""
+
+    def test_exact_ties(self, long_corrections):
+        for prev in long_corrections + [F(3, 7), F(1)]:
+            for p in signed(prev):
+                for c in signed(prev / 2):
+                    assert not halves(p, c)
+                    assert halves(p, c) == fraction_halves(p, c)
+
+    def test_one_unit_either_side_of_the_tie(self, long_corrections):
+        for prev in long_corrections:
+            half = prev / 2
+            unit = F(1, half.denominator)
+            for c in (half - unit, half + unit):
+                for p, cur in ((prev, c), (-prev, c), (prev, -c)):
+                    assert halves(p, cur) == fraction_halves(p, cur)
+
+    def test_equal_bit_lengths(self, long_corrections):
+        for prev in long_corrections:
+            n, d = abs(prev.numerator), prev.denominator
+            for cur in (F(n, d + 1), F(n - 1, d), F(n ^ 1, d ^ 1),
+                        F(n, 2 * d - 1)):
+                assert cur.numerator.bit_length() <= n.bit_length()
+                for p, c in ((prev, cur), (cur, prev), (-prev, -cur)):
+                    assert halves(p, c) == fraction_halves(p, c)
+
+    def test_zero_predecessor(self, long_corrections):
+        for cur in [F(0)] + long_corrections:
+            assert not halves(F(0), cur)
+            assert not halves(F(0), -cur)
+
+    def test_zero_successor(self, long_corrections):
+        for prev in long_corrections:
+            assert halves(prev, F(0)) and halves(-prev, F(0))
+
+    def test_consecutive_signed_corrections(self, long_corrections):
+        pairs = list(zip(long_corrections, long_corrections[1:]))
+        assert max(c.denominator.bit_length() for _, c in pairs) > 100000
+        for prev, cur in pairs:
+            for p in signed(prev):
+                for c in signed(cur):
+                    assert halves(p, c) and fraction_halves(p, c)
+                    assert not halves(c, p)
+                    assert not fraction_halves(c, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(max_denominator=10 ** 60),
+           st.fractions(max_denominator=10 ** 60),
+           st.integers(-3, 3))
+    def test_property(self, prev, cur, units):
+        # cur moved onto or beside the tie half the time
+        if units % 2:
+            cur = prev / 2 + F(units, 10 ** 70)
+        assert halves(prev, cur) == fraction_halves(prev, cur)
+
+    @pytest.mark.parametrize("index,factor", [
+        (1, F(2)),      # 2|cur| = 2|prev|: far above
+        (4, F(1, 2)),   # exact tie 2|cur| = |prev|
+        (12, F(1, 2)),  # tie between corrections with parts of 50K+ bits
+        (8, F(-3, 4)),  # signed, above the bound
+    ])
+    def test_negative_controls(self, index, factor):
+        _, trace = sqr_exact(LONG_Y, LONG_EPS)
+        steps = list(trace.steps)
+        prev = steps[index - 1].correction
+        steps[index] = dataclasses.replace(steps[index],
+                                           correction=prev * factor)
+        bad = dataclasses.replace(trace, steps=tuple(steps))
+        report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
+        assert {c.rule for c in report.failures()} == {"sqr.halving"}
+        assert report.failures()[0].witness["i"] == index - 1
+
+    def test_zero_predecessor_control(self):
+        _, trace = sqr_exact(LONG_Y, LONG_EPS)
+        steps = list(trace.steps)
+        steps[3] = dataclasses.replace(steps[3], correction=F(0))
+        bad = dataclasses.replace(trace, steps=tuple(steps))
+        report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
+        assert {c.rule for c in report.failures()} == {"sqr.halving"}
+        assert report.failures()[0].witness["i"] == 3
 
 
 class TestCheckFsqr:
