@@ -6,16 +6,26 @@ refinable enclosures of sqrt(y), and sign-tracked decisions for
 inequalities containing one or two radicals.  Host floating point never
 participates in a verdict.
 
-cmp_sqrt is a filtered predicate.  Its verdict is the sign of
-num(q)**2*den(y) - num(y)*den(q)**2, a difference of two products that
-cmp_products decides in stages.  Bit lengths come first.  Next each
-factor is cut to its top _FILTER_BITS bits: dropping low bits moves a
-factor by less than one unit of its last kept bit, so each product lies
-in a bracket of small integers, and disjoint brackets decide the sign.
-Only overlapping brackets need the full products, which also decide
-every short q.  Each stage is exact, so the verdict is too; the filter
-only skips squaring operands of 100K+ bits when a 128-bit bracket
-already settles the comparison.
+Every predicate works on integer numerators and denominators; none
+builds or normalises a Fraction.  One primitive, _sqrt_sign(n, d, a, b),
+gives the sign of n/d - sqrt(a/b) for unreduced parts: cmp_sqrt is a
+thin wrapper over it, and within_of_sqrt hands it the pairs of
+q - bound and q + bound.  Its verdict is the sign of
+n**2*b - a*d**2, a difference of two products that cmp_products decides
+in stages.  Bit lengths come first.  Next each factor is cut to its top
+_FILTER_BITS bits: dropping low bits moves a factor by less than one
+unit of its last kept bit, so each product lies in a bracket of small
+integers, and disjoint brackets decide the sign.  Only overlapping
+brackets need the full products, which also decide every short
+operand.  Each stage is exact, so the verdict is too; the filter only
+skips squaring operands of 100K+ bits when a 128-bit bracket already
+settles the comparison.
+
+The two radical predicates, decide_radical_lt and sqrt_abs_err_lt,
+multiply through by a positive common denominator and write
+sqrt(num/den) as sqrt(num*den)/den, so both end in _lt_radical,
+which decides L < K*sqrt(M) on integers; its final squaring goes
+through the same filtered cmp_products.
 """
 from __future__ import annotations
 
@@ -143,22 +153,31 @@ def cmp_products(x1: int, x2: int, y1: int, y2: int) -> int:
     return _filtered_sign(x1, x2, y1, y2) or _exact_sign(x1, x2, y1, y2)
 
 
-def cmp_sqrt(q: Fraction, y: Fraction) -> Ordering:
-    """Order q relative to sqrt(y), decided exactly.
-
-    Negative q is LESS whenever y >= 0; otherwise the verdict is the sign
-    of num(q)**2*den(y) - num(y)*den(q)**2, through cmp_products once a
-    part of q is long.
-    """
-    a, b = y.numerator, y.denominator
-    if a < 0:
+def _radicand(y: Fraction) -> tuple[int, int]:
+    """(num(y), den(y)) of a radicand, which must be >= 0."""
+    if y.numerator < 0:
         raise DomainError(f"cmp_sqrt requires y >= 0, got {y}")
-    qn, qd = q.numerator, q.denominator
-    if qn < 0:
-        return Ordering.LESS
-    if max(qn.bit_length(), qd.bit_length()) > 2 * _FILTER_BITS:
-        return _ordering_of_sign(cmp_products(qn, qn * b, a * qd, qd))
-    return _ordering_of_sign(_exact_sign(qn, qn * b, a * qd, qd))
+    return y.numerator, y.denominator
+
+
+def _sqrt_sign(n: int, d: int, a: int, b: int) -> int:
+    """Sign of n/d - sqrt(a/b) for integers d, b > 0 and a >= 0; the
+    parts need not be in lowest terms.
+
+    Negative n/d is below the root; otherwise the sign is that of
+    n**2*b - a*d**2, through cmp_products once n or d is long.
+    """
+    if n < 0:
+        return -1
+    if max(n.bit_length(), d.bit_length()) > 2 * _FILTER_BITS:
+        return cmp_products(n, n * b, a * d, d)
+    return _exact_sign(n, n * b, a * d, d)
+
+
+def cmp_sqrt(q: Fraction, y: Fraction) -> Ordering:
+    """Order q relative to sqrt(y), decided exactly by _sqrt_sign."""
+    a, b = _radicand(y)
+    return _ordering_of_sign(_sqrt_sign(q.numerator, q.denominator, a, b))
 
 
 def within_of_sqrt(q: Fraction, y: Fraction, bound: Fraction,
@@ -166,15 +185,19 @@ def within_of_sqrt(q: Fraction, y: Fraction, bound: Fraction,
     """Decide |q - sqrt(y)| <= bound (or < bound when strict) exactly.
 
     Equivalent to q - bound <= sqrt(y) <= q + bound, settled with two
-    cmp_sqrt calls.
+    _sqrt_sign calls on the unreduced pairs of q - bound and q + bound.
     """
-    if bound < 0:
+    bn, bd = bound.numerator, bound.denominator
+    if bn < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
-    lo = cmp_sqrt(q - bound, y)
-    hi = cmp_sqrt(q + bound, y)
+    a, b = _radicand(y)
+    qn, qd = q.numerator, q.denominator
+    centre, radius, den = qn * bd, bn * qd, qd * bd
+    lo = _sqrt_sign(centre - radius, den, a, b)
+    hi = _sqrt_sign(centre + radius, den, a, b)
     if strict:
-        return lo is Ordering.LESS and hi is Ordering.GREATER
-    return lo is not Ordering.GREATER and hi is not Ordering.LESS
+        return lo < 0 < hi
+    return lo <= 0 <= hi
 
 
 @dataclass(frozen=True)
@@ -212,23 +235,34 @@ def sqrt_enclosure(y: Fraction, p: int) -> SqrtEnclosure:
     return SqrtEnclosure(lo, Fraction(s + 1, den))
 
 
+def _lt_radical(lhs: int, k: int, m: int) -> bool:
+    """Decide lhs < k*sqrt(m) for integers, m >= 0.
+
+    Sides of opposite signs decide it at once; sides of one sign compare
+    their squares through cmp_products.
+    """
+    if k < 0:
+        return lhs < 0 and cmp_products(-lhs, -lhs, -k, -k * m) > 0
+    if lhs < 0:
+        return True
+    return cmp_products(lhs, lhs, k, k * m) < 0
+
+
 def decide_radical_lt(lhs: Fraction, c1: Fraction, c2: Fraction,
                       m: Fraction) -> bool:
-    """Decide lhs < c1 + c2*sqrt(m) exactly (m > 0), by sign analysis and
-    a single squaring."""
-    if m <= 0:
+    """Decide lhs < c1 + c2*sqrt(m) exactly (m > 0).
+
+    With sqrt(m) = sqrt(num(m)*den(m))/den(m), multiplying through by
+    den(lhs)*den(c1)*den(c2)*den(m) > 0 leaves integers for _lt_radical.
+    """
+    mn, md = m.numerator, m.denominator
+    if mn <= 0:
         raise DomainError(f"decide_radical_lt requires m > 0, got {m}")
-    rest = lhs - c1
-    if c2 == 0:
-        return rest < 0
-    if c2 > 0:
-        if rest <= 0:
-            return True
-        return rest * rest < c2 * c2 * m
-    # c2 < 0: right-hand side below c1
-    if rest >= 0:
-        return False
-    return rest * rest > c2 * c2 * m
+    ln, ld = lhs.numerator, lhs.denominator
+    an, ad = c1.numerator, c1.denominator
+    rest = ln * ad - an * ld  # lhs - c1 = rest/(ld*ad)
+    return _lt_radical(rest * c2.denominator * md, c2.numerator * ld * ad,
+                       mn * md)
 
 
 def sqrt_abs_err_lt(q: Fraction, y: Fraction, c1: Fraction, c2: Fraction,
@@ -236,25 +270,37 @@ def sqrt_abs_err_lt(q: Fraction, y: Fraction, c1: Fraction, c2: Fraction,
     """Decide |q - sqrt(y)| < c1 + c2*sqrt(m) exactly.
 
     Requires q >= 0, y >= 0, c1 >= 0, c2 >= 0, m > 0.  Both sides are then
-    non-negative, so squaring once reduces the two-radical comparison to a
-    single-radical one that decide_radical_lt settles.
+    non-negative, so squaring once reduces the two-radical comparison to
+    lead < pa*sqrt(y) + pb*sqrt(m), which is multiplied through by a
+    positive common denominator into integers; a second squaring leaves
+    one radical for _lt_radical.
     """
-    if q < 0 or y < 0 or c1 < 0 or c2 < 0:
+    qn, qd = q.numerator, q.denominator
+    yn, yd = y.numerator, y.denominator
+    an, ad = c1.numerator, c1.denominator
+    bn, bd = c2.numerator, c2.denominator
+    mn, md = m.numerator, m.denominator
+    if min(qn, yn, an, bn) < 0:
         raise DomainError("sqrt_abs_err_lt requires q, y, c1, c2 >= 0")
-    if m <= 0:
+    if mn <= 0:
         raise DomainError(f"sqrt_abs_err_lt requires m > 0, got {m}")
     # |q - sqrt(y)| < R  <=>  q**2 + y - 2q*sqrt(y) < R**2, R = c1 + c2*sqrt(m)
-    lead = q * q + y - (c1 * c1 + c2 * c2 * m)
-    pa = 2 * q          # coefficient of sqrt(y)
-    pb = 2 * c1 * c2    # coefficient of sqrt(m)
+    # lead = (q**2 + y) - (c1**2 + c2**2*m) = s_num/s_den - r_num/r_den
+    s_num, s_den = qn * qn * yd + yn * qd * qd, qd * qd * yd
+    r_den = ad * ad * bd * bd * md
+    r_num = an * an * bd * bd * md + bn * bn * mn * ad * ad
+    # times D = s_den*r_den, with sqrt(y) = sqrt(Y)/yd, sqrt(m) = sqrt(M)/md:
+    # lead*D < ky*sqrt(Y) + km*sqrt(M), where ky, km >= 0
+    lead = s_num * r_den - r_num * s_den
+    ky = 2 * qn * qd * r_den
+    km = 2 * an * bn * ad * bd * s_den
+    big_y, big_m = yn * yd, mn * md
     if lead < 0:
         return True
-    if lead == 0:
-        return (pa > 0 and y > 0) or pb > 0
-    if pa == 0 or y == 0:
-        return decide_radical_lt(lead, Fraction(0), pb, m)
-    if pb == 0:
-        return decide_radical_lt(lead, Fraction(0), pa, y)
-    # lead**2 < pa**2*y + pb**2*m + 2*pa*pb*sqrt(y*m)
-    lead2 = lead * lead - (pa * pa * y + pb * pb * m)
-    return decide_radical_lt(lead2, Fraction(0), 2 * pa * pb, y * m)
+    if ky == 0 or big_y == 0:
+        return _lt_radical(lead, km, big_m)
+    if km == 0:
+        return _lt_radical(lead, ky, big_y)
+    # lead**2 < ky**2*Y + km**2*M + 2*ky*km*sqrt(Y*M)
+    lead2 = lead * lead - (ky * ky * big_y + km * km * big_m)
+    return _lt_radical(lead2, 2 * ky * km, big_y * big_m)

@@ -111,7 +111,7 @@ class FixVal:
 
 
 def _same_profile(x: FixVal, y: FixVal) -> FixProfile:
-    if x.profile != y.profile:
+    if x.profile is not y.profile and x.profile != y.profile:
         raise ProfileMismatch(
             f"values from different grids: {x.profile} vs {y.profile}")
     return x.profile

@@ -7,7 +7,6 @@ depends on the grid bounds.  Zero is modeled; negative values are not.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,7 +18,7 @@ from .errors import (
     ProfileMismatch,
     RangeOverflow,
 )
-from .fixarith import FixProfile, FixVal, quantize
+from .fixarith import FixProfile, FixVal, round_half_even
 from .report import CheckResult, VerifyReport, check, require
 
 
@@ -133,6 +132,28 @@ def value_of(a: FloatVal) -> Fraction:
     return a.man.value * Fraction(a.base) ** a.exp
 
 
+def _exponent_below(num: int, den: int, base: int) -> int:
+    """The unique e with base**e < num/den <= base**(e+1), for num, den
+    >= 1, by bisection with integer comparisons."""
+
+    def below(e: int) -> bool:  # base**e < num/den
+        if e >= 0:
+            return base ** e * den < num
+        return den < num * base ** -e
+
+    # 2**(t-1) < num/den < 2**(t+1) with t the bit-length difference,
+    # and base >= 2, so below(-|t|-1) holds and below(|t|+1) fails
+    t = abs(num.bit_length() - den.bit_length())
+    lo, hi = -t - 1, t + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def encode_rational(q: Fraction, profile: FloatProfile) -> tuple[FloatVal, bool]:
     """Normalize a non-negative rational into the model.
 
@@ -141,28 +162,28 @@ def encode_rational(q: Fraction, profile: FloatProfile) -> tuple[FloatVal, bool]
     excluded endpoint 1), and reports whether the encoding is exact.
     """
     profile.validate()
-    if q < 0:
+    num, den = q.numerator, q.denominator
+    if num < 0:
         raise DomainError(f"only non-negative values are modeled, got {q}")
-    if q == 0:
+    if num == 0:
         return FloatVal.zero(), True
-    big = Fraction(profile.base)
-    # unique e with base**e < q <= base**(e+1)
-    bits = q.numerator.bit_length() - q.denominator.bit_length()
-    e = int(math.floor(bits / math.log2(profile.base)))
-    while big ** e >= q:
-        e -= 1
-    while big ** (e + 1) < q:
-        e += 1
+    base = profile.base
+    e = _exponent_below(num, den, base)
     if e > profile.exp_max or e < profile.exp_min:
         raise RangeOverflow(f"{q} needs exponent {e}, outside "
                             f"[{profile.exp_min}, {profile.exp_max}]")
-    man_exact = q / big ** e
-    man = quantize(man_exact, profile.fix, "nearest")
-    if man.count <= profile.fix.delta_den:
-        # nearest rounding collapsed onto the excluded endpoint 1
-        man = quantize(man_exact, profile.fix, "up")
-    encoded = compose(man, e, profile)
-    return encoded, man.value == man_exact
+    # the exact mantissa q/base**e as the unreduced pair man_num/man_den
+    if e >= 0:
+        man_num, man_den = num, den * base ** e
+    else:
+        man_num, man_den = num * base ** -e, den
+    d = profile.fix.delta_den
+    # nearest rounding can collapse onto the excluded endpoint 1 only
+    # from (1, 1 + 1/(2d)], whose rounding up is the next grid point
+    count = max(round_half_even(man_num * d, man_den), d + 1)
+    # the mantissa lies in (1, base] and base <= sup: count is in range
+    encoded = compose(FixVal(count, profile.fix), e, profile)
+    return encoded, count * man_den == man_num * d
 
 
 def check_float_profile(profile: FloatProfile) -> VerifyReport:

@@ -19,7 +19,7 @@ from .errors import (
     RangeOverflow,
     ResourceLimit,
 )
-from .exact import Ordering, cmp_sqrt
+from .exact import _sqrt_sign
 from .fixarith import FixProfile, FixVal
 from .report import VerifyReport, check, require
 
@@ -182,7 +182,7 @@ def sup_fn(u: FixVal, table: RootTable) -> FixVal:
     """Seed value min(u, root[round_up(u)]) for 1 < u <= sup.
 
     The result s satisfies sqrt(u) <= s <= u and s - sqrt(u) <= stp; both
-    are re-asserted on every call through the exact oracle.
+    are re-asserted on every call, on grid counts through the exact oracle.
     """
     profile = u.profile
     if table.profile != profile:
@@ -193,9 +193,10 @@ def sup_fn(u: FixVal, table: RootTable) -> FixVal:
     v = round_up_to_step(u, table.stp)
     root = table.root_at(v.count // table.stp.count)
     result = u if u.count < root.count else root
-    if cmp_sqrt(result.value, u.value) is Ordering.LESS:
+    d = profile.delta_den
+    if _sqrt_sign(result.count, d, u.count, d) < 0:
         raise InternalInvariantError(f"seed {result} fell below sqrt({u})")
-    if cmp_sqrt(result.value - table.stp.value, u.value) is Ordering.GREATER:
+    if _sqrt_sign(result.count - table.stp.count, d, u.count, d) > 0:
         raise InternalInvariantError(f"seed {result} more than one step "
                                      f"above sqrt({u})")
     return result

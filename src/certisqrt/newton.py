@@ -283,6 +283,7 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
                                    f"stp={table.stp}, eps={eps}")
     x = sup_fn(y, table)
     x0 = x
+    d = profile.delta_den
     two = profile.from_int(2)
     steps: list[TraceStep] = []
     for k in range(n):
@@ -292,7 +293,8 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
         twice = fix_add(x, x)
         quot = fix_div(y, twice)
         x_new = fix_add(half, quot)
-        steps.append(TraceStep(k, x, x_new.value - x.value, x_new))
+        steps.append(TraceStep(k, x, Fraction(x_new.count - x.count, d),
+                               x_new))
         x = x_new
     trace = Trace(algorithm, y=y, eps=eps, final_x=x, steps=tuple(steps),
                   stp=table.stp, n_planned=n, seed=x0)

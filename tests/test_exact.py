@@ -288,6 +288,182 @@ class TestSqrtAbsErrLt:
             assert not got
 
 
+# The Fraction forms the integer-pair predicates replaced, kept as the
+# reference they must agree with.
+def reference_within(q, y, bound, strict=False):
+    lo = reference_cmp(q - bound, y)
+    hi = reference_cmp(q + bound, y)
+    if strict:
+        return lo is Ordering.LESS and hi is Ordering.GREATER
+    return lo is not Ordering.GREATER and hi is not Ordering.LESS
+
+
+def reference_radical_lt(lhs, c1, c2, m):
+    rest = lhs - c1
+    if c2 == 0:
+        return rest < 0
+    if c2 > 0:
+        if rest <= 0:
+            return True
+        return rest * rest < c2 * c2 * m
+    if rest >= 0:
+        return False
+    return rest * rest > c2 * c2 * m
+
+
+def reference_abs_err_lt(q, y, c1, c2, m):
+    lead = q * q + y - (c1 * c1 + c2 * c2 * m)
+    pa = 2 * q
+    pb = 2 * c1 * c2
+    if lead < 0:
+        return True
+    if lead == 0:
+        return (pa > 0 and y > 0) or pb > 0
+    if pa == 0 or y == 0:
+        return reference_radical_lt(lead, F(0), pb, m)
+    if pb == 0:
+        return reference_radical_lt(lead, F(0), pa, y)
+    lead2 = lead * lead - (pa * pa * y + pb * pb * m)
+    return reference_radical_lt(lead2, F(0), 2 * pa * pb, y * m)
+
+
+def wide_rationals(lo_bits, hi_bits):
+    return st.builds(F, wide_ints(lo_bits, hi_bits), wide_ints(lo_bits, hi_bits))
+
+
+UNIT = F(1, 1000)
+
+
+class TestIntegerPairPredicates:
+    """within_of_sqrt, decide_radical_lt and sqrt_abs_err_lt on integer
+    pairs against their Fraction forms above."""
+
+    @pytest.mark.parametrize("q,y,bound", [
+        (F(2), F(4), F(0)),              # q = sqrt(y), zero bound
+        (F(5, 2), F(4), F(1, 2)),        # q - bound = sqrt(y)
+        (F(3, 2), F(4), F(1, 2)),        # q + bound = sqrt(y)
+        (F(0), F(0), F(0)),
+        (F(0), F(9, 4), F(3, 2)),        # zero q, bound reaches the root
+        (F(7, 3), F(0), F(7, 3)),        # zero y
+        (F(-1), F(1), F(2)),             # q - bound negative
+    ])
+    def test_within_ties(self, q, y, bound):
+        for dq in (-UNIT, 0, UNIT):
+            for db in (0, UNIT) if bound == 0 else (-UNIT, 0, UNIT):
+                for strict in (False, True):
+                    args = (q + dq, y, bound + db, strict)
+                    assert within_of_sqrt(*args) is \
+                        reference_within(*args), args
+
+    @pytest.mark.parametrize("lhs,c1,c2,m", [
+        (F(4), F(1), F(2), F(9, 4)),     # lhs = c1 + c2*sqrt(m)
+        (F(-2), F(1), F(-2), F(9, 4)),   # the same with c2 < 0
+        (F(1), F(1), F(0), F(2)),        # zero c2: lhs = c1
+        (F(0), F(0), F(1), F(2)),        # zero lhs and c1
+        (F(0), F(0), F(-1), F(2)),
+        (F(5, 3), F(0), F(5, 6), F(4)),
+    ])
+    def test_radical_ties(self, lhs, c1, c2, m):
+        for dl in (-UNIT, 0, UNIT):
+            args = (lhs + dl, c1, c2, m)
+            assert decide_radical_lt(*args) is reference_radical_lt(*args), \
+                args
+
+    @pytest.mark.parametrize("q,y,c1,c2,m", [
+        (F(3), F(4), F(1), F(0), F(2)),          # |q - sqrt(y)| = c1
+        (F(3), F(4), F(0), F(1, 2), F(4)),       # = c2*sqrt(m)
+        (F(0), F(2), F(0), F(1), F(2)),          # sqrt(2) = sqrt(2)
+        (F(1), F(1), F(1), F(1), F(1)),          # lead = 0, q > 0
+        (F(0), F(4), F(2), F(0), F(3)),          # lead = 0, all zero coeffs
+        (F(0), F(4), F(1), F(1), F(1)),          # lead = 0, c1*c2 > 0
+        (F(0), F(0), F(0), F(0), F(5)),          # everything zero
+        (F(2), F(0), F(1), F(1), F(1)),          # zero y
+        (F(5, 2), F(2), F(1, 2), F(1, 200), F(2)),
+        (F(173, 50), F(12), F(1, 2), F(1, 200), F(2)),
+    ])
+    def test_abs_err_ties(self, q, y, c1, c2, m):
+        for dq in (-UNIT, 0, UNIT):
+            for dc in (-UNIT, 0, UNIT):
+                args = (q + dq, y, c1 + dc, c2, m)
+                if min(args[:4]) < 0:
+                    continue
+                assert sqrt_abs_err_lt(*args) is \
+                    reference_abs_err_lt(*args), args
+
+    @settings(max_examples=300, deadline=None)
+    @given(rationals, nonneg_rationals, nonneg_rationals, st.booleans())
+    def test_within_small(self, q, y, bound, strict):
+        assert within_of_sqrt(q, y, bound, strict) is \
+            reference_within(q, y, bound, strict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rationals, rationals, rationals,
+           nonneg_rationals.filter(lambda m: m > 0))
+    def test_radical_small(self, lhs, c1, c2, m):
+        assert decide_radical_lt(lhs, c1, c2, m) is \
+            reference_radical_lt(lhs, c1, c2, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonneg_rationals, nonneg_rationals, nonneg_rationals,
+           nonneg_rationals, nonneg_rationals.filter(lambda m: m > 0))
+    def test_abs_err_small(self, q, y, c1, c2, m):
+        assert sqrt_abs_err_lt(q, y, c1, c2, m) is \
+            reference_abs_err_lt(q, y, c1, c2, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_rationals(200, 20000), nonneg_rationals,
+           wide_rationals(200, 2000), st.booleans())
+    def test_within_wide(self, q, y, bound, strict):
+        assert within_of_sqrt(q, y, bound, strict) is \
+            reference_within(q, y, bound, strict)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_rationals(200, 20000), wide_rationals(200, 2000),
+           wide_rationals(200, 2000), nonneg_rationals.filter(lambda m: m > 0),
+           st.booleans())
+    def test_radical_wide(self, lhs, c1, c2, m, negative):
+        c2 = -c2 if negative else c2
+        assert decide_radical_lt(lhs, c1, c2, m) is \
+            reference_radical_lt(lhs, c1, c2, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_rationals(200, 20000), nonneg_rationals,
+           wide_rationals(200, 2000), wide_rationals(200, 2000),
+           nonneg_rationals.filter(lambda m: m > 0))
+    def test_abs_err_wide(self, q, y, c1, c2, m):
+        assert sqrt_abs_err_lt(q, y, c1, c2, m) is \
+            reference_abs_err_lt(q, y, c1, c2, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fractions(min_value=F(1), max_value=F(10 ** 6),
+                        max_denominator=1000),
+           st.integers(200, 20000), st.integers(-2, 2))
+    def test_abs_err_wide_near_root(self, y, p, offset):
+        # a p-bit approximation of sqrt(y) against an error bound of
+        # about its own size: the squarings must decide near-ties
+        a, b = y.numerator, y.denominator
+        n = math.isqrt((a * b) << (2 * p)) + offset
+        q = F(n, b << p)
+        c1, c2 = F(1, 1 << p), F(1, 1 << (p + 1))
+        assert sqrt_abs_err_lt(q, y, c1, c2, F(2)) is \
+            reference_abs_err_lt(q, y, c1, c2, F(2))
+
+    def test_wide_abs_err_squares_through_the_filter(self, monkeypatch):
+        calls = []
+        real = exact.cmp_products
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(exact, "cmp_products", counted)
+        q = F(3 ** 37855 + 1, 2 ** 60000)  # parts of about 60,000 bits
+        got = sqrt_abs_err_lt(q, F(2), F(1, 1000), F(1, 2000), F(2))
+        assert got is reference_abs_err_lt(q, F(2), F(1, 1000),
+                                           F(1, 2000), F(2))
+        assert len(calls) >= 1
+
+
 def test_fraction_from_coprime_matches_fraction():
     f = fraction_from_coprime(17, 12)
     assert f == F(17, 12)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +10,7 @@ from certisqrt.errors import (
     MantissaRange,
     RangeOverflow,
 )
-from certisqrt.fixarith import FixProfile
+from certisqrt.fixarith import FixProfile, quantize
 from certisqrt.floatmodel import (
     FloatProfile,
     FloatVal,
@@ -156,3 +158,73 @@ class TestRoundTrip:
                 back, exact = encode_rational(value_of(a), fprof)
                 assert exact
                 assert back == a
+
+
+def reference_encode(q, profile):
+    """The Fraction form encode_rational replaced: the exponent from a
+    host-float guess and Fraction powers, the mantissa by quantize."""
+    profile.validate()
+    if q < 0:
+        raise DomainError(f"only non-negative values are modeled, got {q}")
+    if q == 0:
+        return FloatVal.zero(), True
+    big = F(profile.base)
+    bits = q.numerator.bit_length() - q.denominator.bit_length()
+    e = int(math.floor(bits / math.log2(profile.base)))
+    while big ** e >= q:
+        e -= 1
+    while big ** (e + 1) < q:
+        e += 1
+    if e > profile.exp_max or e < profile.exp_min:
+        raise RangeOverflow(f"{q} needs exponent {e}, outside "
+                            f"[{profile.exp_min}, {profile.exp_max}]")
+    man_exact = q / big ** e
+    man = quantize(man_exact, profile.fix, "nearest")
+    if man.count <= profile.fix.delta_den:
+        man = quantize(man_exact, profile.fix, "up")
+    return compose(man, e, profile), man.value == man_exact
+
+
+def _outcome(fn, q, profile):
+    try:
+        return fn(q, profile)
+    except (DomainError, MantissaRange, RangeOverflow) as exc:
+        return type(exc), str(exc)
+
+
+WIDE_FIX = FixProfile(1000, 4_000_000, 4_000_000)
+
+
+class TestEncodeAgainstFractionForm:
+    @pytest.mark.parametrize("fprof", [
+        FloatProfile(2, WIDE_FIX, F(65536), F(65536)),
+        FloatProfile(2, FixProfile(100, 1600, 1600), F(65536), F(65536)),
+        FloatProfile(3, FixProfile(1000, 40_000, 40_000), F(100), F(100)),
+    ], ids=["wide", "demo", "base-3"])
+    def test_value_range(self, fprof):
+        # the benchmark's float requests, about 2**-30 to 2**40, and wider
+        rng = random.Random(5)
+        values = [F(rng.randint(1, 10 ** 6), rng.randint(1, 1000))
+                  * F(2) ** rng.randint(-60, 60) for _ in range(1500)]
+        base = fprof.base
+        for e in range(-25, 26):
+            power = F(base) ** e
+            values += [power, power + F(1, 10 ** 9), power - F(1, 10 ** 9),
+                       power * F(1001, 1000), power * F(999, 1000)]
+        for q in values:
+            if q <= 0:
+                continue
+            assert _outcome(encode_rational, q, fprof) == \
+                _outcome(reference_encode, q, fprof), q
+
+    def test_demo_grid_exhaustive(self, prof):
+        # every demo mantissa at the extreme and the middle exponents,
+        # and a tenth of a unit off
+        d = prof.fix.delta_den
+        lo, hi = prof.exp_min, prof.exp_max
+        for count in range(d + 1, prof.fix.sup_count // prof.base):
+            for e in (lo, lo + 1, -1, 0, 1, hi - 1, hi):
+                q = F(count, d) * F(2) ** e
+                for dq in (0, F(1, 10 * d) * F(2) ** e):
+                    assert _outcome(encode_rational, q + dq, prof) == \
+                        _outcome(reference_encode, q + dq, prof), q + dq

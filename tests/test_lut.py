@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from certisqrt.errors import DomainError, ResourceLimit
+from certisqrt.errors import DomainError, InternalInvariantError, ResourceLimit
 from certisqrt.exact import Ordering, cmp_sqrt
 from certisqrt.fixarith import FixProfile
 from certisqrt.lut import (
@@ -141,3 +141,21 @@ class TestSupFn:
             assert s.count <= u.count
             assert cmp_sqrt(s.value - stp_val, u.value) is not Ordering.GREATER
 
+    def _with_root(self, table, k, count):
+        roots = list(table.roots)
+        roots[k - table.k_min] = count
+        return replace(table, roots=tuple(roots))
+
+    def test_root_below_sqrt_rejected(self, demo_profile, demo_table):
+        # root[3.00] = 1.74; one unit lower, 1.73**2 < 3
+        broken = self._with_root(demo_table, 12, 173)
+        with pytest.raises(InternalInvariantError, match="below"):
+            sup_fn(demo_profile.val(300), broken)
+
+    def test_root_over_one_step_above_rejected(self, demo_profile,
+                                               demo_table, demo_stp):
+        # one step and one unit above 1.74: 2.00 - 0.25 > sqrt(3)
+        broken = self._with_root(demo_table, 12,
+                                 174 + demo_stp.count + 1)
+        with pytest.raises(InternalInvariantError, match="above"):
+            sup_fn(demo_profile.val(300), broken)
