@@ -20,11 +20,8 @@ from .errors import (
 )
 from .exact import (
     Ordering,
-    Rational,
-    SqrtEnclosure,
     cmp_sqrt,
     decide_radical_lt,
-    isqrt,
     rat_str,
     sqrt_abs_err_lt,
     sqrt_enclosure,
@@ -35,7 +32,6 @@ from .fixarith import (
     FixVal,
     check_profile_assumptions,
     fix_add,
-    fix_cmp,
     fix_div,
     fix_mul,
     fix_sub,

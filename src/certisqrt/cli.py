@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import CertisqrtError, DomainError
-from .exact import encode_int, rat_str, sqrt_abs_err_lt, within_of_sqrt
+from .exact import encode_int, rat_str
 from .fixarith import FixProfile, FixVal, check_profile_assumptions
 from .floatmodel import (
     FloatProfile,
@@ -51,6 +51,7 @@ from .verify import (
     run_fsqr_suite,
     run_sqr_suite,
     sample_rationals,
+    sqrt_verdict,
 )
 
 
@@ -260,10 +261,11 @@ def cmd_table_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _display(q: Fraction) -> str:
-    """Best-effort decimal rendering; never used in a verdict."""
+def _display(q: Fraction, c2: Fraction = Fraction(0), m: int = 0) -> str:
+    """Best-effort decimal rendering of q + c2*sqrt(m); never used in a
+    verdict."""
     try:
-        return f"{float(q):.6g}"
+        return f"{float(q) + float(c2) * m ** 0.5:.6g}"
     except OverflowError:
         return "out-of-float-range"
 
@@ -297,9 +299,9 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
     if args.mode == "exact":
         eps_frac = args.eps if args.ulp is None else eps_fix.value
         x, trace = sqr_exact(args.value, eps_frac)
-        ok = within_of_sqrt(x, args.value, eps_frac)
+        verdict = sqrt_verdict("exact", x, args.value, eps_frac)
         lines.append(f"x = {rat_str(x)} ({_display(x)})")
-        lines.append(f"bound = {rat_str(eps_frac)}")
+        lines.append(f"bound = {rat_str(verdict.witness['bound'])}")
     elif args.mode in ("fix", "mix"):
         y = _grid_exact(args.value, fix)
         if args.mode == "fix":
@@ -307,40 +309,33 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
                 print("error: mode fix requires --n", file=sys.stderr)
                 return 2
             x, trace = fix_sqr(y, eps_fix, table, args.n)
-            bound = eps_fix.value / 2 + args.n * fix.delta
         else:
             x, trace = mix_sqr(y, eps_fix, table)
-            bound = eps_fix.value
-        ok = within_of_sqrt(x.value, y.value, bound, strict=True)
+        verdict = sqrt_verdict(args.mode, x, y, eps_fix, n=args.n)
         err = approx_abs_err(x.value, y.value)
         lines.append(f"x = {rat_str(x.value)} ({_display(x.value)})")
-        lines.append(f"bound = {rat_str(bound)}")
+        lines.append(f"bound = {rat_str(verdict.witness['bound'])}")
         lines.append(f"err_display = {err:.6g}")
     else:  # float
         a, enc_exact = encode_rational(args.value, fprof)
         b, trace = flt_sqr(a, eps_fix, fprof, table)
+        verdict = sqrt_verdict("float", b, a, eps_fix, fprof=fprof)
         if b.is_zero:
             lines.append("b = 0")
-            ok = args.value == 0
         else:
-            a_val = value_of(a)
             b_val = value_of(b)
-            half_exp = a.exp // 2
-            beta = Fraction(fprof.base)
-            c1 = eps_fix.value * beta ** half_exp
-            c2 = (fix.delta / 2) * beta ** (half_exp - 1)
-            ok = sqrt_abs_err_lt(b_val, a_val, c1, c2, beta)
-            lines.append(f"a = {rat_str(a_val)} "
+            lines.append(f"a = {rat_str(value_of(a))} "
                          f"(encoded exactly: {str(enc_exact).lower()})")
             lines.append(f"b = {rat_str(b.man.value)} * {fprof.base}^{b.exp} "
                          f"= {rat_str(b_val)} ({_display(b_val)})")
-            lines.append(f"bound = {rat_str(c1)} + {rat_str(c2)}*sqrt({fprof.base}) "
-                         f"(~{float(c1) + float(c2) * fprof.base ** 0.5:.6g})")
-    lines.append(f"check = {'PASS' if ok else 'FAIL'}")
+            c1, c2 = verdict.witness["c1"], verdict.witness["c2"]
+            lines.append(f"bound = {rat_str(c1)} + {rat_str(c2)}*sqrt("
+                         f"{fprof.base}) (~{_display(c1, c2, fprof.base)})")
+    lines.append(f"check = {'PASS' if verdict.passed else 'FAIL'}")
     print("\n".join(lines))
     if args.trace_out is not None:
         write_trace(args.trace_out, trace)
-    return 0 if ok else 1
+    return 0 if verdict.passed else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -423,6 +418,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """A non-negative integer argument."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _rational_list(text: str) -> list[Fraction]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     return [Fraction(part) for part in items]
@@ -438,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile-check",
                        help="validate a profile file's assumptions")
     p.add_argument("profile")
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--samples", type=_count, default=4096)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=cmd_profile_check)
@@ -468,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    choices=["table", "sqr", "fsqr", "adjust", "all"])
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-revalidate", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -36,8 +36,6 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-Rational = Fraction
-
 
 class Ordering(Enum):
     LESS = -1
@@ -85,13 +83,6 @@ def rat_str(q: Fraction) -> str:
     """Canonical "num/den" serialization used in reports; each part as
     encode_int writes it."""
     return f"{encode_int(q.numerator)}/{encode_int(q.denominator)}"
-
-
-def isqrt(n: int) -> int:
-    """Floor square root of a non-negative integer: r*r <= n < (r+1)**2."""
-    if n < 0:
-        raise DomainError(f"isqrt requires n >= 0, got {n}")
-    return math.isqrt(n)
 
 
 # The filter keeps the top _FILTER_BITS bits of each factor; cmp_sqrt
@@ -206,10 +197,6 @@ class SqrtEnclosure:
 
     lo: Fraction
     hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     @property
     def midpoint(self) -> Fraction:

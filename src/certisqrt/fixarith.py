@@ -19,7 +19,6 @@ from .errors import (
     ProfileMismatch,
     RangeOverflow,
 )
-from .exact import Ordering, _ordering_of_sign
 from .report import CheckResult, VerifyReport, check, require
 
 
@@ -110,10 +109,16 @@ class FixVal:
         return f"{self.count}/{self.profile.delta_den}"
 
 
+def require_same_grid(a: FixProfile, b: FixProfile, message: str) -> None:
+    """Raise ProfileMismatch(message.format(a, b)) unless a and b are one
+    grid; identity settles the usual case without comparing fields."""
+    if a is not b and a != b:
+        raise ProfileMismatch(message.format(a, b))
+
+
 def _same_profile(x: FixVal, y: FixVal) -> FixProfile:
-    if x.profile is not y.profile and x.profile != y.profile:
-        raise ProfileMismatch(
-            f"values from different grids: {x.profile} vs {y.profile}")
+    require_same_grid(x.profile, y.profile,
+                      "values from different grids: {} vs {}")
     return x.profile
 
 
@@ -190,11 +195,6 @@ def fix_div(x: FixVal, y: FixVal) -> FixVal:
     return FixVal(round_half_even(num, den), profile)
 
 
-def fix_cmp(x: FixVal, y: FixVal) -> Ordering:
-    _same_profile(x, y)
-    return _ordering_of_sign((x.count > y.count) - (x.count < y.count))
-
-
 def _check_rounding_contract(profile: FixProfile, nx: int, ny: int,
                              check_div: bool) -> tuple[bool, dict]:
     """One (x, y) probe of the mul/div contracts; returns (ok, witness)."""
@@ -254,18 +254,12 @@ def check_profile_assumptions(profile: FixProfile,
                      for _ in range(total))
         for nx, ny in pairs:
             if add_ok:
-                s = nx + ny
-                if profile.contains_count(s):
-                    got = fix_add(FixVal(nx, profile), FixVal(ny, profile))
-                    if got.count != s:
-                        add_ok = False
-                        add_witness = {"x": nx, "y": ny, "got": got.count}
-                diff = nx - ny
-                if profile.contains_count(diff):
-                    got = fix_sub(FixVal(nx, profile), FixVal(ny, profile))
-                    if got.count != diff:
-                        add_ok = False
-                        add_witness = {"x": nx, "y": ny, "got": got.count}
+                for op, want in ((fix_add, nx + ny), (fix_sub, nx - ny)):
+                    if profile.contains_count(want):
+                        got = op(FixVal(nx, profile), FixVal(ny, profile))
+                        if got.count != want:
+                            add_ok = False
+                            add_witness = {"x": nx, "y": ny, "got": got.count}
             if contract_ok:
                 ok, witness = _check_rounding_contract(profile, nx, ny, True)
                 if not ok:

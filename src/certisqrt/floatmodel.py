@@ -15,10 +15,9 @@ from .errors import (
     DomainError,
     ExponentRange,
     MantissaRange,
-    ProfileMismatch,
     RangeOverflow,
 )
-from .fixarith import FixProfile, FixVal, round_half_even
+from .fixarith import FixProfile, FixVal, require_same_grid, round_half_even
 from .report import CheckResult, VerifyReport, check, require
 
 
@@ -103,8 +102,8 @@ class FloatVal:
 
 def compose(man: FixVal, exp: int, profile: FloatProfile) -> FloatVal:
     """Couple a mantissa and an exponent into a positive value."""
-    if man.profile != profile.fix:
-        raise ProfileMismatch("mantissa belongs to a different grid")
+    require_same_grid(man.profile, profile.fix,
+                      "mantissa belongs to a different grid")
     d = profile.fix.delta_den
     if not (man.count > d and man.count * profile.base < profile.fix.sup_count):
         raise MantissaRange(

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from .errors import (
     DomainError,
     InternalInvariantError,
-    ProfileMismatch,
     RangeOverflow,
     ResourceLimit,
 )
 from .exact import _sqrt_sign
-from .fixarith import FixProfile, FixVal
+from .fixarith import FixProfile, FixVal, require_same_grid
 from .report import VerifyReport, check, require
 
 ENV_MAX_TABLE = "CERTISQRT_MAX_TABLE"
@@ -67,10 +66,6 @@ class RootTable:
             raise DomainError(f"table index {k} outside "
                               f"[{self.k_min}, {self.k_max}]")
         return FixVal(self.roots[k - self.k_min], self.profile)
-
-    def items(self):
-        for k, count in enumerate(self.roots, self.k_min):
-            yield self.index_value(k), FixVal(count, self.profile)
 
 
 def validate_step(stp: FixVal, eps: FixVal, profile: FixProfile) -> VerifyReport:
@@ -123,8 +118,8 @@ def first_bad_root(table: RootTable) -> int | None:
 
 def _check_table_config(profile: FixProfile, stp: FixVal) -> range:
     """table_indices of stp, once the grid, profile and step rules pass."""
-    if stp.profile != profile:
-        raise ProfileMismatch("step value belongs to a different grid")
+    require_same_grid(stp.profile, profile,
+                      "step value belongs to a different grid")
     profile.validate()
     require("step configuration", validate_step(stp, stp, profile).checks)
     return table_indices(profile, stp.count)
@@ -166,8 +161,8 @@ def build_root_table(profile: FixProfile, stp: FixVal,
 def round_up_to_step(u: FixVal, stp: FixVal) -> FixVal:
     """Smallest step multiple >= u; defined for u > 1."""
     profile = u.profile
-    if stp.profile != profile:
-        raise ProfileMismatch("step value belongs to a different grid")
+    require_same_grid(stp.profile, profile,
+                      "step value belongs to a different grid")
     if u.count <= profile.delta_den:
         raise DomainError(f"round up to step requires u > 1, got {u}")
     k = -((-u.count) // stp.count)
@@ -185,8 +180,8 @@ def sup_fn(u: FixVal, table: RootTable) -> FixVal:
     are re-asserted on every call, on grid counts through the exact oracle.
     """
     profile = u.profile
-    if table.profile != profile:
-        raise ProfileMismatch("table belongs to a different grid")
+    require_same_grid(table.profile, profile,
+                      "table belongs to a different grid")
     if not profile.delta_den < u.count <= profile.sup_count:
         raise DomainError(f"seed function requires 1 < u <= "
                           f"{profile.sup_value}, got {u}")

@@ -21,10 +21,12 @@ lowest terms by stripping common factors of 2*num(y)*den(y) each step
 sizes reached by long runs is quadratic and would dominate the runtime.
 fix_sqr and mix_sqr share one grid loop and their per-request checks;
 the table checked its profile and step when it was made.
+fix_bound and float_bound state the grid and float accuracy contracts.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
@@ -35,11 +37,10 @@ from .errors import (
     InternalInvariantError,
     IterationBudgetError,
     NoFeasibleEps,
-    ProfileMismatch,
     SeedContractError,
 )
 from .exact import Ordering, cmp_sqrt, decide_radical_lt, fraction_from_coprime
-from .fixarith import FixVal, fix_add, fix_div, fix_mul
+from .fixarith import FixVal, fix_add, fix_div, fix_mul, require_same_grid
 from .floatmodel import FloatProfile, FloatVal, compose, decompose
 from .lut import RootTable, _check_table_config, step_multiple_of_eps, sup_fn
 
@@ -205,13 +206,32 @@ def _ceil_log2_ratio(num: int, den: int) -> int:
 
 def min_iterations_for_step(stp: FixVal, eps: FixVal) -> int:
     """Smallest n >= 1 with 2**(n-1) * eps >= stp; requires stp >= eps > 0."""
-    if stp.profile != eps.profile:
-        raise ProfileMismatch("step and accuracy from different grids")
+    require_same_grid(stp.profile, eps.profile,
+                      "step and accuracy from different grids")
     if eps.count <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
     if stp.count < eps.count:
         raise DomainError(f"step {stp} must be at least the accuracy {eps}")
     return 1 + _ceil_log2_ratio(stp.count, eps.count)
+
+
+def _legal_count(y: Fraction, eps: Fraction, seed: Fraction, n: int) -> bool:
+    """fsqr_exact's rule for n: seed - eps*2**(n-1) <= sqrt(y)."""
+    return cmp_sqrt(seed - eps * _pow2(n - 1), y) is not Ordering.GREATER
+
+
+def _least_legal_count(y: Fraction, eps: Fraction, seed: Fraction) -> int:
+    """Least n >= 0 that _legal_count accepts (eps > 0), a monotone rule:
+    0 after one test, else doubling upward, then bisection in (hi/2, hi]."""
+    def legal(n: int) -> bool:
+        return _legal_count(y, eps, seed, n)
+
+    if legal(0):
+        return 0
+    hi = 1
+    while not legal(hi):
+        hi *= 2
+    return bisect_left(range(hi), True, hi // 2 + 1, key=legal)
 
 
 def min_legal_iterations(y: Fraction, eps: Fraction,
@@ -220,13 +240,7 @@ def min_legal_iterations(y: Fraction, eps: Fraction,
     decided exactly; 0 whenever the seed is already within eps/2."""
     if eps <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
-    n = 0
-    guard = (seed_value.numerator * eps.denominator).bit_length() + 64
-    while cmp_sqrt(seed_value - eps * _pow2(n - 1), y) is Ordering.GREATER:
-        n += 1
-        if n > guard:
-            raise InternalInvariantError("iteration-count search diverged")
-    return n
+    return _least_legal_count(y, eps, seed_value)
 
 
 def fsqr_exact(y: Fraction, eps: Fraction, seed: SeedFn,
@@ -246,7 +260,7 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: SeedFn,
         raise DomainError(f"iteration count must be >= 0, got {n}")
     s = seed(y)
     _check_seed(s, y)
-    if cmp_sqrt(s - eps * _pow2(n - 1), y) is Ordering.GREATER:
+    if not _legal_count(y, eps, s, n):
         raise IterationBudgetError(
             f"n={n} below the legal minimum for seed {s}")
     steps = [TraceStep(k, x, ad, x_next)
@@ -259,9 +273,8 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: SeedFn,
 
 def _check_grid_config(y: FixVal, eps: FixVal, table: RootTable) -> None:
     """Per-request preconditions fix_sqr and mix_sqr share."""
-    profile = y.profile
-    if eps.profile != profile or table.profile != profile:
-        raise ProfileMismatch("inputs belong to different grids")
+    for other in (eps.profile, table.profile):
+        require_same_grid(other, y.profile, "inputs belong to different grids")
     if eps.count <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
     if not step_multiple_of_eps(table.stp, eps):
@@ -310,18 +323,16 @@ def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
     exact addition.  Requires 1 < y <= sup/2 (so x + x cannot overflow), a
     step configuration valid for eps, and n at least
     min_iterations_for_step(stp, eps).  The result satisfies
-    |x - sqrt(y)| < eps/2 + n*step_of_grid.
+    |x - sqrt(y)| < fix_bound(eps, n).
     """
     _check_grid_config(y, eps, table)
     return _grid_newton("fix_sqr", y, eps, table, n,
                         min_iterations_for_step(table.stp, eps))
 
 
-def _min_eps_count(stp_count: int, eps_count: int) -> int:
-    """Accuracy count 2*(2 + ceil(log2(stp/eps))) that mix_sqr requires:
-    below it no iteration count meets both the convergence and the
-    rounding-error budget."""
-    return 2 * (2 + _ceil_log2_ratio(stp_count, eps_count))
+def fix_bound(eps: FixVal, n: int) -> Fraction:
+    """fix_sqr's accuracy contract after n iterations: eps/2 + n*delta."""
+    return eps.value / 2 + n * eps.profile.delta
 
 
 def mix_sqr(y: FixVal, eps: FixVal, table: RootTable) -> tuple[FixVal, Trace]:
@@ -333,12 +344,12 @@ def mix_sqr(y: FixVal, eps: FixVal, table: RootTable) -> tuple[FixVal, Trace]:
     satisfies |x - sqrt(y)| < eps.
     """
     _check_grid_config(y, eps, table)
-    need = _min_eps_count(table.stp.count, eps.count)
+    n = min_iterations_for_step(table.stp, eps)
+    need = 2 * (n + 1)  # the accuracy's least count
     if eps.count < need:
         raise EpsTooSmall(
             f"eps={eps} below 2*delta*(2 + ceil(log2(stp/eps))) = "
             f"{Fraction(need, y.profile.delta_den)}")
-    n = min_iterations_for_step(table.stp, eps)
     return _grid_newton("mix_sqr", y, eps, table, n, n)
 
 
@@ -347,20 +358,21 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     """Square root in the float model: extract the mantissa, even out the
     exponent, run mix_sqr on the adjusted mantissa, halve the exponent.
 
-    Zero maps to zero.  The result satisfies
-    |b - sqrt(a)| < (eps + step_of_grid/(2*sqrt(base))) * base**floor(e/2).
+    Zero maps to zero.  For a = man*base**e the result satisfies
+    |b - sqrt(a)| < c1 + c2*sqrt(base), (c1, c2) = float_bound(eps, e,
+    profile).
     """
     profile.validate()
-    if eps.profile != profile.fix:
-        raise ProfileMismatch("accuracy belongs to a different grid")
-    if table.profile != profile.fix:
-        raise ProfileMismatch("table belongs to a different grid")
+    require_same_grid(eps.profile, profile.fix,
+                      "accuracy belongs to a different grid")
+    require_same_grid(table.profile, profile.fix,
+                      "table belongs to a different grid")
     if a.is_zero:
         return FloatVal.zero(), Trace("flt_sqr", y=None, eps=eps,
                                       final_x=None, notes={"zero": True})
     man, e = decompose(a)
-    if man.profile != profile.fix:
-        raise ProfileMismatch("input belongs to a different grid")
+    require_same_grid(man.profile, profile.fix,
+                      "input belongs to a different grid")
     if e % 2 != 0:
         y_fix = fix_mul(man, profile.base_fix)
         z = e - 1
@@ -375,6 +387,15 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
                   "result": {"man": str(b.man), "exp": b.exp}})
     trace = replace(inner, algorithm="flt_sqr", notes=notes)
     return b, trace
+
+
+def float_bound(eps: FixVal, exp: int,
+                profile: FloatProfile) -> tuple[Fraction, Fraction]:
+    """flt_sqr's accuracy contract for exponent exp: (c1, c2) of the bound
+    c1 + c2*sqrt(base), c1 = eps*base**h, c2 = (delta/2)*base**(h - 1),
+    h = floor(exp/2)."""
+    beta, h = Fraction(profile.base), exp // 2
+    return eps.value * beta ** h, profile.fix.delta / 2 * beta ** (h - 1)
 
 
 def _divisors_descending(n: int) -> list[int]:
@@ -392,25 +413,25 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
                        stp: FixVal) -> FixVal:
     """Largest grid accuracy eps compatible with a half-ulp target.
 
-    Constraints: eps + step_of_grid/(2*sqrt(base)) < ulp/2 (decided
-    exactly), eps divides stp, and the mix_sqr iteration-budget
-    precondition holds.  Raises NoFeasibleEps when the set is empty.
+    Constraints: the exponent-0 float bound eps + delta/(2*sqrt(base))
+    stays below ulp/2 (decided exactly), eps divides stp, and the mix_sqr
+    iteration-budget precondition holds.  Raises NoFeasibleEps when the
+    set is empty.
     """
     profile.validate()
     if ulp <= 0:
         raise DomainError(f"ulp must be positive, got {ulp}")
     _check_table_config(profile.fix, stp)
-    d = profile.fix.delta_den
-    beta = profile.base
     half_ulp = ulp / 2
-    radical_coeff = Fraction(-1, 2 * d * beta)  # -delta/(2*base) as sqrt coeff
+    beta = Fraction(profile.base)
     for count in _divisors_descending(stp.count):
-        eps_value = Fraction(count, d)
-        if not decide_radical_lt(eps_value, half_ulp, radical_coeff,
-                                 Fraction(beta)):
+        eps = FixVal(count, profile.fix)
+        c1, c2 = float_bound(eps, 0, profile)
+        # c1 + c2*sqrt(base) < ulp/2, as c1 < ulp/2 - c2*sqrt(base)
+        if not decide_radical_lt(c1, half_ulp, -c2, beta):
             continue
-        if count < _min_eps_count(stp.count, count):
+        if count < 2 * (min_iterations_for_step(stp, eps) + 1):
             continue
-        return FixVal(count, profile.fix)
+        return eps
     raise NoFeasibleEps(f"no grid accuracy below ulp/2 = {half_ulp} "
-                        f"with step {stp} on a 1/{d} grid")
+                        f"with step {stp} on a {profile.fix.delta} grid")

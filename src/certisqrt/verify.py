@@ -19,15 +19,21 @@ from .exact import (
     cmp_products,
     cmp_sqrt,
     rat_str,
+    sqrt_abs_err_lt,
     sqrt_enclosure,
     within_of_sqrt,
 )
 from .fixarith import FixProfile, FixVal
-from .lut import RootTable, build_root_table, round_up_to_step, sup_fn, validate_step
+from .floatmodel import FloatProfile, value_of
+from .lut import (RootTable, build_root_table, first_bad_root,
+                  round_up_to_step, sup_fn, validate_step)
 from .newton import (
     Trace,
+    _least_legal_count,
     _pow2,
+    fix_bound,
     fix_sqr,
+    float_bound,
     fsqr_exact,
     min_iterations_for_step,
     min_legal_iterations,
@@ -58,39 +64,14 @@ def cmp_abs_err(a: Fraction, b: Fraction, y: Fraction) -> Ordering:
 
 
 def iteration_cap(y: Fraction, eps: Fraction) -> int:
-    """max(0, 1 + ceil(log2((y - sqrt(y))/eps))) decided exactly, y > 1.
-
-    ceil(log2(gap/eps)) is the least c with y - eps*2**c <= sqrt(y), found
-    by exponential search over exact comparisons.
-    """
+    """max(0, 1 + ceil(log2((y - sqrt(y))/eps))) decided exactly, y > 1:
+    the legal iteration count of a run seeded with y, found by the search
+    of newton.min_legal_iterations."""
     if y <= 1:
         raise DomainError(f"iteration cap defined for y > 1, got {y}")
     if eps <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
-
-    def holds(c: int) -> bool:
-        return cmp_sqrt(y - eps * _pow2(c), y) is not Ordering.GREATER
-
-    c = 0
-    if holds(0):
-        step = 1
-        while holds(c - step):
-            c -= step
-            step *= 2
-        lo, hi = c - step, c  # holds(hi), not holds(lo)
-    else:
-        step = 1
-        while not holds(c + step):
-            c += step
-            step *= 2
-        lo, hi = c, c + step  # not holds(lo), holds(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return max(0, 1 + hi)
+    return _least_legal_count(y, eps, y)
 
 
 def applied_corrections(trace: Trace) -> int:
@@ -201,6 +182,34 @@ def check_fsqr_annotations(trace: Trace, y: Fraction, eps: Fraction,
     return VerifyReport(subject, tuple(checks))
 
 
+def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
+                 fprof: FloatProfile | None = None) -> CheckResult:
+    """Decide rule sqrt.<mode>-bound for a result x of sqrt(y):
+
+    * exact (Fractions): |x - sqrt(y)| <= eps;
+    * fix (FixVals, n iterations): |x - sqrt(y)| < fix_bound(eps, n);
+    * mix (FixVals): |x - sqrt(y)| < eps;
+    * float (FloatVals, eps a FixVal): |x - sqrt(y)| < c1 + c2*sqrt(base),
+      (c1, c2) = float_bound(eps, exponent of y, fprof); a zero y passes
+      exactly when x is zero.  The witness holds the bound or its terms.
+    """
+    rule, name = f"sqrt.{mode}-bound", f"{mode} result within its bound"
+    if mode == "exact":
+        return check(name, rule, within_of_sqrt(x, y, eps), {"bound": eps})
+    if mode == "float":
+        if y.is_zero:
+            return check(name, rule, x.is_zero, {"zero": True})
+        c1, c2 = float_bound(eps, y.exp, fprof)
+        ok = sqrt_abs_err_lt(value_of(x), value_of(y), c1, c2,
+                             Fraction(fprof.base))
+        return check(name, rule, ok, {"c1": c1, "c2": c2, "base": fprof.base})
+    if mode not in ("fix", "mix"):
+        raise UsageError(f"unknown sqrt mode {mode!r}")
+    bound = fix_bound(eps, n) if mode == "fix" else eps.value
+    ok = within_of_sqrt(x.value, y.value, bound, strict=True)
+    return check(name, rule, ok, {"bound": bound})
+
+
 @dataclass(frozen=True)
 class AdjustmentRecord:
     """Lockstep comparison of the exact and grid runs at iteration k."""
@@ -238,7 +247,7 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
     checks = [check("runs stay within k grid steps of each other",
                     "adjust.gap-bound", gap_ok, {"iterations": n},
                     gap_witness)]
-    final_bound = eps.value / 2 + n * delta
+    final_bound = fix_bound(eps, n)
     final_ok = within_of_sqrt(x_fix.value, y.value, final_bound, strict=True)
     checks.append(CheckResult(
         "grid result within eps/2 + n*step of the root",
@@ -272,12 +281,11 @@ def monotonicity_probe(y: FixVal, eps: FixVal, table: RootTable,
     """
     if n_min > n_max:
         raise DomainError(f"empty sweep range [{n_min}, {n_max}]")
-    delta = y.profile.delta
     rows: list[ProbeRow] = []
     prev_x: FixVal | None = None
     for n in range(n_min, n_max + 1):
         x, _ = fix_sqr(y, eps, table, n)
-        bound = eps.value / 2 + n * delta
+        bound = fix_bound(eps, n)
         within = within_of_sqrt(x.value, y.value, bound, strict=True)
         increased = (prev_x is not None
                      and cmp_abs_err(x.value, prev_x.value, y.value)
@@ -301,18 +309,12 @@ def check_table_properties(table: RootTable, profile: FixProfile,
                         {"table_stp": str(table.stp), "stp": str(stp)}))
 
     if consistent:
-        delta = profile.delta
-        root_ok, root_witness = True, {}
-        for v, root in table.items():
-            if cmp_sqrt(root.value, v.value) is Ordering.LESS \
-                    or cmp_sqrt(root.value - delta, v.value) \
-                    is not Ordering.LESS:
-                root_ok = False
-                root_witness = {"index": str(v), "root": str(root)}
-                break
-        checks.append(check("every entry is the least grid upper root",
-                            "table.root", root_ok, {"entries": len(table)},
-                            root_witness))
+        bad = first_bad_root(table)
+        checks.append(check(
+            "every entry is the least grid upper root", "table.root",
+            bad is None, {"entries": len(table)},
+            None if bad is None else {"index": str(table.index_value(bad)),
+                                      "root": str(table.root_at(bad))}))
 
         round_ok, round_witness = True, {}
         for count in range(profile.delta_den + 1, profile.sup_count + 1):

@@ -173,7 +173,13 @@ class TestGoldenDigests:
          "35fc3f612c398cddc228c41b3b650a5c98709b8cf5814e0e87762cc73354df43"),
         (["--mode", "fix", "--value", "3.00", "--eps", "0.25", "--n", "3"],
          "e80fcd1769c9e4f7b3c4091b3f9b0049b9c2dd4c17c7c521bced9ada8a83143c"),
-    ], ids=["mix", "float", "fix"])
+        (["--mode", "exact", "--value", "2", "--eps", "1/100"],
+         "2d16dac6b1639084f119e839d41126816bea64535b17f75ef2a40180173eee36"),
+        (["--mode", "float", "--value", "12", "--ulp", "1"],
+         "35fc3f612c398cddc228c41b3b650a5c98709b8cf5814e0e87762cc73354df43"),
+        (["--mode", "float", "--value", "0", "--eps", "0.25"],
+         "f4e4db5942e429763ab7b50f16573ab61c0619ceb1cdd461a0e9f181486ad870"),
+    ], ids=["mix", "float", "fix", "exact", "float-ulp", "float-zero"])
     def test_sqrt_outputs(self, demo_profile_path, demo_table_path, capsys,
                           args, expected):
         capsys.readouterr()
@@ -269,6 +275,43 @@ class TestSqrt:
         assert rows[-1]["x_count"] == 173
 
 
+# the 1/1000 grid on [-4000, 4000]: float exponents reach +-4000
+WIDE_PROFILE = {
+    "fix": {"delta_den": 1000, "inf_count": 4000000, "sup_count": 4000000},
+    "float": {"base": 2, "inf_F": "65536/1", "sup_F": "65536/1"},
+    "step": {"stp_count": 16, "eps_count": 8},
+}
+
+
+@pytest.fixture(scope="module")
+def wide_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("wide")
+    profile, table = root / "profile.json", root / "table.json"
+    profile.write_text(json.dumps(WIDE_PROFILE))
+    assert main(["table-build", str(profile), str(table)]) == 0
+    return str(profile), str(table)
+
+
+class TestWideFloatBound:
+    """A float result whose bound terms exceed the host float range still
+    prints its bound; the display falls back, the verdict is exact."""
+
+    @pytest.mark.parametrize("power,display", [
+        (2000, "(~4.47545e+298)"), (2300, "(~out-of-float-range)")])
+    def test_bound_prints(self, wide_paths, capsys, power, display):
+        profile, table = wide_paths
+        capsys.readouterr()
+        code = main(["sqrt", profile, table, "--mode", "float",
+                     "--value", str(2 ** power), "--eps", "0.008"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        lines = dict(line.split(" = ", 1)
+                     for line in captured.out.splitlines())
+        assert lines["bound"].endswith(display)
+        assert lines["check"] == "PASS"
+
+
 class TestWideExactResult:
     """An exact result with parts far past 4300 decimal digits prints and
     traces in the lossless hex form."""
@@ -307,6 +350,24 @@ class TestWideExactResult:
             last = dict(zip(header.split(","), row.split(",")))
         x = F(int(last["x_num"], 0), int(last["x_den"], 0))
         assert x == sqr_exact(F(10 ** 6), F(1, 10 ** 6))[0]
+
+
+class TestNegativeSamples:
+    @pytest.mark.parametrize("command", [
+        ["verify", "TABLE", "--suite", "adjust"],
+        ["profile-check"],
+    ], ids=["verify", "profile-check"])
+    def test_usage_error(self, demo_profile_path, demo_table_path, capsys,
+                         command):
+        argv = [command[0], demo_profile_path] + [
+            demo_table_path if a == "TABLE" else a for a in command[1:]]
+        capsys.readouterr()
+        assert main(argv + ["--samples", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --samples: expected an integer >= 0, got '-5'" \
+            in captured.err
+        assert main(argv + ["--samples", "0"]) == 0
 
 
 class TestVerifyCommand:

@@ -14,7 +14,6 @@ from certisqrt.exact import (
     decide_radical_lt,
     encode_int,
     fraction_from_coprime,
-    isqrt,
     rat_str,
     sqrt_abs_err_lt,
     sqrt_enclosure,
@@ -26,21 +25,6 @@ rationals = st.fractions(min_value=F(-100), max_value=F(100),
                          max_denominator=1000)
 nonneg_rationals = st.fractions(min_value=F(0), max_value=F(100),
                                 max_denominator=1000)
-
-
-class TestIsqrt:
-    @pytest.mark.parametrize("n,expected", [(0, 0), (16, 4), (17, 4)])
-    def test_examples(self, n, expected):
-        assert isqrt(n) == expected
-
-    def test_negative(self):
-        with pytest.raises(DomainError):
-            isqrt(-1)
-
-    @given(st.integers(min_value=0, max_value=10 ** 40))
-    def test_bracketing(self, n):
-        r = isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
 
 
 class TestCmpSqrt:
@@ -219,14 +203,14 @@ class TestSqrtEnclosure:
     def test_sqrt2_coarse(self):
         e = sqrt_enclosure(F(2), 1)
         assert e.lo * e.lo <= 2 <= e.hi * e.hi
-        assert e.width <= F(1, 2)
+        assert e.hi - e.lo <= F(1, 2)
 
     @given(nonneg_rationals, st.integers(min_value=0, max_value=128))
     def test_postcondition(self, y, p):
         e = sqrt_enclosure(y, p)
         assert e.lo * e.lo <= y <= e.hi * e.hi
         assert 0 <= e.lo <= e.hi
-        assert e.width <= F(1, 2 ** p)
+        assert e.hi - e.lo <= F(1, 2 ** p)
 
 
 class TestDecideRadicalLt:

@@ -10,13 +10,11 @@ from certisqrt.errors import (
     ProfileMismatch,
     RangeOverflow,
 )
-from certisqrt.exact import Ordering
 from certisqrt.fixarith import (
     FixProfile,
     FixVal,
     check_profile_assumptions,
     fix_add,
-    fix_cmp,
     fix_div,
     fix_mul,
     fix_sub,
@@ -183,21 +181,6 @@ class TestDiv:
                 else:
                     assert fix_div(x, y).count == want, (nx, ny)
         assert seen == boundaries
-
-
-class TestCmp:
-    def test_examples(self, p100):
-        assert fix_cmp(p100.val(173), p100.val(173)) is Ordering.EQUAL
-        assert fix_cmp(p100.val(86), p100.val(87)) is Ordering.LESS
-        assert fix_cmp(p100.val(1600), p100.val(-1600)) is Ordering.GREATER
-
-    def test_matches_values(self, p10):
-        for a in range(-40, 41, 7):
-            for b in range(-40, 41, 11):
-                got = fix_cmp(p10.val(a), p10.val(b))
-                expect = (Ordering.LESS if a < b else
-                          Ordering.GREATER if a > b else Ordering.EQUAL)
-                assert got is expect
 
 
 count_strategy = st.integers(min_value=-40, max_value=40)

@@ -62,7 +62,8 @@ class TestBuildTable:
 
     def test_root_property_everywhere(self, demo_table, demo_profile):
         delta = demo_profile.delta
-        for v, root in demo_table.items():
+        for k in range(demo_table.k_min, demo_table.k_max + 1):
+            v, root = demo_table.index_value(k), demo_table.root_at(k)
             assert cmp_sqrt(root.value, v.value) is not Ordering.LESS
             assert cmp_sqrt(root.value - delta, v.value) is Ordering.LESS
 

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -32,7 +33,9 @@ from certisqrt.floatmodel import (
 from certisqrt.lut import build_root_table
 from certisqrt.newton import (
     derive_eps_for_ulp,
+    fix_bound,
     fix_sqr,
+    float_bound,
     flt_sqr,
     fsqr_exact,
     isqr_exact,
@@ -41,6 +44,7 @@ from certisqrt.newton import (
     mix_sqr,
     sqr_exact,
 )
+from certisqrt.verify import iteration_cap
 
 ys = st.fractions(min_value=F(1), max_value=F(10 ** 4), max_denominator=100)
 epss = st.fractions(min_value=F(1, 1000), max_value=F(1),
@@ -253,6 +257,81 @@ class TestMinLegalIterations:
             if n > 0:
                 assert cmp_sqrt(s - eps * F(2) ** (n - 2), y) \
                     is Ordering.GREATER
+
+
+def former_min_legal_iterations(y, eps, seed_value):
+    """The linear search min_legal_iterations used first."""
+    n = 0
+    while cmp_sqrt(seed_value - eps * F(2) ** (n - 1), y) \
+            is Ordering.GREATER:
+        n += 1
+    return n
+
+
+class TestLegalCountSearch:
+    """iteration_cap and min_legal_iterations share one search: the cap
+    is the legal count of a run seeded with y."""
+
+    def test_agree_on_the_corpus(self, sqr_corpus):
+        runs, _ = sqr_corpus
+        for y, eps, *_ in runs:
+            assert iteration_cap(y, eps) == min_legal_iterations(y, eps, y)
+
+    @given(ys.filter(lambda v: v > 1), epss)
+    @settings(max_examples=200, deadline=None)
+    def test_agree(self, y, eps):
+        assert iteration_cap(y, eps) == min_legal_iterations(y, eps, y) \
+            == former_min_legal_iterations(y, eps, y)
+
+    @given(ys.filter(lambda v: v > 1), epss, st.integers(0, 2 ** 20))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_linear_search(self, y, eps, lift):
+        # any seed in [sqrt(y), y]
+        lo = sqrt_enclosure(y, 16).hi
+        seed = min(y, lo + (y - lo) * F(lift, 2 ** 20))
+        assert min_legal_iterations(y, eps, seed) == \
+            former_min_legal_iterations(y, eps, seed)
+
+    def test_fsqr_exact_legality_is_the_same_rule(self):
+        y, eps = F(50), F(1, 100)
+        n = min_legal_iterations(y, eps, y)
+        fsqr_exact(y, eps, lambda u: u, n)
+        with pytest.raises(IterationBudgetError):
+            fsqr_exact(y, eps, lambda u: u, n - 1)
+
+
+class TestAccuracyContracts:
+    def test_fix_bound(self, demo_profile):
+        assert fix_bound(demo_profile.val(25), 3) == F(1, 8) + F(3, 100)
+        assert fix_bound(demo_profile.val(8), 0) == F(1, 25)
+
+    @pytest.mark.parametrize("exp,c1,c2", [
+        (0, F(1, 4), F(1, 400)), (1, F(1, 4), F(1, 400)),
+        (2, F(1, 2), F(1, 200)), (-1, F(1, 8), F(1, 800)),
+        (-4, F(1, 16), F(1, 1600))])
+    def test_float_bound(self, demo_eps, demo_float_profile, exp, c1, c2):
+        assert float_bound(demo_eps, exp, demo_float_profile) == (c1, c2)
+
+    def test_float_bound_at_exponent_zero(self, demo_float_profile):
+        # c2 = delta/(2*base), the radical coefficient derive_eps_for_ulp
+        # subtracts; c1 is eps itself
+        fix = demo_float_profile.fix
+        for count in (1, 5, 25):
+            c1, c2 = float_bound(fix.val(count), 0, demo_float_profile)
+            assert (c1, c2) == (F(count, 100), F(1, 2 * 100 * 2))
+
+    @pytest.mark.parametrize("stp", [25, 50, 100, 400, 1600])
+    def test_mix_least_eps_count(self, demo_profile, stp):
+        # the former rule: eps count >= 2*(2 + ceil(log2(stp/eps)))
+        table = build_root_table(demo_profile, demo_profile.val(stp))
+        for eps in (c for c in range(1, stp + 1) if stp % c == 0):
+            need = 2 * (2 + math.ceil(math.log2(stp / eps)))
+            y = demo_profile.val(300)
+            if eps < need:
+                with pytest.raises(EpsTooSmall):
+                    mix_sqr(y, demo_profile.val(eps), table)
+            else:
+                mix_sqr(y, demo_profile.val(eps), table)
 
 
 class TestFixSqr:

@@ -21,10 +21,16 @@ from certisqrt.errors import (
     ProfileMismatch,
     ResourceLimit,
 )
-from certisqrt.fixarith import FixProfile, FixVal
-from certisqrt.floatmodel import FloatProfile, FloatVal
-from certisqrt.lut import RootTable, build_root_table
-from certisqrt.newton import derive_eps_for_ulp, fix_sqr, flt_sqr, mix_sqr
+from certisqrt.fixarith import FixProfile, FixVal, fix_add, fix_div
+from certisqrt.floatmodel import FloatProfile, FloatVal, compose
+from certisqrt.lut import RootTable, build_root_table, round_up_to_step, sup_fn
+from certisqrt.newton import (
+    derive_eps_for_ulp,
+    fix_sqr,
+    flt_sqr,
+    min_iterations_for_step,
+    mix_sqr,
+)
 
 DEMO = FixProfile(100, 1600, 1600)
 MICRO = FixProfile(10, 40, 40)
@@ -175,3 +181,50 @@ def test_valid_baselines():
     RootTable(DEMO, DEMO.val(25), TABLE.roots)
     build_root_table(DEMO, DEMO.val(25), 100)
     derive_eps_for_ulp(F(1), FLOAT, DEMO.val(25))
+
+
+# every grid-match site, with the message it raised before the sites
+# shared one test
+MISMATCH_CASES = {
+    "table-step": (lambda: RootTable(DEMO, MICRO.val(8), TABLE.roots),
+                   "step value belongs to a different grid"),
+    "round-up-step": (lambda: round_up_to_step(Y, MICRO.val(8)),
+                      "step value belongs to a different grid"),
+    "seed-table": (lambda: sup_fn(Y, MICRO_TABLE),
+                   "table belongs to a different grid"),
+    "min-iterations": (lambda: min_iterations_for_step(EPS, MICRO.val(8)),
+                       "step and accuracy from different grids"),
+    "grid-eps": (lambda: mix_sqr(Y, MICRO.val(8), TABLE),
+                 "inputs belong to different grids"),
+    "grid-table": (lambda: fix_sqr(Y, EPS, MICRO_TABLE, 2),
+                   "inputs belong to different grids"),
+    "float-eps": (lambda: flt_sqr(A, MICRO.val(8), FLOAT, TABLE),
+                  "accuracy belongs to a different grid"),
+    "float-table": (lambda: flt_sqr(A, EPS, FLOAT, MICRO_TABLE),
+                    "table belongs to a different grid"),
+    "float-input": (lambda: flt_sqr(FloatVal(MICRO.val(30), 2, 2), EPS,
+                                    FLOAT, TABLE),
+                    "input belongs to a different grid"),
+    "compose": (lambda: compose(MICRO.val(30), 0, FLOAT),
+                "mantissa belongs to a different grid"),
+    "fix-add": (lambda: fix_add(Y, MICRO.val(30)),
+                f"values from different grids: {DEMO} vs {MICRO}"),
+    "fix-div": (lambda: fix_div(MICRO.val(30), Y),
+                f"values from different grids: {MICRO} vs {DEMO}"),
+}
+
+
+@pytest.mark.parametrize("call,message", MISMATCH_CASES.values(),
+                         ids=MISMATCH_CASES.keys())
+def test_profile_mismatch_message(call, message):
+    with pytest.raises(ProfileMismatch) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_equal_profiles_match():
+    """Two equal profiles that are distinct objects are one grid."""
+    twin = FixProfile(100, 1600, 1600)
+    assert twin is not DEMO
+    assert fix_add(Y, twin.val(30)).count == 330
+    assert mix_sqr(twin.val(300), EPS, TABLE)[0].count == 173

@@ -1,14 +1,24 @@
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certisqrt.errors import UsageError
-from certisqrt.exact import Ordering
+from certisqrt.errors import CertisqrtError, UsageError
+from certisqrt.exact import Ordering, sqrt_abs_err_lt, within_of_sqrt
+from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
 from certisqrt.lut import sup_fn
-from certisqrt.newton import Trace, fsqr_exact, sqr_exact
+from certisqrt.newton import (
+    Trace,
+    fix_sqr,
+    flt_sqr,
+    fsqr_exact,
+    min_iterations_for_step,
+    mix_sqr,
+    sqr_exact,
+)
 from certisqrt.verify import (
     adjust_runs,
     applied_corrections,
@@ -25,6 +35,7 @@ from certisqrt.verify import (
     run_fsqr_suite,
     run_sqr_suite,
     sample_rationals,
+    sqrt_verdict,
 )
 
 
@@ -294,6 +305,20 @@ class TestTableProperties:
         report = check_table_properties(bad, demo_profile, demo_stp, demo_eps)
         assert {c.rule for c in report.failures()} == {"table.root"}
 
+    @pytest.mark.parametrize("index,delta", [
+        (0, -1), (0, 1), (7, 1), (30, -1), (59, -1), (59, 1), (12, -40)])
+    def test_corruption_fails_only_root(self, demo_table, demo_profile,
+                                        demo_stp, demo_eps, index, delta):
+        roots = list(demo_table.roots)
+        roots[index] += delta
+        bad = dataclasses.replace(demo_table, roots=tuple(roots))
+        report = check_table_properties(bad, demo_profile, demo_stp,
+                                        demo_eps)
+        assert [c.rule for c in report.failures()] == ["table.root"]
+        k = demo_table.k_min + index
+        assert report.failures()[0].witness == {
+            "index": f"{k * demo_stp.count}/100", "root": f"{roots[index]}/100"}
+
     def test_step_mismatch_detected(self, demo_table, demo_profile,
                                     demo_eps):
         report = check_table_properties(demo_table, demo_profile,
@@ -363,3 +388,160 @@ def test_trace_step_sequence_contiguous(demo_profile, demo_table, demo_eps):
     from certisqrt.newton import fix_sqr
     _, trace = fix_sqr(demo_profile.val(523), demo_eps, demo_table, 5)
     assert [s.k for s in trace.steps] == list(range(5))
+
+
+def _enclose_sqrt(q, bits=256):
+    """lo <= sqrt(q) <= hi from an integer square root, apart from the
+    library's exact predicates."""
+    a, b = q.numerator, q.denominator
+    s = math.isqrt((a * b) << (2 * bits))
+    return F(s, b << bits), F(s + 1, b << bits)
+
+
+def _first_past(lo, hi, unit):
+    """Least k with k*unit above a threshold known to lie in [lo, hi];
+    (k - 1)*unit must lie below it."""
+    k = math.floor(hi / unit) + 1
+    assert (k - 1) * unit < lo, "a grid point lies inside the enclosure"
+    return k
+
+
+class TestSqrtVerdict:
+    """Each mode's rule, its witness, and a negative control: the result
+    one unit past the bound fails that rule, one unit inside passes."""
+
+    def test_exact(self):
+        y, eps = F(2), F(1, 100)
+        x, _ = sqr_exact(y, eps)
+        verdict = sqrt_verdict("exact", x, y, eps)
+        assert (verdict.rule, verdict.passed) == ("sqrt.exact-bound", True)
+        assert verdict.witness == {"bound": eps}
+        lo, hi = _enclose_sqrt(y)
+        unit = F(1, 10 ** 6)
+        k = _first_past(lo + eps, hi + eps, unit)
+        assert sqrt_verdict("exact", (k - 1) * unit, y, eps).passed
+        past = sqrt_verdict("exact", k * unit, y, eps)
+        assert (past.rule, past.passed) == ("sqrt.exact-bound", False)
+        # and one unit below sqrt(y) - eps
+        k = _first_past(lo - eps, hi - eps, unit)
+        assert sqrt_verdict("exact", k * unit, y, eps).passed
+        below = sqrt_verdict("exact", (k - 1) * unit, y, eps)
+        assert (below.rule, below.passed) == ("sqrt.exact-bound", False)
+
+    def test_exact_bound_is_inclusive(self):
+        assert sqrt_verdict("exact", F(9, 4), F(4), F(1, 4)).passed
+        assert sqrt_verdict("exact", F(7, 4), F(4), F(1, 4)).passed
+
+    @pytest.mark.parametrize("mode,n,bound", [
+        ("mix", None, F(1, 4)), ("fix", 3, F(1, 8) + F(3, 100))])
+    def test_grid(self, demo_profile, demo_table, demo_eps, mode, n, bound):
+        y = demo_profile.val(300)
+        if mode == "mix":
+            x, _ = mix_sqr(y, demo_eps, demo_table)
+        else:
+            x, _ = fix_sqr(y, demo_eps, demo_table, n)
+        verdict = sqrt_verdict(mode, x, y, demo_eps, n=n)
+        assert (verdict.rule, verdict.passed) == (f"sqrt.{mode}-bound", True)
+        assert verdict.witness == {"bound": bound}
+        lo, hi = _enclose_sqrt(y.value)
+        k = _first_past(lo + bound, hi + bound, demo_profile.delta)
+        inside = sqrt_verdict(mode, demo_profile.val(k - 1), y, demo_eps,
+                              n=n)
+        past = sqrt_verdict(mode, demo_profile.val(k), y, demo_eps, n=n)
+        assert inside.passed
+        assert (past.rule, past.passed) == (f"sqrt.{mode}-bound", False)
+
+    @pytest.mark.parametrize("mode,n,bound_count", [
+        ("mix", None, 50), ("fix", 2, 27)])  # eps = 1/2; 1/4 + 2/100
+    def test_grid_bound_is_strict(self, demo_profile, mode, n, bound_count):
+        # y = 4: x = 2 + bound sits on the bound and fails
+        y, eps = demo_profile.val(400), demo_profile.val(50)
+        on = demo_profile.val(200 + bound_count)
+        verdict = sqrt_verdict(mode, on, y, eps, n=n)
+        assert verdict.witness == {"bound": F(bound_count, 100)}
+        assert not verdict.passed
+        inside = demo_profile.val(on.count - 1)
+        assert sqrt_verdict(mode, inside, y, eps, n=n).passed
+
+    def test_float(self, demo_profile, demo_float_profile, demo_table,
+                   demo_eps):
+        fprof = demo_float_profile
+        a, _ = encode_rational(F(12), fprof)
+        assert (a.man.count, a.exp) == (150, 3)
+        b, _ = flt_sqr(a, demo_eps, fprof, demo_table)
+        verdict = sqrt_verdict("float", b, a, demo_eps, fprof=fprof)
+        assert (verdict.rule, verdict.passed) == ("sqrt.float-bound", True)
+        c1, c2 = F(1, 2), F(1, 200)  # eps*2**1, (delta/2)*2**0
+        assert verdict.witness == {"c1": c1, "c2": c2, "base": 2}
+        # the result b = m/100 * 2**1 moves in units of 1/50
+        root_lo, root_hi = _enclose_sqrt(F(12))
+        beta_lo, beta_hi = _enclose_sqrt(F(2))
+        m = _first_past(root_lo + c1 + c2 * beta_lo,
+                        root_hi + c1 + c2 * beta_hi, F(1, 50))
+        inside = compose(demo_profile.val(m - 1), 1, fprof)
+        past = compose(demo_profile.val(m), 1, fprof)
+        assert sqrt_verdict("float", inside, a, demo_eps, fprof=fprof).passed
+        failed = sqrt_verdict("float", past, a, demo_eps, fprof=fprof)
+        assert (failed.rule, failed.passed) == ("sqrt.float-bound", False)
+
+    def test_float_zero(self, demo_profile, demo_float_profile, demo_eps):
+        zero = FloatVal.zero()
+        one = compose(demo_profile.val(150), 0, demo_float_profile)
+        ok = sqrt_verdict("float", zero, zero, demo_eps,
+                          fprof=demo_float_profile)
+        assert (ok.rule, ok.passed, ok.witness) == \
+            ("sqrt.float-bound", True, {"zero": True})
+        assert not sqrt_verdict("float", one, zero, demo_eps,
+                                fprof=demo_float_profile).passed
+
+    def test_unknown_mode(self, demo_profile, demo_eps):
+        y = demo_profile.val(300)
+        with pytest.raises(UsageError):
+            sqrt_verdict("nearest", y, y, demo_eps)
+
+
+class TestSqrtVerdictMatchesFormerInline:
+    """sqrt_verdict against the verdicts the sqrt command decided inline
+    before it existed, written out here as they were."""
+
+    def test_grid(self, demo_profile, demo_table, demo_eps):
+        n_min = min_iterations_for_step(demo_table.stp, demo_eps)
+        for y in grid_values(demo_profile, F(8)):
+            x, _ = mix_sqr(y, demo_eps, demo_table)
+            former = within_of_sqrt(x.value, y.value, demo_eps.value,
+                                    strict=True)
+            assert sqrt_verdict("mix", x, y, demo_eps).passed == former
+            for n in range(n_min, 7):
+                x, _ = fix_sqr(y, demo_eps, demo_table, n)
+                bound = demo_eps.value / 2 + n * demo_profile.delta
+                former = within_of_sqrt(x.value, y.value, bound, strict=True)
+                assert sqrt_verdict("fix", x, y, demo_eps, n=n).passed \
+                    == former
+
+    def test_float(self, demo_profile, demo_float_profile, demo_table,
+                   demo_eps):
+        fprof, beta = demo_float_profile, F(2)
+        decided = 0
+        for count in range(101, 800):
+            for e in range(-3, 4):
+                a = compose(demo_profile.val(count), e, fprof)
+                try:
+                    b, _ = flt_sqr(a, demo_eps, fprof, demo_table)
+                except CertisqrtError:
+                    continue  # an odd exponent's mantissa above sup/(2*base)
+                half_exp = a.exp // 2
+                c1 = demo_eps.value * beta ** half_exp
+                c2 = (demo_profile.delta / 2) * beta ** (half_exp - 1)
+                former = sqrt_abs_err_lt(value_of(b), value_of(a), c1, c2,
+                                         beta)
+                got = sqrt_verdict("float", b, a, demo_eps, fprof=fprof)
+                assert got.passed == former
+                assert got.witness == {"c1": c1, "c2": c2, "base": 2}
+                decided += 1
+        assert decided > 3000
+
+    def test_exact(self):
+        for y, eps in sample_rationals(200, 1):
+            x, _ = sqr_exact(y, eps)
+            assert sqrt_verdict("exact", x, y, eps).passed \
+                == within_of_sqrt(x, y, eps)
