@@ -158,8 +158,9 @@ def table_file_bytes(table: RootTable, profile_hash: str) -> bytes:
             "\n").encode()
 
 
-def load_table(path: str, fix: FixProfile, profile_hash: str,
-               revalidate: bool = True) -> RootTable:
+def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
+    """The table file at path; of its faulty entries the first in index
+    order is reported, a non-integer as FileFormatError."""
     doc = _read_json(path)
     stored_hash = _require(doc, "profile_hash", "table")
     if stored_hash != profile_hash:
@@ -170,23 +171,21 @@ def load_table(path: str, fix: FixProfile, profile_hash: str,
     if d != fix.delta_den or sup != fix.sup_count:
         raise DomainError(f"table {path} grid does not match the profile")
     roots = _require(doc, "roots", "table")
-    if not isinstance(roots, list) or \
-            any(isinstance(r, bool) or not isinstance(r, int) for r in roots):
+    if not isinstance(roots, list):
         raise FileFormatError("table.roots: expected a list of integers")
     table = RootTable(fix, fix.val(stp_count), tuple(roots))
-    if revalidate:
-        bad = first_bad_root(table)
-        if bad is not None:
-            raise DomainError(
-                f"table {path} failed revalidation at index {bad}")
+    bad = first_bad_root(table)
+    if bad is not None:
+        if type(table.roots[bad - table.k_min]) is not int:
+            raise FileFormatError("table.roots: expected a list of integers")
+        raise DomainError(f"table {path} failed revalidation at index {bad}")
     return table
 
 
 def _bound_table(args: argparse.Namespace, fix: FixProfile,
                  fprof: FloatProfile, step: StepConfig) -> RootTable:
     """The table file args.table, bound to the profile and to its step."""
-    table = load_table(args.table, fix, profile_digest(fix, fprof, step),
-                       revalidate=not args.no_revalidate)
+    table = load_table(args.table, fix, profile_digest(fix, fprof, step))
     if table.stp != step.stp:
         raise DomainError(f"table {args.table} was built for another step")
     return table
@@ -419,10 +418,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _count(text: str) -> int:
-    """A non-negative integer argument."""
-    if not text.isdecimal():
+    """A positive integer argument."""
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {text!r}")
+            f"expected an integer >= 1, got {text!r}")
     return int(text)
 
 
@@ -462,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ulp", type=Fraction)
     p.add_argument("--n", type=int)
     p.add_argument("--trace", dest="trace_out")
-    p.add_argument("--no-revalidate", action="store_true")
     p.set_defaults(func=cmd_sqrt)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -473,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-revalidate", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="write a sweep report CSV")

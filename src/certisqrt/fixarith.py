@@ -195,35 +195,16 @@ def fix_div(x: FixVal, y: FixVal) -> FixVal:
     return FixVal(round_half_even(num, den), profile)
 
 
-def _check_rounding_contract(profile: FixProfile, nx: int, ny: int,
-                             check_div: bool) -> tuple[bool, dict]:
-    """One (x, y) probe of the mul/div contracts; returns (ok, witness)."""
-    d = profile.delta_den
-    delta = profile.delta
-    x, y = FixVal(nx, profile), FixVal(ny, profile)
-    exact_mul = x.value * y.value
-    if -profile.inf_value <= exact_mul <= profile.sup_value:
-        got = fix_mul(x, y)
-        err = abs(got.value - exact_mul)
-        tie = (2 * (nx * ny % d)) == d
-        on_grid = (nx * ny) % d == 0
-        if err > delta / 2 or (on_grid and got.value != exact_mul) \
-                or (not tie and not on_grid and err >= delta / 2):
-            return False, {"op": "mul", "x": str(x), "y": str(y),
-                           "result": str(got), "exact": exact_mul}
-    if check_div and ny != 0:
-        exact_div = Fraction(nx, ny)
-        if -profile.inf_value <= exact_div <= profile.sup_value:
-            got = fix_div(x, y)
-            err = abs(got.value - exact_div)
-            num, den = nx * d, abs(ny)
-            tie = (2 * (num * (1 if ny > 0 else -1) % den)) == den
-            on_grid = (nx * d) % ny == 0
-            if err > delta / 2 or (on_grid and got.value != exact_div) \
-                    or (not tie and not on_grid and err >= delta / 2):
-                return False, {"op": "div", "x": str(x), "y": str(y),
-                               "result": str(got), "exact": exact_div}
-    return True, {}
+def _first_violation(x: FixVal, y: FixVal, probes) -> tuple | None:
+    """The first (name, result, num, den) of probes whose operation breaks
+    the rule of check_profile_assumptions on (x, y), or None."""
+    lo, hi = -x.profile.inf_count, x.profile.sup_count
+    for name, op, num, den in probes:
+        if lo * den <= num <= hi * den:
+            got = op(x, y)
+            if 2 * abs(got.count * den - num) > den:
+                return name, got, num, den
+    return None
 
 
 def check_profile_assumptions(profile: FixProfile,
@@ -233,45 +214,64 @@ def check_profile_assumptions(profile: FixProfile,
 
     Structural rules are always checked; the arithmetic rounding contracts
     are probed either exhaustively (budget="exhaustive") or over a seeded
-    deterministic sample of the given size.
+    deterministic sample of the given size, until both have a witness.
+
+    One integer rule probes all four operations.  On the pair of counts
+    (nx, ny) the exact result in grid counts is num/den with den > 0:
+    nx + ny and nx - ny over 1, nx*ny over d, and +-nx*d over |ny|.
+    Whenever -inf*den <= num <= sup*den, the operation must return a
+    count got with 2*|got*den - num| <= den.  For den = 1 this is
+    exactness.  For mul and div it is the correct-rounding contract: the
+    error is at most half a step; on the grid num/den is an integer, and
+    two integers within 1/2 are equal; off the grid the distance is
+    exactly 1/2 only at a tie, so away from ties the bound is strict.
+    The rule never calls round_half_even, so it checks that function
+    rather than restating it.  Where add and sub both fail on one pair,
+    sub's result is the witness.
     """
-    add_ok, add_witness = True, {}
-    contract_ok, contract_witness = True, {}
-    if not profile.is_valid():
-        add_witness = contract_witness = {"skipped":
-                                          "structural assumptions failed"}
-    else:
+    add_witness = contract_witness = total = None
+    if profile.is_valid():
+        lo, hi, d = -profile.inf_count, profile.sup_count, profile.delta_den
         if budget == "exhaustive":
-            pairs = ((nx, ny)
-                     for nx in range(-profile.inf_count, profile.sup_count + 1)
-                     for ny in range(-profile.inf_count, profile.sup_count + 1))
-            total = (profile.inf_count + profile.sup_count + 1) ** 2
+            pairs = ((nx, ny) for nx in range(lo, hi + 1)
+                     for ny in range(lo, hi + 1))
+            total = (hi - lo + 1) ** 2
         else:
             rng = random.Random(seed)
             total = int(budget)
-            pairs = ((rng.randint(-profile.inf_count, profile.sup_count),
-                      rng.randint(-profile.inf_count, profile.sup_count))
+            pairs = ((rng.randint(lo, hi), rng.randint(lo, hi))
                      for _ in range(total))
         for nx, ny in pairs:
-            if add_ok:
-                for op, want in ((fix_add, nx + ny), (fix_sub, nx - ny)):
-                    if profile.contains_count(want):
-                        got = op(FixVal(nx, profile), FixVal(ny, profile))
-                        if got.count != want:
-                            add_ok = False
-                            add_witness = {"x": nx, "y": ny, "got": got.count}
-            if contract_ok:
-                ok, witness = _check_rounding_contract(profile, nx, ny, True)
-                if not ok:
-                    contract_ok = False
-                    contract_witness = witness
-        add_witness = dict(add_witness, pairs=total)
-        contract_witness = dict(contract_witness, pairs=total)
+            x, y = FixVal(nx, profile), FixVal(ny, profile)
+            if add_witness is None:
+                bad = _first_violation(x, y, (("sub", fix_sub, nx - ny, 1),
+                                              ("add", fix_add, nx + ny, 1)))
+                if bad is not None:
+                    add_witness = {"x": nx, "y": ny, "got": bad[1].count}
+            if contract_witness is None:
+                probes = (("mul", fix_mul, nx * ny, d),)
+                if ny:
+                    probes += (("div", fix_div, nx * d if ny > 0 else -nx * d,
+                                abs(ny)),)
+                bad = _first_violation(x, y, probes)
+                if bad is not None:
+                    name, got, num, den = bad
+                    contract_witness = {"op": name, "x": str(x), "y": str(y),
+                                        "result": str(got),
+                                        "exact": Fraction(num, den * d)}
+            if add_witness is not None and contract_witness is not None:
+                break
+
+    def reported(witness: dict | None) -> dict:
+        if total is None:
+            return {"skipped": "structural assumptions failed"}
+        return dict(witness or {}, pairs=total)
+
     checks = profile.rule_checks + (
         check("addition and subtraction exact", "fix.add-exact",
-              add_ok, add_witness),
+              add_witness is None, reported(add_witness)),
         check("multiply/divide correctly rounded", "fix.rounding-contract",
-              contract_ok, contract_witness),
+              contract_witness is None, reported(contract_witness)),
     )
     subject = f"fix-profile delta=1/{profile.delta_den} " \
               f"inf={profile.inf_value} sup={profile.sup_value}"

@@ -106,12 +106,12 @@ def table_indices(profile: FixProfile, stp_count: int) -> range:
 
 
 def first_bad_root(table: RootTable) -> int | None:
-    """Index of the first entry that is not the least count g with
-    g**2 >= k*stp*d, or None when every entry is."""
+    """Index of the first entry that is not an int (a bool is not) or not
+    the least count g with g**2 >= k*stp*d, or None when every entry is."""
     scale = table.stp.count * table.profile.delta_den
     for k, g in enumerate(table.roots, table.k_min):
         target = k * scale
-        if not g * g >= target > (g - 1) * (g - 1):
+        if type(g) is not int or not g * g >= target > (g - 1) * (g - 1):
             return k
     return None
 
@@ -136,15 +136,14 @@ def table_size_limit() -> int:
                           f"got {raw!r}") from exc
 
 
-def build_root_table(profile: FixProfile, stp: FixVal,
-                     max_entries: int | None = None) -> RootTable:
+def build_root_table(profile: FixProfile, stp: FixVal) -> RootTable:
     """Pre-compute least-upper-root entries for every step multiple.
 
     For index value v = count_v/d the entry is ceil(sqrt(count_v*d)) in
     grid counts: the least count g with (g/d)**2 >= v.
     """
     indices = _check_table_config(profile, stp)
-    limit = table_size_limit() if max_entries is None else max_entries
+    limit = table_size_limit()
     if len(indices) > limit:
         raise ResourceLimit(f"table would need {len(indices)} entries, "
                             f"cap {limit}")

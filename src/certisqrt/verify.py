@@ -323,7 +323,8 @@ def check_table_properties(table: RootTable, profile: FixProfile,
             in_index_set = (r.count % stp.count == 0
                             and r.count > profile.delta_den
                             and r.count <= profile.sup_count)
-            if not (in_index_set and r.value - stp.value < u.value <= r.value):
+            if not (in_index_set
+                    and r.count - stp.count < u.count <= r.count):
                 round_ok = False
                 round_witness = {"u": str(u), "rounded": str(r)}
                 break

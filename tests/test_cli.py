@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from certisqrt.cli import (
+    FileFormatError,
     load_profile,
     load_table,
     main,
@@ -111,8 +112,36 @@ class TestTableBuild:
         bad.write_text(json.dumps(doc))
         with pytest.raises(DomainError):
             load_table(str(bad), fix, digest)
-        table = load_table(str(bad), fix, digest, revalidate=False)
-        assert table.roots[3] == doc["roots"][3]
+
+    @pytest.mark.parametrize("entry", [True, 1.5, "7"],
+                             ids=["bool", "float", "string"])
+    def test_load_rejects_non_integer_entry(self, demo_profile_path,
+                                            demo_table_path, tmp_path,
+                                            capsys, entry):
+        fix, fprof, step = load_profile(demo_profile_path)
+        doc = json.loads(open(demo_table_path).read())
+        doc["roots"][5] = entry
+        bad = tmp_path / "bad_table.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError,
+                           match="table.roots: expected a list of integers"):
+            load_table(str(bad), fix, profile_digest(fix, fprof, step))
+        capsys.readouterr()
+        assert main(["verify", demo_profile_path, str(bad),
+                     "--suite", "table"]) == 2
+        assert "table.roots: expected a list of integers" in \
+            capsys.readouterr().err
+
+    def test_load_reports_first_fault(self, demo_profile_path,
+                                      demo_table_path, tmp_path):
+        fix, fprof, step = load_profile(demo_profile_path)
+        doc = json.loads(open(demo_table_path).read())
+        doc["roots"][3] -= 1
+        doc["roots"][9] = "7"
+        bad = tmp_path / "bad_table.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="at index 8$"):
+            load_table(str(bad), fix, profile_digest(fix, fprof, step))
 
     @pytest.mark.parametrize("command", [
         ["sqrt", "--mode", "mix", "--value", "3", "--eps", "1/4"],
@@ -365,9 +394,13 @@ class TestNegativeSamples:
         assert main(argv + ["--samples", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "argument --samples: expected an integer >= 0, got '-5'" \
+        assert "argument --samples: expected an integer >= 1, got '-5'" \
             in captured.err
-        assert main(argv + ["--samples", "0"]) == 0
+        assert main(argv + ["--samples", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --samples: expected an integer >= 1, got '0'" \
+            in captured.err
 
 
 class TestVerifyCommand:

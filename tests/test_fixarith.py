@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from certisqrt import fixarith
 from certisqrt.errors import (
     DivisionByZero,
     DomainError,
@@ -21,6 +23,7 @@ from certisqrt.fixarith import (
     quantize,
     round_half_even,
 )
+from certisqrt.report import VerifyReport, check
 
 
 @pytest.fixture
@@ -232,6 +235,188 @@ class TestProfileAssumptions:
         b = check_profile_assumptions(p100, budget=512, seed=3)
         assert a.as_dict() == b.as_dict()
         assert a.overall
+
+
+def _reference_rounding_contract(profile, nx, ny):
+    """The probe's former per-pair mul/div check in Fraction arithmetic,
+    with its tie and on-grid branches; returns (ok, witness)."""
+    d = profile.delta_den
+    delta = profile.delta
+    x, y = FixVal(nx, profile), FixVal(ny, profile)
+    exact_mul = x.value * y.value
+    if -profile.inf_value <= exact_mul <= profile.sup_value:
+        got = fixarith.fix_mul(x, y)
+        err = abs(got.value - exact_mul)
+        tie = (2 * (nx * ny % d)) == d
+        on_grid = (nx * ny) % d == 0
+        if err > delta / 2 or (on_grid and got.value != exact_mul) \
+                or (not tie and not on_grid and err >= delta / 2):
+            return False, {"op": "mul", "x": str(x), "y": str(y),
+                           "result": str(got), "exact": exact_mul}
+    if ny != 0:
+        exact_div = F(nx, ny)
+        if -profile.inf_value <= exact_div <= profile.sup_value:
+            got = fixarith.fix_div(x, y)
+            err = abs(got.value - exact_div)
+            num, den = nx * d, abs(ny)
+            tie = (2 * (num * (1 if ny > 0 else -1) % den)) == den
+            on_grid = (nx * d) % ny == 0
+            if err > delta / 2 or (on_grid and got.value != exact_div) \
+                    or (not tie and not on_grid and err >= delta / 2):
+                return False, {"op": "div", "x": str(x), "y": str(y),
+                               "result": str(got), "exact": exact_div}
+    return True, {}
+
+
+def reference_profile_assumptions(profile, budget=4096, seed=0):
+    """The former check_profile_assumptions: a separate add/sub loop (on a
+    pair where both fail, sub's result is the witness) and the Fraction
+    mul/div contract above.  The operations are looked up in fixarith at
+    call time, so a monkeypatched operation reaches both implementations."""
+    add_ok, add_witness = True, {}
+    contract_ok, contract_witness = True, {}
+    if not profile.is_valid():
+        add_witness = contract_witness = {"skipped":
+                                          "structural assumptions failed"}
+    else:
+        if budget == "exhaustive":
+            pairs = ((nx, ny)
+                     for nx in range(-profile.inf_count, profile.sup_count + 1)
+                     for ny in range(-profile.inf_count, profile.sup_count + 1))
+            total = (profile.inf_count + profile.sup_count + 1) ** 2
+        else:
+            rng = random.Random(seed)
+            total = int(budget)
+            pairs = ((rng.randint(-profile.inf_count, profile.sup_count),
+                      rng.randint(-profile.inf_count, profile.sup_count))
+                     for _ in range(total))
+        for nx, ny in pairs:
+            if add_ok:
+                for op, want in ((fixarith.fix_add, nx + ny),
+                                 (fixarith.fix_sub, nx - ny)):
+                    if profile.contains_count(want):
+                        got = op(FixVal(nx, profile), FixVal(ny, profile))
+                        if got.count != want:
+                            add_ok = False
+                            add_witness = {"x": nx, "y": ny, "got": got.count}
+            if contract_ok:
+                ok, witness = _reference_rounding_contract(profile, nx, ny)
+                if not ok:
+                    contract_ok = False
+                    contract_witness = witness
+        add_witness = dict(add_witness, pairs=total)
+        contract_witness = dict(contract_witness, pairs=total)
+    checks = profile.rule_checks + (
+        check("addition and subtraction exact", "fix.add-exact",
+              add_ok, add_witness),
+        check("multiply/divide correctly rounded", "fix.rounding-contract",
+              contract_ok, contract_witness),
+    )
+    subject = f"fix-profile delta=1/{profile.delta_den} " \
+              f"inf={profile.inf_value} sup={profile.sup_value}"
+    return VerifyReport(subject, checks)
+
+
+_real_add, _real_sub = fixarith.fix_add, fixarith.fix_sub
+_real_div = fixarith.fix_div
+
+
+def _mul_rounding(rounding):
+    """fix_mul with the nearest-even rounding replaced by rounding(n, d)."""
+    def mul(x, y):
+        d = x.profile.delta_den
+        return FixVal(rounding(x.count * y.count, d), x.profile)
+    return mul
+
+
+def _half_away(n, d):
+    q = (2 * abs(n) + d) // (2 * d)
+    return q if n >= 0 else -q
+
+
+def _truncating_div(x, y):
+    num, den = x.count * x.profile.delta_den, y.count
+    q = abs(num) // abs(den)
+    return FixVal(q if (num < 0) == (den < 0) else -q, x.profile)
+
+
+def _sparse_div(x, y):
+    got = _real_div(x, y)
+    if (x.count - y.count) % 7 == 3:
+        return FixVal(got.count + 1, x.profile)
+    return got
+
+
+def _sparse_add(x, y):
+    got = _real_add(x, y)
+    if (x.count + 2 * y.count) % 11 == 0:
+        return FixVal(got.count + 1, x.profile)
+    return got
+
+
+def _both_broken(x, y):
+    return (x.count * y.count) % 13 == 5
+
+
+def _pair_add(x, y):
+    got = _real_add(x, y)
+    return FixVal(got.count + 1, x.profile) if _both_broken(x, y) else got
+
+
+def _pair_sub(x, y):
+    got = _real_sub(x, y)
+    return FixVal(got.count - 1, x.profile) if _both_broken(x, y) else got
+
+
+# broken operations: (fixarith name, replacement) pairs, and the rules the
+# exhaustive probe must fail with them in place
+BROKEN = {
+    "correct": ((), set()),
+    "mul-floor": ((("fix_mul", _mul_rounding(lambda n, d: n // d)),),
+                  {"fix.rounding-contract"}),
+    "mul-ceil": ((("fix_mul", _mul_rounding(lambda n, d: -(-n // d))),),
+                 {"fix.rounding-contract"}),
+    # either neighbour of a tie is allowed
+    "mul-half-away": ((("fix_mul", _mul_rounding(_half_away)),), set()),
+    "div-trunc": ((("fix_div", _truncating_div),), {"fix.rounding-contract"}),
+    "div-sparse": ((("fix_div", _sparse_div),), {"fix.rounding-contract"}),
+    "add-sparse": ((("fix_add", _sparse_add),), {"fix.add-exact"}),
+    "add-sub-pair": ((("fix_add", _pair_add), ("fix_sub", _pair_sub)),
+                     {"fix.add-exact"}),
+}
+
+PROBE_CORPORA = {
+    "demo-s0": (FixProfile(100, 1600, 1600), 4096, 0),
+    "demo-s1": (FixProfile(100, 1600, 1600), 4096, 1),
+    "demo-s2": (FixProfile(100, 1600, 1600), 4096, 2),
+    "micro": (FixProfile(10, 40, 40), "exhaustive", 0),
+    "asymmetric": (FixProfile(10, 30, 50), "exhaustive", 0),
+    "half-step": (FixProfile(2, 100, 100), 16, 0),
+}
+
+
+class TestProbeMatchesReference:
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    @pytest.mark.parametrize("corpus", sorted(PROBE_CORPORA))
+    def test_same_report(self, corpus, case, monkeypatch):
+        profile, budget, seed = PROBE_CORPORA[corpus]
+        patches, expected_failures = BROKEN[case]
+        for name, op in patches:
+            monkeypatch.setattr(fixarith, name, op)
+        report = check_profile_assumptions(profile, budget=budget, seed=seed)
+        want = reference_profile_assumptions(profile, budget=budget,
+                                             seed=seed)
+        assert report.as_dict() == want.as_dict()
+        if budget == "exhaustive":
+            assert {c.rule for c in report.failures()} == expected_failures
+
+    def test_add_sub_pair_reports_sub(self, monkeypatch):
+        monkeypatch.setattr(fixarith, "fix_add", _pair_add)
+        monkeypatch.setattr(fixarith, "fix_sub", _pair_sub)
+        report = check_profile_assumptions(FixProfile(10, 40, 40),
+                                           budget="exhaustive")
+        witness = report.checks[-2].witness
+        assert witness["got"] == witness["x"] - witness["y"] - 1
 
 
 def test_fixval_str(p100):

@@ -75,9 +75,10 @@ class TestBuildTable:
         with pytest.raises(DomainError):
             build_root_table(demo_profile, demo_profile.val(30))
 
-    def test_resource_limit(self, demo_profile, demo_stp):
+    def test_resource_limit(self, demo_profile, demo_stp, monkeypatch):
+        monkeypatch.setenv("CERTISQRT_MAX_TABLE", "10")
         with pytest.raises(ResourceLimit):
-            build_root_table(demo_profile, demo_stp, max_entries=10)
+            build_root_table(demo_profile, demo_stp)
 
 
 class TestTableRules:

@@ -161,9 +161,11 @@ def test_root_table(profile, stp, roots, error):
 
 @pytest.mark.parametrize("profile,stp,cap,error", BUILD_CASES.values(),
                          ids=BUILD_CASES.keys())
-def test_build_root_table(profile, stp, cap, error):
+def test_build_root_table(profile, stp, cap, error, monkeypatch):
+    if cap is not None:
+        monkeypatch.setenv("CERTISQRT_MAX_TABLE", str(cap))
     with pytest.raises(error):
-        build_root_table(profile, stp, cap)
+        build_root_table(profile, stp)
 
 
 @pytest.mark.parametrize("ulp,profile,stp,error", DERIVE_CASES.values(),
@@ -173,13 +175,14 @@ def test_derive_eps_for_ulp(ulp, profile, stp, error):
         derive_eps_for_ulp(ulp, profile, stp)
 
 
-def test_valid_baselines():
+def test_valid_baselines(monkeypatch):
     """The calls the cases above break one precondition of all succeed."""
+    monkeypatch.setenv("CERTISQRT_MAX_TABLE", "100")
     fix_sqr(Y, EPS, TABLE, 2)
     mix_sqr(Y, EPS, TABLE)
     flt_sqr(A, EPS, FLOAT, TABLE)
     RootTable(DEMO, DEMO.val(25), TABLE.roots)
-    build_root_table(DEMO, DEMO.val(25), 100)
+    build_root_table(DEMO, DEMO.val(25))
     derive_eps_for_ulp(F(1), FLOAT, DEMO.val(25))
 
 
