@@ -4,7 +4,8 @@ Values are integer multiples of a step 1/d confined to [-inf, sup].
 Addition, subtraction and comparison are exact (overflow excepted);
 multiplication and division round to the nearest grid point, ties to the
 even count, so the rounding error is at most half a grid step and zero
-whenever the exact result is representable.
+whenever the exact result is representable.  fix_add and fix_div wrap
+the count primitives _add_count and _div_count that the grid loop runs.
 """
 from __future__ import annotations
 
@@ -154,12 +155,17 @@ def quantize(q: Fraction, profile: FixProfile, mode: str = "nearest") -> FixVal:
     return FixVal(count, profile)
 
 
+def _add_count(nx: int, ny: int, profile: FixProfile) -> int:
+    """Count of nx/d + ny/d: exact, or RangeOverflow outside the range."""
+    count = nx + ny
+    if not -profile.inf_count <= count <= profile.sup_count:
+        d = profile.delta_den
+        raise RangeOverflow(f"{nx}/{d} + {ny}/{d} overflows the range")
+    return count
+
+
 def fix_add(x: FixVal, y: FixVal) -> FixVal:
-    profile = _same_profile(x, y)
-    count = x.count + y.count
-    if not profile.contains_count(count):
-        raise RangeOverflow(f"{x} + {y} overflows the range")
-    return FixVal(count, profile)
+    return FixVal(_add_count(x.count, y.count, _same_profile(x, y)), x.profile)
 
 
 def fix_sub(x: FixVal, y: FixVal) -> FixVal:
@@ -181,18 +187,21 @@ def fix_mul(x: FixVal, y: FixVal) -> FixVal:
     return FixVal(round_half_even(prod, d), profile)
 
 
+def _div_count(nx: int, ny: int, profile: FixProfile) -> int:
+    """Count of the correctly rounded quotient (nx/d) / (ny/d)."""
+    d = profile.delta_den
+    if ny == 0:
+        raise DivisionByZero(f"{nx}/{d} / {ny}/{d}")
+    # the exact quotient in counts is num/den, den > 0
+    num, den = (nx * d, ny) if ny > 0 else (-nx * d, -ny)
+    if not -profile.inf_count * den <= num <= profile.sup_count * den:
+        raise RangeOverflow(f"{nx}/{d} / {ny}/{d} overflows the range")
+    return round_half_even(num, den)
+
+
 def fix_div(x: FixVal, y: FixVal) -> FixVal:
     """Correctly rounded quotient under the fix_mul contract."""
-    profile = _same_profile(x, y)
-    if y.count == 0:
-        raise DivisionByZero(f"{x} / {y}")
-    num, den = x.count * profile.delta_den, y.count
-    if den < 0:
-        num, den = -num, -den
-    # the exact quotient in counts is num/den, den > 0
-    if not -profile.inf_count * den <= num <= profile.sup_count * den:
-        raise RangeOverflow(f"{x} / {y} overflows the range")
-    return FixVal(round_half_even(num, den), profile)
+    return FixVal(_div_count(x.count, y.count, _same_profile(x, y)), x.profile)
 
 
 def _first_violation(x: FixVal, y: FixVal, probes) -> tuple | None:
@@ -227,8 +236,10 @@ def check_profile_assumptions(profile: FixProfile,
     exactly 1/2 only at a tie, so away from ties the bound is strict.
     The rule never calls round_half_even, so it checks that function
     rather than restating it.  Where add and sub both fail on one pair,
-    sub's result is the witness.
+    sub's result is the witness.  A sampled budget below 1 is refused.
     """
+    if budget != "exhaustive" and (type(budget) is not int or budget < 1):
+        raise DomainError(f"budget {budget!r}: neither 'exhaustive' nor >= 1")
     add_witness = contract_witness = total = None
     if profile.is_valid():
         lo, hi, d = -profile.inf_count, profile.sup_count, profile.delta_den
@@ -238,7 +249,7 @@ def check_profile_assumptions(profile: FixProfile,
             total = (hi - lo + 1) ** 2
         else:
             rng = random.Random(seed)
-            total = int(budget)
+            total = budget
             pairs = ((rng.randint(lo, hi), rng.randint(lo, hi))
                      for _ in range(total))
         for nx, ny in pairs:

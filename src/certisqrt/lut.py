@@ -157,6 +157,15 @@ def build_root_table(profile: FixProfile, stp: FixVal) -> RootTable:
     return table
 
 
+def _round_up_count(count: int, stp_count: int, profile: FixProfile) -> int:
+    """Least multiple of stp_count >= count, within the range bound."""
+    up = -((-count) // stp_count) * stp_count
+    if up > profile.sup_count:
+        raise RangeOverflow(f"rounded value {up}/{profile.delta_den} "
+                            f"exceeds the range bound")
+    return up
+
+
 def round_up_to_step(u: FixVal, stp: FixVal) -> FixVal:
     """Smallest step multiple >= u; defined for u > 1."""
     profile = u.profile
@@ -164,12 +173,25 @@ def round_up_to_step(u: FixVal, stp: FixVal) -> FixVal:
                       "step value belongs to a different grid")
     if u.count <= profile.delta_den:
         raise DomainError(f"round up to step requires u > 1, got {u}")
-    k = -((-u.count) // stp.count)
-    count = k * stp.count
-    if count > profile.sup_count:
-        raise RangeOverflow(f"rounded value {count}/{profile.delta_den} "
-                            f"exceeds the range bound")
-    return FixVal(count, profile)
+    return FixVal(_round_up_count(u.count, stp.count, profile), profile)
+
+
+def _seed_count(u: int, table: RootTable) -> int:
+    """sup_fn on the count u of a value on the table's grid."""
+    profile, stp, d = table.profile, table.stp.count, table.profile.delta_den
+    if not d < u <= profile.sup_count:
+        raise DomainError(f"seed function requires 1 < u <= "
+                          f"{profile.sup_value}, got {u}/{d}")
+    # k_min <= k <= k_max, as d < u and the rounded count is at most sup
+    k = _round_up_count(u, stp, profile) // stp
+    result = min(u, table.roots[k - table.k_min])
+    if _sqrt_sign(result, d, u, d) < 0:
+        raise InternalInvariantError(f"seed {result}/{d} fell below "
+                                     f"sqrt({u}/{d})")
+    if _sqrt_sign(result - stp, d, u, d) > 0:
+        raise InternalInvariantError(f"seed {result}/{d} more than one step "
+                                     f"above sqrt({u}/{d})")
+    return result
 
 
 def sup_fn(u: FixVal, table: RootTable) -> FixVal:
@@ -178,19 +200,6 @@ def sup_fn(u: FixVal, table: RootTable) -> FixVal:
     The result s satisfies sqrt(u) <= s <= u and s - sqrt(u) <= stp; both
     are re-asserted on every call, on grid counts through the exact oracle.
     """
-    profile = u.profile
-    require_same_grid(table.profile, profile,
+    require_same_grid(table.profile, u.profile,
                       "table belongs to a different grid")
-    if not profile.delta_den < u.count <= profile.sup_count:
-        raise DomainError(f"seed function requires 1 < u <= "
-                          f"{profile.sup_value}, got {u}")
-    v = round_up_to_step(u, table.stp)
-    root = table.root_at(v.count // table.stp.count)
-    result = u if u.count < root.count else root
-    d = profile.delta_den
-    if _sqrt_sign(result.count, d, u.count, d) < 0:
-        raise InternalInvariantError(f"seed {result} fell below sqrt({u})")
-    if _sqrt_sign(result.count - table.stp.count, d, u.count, d) > 0:
-        raise InternalInvariantError(f"seed {result} more than one step "
-                                     f"above sqrt({u})")
-    return result
+    return FixVal(_seed_count(u.count, table), u.profile)

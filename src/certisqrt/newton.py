@@ -19,15 +19,16 @@ and differ only in their seed and exit rule.  It keeps the pairs in
 lowest terms by stripping common factors of 2*num(y)*den(y) each step
 (the only primes a common factor can contain), because a full gcd at the
 sizes reached by long runs is quadratic and would dominate the runtime.
-fix_sqr and mix_sqr share one grid loop and their per-request checks;
-the table checked its profile and step when it was made.
+fix_sqr, mix_sqr and flt_sqr share one grid loop, stepped on counts
+through the primitives fix_div and fix_add wrap, and their per-request
+checks; the table checked its profile and step when it was made.
 fix_bound and float_bound state the grid and float accuracy contracts.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -40,9 +41,11 @@ from .errors import (
     SeedContractError,
 )
 from .exact import Ordering, cmp_sqrt, decide_radical_lt, fraction_from_coprime
-from .fixarith import FixVal, fix_add, fix_div, fix_mul, require_same_grid
+from .fixarith import (FixVal, _add_count, _div_count, fix_mul,
+                       require_same_grid)
 from .floatmodel import FloatProfile, FloatVal, compose, decompose
-from .lut import RootTable, _check_table_config, step_multiple_of_eps, sup_fn
+from .lut import (RootTable, _check_table_config, _seed_count,
+                  step_multiple_of_eps)
 
 SeedFn = Callable[[Fraction], Fraction]
 
@@ -284,34 +287,31 @@ def _check_grid_config(y: FixVal, eps: FixVal, table: RootTable) -> None:
 def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
                  n: int, n_min: int) -> tuple[FixVal, Trace]:
     """fix_sqr after _check_grid_config: the checks on y and on n against
-    the minimal count n_min, then the table-seeded grid loop."""
+    the minimal count n_min, then the table-seeded grid loop on counts."""
     profile = y.profile
-    if y.count <= profile.delta_den:
-        raise DomainError(f"fix_sqr requires y > 1, got {y}")
-    if 2 * y.count > profile.sup_count:
-        raise DomainError(f"fix_sqr requires y <= {profile.sup_value}/2 "
+    yc, d = y.count, profile.delta_den
+    if yc <= d:
+        raise DomainError(f"{algorithm} requires y > 1, got {y}")
+    if 2 * yc > profile.sup_count:
+        raise DomainError(f"{algorithm} requires y <= {profile.sup_value}/2 "
                           f"so the loop's x + x stays in range, got {y}")
     if n < n_min:
         raise IterationBudgetError(f"n={n} below the minimum {n_min} for "
                                    f"stp={table.stp}, eps={eps}")
-    x = sup_fn(y, table)
-    x0 = x
-    d = profile.delta_den
-    two = profile.from_int(2)
+    x = _seed_count(yc, table)
+    seed = before = FixVal(x, profile)
     steps: list[TraceStep] = []
     for k in range(n):
-        if x.count <= 0:
+        if x <= 0:
             raise InternalInvariantError("iterate left the positive half-line")
-        half = fix_div(x, two)
-        twice = fix_add(x, x)
-        quot = fix_div(y, twice)
-        x_new = fix_add(half, quot)
-        steps.append(TraceStep(k, x, Fraction(x_new.count - x.count, d),
-                               x_new))
-        x = x_new
-    trace = Trace(algorithm, y=y, eps=eps, final_x=x, steps=tuple(steps),
-                  stp=table.stp, n_planned=n, seed=x0)
-    return x, trace
+        x_new = _add_count(_div_count(x, 2 * d, profile),
+                           _div_count(yc, _add_count(x, x, profile), profile),
+                           profile)
+        after = FixVal(x_new, profile)
+        steps.append(TraceStep(k, before, Fraction(x_new - x, d), after))
+        x, before = x_new, after
+    return before, Trace(algorithm, y=y, eps=eps, final_x=before, seed=seed,
+                         steps=tuple(steps), stp=table.stp, n_planned=n)
 
 
 def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
@@ -343,6 +343,12 @@ def mix_sqr(y: FixVal, eps: FixVal, table: RootTable) -> tuple[FixVal, Trace]:
     the rounding-error budget, and EpsTooSmall is raised.  The result
     satisfies |x - sqrt(y)| < eps.
     """
+    return _mix_newton("mix_sqr", y, eps, table)
+
+
+def _mix_newton(algorithm: str, y: FixVal, eps: FixVal,
+                table: RootTable) -> tuple[FixVal, Trace]:
+    """mix_sqr, its trace and refusals named after algorithm."""
     _check_grid_config(y, eps, table)
     n = min_iterations_for_step(table.stp, eps)
     need = 2 * (n + 1)  # the accuracy's least count
@@ -350,7 +356,7 @@ def mix_sqr(y: FixVal, eps: FixVal, table: RootTable) -> tuple[FixVal, Trace]:
         raise EpsTooSmall(
             f"eps={eps} below 2*delta*(2 + ceil(log2(stp/eps))) = "
             f"{Fraction(need, y.profile.delta_den)}")
-    return _grid_newton("mix_sqr", y, eps, table, n, n)
+    return _grid_newton(algorithm, y, eps, table, n, n)
 
 
 def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
@@ -373,19 +379,13 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     man, e = decompose(a)
     require_same_grid(man.profile, profile.fix,
                       "input belongs to a different grid")
-    if e % 2 != 0:
-        y_fix = fix_mul(man, profile.base_fix)
-        z = e - 1
-    else:
-        y_fix = man
-        z = e
-    x, inner = mix_sqr(y_fix, eps, table)
+    y_fix, z = (fix_mul(man, profile.base_fix), e - 1) if e % 2 else (man, e)
+    x, trace = _mix_newton("flt_sqr", y_fix, eps, table)
     b = compose(x, z // 2, profile)
-    notes = dict(inner.notes)
-    notes.update({"input": {"man": str(man), "exp": e},
-                  "radicand": str(y_fix),
-                  "result": {"man": str(b.man), "exp": b.exp}})
-    trace = replace(inner, algorithm="flt_sqr", notes=notes)
+    # the notes dict was made with this trace and is shared with nothing
+    trace.notes.update({"input": {"man": str(man), "exp": e},
+                        "radicand": str(y_fix),
+                        "result": {"man": str(b.man), "exp": b.exp}})
     return b, trace
 
 

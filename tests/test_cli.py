@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -68,7 +69,7 @@ class TestProfileCheck:
 
 class TestTableBuild:
     def test_builds_sixty_entries(self, demo_table_path):
-        doc = json.loads(open(demo_table_path).read())
+        doc = json.loads(Path(demo_table_path).read_text())
         assert len(doc["roots"]) == 60
         assert doc["stp_count"] == 25
 
@@ -79,7 +80,7 @@ class TestTableBuild:
         assert a.read_bytes() == b.read_bytes()
 
     def test_step_violation_exit_1(self, tmp_path, demo_profile_path):
-        doc = json.loads(open(demo_profile_path).read())
+        doc = json.loads(Path(demo_profile_path).read_text())
         doc["step"]["stp_count"] = 30  # does not divide 1600
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
@@ -106,7 +107,7 @@ class TestTableBuild:
                                                   demo_table_path, tmp_path):
         fix, fprof, step = load_profile(demo_profile_path)
         digest = profile_digest(fix, fprof, step)
-        doc = json.loads(open(demo_table_path).read())
+        doc = json.loads(Path(demo_table_path).read_text())
         doc["roots"][3] -= 1
         bad = tmp_path / "bad_table.json"
         bad.write_text(json.dumps(doc))
@@ -119,7 +120,7 @@ class TestTableBuild:
                                             demo_table_path, tmp_path,
                                             capsys, entry):
         fix, fprof, step = load_profile(demo_profile_path)
-        doc = json.loads(open(demo_table_path).read())
+        doc = json.loads(Path(demo_table_path).read_text())
         doc["roots"][5] = entry
         bad = tmp_path / "bad_table.json"
         bad.write_text(json.dumps(doc))
@@ -135,7 +136,7 @@ class TestTableBuild:
     def test_load_reports_first_fault(self, demo_profile_path,
                                       demo_table_path, tmp_path):
         fix, fprof, step = load_profile(demo_profile_path)
-        doc = json.loads(open(demo_table_path).read())
+        doc = json.loads(Path(demo_table_path).read_text())
         doc["roots"][3] -= 1
         doc["roots"][9] = "7"
         bad = tmp_path / "bad_table.json"
@@ -166,7 +167,7 @@ class TestTableBuild:
     def test_load_rejects_nonpositive_step(self, demo_profile_path,
                                            demo_table_path, tmp_path,
                                            stp_count):
-        doc = json.loads(open(demo_table_path).read())
+        doc = json.loads(Path(demo_table_path).read_text())
         doc["stp_count"], doc["roots"] = stp_count, []
         bad = tmp_path / "bad_table.json"
         bad.write_text(json.dumps(doc))
@@ -185,7 +186,7 @@ class TestGoldenDigests:
             return hashlib.sha256(data).hexdigest()
 
         capsys.readouterr()
-        assert digest(open(demo_table_path, "rb").read()) == \
+        assert digest(Path(demo_table_path).read_bytes()) == \
             "f0ac122dacb20b5d7b3ba1c0761abbf9e5b40e7f1bbdbb364df42ce9d441fa5e"
         assert main(["verify", demo_profile_path, demo_table_path,
                      "--suite", "all", "--exhaustive"]) == 0
@@ -425,7 +426,7 @@ class TestVerifyCommand:
 
     def test_corrupted_table_exit_1(self, demo_profile_path, demo_table_path,
                                     tmp_path):
-        doc = json.loads(open(demo_table_path).read())
+        doc = json.loads(Path(demo_table_path).read_text())
         doc["roots"][0] -= 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

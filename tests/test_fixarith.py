@@ -103,8 +103,9 @@ class TestAddSub:
         assert fix_add(x, p100.val(0)).count == x.count
 
     def test_overflow(self, p100):
-        with pytest.raises(RangeOverflow):
+        with pytest.raises(RangeOverflow) as exc:
             fix_add(p100.val(1600), p100.val(1))
+        assert str(exc.value) == "1600/100 + 1/100 overflows the range"
 
     def test_sub(self, p100):
         assert fix_sub(p100.val(100), p100.val(250)).count == -150
@@ -140,16 +141,19 @@ class TestDiv:
         assert fix_div(p100.from_int(6), p100.from_int(2)).value == 3
 
     def test_zero_divisor(self, p100):
-        with pytest.raises(DivisionByZero):
-            fix_div(p100.val(1), p100.val(0))
+        for nx in (1, 0):
+            with pytest.raises(DivisionByZero) as exc:
+                fix_div(p100.val(nx), p100.val(0))
+            assert str(exc.value) == f"{nx}/100 / 0/100"
 
     def test_negative_divisor_rounding(self, p10):
         # 0.5 / -0.3 = -1.666... -> -1.7
         assert fix_div(p10.val(5), p10.val(-3)).count == -17
 
     def test_overflow(self, p100):
-        with pytest.raises(RangeOverflow):
-            fix_div(p100.val(1600), p100.val(1))
+        with pytest.raises(RangeOverflow) as exc:
+            fix_div(p100.val(1600), p100.val(-1))
+        assert str(exc.value) == "1600/100 / -1/100 overflows the range"
 
     @pytest.mark.parametrize("profile", [FixProfile(10, 40, 40),
                                          FixProfile(10, 30, 50)],
@@ -235,6 +239,17 @@ class TestProfileAssumptions:
         b = check_profile_assumptions(p100, budget=512, seed=3)
         assert a.as_dict() == b.as_dict()
         assert a.overall
+
+    @pytest.mark.parametrize("budget", [-5, 0, "x", "4096", 2.0, True])
+    def test_budget_below_one_or_not_an_integer_refused(self, p10, budget):
+        with pytest.raises(DomainError, match="budget"):
+            check_profile_assumptions(p10, budget=budget)
+
+    @pytest.mark.parametrize("budget,pairs", [(1, 1), ("exhaustive", 81 ** 2)])
+    def test_least_budget_and_exhaustive_accepted(self, p10, budget, pairs):
+        report = check_profile_assumptions(p10, budget=budget)
+        assert report.overall
+        assert report.checks[-1].witness["pairs"] == pairs
 
 
 def _reference_rounding_contract(profile, nx, ny):

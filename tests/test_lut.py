@@ -131,8 +131,10 @@ class TestSupFn:
         assert sup_fn(demo_profile.val(u), demo_table).count == expected
 
     def test_domain(self, demo_profile, demo_table):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             sup_fn(demo_profile.val(100), demo_table)
+        assert str(exc.value) == \
+            "seed function requires 1 < u <= 16, got 100/100"
 
     def test_sandwich_exhaustive(self, demo_profile, demo_table, demo_stp):
         stp_val = demo_stp.value
@@ -151,13 +153,16 @@ class TestSupFn:
     def test_root_below_sqrt_rejected(self, demo_profile, demo_table):
         # root[3.00] = 1.74; one unit lower, 1.73**2 < 3
         broken = self._with_root(demo_table, 12, 173)
-        with pytest.raises(InternalInvariantError, match="below"):
+        with pytest.raises(InternalInvariantError) as exc:
             sup_fn(demo_profile.val(300), broken)
+        assert str(exc.value) == "seed 173/100 fell below sqrt(300/100)"
 
     def test_root_over_one_step_above_rejected(self, demo_profile,
                                                demo_table, demo_stp):
         # one step and one unit above 1.74: 2.00 - 0.25 > sqrt(3)
         broken = self._with_root(demo_table, 12,
                                  174 + demo_stp.count + 1)
-        with pytest.raises(InternalInvariantError, match="above"):
+        with pytest.raises(InternalInvariantError) as exc:
             sup_fn(demo_profile.val(300), broken)
+        assert str(exc.value) == \
+            "seed 200/100 more than one step above sqrt(300/100)"

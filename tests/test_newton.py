@@ -1,5 +1,7 @@
 import math
+import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certisqrt.errors import (
+    CertisqrtError,
+    DivisionByZero,
     DomainError,
     EpsTooSmall,
     IterationBudgetError,
     MantissaRange,
     NoFeasibleEps,
+    RangeOverflow,
     SeedContractError,
 )
 from certisqrt.exact import (
@@ -22,7 +27,7 @@ from certisqrt.exact import (
     within_of_sqrt,
 )
 from certisqrt import lut
-from certisqrt.fixarith import FixProfile
+from certisqrt.fixarith import FixProfile, FixVal
 from certisqrt.floatmodel import (
     FloatProfile,
     FloatVal,
@@ -32,6 +37,8 @@ from certisqrt.floatmodel import (
 )
 from certisqrt.lut import build_root_table
 from certisqrt.newton import (
+    Trace,
+    TraceStep,
     derive_eps_for_ulp,
     fix_bound,
     fix_sqr,
@@ -159,7 +166,7 @@ class TestMinIterations:
                                        demo_profile.val(eps)) == expected
 
     def test_power_of_two_ratio(self):
-        from certisqrt.fixarith import FixProfile
+        from certisqrt.fixarith import FixProfile, FixVal
         prof = FixProfile(6400, 16 * 6400, 16 * 6400)
         # 1/4 over 1/64: ratio 16 -> n = 5
         assert min_iterations_for_step(prof.val(1600), prof.val(100)) == 5
@@ -439,6 +446,196 @@ class TestFltSqr:
         a = compose(demo_profile.val(500), 1, demo_float_profile)
         with pytest.raises(DomainError):
             flt_sqr(a, demo_eps, demo_float_profile, demo_table)
+
+
+def _grid_text(v: F, d: int) -> str:
+    """A grid value as str(FixVal) writes it: the unreduced count/d."""
+    return f"{v * d}/{d}"
+
+
+def _ref_nearest(q: F, d: int) -> F:
+    """q rounded to the 1/d grid, ties to the even count."""
+    t = q * d
+    lo = t.numerator // t.denominator
+    rest = t - lo
+    return F(lo + (rest > F(1, 2) or (rest == F(1, 2) and lo % 2 == 1)), d)
+
+
+def _ref_div(a: F, b: F, profile: FixProfile) -> F:
+    d = profile.delta_den
+    if b == 0:
+        raise DivisionByZero(f"{_grid_text(a, d)} / {_grid_text(b, d)}")
+    if not -profile.inf_value <= a / b <= profile.sup_value:
+        raise RangeOverflow(f"{_grid_text(a, d)} / {_grid_text(b, d)} "
+                            f"overflows the range")
+    return _ref_nearest(a / b, d)
+
+
+def _ref_add(a: F, b: F, profile: FixProfile) -> F:
+    d = profile.delta_den
+    if not -profile.inf_value <= a + b <= profile.sup_value:
+        raise RangeOverflow(f"{_grid_text(a, d)} + {_grid_text(b, d)} "
+                            f"overflows the range")
+    return a + b
+
+
+def reference_grid_run(algorithm, y, eps, stp, n=None):
+    """fix_sqr(y, eps, table, n), or with n None the mix_sqr loop, under
+    the name algorithm: every value a Fraction, the rounding done here,
+    the seed from math.isqrt.  It calls no fixarith or lut arithmetic,
+    so it checks the shared primitives instead of restating them."""
+    profile = y.profile
+    d = profile.delta_den
+    yv = F(y.count, d)
+    n_min = 1
+    while eps.count * 2 ** (n_min - 1) < stp.count:
+        n_min += 1
+    if n is None:
+        n = n_min
+        if eps.count < 2 * (n + 1):
+            raise EpsTooSmall(
+                f"eps={eps} below 2*delta*(2 + ceil(log2(stp/eps))) = "
+                f"{F(2 * (n + 1), d)}")
+    if not yv > 1:
+        raise DomainError(f"{algorithm} requires y > 1, got {y}")
+    if not yv <= profile.sup_value / 2:
+        raise DomainError(f"{algorithm} requires y <= {profile.sup_value}/2 "
+                          f"so the loop's x + x stays in range, got {y}")
+    if n < n_min:
+        raise IterationBudgetError(f"n={n} below the minimum {n_min} for "
+                                   f"stp={stp}, eps={eps}")
+
+    def on_grid(v: F) -> FixVal:
+        return FixVal(int(v * d), profile)
+
+    # seed: min(y, least grid g with g*g >= the step multiple at or above y)
+    sv = F(stp.count, d)
+    v = math.ceil(yv / sv) * sv
+    x = min(yv, F(math.isqrt(int(v * d * d) - 1) + 1, d))
+    seed = on_grid(x)
+    steps = []
+    for k in range(n):
+        half = _ref_div(x, F(2), profile)
+        twice = _ref_add(x, x, profile)
+        quot = _ref_div(yv, twice, profile)
+        x_new = _ref_add(half, quot, profile)
+        steps.append(TraceStep(k, on_grid(x), x_new - x, on_grid(x_new)))
+        x = x_new
+    final = on_grid(x)
+    return final, Trace(algorithm, y=y, eps=eps, final_x=final,
+                        steps=tuple(steps), stp=stp, n_planned=n, seed=seed)
+
+
+def reference_flt_run(a, eps, fprof, stp):
+    """flt_sqr on a positive a over reference_grid_run."""
+    man, e = a.man, a.exp
+    if e % 2:
+        # man < sup/base, so the radicand man*base is in range and exact
+        y, z = FixVal(man.count * fprof.base, fprof.fix), e - 1
+    else:
+        y, z = man, e
+    x, trace = reference_grid_run("flt_sqr", y, eps, stp)
+    b = compose(x, z // 2, fprof)
+    return b, replace(trace, notes={
+        "input": {"man": str(man), "exp": e}, "radicand": str(y),
+        "result": {"man": str(b.man), "exp": b.exp}})
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the refusal it raised."""
+    try:
+        return fn(*args)
+    except CertisqrtError as exc:
+        return type(exc), str(exc)
+
+
+def _mismatches(cases):
+    """The (label, got, want) of every case whose run differs."""
+    out = []
+    for label, run, ref in cases:
+        got, want = _outcome(*run), _outcome(*ref)
+        if got != want:
+            out.append((label, got, want))
+    return out
+
+
+@st.composite
+def small_grid_requests(draw):
+    """A request on a small, possibly asymmetric grid, with its table."""
+    d = draw(st.integers(3, 12))
+    stp = draw(st.integers(2, 3 * d))
+    sup = stp * draw(st.integers(2 * d // stp + 1, 8 * d // stp + 2))
+    inf = draw(st.integers(2 * d + 1, 2 * sup))
+    profile = FixProfile(d, inf, sup)
+    eps = draw(st.sampled_from([c for c in range(1, stp + 1)
+                                if stp % c == 0]))
+    y = draw(st.integers(d - 2, sup // 2 + 2))
+    n = draw(st.integers(0, 5))
+    table = build_root_table(profile, profile.val(stp))
+    return profile.val(y), profile.val(eps), table, n
+
+
+class TestGridLoopMatchesReference:
+    """fix_sqr, mix_sqr and flt_sqr give the reference loop's traces and
+    refusals, field for field and message for message."""
+
+    def test_demo_fix_and_mix(self, demo_profile, demo_table, demo_eps):
+        stp = demo_table.stp
+        cases = []
+        for count in range(95, 806):
+            y = demo_profile.val(count)
+            for n in range(1, 7):
+                cases.append(((count, n), (fix_sqr, y, demo_eps, demo_table, n),
+                              (reference_grid_run, "fix_sqr", y, demo_eps,
+                               stp, n)))
+            cases.append(((count, "mix"), (mix_sqr, y, demo_eps, demo_table),
+                          (reference_grid_run, "mix_sqr", y, demo_eps, stp)))
+        assert _mismatches(cases) == []
+
+    def test_wide_profile_sample(self):
+        fix = FixProfile(1000, 4_000_000, 4_000_000)
+        table = build_root_table(fix, fix.val(16))
+        eps = fix.val(8)
+        rng = random.Random(8)
+        cases = []
+        for count in (rng.randint(1001, 2_000_000) for _ in range(2000)):
+            y = fix.val(count)
+            cases.append(((count, "mix"), (mix_sqr, y, eps, table),
+                          (reference_grid_run, "mix_sqr", y, eps, table.stp)))
+            cases.append(((count, 3), (fix_sqr, y, eps, table, 3),
+                          (reference_grid_run, "fix_sqr", y, eps, table.stp,
+                           3)))
+        assert _mismatches(cases) == []
+
+    def test_demo_flt_sqr(self, demo_profile, demo_eps, demo_float_profile,
+                          demo_table):
+        cases = []
+        for count in range(101, 800):
+            for e in range(-3, 4):
+                a = compose(demo_profile.val(count), e, demo_float_profile)
+                cases.append(((count, e),
+                              (flt_sqr, a, demo_eps, demo_float_profile,
+                               demo_table),
+                              (reference_flt_run, a, demo_eps,
+                               demo_float_profile, demo_table.stp)))
+        assert _mismatches(cases) == []
+        # odd exponents double mantissas above sup/4 past the loop's y
+        # range, and some results collapse onto the excluded mantissa 1
+        refused = Counter(got[0] for got in
+                          (_outcome(*run) for _, run, _ in cases)
+                          if isinstance(got[0], type))
+        assert refused[DomainError] > 0 and refused[MantissaRange] > 0
+
+    @given(small_grid_requests())
+    @settings(max_examples=300, deadline=None)
+    def test_small_grids(self, request):
+        y, eps, table, n = request
+        assert _mismatches([
+            ("fix", (fix_sqr, y, eps, table, n),
+             (reference_grid_run, "fix_sqr", y, eps, table.stp, n)),
+            ("mix", (mix_sqr, y, eps, table),
+             (reference_grid_run, "mix_sqr", y, eps, table.stp)),
+        ]) == []
 
 
 class TestDeriveEps:
