@@ -56,7 +56,7 @@ from .verify import (
 
 
 class FileFormatError(Exception):
-    """Unreadable or malformed input file; maps to exit status 2."""
+    """Unreadable or malformed input, or unwritable output; exit status 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +221,20 @@ TRACE_COLUMNS = ["algorithm", "k", "x_num", "x_den", "x_count",
                  "correction", "exact_flag"]
 
 
+def _open_out(path: str):
+    """path opened for text output without newline translation."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
+
+
 def write_trace(path: str, trace: Trace) -> None:
     rows = trace_rows(trace)
-    if path.endswith(".json"):
-        Path(path).write_text(
-            json.dumps(rows, sort_keys=True, indent=2) + "\n")
-        return
-    with open(path, "w", newline="") as fh:
+    with _open_out(path) as fh:
+        if path.endswith(".json"):
+            fh.write(json.dumps(rows, sort_keys=True, indent=2) + "\n")
+            return
         writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
@@ -255,7 +262,8 @@ def cmd_table_build(args: argparse.Namespace) -> int:
     fix, fprof, step = load_profile(args.profile)
     table = build_root_table(fix, step.stp)
     payload = table_file_bytes(table, profile_digest(fix, fprof, step))
-    Path(args.out).write_bytes(payload)
+    with _open_out(args.out) as fh:
+        fh.write(payload.decode("ascii"))
     print(f"wrote {args.out}: {len(table)} entries, stp={step.stp}")
     return 0
 
@@ -337,6 +345,14 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
     return 0 if verdict.passed else 1
 
 
+def _sample_scan_ys(fix: FixProfile, samples: int, seed: int) -> list[FixVal]:
+    """The draw random.Random(seed).sample makes from grid_values(fix,
+    sup/2), ascending; made on counts, so only the values drawn are built."""
+    counts = range(fix.delta_den + 1, fix.sup_count // 2 + 1)
+    draw = random.Random(seed).sample(counts, min(samples, len(counts)))
+    return [FixVal(c, fix) for c in sorted(draw)]
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     fix, fprof, step = load_profile(args.profile)
     table = _bound_table(args, fix, fprof, step)
@@ -344,16 +360,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports: list[VerifyReport] = []
     suites = ("table", "sqr", "fsqr", "adjust") if args.suite == "all" \
         else (args.suite,)
-    rng = random.Random(args.seed)
     if args.exhaustive:
         sqr_inputs = [(y.value, eps.value)
                       for y in grid_values(fix, fix.sup_value)]
         scan_ys = grid_values(fix, fix.sup_value / 2)
     else:
         sqr_inputs = sample_rationals(args.samples, args.seed)
-        pool = grid_values(fix, fix.sup_value / 2)
-        count = min(args.samples, len(pool))
-        scan_ys = sorted(rng.sample(pool, count), key=lambda v: v.count)
+        scan_ys = _sample_scan_ys(fix, args.samples, args.seed)
     for suite in suites:
         if suite == "table":
             reports.append(check_table_properties(table, fix, step.stp, eps))
@@ -378,7 +391,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         table = build_root_table(fix, step.stp)
         y = _grid_exact(args.y, fix)
         rows = monotonicity_probe(y, step.eps, table, args.n_min, args.n_max)
-        with open(args.out, "w", newline="") as fh:
+        with _open_out(args.out) as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "x_count", "x_value", "err_display",
                              "bound", "within_bound", "error_increased"])
@@ -398,7 +411,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 1
     candidates = [_grid_exact(v, fix) for v in args.stp]
     rows = balance_sweep(fix, step.eps, candidates)
-    with open(args.out, "w", newline="") as fh:
+    with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["stp", "valid", "table_size", "n",
                          "predicted_bound", "worst_err_display",
@@ -425,9 +438,18 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _rational(text: str) -> Fraction:
+    """A rational argument such as 3, 0.25 or 1/4."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational, got {text!r}") from None
+
+
 def _rational_list(text: str) -> list[Fraction]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    return [Fraction(part) for part in items]
+    return [_rational(part) for part in map(str.strip, text.split(","))
+            if part]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", nargs="?")
     p.add_argument("--mode", required=True,
                    choices=["exact", "fix", "mix", "float"])
-    p.add_argument("--value", type=Fraction, required=True)
-    p.add_argument("--eps", type=Fraction)
-    p.add_argument("--ulp", type=Fraction)
+    p.add_argument("--value", type=_rational, required=True)
+    p.add_argument("--eps", type=_rational)
+    p.add_argument("--ulp", type=_rational)
     p.add_argument("--n", type=int)
     p.add_argument("--trace", dest="trace_out")
     p.set_defaults(func=cmd_sqrt)
@@ -477,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("profile")
     p.add_argument("out")
     p.add_argument("--kind", required=True, choices=["more-worse", "balance"])
-    p.add_argument("--y", type=Fraction)
+    p.add_argument("--y", type=_rational)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--stp", type=_rational_list, default=[])

@@ -177,12 +177,9 @@ def round_up_to_step(u: FixVal, stp: FixVal) -> FixVal:
 
 
 def _seed_count(u: int, table: RootTable) -> int:
-    """sup_fn on the count u of a value on the table's grid."""
+    """sup_fn on the count u of a value on the table's grid; requires
+    d < u <= sup, so k_min <= k <= k_max below."""
     profile, stp, d = table.profile, table.stp.count, table.profile.delta_den
-    if not d < u <= profile.sup_count:
-        raise DomainError(f"seed function requires 1 < u <= "
-                          f"{profile.sup_value}, got {u}/{d}")
-    # k_min <= k <= k_max, as d < u and the rounded count is at most sup
     k = _round_up_count(u, stp, profile) // stp
     result = min(u, table.roots[k - table.k_min])
     if _sqrt_sign(result, d, u, d) < 0:
@@ -202,4 +199,7 @@ def sup_fn(u: FixVal, table: RootTable) -> FixVal:
     """
     require_same_grid(table.profile, u.profile,
                       "table belongs to a different grid")
+    if not u.profile.delta_den < u.count <= u.profile.sup_count:
+        raise DomainError(f"seed function requires 1 < u <= "
+                          f"{u.profile.sup_value}, got {u}")
     return FixVal(_seed_count(u.count, table), u.profile)

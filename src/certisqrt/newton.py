@@ -19,9 +19,9 @@ and differ only in their seed and exit rule.  It keeps the pairs in
 lowest terms by stripping common factors of 2*num(y)*den(y) each step
 (the only primes a common factor can contain), because a full gcd at the
 sizes reached by long runs is quadratic and would dominate the runtime.
-fix_sqr, mix_sqr and flt_sqr share one grid loop, stepped on counts
-through the primitives fix_div and fix_add wrap, and their per-request
-checks; the table checked its profile and step when it was made.
+fix_sqr, mix_sqr and flt_sqr share one grid loop on counts, through the
+primitives fix_div and fix_add wrap, headed by one request pass that
+checks each precondition once (a table checked its step when made).
 fix_bound and float_bound state the grid and float accuracy contracts.
 """
 from __future__ import annotations
@@ -201,10 +201,15 @@ def isqr_exact(y: Fraction, eps: Fraction,
     return final, trace
 
 
-def _ceil_log2_ratio(num: int, den: int) -> int:
-    """ceil(log2(num/den)) for integers num >= den >= 1."""
-    t = -((-num) // den)
-    return (t - 1).bit_length()
+def _least_count(stp_count: int, eps_count: int) -> int:
+    """1 + ceil(log2(stp/eps)) on counts stp >= eps >= 1: the least n >= 1
+    with 2**(n-1) * eps >= stp."""
+    return 1 + (-((-stp_count) // eps_count) - 1).bit_length()
+
+
+def _mix_eps_floor(n: int) -> int:
+    """mix_sqr's budget: the least eps count it accepts for n iterations."""
+    return 2 * (n + 1)
 
 
 def min_iterations_for_step(stp: FixVal, eps: FixVal) -> int:
@@ -215,7 +220,7 @@ def min_iterations_for_step(stp: FixVal, eps: FixVal) -> int:
         raise DomainError(f"accuracy must be positive, got {eps}")
     if stp.count < eps.count:
         raise DomainError(f"step {stp} must be at least the accuracy {eps}")
-    return 1 + _ceil_log2_ratio(stp.count, eps.count)
+    return _least_count(stp.count, eps.count)
 
 
 def _legal_count(y: Fraction, eps: Fraction, seed: Fraction, n: int) -> bool:
@@ -274,21 +279,27 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: SeedFn,
     return final, trace
 
 
-def _check_grid_config(y: FixVal, eps: FixVal, table: RootTable) -> None:
-    """Per-request preconditions fix_sqr and mix_sqr share."""
+def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
+                 n: int | None = None, *,
+                 mix: bool = False) -> tuple[FixVal, Trace]:
+    """The request pass of fix_sqr, mix_sqr and flt_sqr, then their
+    table-seeded loop.  The pass refuses the first rule broken, in order:
+    one grid; eps > 0; eps divides stp; with mix, n := n_min and eps meets
+    the budget (else EpsTooSmall); y > 1; y <= sup/2; n >= n_min."""
+    profile = y.profile
     for other in (eps.profile, table.profile):
-        require_same_grid(other, y.profile, "inputs belong to different grids")
+        require_same_grid(other, profile, "inputs belong to different grids")
     if eps.count <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
     if not step_multiple_of_eps(table.stp, eps):
         raise DomainError("step configuration invalid: step.multiple-of-eps")
-
-
-def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
-                 n: int, n_min: int) -> tuple[FixVal, Trace]:
-    """fix_sqr after _check_grid_config: the checks on y and on n against
-    the minimal count n_min, then the table-seeded grid loop on counts."""
-    profile = y.profile
+    n_min = _least_count(table.stp.count, eps.count)
+    if mix:
+        n, need = n_min, _mix_eps_floor(n_min)
+        if eps.count < need:
+            raise EpsTooSmall(
+                f"eps={eps} below 2*delta*(2 + ceil(log2(stp/eps))) = "
+                f"{Fraction(need, profile.delta_den)}")
     yc, d = y.count, profile.delta_den
     if yc <= d:
         raise DomainError(f"{algorithm} requires y > 1, got {y}")
@@ -325,9 +336,7 @@ def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
     min_iterations_for_step(stp, eps).  The result satisfies
     |x - sqrt(y)| < fix_bound(eps, n).
     """
-    _check_grid_config(y, eps, table)
-    return _grid_newton("fix_sqr", y, eps, table, n,
-                        min_iterations_for_step(table.stp, eps))
+    return _grid_newton("fix_sqr", y, eps, table, n)
 
 
 def fix_bound(eps: FixVal, n: int) -> Fraction:
@@ -343,20 +352,7 @@ def mix_sqr(y: FixVal, eps: FixVal, table: RootTable) -> tuple[FixVal, Trace]:
     the rounding-error budget, and EpsTooSmall is raised.  The result
     satisfies |x - sqrt(y)| < eps.
     """
-    return _mix_newton("mix_sqr", y, eps, table)
-
-
-def _mix_newton(algorithm: str, y: FixVal, eps: FixVal,
-                table: RootTable) -> tuple[FixVal, Trace]:
-    """mix_sqr, its trace and refusals named after algorithm."""
-    _check_grid_config(y, eps, table)
-    n = min_iterations_for_step(table.stp, eps)
-    need = 2 * (n + 1)  # the accuracy's least count
-    if eps.count < need:
-        raise EpsTooSmall(
-            f"eps={eps} below 2*delta*(2 + ceil(log2(stp/eps))) = "
-            f"{Fraction(need, y.profile.delta_den)}")
-    return _grid_newton(algorithm, y, eps, table, n, n)
+    return _grid_newton("mix_sqr", y, eps, table, mix=True)
 
 
 def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
@@ -380,7 +376,7 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     require_same_grid(man.profile, profile.fix,
                       "input belongs to a different grid")
     y_fix, z = (fix_mul(man, profile.base_fix), e - 1) if e % 2 else (man, e)
-    x, trace = _mix_newton("flt_sqr", y_fix, eps, table)
+    x, trace = _grid_newton("flt_sqr", y_fix, eps, table, mix=True)
     b = compose(x, z // 2, profile)
     # the notes dict was made with this trace and is shared with nothing
     trace.notes.update({"input": {"man": str(man), "exp": e},
@@ -430,7 +426,7 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
         # c1 + c2*sqrt(base) < ulp/2, as c1 < ulp/2 - c2*sqrt(base)
         if not decide_radical_lt(c1, half_ulp, -c2, beta):
             continue
-        if count < 2 * (min_iterations_for_step(stp, eps) + 1):
+        if count < _mix_eps_floor(_least_count(stp.count, count)):
             continue
         return eps
     raise NoFeasibleEps(f"no grid accuracy below ulp/2 = {half_ulp} "

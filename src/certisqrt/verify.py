@@ -247,14 +247,13 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
     checks = [check("runs stay within k grid steps of each other",
                     "adjust.gap-bound", gap_ok, {"iterations": n},
                     gap_witness)]
-    final_bound = fix_bound(eps, n)
-    final_ok = within_of_sqrt(x_fix.value, y.value, final_bound, strict=True)
+    final = sqrt_verdict("fix", x_fix, y, eps, n=n)
     checks.append(CheckResult(
         "grid result within eps/2 + n*step of the root",
-        "adjust.final-error", final_ok,
-        {"x": str(x_fix), "bound": final_bound,
+        "adjust.final-error", final.passed,
+        {"x": str(x_fix), "bound": final.witness["bound"],
          "err_display": approx_abs_err(x_fix.value, y.value)},
-        strict=final_ok))
+        strict=final.passed))
     subject = f"adjust y={y} eps={eps} n={n}"
     return tuple(records), VerifyReport(subject, tuple(checks))
 
@@ -285,13 +284,13 @@ def monotonicity_probe(y: FixVal, eps: FixVal, table: RootTable,
     prev_x: FixVal | None = None
     for n in range(n_min, n_max + 1):
         x, _ = fix_sqr(y, eps, table, n)
-        bound = fix_bound(eps, n)
-        within = within_of_sqrt(x.value, y.value, bound, strict=True)
+        verdict = sqrt_verdict("fix", x, y, eps, n=n)
         increased = (prev_x is not None
                      and cmp_abs_err(x.value, prev_x.value, y.value)
                      is Ordering.GREATER)
         rows.append(ProbeRow(n, x, approx_abs_err(x.value, y.value),
-                             bound, within, increased))
+                             verdict.witness["bound"], verdict.passed,
+                             increased))
         prev_x = x
     return tuple(rows)
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from collections.abc import Sequence
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 
 from certisqrt.cli import (
     FileFormatError,
+    _sample_scan_ys,
     load_profile,
     load_table,
     main,
@@ -15,7 +18,9 @@ from certisqrt.cli import (
     trace_rows,
 )
 from certisqrt.errors import DomainError
+from certisqrt.fixarith import FixProfile, FixVal
 from certisqrt.newton import sqr_exact
+from certisqrt.verify import grid_values
 
 
 # a profile whose grid step is 1/2, not below it
@@ -483,6 +488,111 @@ class TestSweepCommand:
         assert code == 0  # row is marked invalid, nothing failed
         line = out.read_text().splitlines()[1]
         assert line.split(",")[1] == "false"
+
+
+class TestRationalArguments:
+    """A rational flag whose text is no rational, a zero denominator
+    included, is a usage error."""
+
+    @pytest.mark.parametrize("command,flag,text", [
+        (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--eps", "1/4"],
+         "--value", "1/0"),
+        (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--value", "3"],
+         "--eps", "1/0"),
+        (["sqrt", "PROFILE", "TABLE", "--mode", "float", "--value", "3"],
+         "--ulp", "1/0"),
+        (["sweep", "PROFILE", "OUT", "--kind", "more-worse"], "--y", "1/0"),
+        (["sweep", "PROFILE", "OUT", "--kind", "balance"], "--stp",
+         "1/4, 1/0"),
+    ], ids=["value", "eps", "ulp", "y", "stp"])
+    def test_zero_denominator_exit_2(self, demo_profile_path,
+                                     demo_table_path, tmp_path, capsys,
+                                     command, flag, text):
+        out = tmp_path / "out.csv"
+        argv = [{"PROFILE": demo_profile_path, "TABLE": demo_table_path,
+                 "OUT": str(out)}.get(a, a) for a in command]
+        capsys.readouterr()
+        assert main(argv + [flag, text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = text.split(", ")[-1]
+        assert f"argument {flag}: expected a rational, got '{bad}'" \
+            in captured.err
+        assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory is a usage error that names
+    the path."""
+
+    @pytest.mark.parametrize("command,name", [
+        (["table-build", "PROFILE", "OUT"], "table.json"),
+        (["sweep", "PROFILE", "OUT", "--kind", "more-worse", "--y", "2"],
+         "mw.csv"),
+        (["sweep", "PROFILE", "OUT", "--kind", "balance", "--stp", "1/4"],
+         "bal.csv"),
+        (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--value", "3",
+          "--eps", "1/4", "--trace", "OUT"], "trace.csv"),
+        (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--value", "3",
+          "--eps", "1/4", "--trace", "OUT"], "trace.json"),
+    ], ids=["table-build", "sweep-more-worse", "sweep-balance",
+            "sqrt-trace-csv", "sqrt-trace-json"])
+    def test_missing_directory_exit_2(self, demo_profile_path,
+                                      demo_table_path, tmp_path, capsys,
+                                      command, name):
+        out = tmp_path / "missing" / name
+        argv = [{"PROFILE": demo_profile_path, "TABLE": demo_table_path,
+                 "OUT": str(out)}.get(a, a) for a in command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "No such file or directory" in err
+        assert not out.parent.exists()
+
+
+class _LazyGridValues(Sequence):
+    """grid_values(fix, hi) as a sequence that makes each value when it is
+    read, so the list-based draw can be replayed on a grid whose list
+    would not fit in a test's memory."""
+
+    def __init__(self, fix, hi):
+        self.fix = fix
+        self.counts = range(fix.delta_den + 1, int(hi * fix.delta_den) + 1)
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __getitem__(self, i):
+        return FixVal(self.counts[i], self.fix)
+
+
+class TestSampledScanDraw:
+    """The sampled verify suites draw their grid inputs on counts; the draw
+    is the one random.sample makes from the list of every grid value."""
+
+    @staticmethod
+    def list_draw(pool, samples, seed):
+        picked = random.Random(seed).sample(pool, min(samples, len(pool)))
+        return sorted(picked, key=lambda v: v.count)
+
+    def test_demo_matches_list(self, demo_profile):
+        pool = grid_values(demo_profile, demo_profile.sup_value / 2)
+        assert list(_LazyGridValues(demo_profile,
+                                    demo_profile.sup_value / 2)) == pool
+        for seed in range(4):
+            for samples in (1, 50, 699, 700, 5000):
+                assert _sample_scan_ys(demo_profile, samples, seed) == \
+                    self.list_draw(pool, samples, seed)
+
+    def test_wide_matches_list(self):
+        fix = FixProfile(**WIDE_PROFILE["fix"])
+        pool = _LazyGridValues(fix, fix.sup_value / 2)
+        assert len(pool) == 1_999_000
+        for seed in range(4):
+            for samples in (1, 100, 5000):
+                drawn = _sample_scan_ys(fix, samples, seed)
+                assert drawn == self.list_draw(pool, samples, seed)
 
 
 class TestTraceRows:

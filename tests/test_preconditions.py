@@ -5,7 +5,9 @@ derivation.
 Each case breaks one precondition of an otherwise valid call on the demo
 profile; the one deliberate exception is mix_sqr with both an illegal
 step and an accuracy small enough for EpsTooSmall, which pins that the
-step is checked first.
+step is checked first.  MULTI_VIOLATION_CASES break two at once and pin
+the type and message of the first in the order the grid algorithms state
+their preconditions.
 """
 from fractions import Fraction as F
 
@@ -231,3 +233,95 @@ def test_equal_profiles_match():
     assert twin is not DEMO
     assert fix_add(Y, twin.val(30)).count == 330
     assert mix_sqr(twin.val(300), EPS, TABLE)[0].count == 173
+
+
+# two preconditions broken at once: the request reports the first one in
+# the order grid match, eps > 0, step.multiple-of-eps, EpsTooSmall (mix and
+# flt), y > 1, y <= sup/2, n >= n_min (fix)
+MULTI_VIOLATION_CASES = {
+    "fix-grid-and-eps-zero": (
+        lambda: fix_sqr(Y, MICRO.val(0), TABLE, 2),
+        ProfileMismatch, "inputs belong to different grids"),
+    "fix-table-grid-and-eps-zero": (
+        lambda: fix_sqr(Y, DEMO.val(0), MICRO_TABLE, 2),
+        ProfileMismatch, "inputs belong to different grids"),
+    "mix-grid-and-eps-negative": (
+        lambda: mix_sqr(Y, MICRO.val(-8), TABLE),
+        ProfileMismatch, "inputs belong to different grids"),
+    "fix-eps-zero-and-n-below-minimum": (
+        lambda: fix_sqr(Y, DEMO.val(0), TABLE, 0),
+        DomainError, "accuracy must be positive, got 0/100"),
+    "fix-step-and-y-at-most-one": (
+        lambda: fix_sqr(DEMO.val(100), DEMO.val(10), TABLE, 3),
+        DomainError, "step configuration invalid: step.multiple-of-eps"),
+    "mix-step-and-y-at-most-one": (
+        lambda: mix_sqr(DEMO.val(100), DEMO.val(10), TABLE),
+        DomainError, "step configuration invalid: step.multiple-of-eps"),
+    "mix-eps-too-small-and-y-above-half-sup": (
+        lambda: mix_sqr(DEMO.val(801), DEMO.val(5), TABLE),
+        EpsTooSmall,
+        "eps=5/100 below 2*delta*(2 + ceil(log2(stp/eps))) = 1/10"),
+    "fix-n-below-minimum-and-y-at-most-one": (
+        lambda: fix_sqr(DEMO.val(100), EPS, TABLE, 0),
+        DomainError, "fix_sqr requires y > 1, got 100/100"),
+    "fix-n-below-minimum-and-y-above-half-sup": (
+        lambda: fix_sqr(DEMO.val(801), EPS, TABLE, 0),
+        DomainError, "fix_sqr requires y <= 16/2 so the loop's x + x "
+                     "stays in range, got 801/100"),
+    # a count that is no integer fails only the last rule, as a TypeError
+    "fix-n-none-and-y-at-most-one": (
+        lambda: fix_sqr(DEMO.val(100), EPS, TABLE, None),
+        DomainError, "fix_sqr requires y > 1, got 100/100"),
+    "fix-n-none": (
+        lambda: fix_sqr(Y, EPS, TABLE, None),
+        TypeError, "'<' not supported between instances of 'NoneType' "
+                   "and 'int'"),
+    "flt-eps-grid-and-eps-zero": (
+        lambda: flt_sqr(A, MICRO.val(0), FLOAT, TABLE),
+        ProfileMismatch, "accuracy belongs to a different grid"),
+    "flt-table-grid-and-eps-zero": (
+        lambda: flt_sqr(A, DEMO.val(0), FLOAT, MICRO_TABLE),
+        ProfileMismatch, "table belongs to a different grid"),
+    "flt-eps-zero-and-y-at-most-one": (
+        lambda: flt_sqr(FloatVal(DEMO.val(100), 0, 2), DEMO.val(0), FLOAT,
+                        TABLE),
+        DomainError, "accuracy must be positive, got 0/100"),
+    "flt-step-and-y-at-most-one": (
+        lambda: flt_sqr(FloatVal(DEMO.val(100), 0, 2), DEMO.val(10), FLOAT,
+                        TABLE),
+        DomainError, "step configuration invalid: step.multiple-of-eps"),
+    "flt-eps-too-small-and-y-above-half-sup": (
+        lambda: flt_sqr(FloatVal(DEMO.val(500), 1, 2), DEMO.val(5), FLOAT,
+                        TABLE),
+        EpsTooSmall,
+        "eps=5/100 below 2*delta*(2 + ceil(log2(stp/eps))) = 1/10"),
+    "flt-y-at-most-one": (
+        lambda: flt_sqr(FloatVal(DEMO.val(100), 0, 2), EPS, FLOAT, TABLE),
+        DomainError, "flt_sqr requires y > 1, got 100/100"),
+    "flt-y-above-half-sup": (
+        lambda: flt_sqr(FloatVal(DEMO.val(500), 1, 2), EPS, FLOAT, TABLE),
+        DomainError, "flt_sqr requires y <= 16/2 so the loop's x + x "
+                     "stays in range, got 1000/100"),
+    "seed-grid-and-u-at-most-one": (
+        lambda: sup_fn(MICRO.val(5), TABLE),
+        ProfileMismatch, "table belongs to a different grid"),
+    "seed-u-at-most-one": (
+        lambda: sup_fn(DEMO.val(100), TABLE),
+        DomainError, "seed function requires 1 < u <= 16, got 100/100"),
+    "seed-u-negative": (
+        lambda: sup_fn(DEMO.val(-3), TABLE),
+        DomainError, "seed function requires 1 < u <= 16, got -3/100"),
+    "seed-u-above-sup": (
+        lambda: sup_fn(FixVal(1601, DEMO), TABLE),
+        DomainError, "seed function requires 1 < u <= 16, got 1601/100"),
+}
+
+
+@pytest.mark.parametrize("call,error,message",
+                         MULTI_VIOLATION_CASES.values(),
+                         ids=MULTI_VIOLATION_CASES.keys())
+def test_first_violation_reported(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
