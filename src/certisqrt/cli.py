@@ -360,13 +360,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports: list[VerifyReport] = []
     suites = ("table", "sqr", "fsqr", "adjust") if args.suite == "all" \
         else (args.suite,)
-    if args.exhaustive:
-        sqr_inputs = [(y.value, eps.value)
-                      for y in grid_values(fix, fix.sup_value)]
-        scan_ys = grid_values(fix, fix.sup_value / 2)
-    else:
-        sqr_inputs = sample_rationals(args.samples, args.seed)
-        scan_ys = _sample_scan_ys(fix, args.samples, args.seed)
+    if "sqr" in suites:
+        sqr_inputs = ([(y.value, eps.value)
+                       for y in grid_values(fix, fix.sup_value)]
+                      if args.exhaustive
+                      else sample_rationals(args.samples, args.seed))
+    if "fsqr" in suites or "adjust" in suites:
+        scan_ys = (grid_values(fix, fix.sup_value / 2) if args.exhaustive
+                   else _sample_scan_ys(fix, args.samples, args.seed))
     for suite in suites:
         if suite == "table":
             reports.append(check_table_properties(table, fix, step.stp, eps))

@@ -34,7 +34,7 @@ class ExponentRange(CertisqrtError):
 
 
 class SeedContractError(CertisqrtError):
-    """Seed function returned a value violating sqrt(y) <= seed <= y."""
+    """A seed value violates sqrt(y) <= seed <= y."""
 
 
 class IterationBudgetError(CertisqrtError):

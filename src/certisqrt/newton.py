@@ -30,7 +30,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (
     DomainError,
@@ -46,8 +45,6 @@ from .fixarith import (FixVal, _add_count, _div_count, fix_mul,
 from .floatmodel import FloatProfile, FloatVal, compose, decompose
 from .lut import (RootTable, _check_table_config, _seed_count,
                   step_multiple_of_eps)
-
-SeedFn = Callable[[Fraction], Fraction]
 
 
 @dataclass(frozen=True)
@@ -171,24 +168,23 @@ def sqr_exact(y: Fraction, eps: Fraction,
 
 
 def isqr_exact(y: Fraction, eps: Fraction,
-               seed: SeedFn) -> tuple[Fraction, Trace]:
+               seed: Fraction) -> tuple[Fraction, Trace]:
     """Seeded until-loop variant computing the correction magnitude
-    directly: x := seed(y); repeat { ad := (x*x - y)/(2x); exit when
+    directly: x := seed; repeat { ad := (x*x - y)/(2x); exit when
     ad < eps/2; x := x - ad }.
 
-    The seed must satisfy sqrt(y) <= seed(y) <= y; this is enforced per
+    The seed must satisfy sqrt(y) <= seed <= y; this is enforced per
     call through the exact oracle.
     """
     if y <= 1:
         raise DomainError(f"isqr_exact requires y > 1, got {y}")
     if eps <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
-    s = seed(y)
-    _check_seed(s, y)
+    _check_seed(seed, y)
     en, ed = eps.numerator, eps.denominator
     steps: list[TraceStep] = []
     for k, x, ad, ad_num, ad_den, x_next in _newton_steps(
-            y, s, _until_passes(y, eps)):
+            y, seed, _until_passes(y, eps)):
         if 2 * ed * ad_num < en * ad_den:
             steps.append(TraceStep(k, x, ad, x))
             final = x
@@ -197,7 +193,7 @@ def isqr_exact(y: Fraction, eps: Fraction,
     else:
         raise InternalInvariantError("iteration guard exceeded")
     trace = Trace("isqr_exact", y=y, eps=eps, final_x=final,
-                  steps=tuple(steps), seed=s)
+                  steps=tuple(steps), seed=seed)
     return final, trace
 
 
@@ -228,11 +224,17 @@ def _legal_count(y: Fraction, eps: Fraction, seed: Fraction, n: int) -> bool:
     return cmp_sqrt(seed - eps * _pow2(n - 1), y) is not Ordering.GREATER
 
 
-def _least_legal_count(y: Fraction, eps: Fraction, seed: Fraction) -> int:
-    """Least n >= 0 that _legal_count accepts (eps > 0), a monotone rule:
-    0 after one test, else doubling upward, then bisection in (hi/2, hi]."""
+def min_legal_iterations(y: Fraction, eps: Fraction,
+                         seed_value: Fraction) -> int:
+    """Smallest n >= 0 with 2**(n-1) * eps >= seed_value - sqrt(y),
+    decided exactly; 0 whenever the seed is already within eps/2.  The
+    rule is monotone in n: 0 after one test, else doubling upward, then
+    bisection in (hi/2, hi]."""
+    if eps <= 0:
+        raise DomainError(f"accuracy must be positive, got {eps}")
+
     def legal(n: int) -> bool:
-        return _legal_count(y, eps, seed, n)
+        return _legal_count(y, eps, seed_value, n)
 
     if legal(0):
         return 0
@@ -242,21 +244,17 @@ def _least_legal_count(y: Fraction, eps: Fraction, seed: Fraction) -> int:
     return bisect_left(range(hi), True, hi // 2 + 1, key=legal)
 
 
-def min_legal_iterations(y: Fraction, eps: Fraction,
-                         seed_value: Fraction) -> int:
-    """Smallest n >= 0 with 2**(n-1) * eps >= seed_value - sqrt(y),
-    decided exactly; 0 whenever the seed is already within eps/2."""
-    if eps <= 0:
-        raise DomainError(f"accuracy must be positive, got {eps}")
-    return _least_legal_count(y, eps, seed_value)
+def _check_count(n: int) -> None:
+    if not isinstance(n, int):
+        raise DomainError(f"iteration count must be an integer, got {n!r}")
 
 
-def fsqr_exact(y: Fraction, eps: Fraction, seed: SeedFn,
+def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
                n: int) -> tuple[Fraction, Trace]:
     """For-loop Newton square root in exact rational arithmetic.
 
     Runs exactly n iterations from the checked seed.  n is legal when
-    2**(n-1) * eps >= seed(y) - sqrt(y) (any larger count is also legal);
+    2**(n-1) * eps >= seed - sqrt(y) (any larger count is also legal);
     an illegal count raises IterationBudgetError.  The result satisfies
     |x - sqrt(y)| <= eps/2.
     """
@@ -264,18 +262,18 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: SeedFn,
         raise DomainError(f"fsqr_exact requires y > 1, got {y}")
     if eps <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
+    _check_count(n)
     if n < 0:
         raise DomainError(f"iteration count must be >= 0, got {n}")
-    s = seed(y)
-    _check_seed(s, y)
-    if not _legal_count(y, eps, s, n):
+    _check_seed(seed, y)
+    if not _legal_count(y, eps, seed, n):
         raise IterationBudgetError(
-            f"n={n} below the legal minimum for seed {s}")
+            f"n={n} below the legal minimum for seed {seed}")
     steps = [TraceStep(k, x, ad, x_next)
-             for k, x, ad, _, _, x_next in _newton_steps(y, s, n)]
-    final = steps[-1].x_after if steps else s
+             for k, x, ad, _, _, x_next in _newton_steps(y, seed, n)]
+    final = steps[-1].x_after if steps else seed
     trace = Trace("fsqr_exact", y=y, eps=eps, final_x=final,
-                  steps=tuple(steps), n_planned=n, seed=s)
+                  steps=tuple(steps), n_planned=n, seed=seed)
     return final, trace
 
 
@@ -285,7 +283,7 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
     """The request pass of fix_sqr, mix_sqr and flt_sqr, then their
     table-seeded loop.  The pass refuses the first rule broken, in order:
     one grid; eps > 0; eps divides stp; with mix, n := n_min and eps meets
-    the budget (else EpsTooSmall); y > 1; y <= sup/2; n >= n_min."""
+    the budget (else EpsTooSmall); y > 1; y <= sup/2; integer n >= n_min."""
     profile = y.profile
     for other in (eps.profile, table.profile):
         require_same_grid(other, profile, "inputs belong to different grids")
@@ -306,6 +304,7 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
     if 2 * yc > profile.sup_count:
         raise DomainError(f"{algorithm} requires y <= {profile.sup_value}/2 "
                           f"so the loop's x + x stays in range, got {y}")
+    _check_count(n)
     if n < n_min:
         raise IterationBudgetError(f"n={n} below the minimum {n_min} for "
                                    f"stp={table.stp}, eps={eps}")

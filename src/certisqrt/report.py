@@ -78,8 +78,8 @@ class VerifyReport:
             "checks": [c.as_dict() for c in self.checks],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def check(name: str, rule: str, ok: bool, witness: dict[str, Any],

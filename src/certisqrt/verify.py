@@ -29,7 +29,6 @@ from .lut import (RootTable, build_root_table, first_bad_root,
                   round_up_to_step, sup_fn, validate_step)
 from .newton import (
     Trace,
-    _least_legal_count,
     _pow2,
     fix_bound,
     fix_sqr,
@@ -65,13 +64,10 @@ def cmp_abs_err(a: Fraction, b: Fraction, y: Fraction) -> Ordering:
 
 def iteration_cap(y: Fraction, eps: Fraction) -> int:
     """max(0, 1 + ceil(log2((y - sqrt(y))/eps))) decided exactly, y > 1:
-    the legal iteration count of a run seeded with y, found by the search
-    of newton.min_legal_iterations."""
+    the legal iteration count of a run seeded with y."""
     if y <= 1:
         raise DomainError(f"iteration cap defined for y > 1, got {y}")
-    if eps <= 0:
-        raise DomainError(f"accuracy must be positive, got {eps}")
-    return _least_legal_count(y, eps, y)
+    return min_legal_iterations(y, eps, y)
 
 
 def applied_corrections(trace: Trace) -> int:
@@ -229,8 +225,7 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
     profile = y.profile
     x0 = sup_fn(y, table)
     seed_value = x0.value
-    _, exact_trace = fsqr_exact(y.value, eps.value,
-                                lambda _u: seed_value, n)
+    _, exact_trace = fsqr_exact(y.value, eps.value, seed_value, n)
     x_fix, fix_trace = fix_sqr(y, eps, table, n)
     exact_seq = [seed_value] + [s.x_after for s in exact_trace.steps]
     fix_seq = [x0] + [s.x_after for s in fix_trace.steps]
@@ -349,24 +344,25 @@ class BalanceRow:
     all_within_predicted: bool
 
 
-def _sample_grid_values(profile: FixProfile, hi_count: int,
-                        limit: int = 64) -> list[FixVal]:
-    """Deterministic spread of grid values in (1, hi_count/d]."""
+_BALANCE_SAMPLES = 64
+
+
+def _sample_grid_values(profile: FixProfile, hi_count: int) -> list[FixVal]:
+    """Deterministic spread of up to 64 grid values in (1, hi_count/d]."""
     lo = profile.delta_den + 1
     if hi_count < lo:
         return []
     span = hi_count - lo
-    if span < limit:
+    if span < _BALANCE_SAMPLES:
         counts = range(lo, hi_count + 1)
     else:
-        counts = sorted({lo + (span * i) // (limit - 1)
-                         for i in range(limit)})
+        counts = sorted({lo + (span * i) // (_BALANCE_SAMPLES - 1)
+                         for i in range(_BALANCE_SAMPLES)})
     return [FixVal(c, profile) for c in counts]
 
 
 def balance_sweep(profile: FixProfile, eps: FixVal,
-                  stp_candidates: Sequence[FixVal],
-                  sample_limit: int = 64) -> tuple[BalanceRow, ...]:
+                  stp_candidates: Sequence[FixVal]) -> tuple[BalanceRow, ...]:
     """For each candidate step: table size, minimal iteration count, the
     predicted bound stp/2**n + n*step_of_grid, and the worst observed
     error of the grid run over a deterministic sample of inputs."""
@@ -382,8 +378,7 @@ def balance_sweep(profile: FixProfile, eps: FixVal,
         predicted = stp.value / _pow2(n) + n * delta
         worst = 0.0
         all_within = True
-        for y in _sample_grid_values(profile, profile.sup_count // 2,
-                                     sample_limit):
+        for y in _sample_grid_values(profile, profile.sup_count // 2):
             x, _ = fix_sqr(y, eps, table, n)
             if not within_of_sqrt(x.value, y.value, predicted):
                 all_within = False
@@ -393,17 +388,16 @@ def balance_sweep(profile: FixProfile, eps: FixVal,
     return tuple(rows)
 
 
-def sample_rationals(count: int, seed: int,
-                     y_hi: int = 10 ** 6,
-                     eps_den: int = 10 ** 6) -> list[tuple[Fraction, Fraction]]:
-    """Seeded corpus of (y, eps) pairs with y in (1, y_hi) and
-    eps in (1/eps_den, 1)."""
+def sample_rationals(count: int,
+                     seed: int) -> list[tuple[Fraction, Fraction]]:
+    """Seeded corpus of (y, eps) pairs with y in (1, 10**6) and
+    eps in (1/10**6, 1)."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         den = rng.randint(1, 1000)
-        num = rng.randint(den + 1, y_hi * den - 1)
-        eps = Fraction(rng.randint(2, eps_den - 1), eps_den)
+        num = rng.randint(den + 1, 10 ** 6 * den - 1)
+        eps = Fraction(rng.randint(2, 10 ** 6 - 1), 10 ** 6)
         out.append((Fraction(num, den), eps))
     return out
 
@@ -441,20 +435,23 @@ def run_fsqr_suite(table: RootTable, eps: FixVal,
         y_val = y.value
         seed_value = sup_fn(y, table).value
         n = min_legal_iterations(y_val, eps.value, seed_value)
-        _, trace = fsqr_exact(y_val, eps.value, lambda _u: seed_value, n)
+        _, trace = fsqr_exact(y_val, eps.value, seed_value, n)
         rep = check_fsqr_annotations(trace, y_val, eps.value, seed_value)
         checks.append(_suite_check(f"y={y} n={n}", "suite.fsqr", rep))
     return VerifyReport(f"fsqr suite ({len(ys)} inputs)", tuple(checks))
 
 
-def run_adjust_suite(table: RootTable, eps: FixVal, ys: Sequence[FixVal],
-                     ns: Sequence[int] = (1, 2, 3, 4, 5, 6)) -> VerifyReport:
-    """Lockstep adjustment over grid inputs and iteration counts."""
+_ADJUST_COUNTS = range(1, 7)
+
+
+def run_adjust_suite(table: RootTable, eps: FixVal,
+                     ys: Sequence[FixVal]) -> VerifyReport:
+    """Lockstep adjustment over grid inputs and iteration counts 1 to 6."""
     checks = []
     for y in ys:
-        for n in ns:
+        for n in _ADJUST_COUNTS:
             _, rep = adjust_runs(y, eps, table, n)
             checks.append(_suite_check(f"y={y} n={n}", "suite.adjust", rep))
     return VerifyReport(
-        f"adjust suite ({len(ys)} inputs x {len(list(ns))} counts)",
+        f"adjust suite ({len(ys)} inputs x {len(_ADJUST_COUNTS)} counts)",
         tuple(checks))

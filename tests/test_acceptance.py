@@ -53,13 +53,28 @@ def test_criterion_1_until_loop_error_and_cap(sqr_corpus):
             f"{elapsed:.1f}s")
 
 
+def _product_lt(a: int, b: int, c: int, d: int) -> bool:
+    """a*b < c*d for integers a >= 0 and b, c, d > 0.  A product of an
+    m-bit and an n-bit positive number has m+n-1 or m+n bits, so bit
+    lengths two apart decide it; the full products decide the rest."""
+    ab, cd = a.bit_length() + b.bit_length(), c.bit_length() + d.bit_length()
+    if a == 0 or ab < cd - 1:
+        return True
+    if cd < ab - 1:
+        return False
+    return a * b < c * d
+
+
 def test_criterion_2_halving(sqr_corpus):
     runs, _ = sqr_corpus
     failures = 0
     for _y, _eps, trace, _p, _c in runs:
         ds = [s.correction for s in trace.steps]
         for prev, cur in zip(ds, ds[1:]):
-            if prev == 0 or 2 * abs(cur) >= abs(prev):
+            # 2*|cur| < |prev| as 2*|cur.num|*prev.den < |prev.num|*cur.den
+            if prev == 0 or not _product_lt(
+                    2 * abs(cur.numerator), prev.denominator,
+                    abs(prev.numerator), cur.denominator):
                 failures += 1
     _report(2, "every consecutive correction pair halves", failures == 0,
             f"{sum(len(r[2].steps) for r in runs)} corrections")
@@ -72,7 +87,7 @@ def test_criterion_3_for_loop_half_eps(demo_scan, demo_table, demo_eps):
     for y in demo_scan:
         seed_value = sup_fn(y, demo_table).value
         n = min_legal_iterations(y.value, eps, seed_value)
-        x, _ = fsqr_exact(y.value, eps, lambda _u: seed_value, n)
+        x, _ = fsqr_exact(y.value, eps, seed_value, n)
         if not within_of_sqrt(x, y.value, eps / 2):
             failures.append(y)
     elapsed = perf_counter() - t0

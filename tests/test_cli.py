@@ -429,6 +429,24 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["reports"]) == 1
 
+    @pytest.mark.parametrize("suite,flags,unread", [
+        ("table", [], ["sample_rationals", "_sample_scan_ys"]),
+        ("table", ["--exhaustive"], ["grid_values"]),
+        ("sqr", [], ["_sample_scan_ys"]),
+        ("fsqr", [], ["sample_rationals"]),
+        ("adjust", [], ["sample_rationals"]),
+    ])
+    def test_builds_only_the_inputs_its_suite_reads(
+            self, demo_profile_path, demo_table_path, monkeypatch, suite,
+            flags, unread):
+        def refuse(*_args):
+            raise AssertionError(f"--suite {suite} built unread inputs")
+
+        for name in unread:
+            monkeypatch.setattr(f"certisqrt.cli.{name}", refuse)
+        assert main(["verify", demo_profile_path, demo_table_path,
+                     "--suite", suite, "--samples", "5", *flags]) == 0
+
     def test_corrupted_table_exit_1(self, demo_profile_path, demo_table_path,
                                     tmp_path):
         doc = json.loads(Path(demo_table_path).read_text())

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -112,17 +113,17 @@ class TestSqrExact:
 
 class TestIsqrExact:
     def test_exact_seed_exits_immediately(self):
-        x, trace = isqr_exact(F(4), F(1, 10), lambda _y: F(2))
+        x, trace = isqr_exact(F(4), F(1, 10), F(2))
         assert x == 2
         assert len(trace.steps) == 1
 
     def test_table_like_seed(self):
-        x, trace = isqr_exact(F(3), F(1, 10), lambda _y: F(174, 100))
+        x, trace = isqr_exact(F(3), F(1, 10), F(174, 100))
         assert x == F(174, 100)  # AD ~ 0.0079 < 0.05 at entry
         assert len(trace.steps) == 1
 
     def test_degenerate_seed_y(self):
-        x, trace = isqr_exact(F(3), F(1, 10), lambda y: y)
+        x, trace = isqr_exact(F(3), F(1, 10), F(3))
         assert x == F(7, 4)
         applied = [s.correction for s in trace.steps if
                    s.x_after != s.x_before]
@@ -130,18 +131,18 @@ class TestIsqrExact:
 
     def test_seed_contract_enforced(self):
         with pytest.raises(SeedContractError):
-            isqr_exact(F(3), F(1, 10), lambda _y: F(1))      # below sqrt
+            isqr_exact(F(3), F(1, 10), F(1))      # below sqrt
         with pytest.raises(SeedContractError):
-            isqr_exact(F(3), F(1, 10), lambda _y: F(4))      # above y
+            isqr_exact(F(3), F(1, 10), F(4))      # above y
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            isqr_exact(F(1), F(1, 10), lambda y: y)
+            isqr_exact(F(1), F(1, 10), F(1))
 
     @given(ys.filter(lambda v: v > 1), epss)
     @settings(max_examples=40, deadline=None)
     def test_postcondition_with_identity_seed(self, y, eps):
-        x, _ = isqr_exact(y, eps, lambda u: u)
+        x, _ = isqr_exact(y, eps, y)
         assert within_of_sqrt(x, y, eps)
 
     @given(ys.filter(lambda v: v > 1), epss)
@@ -151,7 +152,7 @@ class TestIsqrExact:
         # 2**(n-1) * eps >= seed - sqrt(y)
         seed_val = min(sqrt_enclosure(y, 8).hi, y)
         cap = min_legal_iterations(y, eps, seed_val)
-        _, trace = isqr_exact(y, eps, lambda _u: seed_val)
+        _, trace = isqr_exact(y, eps, seed_val)
         applied = sum(1 for s in trace.steps if s.x_after != s.x_before)
         assert applied <= cap
 
@@ -194,26 +195,26 @@ class TestMinIterations:
 
 class TestFsqrExact:
     def test_zero_iterations_with_exact_seed(self):
-        x, trace = fsqr_exact(F(4), F(1, 4), lambda _y: F(2), 0)
+        x, trace = fsqr_exact(F(4), F(1, 4), F(2), 0)
         assert x == 2 and trace.steps == ()
 
     def test_single_step(self):
-        x, _ = fsqr_exact(F(3), F(1, 4), lambda _y: F(174, 100), 1)
+        x, _ = fsqr_exact(F(3), F(1, 4), F(174, 100), 1)
         assert x == F(5023, 2900)
         assert within_of_sqrt(x, F(3), F(1, 8))
 
     def test_seed_three_halves(self):
-        x, _ = fsqr_exact(F(2), F(1, 8), lambda _y: F(3, 2), 1)
+        x, _ = fsqr_exact(F(2), F(1, 8), F(3, 2), 1)
         assert x == F(17, 12)
         assert within_of_sqrt(x, F(2), F(1, 16))
 
     def test_iteration_budget_enforced(self):
         # seed 3/2 over sqrt(2): gap ~ 0.0858 > eps/2 = 1/16 at n = 0
         with pytest.raises(IterationBudgetError):
-            fsqr_exact(F(2), F(1, 8), lambda _y: F(3, 2), 0)
+            fsqr_exact(F(2), F(1, 8), F(3, 2), 0)
 
     def test_planned_steps_recorded(self):
-        _, trace = fsqr_exact(F(3), F(1, 4), lambda y: y, 4)
+        _, trace = fsqr_exact(F(3), F(1, 4), F(3), 4)
         assert trace.n_planned == 4 and len(trace.steps) == 4
 
     @given(ys.filter(lambda v: v > 1), epss, st.integers(0, 3))
@@ -221,10 +222,9 @@ class TestFsqrExact:
     def test_more_iterations_never_worse(self, y, eps, extra):
         # tight seed keeps the legal minimum small, as table seeds do
         seed_val = min(sqrt_enclosure(y, 8).hi, y)
-        seed = lambda _u: seed_val  # noqa: E731
         n0 = min_legal_iterations(y, eps, seed_val)
-        x_min, _ = fsqr_exact(y, eps, seed, n0)
-        x_more, _ = fsqr_exact(y, eps, seed, n0 + extra)
+        x_min, _ = fsqr_exact(y, eps, seed_val, n0)
+        x_more, _ = fsqr_exact(y, eps, seed_val, n0 + extra)
         # exact arithmetic: error is monotone in the iteration count;
         # err(a) > err(b) iff (a - b)(a + b - 2 sqrt(y)) > 0
         a, b = x_more, x_min
@@ -240,7 +240,7 @@ class TestFsqrExact:
     def test_progress_bound(self, y, eps):
         seed_val = min(sqrt_enclosure(y, 8).hi, y)
         n = min_legal_iterations(y, eps, seed_val)
-        _, trace = fsqr_exact(y, eps, lambda _u: seed_val, n)
+        _, trace = fsqr_exact(y, eps, seed_val, n)
         seq = [trace.seed] + [s.x_after for s in trace.steps]
         for k, xk in enumerate(seq):
             if k == 0:
@@ -302,9 +302,9 @@ class TestLegalCountSearch:
     def test_fsqr_exact_legality_is_the_same_rule(self):
         y, eps = F(50), F(1, 100)
         n = min_legal_iterations(y, eps, y)
-        fsqr_exact(y, eps, lambda u: u, n)
+        fsqr_exact(y, eps, y, n)
         with pytest.raises(IterationBudgetError):
-            fsqr_exact(y, eps, lambda u: u, n - 1)
+            fsqr_exact(y, eps, y, n - 1)
 
 
 class TestAccuracyContracts:
@@ -636,6 +636,121 @@ class TestGridLoopMatchesReference:
             ("mix", (mix_sqr, y, eps, table),
              (reference_grid_run, "mix_sqr", y, eps, table.stp)),
         ]) == []
+
+
+def reference_exact_run(algorithm, y, eps, seed=None, n=None,
+                        c_style=False):
+    """sqr_exact(y, eps, c_style), isqr_exact(y, eps, seed) or
+    fsqr_exact(y, eps, seed, n) in plain Fraction arithmetic: the
+    correction d := (y - x*x)/(2x) formed as written, the exit rules of
+    the docstrings, the refusals in their order.  It calls nothing in
+    certisqrt.exact or newton's step, so it checks them."""
+    if algorithm == "sqr_exact":
+        if y < 1:
+            raise DomainError(f"sqr_exact requires y >= 1, got {y}")
+    elif y <= 1:
+        raise DomainError(f"{algorithm} requires y > 1, got {y}")
+    if eps <= 0:
+        raise DomainError(f"accuracy must be positive, got {eps}")
+    if algorithm == "fsqr_exact" and n < 0:
+        raise DomainError(f"iteration count must be >= 0, got {n}")
+    if algorithm != "sqr_exact" and (seed < 0 or seed * seed < y
+                                     or seed > y):
+        raise SeedContractError(
+            f"seed {seed} violates sqrt({y}) <= seed <= {y}")
+    x = y if seed is None else seed
+    steps = []
+    if algorithm == "fsqr_exact":
+        # legal when seed - eps*2**(n-1) <= sqrt(y)
+        t = seed - eps * F(2) ** (n - 1)
+        if t > 0 and t * t > y:
+            raise IterationBudgetError(
+                f"n={n} below the legal minimum for seed {seed}")
+        for k in range(n):
+            d = (y - x * x) / (2 * x)
+            steps.append(TraceStep(k, x, -d, x + d))
+            x += d
+        return x, Trace(algorithm, y=y, eps=eps, final_x=x,
+                        steps=tuple(steps), n_planned=n, seed=seed)
+    for k in itertools.count():
+        d = (y - x * x) / (2 * x)
+        if algorithm == "sqr_exact":
+            # exit when |d| < eps/2, c_style after applying d
+            stop = abs(d) < eps / 2
+            if stop and not c_style:
+                steps.append(TraceStep(k, x, d, x))
+                break
+            steps.append(TraceStep(k, x, d, x + d))
+            x += d
+            if stop:
+                break
+        else:
+            # the magnitude ad = -d is recorded and subtracted
+            if -d < eps / 2:
+                steps.append(TraceStep(k, x, -d, x))
+                break
+            steps.append(TraceStep(k, x, -d, x + d))
+            x += d
+    if algorithm == "sqr_exact":
+        return x, Trace(algorithm, y=y, eps=eps, final_x=x,
+                        steps=tuple(steps), seed=y,
+                        notes={"exit_style": "c" if c_style else "flowchart"})
+    return x, Trace(algorithm, y=y, eps=eps, final_x=x, steps=tuple(steps),
+                    seed=seed)
+
+
+def _exact_seeds(y):
+    """y itself, a tight seed from math.isqrt, and two seeds that break
+    the contract when y > 1: 1 below sqrt(y), y + 1 above y."""
+    scaled = y * 4 ** 8
+    tight = min(y, F(math.isqrt(scaled.numerator // scaled.denominator) + 1,
+                     2 ** 8))
+    return [y, tight, F(1), y + 1]
+
+
+def _exact_cases(y, eps, seeds, counts):
+    cases = [((y, eps, c_style), (sqr_exact, y, eps, c_style),
+              (reference_exact_run, "sqr_exact", y, eps, None, None, c_style))
+             for c_style in (False, True)]
+    for s in seeds:
+        cases.append(((y, eps, s), (isqr_exact, y, eps, s),
+                      (reference_exact_run, "isqr_exact", y, eps, s)))
+        cases += [((y, eps, s, n), (fsqr_exact, y, eps, s, n),
+                   (reference_exact_run, "fsqr_exact", y, eps, s, n))
+                  for n in counts]
+    return cases
+
+
+class TestExactLoopMatchesReference:
+    """sqr_exact (both exits), isqr_exact and fsqr_exact give the
+    reference's traces and refusals, field for field and message for
+    message."""
+
+    @given(ys, epss, st.sampled_from(range(4)), st.integers(-1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_sampled(self, y, eps, which, n):
+        assert _mismatches(_exact_cases(y, eps, [_exact_seeds(y)[which]],
+                                        [n])) == []
+
+    def test_edges(self):
+        cases = []
+        for y in (F(0), F(1, 2), F(1), F(2), F(4), F(3, 2), F(10 ** 4)):
+            for eps in (F(0), F(-1, 3), F(1, 1000), F(1, 4), y, y + 1):
+                cases += _exact_cases(y, eps, _exact_seeds(y),
+                                      [-1, 0, 1, 3, 6])
+        assert _mismatches(cases) == []
+
+    @pytest.mark.parametrize("y", [F(3, 2), F(2), F(4), F(10 ** 4)])
+    def test_exit_ties(self, y):
+        # eps = 2*|d| of each pass, so |d| = eps/2 exactly: no exit there
+        tiny, seeds = F(1, 10 ** 6), _exact_seeds(y)[:2]
+        runs = [reference_exact_run("sqr_exact", y, tiny)[1]]
+        runs += [reference_exact_run("isqr_exact", y, tiny, s)[1]
+                 for s in seeds]
+        ties = {2 * abs(step.correction) for run in runs for step in run.steps}
+        assert _mismatches([case for eps in sorted(ties)
+                            for case in _exact_cases(y, eps, seeds, [0, 1])
+                            ]) == []
 
 
 class TestDeriveEps:

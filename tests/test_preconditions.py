@@ -30,6 +30,7 @@ from certisqrt.newton import (
     derive_eps_for_ulp,
     fix_sqr,
     flt_sqr,
+    fsqr_exact,
     min_iterations_for_step,
     mix_sqr,
 )
@@ -237,7 +238,7 @@ def test_equal_profiles_match():
 
 # two preconditions broken at once: the request reports the first one in
 # the order grid match, eps > 0, step.multiple-of-eps, EpsTooSmall (mix and
-# flt), y > 1, y <= sup/2, n >= n_min (fix)
+# flt), y > 1, y <= sup/2, n an integer and n >= n_min (fix)
 MULTI_VIOLATION_CASES = {
     "fix-grid-and-eps-zero": (
         lambda: fix_sqr(Y, MICRO.val(0), TABLE, 2),
@@ -268,14 +269,26 @@ MULTI_VIOLATION_CASES = {
         lambda: fix_sqr(DEMO.val(801), EPS, TABLE, 0),
         DomainError, "fix_sqr requires y <= 16/2 so the loop's x + x "
                      "stays in range, got 801/100"),
-    # a count that is no integer fails only the last rule, as a TypeError
+    # a count that is no integer is refused just before n >= n_min
     "fix-n-none-and-y-at-most-one": (
         lambda: fix_sqr(DEMO.val(100), EPS, TABLE, None),
         DomainError, "fix_sqr requires y > 1, got 100/100"),
     "fix-n-none": (
         lambda: fix_sqr(Y, EPS, TABLE, None),
-        TypeError, "'<' not supported between instances of 'NoneType' "
-                   "and 'int'"),
+        DomainError, "iteration count must be an integer, got None"),
+    "fix-n-float": (
+        lambda: fix_sqr(Y, EPS, TABLE, 3.0),
+        DomainError, "iteration count must be an integer, got 3.0"),
+    # fsqr_exact states y > 1, eps > 0, n an integer, n >= 0, the seed
+    "fsqr-n-none-and-eps-zero": (
+        lambda: fsqr_exact(F(3), F(0), F(2), None),
+        DomainError, "accuracy must be positive, got 0"),
+    "fsqr-n-none-and-seed": (
+        lambda: fsqr_exact(F(3), F(1, 4), F(1), None),
+        DomainError, "iteration count must be an integer, got None"),
+    "fsqr-n-none": (
+        lambda: fsqr_exact(F(3), F(1, 4), F(2), None),
+        DomainError, "iteration count must be an integer, got None"),
     "flt-eps-grid-and-eps-zero": (
         lambda: flt_sqr(A, MICRO.val(0), FLOAT, TABLE),
         ProfileMismatch, "accuracy belongs to a different grid"),

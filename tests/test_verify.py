@@ -92,7 +92,7 @@ class TestCheckSqr:
         assert report.failures()[0].witness["k"] == 1
 
     def test_wrong_algorithm_rejected(self):
-        _, trace = fsqr_exact(F(3), F(1, 4), lambda _y: F(174, 100), 1)
+        _, trace = fsqr_exact(F(3), F(1, 4), F(174, 100), 1)
         with pytest.raises(UsageError):
             check_sqr_annotations(trace, F(3), F(1, 4))
 
@@ -202,13 +202,13 @@ class TestHalves:
 class TestCheckFsqr:
     def test_single_step_pass(self):
         y, eps, s = F(3), F(1, 4), F(174, 100)
-        _, trace = fsqr_exact(y, eps, lambda _y: s, 1)
+        _, trace = fsqr_exact(y, eps, s, 1)
         report = check_fsqr_annotations(trace, y, eps, s)
         assert report.overall
 
     def test_zero_steps_vacuous(self):
         y, eps, s = F(4), F(1, 4), F(2)
-        _, trace = fsqr_exact(y, eps, lambda _y: s, 0)
+        _, trace = fsqr_exact(y, eps, s, 0)
         report = check_fsqr_annotations(trace, y, eps, s)
         assert report.overall
 
@@ -368,8 +368,11 @@ class TestSuites:
 
     def test_adjust_suite_slice(self, demo_profile, demo_table, demo_eps):
         ys = grid_values(demo_profile, F(2))[:20]
-        report = run_adjust_suite(demo_table, demo_eps, ys, ns=(1, 2))
+        report = run_adjust_suite(demo_table, demo_eps, ys)
         assert report.overall
+        assert report.subject == "adjust suite (20 inputs x 6 counts)"
+        assert [c.name for c in report.checks[:6]] == \
+            [f"y={ys[0]} n={n}" for n in range(1, 7)]
 
     def test_grid_values_range(self, demo_profile):
         vals = grid_values(demo_profile, F(8))
