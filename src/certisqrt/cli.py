@@ -34,6 +34,7 @@ from .lut import (
 )
 from .newton import (
     Trace,
+    _divisors_descending,
     derive_eps_for_ulp,
     fix_sqr,
     flt_sqr,
@@ -57,6 +58,10 @@ from .verify import (
 
 class FileFormatError(Exception):
     """Unreadable or malformed input, or unwritable output; exit status 2."""
+
+
+# largest table a balance sweep without --stp builds for a candidate step
+MAX_BALANCE_TABLE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +391,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     fix, fprof, step = load_profile(args.profile)
     if args.kind == "more-worse":
-        if args.y is None:
-            print("error: kind more-worse requires --y", file=sys.stderr)
-            return 2
         table = build_root_table(fix, step.stp)
-        y = _grid_exact(args.y, fix)
-        rows = monotonicity_probe(y, step.eps, table, args.n_min, args.n_max)
+        if args.y is not None:
+            y = _grid_exact(args.y, fix)
+            rows = monotonicity_probe(y, step.eps, table, args.n_min,
+                                      args.n_max)
+        else:
+            for y in grid_values(fix, fix.sup_value / 2):
+                rows = monotonicity_probe(y, step.eps, table, args.n_min,
+                                          args.n_max)
+                if any(r.error_increased for r in rows) and \
+                        all(r.within_bound for r in rows):
+                    break
+            else:
+                print(f"error: no grid value in (1, {fix.sup_value / 2}] "
+                      f"shows an error increase within its bound for n in "
+                      f"[{args.n_min}, {args.n_max}]", file=sys.stderr)
+                return 1
+            print(f"witness: y={y} increases at "
+                  f"n={[r.n for r in rows if r.error_increased]}")
         with _open_out(args.out) as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "x_count", "x_value", "err_display",
@@ -406,11 +424,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"increases at n={[r.n for r in rows if r.error_increased]}")
         return 0 if not bad else 1
     # balance
-    if not args.stp:
+    if args.stp is None:
+        if step.eps.count <= 0:
+            raise DomainError(f"accuracy must be positive, got {step.eps}")
+        candidates = [FixVal(c, fix)
+                      for c in reversed(_divisors_descending(fix.sup_count))
+                      if c % step.eps.count == 0
+                      and fix.sup_count // c <= MAX_BALANCE_TABLE]
+    elif not args.stp:
         print("error: kind balance requires a non-empty --stp list",
               file=sys.stderr)
-        return 1
-    candidates = [_grid_exact(v, fix) for v in args.stp]
+        return 2
+    else:
+        candidates = [_grid_exact(v, fix) for v in args.stp]
     rows = balance_sweep(fix, step.eps, candidates)
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
@@ -503,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=_rational)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--stp", type=_rational_list, default=[])
+    p.add_argument("--stp", type=_rational_list)
     p.set_defaults(func=cmd_sweep)
 
     return parser

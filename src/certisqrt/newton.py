@@ -96,6 +96,14 @@ def _reduced(num: int, den: int, small: int) -> Fraction:
     return fraction_from_coprime(p, q)
 
 
+def _check_rational(**inputs) -> None:
+    """Refuse, by name, the first exact input that is no int or Fraction."""
+    for name, value in inputs.items():
+        if not isinstance(value, (int, Fraction)):
+            raise DomainError(f"{name} must be an int or a Fraction, "
+                              f"got {value!r}")
+
+
 def _check_seed(s: Fraction, y: Fraction) -> None:
     if cmp_sqrt(s, y) is Ordering.LESS or s > y:
         raise SeedContractError(
@@ -142,6 +150,7 @@ def sqr_exact(y: Fraction, eps: Fraction,
     testing (compatibility behaviour with no accuracy claim attached).
     Defined for y >= 1, eps > 0; the result satisfies |x - sqrt(y)| <= eps.
     """
+    _check_rational(y=y, eps=eps)
     if y < 1:
         raise DomainError(f"sqr_exact requires y >= 1, got {y}")
     if eps <= 0:
@@ -176,6 +185,7 @@ def isqr_exact(y: Fraction, eps: Fraction,
     The seed must satisfy sqrt(y) <= seed <= y; this is enforced per
     call through the exact oracle.
     """
+    _check_rational(y=y, eps=eps, seed=seed)
     if y <= 1:
         raise DomainError(f"isqr_exact requires y > 1, got {y}")
     if eps <= 0:
@@ -230,6 +240,7 @@ def min_legal_iterations(y: Fraction, eps: Fraction,
     decided exactly; 0 whenever the seed is already within eps/2.  The
     rule is monotone in n: 0 after one test, else doubling upward, then
     bisection in (hi/2, hi]."""
+    _check_rational(y=y, eps=eps, seed_value=seed_value)
     if eps <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
 
@@ -258,6 +269,7 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
     an illegal count raises IterationBudgetError.  The result satisfies
     |x - sqrt(y)| <= eps/2.
     """
+    _check_rational(y=y, eps=eps, seed=seed)
     if y <= 1:
         raise DomainError(f"fsqr_exact requires y > 1, got {y}")
     if eps <= 0:

@@ -485,6 +485,44 @@ class TestSweepCommand:
         assert increased == doc["expect_increase_at"]
         assert all(r.split(",")[-2] == "true" for r in rows)  # bound holds
 
+    def test_scan_reports_fixture_witness(self, tmp_path, fixtures_dir,
+                                          capsys):
+        """Without --y the sweep's first witness is the shipped fixture."""
+        doc = json.loads((fixtures_dir / "more_worse_witness.json")
+                         .read_text())
+        d = json.loads((fixtures_dir / doc["profile"]).read_text())[
+            "fix"]["delta_den"]
+        out = tmp_path / "scan.csv"
+        code = main(["sweep", str(fixtures_dir / doc["profile"]), str(out),
+                     "--kind", "more-worse",
+                     "--n-min", str(doc["n_min"]),
+                     "--n-max", str(doc["n_max"])])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (f"witness: y={doc['y_count']}/{d} "
+                            f"increases at n={doc['expect_increase_at']}")
+        assert lines[1].startswith(f"wrote {out}: ")
+
+    def test_scan_csv_equals_explicit_y(self, demo_profile_path, tmp_path):
+        scan, explicit = tmp_path / "scan.csv", tmp_path / "y.csv"
+        assert main(["sweep", demo_profile_path, str(scan),
+                     "--kind", "more-worse"]) == 0
+        assert main(["sweep", demo_profile_path, str(explicit),
+                     "--kind", "more-worse", "--y", "102/100"]) == 0
+        assert scan.read_bytes() == explicit.read_bytes()
+
+    def test_scan_without_witness_exit_1(self, demo_profile_path, tmp_path,
+                                         capsys):
+        """One iteration count gives one row, so no error can grow."""
+        out = tmp_path / "none.csv"
+        code = main(["sweep", demo_profile_path, str(out),
+                     "--kind", "more-worse", "--n-min", "1", "--n-max", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no grid value in (1, 8] ")
+        assert not out.exists()
+
     def test_balance_three_rows(self, demo_profile_path, tmp_path):
         out = tmp_path / "bal.csv"
         code = main(["sweep", demo_profile_path, str(out),
@@ -494,10 +532,39 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert all(line.split(",")[6] == "true" for line in lines[1:])
 
-    def test_balance_empty_candidates(self, demo_profile_path, tmp_path):
-        code = main(["sweep", demo_profile_path, str(tmp_path / "x.csv"),
+    def test_balance_default_candidates(self, demo_profile_path, tmp_path):
+        """Without --stp: every multiple of eps dividing sup with a table
+        of at most 256 entries, each row within its predicted bound."""
+        out = tmp_path / "bal.csv"
+        code = main(["sweep", demo_profile_path, str(out),
+                     "--kind", "balance"])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["1/4", "1/2", "1/1", "2/1", "4/1",
+                                        "8/1", "16/1"]
+        assert all(r[6] == "true" for r in rows)
+
+    def test_balance_default_needs_positive_eps(self, demo_profile_path,
+                                                tmp_path, capsys):
+        doc = json.loads(Path(demo_profile_path).read_text())
+        doc["step"]["eps_count"] = 0
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(doc))
+        out = tmp_path / "bal.csv"
+        assert main(["sweep", str(profile), str(out),
+                     "--kind", "balance"]) == 1
+        assert "accuracy must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_balance_empty_candidates(self, demo_profile_path, tmp_path,
+                                      capsys):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", demo_profile_path, str(out),
                      "--kind", "balance", "--stp", ""])
-        assert code == 1
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: kind balance requires a non-empty --stp list\n")
+        assert not out.exists()
 
     def test_invalid_candidate_row(self, demo_profile_path, tmp_path):
         out = tmp_path / "inv.csv"

@@ -31,8 +31,11 @@ from certisqrt.newton import (
     fix_sqr,
     flt_sqr,
     fsqr_exact,
+    isqr_exact,
     min_iterations_for_step,
+    min_legal_iterations,
     mix_sqr,
+    sqr_exact,
 )
 
 DEMO = FixProfile(100, 1600, 1600)
@@ -289,6 +292,32 @@ MULTI_VIOLATION_CASES = {
     "fsqr-n-none": (
         lambda: fsqr_exact(F(3), F(1, 4), F(2), None),
         DomainError, "iteration count must be an integer, got None"),
+    # the exact variants refuse a y, eps or seed that is no int or
+    # Fraction before any other rule
+    "sqr-eps-float": (
+        lambda: sqr_exact(F(3), 0.25),
+        DomainError, "eps must be an int or a Fraction, got 0.25"),
+    "sqr-y-none-and-eps-float": (
+        lambda: sqr_exact(None, 0.25),
+        DomainError, "y must be an int or a Fraction, got None"),
+    "isqr-seed-float": (
+        lambda: isqr_exact(F(3), F(1, 4), 1.75),
+        DomainError, "seed must be an int or a Fraction, got 1.75"),
+    "isqr-seed-none-and-y-at-most-one": (
+        lambda: isqr_exact(F(1), F(1, 4), None),
+        DomainError, "seed must be an int or a Fraction, got None"),
+    "fsqr-seed-float": (
+        lambda: fsqr_exact(F(3), F(1, 4), 1.75, 3),
+        DomainError, "seed must be an int or a Fraction, got 1.75"),
+    "fsqr-seed-none-and-eps-zero": (
+        lambda: fsqr_exact(F(3), F(0), None, 3),
+        DomainError, "seed must be an int or a Fraction, got None"),
+    "min-legal-eps-float": (
+        lambda: min_legal_iterations(F(3), 0.25, F(3)),
+        DomainError, "eps must be an int or a Fraction, got 0.25"),
+    "min-legal-seed-none": (
+        lambda: min_legal_iterations(F(3), F(1, 4), None),
+        DomainError, "seed_value must be an int or a Fraction, got None"),
     "flt-eps-grid-and-eps-zero": (
         lambda: flt_sqr(A, MICRO.val(0), FLOAT, TABLE),
         ProfileMismatch, "accuracy belongs to a different grid"),
