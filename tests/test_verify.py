@@ -12,6 +12,7 @@ from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
 from certisqrt.lut import sup_fn
 from certisqrt.newton import (
     Trace,
+    TraceStep,
     fix_sqr,
     flt_sqr,
     fsqr_exact,
@@ -95,6 +96,33 @@ class TestCheckSqr:
         _, trace = fsqr_exact(F(3), F(1, 4), F(174, 100), 1)
         with pytest.raises(UsageError):
             check_sqr_annotations(trace, F(3), F(1, 4))
+
+    def test_final_x_replaced_by_y_fails_only_final_error(self):
+        # y is inside the invariant's [sqrt(y), y] but far from the root
+        y, eps = F(2), F(1, 100)
+        _, trace = sqr_exact(y, eps)
+        bad = dataclasses.replace(trace, final_x=y)
+        report = check_sqr_annotations(bad, y, eps)
+        assert {c.rule for c in report.failures()} == {"sqr.final-error"}
+        assert report.failures()[0].witness["x"] == y
+
+    def test_extra_corrections_fail_only_iteration_cap(self):
+        # six x-changing passes put in front of the run, going 2 -> 15/8
+        # -> 2 and so on: every boundary stays in [sqrt(2), 2] and each
+        # correction is a third of the one before, ending at three times
+        # the run's first correction -1/2
+        y, eps, lo = F(2), F(1, 100), F(15, 8)
+        _, trace = sqr_exact(y, eps)
+        extra = tuple(TraceStep(j, (y, lo)[j % 2], F(-1, 2) * 3 ** (6 - j),
+                                (lo, y)[j % 2])
+                      for j in range(6))
+        steps = extra + tuple(dataclasses.replace(s, k=s.k + 6)
+                              for s in trace.steps)
+        bad = dataclasses.replace(trace, steps=steps)
+        report = check_sqr_annotations(bad, y, eps)
+        assert {c.rule for c in report.failures()} == {"sqr.iteration-cap"}
+        assert report.failures()[0].witness == {
+            "applied": 8, "cap": 7, "loop_passes": 9}
 
 
 def fraction_halves(prev, cur):
@@ -221,6 +249,25 @@ class TestCheckFsqr:
         report = check_fsqr_annotations(trace, y, eps, s)
         assert {c.rule for c in report.failures()} == {"fsqr.final-error"}
         assert "err_display" in report.failures()[0].witness
+
+    def test_raised_iterate_fails_only_progress(self):
+        # the boundary after pass 1 (x_after of pass 1 and x_before of
+        # pass 2) raised back to the seed, above sqrt(3) + (3 - sqrt(3))/4
+        y, eps, s = F(3), F(1, 10), F(3)
+        _, trace = fsqr_exact(y, eps, s, 5)
+        steps = list(trace.steps)
+        steps[1] = dataclasses.replace(steps[1], x_after=s)
+        steps[2] = dataclasses.replace(steps[2], x_before=s)
+        bad = dataclasses.replace(trace, steps=tuple(steps))
+        report = check_fsqr_annotations(bad, y, eps, s)
+        assert {c.rule for c in report.failures()} == {"fsqr.progress"}
+        assert report.failures()[0].witness == {"k": 2, "x": s}
+
+    def test_trace_without_seed_refused(self):
+        _, trace = fsqr_exact(F(3), F(1, 4), F(174, 100), 1)
+        with pytest.raises(UsageError, match="trace carries no seed value"):
+            check_fsqr_annotations(dataclasses.replace(trace, seed=None),
+                                   F(3), F(1, 4), F(174, 100))
 
 
 class TestAdjustRuns:
