@@ -448,9 +448,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              r.table_size, r.n, rat_str(r.predicted_bound),
                              f"{r.worst_err_display:.12g}",
                              str(r.all_within_predicted).lower()])
-    ok = all(r.all_within_predicted for r in rows if r.valid)
+    valid = [r for r in rows if r.valid]
     print(f"wrote {args.out}: {len(rows)} rows")
-    return 0 if ok else 1
+    if not valid:
+        print(f"error: no candidate step is valid for eps={step.eps}; "
+              f"nothing was checked", file=sys.stderr)
+        return 1
+    return 0 if all(r.all_within_predicted for r in valid) else 1
 
 
 # ---------------------------------------------------------------------------

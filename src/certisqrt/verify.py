@@ -4,7 +4,9 @@ Every function here consumes finished traces (or tables) and produces a
 VerifyReport whose verdicts are decided exactly; floating-point numbers
 appear only in display fields.  Deliberately corrupted inputs fail the
 corresponding rule and no other, which the test suite exercises as
-negative controls.
+negative controls.  The annotation checkers take (trace, y, eps) and
+read the seed from the trace: check_sqr_annotations for both until-loops
+(rules sqr.* or isqr.*), check_fsqr_annotations for the for-loop.
 """
 from __future__ import annotations
 
@@ -83,99 +85,100 @@ def halves(prev: Fraction, cur: Fraction) -> bool:
                         abs(prev.numerator), cur.denominator) < 0
 
 
+def _seed_of(trace: Trace, *algorithms: str) -> Fraction:
+    """The seed of a trace, refused unless one of `algorithms` made it."""
+    if trace.algorithm not in algorithms:
+        raise UsageError(f"expected a trace from {' or '.join(algorithms)}, "
+                         f"got {trace.algorithm}")
+    if trace.seed is None:
+        raise UsageError("trace carries no seed value")
+    return trace.seed
+
+
+def _boundaries(trace: Trace) -> list[Fraction | FixVal]:
+    """x between passes: each pass's x_before, then final_x."""
+    return [s.x_before for s in trace.steps] + [trace.final_x]
+
+
+def _final_error(name: str, rule: str, x: Fraction, y: Fraction,
+                 key: str, bound: Fraction) -> CheckResult:
+    """|x - sqrt(y)| <= bound, recording whether the strict form holds."""
+    ok = within_of_sqrt(x, y, bound)
+    return CheckResult(name, rule, ok, {"x": x, key: bound,
+                                        "err_display": approx_abs_err(x, y)},
+                       strict=ok and within_of_sqrt(x, y, bound, strict=True))
+
+
 def check_sqr_annotations(trace: Trace, y: Fraction,
                           eps: Fraction) -> VerifyReport:
-    """Check a sqr_exact trace: loop invariant, correction halving, final
-    error bound, and the iteration-count cap."""
-    if trace.algorithm != "sqr_exact":
-        raise UsageError(f"expected a sqr_exact trace, got {trace.algorithm}")
-    checks: list[CheckResult] = []
+    """Check an until-loop trace, from sqr_exact (rules sqr.*, seed y) or
+    isqr_exact (rules isqr.*), against the trace's own seed: loop
+    invariant sqrt(y) <= x <= seed, correction halving, final error
+    <= eps, and applied corrections <= min_legal_iterations(y, eps, seed)."""
+    seed = _seed_of(trace, "sqr_exact", "isqr_exact")
+    family = trace.algorithm.removesuffix("_exact")
 
     inv_ok, inv_witness = True, {}
-    boundary = [(s.k, s.x_before) for s in trace.steps]
-    boundary.append((len(trace.steps), trace.final_x))
-    for k, x in boundary:
-        if cmp_sqrt(x, y) is Ordering.LESS or x > y:
+    boundary = _boundaries(trace)
+    for k, x in enumerate(boundary):
+        if cmp_sqrt(x, y) is Ordering.LESS or x > seed:
             inv_ok, inv_witness = False, {"k": k, "x": x}
             break
-    checks.append(check("sqrt(y) <= x <= y at every boundary",
-                        "sqr.loop-invariant", inv_ok,
-                        {"boundaries": len(boundary)}, inv_witness))
+    top = "y" if family == "sqr" else "seed"
+    invariant = check(f"sqrt(y) <= x <= {top} at every boundary",
+                      f"{family}.loop-invariant", inv_ok,
+                      {"boundaries": len(boundary)}, inv_witness)
 
     halv_ok, halv_witness = True, {}
     corrections = [s.correction for s in trace.steps]
-    for i in range(len(corrections) - 1):
-        prev, cur = corrections[i], corrections[i + 1]
+    for i, (prev, cur) in enumerate(zip(corrections, corrections[1:])):
         if not halves(prev, cur):
             halv_ok = False
             halv_witness = {"i": i, "d_i": prev, "d_next": cur}
             break
-    checks.append(check("each correction below half its predecessor",
-                        "sqr.halving", halv_ok,
-                        {"pairs": max(0, len(corrections) - 1)},
-                        halv_witness))
+    halving = check("each correction below half its predecessor",
+                    f"{family}.halving", halv_ok,
+                    {"pairs": max(0, len(corrections) - 1)}, halv_witness)
 
-    final = trace.final_x
-    post_ok = within_of_sqrt(final, y, eps)
-    post_strict = post_ok and within_of_sqrt(final, y, eps, strict=True)
-    checks.append(CheckResult(
-        "final error within the accuracy", "sqr.final-error", post_ok,
-        {"x": final, "eps": eps, "err_display": approx_abs_err(final, y)},
-        strict=post_strict))
+    final = _final_error("final error within the accuracy",
+                         f"{family}.final-error", trace.final_x, y, "eps", eps)
 
+    cap_ok, cap_witness = True, {"vacuous": True}
     if y > 1:
-        cap = iteration_cap(y, eps)
+        limit = min_legal_iterations(y, eps, seed)
         applied = applied_corrections(trace)
-        cap_ok, cap_witness = applied <= cap, {
-            "applied": applied, "cap": cap, "loop_passes": len(trace.steps)}
-    else:
-        cap_ok, cap_witness = True, {"vacuous": True}
-    checks.append(check("applied corrections within the logarithmic cap",
-                        "sqr.iteration-cap", cap_ok, cap_witness))
+        cap_ok, cap_witness = applied <= limit, {
+            "applied": applied, "cap": limit, "loop_passes": len(trace.steps)}
+    cap = check("applied corrections within the logarithmic cap",
+                f"{family}.iteration-cap", cap_ok, cap_witness)
 
-    subject = f"sqr_exact y={rat_str(y)} eps={rat_str(eps)}"
-    return VerifyReport(subject, tuple(checks))
+    subject = f"{trace.algorithm} y={rat_str(y)} eps={rat_str(eps)}"
+    return VerifyReport(subject, (invariant, halving, final, cap))
 
 
-def check_fsqr_annotations(trace: Trace, y: Fraction, eps: Fraction,
-                           sup_y: Fraction) -> VerifyReport:
-    """Check an fsqr_exact trace: the per-iteration progress bound
-    x_k - sqrt(y) <= (sup_y - sqrt(y))/2**k and the final eps/2 bound."""
-    if trace.algorithm != "fsqr_exact":
-        raise UsageError(f"expected an fsqr_exact trace, got {trace.algorithm}")
-    if trace.seed is None:
-        raise UsageError("trace carries no seed value")
-    checks: list[CheckResult] = []
-
-    seq: list[Fraction] = [trace.seed] + [s.x_after for s in trace.steps]
+def check_fsqr_annotations(trace: Trace, y: Fraction,
+                           eps: Fraction) -> VerifyReport:
+    """Check an fsqr_exact trace against its own seed s: the progress
+    bound x_k - sqrt(y) <= (s - sqrt(y))/2**k at every boundary and the
+    final eps/2 bound."""
+    seed = _seed_of(trace, "fsqr_exact")
+    seq = _boundaries(trace)
     prog_ok, prog_witness = True, {}
-    if seq[0] > sup_y:
-        prog_ok, prog_witness = False, {"k": 0, "x": seq[0], "seed": sup_y}
-    else:
-        for k in range(1, len(seq)):
-            # x_k - sup_y/2**k <= (1 - 2**-k) * sqrt(y)
-            shrink = 1 - _pow2(-k)
-            lhs = (seq[k] - sup_y * _pow2(-k)) / shrink
-            if cmp_sqrt(lhs, y) is Ordering.GREATER:
-                prog_ok, prog_witness = False, {"k": k, "x": seq[k]}
-                break
-    checks.append(check("progress bound holds at every boundary",
-                        "fsqr.progress", prog_ok, {"boundaries": len(seq)},
-                        prog_witness))
-
-    final = trace.final_x
-    bound = eps / 2
-    post_ok = within_of_sqrt(final, y, bound)
-    post_strict = post_ok and within_of_sqrt(final, y, bound, strict=True)
-    checks.append(CheckResult(
-        "final error within half the accuracy", "fsqr.final-error", post_ok,
-        {"x": final, "bound": bound,
-         "err_display": approx_abs_err(final, y)},
-        strict=post_strict))
-
+    for k in range(1, len(seq)):
+        # x_k - s/2**k <= (1 - 2**-k) * sqrt(y)
+        lhs = (seq[k] - seed * _pow2(-k)) / (1 - _pow2(-k))
+        if cmp_sqrt(lhs, y) is Ordering.GREATER:
+            prog_ok, prog_witness = False, {"k": k, "x": seq[k]}
+            break
+    checks = (check("progress bound holds at every boundary",
+                    "fsqr.progress", prog_ok, {"boundaries": len(seq)},
+                    prog_witness),
+              _final_error("final error within half the accuracy",
+                           "fsqr.final-error", trace.final_x, y,
+                           "bound", eps / 2))
     subject = f"fsqr_exact y={rat_str(y)} eps={rat_str(eps)} " \
               f"n={trace.n_planned}"
-    return VerifyReport(subject, tuple(checks))
+    return VerifyReport(subject, checks)
 
 
 def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
@@ -223,12 +226,11 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
     same seed and check |x_exact_k - x_fix_k| <= k * step_of_grid for all
     k, plus the combined final bound of the grid run."""
     profile = y.profile
-    x0 = sup_fn(y, table)
-    seed_value = x0.value
+    seed_value = sup_fn(y, table).value
     _, exact_trace = fsqr_exact(y.value, eps.value, seed_value, n)
     x_fix, fix_trace = fix_sqr(y, eps, table, n)
-    exact_seq = [seed_value] + [s.x_after for s in exact_trace.steps]
-    fix_seq = [x0] + [s.x_after for s in fix_trace.steps]
+    exact_seq = _boundaries(exact_trace)
+    fix_seq = _boundaries(fix_trace)
     delta = profile.delta
     records = []
     gap_ok, gap_witness = True, {}
@@ -350,8 +352,6 @@ _BALANCE_SAMPLES = 64
 def _sample_grid_values(profile: FixProfile, hi_count: int) -> list[FixVal]:
     """Deterministic spread of up to 64 grid values in (1, hi_count/d]."""
     lo = profile.delta_den + 1
-    if hi_count < lo:
-        return []
     span = hi_count - lo
     if span < _BALANCE_SAMPLES:
         counts = range(lo, hi_count + 1)
@@ -380,8 +380,7 @@ def balance_sweep(profile: FixProfile, eps: FixVal,
         all_within = True
         for y in _sample_grid_values(profile, profile.sup_count // 2):
             x, _ = fix_sqr(y, eps, table, n)
-            if not within_of_sqrt(x.value, y.value, predicted):
-                all_within = False
+            all_within &= within_of_sqrt(x.value, y.value, predicted)
             worst = max(worst, approx_abs_err(x.value, y.value))
         rows.append(BalanceRow(stp, True, profile.sup_count // stp.count,
                                n, predicted, worst, all_within))
@@ -436,7 +435,7 @@ def run_fsqr_suite(table: RootTable, eps: FixVal,
         seed_value = sup_fn(y, table).value
         n = min_legal_iterations(y_val, eps.value, seed_value)
         _, trace = fsqr_exact(y_val, eps.value, seed_value, n)
-        rep = check_fsqr_annotations(trace, y_val, eps.value, seed_value)
+        rep = check_fsqr_annotations(trace, y_val, eps.value)
         checks.append(_suite_check(f"y={y} n={n}", "suite.fsqr", rep))
     return VerifyReport(f"fsqr suite ({len(ys)} inputs)", tuple(checks))
 

@@ -566,13 +566,39 @@ class TestSweepCommand:
             "error: kind balance requires a non-empty --stp list\n")
         assert not out.exists()
 
-    def test_invalid_candidate_row(self, demo_profile_path, tmp_path):
+    def test_invalid_candidate_row(self, demo_profile_path, tmp_path,
+                                   capsys):
         out = tmp_path / "inv.csv"
         code = main(["sweep", demo_profile_path, str(out),
                      "--kind", "balance", "--stp", "0.30"])
-        assert code == 0  # row is marked invalid, nothing failed
+        assert code == 1  # the only row is invalid: nothing was checked
         line = out.read_text().splitlines()[1]
         assert line.split(",")[1] == "false"
+        assert capsys.readouterr().err == (
+            "error: no candidate step is valid for eps=25/100; "
+            "nothing was checked\n")
+
+    def test_every_candidate_invalid_at_zero_eps(self, demo_profile_path,
+                                                 tmp_path, capsys):
+        doc = json.loads(Path(demo_profile_path).read_text())
+        doc["step"]["eps_count"] = 0
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(doc))
+        out = tmp_path / "bal.csv"
+        assert main(["sweep", str(profile), str(out), "--kind", "balance",
+                     "--stp", "1/4,1/2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out}: 2 rows\n"
+        assert captured.err.startswith("error: no candidate step is valid")
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["false", "false"]
+
+    def test_one_valid_candidate_decides(self, demo_profile_path, tmp_path):
+        out = tmp_path / "mixed.csv"
+        assert main(["sweep", demo_profile_path, str(out), "--kind",
+                     "balance", "--stp", "0.30,1/4"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["false", "true"]
 
 
 class TestRationalArguments:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certisqrt.errors import CertisqrtError, UsageError
-from certisqrt.exact import Ordering, sqrt_abs_err_lt, within_of_sqrt
+from certisqrt.exact import (Ordering, sqrt_abs_err_lt, sqrt_enclosure,
+                             within_of_sqrt)
 from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
 from certisqrt.lut import sup_fn
 from certisqrt.newton import (
@@ -16,6 +18,7 @@ from certisqrt.newton import (
     fix_sqr,
     flt_sqr,
     fsqr_exact,
+    isqr_exact,
     min_iterations_for_step,
     mix_sqr,
     sqr_exact,
@@ -62,6 +65,19 @@ class TestIterationCap:
             assert abs(cap - est) <= 1
 
 
+def with_extra_passes(trace, count, lo):
+    """The trace with an even `count` of x-changing passes put in front,
+    x going seed -> lo -> seed and so on (so every boundary stays in
+    [lo, seed]); each correction is three times the next, the last three
+    times the run's first."""
+    seed, first = trace.seed, trace.steps[0].correction
+    extra = tuple(TraceStep(j, (seed, lo)[j % 2], first * 3 ** (count - j),
+                            (lo, seed)[j % 2])
+                  for j in range(count))
+    return dataclasses.replace(trace, steps=extra + tuple(
+        dataclasses.replace(s, k=s.k + count) for s in trace.steps))
+
+
 class TestCheckSqr:
     def test_reference_run(self):
         y, eps = F(2), F(1, 100)
@@ -94,8 +110,15 @@ class TestCheckSqr:
 
     def test_wrong_algorithm_rejected(self):
         _, trace = fsqr_exact(F(3), F(1, 4), F(174, 100), 1)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="sqr_exact or isqr_exact"):
             check_sqr_annotations(trace, F(3), F(1, 4))
+
+    def test_trace_without_seed_refused(self):
+        # the invariant and the cap are read against the trace's seed
+        _, trace = sqr_exact(F(2), F(1, 100))
+        with pytest.raises(UsageError, match="trace carries no seed value"):
+            check_sqr_annotations(dataclasses.replace(trace, seed=None),
+                                  F(2), F(1, 100))
 
     def test_final_x_replaced_by_y_fails_only_final_error(self):
         # y is inside the invariant's [sqrt(y), y] but far from the root
@@ -107,22 +130,108 @@ class TestCheckSqr:
         assert report.failures()[0].witness["x"] == y
 
     def test_extra_corrections_fail_only_iteration_cap(self):
-        # six x-changing passes put in front of the run, going 2 -> 15/8
-        # -> 2 and so on: every boundary stays in [sqrt(2), 2] and each
-        # correction is a third of the one before, ending at three times
-        # the run's first correction -1/2
-        y, eps, lo = F(2), F(1, 100), F(15, 8)
+        y, eps = F(2), F(1, 100)
         _, trace = sqr_exact(y, eps)
-        extra = tuple(TraceStep(j, (y, lo)[j % 2], F(-1, 2) * 3 ** (6 - j),
-                                (lo, y)[j % 2])
-                      for j in range(6))
-        steps = extra + tuple(dataclasses.replace(s, k=s.k + 6)
-                              for s in trace.steps)
-        bad = dataclasses.replace(trace, steps=steps)
+        bad = with_extra_passes(trace, 6, F(15, 8))
         report = check_sqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"sqr.iteration-cap"}
         assert report.failures()[0].witness == {
             "applied": 8, "cap": 7, "loop_passes": 9}
+
+
+# (y, eps) pairs of the until-loop report digest below
+DIGEST_INPUTS = sample_rationals(150, 3) + [
+    (F(1), F(1)), (F(1), F(1, 3)), (F(4), F(1, 2)), (F(2), F(1, 100))]
+
+
+def isqr_seeds(y):
+    """y, a tight seed t = min(y, upper end of an 8-bit enclosure of
+    sqrt(y)), and their midpoint."""
+    t = min(y, sqrt_enclosure(y, 8).hi)
+    return y, t, (y + t) / 2
+
+
+class TestUntilLoopReports:
+    def test_sqr_report_digest(self):
+        # SHA-256 of the sqr_exact reports' JSON before isqr_exact traces
+        # shared the checker; sqr.* bytes must not move
+        h = hashlib.sha256()
+        for y, eps in DIGEST_INPUTS:
+            _, trace = sqr_exact(y, eps)
+            h.update(check_sqr_annotations(trace, y, eps).to_json().encode())
+        assert h.hexdigest() == \
+            "e1bffcdd9cc6184f746587fbefec1ea0a8419dc4e6ee5ef6da084acb46dcb635"
+
+    def test_isqr_rules_hold(self):
+        runs = 0
+        for y, eps in DIGEST_INPUTS:
+            if y <= 1:
+                continue
+            for seed in isqr_seeds(y):
+                _, trace = isqr_exact(y, eps, seed)
+                report = check_sqr_annotations(trace, y, eps)
+                assert [c.rule for c in report.checks] == [
+                    "isqr.loop-invariant", "isqr.halving",
+                    "isqr.final-error", "isqr.iteration-cap"]
+                assert report.overall, report.to_json()
+                runs += 1
+        assert runs == 456
+
+
+class TestCheckIsqr:
+    Y, EPS, SEED = F(3), F(1, 10 ** 6), F(2)
+
+    def run(self):
+        return isqr_exact(self.Y, self.EPS, self.SEED)[1]
+
+    def failed(self, trace):
+        report = check_sqr_annotations(trace, self.Y, self.EPS)
+        return {c.rule for c in report.failures()}, report.failures()
+
+    def test_reference_run(self):
+        trace = self.run()
+        report = check_sqr_annotations(trace, self.Y, self.EPS)
+        assert report.overall
+        assert report.subject == "isqr_exact y=3/1 eps=1/1000000"
+        by_rule = {c.rule: c for c in report.checks}
+        assert by_rule["isqr.loop-invariant"].name == \
+            "sqrt(y) <= x <= seed at every boundary"
+        # 1 + ceil(log2((2 - sqrt(3)) * 10**6)) = 20
+        assert by_rule["isqr.iteration-cap"].witness == {
+            "applied": 3, "cap": 20, "loop_passes": 4}
+
+    def test_boundary_above_seed_fails_only_invariant(self):
+        # 5/2 lies in [sqrt(3), 3], so only the seed bound catches it
+        steps = list(self.run().steps)
+        steps[0] = dataclasses.replace(steps[0], x_after=F(5, 2))
+        steps[1] = dataclasses.replace(steps[1], x_before=F(5, 2))
+        bad = dataclasses.replace(self.run(), steps=tuple(steps))
+        rules, failures = self.failed(bad)
+        assert rules == {"isqr.loop-invariant"}
+        assert failures[0].witness == {"k": 1, "x": F(5, 2)}
+
+    def test_tied_correction_fails_only_halving(self):
+        steps = list(self.run().steps)
+        steps[2] = dataclasses.replace(steps[2],
+                                       correction=steps[1].correction / 2)
+        bad = dataclasses.replace(self.run(), steps=tuple(steps))
+        rules, failures = self.failed(bad)
+        assert rules == {"isqr.halving"}
+        assert failures[0].witness["i"] == 1
+
+    def test_final_x_replaced_by_seed_fails_only_final_error(self):
+        bad = dataclasses.replace(self.run(), final_x=self.SEED)
+        rules, failures = self.failed(bad)
+        assert rules == {"isqr.final-error"}
+        assert failures[0].witness["x"] == self.SEED
+
+    def test_extra_corrections_fail_only_iteration_cap(self):
+        # 18 passes in [7/4, 2] on top of the run's 3 make 21 > 20
+        rules, failures = self.failed(with_extra_passes(self.run(), 18,
+                                                        F(7, 4)))
+        assert rules == {"isqr.iteration-cap"}
+        assert failures[0].witness == {"applied": 21, "cap": 20,
+                                       "loop_passes": 22}
 
 
 def fraction_halves(prev, cur):
@@ -231,13 +340,13 @@ class TestCheckFsqr:
     def test_single_step_pass(self):
         y, eps, s = F(3), F(1, 4), F(174, 100)
         _, trace = fsqr_exact(y, eps, s, 1)
-        report = check_fsqr_annotations(trace, y, eps, s)
+        report = check_fsqr_annotations(trace, y, eps)
         assert report.overall
 
     def test_zero_steps_vacuous(self):
         y, eps, s = F(4), F(1, 4), F(2)
         _, trace = fsqr_exact(y, eps, s, 0)
-        report = check_fsqr_annotations(trace, y, eps, s)
+        report = check_fsqr_annotations(trace, y, eps)
         assert report.overall
 
     def test_forced_low_n_fails_postcondition(self):
@@ -246,7 +355,7 @@ class TestCheckFsqr:
         y, eps, s = F(3), F(1, 100), F(3)
         trace = Trace("fsqr_exact", y=y, eps=eps, final_x=s, steps=(),
                       n_planned=0, seed=s)
-        report = check_fsqr_annotations(trace, y, eps, s)
+        report = check_fsqr_annotations(trace, y, eps)
         assert {c.rule for c in report.failures()} == {"fsqr.final-error"}
         assert "err_display" in report.failures()[0].witness
 
@@ -259,7 +368,7 @@ class TestCheckFsqr:
         steps[1] = dataclasses.replace(steps[1], x_after=s)
         steps[2] = dataclasses.replace(steps[2], x_before=s)
         bad = dataclasses.replace(trace, steps=tuple(steps))
-        report = check_fsqr_annotations(bad, y, eps, s)
+        report = check_fsqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"fsqr.progress"}
         assert report.failures()[0].witness == {"k": 2, "x": s}
 
@@ -267,7 +376,7 @@ class TestCheckFsqr:
         _, trace = fsqr_exact(F(3), F(1, 4), F(174, 100), 1)
         with pytest.raises(UsageError, match="trace carries no seed value"):
             check_fsqr_annotations(dataclasses.replace(trace, seed=None),
-                                   F(3), F(1, 4), F(174, 100))
+                                   F(3), F(1, 4))
 
 
 class TestAdjustRuns:
