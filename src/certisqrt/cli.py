@@ -452,7 +452,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}: {len(rows)} rows")
     if not valid:
         print(f"error: no candidate step is valid for eps={step.eps}; "
-              f"nothing was checked", file=sys.stderr)
+              "nothing was checked", file=sys.stderr)
         return 1
     return 0 if all(r.all_within_predicted for r in valid) else 1
 

@@ -544,14 +544,19 @@ class TestSweepCommand:
                                         "8/1", "16/1"]
         assert all(r[6] == "true" for r in rows)
 
-    def test_balance_default_needs_positive_eps(self, demo_profile_path,
-                                                tmp_path, capsys):
+    @pytest.fixture
+    def zero_eps_profile(self, demo_profile_path, tmp_path):
+        """The demo profile with eps_count 0."""
         doc = json.loads(Path(demo_profile_path).read_text())
         doc["step"]["eps_count"] = 0
         profile = tmp_path / "p.json"
         profile.write_text(json.dumps(doc))
+        return str(profile)
+
+    def test_balance_default_needs_positive_eps(self, zero_eps_profile,
+                                                tmp_path, capsys):
         out = tmp_path / "bal.csv"
-        assert main(["sweep", str(profile), str(out),
+        assert main(["sweep", zero_eps_profile, str(out),
                      "--kind", "balance"]) == 1
         assert "accuracy must be positive" in capsys.readouterr().err
         assert not out.exists()
@@ -578,15 +583,11 @@ class TestSweepCommand:
             "error: no candidate step is valid for eps=25/100; "
             "nothing was checked\n")
 
-    def test_every_candidate_invalid_at_zero_eps(self, demo_profile_path,
+    def test_every_candidate_invalid_at_zero_eps(self, zero_eps_profile,
                                                  tmp_path, capsys):
-        doc = json.loads(Path(demo_profile_path).read_text())
-        doc["step"]["eps_count"] = 0
-        profile = tmp_path / "p.json"
-        profile.write_text(json.dumps(doc))
         out = tmp_path / "bal.csv"
-        assert main(["sweep", str(profile), str(out), "--kind", "balance",
-                     "--stp", "1/4,1/2"]) == 1
+        assert main(["sweep", zero_eps_profile, str(out), "--kind",
+                     "balance", "--stp", "1/4,1/2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == f"wrote {out}: 2 rows\n"
         assert captured.err.startswith("error: no candidate step is valid")
