@@ -4,9 +4,8 @@ Every function here consumes finished traces (or tables) and produces a
 VerifyReport whose verdicts are decided exactly; floating-point numbers
 appear only in display fields.  Deliberately corrupted inputs fail the
 corresponding rule and no other, which the test suite exercises as
-negative controls.  The annotation checkers take (trace, y, eps) and
-read the seed from the trace: check_sqr_annotations for both until-loops
-(rules sqr.* or isqr.*), check_fsqr_annotations for the for-loop.
+negative controls.  The annotation checkers take (trace, y, eps) and read
+the seed from the trace; check_sqr_annotations serves both until-loops.
 """
 from __future__ import annotations
 
@@ -95,11 +94,6 @@ def _seed_of(trace: Trace, *algorithms: str) -> Fraction:
     return trace.seed
 
 
-def _boundaries(trace: Trace) -> list[Fraction | FixVal]:
-    """x between passes: each pass's x_before, then final_x."""
-    return [s.x_before for s in trace.steps] + [trace.final_x]
-
-
 def _final_error(name: str, rule: str, x: Fraction, y: Fraction,
                  key: str, bound: Fraction) -> CheckResult:
     """|x - sqrt(y)| <= bound, recording whether the strict form holds."""
@@ -111,16 +105,17 @@ def _final_error(name: str, rule: str, x: Fraction, y: Fraction,
 
 def check_sqr_annotations(trace: Trace, y: Fraction,
                           eps: Fraction) -> VerifyReport:
-    """Check an until-loop trace, from sqr_exact (rules sqr.*, seed y) or
-    isqr_exact (rules isqr.*), against the trace's own seed: loop
-    invariant sqrt(y) <= x <= seed, correction halving, final error
-    <= eps, and applied corrections <= min_legal_iterations(y, eps, seed)."""
-    seed = _seed_of(trace, "sqr_exact", "isqr_exact")
+    """Check an until-loop trace from sqr_exact (rules sqr.*, seed y) or
+    isqr_exact (isqr.*) against its seed, capped at y: loop invariant
+    sqrt(y) <= x <= seed, correction halving, final error <= eps, and
+    applied corrections <= min_legal_iterations(y, eps, seed)."""
+    seed = min(_seed_of(trace, "sqr_exact", "isqr_exact"), y)
     family = trace.algorithm.removesuffix("_exact")
 
     inv_ok, inv_witness = True, {}
-    boundary = _boundaries(trace)
-    for k, x in enumerate(boundary):
+    boundary = [(s.k, s.x_before) for s in trace.steps]
+    boundary.append((len(trace.steps), trace.final_x))
+    for k, x in boundary:
         if cmp_sqrt(x, y) is Ordering.LESS or x > seed:
             inv_ok, inv_witness = False, {"k": k, "x": x}
             break
@@ -131,7 +126,8 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
 
     halv_ok, halv_witness = True, {}
     corrections = [s.correction for s in trace.steps]
-    for i, (prev, cur) in enumerate(zip(corrections, corrections[1:])):
+    for i in range(len(corrections) - 1):
+        prev, cur = corrections[i], corrections[i + 1]
         if not halves(prev, cur):
             halv_ok = False
             halv_witness = {"i": i, "d_i": prev, "d_next": cur}
@@ -158,21 +154,21 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
 
 def check_fsqr_annotations(trace: Trace, y: Fraction,
                            eps: Fraction) -> VerifyReport:
-    """Check an fsqr_exact trace against its own seed s: the progress
-    bound x_k - sqrt(y) <= (s - sqrt(y))/2**k at every boundary and the
-    final eps/2 bound."""
-    seed = _seed_of(trace, "fsqr_exact")
-    seq = _boundaries(trace)
+    """Check an fsqr_exact trace against its seed s (the trace's, capped
+    at y): the progress bound x_k - sqrt(y) <= (s - sqrt(y))/2**k on the
+    x_after of every pass, and the final eps/2 bound."""
+    seed = min(_seed_of(trace, "fsqr_exact"), y)
     prog_ok, prog_witness = True, {}
-    for k in range(1, len(seq)):
-        # x_k - s/2**k <= (1 - 2**-k) * sqrt(y)
-        lhs = (seq[k] - seed * _pow2(-k)) / (1 - _pow2(-k))
+    for k, step in enumerate(trace.steps, 1):
+        # x_k - s/2**k <= (1 - 2**-k) * sqrt(y), x_k the x after k passes
+        shrink = 1 - _pow2(-k)
+        lhs = (step.x_after - seed * _pow2(-k)) / shrink
         if cmp_sqrt(lhs, y) is Ordering.GREATER:
-            prog_ok, prog_witness = False, {"k": k, "x": seq[k]}
+            prog_ok, prog_witness = False, {"k": k, "x": step.x_after}
             break
     checks = (check("progress bound holds at every boundary",
-                    "fsqr.progress", prog_ok, {"boundaries": len(seq)},
-                    prog_witness),
+                    "fsqr.progress", prog_ok,
+                    {"boundaries": len(trace.steps) + 1}, prog_witness),
               _final_error("final error within half the accuracy",
                            "fsqr.final-error", trace.final_x, y,
                            "bound", eps / 2))
@@ -226,11 +222,12 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
     same seed and check |x_exact_k - x_fix_k| <= k * step_of_grid for all
     k, plus the combined final bound of the grid run."""
     profile = y.profile
-    seed_value = sup_fn(y, table).value
+    x0 = sup_fn(y, table)
+    seed_value = x0.value
     _, exact_trace = fsqr_exact(y.value, eps.value, seed_value, n)
     x_fix, fix_trace = fix_sqr(y, eps, table, n)
-    exact_seq = _boundaries(exact_trace)
-    fix_seq = _boundaries(fix_trace)
+    exact_seq = [seed_value] + [s.x_after for s in exact_trace.steps]
+    fix_seq = [x0] + [s.x_after for s in fix_trace.steps]
     delta = profile.delta
     records = []
     gap_ok, gap_witness = True, {}
@@ -352,6 +349,8 @@ _BALANCE_SAMPLES = 64
 def _sample_grid_values(profile: FixProfile, hi_count: int) -> list[FixVal]:
     """Deterministic spread of up to 64 grid values in (1, hi_count/d]."""
     lo = profile.delta_den + 1
+    if hi_count < lo:
+        return []
     span = hi_count - lo
     if span < _BALANCE_SAMPLES:
         counts = range(lo, hi_count + 1)
@@ -380,7 +379,8 @@ def balance_sweep(profile: FixProfile, eps: FixVal,
         all_within = True
         for y in _sample_grid_values(profile, profile.sup_count // 2):
             x, _ = fix_sqr(y, eps, table, n)
-            all_within &= within_of_sqrt(x.value, y.value, predicted)
+            if not within_of_sqrt(x.value, y.value, predicted):
+                all_within = False
             worst = max(worst, approx_abs_err(x.value, y.value))
         rows.append(BalanceRow(stp, True, profile.sup_count // stp.count,
                                n, predicted, worst, all_within))

@@ -113,6 +113,26 @@ class TestCheckSqr:
         with pytest.raises(UsageError, match="sqr_exact or isqr_exact"):
             check_sqr_annotations(trace, F(3), F(1, 4))
 
+    def test_raised_seed_field_changes_nothing(self):
+        # the seed is capped at y, so a seed field above y cannot widen
+        # the invariant or the cap
+        y, eps = F(2), F(1, 100)
+        _, trace = sqr_exact(y, eps)
+        raised = dataclasses.replace(trace, seed=F(3))
+        assert check_sqr_annotations(raised, y, eps).to_json() == \
+            check_sqr_annotations(trace, y, eps).to_json()
+
+    def test_raised_seed_and_boundary_fail_only_invariant(self):
+        # 5/2 lies below the raised seed 3 but above y
+        y, eps = F(2), F(1, 100)
+        _, trace = sqr_exact(y, eps)
+        bad_step = dataclasses.replace(trace.steps[1], x_before=F(5, 2))
+        bad = dataclasses.replace(trace, seed=F(3), steps=(
+            trace.steps[0], bad_step) + trace.steps[2:])
+        report = check_sqr_annotations(bad, y, eps)
+        assert {c.rule for c in report.failures()} == {"sqr.loop-invariant"}
+        assert report.failures()[0].witness == {"k": 1, "x": F(5, 2)}
+
     def test_trace_without_seed_refused(self):
         # the invariant and the cap are read against the trace's seed
         _, trace = sqr_exact(F(2), F(1, 100))
@@ -209,6 +229,15 @@ class TestCheckIsqr:
         rules, failures = self.failed(bad)
         assert rules == {"isqr.loop-invariant"}
         assert failures[0].witness == {"k": 1, "x": F(5, 2)}
+
+    def test_seed_raised_past_y_fails_only_invariant(self):
+        # the seed field raised to 4 > y is read as y, so 7/2 is caught
+        steps = list(self.run().steps)
+        steps[1] = dataclasses.replace(steps[1], x_before=F(7, 2))
+        bad = dataclasses.replace(self.run(), seed=F(4), steps=tuple(steps))
+        rules, failures = self.failed(bad)
+        assert rules == {"isqr.loop-invariant"}
+        assert failures[0].witness == {"k": 1, "x": F(7, 2)}
 
     def test_tied_correction_fails_only_halving(self):
         steps = list(self.run().steps)
@@ -360,17 +389,29 @@ class TestCheckFsqr:
         assert "err_display" in report.failures()[0].witness
 
     def test_raised_iterate_fails_only_progress(self):
-        # the boundary after pass 1 (x_after of pass 1 and x_before of
-        # pass 2) raised back to the seed, above sqrt(3) + (3 - sqrt(3))/4
+        # the x after two passes raised back to the seed, above
+        # sqrt(3) + (3 - sqrt(3))/4; the next pass's x_before is left
+        # alone, so only the x_after read catches it
         y, eps, s = F(3), F(1, 10), F(3)
         _, trace = fsqr_exact(y, eps, s, 5)
         steps = list(trace.steps)
         steps[1] = dataclasses.replace(steps[1], x_after=s)
-        steps[2] = dataclasses.replace(steps[2], x_before=s)
         bad = dataclasses.replace(trace, steps=tuple(steps))
         report = check_fsqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"fsqr.progress"}
         assert report.failures()[0].witness == {"k": 2, "x": s}
+
+    def test_seed_raised_past_y_fails_only_progress(self):
+        # against the seed field 9, x_1 = 4 keeps the progress bound;
+        # the seed is capped at y = 3, and against 3 it does not
+        y, eps, s = F(3), F(1, 10), F(3)
+        _, trace = fsqr_exact(y, eps, s, 5)
+        steps = list(trace.steps)
+        steps[0] = dataclasses.replace(steps[0], x_after=F(4))
+        bad = dataclasses.replace(trace, seed=F(9), steps=tuple(steps))
+        report = check_fsqr_annotations(bad, y, eps)
+        assert {c.rule for c in report.failures()} == {"fsqr.progress"}
+        assert report.failures()[0].witness == {"k": 1, "x": F(4)}
 
     def test_trace_without_seed_refused(self):
         _, trace = fsqr_exact(F(3), F(1, 4), F(174, 100), 1)
