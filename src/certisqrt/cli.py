@@ -28,6 +28,7 @@ from .floatmodel import (
 from .lut import (
     RootTable,
     StepConfig,
+    _least_roots,
     build_root_table,
     first_bad_root,
     validate_step,
@@ -100,12 +101,16 @@ def _require_rational(doc: dict, key: str, where: str) -> Fraction:
 
 def _read_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer over Python's
+        # digit limit; RecursionError, arrays or objects nested too deep
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: expected a JSON object")
@@ -157,15 +162,17 @@ def table_file_bytes(table: RootTable, profile_hash: str) -> bytes:
         "delta_den": table.profile.delta_den,
         "sup_count": table.profile.sup_count,
         "stp_count": table.stp.count,
-        "roots": list(table.roots),
+        "roots": table.roots,
     }
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) +
             "\n").encode()
 
 
 def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
-    """The table file at path; of its faulty entries the first in index
-    order is reported, a non-integer as FileFormatError."""
+    """The table file at path, accepted when its roots are all ints and
+    equal the upward walk that build_root_table takes.  Otherwise the
+    first faulty entry in index order is reported, a non-integer as
+    FileFormatError and a wrong root as DomainError."""
     doc = _read_json(path)
     stored_hash = _require(doc, "profile_hash", "table")
     if stored_hash != profile_hash:
@@ -179,6 +186,10 @@ def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
     if not isinstance(roots, list):
         raise FileFormatError("table.roots: expected a list of integers")
     table = RootTable(fix, fix.val(stp_count), tuple(roots))
+    # the type test comes first: 174.0 == 174 and True == 1 in Python
+    if set(map(type, roots)) == {int} and \
+            table.roots == _least_roots(fix, stp_count):
+        return table
     bad = first_bad_root(table)
     if bad is not None:
         if type(table.roots[bad - table.k_min]) is not int:

@@ -37,7 +37,14 @@ class StepConfig:
 @dataclass(frozen=True)
 class RootTable:
     """Root counts for index values k*stp in (1, sup], k >= k_min; made
-    only for a legal configuration (first_bad_root checks the roots)."""
+    only for a legal configuration.
+
+    Construction checks the configuration and the entry count, not the
+    roots.  build_root_table computes its roots by the upward walk,
+    whose loop invariant is the root rule, and load_table accepts a
+    file only when its roots equal that walk; first_bad_root is the
+    per-entry check for tables made any other way.
+    """
 
     profile: FixProfile
     stp: FixVal
@@ -136,25 +143,54 @@ def table_size_limit() -> int:
                           f"got {raw!r}") from exc
 
 
+def _least_roots(profile: FixProfile, stp_count: int) -> tuple[int, ...]:
+    """The least count g with g**2 >= t for each target t = k*stp*d, in
+    index order, by one upward walk over the counts.
+
+    The walk starts at g = isqrt(t - 1) + 1, the least root of its first
+    target by the definition of isqrt.  For each later target the loop
+    ``while sq < t: sq += 2*g + 1; g += 1`` keeps sq == g**2 and the
+    invariant (g - 1)**2 < t <= g**2 on exit.  That invariant is the
+    root rule, so every entry is proved as it is computed and needs no
+    second check.  Targets are k*stp*d apart, so the loop takes at most
+    eight steps a target once g >= stp*d/16, that is once t >=
+    (stp*d/16)**2; the roots of the targets below that come from isqrt
+    one by one, which keeps the cost linear in the entry count however
+    coarse the step.
+    """
+    indices = table_indices(profile, stp_count)
+    scale = stp_count * profile.delta_den
+    # the first k with k*scale >= (scale/16)**2, within the indices
+    walk_from = min(max(indices.start, -(-scale // 256)), indices.stop)
+    roots = [math.isqrt(k * scale - 1) + 1
+             for k in range(indices.start, walk_from)]
+    first = walk_from * scale
+    g = math.isqrt(first - 1) + 1
+    sq = g * g
+    append = roots.append
+    for t in range(first, indices.stop * scale, scale):
+        while sq < t:
+            sq += 2 * g + 1
+            g += 1
+        append(g)
+    return tuple(roots)
+
+
 def build_root_table(profile: FixProfile, stp: FixVal) -> RootTable:
     """Pre-compute least-upper-root entries for every step multiple.
 
     For index value v = count_v/d the entry is ceil(sqrt(count_v*d)) in
-    grid counts: the least count g with (g/d)**2 >= v.
+    grid counts: the least count g with (g/d)**2 >= v, that is
+    (g - 1)**2 < k*stp*d <= g**2.  _least_roots computes the entries on
+    an upward walk whose loop invariant is exactly that rule, so the
+    table needs no separate pass over its roots.
     """
     indices = _check_table_config(profile, stp)
     limit = table_size_limit()
     if len(indices) > limit:
         raise ResourceLimit(f"table would need {len(indices)} entries, "
                             f"cap {limit}")
-    scale = stp.count * profile.delta_den
-    roots = tuple([math.isqrt(t - 1) + 1 for t in
-                   range(indices.start * scale, indices.stop * scale, scale)])
-    table = RootTable(profile, stp, roots)
-    bad = first_bad_root(table)
-    if bad is not None:
-        raise InternalInvariantError(f"root entry for index {bad} broken")
-    return table
+    return RootTable(profile, stp, _least_roots(profile, stp.count))
 
 
 def _round_up_count(count: int, stp_count: int, profile: FixProfile) -> int:

@@ -119,14 +119,17 @@ class TestTableBuild:
         with pytest.raises(DomainError):
             load_table(str(bad), fix, digest)
 
-    @pytest.mark.parametrize("entry", [True, 1.5, "7"],
-                             ids=["bool", "float", "string"])
+    @pytest.mark.parametrize("entry", [True, 1.5, "7", 174.0],
+                             ids=["bool", "float", "string", "float-root"])
     def test_load_rejects_non_integer_entry(self, demo_profile_path,
                                             demo_table_path, tmp_path,
                                             capsys, entry):
+        # the entry of index k = 12 (3.00) is the root 174; 174.0 == 174
+        # in Python, so only the type test refuses the float
         fix, fprof, step = load_profile(demo_profile_path)
         doc = json.loads(Path(demo_table_path).read_text())
-        doc["roots"][5] = entry
+        assert doc["roots"][12 - 5] == 174
+        doc["roots"][12 - 5] = entry
         bad = tmp_path / "bad_table.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError,
@@ -178,6 +181,85 @@ class TestTableBuild:
         bad.write_text(json.dumps(doc))
         assert main(["sqrt", demo_profile_path, str(bad), "--mode", "mix",
                      "--value", "3", "--eps", "1/4"]) == 1
+
+
+def _reference_load_fault(path, roots, k_min, scale):
+    """Type and message of the first faulty entry in index order, decided
+    one entry at a time, or None when every entry is the least root."""
+    for k, g in enumerate(roots, k_min):
+        if isinstance(g, bool) or not isinstance(g, int):
+            return FileFormatError, "table.roots: expected a list of integers"
+        if not (g - 1) ** 2 < k * scale <= g * g:
+            return DomainError, f"table {path} failed revalidation at index {k}"
+    return None
+
+
+_CORRUPTIONS = {
+    "plus-one": lambda g: g + 1,
+    "minus-one": lambda g: g - 1,
+    "true": lambda g: True,
+    "float": lambda g: g + 0.5,
+    "string": lambda g: str(g),
+}
+
+
+class TestLoadCorruptions:
+    """load_table against the per-entry reference on seeded corruptions
+    of the demo table (60 entries, k_min 5, k*stp*d = 2500*k)."""
+
+    @pytest.mark.parametrize("kind", [*_CORRUPTIONS, "two-faults"])
+    def test_same_fault_as_reference(self, demo_profile_path,
+                                     demo_table_path, tmp_path, kind):
+        fix, fprof, step = load_profile(demo_profile_path)
+        digest = profile_digest(fix, fprof, step)
+        doc = json.loads(Path(demo_table_path).read_text())
+        clean = doc["roots"]
+        for seed in range(20):
+            rng = random.Random(seed)
+            kinds = (rng.choices(list(_CORRUPTIONS), k=2)
+                     if kind == "two-faults" else [kind])
+            roots = list(clean)
+            for each, i in zip(kinds, rng.sample(range(len(roots)),
+                                                 len(kinds))):
+                roots[i] = _CORRUPTIONS[each](roots[i])
+            bad = tmp_path / f"bad_{seed}.json"
+            bad.write_text(json.dumps({**doc, "roots": roots}))
+            expected = _reference_load_fault(str(bad), roots, 5, 2500)
+            assert expected is not None
+            with pytest.raises(expected[0]) as exc:
+                load_table(str(bad), fix, digest)
+            assert str(exc.value) == expected[1]
+
+
+_UNPARSEABLE = {
+    # an integer over Python's 4300-digit int-string limit
+    "long-int": lambda key: f'{{"{key}": 1{"0" * 5000}}}'.encode(),
+    "invalid-utf8": lambda key: f'{{"{key}": "'.encode() + b"\xff\xfe\"}",
+    "deep-nesting": lambda key: (f'{{"{key}": ' + "[" * 200_000
+                                 + "]" * 200_000 + "}").encode(),
+}
+
+
+class TestUnparseableFiles:
+    """Files json cannot turn into a document exit 2, not 1 with a
+    traceback."""
+
+    @pytest.mark.parametrize("case", _UNPARSEABLE)
+    def test_profile(self, tmp_path, capsys, case):
+        path = tmp_path / "profile.json"
+        path.write_bytes(_UNPARSEABLE[case]("fix"))
+        with pytest.raises(FileFormatError):
+            load_profile(str(path))
+        assert main(["profile-check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", _UNPARSEABLE)
+    def test_table(self, demo_profile_path, tmp_path, capsys, case):
+        path = tmp_path / "table.json"
+        path.write_bytes(_UNPARSEABLE[case]("roots"))
+        assert main(["verify", demo_profile_path, str(path),
+                     "--suite", "table"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGoldenDigests:

@@ -1,12 +1,17 @@
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certisqrt.errors import DomainError, InternalInvariantError, ResourceLimit
 from certisqrt.exact import Ordering, cmp_sqrt
 from certisqrt.fixarith import FixProfile
 from certisqrt.lut import (
+    RootTable,
+    _least_roots,
     build_root_table,
     first_bad_root,
     round_up_to_step,
@@ -100,6 +105,49 @@ class TestTableRules:
         roots[7] += offset
         broken = replace(demo_table, roots=tuple(roots))
         assert first_bad_root(broken) == demo_table.k_min + 3
+
+
+def _isqrt_roots(profile, stp_count):
+    """The least roots by math.isqrt, one target at a time."""
+    indices = table_indices(profile, stp_count)
+    scale = stp_count * profile.delta_den
+    return tuple(math.isqrt(k * scale - 1) + 1 for k in indices)
+
+
+class TestLeastRootsWalk:
+    """The upward walk against isqrt and the per-entry root rule."""
+
+    @pytest.mark.parametrize("profile,stp_count", [
+        (FixProfile(100, 1600, 1600), 25),
+        (FixProfile(10, 40, 40), 2),
+        (FixProfile(10, 40, 40), 5),
+        (FixProfile(10, 30, 50), 5),
+        (FixProfile(10, 30, 50), 2),
+        # the benchmark's wide grid: 1/1000 on [-4000, 4000], step 16/1000
+        (FixProfile(1000, 4_000_000, 4_000_000), 16),
+        # a step of 1: roots below 10000/16 come from isqrt, the rest
+        # from the walk
+        (FixProfile(100, 10_000, 10_000), 100),
+        # three entries; a walk of one count a step would take ~6e8 steps
+        (FixProfile(10**9, 4 * 10**9, 4 * 10**9), 10**9),
+    ], ids=["demo", "micro-2", "micro-5", "asymmetric-5", "asymmetric-2",
+            "wide", "coarse-step", "sparse"])
+    def test_matches_isqrt_and_root_rule(self, profile, stp_count):
+        roots = _least_roots(profile, stp_count)
+        assert roots == _isqrt_roots(profile, stp_count)
+        assert first_bad_root(
+            RootTable(profile, profile.val(stp_count), roots)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 300), st.integers(2, 400), st.integers(1, 60))
+    def test_drawn_grids(self, d, stp_count, extra):
+        # the least multiple of the step above 2d, plus extra steps
+        sup = (2 * d // stp_count + extra) * stp_count
+        profile = FixProfile(d, sup, sup)
+        roots = _least_roots(profile, stp_count)
+        assert roots == _isqrt_roots(profile, stp_count)
+        assert first_bad_root(
+            RootTable(profile, profile.val(stp_count), roots)) is None
 
 
 class TestRoundUp:
