@@ -132,15 +132,15 @@ def _check_table_config(profile: FixProfile, stp: FixVal) -> range:
     return table_indices(profile, stp.count)
 
 
-def table_size_limit() -> int:
-    raw = os.environ.get(ENV_MAX_TABLE)
+def _env_limit(name: str, default: int) -> int:
+    """The integer cap set by environment variable `name`, else default."""
+    raw = os.environ.get(name)
     if raw is None:
-        return DEFAULT_MAX_TABLE
+        return default
     try:
         return int(raw)
     except ValueError as exc:
-        raise DomainError(f"{ENV_MAX_TABLE} must be an integer, "
-                          f"got {raw!r}") from exc
+        raise DomainError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _least_roots(profile: FixProfile, stp_count: int) -> tuple[int, ...]:
@@ -186,7 +186,7 @@ def build_root_table(profile: FixProfile, stp: FixVal) -> RootTable:
     table needs no separate pass over its roots.
     """
     indices = _check_table_config(profile, stp)
-    limit = table_size_limit()
+    limit = _env_limit(ENV_MAX_TABLE, DEFAULT_MAX_TABLE)
     if len(indices) > limit:
         raise ResourceLimit(f"table would need {len(indices)} entries, "
                             f"cap {limit}")

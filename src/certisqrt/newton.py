@@ -15,10 +15,14 @@ trace; all correctness checks live in the verify module and operate on
 those traces after the fact.
 
 The three exact variants share one integer-pair step, _newton_steps,
-and differ only in their seed and exit rule.  It keeps the pairs in
+and differ only in their seed and exit rule.  It forms each pass from
+three squarings, p**2, q**2 and (p + q)**2 for x = p/q, using
+2*p*q = (p + q)**2 - p**2 - q**2, and builds no next iterate on a pass
+whose correction the caller does not apply.  It keeps the pairs in
 lowest terms by stripping common factors of 2*num(y)*den(y) each step
 (the only primes a common factor can contain), because a full gcd at the
 sizes reached by long runs is quadratic and would dominate the runtime.
+CERTISQRT_MAX_BITS caps the size of the integers a pass may form.
 fix_sqr, mix_sqr and flt_sqr share one grid loop on counts, through the
 primitives fix_div and fix_add wrap, headed by one request pass that
 checks each precondition once (a table checked its step when made).
@@ -37,14 +41,18 @@ from .errors import (
     InternalInvariantError,
     IterationBudgetError,
     NoFeasibleEps,
+    ResourceLimit,
     SeedContractError,
 )
 from .exact import Ordering, cmp_sqrt, decide_radical_lt, fraction_from_coprime
 from .fixarith import (FixVal, _add_count, _div_count, fix_mul,
                        require_same_grid)
 from .floatmodel import FloatProfile, FloatVal, compose, decompose
-from .lut import (RootTable, _check_table_config, _seed_count,
+from .lut import (RootTable, _check_table_config, _env_limit, _seed_count,
                   step_multiple_of_eps)
+
+ENV_MAX_BITS = "CERTISQRT_MAX_BITS"
+DEFAULT_MAX_BITS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -117,22 +125,43 @@ def _pow2(k: int) -> Fraction:
 def _newton_steps(y: Fraction, x: Fraction, passes: int):
     """Up to `passes` exact steps x -> x - (x*x - y)/(2x) from x > 0.
 
-    Yields (k, x, ad, ad_num, ad_den, x_next) per pass: the iterate, the
+    Each pass yields (k, x, ad, ad_num, ad_den): the iterate, the
     correction magnitude ad = (x*x - y)/(2x), also as the unreduced pair
-    ad_num/ad_den with ad_den > 0, and the next iterate x - ad.
+    ad_num/ad_den with ad_den > 0.  The caller then calls send(apply) and
+    gets x_after: the next iterate x - ad when apply is true, and the
+    loop goes on from it; else x itself, and the loop ends.  So a pass
+    whose correction is not applied builds no next iterate.
+
+    With x = p/q and y = a/b, x - ad = (b*p**2 + a*q**2)/(2*b*p*q).  The
+    pass forms its integers from three squarings, which cost less than
+    general products at these sizes: p**2, q**2 and (p + q)**2, since
+    2*p*q = (p + q)**2 - p**2 - q**2.  Before it squares anything it
+    refuses, with ResourceLimit, a pass whose pair could exceed the
+    CERTISQRT_MAX_BITS cap: b*p**2 + a*q**2 and 2*b*p*q have at most
+    2*max(bits(p), bits(q)) + bits(max(a, b)) + 1 bits.
     """
     a, b = y.numerator, y.denominator
-    small = 2 * a * b
+    small, y_bits = 2 * a * b, max(a, b).bit_length()
+    limit = _env_limit(ENV_MAX_BITS, DEFAULT_MAX_BITS)
     p, q = x.numerator, x.denominator
     for k in range(passes):
         if p <= 0:
             raise InternalInvariantError("iterate left the positive half-line")
-        bpp, aqq = b * p * p, a * q * q
-        ad_num, ad_den = bpp - aqq, 2 * b * p * q
+        bits = 2 * max(p.bit_length(), q.bit_length()) + y_bits + 1
+        if bits > limit:
+            raise ResourceLimit(
+                f"exact Newton pass {k} may form {bits}-bit operands, "
+                f"above {ENV_MAX_BITS} = {limit}")
+        pp, qq = p * p, q * q
+        bpp, aqq = b * pp, a * qq
+        ad_num, ad_den = bpp - aqq, b * ((p + q) ** 2 - pp - qq)
+        apply = yield k, x, _reduced(ad_num, ad_den, small), ad_num, ad_den
+        if not apply:
+            yield x
+            return
         p, q = _strip_small(bpp + aqq, ad_den, small)
-        x_next = fraction_from_coprime(p, q)
-        yield k, x, _reduced(ad_num, ad_den, small), ad_num, ad_den, x_next
-        x = x_next
+        x = fraction_from_coprime(p, q)
+        yield x
 
 
 def _until_passes(y: Fraction, eps: Fraction) -> int:
@@ -157,16 +186,13 @@ def sqr_exact(y: Fraction, eps: Fraction,
         raise DomainError(f"accuracy must be positive, got {eps}")
     en, ed = eps.numerator, eps.denominator
     steps: list[TraceStep] = []
-    for k, x, ad, ad_num, ad_den, x_next in _newton_steps(
-            y, y, _until_passes(y, eps)):
+    newton = _newton_steps(y, y, _until_passes(y, eps))
+    for k, x, ad, ad_num, ad_den in newton:
         stop = 2 * ed * abs(ad_num) < en * ad_den
-        if stop and not c_style:
-            steps.append(TraceStep(k, x, -ad, x))
-            final = x
-            break
-        steps.append(TraceStep(k, x, -ad, x_next))
+        x_after = newton.send(c_style or not stop)
+        steps.append(TraceStep(k, x, -ad, x_after))
         if stop:
-            final = x_next
+            final = x_after
             break
     else:
         raise InternalInvariantError("iteration guard exceeded")
@@ -193,13 +219,13 @@ def isqr_exact(y: Fraction, eps: Fraction,
     _check_seed(seed, y)
     en, ed = eps.numerator, eps.denominator
     steps: list[TraceStep] = []
-    for k, x, ad, ad_num, ad_den, x_next in _newton_steps(
-            y, seed, _until_passes(y, eps)):
-        if 2 * ed * ad_num < en * ad_den:
-            steps.append(TraceStep(k, x, ad, x))
+    newton = _newton_steps(y, seed, _until_passes(y, eps))
+    for k, x, ad, ad_num, ad_den in newton:
+        stop = 2 * ed * ad_num < en * ad_den
+        steps.append(TraceStep(k, x, ad, newton.send(not stop)))
+        if stop:
             final = x
             break
-        steps.append(TraceStep(k, x, ad, x_next))
     else:
         raise InternalInvariantError("iteration guard exceeded")
     trace = Trace("isqr_exact", y=y, eps=eps, final_x=final,
@@ -281,8 +307,9 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
     if not _legal_count(y, eps, seed, n):
         raise IterationBudgetError(
             f"n={n} below the legal minimum for seed {seed}")
-    steps = [TraceStep(k, x, ad, x_next)
-             for k, x, ad, _, _, x_next in _newton_steps(y, seed, n)]
+    newton = _newton_steps(y, seed, n)
+    steps = [TraceStep(k, x, ad, newton.send(True))
+             for k, x, ad, _, _ in newton]
     final = steps[-1].x_after if steps else seed
     trace = Trace("fsqr_exact", y=y, eps=eps, final_x=final,
                   steps=tuple(steps), n_planned=n, seed=seed)

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certisqrt.errors import (
@@ -18,16 +19,18 @@ from certisqrt.errors import (
     MantissaRange,
     NoFeasibleEps,
     RangeOverflow,
+    ResourceLimit,
     SeedContractError,
 )
 from certisqrt.exact import (
     Ordering,
     cmp_sqrt,
+    fraction_from_coprime,
     sqrt_abs_err_lt,
     sqrt_enclosure,
     within_of_sqrt,
 )
-from certisqrt import lut
+from certisqrt import lut, newton
 from certisqrt.fixarith import FixProfile, FixVal
 from certisqrt.floatmodel import (
     FloatProfile,
@@ -751,6 +754,146 @@ class TestExactLoopMatchesReference:
         assert _mismatches([case for eps in sorted(ties)
                             for case in _exact_cases(y, eps, seeds, [0, 1])
                             ]) == []
+
+
+def _plain_step(y, p, q):
+    """One step from x = p/q by the product formula: (ad_num, ad_den) and
+    the next pair, stripped as the step strips it."""
+    a, b = y.numerator, y.denominator
+    bpp, aqq = b * p * p, a * q * q
+    ad_den = 2 * b * p * q
+    return (bpp - aqq, ad_den,
+            *newton._strip_small(bpp + aqq, ad_den, 2 * a * b))
+
+
+def _count_built(monkeypatch) -> list[int]:
+    """Record the bit length of every iterate _newton_steps builds."""
+    built = []
+    real = newton.fraction_from_coprime
+
+    def counting(p, q):
+        if sys._getframe(1).f_code.co_name == "_newton_steps":
+            built.append(max(p.bit_length(), q.bit_length()))
+        return real(p, q)
+
+    monkeypatch.setattr(newton, "fraction_from_coprime", counting)
+    return built
+
+
+EXIT_RUNS = [(F(2), F(1, 100)), (F(3, 2), F(1, 10 ** 6)),
+             (F(10 ** 4), F(1, 1000)), (F(7, 3), F(1, 10 ** 12))]
+
+
+class TestExactStep:
+    """_newton_steps forms each pass from three squarings and builds no
+    iterate on a pass whose correction is not applied."""
+
+    @given(ys, st.integers(1000, 200_000), st.integers(1000, 200_000),
+           st.integers(0, 2 ** 64))
+    @example(F(10 ** 4 - 1, 99), 200_000, 199_999, 1)
+    @settings(max_examples=25, deadline=None)
+    def test_squarings_match_products(self, y, p_bits, q_bits, seed):
+        rng = random.Random(seed)
+        p = rng.getrandbits(p_bits) | 1 << (p_bits - 1)
+        q = rng.getrandbits(q_bits) | 1 << (q_bits - 1)
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        one_pass = newton._newton_steps(y, fraction_from_coprime(p, q), 1)
+        _, _, _, ad_num, ad_den = next(one_pass)
+        x_after = one_pass.send(True)
+        assert (ad_num, ad_den, x_after.numerator,
+                x_after.denominator) == _plain_step(y, p, q)
+
+    @pytest.mark.parametrize("y, eps", EXIT_RUNS)
+    def test_until_loop_exit_builds_no_iterate(self, monkeypatch, y, eps):
+        built = _count_built(monkeypatch)
+        _, trace = sqr_exact(y, eps)
+        assert len(trace.steps) >= 2
+        assert len(built) == len(trace.steps) - 1
+        built.clear()
+        _, trace = isqr_exact(y, eps, y)
+        assert len(built) == len(trace.steps) - 1
+
+    @pytest.mark.parametrize("y, eps", EXIT_RUNS)
+    def test_applied_passes_build_their_iterates(self, monkeypatch, y, eps):
+        built = _count_built(monkeypatch)
+        x, trace = sqr_exact(y, eps, c_style=True)
+        assert len(built) == len(trace.steps)
+        assert x == trace.steps[-1].x_after != trace.steps[-1].x_before
+        built.clear()
+        # with eps = y every count is legal
+        x, trace = fsqr_exact(y, y, y, 4)
+        assert len(built) == len(trace.steps) == 4
+        assert x == trace.steps[-1].x_after
+
+
+def _pass_bits(y, x):
+    """The step's bound on the bits of the pair it forms from x."""
+    return (2 * max(x.numerator.bit_length(), x.denominator.bit_length())
+            + max(y.numerator, y.denominator).bit_length() + 1)
+
+
+class TestOperandCap:
+    """CERTISQRT_MAX_BITS refuses a pass before it forms integers longer
+    than the cap; runs under the cap are unchanged."""
+
+    @pytest.mark.parametrize("y, eps", EXIT_RUNS)
+    def test_bound_covers_the_pair(self, y, eps):
+        _, trace = sqr_exact(y, eps, c_style=True)
+        for step in trace.steps:
+            p, q = step.x_before.numerator, step.x_before.denominator
+            bpp, aqq = y.denominator * p * p, y.numerator * q * q
+            longest = max((bpp + aqq).bit_length(),
+                          (2 * y.denominator * p * q).bit_length())
+            assert longest <= _pass_bits(y, step.x_before)
+
+    @pytest.mark.parametrize("y, eps", EXIT_RUNS)
+    def test_cap_at_the_run_maximum(self, monkeypatch, y, eps):
+        runs = {"sqr": lambda: sqr_exact(y, eps),
+                "c": lambda: sqr_exact(y, eps, c_style=True),
+                "isqr": lambda: isqr_exact(y, eps, y)}
+        for run in runs.values():
+            monkeypatch.delenv("CERTISQRT_MAX_BITS", raising=False)
+            x, trace = run()
+            bits = [_pass_bits(y, step.x_before) for step in trace.steps]
+            cap = max(bits)
+            monkeypatch.setenv("CERTISQRT_MAX_BITS", str(cap))
+            assert run() == (x, trace)
+            monkeypatch.setenv("CERTISQRT_MAX_BITS", str(cap - 1))
+            k = bits.index(cap)
+            with pytest.raises(ResourceLimit) as info:
+                run()
+            assert str(info.value) == (
+                f"exact Newton pass {k} may form {cap}-bit operands, "
+                f"above CERTISQRT_MAX_BITS = {cap - 1}")
+
+    @pytest.mark.parametrize("cap", [None, "4096"])
+    def test_refuses_before_the_work(self, monkeypatch, cap):
+        # without a cap this run takes minutes and reaches 34.8M bits
+        if cap is None:
+            monkeypatch.delenv("CERTISQRT_MAX_BITS", raising=False)
+        else:
+            monkeypatch.setenv("CERTISQRT_MAX_BITS", cap)
+        limit = newton.DEFAULT_MAX_BITS if cap is None else int(cap)
+        built = _count_built(monkeypatch)
+        y, eps = F(10 ** 10), F(1, 10 ** 6)
+        runs = [lambda: sqr_exact(y, eps),
+                lambda: isqr_exact(y, eps, y),
+                lambda: fsqr_exact(y, eps, y, 64)]
+        for run in runs:
+            built.clear()
+            with pytest.raises(ResourceLimit,
+                               match=r"^exact Newton pass \d+ may form "
+                                     r"\d+-bit operands"):
+                run()
+            # the last iterate built is the one whose pass was refused
+            assert max(built) <= limit < _pass_bits(y, F(2 ** max(built)))
+
+    def test_cap_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("CERTISQRT_MAX_BITS", "2**21")
+        with pytest.raises(DomainError,
+                           match="CERTISQRT_MAX_BITS must be an integer"):
+            sqr_exact(F(2), F(1, 100))
 
 
 class TestDeriveEps:
