@@ -263,10 +263,11 @@ class TestUnparseableFiles:
 
 
 class TestGoldenDigests:
-    """SHA-256 of the demo profile's table file, of two reports' bytes and
+    """SHA-256 of the demo profile's table file, of two reports' bytes,
     of the sqrt request path's output, taken before the rules were each
-    given one home and decided once; a change that keeps behaviour keeps
-    them."""
+    given one home and decided once, and of the grid trace files, taken
+    while grid runs still built their trace records eagerly; a change that
+    keeps behaviour keeps them."""
 
     def test_demo_outputs(self, demo_profile_path, demo_table_path, capsys):
         def digest(data: bytes) -> str:
@@ -303,6 +304,28 @@ class TestGoldenDigests:
         assert main(["sqrt", demo_profile_path, demo_table_path] + args) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
             == expected
+
+    @pytest.mark.parametrize("args,csv_digest,json_digest", [
+        (["--mode", "mix", "--value", "3.00", "--eps", "0.25"],
+         "4a9cb2eee2c9089872207ea13e38e91ff6f7a1c4c3e19afb7e636b849f8a7546",
+         "057d4168ac7c87792af9ebe085b4f56d29e1771e81e53ad22a53a8227e07b89d"),
+        (["--mode", "fix", "--value", "3.00", "--eps", "0.25", "--n", "3"],
+         "ab908967128966e514883a8838d444095bee0c13891c56bdd1c8ca060cc9f763",
+         "081befde96f949f862b58025f329cec69fd41c448acb6803b1ec32da0f77ed4f"),
+        (["--mode", "float", "--value", "12", "--eps", "0.25"],
+         "50cec10dd163d882df0f48263ab95b13acdb2e644920b4f7b4ea3430cbfaf453",
+         "554ebcde13d69983568b88c1f019453b57571dd077a7fb94ffe36bc4bed4cb83"),
+        (["--mode", "float", "--value", "0", "--eps", "0.25"],
+         "53a664026c71f10bc9ec1d10f1480996fdc2949fd1850f03cd461c54e61cd41b",
+         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ], ids=["mix", "fix", "float", "float-zero"])
+    def test_sqrt_trace_bytes(self, demo_profile_path, demo_table_path,
+                              tmp_path, args, csv_digest, json_digest):
+        for suffix, expected in (("csv", csv_digest), ("json", json_digest)):
+            out = tmp_path / f"trace.{suffix}"
+            assert main(["sqrt", demo_profile_path, demo_table_path] + args
+                        + ["--trace", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
     def test_invalid_profile_check(self, tmp_path, capsys):
         expected = \
