@@ -55,6 +55,7 @@ from .lut import (
     validate_step,
 )
 from .newton import (
+    GridTrace,
     Trace,
     TraceStep,
     derive_eps_for_ulp,

@@ -34,6 +34,7 @@ from .lut import (
     validate_step,
 )
 from .newton import (
+    GridTrace,
     Trace,
     _divisors_descending,
     derive_eps_for_ulp,
@@ -211,7 +212,7 @@ def _bound_table(args: argparse.Namespace, fix: FixProfile,
 # trace serialization
 # ---------------------------------------------------------------------------
 
-def trace_rows(trace: Trace) -> list[dict]:
+def trace_rows(trace: Trace | GridTrace) -> list[dict]:
     rows = []
 
     def value_cols(x) -> dict:
@@ -245,7 +246,7 @@ def _open_out(path: str):
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
-def write_trace(path: str, trace: Trace) -> None:
+def write_trace(path: str, trace: Trace | GridTrace) -> None:
     rows = trace_rows(trace)
     with _open_out(path) as fh:
         if path.endswith(".json"):

@@ -10,9 +10,13 @@ Six variants share the iteration x -> (x + y/x)/2:
 * mix_sqr      - fix_sqr with the minimal sufficient iteration count;
 * flt_sqr      - mantissa/exponent wrapper around mix_sqr.
 
-Every run returns the result together with a complete per-iteration
-trace; all correctness checks live in the verify module and operate on
-those traces after the fact.
+Every run returns the result together with a record of its iterates;
+all correctness checks live in the verify module and operate on those
+records after the fact.  The exact variants return a Trace, which holds
+each pass as a TraceStep.  The grid variants return a GridTrace, which
+holds only the seed count and each iterate count: its per-pass view, in
+the same TraceStep form, is built when a reader asks for it, so a
+request builds no record that nothing reads.
 
 The three exact variants share one integer-pair step, _newton_steps,
 and differ only in their seed and exit rule.  It forms each pass from
@@ -34,6 +38,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -73,15 +78,72 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Trace:
+    """A run of sqr_exact, isqr_exact or fsqr_exact: its inputs, seed and
+    result, and every loop pass as a TraceStep; n_planned is fsqr_exact's
+    iteration count."""
+
     algorithm: str
-    y: Fraction | FixVal | None
-    eps: Fraction | FixVal | None
-    final_x: Fraction | FixVal | None
+    y: Fraction
+    eps: Fraction
+    final_x: Fraction
     steps: tuple[TraceStep, ...] = ()
-    stp: FixVal | None = None
     n_planned: int | None = None
-    seed: Fraction | FixVal | None = None
+    seed: Fraction | None = None
     notes: dict = field(default_factory=dict)
+
+
+class GridTrace(NamedTuple):
+    """A run of fix_sqr, mix_sqr or flt_sqr as it is recorded: its inputs,
+    the table step stp, the iteration count n_planned, and counts, the
+    seed count followed by each iterate count on the grid of y.  flt_sqr
+    also keeps its input as float_in; its y is the mantissa the loop ran
+    on, and a zero input records y None and no counts.
+
+    seed, final_x, steps and notes are views with the values of the Trace
+    fields of those names, built from the counts on every read.
+    """
+
+    algorithm: str
+    y: FixVal | None
+    eps: FixVal
+    stp: FixVal | None
+    n_planned: int | None
+    counts: tuple[int, ...]
+    float_in: FloatVal | None = None
+
+    @property
+    def seed(self) -> FixVal | None:
+        return FixVal(self.counts[0], self.y.profile) if self.counts else None
+
+    @property
+    def final_x(self) -> FixVal | None:
+        return FixVal(self.counts[-1], self.y.profile) if self.counts else None
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        counts = self.counts
+        if not counts:
+            return ()
+        profile = self.y.profile
+        xs = [FixVal(c, profile) for c in counts]
+        return tuple(TraceStep(k, xs[k], Fraction(counts[k + 1] - counts[k],
+                                                  profile.delta_den),
+                               xs[k + 1])
+                     for k in range(len(counts) - 1))
+
+    @property
+    def notes(self) -> dict:
+        """flt_sqr's input, loop radicand and result, or {"zero": True}
+        for a zero input; empty for fix_sqr and mix_sqr."""
+        a = self.float_in
+        if a is None:
+            return {}
+        if a.is_zero:
+            return {"zero": True}
+        # the result is the final iterate scaled by base**floor(exp/2)
+        return {"input": {"man": str(a.man), "exp": a.exp},
+                "radicand": str(self.y),
+                "result": {"man": str(self.final_x), "exp": a.exp // 2}}
 
 
 def _strip_small(p: int, q: int, small: int) -> tuple[int, int]:
@@ -317,12 +379,14 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
 
 
 def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
-                 n: int | None = None, *,
-                 mix: bool = False) -> tuple[FixVal, Trace]:
+                 n: int | None = None, *, mix: bool = False,
+                 float_in: FloatVal | None = None
+                 ) -> tuple[FixVal, GridTrace]:
     """The request pass of fix_sqr, mix_sqr and flt_sqr, then their
     table-seeded loop.  The pass refuses the first rule broken, in order:
     one grid; eps > 0; eps divides stp; with mix, n := n_min and eps meets
-    the budget (else EpsTooSmall); y > 1; y <= sup/2; integer n >= n_min."""
+    the budget (else EpsTooSmall); y > 1; y <= sup/2; integer n >= n_min.
+    The loop records each iterate count and nothing more."""
     profile = y.profile
     for other in (eps.profile, table.profile):
         require_same_grid(other, profile, "inputs belong to different grids")
@@ -348,23 +412,20 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
         raise IterationBudgetError(f"n={n} below the minimum {n_min} for "
                                    f"stp={table.stp}, eps={eps}")
     x = _seed_count(yc, table)
-    seed = before = FixVal(x, profile)
-    steps: list[TraceStep] = []
-    for k in range(n):
+    counts = [x]
+    for _ in range(n):
         if x <= 0:
             raise InternalInvariantError("iterate left the positive half-line")
-        x_new = _add_count(_div_count(x, 2 * d, profile),
-                           _div_count(yc, _add_count(x, x, profile), profile),
-                           profile)
-        after = FixVal(x_new, profile)
-        steps.append(TraceStep(k, before, Fraction(x_new - x, d), after))
-        x, before = x_new, after
-    return before, Trace(algorithm, y=y, eps=eps, final_x=before, seed=seed,
-                         steps=tuple(steps), stp=table.stp, n_planned=n)
+        x = _add_count(_div_count(x, 2 * d, profile),
+                       _div_count(yc, _add_count(x, x, profile), profile),
+                       profile)
+        counts.append(x)
+    return FixVal(x, profile), GridTrace(algorithm, y, eps, table.stp, n,
+                                         tuple(counts), float_in)
 
 
 def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
-            n: int) -> tuple[FixVal, Trace]:
+            n: int) -> tuple[FixVal, GridTrace]:
     """For-loop Newton square root in grid arithmetic.
 
     x := seed(y); then exactly n iterations of
@@ -382,7 +443,8 @@ def fix_bound(eps: FixVal, n: int) -> Fraction:
     return eps.value / 2 + n * eps.profile.delta
 
 
-def mix_sqr(y: FixVal, eps: FixVal, table: RootTable) -> tuple[FixVal, Trace]:
+def mix_sqr(y: FixVal, eps: FixVal,
+            table: RootTable) -> tuple[FixVal, GridTrace]:
     """fix_sqr with the minimal sufficient iteration count.
 
     Additionally requires eps >= 2*step_of_grid*(2 + ceil(log2(stp/eps)));
@@ -394,7 +456,7 @@ def mix_sqr(y: FixVal, eps: FixVal, table: RootTable) -> tuple[FixVal, Trace]:
 
 
 def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
-            table: RootTable) -> tuple[FloatVal, Trace]:
+            table: RootTable) -> tuple[FloatVal, GridTrace]:
     """Square root in the float model: extract the mantissa, even out the
     exponent, run mix_sqr on the adjusted mantissa, halve the exponent.
 
@@ -408,19 +470,15 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     require_same_grid(table.profile, profile.fix,
                       "table belongs to a different grid")
     if a.is_zero:
-        return FloatVal.zero(), Trace("flt_sqr", y=None, eps=eps,
-                                      final_x=None, notes={"zero": True})
+        return FloatVal.zero(), GridTrace("flt_sqr", None, eps, None, None,
+                                          (), a)
     man, e = decompose(a)
     require_same_grid(man.profile, profile.fix,
                       "input belongs to a different grid")
     y_fix, z = (fix_mul(man, profile.base_fix), e - 1) if e % 2 else (man, e)
-    x, trace = _grid_newton("flt_sqr", y_fix, eps, table, mix=True)
-    b = compose(x, z // 2, profile)
-    # the notes dict was made with this trace and is shared with nothing
-    trace.notes.update({"input": {"man": str(man), "exp": e},
-                        "radicand": str(y_fix),
-                        "result": {"man": str(b.man), "exp": b.exp}})
-    return b, trace
+    x, trace = _grid_newton("flt_sqr", y_fix, eps, table, mix=True,
+                            float_in=a)
+    return compose(x, z // 2, profile), trace
 
 
 def float_bound(eps: FixVal, exp: int,

@@ -227,7 +227,7 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
     _, exact_trace = fsqr_exact(y.value, eps.value, seed_value, n)
     x_fix, fix_trace = fix_sqr(y, eps, table, n)
     exact_seq = [seed_value] + [s.x_after for s in exact_trace.steps]
-    fix_seq = [x0] + [s.x_after for s in fix_trace.steps]
+    fix_seq = [FixVal(c, profile) for c in fix_trace.counts]
     delta = profile.delta
     records = []
     gap_ok, gap_witness = True, {}

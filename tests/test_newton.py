@@ -3,7 +3,6 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +40,7 @@ from certisqrt.floatmodel import (
 )
 from certisqrt.lut import build_root_table
 from certisqrt.newton import (
+    GridTrace,
     Trace,
     TraceStep,
     derive_eps_for_ulp,
@@ -482,11 +482,13 @@ def _ref_add(a: F, b: F, profile: FixProfile) -> F:
     return a + b
 
 
-def reference_grid_run(algorithm, y, eps, stp, n=None):
+def _reference_iterates(algorithm, y, eps, stp, n=None):
     """fix_sqr(y, eps, table, n), or with n None the mix_sqr loop, under
-    the name algorithm: every value a Fraction, the rounding done here,
-    the seed from math.isqrt.  It calls no fixarith or lut arithmetic,
-    so it checks the shared primitives instead of restating them."""
+    the name algorithm: its refusals, else n and the seed followed by
+    each iterate.  Every value is a Fraction, the rounding is done here
+    and the seed comes from math.isqrt.  It calls no fixarith or lut
+    arithmetic, so it checks the shared primitives instead of restating
+    them."""
     profile = y.profile
     d = profile.delta_den
     yv = F(y.count, d)
@@ -507,41 +509,78 @@ def reference_grid_run(algorithm, y, eps, stp, n=None):
     if n < n_min:
         raise IterationBudgetError(f"n={n} below the minimum {n_min} for "
                                    f"stp={stp}, eps={eps}")
-
-    def on_grid(v: F) -> FixVal:
-        return FixVal(int(v * d), profile)
-
     # seed: min(y, least grid g with g*g >= the step multiple at or above y)
     sv = F(stp.count, d)
     v = math.ceil(yv / sv) * sv
-    x = min(yv, F(math.isqrt(int(v * d * d) - 1) + 1, d))
-    seed = on_grid(x)
-    steps = []
-    for k in range(n):
+    xs = [min(yv, F(math.isqrt(int(v * d * d) - 1) + 1, d))]
+    for _ in range(n):
+        x = xs[-1]
         half = _ref_div(x, F(2), profile)
         twice = _ref_add(x, x, profile)
         quot = _ref_div(yv, twice, profile)
-        x_new = _ref_add(half, quot, profile)
-        steps.append(TraceStep(k, on_grid(x), x_new - x, on_grid(x_new)))
-        x = x_new
-    final = on_grid(x)
-    return final, Trace(algorithm, y=y, eps=eps, final_x=final,
-                        steps=tuple(steps), stp=stp, n_planned=n, seed=seed)
+        xs.append(_ref_add(half, quot, profile))
+    return n, xs
+
+
+def _on_grid(v: F, profile: FixProfile) -> FixVal:
+    count = v * profile.delta_den
+    assert count.denominator == 1
+    return FixVal(int(count), profile)
+
+
+def reference_grid_run(algorithm, y, eps, stp, n=None):
+    """The lean record of the reference loop: its own iterates as counts."""
+    n, xs = _reference_iterates(algorithm, y, eps, stp, n)
+    counts = tuple(_on_grid(x, y.profile).count for x in xs)
+    return _on_grid(xs[-1], y.profile), GridTrace(algorithm, y, eps, stp, n,
+                                                  counts)
 
 
 def reference_flt_run(a, eps, fprof, stp):
     """flt_sqr on a positive a over reference_grid_run."""
+    y, z = _flt_loop_input(a, fprof)
+    x, trace = reference_grid_run("flt_sqr", y, eps, stp)
+    return compose(x, z // 2, fprof), trace._replace(float_in=a)
+
+
+def _flt_loop_input(a, fprof):
+    """The radicand and even exponent of the loop for a positive a."""
     man, e = a.man, a.exp
     if e % 2:
         # man < sup/base, so the radicand man*base is in range and exact
-        y, z = FixVal(man.count * fprof.base, fprof.fix), e - 1
-    else:
-        y, z = man, e
-    x, trace = reference_grid_run("flt_sqr", y, eps, stp)
-    b = compose(x, z // 2, fprof)
-    return b, replace(trace, notes={
-        "input": {"man": str(man), "exp": e}, "radicand": str(y),
-        "result": {"man": str(b.man), "exp": b.exp}})
+        return FixVal(man.count * fprof.base, fprof.fix), e - 1
+    return man, e
+
+
+def eager_grid_views(algorithm, y, eps, stp, n=None):
+    """seed, final_x, steps and notes of a fix_sqr or mix_sqr run as the
+    grid loop built them eagerly, one TraceStep per pass, from the
+    reference loop's iterates."""
+    profile = y.profile
+    _, xs = _reference_iterates(algorithm, y, eps, stp, n)
+    steps = tuple(TraceStep(k, _on_grid(x, profile), x_new - x,
+                            _on_grid(x_new, profile))
+                  for k, (x, x_new) in enumerate(zip(xs, xs[1:])))
+    return {"seed": _on_grid(xs[0], profile),
+            "final_x": _on_grid(xs[-1], profile), "steps": steps,
+            "notes": {}}
+
+
+def eager_flt_views(a, eps, fprof, stp):
+    """The views of flt_sqr's eager record on a positive a: its notes held
+    the input, the loop radicand and the composed result."""
+    y, z = _flt_loop_input(a, fprof)
+    views = eager_grid_views("flt_sqr", y, eps, stp)
+    b = compose(views["final_x"], z // 2, fprof)
+    views["notes"] = {"input": {"man": str(a.man), "exp": a.exp},
+                      "radicand": str(y),
+                      "result": {"man": str(b.man), "exp": b.exp}}
+    return views
+
+
+def _views(trace):
+    return {name: getattr(trace, name)
+            for name in ("seed", "final_x", "steps", "notes")}
 
 
 def _outcome(fn, *args):
@@ -639,6 +678,109 @@ class TestGridLoopMatchesReference:
             ("mix", (mix_sqr, y, eps, table),
              (reference_grid_run, "mix_sqr", y, eps, table.stp)),
         ]) == []
+
+
+def _count_records(monkeypatch) -> Counter:
+    """Count the TraceSteps and Fractions newton builds."""
+    built = Counter()
+    real_step, real_fraction = newton.TraceStep, newton.Fraction
+
+    def step(*args):
+        built["TraceStep"] += 1
+        return real_step(*args)
+
+    def fraction(*args):
+        built["Fraction"] += 1
+        return real_fraction(*args)
+
+    monkeypatch.setattr(newton, "TraceStep", step)
+    monkeypatch.setattr(newton, "Fraction", fraction)
+    return built
+
+
+class TestGridTraceViews:
+    """A grid run records its iterate counts; the seed, final_x, steps and
+    notes built from them on read equal the fields the loop used to build
+    eagerly, one TraceStep and one correction Fraction per pass."""
+
+    def test_demo_fix_and_mix(self, demo_profile, demo_table, demo_eps):
+        stp = demo_table.stp
+        bad = []
+        for count in range(101, 801):
+            y = demo_profile.val(count)
+            for n in range(1, 7):
+                _, trace = fix_sqr(y, demo_eps, demo_table, n)
+                if _views(trace) != eager_grid_views("fix_sqr", y, demo_eps,
+                                                     stp, n):
+                    bad.append((count, n))
+            _, trace = mix_sqr(y, demo_eps, demo_table)
+            if _views(trace) != eager_grid_views("mix_sqr", y, demo_eps, stp):
+                bad.append((count, "mix"))
+        assert bad == []
+
+    def test_demo_flt_sqr(self, demo_profile, demo_eps, demo_float_profile,
+                          demo_table):
+        bad, ran = [], 0
+        for count in range(101, 800):
+            for e in range(-3, 4):
+                a = compose(demo_profile.val(count), e, demo_float_profile)
+                try:
+                    _, trace = flt_sqr(a, demo_eps, demo_float_profile,
+                                       demo_table)
+                except CertisqrtError:
+                    continue
+                ran += 1
+                if _views(trace) != eager_flt_views(a, demo_eps,
+                                                    demo_float_profile,
+                                                    demo_table.stp):
+                    bad.append((count, e))
+        assert bad == [] and ran > 3000
+        _, trace = flt_sqr(FloatVal.zero(), demo_eps, demo_float_profile,
+                           demo_table)
+        assert _views(trace) == {"seed": None, "final_x": None, "steps": (),
+                                 "notes": {"zero": True}}
+        assert trace.counts == () and trace.y is None
+
+    def test_corrupted_record_changes_views(self, demo_profile, demo_eps,
+                                            demo_float_profile, demo_table):
+        # negative control: every count feeds the views that read it
+        y = demo_profile.val(300)
+        _, trace = fix_sqr(y, demo_eps, demo_table, 3)
+        want = eager_grid_views("fix_sqr", y, demo_eps, demo_table.stp, 3)
+        assert _views(trace) == want
+        last = len(trace.counts) - 1
+        for i in range(last + 1):
+            counts = list(trace.counts)
+            counts[i] += 1
+            got = _views(trace._replace(counts=tuple(counts)))
+            assert got["steps"] != want["steps"]
+            assert (got["seed"] != want["seed"]) == (i == 0)
+            assert (got["final_x"] != want["final_x"]) == (i == last)
+        a = compose(demo_profile.val(150), 3, demo_float_profile)
+        _, trace = flt_sqr(a, demo_eps, demo_float_profile, demo_table)
+        moved = compose(a.man, 5, demo_float_profile)
+        assert trace._replace(float_in=moved).notes != \
+            eager_flt_views(a, demo_eps, demo_float_profile,
+                            demo_table.stp)["notes"]
+
+    @pytest.mark.parametrize("mode", ["fix", "mix", "flt"])
+    def test_request_builds_no_step_record(self, monkeypatch, mode):
+        # eps = stp/2 takes two passes
+        fix = FixProfile(1000, 20_000, 20_000)
+        table, eps = build_root_table(fix, fix.val(16)), fix.val(8)
+        built = _count_records(monkeypatch)
+        if mode == "flt":
+            fprof = FloatProfile(2, fix, F(65536), F(65536))
+            _, trace = flt_sqr(compose(fix.val(3217), 3, fprof), eps, fprof,
+                               table)
+        elif mode == "mix":
+            _, trace = mix_sqr(fix.val(6434), eps, table)
+        else:
+            _, trace = fix_sqr(fix.val(6434), eps, table, 3)
+        assert built == Counter()
+        steps = trace.steps
+        assert len(steps) == trace.n_planned >= 2
+        assert built == Counter(TraceStep=len(steps), Fraction=len(steps))
 
 
 def reference_exact_run(algorithm, y, eps, seed=None, n=None,
