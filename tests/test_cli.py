@@ -327,6 +327,65 @@ class TestGoldenDigests:
                         + ["--trace", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
+    # float requests at exponents -3..3 and two inexact ones, taken while
+    # value_of still built its rationals through Fraction powers; a trace
+    # file holds the mantissa run only, so values whose halved exponents
+    # share a mantissa share its digests
+    _CSV_EVEN = \
+        "28f48657f49fa52e1546ef32f54488f335dae50e31344cb9f79cdacc3dca9077"
+    _JSON_EVEN = \
+        "eb896061d615805992d5114f3ffa5c67a1101045e980a31e4de057e5fe95dae6"
+    _CSV_ODD = \
+        "50cec10dd163d882df0f48263ab95b13acdb2e644920b4f7b4ea3430cbfaf453"
+    _JSON_ODD = \
+        "554ebcde13d69983568b88c1f019453b57571dd077a7fb94ffe36bc4bed4cb83"
+
+    @pytest.mark.parametrize("value,out_digest,csv_digest,json_digest", [
+        ("0.1875",
+         "fbbd8e55244f0518456ad8824feb99c80b74fccad7b03292955b0bcc98261c41",
+         _CSV_ODD, _JSON_ODD),
+        ("0.375",
+         "81835bf3ee6972e3c7057cad215ecc5c37725ac48cea1c688f356f0be8a906f0",
+         _CSV_EVEN, _JSON_EVEN),
+        ("0.75",
+         "b8182e83828016f9126fb8dd996cba646df0d9ee97d7c0a02a03532ae226cdb9",
+         _CSV_ODD, _JSON_ODD),
+        ("1.5",
+         "a3ea13b40514ce79fb9c9981d4e47968d20ba04f3dac2c6b55f8765738c69e03",
+         _CSV_EVEN, _JSON_EVEN),
+        ("3",
+         "46aea236ad64b7202886c2d416aa0bf208dab4847861ef2a6dd4c3158984b70f",
+         _CSV_ODD, _JSON_ODD),
+        ("6",
+         "1e9778d5b4d5f285131b09d3df21eb5f6a07d7d9a0648023566ce6b1f75c5696",
+         _CSV_EVEN, _JSON_EVEN),
+        ("12",
+         "35fc3f612c398cddc228c41b3b650a5c98709b8cf5814e0e87762cc73354df43",
+         _CSV_ODD, _JSON_ODD),
+        ("0.3",
+         "03b524c069916fea8063af176a20303ec86892e5deef3775656cc7ec05eb6dc1",
+         "c4a701d7fc5cecb5423e5ee3d4b143928acdb736c48c3938534ad48097e82fa7",
+         "c5c264f27e31c43a9914b7484d8de20e353fb6eb278c0adfbb85d82b01337f89"),
+        ("5",
+         "551e67ff253fd96b6c2a61eebaca1fa3788d2e4d86696031b30a4d05b555e13d",
+         "16374eca26b5728edc75d3e90631cb2aec196b38f96e432731d41444c97546b1",
+         "41f4238333a08c73d2a5bbd53906f76040ef4707e64e64bb477b28d0b0ca3a28"),
+    ], ids=["e-3", "e-2", "e-1", "e0", "e1", "e2", "e3", "inexact-0.3",
+            "inexact-5"])
+    def test_float_sqrt_bytes(self, demo_profile_path, demo_table_path,
+                              tmp_path, capsys, value, out_digest,
+                              csv_digest, json_digest):
+        args = ["sqrt", demo_profile_path, demo_table_path, "--mode",
+                "float", "--value", value, "--eps", "0.25"]
+        capsys.readouterr()
+        assert main(args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+            == out_digest
+        for suffix, expected in (("csv", csv_digest), ("json", json_digest)):
+            out = tmp_path / f"trace.{suffix}"
+            assert main(args + ["--trace", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
     def test_invalid_profile_check(self, tmp_path, capsys):
         expected = \
             "ee2c99545fd4c82d65e3fa68b6bc125164281092dd6d0a1cd805852f78c02e90"
