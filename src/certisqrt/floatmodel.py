@@ -4,9 +4,16 @@ A positive value is an exact pair (mantissa, exponent) with value
 mantissa * base**exponent; the mantissa is a grid value in the open
 interval (1, sup/base) and the exponent an integer whose admissible range
 depends on the grid bounds.  Zero is modeled; negative values are not.
+
+Like a machine float, a value is worked on as integers: value_of builds
+count*base**exponent/d in lowest terms from the integer parts with one
+gcd, and encode_rational brackets the exponent by bit lengths before an
+integer bisection.  A profile's exponent range, its base as a grid value
+and its validity are each decided once, on first use.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,6 +24,7 @@ from .errors import (
     MantissaRange,
     RangeOverflow,
 )
+from .exact import fraction_from_coprime
 from .fixarith import FixProfile, FixVal, require_same_grid, round_half_even
 from .report import CheckResult, VerifyReport, check, require
 
@@ -51,10 +59,17 @@ class FloatProfile:
                   {"inf_f": self.inf_f, "sup_f": self.sup_f}),
         )
 
-    def validate(self) -> None:
+    @cached_property
+    def _valid(self) -> bool:
+        # a raised DomainError is not cached, so an invalid profile
+        # raises on every read
         require("float profile", self.rule_checks)
+        return True
 
-    @property
+    def validate(self) -> None:
+        self._valid
+
+    @cached_property
     def exp_min(self) -> int:
         """Smallest admissible exponent.
 
@@ -69,11 +84,11 @@ class FloatProfile:
             return -(fix.inf_count // fix.delta_den) + 1
         return -(fix.inf_count // fix.delta_den)
 
-    @property
+    @cached_property
     def exp_max(self) -> int:
         return self.fix.sup_count // self.fix.delta_den
 
-    @property
+    @cached_property
     def base_fix(self) -> FixVal:
         return self.fix.from_int(self.base)
 
@@ -124,26 +139,52 @@ def decompose(a: FloatVal) -> tuple[FixVal, int]:
 
 
 def value_of(a: FloatVal) -> Fraction:
-    """Exact rational value: mantissa * base**exponent, or 0 for zero."""
+    """Exact rational value: mantissa * base**exponent, or 0 for zero.
+
+    The pair count*base**exponent/d is built from the integer parts and
+    reduced by one gcd.  Its denominator d*base**-exponent is positive
+    only for base >= 1, so a smaller base with a negative exponent is
+    refused.
+    """
     if a.is_zero:
         return Fraction(0)
     assert a.man is not None
-    return a.man.value * Fraction(a.base) ** a.exp
+    num, den, base, e = a.man.count, a.man.profile.delta_den, a.base, a.exp
+    if e >= 0:
+        num *= base ** e
+    elif base >= 1:
+        den *= base ** -e
+    else:
+        raise DomainError(f"base {base} has no negative powers")
+    g = math.gcd(num, den)
+    return fraction_from_coprime(num // g, den // g)
 
 
 def _exponent_below(num: int, den: int, base: int) -> int:
     """The unique e with base**e < num/den <= base**(e+1), for num, den
-    >= 1, by bisection with integer comparisons."""
+    >= 1 and base >= 2, by bisection with integer comparisons.
+
+    The bisection starts from a bracket read off bit lengths.  With
+    t = bitlen(num) - bitlen(den), 2**(t-1) < q < 2**(t+1) for q =
+    num/den, since 2**(bitlen(n)-1) <= n < 2**bitlen(n).  With kl =
+    bitlen(base) - 1 and ku = bitlen(base - 1), 2**kl <= base <= 2**ku,
+    so 2**(kl*e) <= base**e <= 2**(ku*e) for e >= 0 and 2**(ku*e) <=
+    base**e <= 2**(kl*e) for e < 0.  Hence base**lo <= 2**(t-1) < q for
+    lo = floor((t-1)/ku) when t >= 1 and lo = floor((t-1)/kl) otherwise,
+    and base**hi >= 2**(t+1) > q for hi = ceil((t+1)/kl) when t >= 0 and
+    hi = ceil((t+1)/ku) otherwise.  For base 2 the bracket is [t-1, t+1]
+    whatever t is; no host float is used, not even as an estimate.
+    """
 
     def below(e: int) -> bool:  # base**e < num/den
         if e >= 0:
             return base ** e * den < num
         return den < num * base ** -e
 
-    # 2**(t-1) < num/den < 2**(t+1) with t the bit-length difference,
-    # and base >= 2, so below(-|t|-1) holds and below(|t|+1) fails
-    t = abs(num.bit_length() - den.bit_length())
-    lo, hi = -t - 1, t + 1
+    t = num.bit_length() - den.bit_length()
+    kl, ku = base.bit_length() - 1, (base - 1).bit_length()
+    lo = (t - 1) // (ku if t >= 1 else kl)
+    hi = -(-(t + 1) // (kl if t >= 0 else ku))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if below(mid):

@@ -18,7 +18,6 @@ from .errors import (
     RangeOverflow,
     ResourceLimit,
 )
-from .exact import _sqrt_sign
 from .fixarith import FixProfile, FixVal, require_same_grid
 from .report import VerifyReport, check, require
 
@@ -218,10 +217,14 @@ def _seed_count(u: int, table: RootTable) -> int:
     profile, stp, d = table.profile, table.stp.count, table.profile.delta_den
     k = _round_up_count(u, stp, profile) // stp
     result = min(u, table.roots[k - table.k_min])
-    if _sqrt_sign(result, d, u, d) < 0:
+    # for r >= 0, sign(r/d - sqrt(u/d)) = sign(r*r - u*d); a negative r
+    # is below the root
+    ud = u * d
+    if result < 0 or result * result < ud:
         raise InternalInvariantError(f"seed {result}/{d} fell below "
                                      f"sqrt({u}/{d})")
-    if _sqrt_sign(result - stp, d, u, d) > 0:
+    low = result - stp
+    if low > 0 and low * low > ud:
         raise InternalInvariantError(f"seed {result}/{d} more than one step "
                                      f"above sqrt({u}/{d})")
     return result
@@ -231,7 +234,7 @@ def sup_fn(u: FixVal, table: RootTable) -> FixVal:
     """Seed value min(u, root[round_up(u)]) for 1 < u <= sup.
 
     The result s satisfies sqrt(u) <= s <= u and s - sqrt(u) <= stp; both
-    are re-asserted on every call, on grid counts through the exact oracle.
+    are re-asserted on every call, on grid counts by integer squarings.
     """
     require_same_grid(table.profile, u.profile,
                       "table belongs to a different grid")

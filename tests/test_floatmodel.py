@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certisqrt.errors import (
     DomainError,
@@ -14,12 +16,14 @@ from certisqrt.fixarith import FixProfile, quantize
 from certisqrt.floatmodel import (
     FloatProfile,
     FloatVal,
+    _exponent_below,
     check_float_profile,
     compose,
     decompose,
     encode_rational,
     value_of,
 )
+from certisqrt.newton import flt_sqr
 
 
 @pytest.fixture
@@ -56,6 +60,20 @@ class TestProfile:
         assert {c.rule for c in report.failures()} == \
             {"float.sup-over-base-squared"}
 
+    def test_invalid_profile_raises_on_every_call(self, demo_profile,
+                                                  demo_eps, demo_table):
+        # validity is decided once only when it holds: a failed decision
+        # is not remembered, so each entry point raises again
+        bad = FloatProfile(1, demo_profile, F(65536), F(65536))
+        a = FloatVal(demo_profile.val(300), 2, 2)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="float.base-min"):
+                bad.validate()
+            with pytest.raises(DomainError, match="float.base-min"):
+                encode_rational(F(12), bad)
+            with pytest.raises(DomainError, match="float.base-min"):
+                flt_sqr(a, demo_eps, bad, demo_table)
+
 
 class TestComposeDecompose:
     def test_accessor(self, demo_profile, prof):
@@ -86,6 +104,87 @@ class TestComposeDecompose:
             compose(demo_profile.val(150), 17, prof)
         with pytest.raises(ExponentRange):
             compose(demo_profile.val(150), -17, prof)
+
+
+def reference_value(a):
+    """The Fraction form value_of replaced."""
+    if a.is_zero:
+        return F(0)
+    return a.man.value * F(a.base) ** a.exp
+
+
+class TestValueOf:
+    @pytest.mark.parametrize("fprof", [
+        FloatProfile(2, FixProfile(100, 1600, 1600), F(65536), F(65536)),
+        FloatProfile(3, FixProfile(10, 100, 100), F(8), F(8)),
+        FloatProfile(10, FixProfile(10, 1010, 1010), F(8), F(8)),
+    ], ids=["demo", "base-3", "base-10"])
+    def test_every_mantissa_at_every_exponent(self, fprof):
+        fprof.validate()
+        fix = fprof.fix
+        for count in range(fix.delta_den + 1, fix.sup_count // fprof.base):
+            for e in range(fprof.exp_min, fprof.exp_max + 1):
+                a = compose(fix.val(count), e, fprof)
+                got, want = value_of(a), reference_value(a)
+                # built without Fraction's normalisation, so the pair
+                # must already be in lowest terms to compare and hash
+                assert got == want and hash(got) == hash(want), (count, e)
+                assert (got.numerator, got.denominator) == \
+                    (want.numerator, want.denominator)
+                assert math.gcd(got.numerator, got.denominator) == 1
+                assert got.denominator > 0
+
+    def test_no_negative_power_of_base_below_one(self, demo_profile):
+        with pytest.raises(DomainError):
+            value_of(FloatVal(demo_profile.val(150), -1, 0))
+
+
+def reference_exponent_below(num, den, base):
+    """The full-bracket bisection _exponent_below started from: below
+    holds at -|t|-1 and fails at |t|+1, t the bit-length difference."""
+
+    def below(e):  # base**e < num/den
+        if e >= 0:
+            return base ** e * den < num
+        return den < num * base ** -e
+
+    t = abs(num.bit_length() - den.bit_length())
+    lo, hi = -t - 1, t + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+EXPONENT_BASES = (2, 3, 7, 10, 16, 1000)
+
+
+class TestExponentBelow:
+    @pytest.mark.parametrize("base", EXPONENT_BASES)
+    def test_powers_and_neighbours(self, base):
+        for e in range(-40, 41):
+            p, q = (base ** e, 1) if e >= 0 else (1, base ** -e)
+            for scale in (1, 3, 2 ** 70):
+                num, den = p * scale, q * scale
+                for n, d in ((num, den), (num + 1, den), (num - 1, den),
+                             (num, den + 1), (num, den - 1)):
+                    if n < 1 or d < 1:
+                        continue
+                    got = _exponent_below(n, d, base)
+                    assert got == reference_exponent_below(n, d, base), \
+                        (n, d, base)
+                    # the defining bracket, on exact rationals
+                    assert F(base) ** got < F(n, d) <= F(base) ** (got + 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(num=st.integers(1, 2 ** 200), den=st.integers(1, 2 ** 200),
+           base=st.sampled_from(EXPONENT_BASES))
+    def test_random_ratios(self, num, den, base):
+        assert _exponent_below(num, den, base) == \
+            reference_exponent_below(num, den, base)
 
 
 class TestEncode:
@@ -200,7 +299,9 @@ class TestEncodeAgainstFractionForm:
         FloatProfile(2, WIDE_FIX, F(65536), F(65536)),
         FloatProfile(2, FixProfile(100, 1600, 1600), F(65536), F(65536)),
         FloatProfile(3, FixProfile(1000, 40_000, 40_000), F(100), F(100)),
-    ], ids=["wide", "demo", "base-3"])
+        FloatProfile(10, FixProfile(1000, 200_000, 200_000), F(100), F(100)),
+        FloatProfile(16, FixProfile(1000, 300_000, 300_000), F(100), F(100)),
+    ], ids=["wide", "demo", "base-3", "base-10", "base-16"])
     def test_value_range(self, fprof):
         # the benchmark's float requests, about 2**-30 to 2**40, and wider
         rng = random.Random(5)

@@ -205,6 +205,19 @@ class TestSupFn:
             sup_fn(demo_profile.val(300), broken)
         assert str(exc.value) == "seed 173/100 fell below sqrt(300/100)"
 
+    def test_negative_root_rejected(self, demo_profile, demo_table):
+        # below the root, though its square exceeds 3
+        broken = self._with_root(demo_table, 12, -174)
+        with pytest.raises(InternalInvariantError) as exc:
+            sup_fn(demo_profile.val(300), broken)
+        assert str(exc.value) == "seed -174/100 fell below sqrt(300/100)"
+
+    def test_seed_exactly_one_step_above_accepted(self, demo_profile,
+                                                  demo_table, demo_stp):
+        # root[4.00] = 2.00; 2.25 - 0.25 = sqrt(4) is still within a step
+        broken = self._with_root(demo_table, 16, 200 + demo_stp.count)
+        assert sup_fn(demo_profile.val(400), broken).count == 225
+
     def test_root_over_one_step_above_rejected(self, demo_profile,
                                                demo_table, demo_stp):
         # one step and one unit above 1.74: 2.00 - 0.25 > sqrt(3)
