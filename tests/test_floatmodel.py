@@ -107,9 +107,7 @@ class TestComposeDecompose:
 
 
 def reference_value(a):
-    """The Fraction form value_of replaced."""
-    if a.is_zero:
-        return F(0)
+    """The Fraction form value_of replaced, for a positive value."""
     return a.man.value * F(a.base) ** a.exp
 
 
@@ -122,7 +120,9 @@ class TestValueOf:
     def test_every_mantissa_at_every_exponent(self, fprof):
         fprof.validate()
         fix = fprof.fix
-        for count in range(fix.delta_den + 1, fix.sup_count // fprof.base):
+        # every count with 1 < count/d < sup/base
+        for count in range(fix.delta_den + 1,
+                           -(-fix.sup_count // fprof.base)):
             for e in range(fprof.exp_min, fprof.exp_max + 1):
                 a = compose(fix.val(count), e, fprof)
                 got, want = value_of(a), reference_value(a)
