@@ -898,6 +898,27 @@ class TestExactLoopMatchesReference:
                             ]) == []
 
 
+def _pass_views(trace):
+    return [(s.x_before, s.x_after, abs(s.correction)) for s in trace.steps]
+
+
+class TestSqrIsIsqrSeededWithY:
+    """For y > 1, sqr_exact is isqr_exact seeded with y: the same
+    iterates before and after each pass and the same |correction|."""
+
+    @given(ys.filter(lambda v: v > 1), epss)
+    @settings(max_examples=80, deadline=None)
+    def test_sampled(self, y, eps):
+        assert _pass_views(sqr_exact(y, eps)[1]) == \
+            _pass_views(isqr_exact(y, eps, y)[1])
+
+    def test_edges(self):
+        for y in (F(3, 2), F(2), F(4), F(10 ** 4)):
+            for eps in (F(1, 1000), F(1, 4), y, y + 1):
+                assert _pass_views(sqr_exact(y, eps)[1]) == \
+                    _pass_views(isqr_exact(y, eps, y)[1]), (y, eps)
+
+
 def _plain_step(y, p, q):
     """One step from x = p/q by the product formula: (ad_num, ad_den) and
     the next pair, stripped as the step strips it."""
