@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import CertisqrtError, DomainError
-from .exact import encode_int, rat_str
+from .exact import _rat_text, encode_int, rat_str
 from .fixarith import FixProfile, FixVal, check_profile_assumptions
 from .floatmodel import (
     FloatProfile,
@@ -297,7 +297,7 @@ def _display(q: Fraction, c2: Fraction = Fraction(0), m: int = 0) -> str:
 def _grid_exact(value: Fraction, profile: FixProfile) -> FixVal:
     scaled = value * profile.delta_den
     if scaled.denominator != 1:
-        raise DomainError(f"{value} is not a grid value on a "
+        raise DomainError(f"{_rat_text(value)} is not a grid value on a "
                           f"1/{profile.delta_den} grid")
     return profile.val(int(scaled))
 

@@ -7,25 +7,23 @@ inequalities containing one or two radicals.  Host floating point never
 participates in a verdict.
 
 Every predicate works on integer numerators and denominators; none
-builds or normalises a Fraction.  One primitive, _sqrt_sign(n, d, a, b),
-gives the sign of n/d - sqrt(a/b) for unreduced parts: cmp_sqrt is a
-thin wrapper over it, and within_of_sqrt hands it the pairs of
-q - bound and q + bound.  Its verdict is the sign of
-n**2*b - a*d**2, a difference of two products that cmp_products decides
-in stages.  Bit lengths come first.  Next each factor is cut to its top
-_FILTER_BITS bits: dropping low bits moves a factor by less than one
-unit of its last kept bit, so each product lies in a bracket of small
-integers, and disjoint brackets decide the sign.  Only overlapping
-brackets need the full products, which also decide every short
-operand.  Each stage is exact, so the verdict is too; the filter only
-skips squaring operands of 100K+ bits when a 128-bit bracket already
-settles the comparison.
-
-The two radical predicates, decide_radical_lt and sqrt_abs_err_lt,
-multiply through by a positive common denominator and write
-sqrt(num/den) as sqrt(num*den)/den, so both end in _lt_radical,
-which decides L < K*sqrt(M) on integers; its final squaring goes
-through the same filtered cmp_products.
+builds or normalises a Fraction.  Every radical decision ends in one
+primitive, _sqrt_sign(n, d, a, b), the sign of n/d - sqrt(a/b) for
+unreduced parts.  cmp_sqrt is a thin wrapper over it; within_of_sqrt
+hands it the pairs of q - bound and q + bound.  decide_radical_lt and
+sqrt_abs_err_lt multiply through by a positive common denominator and
+write sqrt(num/den) as sqrt(num*den)/den, so both end in _lt_radical,
+which decides L < K*sqrt(M) on integers as the sign of L/K - sqrt(M),
+reversed when K < 0.  The sign is that of n**2*b - a*d**2, a
+difference of two products that cmp_products decides in stages.  Bit
+lengths come first.  Next each factor is cut to its top _FILTER_BITS
+bits: dropping low bits moves a factor by less than one unit of its
+last kept bit, so each product lies in a bracket of small integers,
+and disjoint brackets decide the sign.  Only overlapping brackets need
+the full products, which also decide every short operand.  Each stage
+is exact, so the verdict is too; the filter only skips squaring
+operands of 100K+ bits when a 128-bit bracket already settles the
+comparison.
 """
 from __future__ import annotations
 
@@ -83,6 +81,12 @@ def rat_str(q: Fraction) -> str:
     """Canonical "num/den" serialization used in reports; each part as
     encode_int writes it."""
     return f"{encode_int(q.numerator)}/{encode_int(q.denominator)}"
+
+
+def _rat_text(q: Fraction | int) -> str:
+    """str(q) for messages, with a part too long to print in decimal under
+    every interpreter setting written in encode_int's hex form."""
+    return rat_str(q).removesuffix("/1")
 
 
 # The filter keeps the top _FILTER_BITS bits of each factor; cmp_sqrt
@@ -147,7 +151,7 @@ def cmp_products(x1: int, x2: int, y1: int, y2: int) -> int:
 def _radicand(y: Fraction) -> tuple[int, int]:
     """(num(y), den(y)) of a radicand, which must be >= 0."""
     if y.numerator < 0:
-        raise DomainError(f"cmp_sqrt requires y >= 0, got {y}")
+        raise DomainError(f"cmp_sqrt requires y >= 0, got {_rat_text(y)}")
     return y.numerator, y.denominator
 
 
@@ -180,7 +184,7 @@ def within_of_sqrt(q: Fraction, y: Fraction, bound: Fraction,
     """
     bn, bd = bound.numerator, bound.denominator
     if bn < 0:
-        raise DomainError(f"bound must be >= 0, got {bound}")
+        raise DomainError(f"bound must be >= 0, got {_rat_text(bound)}")
     a, b = _radicand(y)
     qn, qd = q.numerator, q.denominator
     centre, radius, den = qn * bd, bn * qd, qd * bd
@@ -206,7 +210,8 @@ class SqrtEnclosure:
 def sqrt_enclosure(y: Fraction, p: int) -> SqrtEnclosure:
     """Enclose sqrt(y) with lo**2 <= y <= hi**2 and hi - lo <= 2**-p."""
     if y < 0:
-        raise DomainError(f"sqrt_enclosure requires y >= 0, got {y}")
+        raise DomainError(f"sqrt_enclosure requires y >= 0, "
+                          f"got {_rat_text(y)}")
     if p < 0:
         raise DomainError(f"precision must be >= 0, got {p}")
     a, b = y.numerator, y.denominator
@@ -223,16 +228,14 @@ def sqrt_enclosure(y: Fraction, p: int) -> SqrtEnclosure:
 
 
 def _lt_radical(lhs: int, k: int, m: int) -> bool:
-    """Decide lhs < k*sqrt(m) for integers, m >= 0.
-
-    Sides of opposite signs decide it at once; sides of one sign compare
-    their squares through cmp_products.
-    """
+    """Decide lhs < k*sqrt(m) for integers, m >= 0: for k > 0 the sign
+    of lhs/k - sqrt(m) by _sqrt_sign, for k < 0 that of -lhs/-k with
+    the inequality reversed, and for k = 0 the sign of lhs."""
+    if k > 0:
+        return _sqrt_sign(lhs, k, m, 1) < 0
     if k < 0:
-        return lhs < 0 and cmp_products(-lhs, -lhs, -k, -k * m) > 0
-    if lhs < 0:
-        return True
-    return cmp_products(lhs, lhs, k, k * m) < 0
+        return _sqrt_sign(-lhs, -k, m, 1) > 0
+    return lhs < 0
 
 
 def decide_radical_lt(lhs: Fraction, c1: Fraction, c2: Fraction,
@@ -244,7 +247,8 @@ def decide_radical_lt(lhs: Fraction, c1: Fraction, c2: Fraction,
     """
     mn, md = m.numerator, m.denominator
     if mn <= 0:
-        raise DomainError(f"decide_radical_lt requires m > 0, got {m}")
+        raise DomainError(f"decide_radical_lt requires m > 0, "
+                          f"got {_rat_text(m)}")
     ln, ld = lhs.numerator, lhs.denominator
     an, ad = c1.numerator, c1.denominator
     rest = ln * ad - an * ld  # lhs - c1 = rest/(ld*ad)
@@ -270,7 +274,8 @@ def sqrt_abs_err_lt(q: Fraction, y: Fraction, c1: Fraction, c2: Fraction,
     if min(qn, yn, an, bn) < 0:
         raise DomainError("sqrt_abs_err_lt requires q, y, c1, c2 >= 0")
     if mn <= 0:
-        raise DomainError(f"sqrt_abs_err_lt requires m > 0, got {m}")
+        raise DomainError(f"sqrt_abs_err_lt requires m > 0, "
+                          f"got {_rat_text(m)}")
     # |q - sqrt(y)| < R  <=>  q**2 + y - 2q*sqrt(y) < R**2, R = c1 + c2*sqrt(m)
     # lead = (q**2 + y) - (c1**2 + c2**2*m) = s_num/s_den - r_num/r_den
     s_num, s_den = qn * qn * yd + yn * qd * qd, qd * qd * yd

@@ -20,6 +20,7 @@ from .errors import (
     ProfileMismatch,
     RangeOverflow,
 )
+from .exact import _rat_text, encode_int
 from .report import CheckResult, VerifyReport, check, require
 
 
@@ -86,8 +87,8 @@ class FixProfile:
 
     def val(self, count: int) -> "FixVal":
         if not self.contains_count(count):
-            raise RangeOverflow(
-                f"count {count} outside [-{self.inf_count}, {self.sup_count}]")
+            raise RangeOverflow(f"count {encode_int(count)} outside "
+                                f"[-{self.inf_count}, {self.sup_count}]")
         return FixVal(count, self)
 
     def from_int(self, k: int) -> "FixVal":
@@ -151,7 +152,8 @@ def quantize(q: Fraction, profile: FixProfile, mode: str = "nearest") -> FixVal:
     else:
         raise DomainError(f"unknown rounding mode {mode!r}")
     if not profile.contains_count(count):
-        raise RangeOverflow(f"{q} quantizes to count {count}, outside range")
+        raise RangeOverflow(f"{_rat_text(q)} quantizes to count "
+                            f"{encode_int(count)}, outside range")
     return FixVal(count, profile)
 
 

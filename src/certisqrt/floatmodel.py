@@ -8,8 +8,9 @@ depends on the grid bounds.  Zero is modeled; negative values are not.
 Like a machine float, a value is worked on as integers: value_of builds
 count*base**exponent/d in lowest terms from the integer parts with one
 gcd, and encode_rational brackets the exponent by bit lengths before an
-integer bisection.  A profile's exponent range, its base as a grid value
-and its validity are each decided once, on first use.
+integer bisection and builds its value without compose's re-checks.  A
+profile's exponent range, its base as a grid value and its validity are
+each decided once, on first use.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .errors import (
     MantissaRange,
     RangeOverflow,
 )
-from .exact import fraction_from_coprime
+from .exact import _rat_text, fraction_from_coprime
 from .fixarith import FixProfile, FixVal, require_same_grid, round_half_even
 from .report import CheckResult, VerifyReport, check, require
 
@@ -204,13 +205,14 @@ def encode_rational(q: Fraction, profile: FloatProfile) -> tuple[FloatVal, bool]
     profile.validate()
     num, den = q.numerator, q.denominator
     if num < 0:
-        raise DomainError(f"only non-negative values are modeled, got {q}")
+        raise DomainError(f"only non-negative values are modeled, "
+                          f"got {_rat_text(q)}")
     if num == 0:
         return FloatVal.zero(), True
     base = profile.base
     e = _exponent_below(num, den, base)
     if e > profile.exp_max or e < profile.exp_min:
-        raise RangeOverflow(f"{q} needs exponent {e}, outside "
+        raise RangeOverflow(f"{_rat_text(q)} needs exponent {e}, outside "
                             f"[{profile.exp_min}, {profile.exp_max}]")
     # the exact mantissa q/base**e as the unreduced pair man_num/man_den
     if e >= 0:
@@ -221,8 +223,9 @@ def encode_rational(q: Fraction, profile: FloatProfile) -> tuple[FloatVal, bool]
     # nearest rounding can collapse onto the excluded endpoint 1 only
     # from (1, 1 + 1/(2d)], whose rounding up is the next grid point
     count = max(round_half_even(man_num * d, man_den), d + 1)
-    # the mantissa lies in (1, base] and base <= sup: count is in range
-    encoded = compose(FixVal(count, profile.fix), e, profile)
+    # compose's checks hold: e is in range, the grid is the profile's, and
+    # d < count <= base*d, so count*base <= base**2*d < sup_count
+    encoded = FloatVal(FixVal(count, profile.fix), e, base)
     return encoded, count * man_den == man_num * d
 
 

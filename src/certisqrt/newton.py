@@ -3,8 +3,7 @@
 Six variants share the iteration x -> (x + y/x)/2:
 
 * sqr_exact    - exact rationals, seed y, until-loop on the correction;
-* isqr_exact   - exact rationals, seeded, loop on the non-negative
-                 correction computed directly;
+* isqr_exact   - the same until-loop from a given seed;
 * fsqr_exact   - exact rationals, seeded, fixed iteration count;
 * fix_sqr      - grid arithmetic, table seed, fixed iteration count;
 * mix_sqr      - fix_sqr with the minimal sufficient iteration count;
@@ -18,11 +17,12 @@ holds only the seed count and each iterate count: its per-pass view, in
 the same TraceStep form, is built when a reader asks for it, so a
 request builds no record that nothing reads.
 
-The three exact variants share one integer-pair step, _newton_steps,
-and differ only in their seed and exit rule.  It forms each pass from
-three squarings, p**2, q**2 and (p + q)**2 for x = p/q, using
-2*p*q = (p + q)**2 - p**2 - q**2, and builds no next iterate on a pass
-whose correction the caller does not apply.  It keeps the pairs in
+The three exact variants make one request pass, _exact_request, and
+share one integer-pair step, _newton_steps; sqr_exact and isqr_exact
+are one until-loop, _until_loop, run from two seeds.  The step forms
+each pass from three squarings, p**2, q**2 and (p + q)**2 for x = p/q,
+using 2*p*q = (p + q)**2 - p**2 - q**2, and builds no next iterate on a
+pass whose correction the caller does not apply.  It keeps the pairs in
 lowest terms by stripping common factors of 2*num(y)*den(y) each step
 (the only primes a common factor can contain), because a full gcd at the
 sizes reached by long runs is quadratic and would dominate the runtime.
@@ -49,7 +49,8 @@ from .errors import (
     ResourceLimit,
     SeedContractError,
 )
-from .exact import Ordering, cmp_sqrt, decide_radical_lt, fraction_from_coprime
+from .exact import (Ordering, _rat_text, cmp_sqrt, decide_radical_lt,
+                    fraction_from_coprime)
 from .fixarith import (FixVal, _add_count, _div_count, fix_mul,
                        require_same_grid)
 from .floatmodel import FloatProfile, FloatVal, compose, decompose
@@ -174,10 +175,9 @@ def _check_rational(**inputs) -> None:
                               f"got {value!r}")
 
 
-def _check_seed(s: Fraction, y: Fraction) -> None:
-    if cmp_sqrt(s, y) is Ordering.LESS or s > y:
-        raise SeedContractError(
-            f"seed {s} violates sqrt({y}) <= seed <= {y}")
+def _check_count(n: int) -> None:
+    if not isinstance(n, int):
+        raise DomainError(f"iteration count must be an integer, got {n!r}")
 
 
 def _pow2(k: int) -> Fraction:
@@ -226,9 +226,45 @@ def _newton_steps(y: Fraction, x: Fraction, passes: int):
         yield x
 
 
-def _until_passes(y: Fraction, eps: Fraction) -> int:
-    """Pass cap of the until-loops; reaching it means the run diverged."""
-    return (y.numerator * eps.denominator).bit_length() + 65
+def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
+                   seed: Fraction | None = None, n: int = 0) -> None:
+    """The request pass of the exact runs: it refuses the first rule
+    broken, in order: y, eps and a seeded run's seed are ints or
+    Fractions; y >= 1 for sqr_exact, else y > 1; eps > 0; n is an
+    integer >= 0; sqrt(y) <= seed <= y."""
+    seeded = algorithm != "sqr_exact"
+    _check_rational(y=y, eps=eps, **({"seed": seed} if seeded else {}))
+    if y < 1 or seeded and y == 1:
+        raise DomainError(f"{algorithm} requires y {'>' if seeded else '>='}"
+                          f" 1, got {_rat_text(y)}")
+    if eps <= 0:
+        raise DomainError(f"accuracy must be positive, got {_rat_text(eps)}")
+    _check_count(n)
+    if n < 0:
+        raise DomainError(f"iteration count must be >= 0, got {n}")
+    if seeded and (cmp_sqrt(seed, y) is Ordering.LESS or seed > y):
+        raise SeedContractError(f"seed {_rat_text(seed)} violates sqrt("
+                                f"{_rat_text(y)}) <= seed <= {_rat_text(y)}")
+
+
+def _until_loop(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
+                c_style: bool = False, **notes) -> tuple[Fraction, Trace]:
+    """The until-loop of sqr_exact and isqr_exact: x := seed; repeat
+    { ad := (x*x - y)/(2x); exit when ad < eps/2; x := x - ad }, under a
+    pass cap that only a diverging run reaches.  sqr_exact records -ad,
+    and c_style applies the exit pass's correction too.  No iterate from
+    a seed >= sqrt(y) falls below sqrt(y), so ad >= 0 needs no abs()."""
+    en, ed = eps.numerator, eps.denominator
+    negate, steps = algorithm == "sqr_exact", []
+    newton = _newton_steps(y, seed, (y.numerator * ed).bit_length() + 65)
+    for k, x, ad, ad_num, ad_den in newton:
+        stop = 2 * ed * ad_num < en * ad_den
+        x_after = newton.send(c_style or not stop)
+        steps.append(TraceStep(k, x, -ad if negate else ad, x_after))
+        if stop:
+            return x_after, Trace(algorithm, y=y, eps=eps, final_x=x_after,
+                                  steps=tuple(steps), seed=seed, notes=notes)
+    raise InternalInvariantError("iteration guard exceeded")
 
 
 def sqr_exact(y: Fraction, eps: Fraction,
@@ -241,27 +277,9 @@ def sqr_exact(y: Fraction, eps: Fraction,
     testing (compatibility behaviour with no accuracy claim attached).
     Defined for y >= 1, eps > 0; the result satisfies |x - sqrt(y)| <= eps.
     """
-    _check_rational(y=y, eps=eps)
-    if y < 1:
-        raise DomainError(f"sqr_exact requires y >= 1, got {y}")
-    if eps <= 0:
-        raise DomainError(f"accuracy must be positive, got {eps}")
-    en, ed = eps.numerator, eps.denominator
-    steps: list[TraceStep] = []
-    newton = _newton_steps(y, y, _until_passes(y, eps))
-    for k, x, ad, ad_num, ad_den in newton:
-        stop = 2 * ed * abs(ad_num) < en * ad_den
-        x_after = newton.send(c_style or not stop)
-        steps.append(TraceStep(k, x, -ad, x_after))
-        if stop:
-            final = x_after
-            break
-    else:
-        raise InternalInvariantError("iteration guard exceeded")
-    trace = Trace("sqr_exact", y=y, eps=eps, final_x=final,
-                  steps=tuple(steps), seed=y,
-                  notes={"exit_style": "c" if c_style else "flowchart"})
-    return final, trace
+    _exact_request("sqr_exact", y, eps)
+    return _until_loop("sqr_exact", y, eps, y, c_style,
+                       exit_style="c" if c_style else "flowchart")
 
 
 def isqr_exact(y: Fraction, eps: Fraction,
@@ -273,26 +291,8 @@ def isqr_exact(y: Fraction, eps: Fraction,
     The seed must satisfy sqrt(y) <= seed <= y; this is enforced per
     call through the exact oracle.
     """
-    _check_rational(y=y, eps=eps, seed=seed)
-    if y <= 1:
-        raise DomainError(f"isqr_exact requires y > 1, got {y}")
-    if eps <= 0:
-        raise DomainError(f"accuracy must be positive, got {eps}")
-    _check_seed(seed, y)
-    en, ed = eps.numerator, eps.denominator
-    steps: list[TraceStep] = []
-    newton = _newton_steps(y, seed, _until_passes(y, eps))
-    for k, x, ad, ad_num, ad_den in newton:
-        stop = 2 * ed * ad_num < en * ad_den
-        steps.append(TraceStep(k, x, ad, newton.send(not stop)))
-        if stop:
-            final = x
-            break
-    else:
-        raise InternalInvariantError("iteration guard exceeded")
-    trace = Trace("isqr_exact", y=y, eps=eps, final_x=final,
-                  steps=tuple(steps), seed=seed)
-    return final, trace
+    _exact_request("isqr_exact", y, eps, seed)
+    return _until_loop("isqr_exact", y, eps, seed)
 
 
 def _least_count(stp_count: int, eps_count: int) -> int:
@@ -330,7 +330,7 @@ def min_legal_iterations(y: Fraction, eps: Fraction,
     bisection in (hi/2, hi]."""
     _check_rational(y=y, eps=eps, seed_value=seed_value)
     if eps <= 0:
-        raise DomainError(f"accuracy must be positive, got {eps}")
+        raise DomainError(f"accuracy must be positive, got {_rat_text(eps)}")
 
     def legal(n: int) -> bool:
         return _legal_count(y, eps, seed_value, n)
@@ -343,11 +343,6 @@ def min_legal_iterations(y: Fraction, eps: Fraction,
     return bisect_left(range(hi), True, hi // 2 + 1, key=legal)
 
 
-def _check_count(n: int) -> None:
-    if not isinstance(n, int):
-        raise DomainError(f"iteration count must be an integer, got {n!r}")
-
-
 def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
                n: int) -> tuple[Fraction, Trace]:
     """For-loop Newton square root in exact rational arithmetic.
@@ -357,25 +352,16 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
     an illegal count raises IterationBudgetError.  The result satisfies
     |x - sqrt(y)| <= eps/2.
     """
-    _check_rational(y=y, eps=eps, seed=seed)
-    if y <= 1:
-        raise DomainError(f"fsqr_exact requires y > 1, got {y}")
-    if eps <= 0:
-        raise DomainError(f"accuracy must be positive, got {eps}")
-    _check_count(n)
-    if n < 0:
-        raise DomainError(f"iteration count must be >= 0, got {n}")
-    _check_seed(seed, y)
+    _exact_request("fsqr_exact", y, eps, seed, n)
     if not _legal_count(y, eps, seed, n):
         raise IterationBudgetError(
-            f"n={n} below the legal minimum for seed {seed}")
+            f"n={n} below the legal minimum for seed {_rat_text(seed)}")
     newton = _newton_steps(y, seed, n)
     steps = [TraceStep(k, x, ad, newton.send(True))
              for k, x, ad, _, _ in newton]
     final = steps[-1].x_after if steps else seed
-    trace = Trace("fsqr_exact", y=y, eps=eps, final_x=final,
-                  steps=tuple(steps), n_planned=n, seed=seed)
-    return final, trace
+    return final, Trace("fsqr_exact", y=y, eps=eps, final_x=final,
+                        steps=tuple(steps), n_planned=n, seed=seed)
 
 
 def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
@@ -512,7 +498,7 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
     """
     profile.validate()
     if ulp <= 0:
-        raise DomainError(f"ulp must be positive, got {ulp}")
+        raise DomainError(f"ulp must be positive, got {_rat_text(ulp)}")
     _check_table_config(profile.fix, stp)
     half_ulp = ulp / 2
     beta = Fraction(profile.base)
@@ -525,5 +511,6 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
         if count < _mix_eps_floor(_least_count(stp.count, count)):
             continue
         return eps
-    raise NoFeasibleEps(f"no grid accuracy below ulp/2 = {half_ulp} "
-                        f"with step {stp} on a {profile.fix.delta} grid")
+    raise NoFeasibleEps(f"no grid accuracy below ulp/2 = "
+                        f"{_rat_text(half_ulp)} with step {stp} on a "
+                        f"{profile.fix.delta} grid")

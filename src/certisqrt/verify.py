@@ -17,6 +17,7 @@ from typing import Sequence
 from .errors import DomainError, UsageError
 from .exact import (
     Ordering,
+    _rat_text,
     cmp_products,
     cmp_sqrt,
     rat_str,
@@ -67,7 +68,8 @@ def iteration_cap(y: Fraction, eps: Fraction) -> int:
     """max(0, 1 + ceil(log2((y - sqrt(y))/eps))) decided exactly, y > 1:
     the legal iteration count of a run seeded with y."""
     if y <= 1:
-        raise DomainError(f"iteration cap defined for y > 1, got {y}")
+        raise DomainError(f"iteration cap defined for y > 1, "
+                          f"got {_rat_text(y)}")
     return min_legal_iterations(y, eps, y)
 
 

@@ -797,6 +797,54 @@ class TestRationalArguments:
         assert not out.exists()
 
 
+class TestHugeRationalRefusals:
+    """A refusal that names a rational or a grid count of 5,000 digits
+    writes its long parts in hex and exits 1 with a typed error, not a
+    traceback from the interpreter's int-to-str digit limit."""
+
+    @pytest.mark.parametrize("command,error", [
+        (["sqrt", "PROFILE", "--mode", "exact", "--value", "1e-5000",
+          "--eps", "1"], "DomainError"),
+        (["sqrt", "PROFILE", "--mode", "exact", "--value", "2",
+          "--eps=-1e-5000"], "DomainError"),
+        (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--value", "1e-5000",
+          "--eps", "0.25"], "DomainError"),
+        (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--value", "3",
+          "--eps", "1e-5000"], "DomainError"),
+        (["sqrt", "PROFILE", "TABLE", "--mode", "float", "--value", "1e5000",
+          "--eps", "0.25"], "RangeOverflow"),
+        (["sqrt", "PROFILE", "TABLE", "--mode", "float", "--value", "3",
+          "--ulp", "1e-5000"], "NoFeasibleEps"),
+        (["sweep", "PROFILE", "OUT", "--kind", "more-worse", "--y",
+          "1e-5000"], "DomainError"),
+        (["sweep", "PROFILE", "OUT", "--kind", "balance", "--stp",
+          "1e-5000"], "DomainError"),
+        # grid values whose counts are 5,000 digits long
+        (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--value", "1e5000",
+          "--eps", "0.25"], "RangeOverflow"),
+        (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--value", "3",
+          "--eps", "1e5000"], "RangeOverflow"),
+        (["sweep", "PROFILE", "OUT", "--kind", "more-worse", "--y",
+          "1e5000"], "RangeOverflow"),
+        (["sweep", "PROFILE", "OUT", "--kind", "balance", "--stp",
+          "1e5000"], "RangeOverflow"),
+    ], ids=["exact-value", "exact-eps", "mix-value", "mix-eps",
+            "float-value", "float-ulp", "more-worse-y", "balance-stp",
+            "mix-value-count", "mix-eps-count", "more-worse-y-count",
+            "balance-stp-count"])
+    def test_exit_1_typed(self, demo_profile_path, demo_table_path,
+                          tmp_path, capsys, command, error):
+        out = tmp_path / "out.csv"
+        argv = [{"PROFILE": demo_profile_path, "TABLE": demo_table_path,
+                 "OUT": str(out)}.get(a, a) for a in command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {error}: ")
+        assert "0x" in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
+
+
 class TestUnwritableOutput:
     """An output path in a missing directory is a usage error that names
     the path."""

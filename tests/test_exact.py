@@ -475,6 +475,15 @@ class TestLosslessEncoding:
         assert encode_int(n) == hex(n)
         assert encode_int(-n) == "-" + hex(n)
 
+    def test_message_text_is_str_while_parts_are_short(self):
+        n = (1 << exact._DECIMAL_MAX_BITS) - 1
+        for q in (F(-3, 4), F(7), 7, F(n, n - 2), F(-n)):
+            assert exact._rat_text(q) == str(q)
+        m = n + 1
+        assert exact._rat_text(F(1, m)) == f"1/{hex(m)}"
+        assert exact._rat_text(F(-m, 3)) == f"-{hex(m)}/3"
+        assert exact._rat_text(F(m)) == hex(m)
+
     def test_rat_str_round_trips(self):
         for q in (F(173, 100), F(-(3 ** 5000), 7), F(3, 2 ** 9000 + 1),
                   F(-(5 ** 3000) - 2, 3 ** 2000)):

@@ -92,6 +92,15 @@ class TestQuantize:
         with pytest.raises(DomainError):
             quantize(F(1), p100, "sideways")
 
+    def test_huge_overflow_message(self, p100):
+        # 5,000-digit parts print in hex, past the int-to-str digit limit
+        with pytest.raises(RangeOverflow, match=r"^0x[0-9a-f]+ quantizes "
+                                                r"to count 0x[0-9a-f]+,"):
+            quantize(F(10 ** 5000), p100)
+        with pytest.raises(RangeOverflow, match=r"^count -0x[0-9a-f]+ "
+                                                r"outside \[-1600, 1600\]$"):
+            p100.val(-10 ** 5000)
+
 
 class TestAddSub:
     def test_exact(self, p100):

@@ -329,3 +329,28 @@ class TestEncodeAgainstFractionForm:
                 for dq in (0, F(1, 10 * d) * F(2) ** e):
                     assert _outcome(encode_rational, q + dq, prof) == \
                         _outcome(reference_encode, q + dq, prof), q + dq
+
+
+class TestEncodeIsComposed:
+    """encode_rational builds its value without calling compose; each
+    encoding still passes compose's grid, mantissa and exponent checks."""
+
+    @pytest.mark.parametrize("fprof", [
+        FloatProfile(2, FixProfile(100, 1600, 1600), F(65536), F(65536)),
+        FloatProfile(2, WIDE_FIX, F(65536), F(65536)),
+    ], ids=["demo", "wide"])
+    def test_mantissa_and_exponent_extremes(self, fprof):
+        d, base = fprof.fix.delta_den, fprof.base
+        # mantissas just above 1 (one rounding onto 1 and nudged up), in
+        # the middle, just below base (rounding up to it) and at base
+        mantissas = [1 + F(1, 10 * d), 1 + F(1, 2 * d), 1 + F(1, d),
+                     F(3, 2), base - F(1, 10 * d), F(base)]
+        seen = set()
+        for e in (fprof.exp_min, fprof.exp_min + 1, 0,
+                  fprof.exp_max - 1, fprof.exp_max):
+            for m in mantissas:
+                enc, _ = encode_rational(m * F(base) ** e, fprof)
+                assert enc == compose(enc.man, enc.exp, fprof), (m, e)
+                seen.add((enc.man.count, enc.exp))
+        for e in (fprof.exp_min, fprof.exp_max):
+            assert (d + 1, e) in seen and (base * d, e) in seen
