@@ -42,7 +42,6 @@ from .floatmodel import (
     FloatVal,
     check_float_profile,
     compose,
-    decompose,
     encode_rational,
     value_of,
 )

@@ -131,14 +131,6 @@ def compose(man: FixVal, exp: int, profile: FloatProfile) -> FloatVal:
     return FloatVal(man, exp, profile.base)
 
 
-def decompose(a: FloatVal) -> tuple[FixVal, int]:
-    """Extract the stored (mantissa, exponent) pair of a positive value."""
-    if a.is_zero:
-        raise DomainError("zero has no mantissa/exponent decomposition")
-    assert a.man is not None
-    return a.man, a.exp
-
-
 def value_of(a: FloatVal) -> Fraction:
     """Exact rational value: mantissa * base**exponent, or 0 for zero.
 

@@ -13,9 +13,10 @@ Every run returns the result together with a record of its iterates;
 all correctness checks live in the verify module and operate on those
 records after the fact.  The exact variants return a Trace, which holds
 each pass as a TraceStep.  The grid variants return a GridTrace, which
-holds only the seed count and each iterate count: its per-pass view, in
-the same TraceStep form, is built when a reader asks for it, so a
-request builds no record that nothing reads.
+holds only the request's inputs, the seed count and each iterate count
+(flt_sqr's is the record of the loop it ran on its radicand): its
+per-pass view, in the same TraceStep form, is built when a reader asks
+for it, so a request builds no record that nothing reads.
 
 The three exact variants make one request pass, _exact_request, and
 share one integer-pair step, _newton_steps; sqr_exact and isqr_exact
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -46,6 +47,7 @@ from .errors import (
     InternalInvariantError,
     IterationBudgetError,
     NoFeasibleEps,
+    ProfileMismatch,
     ResourceLimit,
     SeedContractError,
 )
@@ -53,7 +55,7 @@ from .exact import (Ordering, _rat_text, cmp_sqrt, decide_radical_lt,
                     fraction_from_coprime)
 from .fixarith import (FixVal, _add_count, _div_count, fix_mul,
                        require_same_grid)
-from .floatmodel import FloatProfile, FloatVal, compose, decompose
+from .floatmodel import FloatProfile, FloatVal, compose
 from .lut import (RootTable, _check_table_config, _env_limit, _seed_count,
                   step_multiple_of_eps)
 
@@ -90,18 +92,17 @@ class Trace:
     steps: tuple[TraceStep, ...] = ()
     n_planned: int | None = None
     seed: Fraction | None = None
-    notes: dict = field(default_factory=dict)
 
 
 class GridTrace(NamedTuple):
     """A run of fix_sqr, mix_sqr or flt_sqr as it is recorded: its inputs,
     the table step stp, the iteration count n_planned, and counts, the
-    seed count followed by each iterate count on the grid of y.  flt_sqr
-    also keeps its input as float_in; its y is the mantissa the loop ran
-    on, and a zero input records y None and no counts.
+    seed count followed by each iterate count on the grid of y.  flt_sqr's
+    y is the radicand the loop ran on, and a zero input records y None and
+    no counts.
 
-    seed, final_x, steps and notes are views with the values of the Trace
-    fields of those names, built from the counts on every read.
+    seed, final_x and steps are views with the values of the Trace fields
+    of those names, built from the counts on every read.
     """
 
     algorithm: str
@@ -110,7 +111,6 @@ class GridTrace(NamedTuple):
     stp: FixVal | None
     n_planned: int | None
     counts: tuple[int, ...]
-    float_in: FloatVal | None = None
 
     @property
     def seed(self) -> FixVal | None:
@@ -131,20 +131,6 @@ class GridTrace(NamedTuple):
                                                   profile.delta_den),
                                xs[k + 1])
                      for k in range(len(counts) - 1))
-
-    @property
-    def notes(self) -> dict:
-        """flt_sqr's input, loop radicand and result, or {"zero": True}
-        for a zero input; empty for fix_sqr and mix_sqr."""
-        a = self.float_in
-        if a is None:
-            return {}
-        if a.is_zero:
-            return {"zero": True}
-        # the result is the final iterate scaled by base**floor(exp/2)
-        return {"input": {"man": str(a.man), "exp": a.exp},
-                "radicand": str(self.y),
-                "result": {"man": str(self.final_x), "exp": a.exp // 2}}
 
 
 def _strip_small(p: int, q: int, small: int) -> tuple[int, int]:
@@ -248,7 +234,7 @@ def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
 
 
 def _until_loop(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
-                c_style: bool = False, **notes) -> tuple[Fraction, Trace]:
+                c_style: bool = False) -> tuple[Fraction, Trace]:
     """The until-loop of sqr_exact and isqr_exact: x := seed; repeat
     { ad := (x*x - y)/(2x); exit when ad < eps/2; x := x - ad }, under a
     pass cap that only a diverging run reaches.  sqr_exact records -ad,
@@ -263,7 +249,7 @@ def _until_loop(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
         steps.append(TraceStep(k, x, -ad if negate else ad, x_after))
         if stop:
             return x_after, Trace(algorithm, y=y, eps=eps, final_x=x_after,
-                                  steps=tuple(steps), seed=seed, notes=notes)
+                                  steps=tuple(steps), seed=seed)
     raise InternalInvariantError("iteration guard exceeded")
 
 
@@ -278,8 +264,7 @@ def sqr_exact(y: Fraction, eps: Fraction,
     Defined for y >= 1, eps > 0; the result satisfies |x - sqrt(y)| <= eps.
     """
     _exact_request("sqr_exact", y, eps)
-    return _until_loop("sqr_exact", y, eps, y, c_style,
-                       exit_style="c" if c_style else "flowchart")
+    return _until_loop("sqr_exact", y, eps, y, c_style)
 
 
 def isqr_exact(y: Fraction, eps: Fraction,
@@ -365,9 +350,8 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
 
 
 def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
-                 n: int | None = None, *, mix: bool = False,
-                 float_in: FloatVal | None = None
-                 ) -> tuple[FixVal, GridTrace]:
+                 n: int | None = None, *,
+                 mix: bool = False) -> tuple[FixVal, GridTrace]:
     """The request pass of fix_sqr, mix_sqr and flt_sqr, then their
     table-seeded loop.  The pass refuses the first rule broken, in order:
     one grid; eps > 0; eps divides stp; with mix, n := n_min and eps meets
@@ -407,7 +391,7 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
                        profile)
         counts.append(x)
     return FixVal(x, profile), GridTrace(algorithm, y, eps, table.stp, n,
-                                         tuple(counts), float_in)
+                                         tuple(counts))
 
 
 def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
@@ -446,7 +430,8 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     """Square root in the float model: extract the mantissa, even out the
     exponent, run mix_sqr on the adjusted mantissa, halve the exponent.
 
-    Zero maps to zero.  For a = man*base**e the result satisfies
+    Zero maps to zero; a positive a must carry the profile's base, else
+    ProfileMismatch.  For a = man*base**e the result satisfies
     |b - sqrt(a)| < c1 + c2*sqrt(base), (c1, c2) = float_bound(eps, e,
     profile).
     """
@@ -457,13 +442,15 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
                       "table belongs to a different grid")
     if a.is_zero:
         return FloatVal.zero(), GridTrace("flt_sqr", None, eps, None, None,
-                                          (), a)
-    man, e = decompose(a)
+                                          ())
+    man, e = a.man, a.exp
     require_same_grid(man.profile, profile.fix,
                       "input belongs to a different grid")
+    if a.base != profile.base:
+        raise ProfileMismatch(f"input base {a.base} differs from the "
+                              f"profile base {profile.base}")
     y_fix, z = (fix_mul(man, profile.base_fix), e - 1) if e % 2 else (man, e)
-    x, trace = _grid_newton("flt_sqr", y_fix, eps, table, mix=True,
-                            float_in=a)
+    x, trace = _grid_newton("flt_sqr", y_fix, eps, table, mix=True)
     return compose(x, z // 2, profile), trace
 
 

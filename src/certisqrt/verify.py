@@ -189,11 +189,15 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
     * float (FloatVals, eps a FixVal): |x - sqrt(y)| < c1 + c2*sqrt(base),
       (c1, c2) = float_bound(eps, exponent of y, fprof); a zero y passes
       exactly when x is zero.  The witness holds the bound or its terms.
+
+    fix without an integer n, or float without fprof, is a UsageError.
     """
     rule, name = f"sqrt.{mode}-bound", f"{mode} result within its bound"
     if mode == "exact":
         return check(name, rule, within_of_sqrt(x, y, eps), {"bound": eps})
     if mode == "float":
+        if fprof is None:
+            raise UsageError("a float verdict needs a float profile")
         if y.is_zero:
             return check(name, rule, x.is_zero, {"zero": True})
         c1, c2 = float_bound(eps, y.exp, fprof)
@@ -202,6 +206,9 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
         return check(name, rule, ok, {"c1": c1, "c2": c2, "base": fprof.base})
     if mode not in ("fix", "mix"):
         raise UsageError(f"unknown sqrt mode {mode!r}")
+    if mode == "fix" and not isinstance(n, int):
+        raise UsageError(f"a fix verdict needs an integer iteration count, "
+                         f"got {n!r}")
     bound = fix_bound(eps, n) if mode == "fix" else eps.value
     ok = within_of_sqrt(x.value, y.value, bound, strict=True)
     return check(name, rule, ok, {"bound": bound})
@@ -220,14 +227,18 @@ class AdjustmentRecord:
 
 def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
                 n: int) -> tuple[tuple[AdjustmentRecord, ...], VerifyReport]:
-    """Run the exact and grid for-loop algorithms in lockstep from the
-    same seed and check |x_exact_k - x_fix_k| <= k * step_of_grid for all
-    k, plus the combined final bound of the grid run."""
+    """Run the grid for-loop algorithm, then its exact twin from the seed
+    the grid record holds, and check |x_exact_k - x_fix_k| <= k *
+    step_of_grid for all k, plus the combined final bound of the grid run.
+
+    fix_sqr's n >= n_min gives 2**(n-1) * eps >= stp >= seed - sqrt(y),
+    so the exact run refuses no request fix_sqr accepts (short of the
+    CERTISQRT_MAX_BITS cap on its operands), and a request is refused
+    exactly as fix_sqr refuses it."""
     profile = y.profile
-    x0 = sup_fn(y, table)
-    seed_value = x0.value
-    _, exact_trace = fsqr_exact(y.value, eps.value, seed_value, n)
     x_fix, fix_trace = fix_sqr(y, eps, table, n)
+    seed_value = fix_trace.seed.value
+    _, exact_trace = fsqr_exact(y.value, eps.value, seed_value, n)
     exact_seq = [seed_value] + [s.x_after for s in exact_trace.steps]
     fix_seq = [FixVal(c, profile) for c in fix_trace.counts]
     delta = profile.delta

@@ -17,6 +17,7 @@ from certisqrt.errors import (
     IterationBudgetError,
     MantissaRange,
     NoFeasibleEps,
+    ProfileMismatch,
     RangeOverflow,
     ResourceLimit,
     SeedContractError,
@@ -408,7 +409,24 @@ class TestFltSqr:
         b, trace = flt_sqr(FloatVal.zero(), demo_eps, demo_float_profile,
                            demo_table)
         assert b.is_zero
-        assert trace.notes.get("zero") is True
+        assert trace.counts == ()
+
+    def test_input_base_other_than_profile(self, demo_profile, demo_eps,
+                                           demo_table):
+        # FloatVal's base defaults to 2: read on a base-3 profile, 2.00*2^1
+        # would run as the root of 2.00*3^1 = 6
+        fprof = FloatProfile(3, demo_profile, F(65536), F(65536))
+        with pytest.raises(ProfileMismatch,
+                           match="input base 2 differs from the profile "
+                                 "base 3"):
+            flt_sqr(FloatVal(demo_profile.val(200), 1), demo_eps, fprof,
+                    demo_table)
+        # zero carries base 2 whatever the profile, and maps to zero
+        b, _ = flt_sqr(FloatVal.zero(), demo_eps, fprof, demo_table)
+        assert b.is_zero
+        b, _ = flt_sqr(FloatVal(demo_profile.val(200), 1, 3), demo_eps, fprof,
+                       demo_table)
+        assert b.exp == 0 and b.base == 3
 
     def test_twelve(self, demo_profile, demo_eps, demo_float_profile,
                     demo_table):
@@ -540,7 +558,7 @@ def reference_flt_run(a, eps, fprof, stp):
     """flt_sqr on a positive a over reference_grid_run."""
     y, z = _flt_loop_input(a, fprof)
     x, trace = reference_grid_run("flt_sqr", y, eps, stp)
-    return compose(x, z // 2, fprof), trace._replace(float_in=a)
+    return compose(x, z // 2, fprof), trace
 
 
 def _flt_loop_input(a, fprof):
@@ -553,34 +571,28 @@ def _flt_loop_input(a, fprof):
 
 
 def eager_grid_views(algorithm, y, eps, stp, n=None):
-    """seed, final_x, steps and notes of a fix_sqr or mix_sqr run as the
-    grid loop built them eagerly, one TraceStep per pass, from the
-    reference loop's iterates."""
+    """seed, final_x and steps of a fix_sqr or mix_sqr run as the grid
+    loop built them eagerly, one TraceStep per pass, from the reference
+    loop's iterates."""
     profile = y.profile
     _, xs = _reference_iterates(algorithm, y, eps, stp, n)
     steps = tuple(TraceStep(k, _on_grid(x, profile), x_new - x,
                             _on_grid(x_new, profile))
                   for k, (x, x_new) in enumerate(zip(xs, xs[1:])))
     return {"seed": _on_grid(xs[0], profile),
-            "final_x": _on_grid(xs[-1], profile), "steps": steps,
-            "notes": {}}
+            "final_x": _on_grid(xs[-1], profile), "steps": steps}
 
 
 def eager_flt_views(a, eps, fprof, stp):
-    """The views of flt_sqr's eager record on a positive a: its notes held
-    the input, the loop radicand and the composed result."""
-    y, z = _flt_loop_input(a, fprof)
-    views = eager_grid_views("flt_sqr", y, eps, stp)
-    b = compose(views["final_x"], z // 2, fprof)
-    views["notes"] = {"input": {"man": str(a.man), "exp": a.exp},
-                      "radicand": str(y),
-                      "result": {"man": str(b.man), "exp": b.exp}}
-    return views
+    """The views of flt_sqr's eager record on a positive a: those of the
+    loop on its radicand."""
+    y, _ = _flt_loop_input(a, fprof)
+    return eager_grid_views("flt_sqr", y, eps, stp)
 
 
 def _views(trace):
     return {name: getattr(trace, name)
-            for name in ("seed", "final_x", "steps", "notes")}
+            for name in ("seed", "final_x", "steps")}
 
 
 def _outcome(fn, *args):
@@ -699,8 +711,8 @@ def _count_records(monkeypatch) -> Counter:
 
 
 class TestGridTraceViews:
-    """A grid run records its iterate counts; the seed, final_x, steps and
-    notes built from them on read equal the fields the loop used to build
+    """A grid run records its iterate counts; the seed, final_x and steps
+    built from them on read equal the fields the loop used to build
     eagerly, one TraceStep and one correction Fraction per pass."""
 
     def test_demo_fix_and_mix(self, demo_profile, demo_table, demo_eps):
@@ -737,12 +749,11 @@ class TestGridTraceViews:
         assert bad == [] and ran > 3000
         _, trace = flt_sqr(FloatVal.zero(), demo_eps, demo_float_profile,
                            demo_table)
-        assert _views(trace) == {"seed": None, "final_x": None, "steps": (),
-                                 "notes": {"zero": True}}
+        assert _views(trace) == {"seed": None, "final_x": None, "steps": ()}
         assert trace.counts == () and trace.y is None
 
     def test_corrupted_record_changes_views(self, demo_profile, demo_eps,
-                                            demo_float_profile, demo_table):
+                                            demo_table):
         # negative control: every count feeds the views that read it
         y = demo_profile.val(300)
         _, trace = fix_sqr(y, demo_eps, demo_table, 3)
@@ -756,12 +767,6 @@ class TestGridTraceViews:
             assert got["steps"] != want["steps"]
             assert (got["seed"] != want["seed"]) == (i == 0)
             assert (got["final_x"] != want["final_x"]) == (i == last)
-        a = compose(demo_profile.val(150), 3, demo_float_profile)
-        _, trace = flt_sqr(a, demo_eps, demo_float_profile, demo_table)
-        moved = compose(a.man, 5, demo_float_profile)
-        assert trace._replace(float_in=moved).notes != \
-            eager_flt_views(a, demo_eps, demo_float_profile,
-                            demo_table.stp)["notes"]
 
     @pytest.mark.parametrize("mode", ["fix", "mix", "flt"])
     def test_request_builds_no_step_record(self, monkeypatch, mode):
@@ -838,8 +843,7 @@ def reference_exact_run(algorithm, y, eps, seed=None, n=None,
             x += d
     if algorithm == "sqr_exact":
         return x, Trace(algorithm, y=y, eps=eps, final_x=x,
-                        steps=tuple(steps), seed=y,
-                        notes={"exit_style": "c" if c_style else "flowchart"})
+                        steps=tuple(steps), seed=y)
     return x, Trace(algorithm, y=y, eps=eps, final_x=x, steps=tuple(steps),
                     seed=seed)
 

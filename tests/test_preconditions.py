@@ -94,6 +94,8 @@ FLT_CASES = {
     "table-other-grid": (A, EPS, FLOAT, MICRO_TABLE, ProfileMismatch),
     "input-other-grid": (FloatVal(MICRO.val(30), 2, 2), EPS, FLOAT, TABLE,
                          ProfileMismatch),
+    "input-other-base": (FloatVal(DEMO.val(300), 2, 3), EPS, FLOAT, TABLE,
+                         ProfileMismatch),
     "step-not-multiple-of-eps": (A, DEMO.val(10), FLOAT, TABLE, DomainError),
     "eps-too-small": (A, DEMO.val(5), FLOAT, TABLE, EpsTooSmall),
     "result-mantissa-at-one": (FloatVal(DEMO.val(101), 0, 2), EPS, FLOAT,
@@ -324,6 +326,12 @@ MULTI_VIOLATION_CASES = {
     "flt-table-grid-and-eps-zero": (
         lambda: flt_sqr(A, DEMO.val(0), FLOAT, MICRO_TABLE),
         ProfileMismatch, "table belongs to a different grid"),
+    "flt-input-grid-and-base": (
+        lambda: flt_sqr(FloatVal(MICRO.val(30), 2, 3), EPS, FLOAT, TABLE),
+        ProfileMismatch, "input belongs to a different grid"),
+    "flt-base-and-y-at-most-one": (
+        lambda: flt_sqr(FloatVal(DEMO.val(100), 0, 3), EPS, FLOAT, TABLE),
+        ProfileMismatch, "input base 3 differs from the profile base 2"),
     "flt-eps-zero-and-y-at-most-one": (
         lambda: flt_sqr(FloatVal(DEMO.val(100), 0, 2), DEMO.val(0), FLOAT,
                         TABLE),

@@ -11,7 +11,7 @@ from certisqrt.errors import CertisqrtError, UsageError
 from certisqrt.exact import (Ordering, sqrt_abs_err_lt, sqrt_enclosure,
                              within_of_sqrt)
 from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
-from certisqrt.lut import sup_fn
+from certisqrt.lut import build_root_table, sup_fn
 from certisqrt.newton import (
     Trace,
     TraceStep,
@@ -440,6 +440,29 @@ class TestAdjustRuns:
         records, _ = adjust_runs(y, demo_eps, demo_table, 3)
         assert records[0].x_exact == sup_fn(y, demo_table).value
 
+    def test_refuses_as_fix_sqr(self, demo_profile, demo_table, demo_eps,
+                                micro_profile):
+        # the exact run starts from the grid record's seed, so every
+        # refusal is fix_sqr's, type and message
+        micro_table = build_root_table(micro_profile, micro_profile.val(8))
+        y = demo_profile.val(300)
+        cases = {
+            "y-above-half-sup": (demo_profile.val(801), demo_eps,
+                                 demo_table, 3),
+            "n-below-minimum": (demo_profile.val(301), demo_profile.val(5),
+                                demo_table, 1),
+            "eps-zero": (y, demo_profile.val(0), demo_table, 3),
+            "eps-other-grid": (y, micro_profile.val(8), demo_table, 3),
+            "table-other-grid": (y, demo_eps, micro_table, 3),
+        }
+        for label, args in cases.items():
+            with pytest.raises(CertisqrtError) as want:
+                fix_sqr(*args)
+            with pytest.raises(CertisqrtError) as got:
+                adjust_runs(*args)
+            assert (type(got.value), str(got.value)) == \
+                (type(want.value), str(want.value)), label
+
     def test_random_slice(self, demo_profile, demo_table, demo_eps):
         for count in range(101, 800, 37):
             for n in (1, 2, 4):
@@ -698,6 +721,19 @@ class TestSqrtVerdict:
         y = demo_profile.val(300)
         with pytest.raises(UsageError):
             sqrt_verdict("nearest", y, y, demo_eps)
+
+    @pytest.mark.parametrize("n", [None, 3.0, "3"])
+    def test_fix_without_integer_count(self, demo_profile, demo_eps, n):
+        y = demo_profile.val(300)
+        with pytest.raises(UsageError, match="integer iteration count"):
+            sqrt_verdict("fix", demo_profile.val(173), y, demo_eps, n=n)
+
+    def test_float_without_profile(self, demo_profile, demo_float_profile,
+                                   demo_eps):
+        a = compose(demo_profile.val(150), 3, demo_float_profile)
+        b = compose(demo_profile.val(173), 1, demo_float_profile)
+        with pytest.raises(UsageError, match="float profile"):
+            sqrt_verdict("float", b, a, demo_eps)
 
 
 class TestSqrtVerdictMatchesFormerInline:
