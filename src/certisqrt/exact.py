@@ -14,16 +14,21 @@ hands it the pairs of q - bound and q + bound.  decide_radical_lt and
 sqrt_abs_err_lt multiply through by a positive common denominator and
 write sqrt(num/den) as sqrt(num*den)/den, so both end in _lt_radical,
 which decides L < K*sqrt(M) on integers as the sign of L/K - sqrt(M),
-reversed when K < 0.  The sign is that of n**2*b - a*d**2, a
-difference of two products that cmp_products decides in stages.  Bit
-lengths come first.  Next each factor is cut to its top _FILTER_BITS
-bits: dropping low bits moves a factor by less than one unit of its
-last kept bit, so each product lies in a bracket of small integers,
-and disjoint brackets decide the sign.  Only overlapping brackets need
-the full products, which also decide every short operand.  Each stage
-is exact, so the verdict is too; the filter only skips squaring
-operands of 100K+ bits when a 128-bit bracket already settles the
-comparison.
+reversed when K < 0.  The sign is that of n**2*b - a*d**2.  When n and
+d both have at most _SHORT_BITS bits, as on every grid request,
+_sqrt_sign forms the two products itself.  Longer operands go to
+cmp_products, which decides the difference in stages.  Bit lengths
+come first.  Next each factor is cut to its top _FILTER_BITS bits:
+dropping low bits moves a factor by less than one unit of its last
+kept bit, so each product lies in a bracket of small integers, and
+disjoint brackets decide the sign.  Only overlapping brackets need the
+full products.  Each stage is exact, so the verdict is too; the filter
+only skips squaring operands of 100K+ bits when a 128-bit bracket
+already settles the comparison.
+
+Where a Fraction is wanted, the value count/d of a grid count, it is
+built by _lowest_terms: one gcd, then fraction_from_coprime, without
+the checks of Fraction's constructor.
 """
 from __future__ import annotations
 
@@ -62,6 +67,14 @@ def fraction_from_coprime(num: int, den: int) -> Fraction:
     return f
 
 
+def _lowest_terms(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for integers num and den > 0, reduced by one
+    math.gcd; fixarith, floatmodel and newton build every grid value
+    count/d through it."""
+    g = math.gcd(num, den)
+    return fraction_from_coprime(num // g, den // g)
+
+
 # Below 2**2126 < 10**640 an integer has at most 640 decimal digits, the
 # least int-to-str limit an interpreter can be set to.
 _DECIMAL_MAX_BITS = 2126
@@ -90,8 +103,10 @@ def _rat_text(q: Fraction | int) -> str:
 
 
 # The filter keeps the top _FILTER_BITS bits of each factor; cmp_sqrt
-# uses it once a part of q is longer than 2*_FILTER_BITS bits.
+# uses it once a part of q is longer than _SHORT_BITS = 2*_FILTER_BITS
+# bits.
 _FILTER_BITS = 128
+_SHORT_BITS = 2 * _FILTER_BITS
 
 
 def _exact_sign(x1: int, x2: int, y1: int, y2: int) -> int:
@@ -160,13 +175,17 @@ def _sqrt_sign(n: int, d: int, a: int, b: int) -> int:
     parts need not be in lowest terms.
 
     Negative n/d is below the root; otherwise the sign is that of
-    n**2*b - a*d**2, through cmp_products once n or d is long.
+    n**2*b - a*d**2, through cmp_products once n or d is long, and from
+    the two products formed here when both are short.  Each bit length
+    is read on its own: (n | d).bit_length() would form an integer as
+    long as the operands.
     """
     if n < 0:
         return -1
-    if max(n.bit_length(), d.bit_length()) > 2 * _FILTER_BITS:
+    if n.bit_length() > _SHORT_BITS or d.bit_length() > _SHORT_BITS:
         return cmp_products(n, n * b, a * d, d)
-    return _exact_sign(n, n * b, a * d, d)
+    lhs, rhs = n * n * b, a * d * d
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def cmp_sqrt(q: Fraction, y: Fraction) -> Ordering:

@@ -4,8 +4,12 @@ Values are integer multiples of a step 1/d confined to [-inf, sup].
 Addition, subtraction and comparison are exact (overflow excepted);
 multiplication and division round to the nearest grid point, ties to the
 even count, so the rounding error is at most half a grid step and zero
-whenever the exact result is representable.  fix_add and fix_div wrap
-the count primitives _add_count and _div_count that the grid loop runs.
+whenever the exact result is representable.  The grid Newton loop runs
+_newton_step, one call on counts for x/2 + y/(x + x) with the roundings,
+range tests and messages of fix_add and fix_div; a test holds it equal
+to those operations on every count pair of a small grid, refusals
+included, so the probe of check_profile_assumptions covers the loop.
+A value is count/d in lowest terms, built by exact._lowest_terms.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from .errors import (
     ProfileMismatch,
     RangeOverflow,
 )
-from .exact import _rat_text, encode_int
+from .exact import _lowest_terms, _rat_text, encode_int
 from .report import CheckResult, VerifyReport, check, require
 
 
@@ -43,16 +47,16 @@ class FixProfile:
 
     @property
     def delta(self) -> Fraction:
-        return Fraction(1, self.delta_den)
+        return _lowest_terms(1, self.delta_den)
 
     @property
     def inf_value(self) -> Fraction:
         """Magnitude of the lower range bound."""
-        return Fraction(self.inf_count, self.delta_den)
+        return _lowest_terms(self.inf_count, self.delta_den)
 
     @property
     def sup_value(self) -> Fraction:
-        return Fraction(self.sup_count, self.delta_den)
+        return _lowest_terms(self.sup_count, self.delta_den)
 
     @cached_property
     def rule_checks(self) -> tuple[CheckResult, ...]:
@@ -104,7 +108,7 @@ class FixVal:
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self.count, self.profile.delta_den)
+        return _lowest_terms(self.count, self.profile.delta_den)
 
     def __str__(self) -> str:
         # deliberately unreduced: count/delta_den names the grid point
@@ -157,17 +161,12 @@ def quantize(q: Fraction, profile: FixProfile, mode: str = "nearest") -> FixVal:
     return FixVal(count, profile)
 
 
-def _add_count(nx: int, ny: int, profile: FixProfile) -> int:
-    """Count of nx/d + ny/d: exact, or RangeOverflow outside the range."""
-    count = nx + ny
-    if not -profile.inf_count <= count <= profile.sup_count:
-        d = profile.delta_den
-        raise RangeOverflow(f"{nx}/{d} + {ny}/{d} overflows the range")
-    return count
-
-
 def fix_add(x: FixVal, y: FixVal) -> FixVal:
-    return FixVal(_add_count(x.count, y.count, _same_profile(x, y)), x.profile)
+    profile = _same_profile(x, y)
+    count = x.count + y.count
+    if not profile.contains_count(count):
+        raise RangeOverflow(f"{x} + {y} overflows the range")
+    return FixVal(count, profile)
 
 
 def fix_sub(x: FixVal, y: FixVal) -> FixVal:
@@ -189,21 +188,43 @@ def fix_mul(x: FixVal, y: FixVal) -> FixVal:
     return FixVal(round_half_even(prod, d), profile)
 
 
-def _div_count(nx: int, ny: int, profile: FixProfile) -> int:
-    """Count of the correctly rounded quotient (nx/d) / (ny/d)."""
-    d = profile.delta_den
-    if ny == 0:
-        raise DivisionByZero(f"{nx}/{d} / {ny}/{d}")
-    # the exact quotient in counts is num/den, den > 0
-    num, den = (nx * d, ny) if ny > 0 else (-nx * d, -ny)
-    if not -profile.inf_count * den <= num <= profile.sup_count * den:
-        raise RangeOverflow(f"{nx}/{d} / {ny}/{d} overflows the range")
-    return round_half_even(num, den)
-
-
 def fix_div(x: FixVal, y: FixVal) -> FixVal:
     """Correctly rounded quotient under the fix_mul contract."""
-    return FixVal(_div_count(x.count, y.count, _same_profile(x, y)), x.profile)
+    profile = _same_profile(x, y)
+    if y.count == 0:
+        raise DivisionByZero(f"{x} / {y}")
+    # the exact quotient in counts is num/den, den > 0
+    sign = 1 if y.count > 0 else -1
+    num, den = sign * x.count * profile.delta_den, sign * y.count
+    if not -profile.inf_count * den <= num <= profile.sup_count * den:
+        raise RangeOverflow(f"{x} / {y} overflows the range")
+    return FixVal(round_half_even(num, den), profile)
+
+
+def _newton_step(x: int, y: int, profile: FixProfile) -> int:
+    """Count of the grid step x/2 + y/(x + x) on counts 0 < x <= sup and
+    y of one profile: fix_add(fix_div(x, 2), fix_div(y, fix_add(x, x)))
+    in one call, with the same roundings, exceptions and messages.
+
+    Three range tests stay, in the order the operations make them: x + x
+    (above sup only, as x > 0), the quotient y*d over 2x, and the sum.
+    Two tests of those operations cannot fail here and are left out:
+    x/2 is in range because 0 < x <= sup, and the divisor x + x is not
+    zero because x > 0.  Both roundings go through round_half_even;
+    x/2 is x*d over 2*d in counts, which rounds as x over 2.
+    """
+    d, lo, hi = profile.delta_den, -profile.inf_count, profile.sup_count
+    twice = x + x
+    if twice > hi:
+        raise RangeOverflow(f"{x}/{d} + {x}/{d} overflows the range")
+    num = y * d
+    if not lo * twice <= num <= hi * twice:
+        raise RangeOverflow(f"{y}/{d} / {twice}/{d} overflows the range")
+    half, quotient = round_half_even(x, 2), round_half_even(num, twice)
+    count = half + quotient
+    if not lo <= count <= hi:
+        raise RangeOverflow(f"{half}/{d} + {quotient}/{d} overflows the range")
+    return count
 
 
 def _first_violation(x: FixVal, y: FixVal, probes) -> tuple | None:

@@ -14,7 +14,6 @@ each decided once, on first use.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,9 +22,10 @@ from .errors import (
     DomainError,
     ExponentRange,
     MantissaRange,
+    ProfileMismatch,
     RangeOverflow,
 )
-from .exact import _rat_text, fraction_from_coprime
+from .exact import _lowest_terms, _rat_text
 from .fixarith import FixProfile, FixVal, require_same_grid, round_half_even
 from .report import CheckResult, VerifyReport, check, require
 
@@ -116,6 +116,13 @@ class FloatVal:
         return f"{self.man}*{self.base}^{self.exp}"
 
 
+def _require_base(a: FloatVal, profile: FloatProfile) -> None:
+    """Refuse a positive value whose base is not the profile's."""
+    if not a.is_zero and a.base != profile.base:
+        raise ProfileMismatch(f"input base {a.base} differs from the "
+                              f"profile base {profile.base}")
+
+
 def compose(man: FixVal, exp: int, profile: FloatProfile) -> FloatVal:
     """Couple a mantissa and an exponent into a positive value."""
     require_same_grid(man.profile, profile.fix,
@@ -135,9 +142,9 @@ def value_of(a: FloatVal) -> Fraction:
     """Exact rational value: mantissa * base**exponent, or 0 for zero.
 
     The pair count*base**exponent/d is built from the integer parts and
-    reduced by one gcd.  Its denominator d*base**-exponent is positive
-    only for base >= 1, so a smaller base with a negative exponent is
-    refused.
+    reduced by exact._lowest_terms.  Its denominator d*base**-exponent is
+    positive only for base >= 1, so a smaller base with a negative
+    exponent is refused.
     """
     if a.is_zero:
         return Fraction(0)
@@ -149,8 +156,7 @@ def value_of(a: FloatVal) -> Fraction:
         den *= base ** -e
     else:
         raise DomainError(f"base {base} has no negative powers")
-    g = math.gcd(num, den)
-    return fraction_from_coprime(num // g, den // g)
+    return _lowest_terms(num, den)
 
 
 def _exponent_below(num: int, den: int, base: int) -> int:

@@ -28,9 +28,12 @@ lowest terms by stripping common factors of 2*num(y)*den(y) each step
 (the only primes a common factor can contain), because a full gcd at the
 sizes reached by long runs is quadratic and would dominate the runtime.
 CERTISQRT_MAX_BITS caps the size of the integers a pass may form.
-fix_sqr, mix_sqr and flt_sqr share one grid loop on counts, through the
-primitives fix_div and fix_add wrap, headed by one request pass that
-checks each precondition once (a table checked its step when made).
+fix_sqr, mix_sqr and flt_sqr share one grid loop on counts, headed by
+one request pass that checks each precondition once (a table checked
+its step when made).  Each pass is one call of fixarith._newton_step,
+which a test holds equal to fix_add(fix_div(x, 2), fix_div(y, fix_add(x,
+x))), refusals included, so the loop runs the arithmetic that
+check_profile_assumptions probes.
 fix_bound and float_bound state the grid and float accuracy contracts.
 """
 from __future__ import annotations
@@ -47,15 +50,13 @@ from .errors import (
     InternalInvariantError,
     IterationBudgetError,
     NoFeasibleEps,
-    ProfileMismatch,
     ResourceLimit,
     SeedContractError,
 )
-from .exact import (Ordering, _rat_text, cmp_sqrt, decide_radical_lt,
-                    fraction_from_coprime)
-from .fixarith import (FixVal, _add_count, _div_count, fix_mul,
-                       require_same_grid)
-from .floatmodel import FloatProfile, FloatVal, compose
+from .exact import (Ordering, _lowest_terms, _rat_text, cmp_sqrt,
+                    decide_radical_lt, fraction_from_coprime)
+from .fixarith import FixVal, _newton_step, fix_mul, require_same_grid
+from .floatmodel import FloatProfile, FloatVal, _require_base, compose
 from .lut import (RootTable, _check_table_config, _env_limit, _seed_count,
                   step_multiple_of_eps)
 
@@ -126,9 +127,10 @@ class GridTrace(NamedTuple):
         if not counts:
             return ()
         profile = self.y.profile
+        d = profile.delta_den
         xs = [FixVal(c, profile) for c in counts]
-        return tuple(TraceStep(k, xs[k], Fraction(counts[k + 1] - counts[k],
-                                                  profile.delta_den),
+        return tuple(TraceStep(k, xs[k],
+                               _lowest_terms(counts[k + 1] - counts[k], d),
                                xs[k + 1])
                      for k in range(len(counts) - 1))
 
@@ -370,9 +372,9 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
         if eps.count < need:
             raise EpsTooSmall(
                 f"eps={eps} below 2*delta*(2 + ceil(log2(stp/eps))) = "
-                f"{Fraction(need, profile.delta_den)}")
-    yc, d = y.count, profile.delta_den
-    if yc <= d:
+                f"{_lowest_terms(need, profile.delta_den)}")
+    yc = y.count
+    if yc <= profile.delta_den:
         raise DomainError(f"{algorithm} requires y > 1, got {y}")
     if 2 * yc > profile.sup_count:
         raise DomainError(f"{algorithm} requires y <= {profile.sup_value}/2 "
@@ -386,9 +388,7 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
     for _ in range(n):
         if x <= 0:
             raise InternalInvariantError("iterate left the positive half-line")
-        x = _add_count(_div_count(x, 2 * d, profile),
-                       _div_count(yc, _add_count(x, x, profile), profile),
-                       profile)
+        x = _newton_step(x, yc, profile)
         counts.append(x)
     return FixVal(x, profile), GridTrace(algorithm, y, eps, table.stp, n,
                                          tuple(counts))
@@ -446,9 +446,7 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     man, e = a.man, a.exp
     require_same_grid(man.profile, profile.fix,
                       "input belongs to a different grid")
-    if a.base != profile.base:
-        raise ProfileMismatch(f"input base {a.base} differs from the "
-                              f"profile base {profile.base}")
+    _require_base(a, profile)
     y_fix, z = (fix_mul(man, profile.base_fix), e - 1) if e % 2 else (man, e)
     x, trace = _grid_newton("flt_sqr", y_fix, eps, table, mix=True)
     return compose(x, z // 2, profile), trace

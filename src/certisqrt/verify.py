@@ -26,7 +26,7 @@ from .exact import (
     within_of_sqrt,
 )
 from .fixarith import FixProfile, FixVal
-from .floatmodel import FloatProfile, value_of
+from .floatmodel import FloatProfile, _require_base, value_of
 from .lut import (RootTable, build_root_table, first_bad_root,
                   round_up_to_step, sup_fn, validate_step)
 from .newton import (
@@ -190,7 +190,9 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
       (c1, c2) = float_bound(eps, exponent of y, fprof); a zero y passes
       exactly when x is zero.  The witness holds the bound or its terms.
 
-    fix without an integer n, or float without fprof, is a UsageError.
+    fix without an integer n, or float without fprof, is a UsageError; a
+    non-zero float x or y of a base other than fprof's is refused with
+    ProfileMismatch, as flt_sqr refuses it.
     """
     rule, name = f"sqrt.{mode}-bound", f"{mode} result within its bound"
     if mode == "exact":
@@ -198,6 +200,8 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
     if mode == "float":
         if fprof is None:
             raise UsageError("a float verdict needs a float profile")
+        for v in (y, x):
+            _require_base(v, fprof)
         if y.is_zero:
             return check(name, rule, x.is_zero, {"zero": True})
         c1, c2 = float_bound(eps, y.exp, fprof)

@@ -448,6 +448,57 @@ class TestIntegerPairPredicates:
         assert len(calls) >= 1
 
 
+class TestLowestTerms:
+    @pytest.mark.parametrize("num", [-7, -300, 0, 300, 173, 1, 10 ** 40,
+                                     -(3 ** 5000) * 100, 3 ** 5000 + 1])
+    @pytest.mark.parametrize("den", [1, 3, 100, 2 ** 70])
+    def test_equals_fraction_in_lowest_terms(self, num, den):
+        got, want = exact._lowest_terms(num, den), F(num, den)
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+        assert got.denominator > 0
+        assert math.gcd(got.numerator, got.denominator) == 1
+        assert got == want and hash(got) == hash(want)
+
+    def test_on_grid_integer(self):
+        # count 300 on a 1/100 grid is the integer 3
+        got = exact._lowest_terms(300, 100)
+        assert (got.numerator, got.denominator) == (3, 1)
+        assert str(got) == "3"
+
+
+class TestSqrtSignThreshold:
+    """_sqrt_sign forms n**2*b and a*d**2 itself while n and d have at
+    most 2*_FILTER_BITS = 256 bits, and hands longer operands to
+    cmp_products; both decide every side of a tie alike."""
+
+    @pytest.mark.parametrize("bits", [255, 256, 257])
+    @pytest.mark.parametrize("long_part", ["n", "d"])
+    def test_agrees_with_cmp_products(self, monkeypatch, bits, long_part):
+        real = exact.cmp_products
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(exact, "cmp_products", counted)
+        long, short = (1 << (bits - 1)) + 12345, 7
+        n0, d = (long, short) if long_part == "n" else (short, long)
+        for m in (1, 5):
+            # n0/d = sqrt(a0/b) exactly; move a or n by one either way
+            a0, b = n0 * n0 * m, d * d * m
+            for dn, da, want in ((0, 0, 0), (0, 1, -1), (0, -1, 1),
+                                 (1, 0, 1), (-1, 0, -1)):
+                n, a = n0 + dn, a0 + da
+                calls.clear()
+                got = exact._sqrt_sign(n, d, a, b)
+                assert got == want == real(n, n * b, a * d, d), (dn, da)
+                assert len(calls) == (max(n.bit_length(),
+                                          d.bit_length()) > 256)
+
+
 def test_fraction_from_coprime_matches_fraction():
     f = fraction_from_coprime(17, 12)
     assert f == F(17, 12)

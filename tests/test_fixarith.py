@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certisqrt import fixarith
@@ -197,6 +197,64 @@ class TestDiv:
                 else:
                     assert fix_div(x, y).count == want, (nx, ny)
         assert seen == boundaries
+
+
+def _outcome(fn, *args):
+    """("count", c) for a result, else (exception type, message)."""
+    try:
+        return ("count", fn(*args))
+    except (DivisionByZero, RangeOverflow) as exc:
+        return (type(exc), str(exc))
+
+
+def _composed_step(x: int, y: int, profile: FixProfile) -> int:
+    """The grid step as the paper writes it, through the public ops."""
+    xv, yv = FixVal(x, profile), FixVal(y, profile)
+    return fix_add(fix_div(xv, profile.from_int(2)),
+                   fix_div(yv, fix_add(xv, xv))).count
+
+
+WIDE = FixProfile(1000, 4_000_000, 4_000_000)
+
+
+class TestNewtonStep:
+    """fixarith._newton_step, the grid loop's one call per pass, equals
+    fix_add(fix_div(x, 2), fix_div(y, fix_add(x, x))) on every pair
+    (x > 0, y), overflows included: the same count, or the same
+    exception type and message.  So the operations check_profile_
+    assumptions probes are the arithmetic the loop runs."""
+
+    @pytest.mark.parametrize("profile", [FixProfile(10, 40, 40),
+                                         FixProfile(10, 30, 50),
+                                         FixProfile(4, 40, 40)],
+                             ids=["micro", "asymmetric", "quarter"])
+    def test_every_pair_of_a_small_grid(self, profile):
+        d, sup = profile.delta_den, profile.sup_count
+        refused = {"twice": 0, "quotient": 0, "sum": 0}
+        for x in range(1, sup + 1):
+            for y in range(-profile.inf_count, sup + 1):
+                got = _outcome(fixarith._newton_step, x, y, profile)
+                assert got == _outcome(_composed_step, x, y, profile), (x, y)
+                if got[0] is RangeOverflow:
+                    if got[1] == f"{x}/{d} + {x}/{d} overflows the range":
+                        refused["twice"] += 1
+                    elif " / " in got[1]:
+                        refused["quotient"] += 1
+                    else:
+                        refused["sum"] += 1
+        assert min(refused.values()) > 0, refused
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, WIDE.sup_count),
+           st.integers(-WIDE.inf_count, WIDE.sup_count))
+    def test_wide_profile(self, x, y):
+        assert _outcome(fixarith._newton_step, x, y, WIDE) == \
+            _outcome(_composed_step, x, y, WIDE)
+
+    def test_halving_rounds_ties_to_even(self):
+        # y = 0 leaves the step x/2: 1/2 -> 0, 3/2 -> 2, 5/2 -> 2
+        assert [fixarith._newton_step(x, 0, WIDE) for x in (1, 3, 5, 6)] \
+            == [0, 2, 2, 3]
 
 
 count_strategy = st.integers(min_value=-40, max_value=40)

@@ -693,20 +693,21 @@ class TestGridLoopMatchesReference:
 
 
 def _count_records(monkeypatch) -> Counter:
-    """Count the TraceSteps and Fractions newton builds."""
+    """Count the TraceSteps and Fractions newton builds, through the
+    Fraction constructor or through exact._lowest_terms."""
     built = Counter()
-    real_step, real_fraction = newton.TraceStep, newton.Fraction
+    real_step = newton.TraceStep
 
-    def step(*args):
-        built["TraceStep"] += 1
-        return real_step(*args)
+    def counted(key, real):
+        def build(*args):
+            built[key] += 1
+            return real(*args)
+        return build
 
-    def fraction(*args):
-        built["Fraction"] += 1
-        return real_fraction(*args)
-
-    monkeypatch.setattr(newton, "TraceStep", step)
-    monkeypatch.setattr(newton, "Fraction", fraction)
+    monkeypatch.setattr(newton, "TraceStep", counted("TraceStep", real_step))
+    for name in ("Fraction", "_lowest_terms"):
+        monkeypatch.setattr(newton, name,
+                            counted("Fraction", getattr(newton, name)))
     return built
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certisqrt.errors import CertisqrtError, UsageError
+from certisqrt.errors import CertisqrtError, ProfileMismatch, UsageError
 from certisqrt.exact import (Ordering, sqrt_abs_err_lt, sqrt_enclosure,
                              within_of_sqrt)
 from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
@@ -734,6 +734,22 @@ class TestSqrtVerdict:
         b = compose(demo_profile.val(173), 1, demo_float_profile)
         with pytest.raises(UsageError, match="float profile"):
             sqrt_verdict("float", b, a, demo_eps)
+
+    @pytest.mark.parametrize("base_x,base_y", [(2, 3), (3, 2), (3, 3)])
+    def test_float_of_another_base(self, demo_profile, demo_float_profile,
+                                   demo_table, demo_eps, base_x, base_y):
+        # in base 3, y = 3.00*3**2 = 27 and x = 1.73*3**1 = 5.19 pass a
+        # base-2 profile's bound when the base goes unchecked
+        y = FloatVal(demo_profile.val(300), 2, base_y)
+        x = FloatVal(demo_profile.val(173), 1, base_x)
+        with pytest.raises(ProfileMismatch) as exc:
+            sqrt_verdict("float", x, y, demo_eps, fprof=demo_float_profile)
+        assert str(exc.value) == "input base 3 differs from the profile base 2"
+        # flt_sqr refuses a base-3 input in the same words
+        with pytest.raises(ProfileMismatch) as flt_exc:
+            flt_sqr(FloatVal(demo_profile.val(300), 2, 3), demo_eps,
+                    demo_float_profile, demo_table)
+        assert str(flt_exc.value) == str(exc.value)
 
 
 class TestSqrtVerdictMatchesFormerInline:
