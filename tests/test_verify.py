@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from certisqrt.errors import CertisqrtError, ProfileMismatch, UsageError
 from certisqrt.exact import (Ordering, sqrt_abs_err_lt, sqrt_enclosure,
                              within_of_sqrt)
+from certisqrt.fixarith import FixProfile
 from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
-from certisqrt.lut import build_root_table, sup_fn
+from certisqrt.lut import _round_up_count, build_root_table, sup_fn
 from certisqrt.newton import (
     Trace,
     TraceStep,
@@ -479,6 +480,30 @@ class TestAdjustRuns:
                                         demo_table, n)
                 assert report.overall, (count, n)
 
+    def test_floored_grid_fails_only_gap_bound(self, monkeypatch):
+        # with the grid rounding floored, the first pass lands more than
+        # one step from its exact twin, yet the result keeps its bound
+        profile = FixProfile(1000, 200000, 200000)
+        table = build_root_table(profile, profile.val(32))
+        monkeypatch.setattr("certisqrt.fixarith.round_half_even",
+                            lambda num, den: num // den)
+        _, report = adjust_runs(profile.val(1092), profile.val(8), table, 3)
+        assert [c.rule for c in report.failures()] == ["adjust.gap-bound"]
+        assert report.failures()[0].witness == {
+            "k": 1, "gap": F(763, 706000), "bound": F(1, 1000)}
+
+    def test_tight_bound_fails_only_final_error(self, demo_profile,
+                                                demo_table, demo_eps,
+                                                monkeypatch):
+        monkeypatch.setattr("certisqrt.verify.fix_bound",
+                            lambda eps, n: F(1, 1000))
+        _, report = adjust_runs(demo_profile.val(300), demo_eps,
+                                demo_table, 3)
+        assert [c.rule for c in report.failures()] == ["adjust.final-error"]
+        failure = report.failures()[0]
+        assert failure.witness["x"] == "173/100"
+        assert failure.witness["bound"] == F(1, 1000)
+
 
 class TestMonotonicityProbe:
     def test_witness_fixture(self, demo_profile, demo_table, demo_eps,
@@ -545,6 +570,20 @@ class TestTableProperties:
                                         demo_profile.val(50), demo_eps)
         failed_rules = {c.rule for c in report.failures()}
         assert "table.consistent" in failed_rules
+
+    def test_skipped_index_fails_only_round_up(self, demo_table,
+                                               demo_profile, demo_stp,
+                                               demo_eps, monkeypatch):
+        def skip_at_301(count, stp_count, profile):
+            up = _round_up_count(count, stp_count, profile)
+            return up + stp_count if count == 301 else up
+
+        monkeypatch.setattr("certisqrt.lut._round_up_count", skip_at_301)
+        report = check_table_properties(demo_table, demo_profile, demo_stp,
+                                        demo_eps)
+        assert [c.rule for c in report.failures()] == ["table.round-up"]
+        assert report.failures()[0].witness == {"u": "301/100",
+                                                "rounded": "350/100"}
 
 
 class TestBalanceSweep:
