@@ -30,7 +30,6 @@ from .lut import (
     StepConfig,
     _least_roots,
     build_root_table,
-    first_bad_root,
     validate_step,
 )
 from .newton import (
@@ -187,16 +186,16 @@ def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
     if not isinstance(roots, list):
         raise FileFormatError("table.roots: expected a list of integers")
     table = RootTable(fix, fix.val(stp_count), tuple(roots))
+    walk = _least_roots(fix, stp_count)
     # the type test comes first: 174.0 == 174 and True == 1 in Python
-    if set(map(type, roots)) == {int} and \
-            table.roots == _least_roots(fix, stp_count):
+    if set(map(type, roots)) == {int} and table.roots == walk:
         return table
-    bad = first_bad_root(table)
-    if bad is not None:
-        if type(table.roots[bad - table.k_min]) is not int:
-            raise FileFormatError("table.roots: expected a list of integers")
-        raise DomainError(f"table {path} failed revalidation at index {bad}")
-    return table
+    bad = next(i for i, (g, w) in enumerate(zip(roots, walk))
+               if type(g) is not int or g != w)
+    if type(roots[bad]) is not int:
+        raise FileFormatError("table.roots: expected a list of integers")
+    raise DomainError(f"table {path} failed revalidation at index "
+                      f"{table.k_min + bad}")
 
 
 def _bound_table(args: argparse.Namespace, fix: FixProfile,
@@ -314,11 +313,8 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
         table = _bound_table(args, fix, fprof, step)
     if args.ulp is not None:
         eps_fix = derive_eps_for_ulp(args.ulp, fprof, step.stp)
-    elif args.eps is not None:
-        eps_fix = _grid_exact(args.eps, fix) if need_table else None
     else:
-        print("error: provide --eps or --ulp", file=sys.stderr)
-        return 2
+        eps_fix = _grid_exact(args.eps, fix) if need_table else None
     lines = [f"mode = {args.mode}"]
     if args.mode == "exact":
         eps_frac = args.eps if args.ulp is None else eps_fix.value
@@ -522,8 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True,
                    choices=["exact", "fix", "mix", "float"])
     p.add_argument("--value", type=_rational, required=True)
-    p.add_argument("--eps", type=_rational)
-    p.add_argument("--ulp", type=_rational)
+    accuracy = p.add_mutually_exclusive_group(required=True)
+    accuracy.add_argument("--eps", type=_rational)
+    accuracy.add_argument("--ulp", type=_rational)
     p.add_argument("--n", type=int)
     p.add_argument("--trace", dest="trace_out")
     p.set_defaults(func=cmd_sqrt)

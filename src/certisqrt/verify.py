@@ -6,13 +6,14 @@ appear only in display fields.  Deliberately corrupted inputs fail the
 corresponding rule and no other, which the test suite exercises as
 negative controls.  The annotation checkers take (trace, y, eps) and read
 the seed from the trace; check_sqr_annotations serves both until-loops.
+A rule over every element of a run or table fails in _first_failure.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import DomainError, UsageError
 from .exact import (
@@ -96,6 +97,14 @@ def _seed_of(trace: Trace, *algorithms: str) -> Fraction:
     return trace.seed
 
 
+def _first_failure(name: str, rule: str, counts: dict[str, Any],
+                   failures: Iterator[dict[str, Any]]) -> CheckResult:
+    """The rule passed with witness `counts` when the lazy search
+    `failures` yields nothing, else failed with its first witness."""
+    witness = next(failures, None)
+    return check(name, rule, witness is None, counts, witness)
+
+
 def _final_error(name: str, rule: str, x: Fraction, y: Fraction,
                  key: str, bound: Fraction) -> CheckResult:
     """|x - sqrt(y)| <= bound, recording whether the strict form holds."""
@@ -114,41 +123,33 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     seed = min(_seed_of(trace, "sqr_exact", "isqr_exact"), y)
     family = trace.algorithm.removesuffix("_exact")
 
-    inv_ok, inv_witness = True, {}
     boundary = [(s.k, s.x_before) for s in trace.steps]
     boundary.append((len(trace.steps), trace.final_x))
-    for k, x in boundary:
-        if cmp_sqrt(x, y) is Ordering.LESS or x > seed:
-            inv_ok, inv_witness = False, {"k": k, "x": x}
-            break
     top = "y" if family == "sqr" else "seed"
-    invariant = check(f"sqrt(y) <= x <= {top} at every boundary",
-                      f"{family}.loop-invariant", inv_ok,
-                      {"boundaries": len(boundary)}, inv_witness)
+    invariant = _first_failure(
+        f"sqrt(y) <= x <= {top} at every boundary", f"{family}.loop-invariant",
+        {"boundaries": len(boundary)},
+        ({"k": k, "x": x} for k, x in boundary
+         if cmp_sqrt(x, y) is Ordering.LESS or x > seed))
 
-    halv_ok, halv_witness = True, {}
     corrections = [s.correction for s in trace.steps]
-    for i in range(len(corrections) - 1):
-        prev, cur = corrections[i], corrections[i + 1]
-        if not halves(prev, cur):
-            halv_ok = False
-            halv_witness = {"i": i, "d_i": prev, "d_next": cur}
-            break
-    halving = check("each correction below half its predecessor",
-                    f"{family}.halving", halv_ok,
-                    {"pairs": max(0, len(corrections) - 1)}, halv_witness)
+    halving = _first_failure(
+        "each correction below half its predecessor", f"{family}.halving",
+        {"pairs": max(0, len(corrections) - 1)},
+        ({"i": i, "d_i": prev, "d_next": cur}
+         for i, (prev, cur) in enumerate(zip(corrections, corrections[1:]))
+         if not halves(prev, cur)))
 
     final = _final_error("final error within the accuracy",
                          f"{family}.final-error", trace.final_x, y, "eps", eps)
 
-    cap_ok, cap_witness = True, {"vacuous": True}
-    if y > 1:
-        limit = min_legal_iterations(y, eps, seed)
-        applied = applied_corrections(trace)
-        cap_ok, cap_witness = applied <= limit, {
-            "applied": applied, "cap": limit, "loop_passes": len(trace.steps)}
+    witness = {"vacuous": True} if y <= 1 else {
+        "applied": applied_corrections(trace),
+        "cap": min_legal_iterations(y, eps, seed),
+        "loop_passes": len(trace.steps)}
     cap = check("applied corrections within the logarithmic cap",
-                f"{family}.iteration-cap", cap_ok, cap_witness)
+                f"{family}.iteration-cap",
+                y <= 1 or witness["applied"] <= witness["cap"], witness)
 
     subject = f"{trace.algorithm} y={rat_str(y)} eps={rat_str(eps)}"
     return VerifyReport(subject, (invariant, halving, final, cap))
@@ -160,23 +161,19 @@ def check_fsqr_annotations(trace: Trace, y: Fraction,
     at y): the progress bound x_k - sqrt(y) <= (s - sqrt(y))/2**k on the
     x_after of every pass, and the final eps/2 bound."""
     seed = min(_seed_of(trace, "fsqr_exact"), y)
-    prog_ok, prog_witness = True, {}
-    for k, step in enumerate(trace.steps, 1):
-        # x_k - s/2**k <= (1 - 2**-k) * sqrt(y), x_k the x after k passes
-        shrink = 1 - _pow2(-k)
-        lhs = (step.x_after - seed * _pow2(-k)) / shrink
-        if cmp_sqrt(lhs, y) is Ordering.GREATER:
-            prog_ok, prog_witness = False, {"k": k, "x": step.x_after}
-            break
-    checks = (check("progress bound holds at every boundary",
-                    "fsqr.progress", prog_ok,
-                    {"boundaries": len(trace.steps) + 1}, prog_witness),
-              _final_error("final error within half the accuracy",
-                           "fsqr.final-error", trace.final_x, y,
-                           "bound", eps / 2))
+    # x_k - s/2**k <= (1 - 2**-k) * sqrt(y), x_k the x after k passes
+    progress = _first_failure(
+        "progress bound holds at every boundary", "fsqr.progress",
+        {"boundaries": len(trace.steps) + 1},
+        ({"k": k, "x": s.x_after} for k, s in enumerate(trace.steps, 1)
+         if cmp_sqrt((s.x_after - seed * _pow2(-k)) / (1 - _pow2(-k)), y)
+         is Ordering.GREATER))
+    final = _final_error("final error within half the accuracy",
+                         "fsqr.final-error", trace.final_x, y, "bound",
+                         eps / 2)
     subject = f"fsqr_exact y={rat_str(y)} eps={rat_str(eps)} " \
               f"n={trace.n_planned}"
-    return VerifyReport(subject, checks)
+    return VerifyReport(subject, (progress, final))
 
 
 def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
@@ -246,18 +243,13 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
     exact_seq = [seed_value] + [s.x_after for s in exact_trace.steps]
     fix_seq = [FixVal(c, profile) for c in fix_trace.counts]
     delta = profile.delta
-    records = []
-    gap_ok, gap_witness = True, {}
-    for k, (xe, xf) in enumerate(zip(exact_seq, fix_seq)):
-        gap = abs(xe - xf.value)
-        bound = k * delta
-        records.append(AdjustmentRecord(k, xe, xf, gap, bound))
-        if gap_ok and gap > bound:
-            gap_ok = False
-            gap_witness = {"k": k, "gap": gap, "bound": bound}
-    checks = [check("runs stay within k grid steps of each other",
-                    "adjust.gap-bound", gap_ok, {"iterations": n},
-                    gap_witness)]
+    records = tuple(AdjustmentRecord(k, xe, xf, abs(xe - xf.value), k * delta)
+                    for k, (xe, xf) in enumerate(zip(exact_seq, fix_seq)))
+    checks = [_first_failure(
+        "runs stay within k grid steps of each other", "adjust.gap-bound",
+        {"iterations": n},
+        ({"k": r.k, "gap": r.gap, "bound": r.bound} for r in records
+         if r.gap > r.bound))]
     final = sqrt_verdict("fix", x_fix, y, eps, n=n)
     checks.append(CheckResult(
         "grid result within eps/2 + n*step of the root",
@@ -266,7 +258,7 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
          "err_display": approx_abs_err(x_fix.value, y.value)},
         strict=final.passed))
     subject = f"adjust y={y} eps={eps} n={n}"
-    return tuple(records), VerifyReport(subject, tuple(checks))
+    return records, VerifyReport(subject, tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -291,18 +283,18 @@ def monotonicity_probe(y: FixVal, eps: FixVal, table: RootTable,
     """
     if n_min > n_max:
         raise DomainError(f"empty sweep range [{n_min}, {n_max}]")
+    fix_sqr(y, eps, table, n_min)  # a refusal is the one n_min gets
+    _, run = fix_sqr(y, eps, table, n_max)  # its n-th count: n passes
+    xs = [FixVal(c, y.profile) for c in run.counts]
     rows: list[ProbeRow] = []
-    prev_x: FixVal | None = None
-    for n in range(n_min, n_max + 1):
-        x, _ = fix_sqr(y, eps, table, n)
+    for n, x in enumerate(xs[n_min:], n_min):
         verdict = sqrt_verdict("fix", x, y, eps, n=n)
-        increased = (prev_x is not None
-                     and cmp_abs_err(x.value, prev_x.value, y.value)
+        increased = (n > n_min
+                     and cmp_abs_err(x.value, xs[n - 1].value, y.value)
                      is Ordering.GREATER)
         rows.append(ProbeRow(n, x, approx_abs_err(x.value, y.value),
                              verdict.witness["bound"], verdict.passed,
                              increased))
-        prev_x = x
     return tuple(rows)
 
 
@@ -326,22 +318,15 @@ def check_table_properties(table: RootTable, profile: FixProfile,
             None if bad is None else {"index": str(table.index_value(bad)),
                                       "root": str(table.root_at(bad))}))
 
-        round_ok, round_witness = True, {}
-        for count in range(profile.delta_den + 1, profile.sup_count + 1):
-            u = FixVal(count, profile)
-            r = round_up_to_step(u, stp)
-            in_index_set = (r.count % stp.count == 0
-                            and r.count > profile.delta_den
-                            and r.count <= profile.sup_count)
-            if not (in_index_set
-                    and r.count - stp.count < u.count <= r.count):
-                round_ok = False
-                round_witness = {"u": str(u), "rounded": str(r)}
-                break
-        checks.append(check(
-            "rounding up lands on the next index", "table.round-up", round_ok,
-            {"grid_values": profile.sup_count - profile.delta_den},
-            round_witness))
+        d, sup, step = profile.delta_den, profile.sup_count, stp.count
+        units = (FixVal(c, profile) for c in range(d + 1, sup + 1))
+        rounded = ((u, round_up_to_step(u, stp)) for u in units)
+        checks.append(_first_failure(
+            "rounding up lands on the next index", "table.round-up",
+            {"grid_values": sup - d},
+            ({"u": str(u), "rounded": str(r)} for u, r in rounded
+             if not (r.count % step == 0 and d < r.count <= sup  # an index
+                     and r.count - step < u.count <= r.count))))
 
     subject = f"table stp={stp} entries={len(table)}"
     return VerifyReport(subject, tuple(checks))

@@ -453,6 +453,20 @@ class TestSqrt:
         assert code == 0
         assert "check = PASS" in out
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--eps", "1/2", "--ulp", "1"],
+         "argument --ulp: not allowed with argument --eps"),
+        ([], "one of the arguments --eps --ulp is required"),
+    ], ids=["both", "neither"])
+    def test_one_accuracy_flag(self, demo_profile_path, demo_table_path,
+                               capsys, flags, message):
+        capsys.readouterr()
+        assert main(["sqrt", demo_profile_path, demo_table_path, "--mode",
+                     "mix", "--value", "3", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_trace_csv(self, demo_profile_path, demo_table_path, tmp_path,
                        capsys):
         out = tmp_path / "trace.csv"

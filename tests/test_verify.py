@@ -1,13 +1,15 @@
 import dataclasses
 import hashlib
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certisqrt.errors import CertisqrtError, ProfileMismatch, UsageError
+from certisqrt.errors import (CertisqrtError, DomainError, ProfileMismatch,
+                              UsageError)
 from certisqrt.exact import (Ordering, sqrt_abs_err_lt, sqrt_enclosure,
                              within_of_sqrt)
 from certisqrt.fixarith import FixProfile
@@ -27,6 +29,7 @@ from certisqrt.newton import (
 from certisqrt.verify import (
     adjust_runs,
     applied_corrections,
+    approx_abs_err,
     balance_sweep,
     check_fsqr_annotations,
     check_sqr_annotations,
@@ -523,6 +526,41 @@ class TestMonotonicityProbe:
                                   demo_table, 1, 6)
         assert not any(r.error_increased for r in rows)
         assert all(r.err_display == 0 for r in rows)
+
+    @staticmethod
+    def _per_count_rows(y, eps, table, n_min, n_max):
+        """The probe's rows from one fix_sqr run per count."""
+        rows, prev = [], None
+        for n in range(n_min, n_max + 1):
+            x, _ = fix_sqr(y, eps, table, n)
+            verdict = sqrt_verdict("fix", x, y, eps, n=n)
+            rows.append((n, x, verdict.witness["bound"], verdict.passed,
+                         prev is not None and cmp_abs_err(
+                             x.value, prev.value, y.value) is Ordering.GREATER))
+            prev = x
+        return rows
+
+    @pytest.mark.parametrize("count", [102, 200, 300, 457, 613, 800])
+    @pytest.mark.parametrize("n_min", [1, 3])
+    def test_rows_equal_per_count_runs(self, demo_profile, demo_table,
+                                       demo_eps, count, n_min):
+        y = demo_profile.val(count)
+        rows = monotonicity_probe(y, demo_eps, demo_table, n_min, 40)
+        assert [(r.n, r.x, r.bound, r.within_bound, r.error_increased)
+                for r in rows] == \
+            self._per_count_rows(y, demo_eps, demo_table, n_min, 40)
+        assert [r.err_display for r in rows] == \
+            [approx_abs_err(r.x.value, y.value) for r in rows]
+
+    def test_refusals(self, demo_profile, demo_table):
+        y, eps = demo_profile.val(301), demo_profile.val(5)
+        with pytest.raises(CertisqrtError) as want:
+            fix_sqr(y, eps, demo_table, 1)
+        with pytest.raises(type(want.value),
+                           match=f"^{re.escape(str(want.value))}$"):
+            monotonicity_probe(y, eps, demo_table, 1, 40)
+        with pytest.raises(DomainError, match=r"^empty sweep range \[4, 3\]$"):
+            monotonicity_probe(y, eps, demo_table, 4, 3)
 
 
 class TestCmpAbsErr:
