@@ -27,6 +27,7 @@ from certisqrt.newton import (
     sqr_exact,
 )
 from certisqrt.verify import (
+    _first_failure,
     adjust_runs,
     applied_corrections,
     approx_abs_err,
@@ -112,6 +113,16 @@ class TestCheckSqr:
         assert {c.rule for c in report.failures()} == {"sqr.loop-invariant"}
         assert report.failures()[0].witness["k"] == 1
 
+    def test_two_broken_boundaries_report_the_first(self):
+        y, eps = F(2), F(1, 100)
+        _, trace = sqr_exact(y, eps)
+        low = [dataclasses.replace(s, x_before=F(1)) for s in trace.steps[1:3]]
+        assert len(low) == 2
+        bad = dataclasses.replace(
+            trace, steps=(trace.steps[0], *low) + trace.steps[3:])
+        report = check_sqr_annotations(bad, y, eps)
+        assert report.failures()[0].witness == {"k": 1, "x": F(1)}
+
     def test_wrong_algorithm_rejected(self):
         _, trace = fsqr_exact(F(3), F(1, 4), F(174, 100), 1)
         with pytest.raises(UsageError, match="sqr_exact or isqr_exact"):
@@ -173,6 +184,22 @@ def isqr_seeds(y):
     sqrt(y)), and their midpoint."""
     t = min(y, sqrt_enclosure(y, 8).hi)
     return y, t, (y + t) / 2
+
+
+class TestFirstFailure:
+    def test_stops_at_the_first_witness(self):
+        def search():
+            yield {"k": 1}
+            raise AssertionError("searched past the first failure")
+
+        result = _first_failure("name", "rule.id", {"boundaries": 3},
+                                search())
+        assert (result.passed, result.witness) == (False, {"k": 1})
+
+    def test_empty_search_passes_with_its_counts(self):
+        result = _first_failure("name", "rule.id", {"boundaries": 3},
+                                iter(()))
+        assert (result.passed, result.witness) == (True, {"boundaries": 3})
 
 
 class TestUntilLoopReports:
@@ -534,9 +561,9 @@ class TestMonotonicityProbe:
         for n in range(n_min, n_max + 1):
             x, _ = fix_sqr(y, eps, table, n)
             verdict = sqrt_verdict("fix", x, y, eps, n=n)
-            rows.append((n, x, verdict.witness["bound"], verdict.passed,
-                         prev is not None and cmp_abs_err(
-                             x.value, prev.value, y.value) is Ordering.GREATER))
+            grew = prev is not None and cmp_abs_err(
+                x.value, prev.value, y.value) is Ordering.GREATER
+            rows.append((n, x, verdict.witness["bound"], verdict.passed, grew))
             prev = x
         return rows
 
@@ -609,18 +636,21 @@ class TestTableProperties:
         failed_rules = {c.rule for c in report.failures()}
         assert "table.consistent" in failed_rules
 
+    # 325 is an index value itself, so rounding it up must not move it
+    @pytest.mark.parametrize("skipped", [301, 325])
     def test_skipped_index_fails_only_round_up(self, demo_table,
                                                demo_profile, demo_stp,
-                                               demo_eps, monkeypatch):
-        def skip_at_301(count, stp_count, profile):
+                                               demo_eps, monkeypatch,
+                                               skipped):
+        def skip_one(count, stp_count, profile):
             up = _round_up_count(count, stp_count, profile)
-            return up + stp_count if count == 301 else up
+            return up + stp_count if count == skipped else up
 
-        monkeypatch.setattr("certisqrt.lut._round_up_count", skip_at_301)
+        monkeypatch.setattr("certisqrt.lut._round_up_count", skip_one)
         report = check_table_properties(demo_table, demo_profile, demo_stp,
                                         demo_eps)
         assert [c.rule for c in report.failures()] == ["table.round-up"]
-        assert report.failures()[0].witness == {"u": "301/100",
+        assert report.failures()[0].witness == {"u": f"{skipped}/100",
                                                 "rounded": "350/100"}
 
 
