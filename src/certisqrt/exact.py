@@ -27,8 +27,12 @@ only skips squaring operands of 100K+ bits when a 128-bit bracket
 already settles the comparison.
 
 Where a Fraction is wanted, the value count/d of a grid count, it is
-built by _lowest_terms: one gcd, then fraction_from_coprime, without
-the checks of Fraction's constructor.
+built by _lowest_terms in one call: one gcd, then object.__new__(Fraction)
+with its two slots, _numerator and _denominator, set once, as
+fraction_from_coprime builds exact iterates.  Fraction's constructor,
+Python code that checks its arguments and fills both slots itself,
+never runs; both helpers rely on fractions.py keeping a Fraction's
+parts in those two slots.
 """
 from __future__ import annotations
 
@@ -59,9 +63,13 @@ def fraction_from_coprime(num: int, den: int) -> Fraction:
 
     Bypasses Fraction's gcd normalization, which is quadratic in operand
     size and dominates the cost of exact Newton runs whose iterates are
-    provably coprime by construction.
+    provably coprime by construction.  The instance comes from
+    object.__new__, as in CPython 3.12's Fraction._from_coprime_ints:
+    Fraction.__new__ would run its own argument checks and fill both
+    slots before they are overwritten here.  Relies on Fraction keeping
+    its parts in the slots _numerator and _denominator.
     """
-    f = Fraction.__new__(Fraction)
+    f = object.__new__(Fraction)
     f._numerator = num
     f._denominator = den
     return f
@@ -69,10 +77,14 @@ def fraction_from_coprime(num: int, den: int) -> Fraction:
 
 def _lowest_terms(num: int, den: int) -> Fraction:
     """Fraction(num, den) for integers num and den > 0, reduced by one
-    math.gcd; fixarith, floatmodel and newton build every grid value
-    count/d through it."""
+    math.gcd and built like fraction_from_coprime, inline, so a value
+    costs one Python call; fixarith, floatmodel and newton build every
+    grid value count/d through it."""
     g = math.gcd(num, den)
-    return fraction_from_coprime(num // g, den // g)
+    f = object.__new__(Fraction)
+    f._numerator = num // g
+    f._denominator = den // g
+    return f
 
 
 # Below 2**2126 < 10**640 an integer has at most 640 decimal digits, the

@@ -99,9 +99,15 @@ class FixProfile:
         return self.val(k * self.delta_den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixVal:
-    """One grid point: the real value count/delta_den."""
+    """One grid point: the real value count/delta_den.
+
+    Immutable, with no per-instance __dict__: the two fields are slots,
+    and equality, hashing and repr follow them.  value is built on each
+    read; caching it in a third slot was measured to gain no request
+    time and to cost memory.
+    """
 
     count: int
     profile: FixProfile

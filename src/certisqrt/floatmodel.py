@@ -94,9 +94,13 @@ class FloatProfile:
         return self.fix.from_int(self.base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FloatVal:
-    """Zero, or a positive (mantissa, exponent) pair with its base."""
+    """Zero, or a positive (mantissa, exponent) pair with its base.
+
+    Immutable, with no per-instance __dict__: the three fields are
+    slots, and equality, hashing and repr follow them.
+    """
 
     man: FixVal | None = None
     exp: int = 0

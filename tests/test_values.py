@@ -1,0 +1,164 @@
+"""The value types and the Fraction builders the grid layers share.
+
+FixVal and FloatVal are immutable records whose equality, hashing, repr
+and str follow their fields, and which carry no per-instance __dict__.
+exact._lowest_terms and exact.fraction_from_coprime build Fractions
+that behave exactly like Fraction(n, d) without running Fraction's
+constructor, so reading a grid value costs no constructor call.
+"""
+import copy
+import dataclasses
+import operator
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from certisqrt import exact
+from certisqrt.exact import fraction_from_coprime, within_of_sqrt
+from certisqrt.fixarith import FixProfile, FixVal
+from certisqrt.floatmodel import FloatVal
+from certisqrt.lut import build_root_table
+from certisqrt.newton import mix_sqr
+
+P100 = FixProfile(100, 1600, 1600)
+OTHER = FixProfile(100, 1600, 1700)
+
+# each value differs from the first of its group in exactly one field
+FIX_VARIANTS = [FixVal(150, P100), FixVal(151, P100), FixVal(150, OTHER)]
+FLOAT_VARIANTS = [FloatVal(FixVal(150, P100), 3, 2),
+                  FloatVal(FixVal(151, P100), 3, 2),
+                  FloatVal(FixVal(150, OTHER), 3, 2),
+                  FloatVal(FixVal(150, P100), -3, 2),
+                  FloatVal(FixVal(150, P100), 3, 10),
+                  FloatVal.zero()]
+VALUES = [*FIX_VARIANTS, *FLOAT_VARIANTS]
+
+
+def _rebuilt(v):
+    """An equal value built anew, sharing no object with v."""
+    if isinstance(v, FixVal):
+        return FixVal(v.count, FixProfile(v.profile.delta_den,
+                                          v.profile.inf_count,
+                                          v.profile.sup_count))
+    return FloatVal(None if v.man is None else _rebuilt(v.man), v.exp, v.base)
+
+
+class TestValueContract:
+    @pytest.mark.parametrize("variants", [FIX_VARIANTS, FLOAT_VARIANTS],
+                             ids=["FixVal", "FloatVal"])
+    def test_equality_and_hash_follow_fields(self, variants):
+        for i, a in enumerate(variants):
+            b = _rebuilt(a)
+            assert a == b and hash(a) == hash(b)
+            assert a is not b
+            for c in variants[i + 1:]:
+                assert a != c
+        assert len(set(variants)) == len(variants)
+
+    def test_not_a_tuple(self):
+        assert FixVal(150, P100) != (150, P100)
+        assert FloatVal.zero() != (None, 0, 2)
+
+    @pytest.mark.parametrize("v", VALUES, ids=str)
+    def test_frozen(self, v):
+        before = repr(v)
+        for f in dataclasses.fields(v):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, f.name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(v, f.name)
+        # A name that is not a field has no slot.  The frozen __setattr__
+        # of a slots dataclass refers to the class before slots were
+        # added, so CPython 3.10-3.13 raise TypeError here.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            v.other = 1
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            del v.other
+        assert repr(v) == before
+
+    @pytest.mark.parametrize("v", VALUES, ids=str)
+    def test_no_instance_dict(self, v):
+        assert not hasattr(v, "__dict__")
+
+    @pytest.mark.parametrize("v", VALUES, ids=str)
+    def test_copies_are_equal(self, v):
+        for got in (dataclasses.replace(v), copy.copy(v), copy.deepcopy(v),
+                    pickle.loads(pickle.dumps(v))):
+            assert type(got) is type(v)
+            assert got == v and hash(got) == hash(v)
+
+    def test_repr_and_str_pinned(self):
+        profile = ("FixProfile(delta_den=100, inf_count=1600, "
+                   "sup_count=1600)")
+        man = FixVal(150, P100)
+        assert repr(man) == f"FixVal(count=150, profile={profile})"
+        assert str(man) == "150/100"
+        assert str(FixVal(-300, P100)) == "-300/100"
+        a = FloatVal(man, -3, 2)
+        assert repr(a) == f"FloatVal(man=FixVal(count=150, " \
+                          f"profile={profile}), exp=-3, base=2)"
+        assert str(a) == "150/100*2^-3"
+        assert repr(FloatVal.zero()) == "FloatVal(man=None, exp=0, base=2)"
+        assert str(FloatVal.zero()) == "0"
+
+
+OTHERS = [3, 0.5, F(7, 3)]
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+COMPARE = [operator.eq, operator.lt, operator.ge]
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want) and str(got) == str(want)
+
+
+def _behaves_like(got, want):
+    """got behaves as want in arithmetic and comparisons with an int, a
+    float and a Fraction, from either side."""
+    for other in OTHERS:
+        for op in ARITHMETIC:
+            r, w = op(got, other), op(want, other)
+            assert type(r) is type(w) and r == w
+            if want:
+                r, w = op(other, got), op(other, want)
+                assert type(r) is type(w) and r == w
+        for op in COMPARE:
+            assert op(got, other) is op(want, other)
+            assert op(other, got) is op(other, want)
+
+
+class TestFractionBuilders:
+    @pytest.mark.parametrize("d", [1, 100, 997, 1000])
+    def test_equal_to_fraction(self, d):
+        for n in range(-2000, 2001):
+            want = F(n, d)
+            got = exact._lowest_terms(n, d)
+            _same(got, want)
+            _behaves_like(got, want)
+            _same(fraction_from_coprime(want.numerator, want.denominator),
+                  want)
+
+    def test_grid_values_build_no_fraction(self, monkeypatch):
+        """A mix request, its verdict and a second read of each value call
+        Fraction's constructor 0 times."""
+        fix = FixProfile(1000, 20000, 20000)
+        table = build_root_table(fix, fix.val(16))
+        calls = []
+        real = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counted))
+        y, eps = fix.val(6434), fix.val(8)
+        x, _ = mix_sqr(y, eps, table)
+        ok = within_of_sqrt(x.value, y.value, eps.value, strict=True)
+        values = (x.value, y.value, eps.value)
+        monkeypatch.undo()
+        assert calls == []
+        assert F.__new__ is real  # the constructor is restored
+        assert ok
+        assert values == (F(x.count, 1000), F(3217, 500), F(1, 125))
