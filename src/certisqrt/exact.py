@@ -206,21 +206,28 @@ def cmp_sqrt(q: Fraction, y: Fraction) -> Ordering:
     return _ordering_of_sign(_sqrt_sign(q.numerator, q.denominator, a, b))
 
 
-def within_of_sqrt(q: Fraction, y: Fraction, bound: Fraction,
-                   strict: bool = False) -> bool:
-    """Decide |q - sqrt(y)| <= bound (or < bound when strict) exactly.
-
-    Equivalent to q - bound <= sqrt(y) <= q + bound, settled with two
-    _sqrt_sign calls on the unreduced pairs of q - bound and q + bound.
-    """
+def _within_signs(q: Fraction, y: Fraction,
+                  bound: Fraction) -> tuple[int, int]:
+    """The signs of q - bound - sqrt(y) and q + bound - sqrt(y), from
+    _sqrt_sign on the unreduced pairs of q - bound and q + bound."""
     bn, bd = bound.numerator, bound.denominator
     if bn < 0:
         raise DomainError(f"bound must be >= 0, got {_rat_text(bound)}")
     a, b = _radicand(y)
     qn, qd = q.numerator, q.denominator
     centre, radius, den = qn * bd, bn * qd, qd * bd
-    lo = _sqrt_sign(centre - radius, den, a, b)
-    hi = _sqrt_sign(centre + radius, den, a, b)
+    return (_sqrt_sign(centre - radius, den, a, b),
+            _sqrt_sign(centre + radius, den, a, b))
+
+
+def within_of_sqrt(q: Fraction, y: Fraction, bound: Fraction,
+                   strict: bool = False) -> bool:
+    """Decide |q - sqrt(y)| <= bound (or < bound when strict) exactly.
+
+    Equivalent to q - bound <= sqrt(y) <= q + bound, settled by the two
+    signs of _within_signs.
+    """
+    lo, hi = _within_signs(q, y, bound)
     if strict:
         return lo < 0 < hi
     return lo <= 0 <= hi

@@ -163,9 +163,11 @@ def value_of(a: FloatVal) -> Fraction:
     return _lowest_terms(num, den)
 
 
-def _exponent_below(num: int, den: int, base: int) -> int:
-    """The unique e with base**e < num/den <= base**(e+1), for num, den
-    >= 1 and base >= 2, by bisection with integer comparisons.
+def _exponent_below(num: int, den: int, base: int) -> tuple[int, int, int]:
+    """(e, man_num, man_den) for the unique e with base**e < num/den <=
+    base**(e+1), for num, den >= 1 and base >= 2, by bisection with
+    integer comparisons; man_num/man_den is the mantissa num/den over
+    base**e as an unreduced pair, so each power of base is formed once.
 
     The bisection starts from a bracket read off bit lengths.  With
     t = bitlen(num) - bitlen(den), 2**(t-1) < q < 2**(t+1) for q =
@@ -179,22 +181,24 @@ def _exponent_below(num: int, den: int, base: int) -> int:
     whatever t is; no host float is used, not even as an estimate.
     """
 
-    def below(e: int) -> bool:  # base**e < num/den
+    def mantissa(e: int) -> tuple[int, int]:  # num/den over base**e
         if e >= 0:
-            return base ** e * den < num
-        return den < num * base ** -e
+            return num, den * base ** e
+        return num * base ** -e, den
 
     t = num.bit_length() - den.bit_length()
     kl, ku = base.bit_length() - 1, (base - 1).bit_length()
     lo = (t - 1) // (ku if t >= 1 else kl)
     hi = -(-(t + 1) // (kl if t >= 0 else ku))
+    lo_man = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if below(mid):
-            lo = mid
+        man = mantissa(mid)
+        if man[1] < man[0]:  # base**mid < num/den
+            lo, lo_man = mid, man
         else:
             hi = mid
-    return lo
+    return lo, *(mantissa(lo) if lo_man is None else lo_man)
 
 
 def encode_rational(q: Fraction, profile: FloatProfile) -> tuple[FloatVal, bool]:
@@ -212,15 +216,11 @@ def encode_rational(q: Fraction, profile: FloatProfile) -> tuple[FloatVal, bool]
     if num == 0:
         return FloatVal.zero(), True
     base = profile.base
-    e = _exponent_below(num, den, base)
+    # the exact mantissa q/base**e as the unreduced pair man_num/man_den
+    e, man_num, man_den = _exponent_below(num, den, base)
     if e > profile.exp_max or e < profile.exp_min:
         raise RangeOverflow(f"{_rat_text(q)} needs exponent {e}, outside "
                             f"[{profile.exp_min}, {profile.exp_max}]")
-    # the exact mantissa q/base**e as the unreduced pair man_num/man_den
-    if e >= 0:
-        man_num, man_den = num, den * base ** e
-    else:
-        man_num, man_den = num * base ** -e, den
     d = profile.fix.delta_den
     # nearest rounding can collapse onto the excluded endpoint 1 only
     # from (1, 1 + 1/(2d)], whose rounding up is the next grid point

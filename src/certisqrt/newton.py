@@ -20,14 +20,20 @@ for it, so a request builds no record that nothing reads.
 
 The three exact variants make one request pass, _exact_request, and
 share one integer-pair step, _newton_steps; sqr_exact and isqr_exact
-are one until-loop, _until_loop, run from two seeds.  The step forms
-each pass from three squarings, p**2, q**2 and (p + q)**2 for x = p/q,
-using 2*p*q = (p + q)**2 - p**2 - q**2, and builds no next iterate on a
-pass whose correction the caller does not apply.  It keeps the pairs in
-lowest terms by stripping common factors of 2*num(y)*den(y) each step
-(the only primes a common factor can contain), because a full gcd at the
-sizes reached by long runs is quadratic and would dominate the runtime.
-CERTISQRT_MAX_BITS caps the size of the integers a pass may form.
+are one until-loop, _until_loop, run from two seeds.  For x = p/q and
+y = a/b the step carries the norm b*p**2 - a*q**2 from pass to pass:
+each pass after the first gets it with one squaring, as b*norm**2/g**2
+for the factor g stripped from its pair.  The until-loop decides its
+exit from the norm, p and q, so the exit pass then forms 2*b*p*q with
+one product; an applied pass squares p and p + q and gets q**2 from the
+norm by exact division.  Forming the norm afresh took three squarings
+on every pass.  No next iterate is built on a pass whose correction
+the caller does not apply.  The step keeps each pair and correction in
+lowest terms by one gcd against the part of their common denominator
+made of primes of 2*num(y)*den(y) (the only primes a common factor can
+contain), because a full gcd at the sizes reached by long runs is
+quadratic and would dominate the runtime.  CERTISQRT_MAX_BITS caps the
+size of the integers a pass may form.
 fix_sqr, mix_sqr and flt_sqr share one grid loop on counts, headed by
 one request pass that checks each precondition once (a table checked
 its step when made).  Each pass is one call of fixarith._newton_step,
@@ -53,8 +59,8 @@ from .errors import (
     ResourceLimit,
     SeedContractError,
 )
-from .exact import (Ordering, _lowest_terms, _rat_text, cmp_sqrt,
-                    decide_radical_lt, fraction_from_coprime)
+from .exact import (Ordering, _lowest_terms, _rat_text, cmp_products,
+                    cmp_sqrt, decide_radical_lt, fraction_from_coprime)
 from .fixarith import FixVal, _newton_step, fix_mul, require_same_grid
 from .floatmodel import FloatProfile, FloatVal, _require_base, compose
 from .lut import (RootTable, _check_table_config, _env_limit, _seed_count,
@@ -135,24 +141,33 @@ class GridTrace(NamedTuple):
                      for k in range(len(counts) - 1))
 
 
-def _strip_small(p: int, q: int, small: int) -> tuple[int, int]:
-    """Divide out every common factor of p, q whose primes divide small."""
-    while True:
-        g = math.gcd(small, p)
-        if g > 1:
-            g = math.gcd(g, q)
-        if g <= 1:
-            return p, q
-        p //= g
-        q //= g
+def _content(n: int, small: int) -> int:
+    """The largest divisor of n > 0 whose primes all divide small."""
+    s, g = 1, math.gcd(n, small)
+    while g > 1:
+        s *= g
+        n //= g
+        g = math.gcd(n, g)
+    return s
 
 
-def _reduced(num: int, den: int, small: int) -> Fraction:
-    """Fraction num/den (den > 0) whose common primes all divide small."""
+def _reduced(num: int, den: int, s: int) -> Fraction:
+    """Fraction num/den (den > 0) for a divisor s of den that every
+    common factor of num and den divides, reduced by one gcd."""
     if num == 0:
         return Fraction(0)
-    p, q = _strip_small(num, den, small)
-    return fraction_from_coprime(p, q)
+    g = math.gcd(num, s)
+    return fraction_from_coprime(num // g, den // g)
+
+
+def _next_norm(norm: int, g: int, b: int) -> int:
+    """b*(norm/g)**2, the norm of the next iterate, for the factor g
+    stripped from its pair.  g need not divide norm, but since the
+    result is an integer, g**2 divides b*norm**2: so for h = gcd(norm, g)
+    the square of g/h divides b, and no integer formed here is longer
+    than the result."""
+    h = math.gcd(norm, g)
+    return b // (g // h) ** 2 * (norm // h) ** 2
 
 
 def _check_rational(**inputs) -> None:
@@ -175,20 +190,35 @@ def _pow2(k: int) -> Fraction:
 def _newton_steps(y: Fraction, x: Fraction, passes: int):
     """Up to `passes` exact steps x -> x - (x*x - y)/(2x) from x > 0.
 
-    Each pass yields (k, x, ad, ad_num, ad_den): the iterate, the
-    correction magnitude ad = (x*x - y)/(2x), also as the unreduced pair
-    ad_num/ad_den with ad_den > 0.  The caller then calls send(apply) and
-    gets x_after: the next iterate x - ad when apply is true, and the
-    loop goes on from it; else x itself, and the loop ends.  So a pass
-    whose correction is not applied builds no next iterate.
+    With x = p/q and y = a/b, each pass yields (k, x, norm), where norm
+    = b*p**2 - a*q**2 is the numerator of the correction magnitude ad =
+    (x*x - y)/(2x) = norm/(2*b*p*q).  The caller then calls send(apply)
+    and gets (ad, ad_den, x_after), with ad_den = 2*b*p*q: x_after is the
+    next iterate x - ad when apply is true, and the loop goes on from it;
+    else x itself, and the loop ends.  So the caller can decide its exit
+    from norm, p and q before ad_den exists.
 
-    With x = p/q and y = a/b, x - ad = (b*p**2 + a*q**2)/(2*b*p*q).  The
-    pass forms its integers from three squarings, which cost less than
-    general products at these sizes: p**2, q**2 and (p + q)**2, since
-    2*p*q = (p + q)**2 - p**2 - q**2.  Before it squares anything it
-    refuses, with ResourceLimit, a pass whose pair could exceed the
-    CERTISQRT_MAX_BITS cap: b*p**2 + a*q**2 and 2*b*p*q have at most
-    2*max(bits(p), bits(q)) + bits(max(a, b)) + 1 bits.
+    The norm of x in Q(sqrt(y)) is multiplicative, so the step carries
+    it: the next pair is (b*p**2 + a*q**2, 2*b*p*q) over the factor g
+    stripped from it, and its norm is b*norm**2/g**2 (_next_norm), one
+    squaring at the head of the next pass.  A pass whose correction is
+    not applied then forms ad_den with one product, and builds no next
+    iterate.  An applied pass forms p**2 and (p + q)**2, gets q**2 =
+    (b*p**2 - norm)/a by exact division and 2*p*q = (p + q)**2 - p**2 -
+    q**2.  Forming the norm afresh took three squarings on every pass,
+    so the exit pass saves two squarings for one product.
+
+    Every common factor of norm or of the next numerator with ad_den
+    divides 2*a*b, so both are reduced by one gcd against s, the part of
+    ad_den = 2b * p * q made of those primes.  s is carried too: s = 2b
+    * s_p * s_q for the parts s_p of p and s_q of q, the next q's part
+    is s/g, and only the next p's part is searched.  This avoids a full
+    gcd, which is quadratic at the sizes long runs reach.
+
+    Before it forms anything, each pass refuses, with ResourceLimit, a
+    pair that could exceed the CERTISQRT_MAX_BITS cap: b*p**2 + a*q**2,
+    2*b*p*q and the norm have at most 2*max(bits(p), bits(q)) +
+    bits(max(a, b)) + 1 bits, so the pass forms its norm after that test.
     """
     a, b = y.numerator, y.denominator
     small, y_bits = 2 * a * b, max(a, b).bit_length()
@@ -202,16 +232,28 @@ def _newton_steps(y: Fraction, x: Fraction, passes: int):
             raise ResourceLimit(
                 f"exact Newton pass {k} may form {bits}-bit operands, "
                 f"above {ENV_MAX_BITS} = {limit}")
-        pp, qq = p * p, q * q
-        bpp, aqq = b * pp, a * qq
-        ad_num, ad_den = bpp - aqq, b * ((p + q) ** 2 - pp - qq)
-        apply = yield k, x, _reduced(ad_num, ad_den, small), ad_num, ad_den
+        if k == 0:
+            norm = b * p * p - a * q * q
+            s_p, s_q = _content(p, small), _content(q, small)
+        else:
+            norm = _next_norm(norm, g, b)
+        s = 2 * b * s_p * s_q
+        apply = yield k, x, norm
         if not apply:
-            yield x
+            ad_den = 2 * b * p * q
+            yield _reduced(norm, ad_den, s), ad_den, x
             return
-        p, q = _strip_small(bpp + aqq, ad_den, small)
+        pp = p * p
+        bpp = b * pp
+        aqq = bpp - norm
+        ad_den = b * ((p + q) ** 2 - pp - aqq // a)
+        ad = _reduced(norm, ad_den, s)
+        num = bpp + aqq
+        g = math.gcd(num, s)
+        p, q = num // g, ad_den // g
+        s_p, s_q = _content(p, small), s // g
         x = fraction_from_coprime(p, q)
-        yield x
+        yield ad, ad_den, x
 
 
 def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
@@ -242,12 +284,14 @@ def _until_loop(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     pass cap that only a diverging run reaches.  sqr_exact records -ad,
     and c_style applies the exit pass's correction too.  No iterate from
     a seed >= sqrt(y) falls below sqrt(y), so ad >= 0 needs no abs()."""
-    en, ed = eps.numerator, eps.denominator
+    en, ed, b = eps.numerator, eps.denominator, y.denominator
     negate, steps = algorithm == "sqr_exact", []
     newton = _newton_steps(y, seed, (y.numerator * ed).bit_length() + 65)
-    for k, x, ad, ad_num, ad_den in newton:
-        stop = 2 * ed * ad_num < en * ad_den
-        x_after = newton.send(c_style or not stop)
+    for k, x, norm in newton:
+        # ad < eps/2 as 2*ed*norm < en*(2*b*p*q), before 2*b*p*q is formed
+        stop = norm < 0 or cmp_products(ed, norm, en * b * x.numerator,
+                                        x.denominator) < 0
+        ad, _, x_after = newton.send(c_style or not stop)
         steps.append(TraceStep(k, x, -ad if negate else ad, x_after))
         if stop:
             return x_after, Trace(algorithm, y=y, eps=eps, final_x=x_after,
@@ -344,8 +388,10 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
         raise IterationBudgetError(
             f"n={n} below the legal minimum for seed {_rat_text(seed)}")
     newton = _newton_steps(y, seed, n)
-    steps = [TraceStep(k, x, ad, newton.send(True))
-             for k, x, ad, _, _ in newton]
+    steps = []
+    for k, x, _ in newton:
+        ad, _, x_after = newton.send(True)
+        steps.append(TraceStep(k, x, ad, x_after))
     final = steps[-1].x_after if steps else seed
     return final, Trace("fsqr_exact", y=y, eps=eps, final_x=final,
                         steps=tuple(steps), n_planned=n, seed=seed)

@@ -19,6 +19,7 @@ from .errors import DomainError, UsageError
 from .exact import (
     Ordering,
     _rat_text,
+    _within_signs,
     cmp_products,
     cmp_sqrt,
     rat_str,
@@ -45,9 +46,17 @@ from .report import CheckResult, VerifyReport, check
 
 
 def approx_abs_err(q: Fraction, y: Fraction) -> float:
-    """Display-only magnitude of |q - sqrt(y)| from a 64-bit enclosure."""
+    """Display-only magnitude of |q - sqrt(y)| from a 64-bit enclosure.
+
+    |q - m/md| for the midpoint m/md is formed on integer parts, with no
+    Fraction arithmetic (whose gcds on long parts would cost more than
+    the display is worth); int/int true division rounds correctly, so
+    the float is that of the exact difference.
+    """
     mid = sqrt_enclosure(y, 64).midpoint
-    return float(abs(q - mid))
+    m, md = mid.numerator, mid.denominator
+    qn, qd = q.numerator, q.denominator
+    return abs(qn * md - m * qd) / (qd * md)
 
 
 def cmp_abs_err(a: Fraction, b: Fraction, y: Fraction) -> Ordering:
@@ -107,11 +116,13 @@ def _first_failure(name: str, rule: str, counts: dict[str, Any],
 
 def _final_error(name: str, rule: str, x: Fraction, y: Fraction,
                  key: str, bound: Fraction) -> CheckResult:
-    """|x - sqrt(y)| <= bound, recording whether the strict form holds."""
-    ok = within_of_sqrt(x, y, bound)
-    return CheckResult(name, rule, ok, {"x": x, key: bound,
-                                        "err_display": approx_abs_err(x, y)},
-                       strict=ok and within_of_sqrt(x, y, bound, strict=True))
+    """|x - sqrt(y)| <= bound, recording whether the strict form holds;
+    both forms are read off one pair of signs."""
+    lo, hi = _within_signs(x, y, bound)
+    return CheckResult(name, rule, lo <= 0 <= hi,
+                       {"x": x, key: bound,
+                        "err_display": approx_abs_err(x, y)},
+                       strict=lo < 0 < hi)
 
 
 def check_sqr_annotations(trace: Trace, y: Fraction,

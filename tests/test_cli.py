@@ -108,6 +108,17 @@ class TestTableBuild:
                      str(tmp_path / "t.json")])
         assert code == 1
 
+    def test_bit_cap_env(self, demo_profile_path, monkeypatch, capsys):
+        monkeypatch.setenv("CERTISQRT_MAX_BITS", "4096")
+        capsys.readouterr()
+        assert main(["sqrt", demo_profile_path, "--mode", "exact",
+                     "--value", "10000000000", "--eps", "1/1000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: ResourceLimit: exact Newton pass 7 may form 4289-bit "
+            "operands, above CERTISQRT_MAX_BITS = 4096\n")
+        assert captured.out == ""
+
     def test_load_revalidation_catches_corruption(self, demo_profile_path,
                                                   demo_table_path, tmp_path):
         fix, fprof, step = load_profile(demo_profile_path)

@@ -171,18 +171,20 @@ class TestExponentBelow:
                              (num, den + 1), (num, den - 1)):
                     if n < 1 or d < 1:
                         continue
-                    got = _exponent_below(n, d, base)
+                    got, man_num, man_den = _exponent_below(n, d, base)
                     assert got == reference_exponent_below(n, d, base), \
                         (n, d, base)
                     # the defining bracket, on exact rationals
                     assert F(base) ** got < F(n, d) <= F(base) ** (got + 1)
+                    assert F(man_num, man_den) == F(n, d) / F(base) ** got
 
     @settings(max_examples=300, deadline=None)
     @given(num=st.integers(1, 2 ** 200), den=st.integers(1, 2 ** 200),
            base=st.sampled_from(EXPONENT_BASES))
     def test_random_ratios(self, num, den, base):
-        assert _exponent_below(num, den, base) == \
-            reference_exponent_below(num, den, base)
+        e, man_num, man_den = _exponent_below(num, den, base)
+        assert e == reference_exponent_below(num, den, base)
+        assert F(man_num, man_den) == F(num, den) / F(base) ** e
 
 
 class TestEncode:

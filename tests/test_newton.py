@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -26,6 +27,7 @@ from certisqrt.exact import (
     Ordering,
     cmp_sqrt,
     fraction_from_coprime,
+    rat_str,
     sqrt_abs_err_lt,
     sqrt_enclosure,
     within_of_sqrt,
@@ -56,7 +58,7 @@ from certisqrt.newton import (
     mix_sqr,
     sqr_exact,
 )
-from certisqrt.verify import iteration_cap
+from certisqrt.verify import iteration_cap, sample_rationals
 
 ys = st.fractions(min_value=F(1), max_value=F(10 ** 4), max_denominator=100)
 epss = st.fractions(min_value=F(1, 1000), max_value=F(1),
@@ -84,6 +86,15 @@ class TestSqrExact:
         assert x == F(17, 12)
         assert [s.correction for s in trace.steps] == \
             [F(-1, 2), F(-1, 12), F(-1, 408)]
+
+    def test_exit_tie_is_applied(self):
+        # the first correction is exactly -eps/2: |d| < eps/2 fails there
+        x, trace = sqr_exact(F(4), F(3))
+        assert len(trace.steps) == 2
+        assert trace.steps[0].correction == -F(3) / 2
+        assert trace.steps[0].x_after == F(5, 2)
+        assert x == F(5, 2) == trace.steps[1].x_after
+        assert trace.steps[1].correction == F(-9, 20)
 
     def test_c_style_applies_final_correction(self):
         x_flow, _ = sqr_exact(F(4), F(1, 2))
@@ -907,6 +918,47 @@ def _pass_views(trace):
     return [(s.x_before, s.x_after, abs(s.correction)) for s in trace.steps]
 
 
+def _outcome_line(fn, *args):
+    """One outcome as text: the result and every field of the trace, or
+    the refusal's type and message; long parts are written in hex."""
+    try:
+        x, trace = fn(*args)
+    except CertisqrtError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    steps = " ".join(f"{s.k}:{rat_str(s.x_before)}:{rat_str(s.correction)}:"
+                     f"{rat_str(s.x_after)}" for s in trace.steps)
+    return (f"{rat_str(x)} {trace.algorithm} {trace.n_planned} "
+            f"{rat_str(trace.seed)} {steps}")
+
+
+class TestExactFamilyDigest:
+    """A differential corpus of the exact family hashes as it did before
+    the step carried the norm: both sqr_exact exits, isqr_exact and
+    fsqr_exact at n in {0, 1, 3, 6} from four seeds (two of them break
+    the seed contract), over 80 sampled pairs and y in {1, 2, 4, 10**6}
+    at four eps; 2,112 results, traces and refusals."""
+
+    DIGEST = "b7d92604860e562da44698297cbae4fbb58480469c6dd1339dabecc35e234e91"
+
+    def test_digest(self):
+        pairs = sample_rationals(80, 5) + [
+            (y, eps) for y in (F(1), F(2), F(4), F(10 ** 6))
+            for eps in (F(1, 10 ** 6), F(1, 1000), F(1, 4), F(1))]
+        digest, count = hashlib.sha256(), 0
+        for y, eps in pairs:
+            lines = [_outcome_line(sqr_exact, y, eps, c_style)
+                     for c_style in (False, True)]
+            for seed in _exact_seeds(y):
+                lines.append(_outcome_line(isqr_exact, y, eps, seed))
+                lines += [_outcome_line(fsqr_exact, y, eps, seed, n)
+                          for n in (0, 1, 3, 6)]
+            for line in lines:
+                digest.update(line.encode() + b"\n")
+            count += len(lines)
+        assert count == 2112
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestSqrIsIsqrSeededWithY:
     """For y > 1, sqr_exact is isqr_exact seeded with y: the same
     iterates before and after each pass and the same |correction|."""
@@ -926,12 +978,12 @@ class TestSqrIsIsqrSeededWithY:
 
 def _plain_step(y, p, q):
     """One step from x = p/q by the product formula: (ad_num, ad_den) and
-    the next pair, stripped as the step strips it."""
+    the next pair in lowest terms."""
     a, b = y.numerator, y.denominator
     bpp, aqq = b * p * p, a * q * q
     ad_den = 2 * b * p * q
-    return (bpp - aqq, ad_den,
-            *newton._strip_small(bpp + aqq, ad_den, 2 * a * b))
+    g = math.gcd(bpp + aqq, ad_den)
+    return bpp - aqq, ad_den, (bpp + aqq) // g, ad_den // g
 
 
 def _count_built(monkeypatch) -> list[int]:
@@ -952,9 +1004,117 @@ EXIT_RUNS = [(F(2), F(1, 100)), (F(3, 2), F(1, 10 ** 6)),
              (F(10 ** 4), F(1, 1000)), (F(7, 3), F(1, 10 ** 12))]
 
 
+def _recording_steps(mp, passes_seen, updates):
+    """Route _newton_steps through a proxy that records (y, x, norm) for
+    each pass it yields, and _next_norm through one that records its
+    arguments (norm, g, b)."""
+    real_steps, real_norm = newton._newton_steps, newton._next_norm
+
+    def recording(y, x, passes):
+        steps = real_steps(y, x, passes)
+        for k, x_k, norm in steps:
+            passes_seen.append((y, x_k, norm))
+            apply = yield k, x_k, norm
+            yield steps.send(apply)
+
+    def next_norm(norm, g, b):
+        updates.append((norm, g, b))
+        return real_norm(norm, g, b)
+
+    mp.setattr(newton, "_newton_steps", recording)
+    mp.setattr(newton, "_next_norm", next_norm)
+
+
+@st.composite
+def even_over_odd(draw):
+    """y = a/b in lowest terms with a even and odd b > 1, up to 10**4."""
+    b = draw(st.integers(1, 49)) * 2 + 1
+    a = draw(st.integers(b // 2 + 1, 5000 * b).filter(
+        lambda h: math.gcd(2 * h, b) == 1)) * 2
+    return F(a, b)
+
+
+# seeded runs whose norm update meets a factor g that does not divide the
+# norm: 3 divides b = 9 once over, and each pair is isqr's (y, eps, seed)
+G_NOT_DIVIDING = [(F(29, 9), F(1, 10 ** 6), F(7, 3)),
+                  (F(29, 9), F(1, 10 ** 6), F(8, 3)),
+                  (F(11, 9), F(1, 10 ** 6), F(7, 6)),
+                  (F(14, 9), F(1, 10 ** 6), F(4, 3))]
+
+
+def _norm_of(y, x):
+    return (y.denominator * x.numerator ** 2
+            - y.numerator * x.denominator ** 2)
+
+
+class TestCarriedNorm:
+    """The norm the step carries from pass to pass is b*p**2 - a*q**2 of
+    the pass's iterate p/q, in every run of the exact family."""
+
+    @staticmethod
+    def _runs(y, eps, seed):
+        sqr_exact(y, eps)
+        sqr_exact(y, eps, c_style=True)
+        isqr_exact(y, eps, seed)
+        # with eps = y every count is legal
+        fsqr_exact(y, y, seed, 5)
+
+    @given(st.one_of(even_over_odd(), ys.filter(lambda v: v > 1)), epss,
+           st.booleans())
+    @example(F(10, 3), F(1, 1000), True)
+    @example(F(29, 9), F(1, 10 ** 6), False)
+    @settings(max_examples=40, deadline=None)
+    def test_norm_at_every_pass(self, y, eps, tight):
+        passes, updates = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            _recording_steps(mp, passes, updates)
+            self._runs(y, eps, _exact_seeds(y)[1] if tight else y)
+        assert passes
+        assert all(norm == _norm_of(y_k, x) for y_k, x, norm in passes)
+
+    def test_common_factors_occur(self):
+        passes, updates = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            _recording_steps(mp, passes, updates)
+            self._runs(F(10, 3), F(1, 1000), F(2))
+            for y, eps, seed in G_NOT_DIVIDING:
+                isqr_exact(y, eps, seed)
+        assert all(norm == _norm_of(y, x) for y, x, norm in passes)
+        assert any(g > 1 and norm % g == 0 for norm, g, _ in updates)
+        assert any(norm % g for norm, g, _ in updates)
+
+    @pytest.mark.parametrize("y, eps, seed", G_NOT_DIVIDING)
+    def test_g_not_dividing_the_norm(self, y, eps, seed):
+        passes, updates = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            _recording_steps(mp, passes, updates)
+            isqr_exact(y, eps, seed)
+        assert any(norm % g for norm, g, _ in updates)
+        for norm, g, b in updates:
+            h = math.gcd(norm, g)
+            assert b % (g // h) ** 2 == 0
+        assert all(norm == _norm_of(y, x) for _, x, norm in passes)
+        assert _mismatches(_exact_cases(y, eps, [seed], [0, 1, 3])) == []
+
+
+class TestReducedByCarriedContent:
+    """Each pass reduces by s = 2b * s_p * s_q; these seeded runs need
+    the q part s_q after the first pass: with y = 5/4 and seed 7/6, pass
+    1's iterate is 47/42, and its correction 16/15792 = 16/(2*4*47*42)
+    reduces by 2**4, of which 2b = 8 alone holds only 2**3."""
+
+    @pytest.mark.parametrize("y, seed", [(F(5, 4), F(7, 6)),
+                                         (F(5, 4), F(17, 14)),
+                                         (F(5, 4), F(31, 26))])
+    def test_matches_reference(self, y, seed):
+        assert _mismatches(_exact_cases(y, F(1, 10 ** 9), [seed],
+                                        [2, 4])) == []
+
+
 class TestExactStep:
-    """_newton_steps forms each pass from three squarings and builds no
-    iterate on a pass whose correction is not applied."""
+    """_newton_steps forms an applied pass from two squarings and the
+    carried norm, and an exit pass from one product; it builds no iterate
+    on a pass whose correction is not applied."""
 
     @given(ys, st.integers(1000, 200_000), st.integers(1000, 200_000),
            st.integers(0, 2 ** 64))
@@ -967,10 +1127,37 @@ class TestExactStep:
         g = math.gcd(p, q)
         p, q = p // g, q // g
         one_pass = newton._newton_steps(y, fraction_from_coprime(p, q), 1)
-        _, _, _, ad_num, ad_den = next(one_pass)
-        x_after = one_pass.send(True)
+        _, _, ad_num = next(one_pass)
+        _, ad_den, x_after = one_pass.send(True)
         assert (ad_num, ad_den, x_after.numerator,
                 x_after.denominator) == _plain_step(y, p, q)
+
+    @given(ys, st.integers(1000, 200_000), st.integers(1000, 200_000),
+           st.integers(0, 2 ** 64))
+    @example(F(10 ** 4 - 1, 99), 200_000, 199_999, 1)
+    @settings(max_examples=25, deadline=None)
+    def test_exit_pass_matches_products(self, y, p_bits, q_bits, seed):
+        rng = random.Random(seed)
+        p = rng.getrandbits(p_bits) | 1 << (p_bits - 1)
+        q = rng.getrandbits(q_bits) | 1 << (q_bits - 1)
+        g = math.gcd(p, q)
+        x = fraction_from_coprime(p // g, q // g)
+        one_pass = newton._newton_steps(y, x, 1)
+        _, _, ad_num = next(one_pass)
+        ad, ad_den, x_after = one_pass.send(False)
+        assert (ad_num, ad_den) == _plain_step(y, x.numerator,
+                                               x.denominator)[:2]
+        assert ad == F(ad_num, ad_den)
+        assert x_after is x
+
+    def test_norm_below_the_root_exits(self):
+        # a seed under sqrt(y), which the request pass refuses, has a
+        # negative norm: the exit test holds at once, as 2*ed*ad_num <
+        # en*ad_den did
+        x, trace = newton._until_loop("isqr_exact", F(2), F(1, 100), F(1))
+        assert x == 1
+        assert [(s.x_before, s.correction, s.x_after)
+                for s in trace.steps] == [(1, F(-1, 2), 1)]
 
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_until_loop_exit_builds_no_iterate(self, monkeypatch, y, eps):
@@ -1015,11 +1202,34 @@ class TestOperandCap:
                           (2 * y.denominator * p * q).bit_length())
             assert longest <= _pass_bits(y, step.x_before)
 
+    @pytest.mark.parametrize("y, eps, seed",
+                             [(y, eps, y) for y, eps in EXIT_RUNS]
+                             + G_NOT_DIVIDING)
+    def test_bound_covers_the_norm_update(self, monkeypatch, y, eps, seed):
+        updates = []
+        _recording_steps(monkeypatch, [], updates)
+        for run in (lambda: sqr_exact(y, eps, c_style=True),
+                    lambda: isqr_exact(y, eps, seed)):
+            updates.clear()
+            _, trace = run()
+            # pass k >= 1 updates the norm after its own cap test
+            assert len(updates) == len(trace.steps) - 1
+            for (norm, g, b), step in zip(updates, trace.steps[1:]):
+                h = math.gcd(norm, g)
+                formed = (h, g // h, (g // h) ** 2, b // (g // h) ** 2,
+                          norm // h, (norm // h) ** 2,
+                          b // (g // h) ** 2 * (norm // h) ** 2)
+                assert formed[-1] == _norm_of(y, step.x_before)
+                assert max(abs(v).bit_length() for v in formed) \
+                    <= _pass_bits(y, step.x_before)
+
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_cap_at_the_run_maximum(self, monkeypatch, y, eps):
         runs = {"sqr": lambda: sqr_exact(y, eps),
                 "c": lambda: sqr_exact(y, eps, c_style=True),
                 "isqr": lambda: isqr_exact(y, eps, y)}
+        updates = []
+        _recording_steps(monkeypatch, [], updates)
         for run in runs.values():
             monkeypatch.delenv("CERTISQRT_MAX_BITS", raising=False)
             x, trace = run()
@@ -1029,11 +1239,14 @@ class TestOperandCap:
             assert run() == (x, trace)
             monkeypatch.setenv("CERTISQRT_MAX_BITS", str(cap - 1))
             k = bits.index(cap)
+            updates.clear()
             with pytest.raises(ResourceLimit) as info:
                 run()
             assert str(info.value) == (
                 f"exact Newton pass {k} may form {cap}-bit operands, "
                 f"above CERTISQRT_MAX_BITS = {cap - 1}")
+            # the refused pass formed no norm: passes 1..k-1 updated it
+            assert len(updates) == max(k - 1, 0)
 
     @pytest.mark.parametrize("cap", [None, "4096"])
     def test_refuses_before_the_work(self, monkeypatch, cap):

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import math
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certisqrt.errors import (CertisqrtError, DomainError, ProfileMismatch,
@@ -26,7 +27,9 @@ from certisqrt.newton import (
     mix_sqr,
     sqr_exact,
 )
+from certisqrt.report import CheckResult
 from certisqrt.verify import (
+    _final_error,
     _first_failure,
     adjust_runs,
     applied_corrections,
@@ -599,6 +602,82 @@ class TestCmpAbsErr:
     def test_symmetric_pair(self):
         # 1.3 and 1.5 straddle sqrt(2) = 1.41421...
         assert cmp_abs_err(F(13, 10), F(3, 2), F(2)) is Ordering.GREATER
+
+
+def fraction_abs_err(q, y):
+    """approx_abs_err's former formula: the float of a Fraction
+    difference."""
+    return float(abs(q - sqrt_enclosure(y, 64).midpoint))
+
+
+class TestApproxAbsErr:
+    """approx_abs_err, formed on integer parts, gives the float of the
+    Fraction formula: both round the same rational correctly."""
+
+    def test_matches_fraction_formula_on_corpus(self):
+        for y, eps in sample_rationals(40, 1):
+            x, trace = sqr_exact(y, eps)
+            for q in [x] + [s.x_before for s in trace.steps]:
+                assert approx_abs_err(q, y) == fraction_abs_err(q, y)
+
+    @given(st.integers(1, 2 ** 64), st.integers(1, 2 ** 64),
+           st.integers(64, 30_000), st.integers(-2 ** 40, 2 ** 40),
+           st.randoms(use_true_random=False))
+    @example(10 ** 9 + 7, 997, 100_000, 1, random.Random(1))
+    @example(2, 1, 100_000, -1, random.Random(2))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_fraction_formula_on_large_operands(self, a, b, bits,
+                                                        shift, rng):
+        # q near sqrt(y) with parts of `bits` bits, as in long exact runs
+        y, den = F(a, b), rng.getrandbits(bits) | 1 << (bits - 1)
+        num = max(math.isqrt(a * den * den // b) + shift, 1)
+        assert approx_abs_err(F(num, den), y) == \
+            fraction_abs_err(F(num, den), y)
+
+    @pytest.mark.parametrize("q, y", [(F(2), F(4)), (F(3, 2), F(9, 4)),
+                                      (F(17, 12), F(2)), (F(1), F(10 ** 40))])
+    def test_exact_and_small_values(self, q, y):
+        assert approx_abs_err(q, y) == fraction_abs_err(q, y)
+
+    def test_too_large_for_a_float(self):
+        q = F(2 ** 2000)
+        for err in (approx_abs_err, fraction_abs_err):
+            with pytest.raises(OverflowError):
+                err(q, F(2))
+
+
+class TestFinalError:
+    """_final_error decides the bound and its strict form from one pair of
+    signs; its result equals the former two within_of_sqrt calls'."""
+
+    @staticmethod
+    def former(x, y, bound):
+        ok = within_of_sqrt(x, y, bound)
+        return CheckResult("n", "r", ok, {"x": x, "eps": bound,
+                                          "err_display": approx_abs_err(x, y)},
+                           strict=ok and within_of_sqrt(x, y, bound,
+                                                        strict=True))
+
+    @pytest.mark.parametrize("x, y, bound", [
+        (F(3), F(4), F(1)),            # x - bound = sqrt(y): not strict
+        (F(1), F(4), F(1)),            # x + bound = sqrt(y): not strict
+        (F(2), F(4), F(0)),            # exact root, zero bound
+        (F(17, 12), F(2), F(1, 100)),  # strict
+        (F(3, 2), F(2), F(1, 100)),    # outside
+        (F(5, 2), F(4), F(1, 2)),      # tie at the upper end
+    ])
+    def test_matches_former(self, x, y, bound):
+        got = _final_error("n", "r", x, y, "eps", bound)
+        want = self.former(x, y, bound)
+        assert got == want
+        assert got.strict is want.strict
+
+    def test_matches_former_on_corpus(self):
+        for y, eps in sample_rationals(40, 1):
+            x, _ = sqr_exact(y, eps)
+            for bound in (eps, eps / 1000, F(0)):
+                assert _final_error("n", "r", x, y, "eps", bound) == \
+                    self.former(x, y, bound)
 
 
 class TestTableProperties:
