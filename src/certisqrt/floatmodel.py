@@ -167,7 +167,8 @@ def _exponent_below(num: int, den: int, base: int) -> tuple[int, int, int]:
     """(e, man_num, man_den) for the unique e with base**e < num/den <=
     base**(e+1), for num, den >= 1 and base >= 2, by bisection with
     integer comparisons; man_num/man_den is the mantissa num/den over
-    base**e as an unreduced pair, so each power of base is formed once.
+    base**e as an unreduced pair, and the search forms no power of base
+    twice.
 
     The bisection starts from a bracket read off bit lengths.  With
     t = bitlen(num) - bitlen(den), 2**(t-1) < q < 2**(t+1) for q =
@@ -178,27 +179,28 @@ def _exponent_below(num: int, den: int, base: int) -> tuple[int, int, int]:
     lo = floor((t-1)/ku) when t >= 1 and lo = floor((t-1)/kl) otherwise,
     and base**hi >= 2**(t+1) > q for hi = ceil((t+1)/kl) when t >= 0 and
     hi = ceil((t+1)/ku) otherwise.  For base 2 the bracket is [t-1, t+1]
-    whatever t is; no host float is used, not even as an estimate.
+    whatever t is; no host float is used, not even as an estimate.  A
+    narrower bracket is widened to [hi-2, hi], so the bisection forms at
+    least one mantissa, and the last one it forms is that of lo or of
+    hi = lo + 1, which is base times smaller.
     """
-
-    def mantissa(e: int) -> tuple[int, int]:  # num/den over base**e
-        if e >= 0:
-            return num, den * base ** e
-        return num * base ** -e, den
-
     t = num.bit_length() - den.bit_length()
     kl, ku = base.bit_length() - 1, (base - 1).bit_length()
-    lo = (t - 1) // (ku if t >= 1 else kl)
     hi = -(-(t + 1) // (kl if t >= 0 else ku))
-    lo_man = None
+    lo = min((t - 1) // (ku if t >= 1 else kl), hi - 2)
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        man = mantissa(mid)
-        if man[1] < man[0]:  # base**mid < num/den
-            lo, lo_man = mid, man
+        e = (lo + hi) // 2
+        if e >= 0:
+            man_num, man_den = num, den * base ** e
         else:
-            hi = mid
-    return lo, *(mantissa(lo) if lo_man is None else lo_man)
+            man_num, man_den = num * base ** -e, den
+        if man_den < man_num:  # base**e < num/den
+            lo = e
+        else:
+            hi = e
+    if e == hi:
+        man_num *= base
+    return lo, man_num, man_den
 
 
 def encode_rational(q: Fraction, profile: FloatProfile) -> tuple[FloatVal, bool]:

@@ -26,14 +26,14 @@ each pass after the first gets it with one squaring, as b*norm**2/g**2
 for the factor g stripped from its pair.  The until-loop decides its
 exit from the norm, p and q, so the exit pass then forms 2*b*p*q with
 one product; an applied pass squares p and p + q and gets q**2 from the
-norm by exact division.  Forming the norm afresh took three squarings
-on every pass.  No next iterate is built on a pass whose correction
-the caller does not apply.  The step keeps each pair and correction in
-lowest terms by one gcd against the part of their common denominator
-made of primes of 2*num(y)*den(y) (the only primes a common factor can
-contain), because a full gcd at the sizes reached by long runs is
-quadratic and would dominate the runtime.  CERTISQRT_MAX_BITS caps the
-size of the integers a pass may form.
+norm by exact division.  Forming the norm afresh would take three
+squarings on every pass.  No next iterate is built on a pass whose
+correction the caller does not apply.  The step keeps each pair and
+correction in lowest terms by one gcd against the part of their common
+denominator made of primes of 2*num(y)*den(y) (the only primes a common
+factor can contain), because a full gcd at the sizes reached by long
+runs is quadratic and would dominate the runtime.  CERTISQRT_MAX_BITS
+caps the size of the integers a pass may form.
 fix_sqr, mix_sqr and flt_sqr share one grid loop on counts, headed by
 one request pass that checks each precondition once (a table checked
 its step when made).  Each pass is one call of fixarith._newton_step,
@@ -205,15 +205,16 @@ def _newton_steps(y: Fraction, x: Fraction, passes: int):
     not applied then forms ad_den with one product, and builds no next
     iterate.  An applied pass forms p**2 and (p + q)**2, gets q**2 =
     (b*p**2 - norm)/a by exact division and 2*p*q = (p + q)**2 - p**2 -
-    q**2.  Forming the norm afresh took three squarings on every pass,
-    so the exit pass saves two squarings for one product.
+    q**2.  Forming the norm afresh would take three squarings on every
+    pass, so the exit pass trades two squarings for one product.
 
     Every common factor of norm or of the next numerator with ad_den
     divides 2*a*b, so both are reduced by one gcd against s, the part of
-    ad_den = 2b * p * q made of those primes.  s is carried too: s = 2b
-    * s_p * s_q for the parts s_p of p and s_q of q, the next q's part
-    is s/g, and only the next p's part is searched.  This avoids a full
-    gcd, which is quadratic at the sizes long runs reach.
+    ad_den = 2*b*p*q made of those primes.  s is carried too: s =
+    2*b*s_p*s_q for the parts s_p of p and s_q of q (2*b is all such
+    primes), the next q's part is s/g, and only the next p's part is
+    searched.  This avoids a full gcd, which is quadratic at the sizes
+    long runs reach.
 
     Before it forms anything, each pass refuses, with ResourceLimit, a
     pair that could exceed the CERTISQRT_MAX_BITS cap: b*p**2 + a*q**2,

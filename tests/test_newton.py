@@ -932,11 +932,11 @@ def _outcome_line(fn, *args):
 
 
 class TestExactFamilyDigest:
-    """A differential corpus of the exact family hashes as it did before
-    the step carried the norm: both sqr_exact exits, isqr_exact and
-    fsqr_exact at n in {0, 1, 3, 6} from four seeds (two of them break
-    the seed contract), over 80 sampled pairs and y in {1, 2, 4, 10**6}
-    at four eps; 2,112 results, traces and refusals."""
+    """A differential corpus of the exact family hashes to a pinned
+    digest, so a change in any result, trace or refusal shows: both
+    sqr_exact exits, isqr_exact and fsqr_exact at n in {0, 1, 3, 6} from
+    four seeds (two of them break the seed contract), over 80 sampled
+    pairs and y in {1, 2, 4, 10**6} at four eps; 2,112 outcomes."""
 
     DIGEST = "b7d92604860e562da44698297cbae4fbb58480469c6dd1339dabecc35e234e91"
 
@@ -976,14 +976,20 @@ class TestSqrIsIsqrSeededWithY:
                     _pass_views(isqr_exact(y, eps, y)[1]), (y, eps)
 
 
+def _plain_correction(y, p, q):
+    """(ad_num, ad_den) of the step from x = p/q by the product formula:
+    (b*p*p - a*q*q, 2*b*p*q) for y = a/b."""
+    a, b = y.numerator, y.denominator
+    return b * p * p - a * q * q, 2 * b * p * q
+
+
 def _plain_step(y, p, q):
     """One step from x = p/q by the product formula: (ad_num, ad_den) and
     the next pair in lowest terms."""
-    a, b = y.numerator, y.denominator
-    bpp, aqq = b * p * p, a * q * q
-    ad_den = 2 * b * p * q
-    g = math.gcd(bpp + aqq, ad_den)
-    return bpp - aqq, ad_den, (bpp + aqq) // g, ad_den // g
+    ad_num, ad_den = _plain_correction(y, p, q)
+    num = ad_num + 2 * y.numerator * q * q  # b*p*p + a*q*q
+    g = math.gcd(num, ad_den)
+    return ad_num, ad_den, num // g, ad_den // g
 
 
 def _count_built(monkeypatch) -> list[int]:
@@ -1145,15 +1151,14 @@ class TestExactStep:
         one_pass = newton._newton_steps(y, x, 1)
         _, _, ad_num = next(one_pass)
         ad, ad_den, x_after = one_pass.send(False)
-        assert (ad_num, ad_den) == _plain_step(y, x.numerator,
-                                               x.denominator)[:2]
-        assert ad == F(ad_num, ad_den)
+        assert (ad_num, ad_den) == _plain_correction(y, x.numerator,
+                                                     x.denominator)
+        assert ad.numerator * ad_den == ad_num * ad.denominator
         assert x_after is x
 
     def test_norm_below_the_root_exits(self):
         # a seed under sqrt(y), which the request pass refuses, has a
-        # negative norm: the exit test holds at once, as 2*ed*ad_num <
-        # en*ad_den did
+        # negative norm, and ad < eps/2 holds at once
         x, trace = newton._until_loop("isqr_exact", F(2), F(1, 100), F(1))
         assert x == 1
         assert [(s.x_before, s.correction, s.x_after)
