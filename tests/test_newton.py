@@ -1040,8 +1040,9 @@ def even_over_odd(draw):
     return F(a, b)
 
 
-# seeded runs whose norm update meets a factor g that does not divide the
-# norm: 3 divides b = 9 once over, and each pair is isqr's (y, eps, seed)
+# isqr_exact (y, eps, seed) runs whose norm update meets a factor g that
+# does not divide the norm: with b = 9 and 3 dividing the seed's q, the
+# next pair can hold more factors of 3 than the norm does
 G_NOT_DIVIDING = [(F(29, 9), F(1, 10 ** 6), F(7, 3)),
                   (F(29, 9), F(1, 10 ** 6), F(8, 3)),
                   (F(11, 9), F(1, 10 ** 6), F(7, 6)),
@@ -1104,7 +1105,7 @@ class TestCarriedNorm:
 
 
 class TestReducedByCarriedContent:
-    """Each pass reduces by s = 2b * s_p * s_q; these seeded runs need
+    """Each pass reduces by s = 2*b*s_p*s_q; these seeded runs need
     the q part s_q after the first pass: with y = 5/4 and seed 7/6, pass
     1's iterate is 47/42, and its correction 16/15792 = 16/(2*4*47*42)
     reduces by 2**4, of which 2b = 8 alone holds only 2**3."""
