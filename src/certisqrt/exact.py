@@ -17,14 +17,21 @@ which decides L < K*sqrt(M) on integers as the sign of L/K - sqrt(M),
 reversed when K < 0.  The sign is that of n**2*b - a*d**2.  When n and
 d both have at most _SHORT_BITS bits, as on every grid request,
 _sqrt_sign forms the two products itself.  Longer operands go to
-cmp_products, which decides the difference in stages.  Bit lengths
-come first.  Next each factor is cut to its top _FILTER_BITS bits:
-dropping low bits moves a factor by less than one unit of its last
-kept bit, so each product lies in a bracket of small integers, and
-disjoint brackets decide the sign.  Only overlapping brackets need the
-full products.  Each stage is exact, so the verdict is too; the filter
-only skips squaring operands of 100K+ bits when a 128-bit bracket
-already settles the comparison.
+cmp_products as the factor sequences (n, n, b) and (a, d, d).
+
+cmp_products(xs, ys) decides the sign of prod(xs) - prod(ys) for two
+sequences of factors >= 0 in stages, and forms a product only in the
+last.  Bit lengths come first: a product of k factors whose bit lengths
+sum to t has between t - (k - 1) and t bits.  Next each factor is cut
+to its top _FILTER_BITS bits: dropping low bits moves a factor by less
+than one unit of its last kept bit, so each product lies in a bracket
+of small integers, and disjoint brackets decide the sign.  Only
+overlapping brackets need the full products.  Each stage is exact, so
+the verdict is too; the stages only skip multiplying operands of 100K+
+bits when bit lengths or 128-bit brackets already settle the
+comparison.  The same primitive decides newton's until-loop exit on the
+factors of the carried norm and verify's halving rule on the factors of
+two corrections, so neither forms the products it compares.
 
 Where a Fraction is wanted, the value count/d of a grid count, it is
 built by _lowest_terms in one call: one gcd, then object.__new__(Fraction)
@@ -40,6 +47,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -121,58 +129,62 @@ _FILTER_BITS = 128
 _SHORT_BITS = 2 * _FILTER_BITS
 
 
-def _exact_sign(x1: int, x2: int, y1: int, y2: int) -> int:
-    """Sign of x1*x2 - y1*y2, from the full products."""
-    lhs, rhs = x1 * x2, y1 * y2
+def _exact_sign(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Sign of prod(xs) - prod(ys), from the full products."""
+    lhs, rhs = math.prod(xs), math.prod(ys)
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _truncate(n: int) -> tuple[int, int, int]:
-    """(lo, hi, s) with lo*2**s <= n <= hi*2**s, from the top
-    _FILTER_BITS bits of n >= 0; lo == hi when no bit is dropped."""
-    s = max(n.bit_length() - _FILTER_BITS, 0)
-    lo = n >> s
-    return lo, lo + (s > 0), s
+def _bracket(xs: Sequence[int]) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo*2**s <= prod(xs) <= hi*2**s, from the top
+    _FILTER_BITS bits of each factor >= 0: dropping low bits moves a
+    factor by less than one unit of its last kept bit."""
+    lo = hi = 1
+    shift = 0
+    for n in xs:
+        s = max(n.bit_length() - _FILTER_BITS, 0)
+        top = n >> s
+        lo *= top
+        hi *= top + (s > 0)
+        shift += s
+    return lo, hi, shift
 
 
-def _filtered_sign(x1: int, x2: int, y1: int, y2: int) -> int:
-    """Sign of x1*x2 - y1*y2 (factors >= 0) from truncated factors; 0
-    when their brackets overlap and cannot decide it."""
-    a_lo, a_hi, sa = _truncate(x1)
-    b_lo, b_hi, sb = _truncate(x2)
-    c_lo, c_hi, sc = _truncate(y1)
-    d_lo, d_hi, sd = _truncate(y2)
-    lhs_lo, lhs_hi = a_lo * b_lo, a_hi * b_hi
-    rhs_lo, rhs_hi = c_lo * d_lo, c_hi * d_hi
-    shift = sa + sb - sc - sd
-    if shift >= 0:
-        lhs_lo, lhs_hi = lhs_lo << shift, lhs_hi << shift
+def _filtered_sign(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Sign of prod(xs) - prod(ys) (factors >= 0) from the brackets of
+    the two products; 0 when they overlap and cannot decide it."""
+    x_lo, x_hi, sx = _bracket(xs)
+    y_lo, y_hi, sy = _bracket(ys)
+    if sx >= sy:
+        x_lo, x_hi = x_lo << (sx - sy), x_hi << (sx - sy)
     else:
-        rhs_lo, rhs_hi = rhs_lo << -shift, rhs_hi << -shift
-    if lhs_lo > rhs_hi:
+        y_lo, y_hi = y_lo << (sy - sx), y_hi << (sy - sx)
+    if x_lo > y_hi:
         return 1
-    if lhs_hi < rhs_lo:
+    if x_hi < y_lo:
         return -1
     return 0
 
 
-def cmp_products(x1: int, x2: int, y1: int, y2: int) -> int:
-    """Sign of x1*x2 - y1*y2 for integers >= 0, decided exactly.
+def cmp_products(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Sign of prod(xs) - prod(ys) for non-empty sequences of integers
+    >= 0, decided exactly.
 
     Each stage runs only when the one before cannot decide: bit lengths
-    (a product of an a-bit and a b-bit number has a+b-1 or a+b bits),
-    then brackets from the top _FILTER_BITS bits of each factor, then
-    the full products.
+    (a product of k factors whose bit lengths sum to t has between
+    t - (k - 1) and t bits), then brackets from the top _FILTER_BITS
+    bits of each factor, then the full products.
     """
-    if not (x1 and x2 and y1 and y2):
-        return bool(x1 and x2) - bool(y1 and y2)
-    lx = x1.bit_length() + x2.bit_length()
-    ly = y1.bit_length() + y2.bit_length()
-    if lx < ly - 1:
+    x_zero, y_zero = not all(xs), not all(ys)
+    if x_zero or y_zero:
+        return y_zero - x_zero
+    lx = sum(n.bit_length() for n in xs)
+    ly = sum(n.bit_length() for n in ys)
+    if lx <= ly - len(ys):
         return -1
-    if ly < lx - 1:
+    if ly <= lx - len(xs):
         return 1
-    return _filtered_sign(x1, x2, y1, y2) or _exact_sign(x1, x2, y1, y2)
+    return _filtered_sign(xs, ys) or _exact_sign(xs, ys)
 
 
 def _radicand(y: Fraction) -> tuple[int, int]:
@@ -195,7 +207,7 @@ def _sqrt_sign(n: int, d: int, a: int, b: int) -> int:
     if n < 0:
         return -1
     if n.bit_length() > _SHORT_BITS or d.bit_length() > _SHORT_BITS:
-        return cmp_products(n, n * b, a * d, d)
+        return cmp_products((n, n, b), (a, d, d))
     lhs, rhs = n * n * b, a * d * d
     return (lhs > rhs) - (lhs < rhs)
 

@@ -21,14 +21,18 @@ for it, so a request builds no record that nothing reads.
 The three exact variants make one request pass, _exact_request, and
 share one integer-pair step, _newton_steps; sqr_exact and isqr_exact
 are one until-loop, _until_loop, run from two seeds.  For x = p/q and
-y = a/b the step carries the norm b*p**2 - a*q**2 from pass to pass:
-each pass after the first gets it with one squaring, as b*norm**2/g**2
-for the factor g stripped from its pair.  The until-loop decides its
-exit from the norm, p and q, so the exit pass then forms 2*b*p*q with
-one product; an applied pass squares p and p + q and gets q**2 from the
-norm by exact division.  Forming the norm afresh would take three
-squarings on every pass.  No next iterate is built on a pass whose
-correction the caller does not apply.  The step keeps each pair and
+y = a/b the step carries the norm b*p**2 - a*q**2 from pass to pass, as
+factors c*m**2: each pass after the first gets c and m from the
+previous norm by one gcd and two exact divisions, for the factor g
+stripped from its pair.  The until-loop decides its exit on the
+factors (c, m, m) and (b, p, q) with exact.cmp_products, so the exit
+pass forms no product above its inputs: its correction c*m**2/(2*b*p*q)
+is recorded as those factors and built when a reader first asks for
+it, which a run that is only checked and reported never does (the
+halving rule reads the factors).  An applied pass squares m, p and
+p + q and gets q**2 from the norm by exact division.  No next iterate
+is built on a pass whose correction the caller does not apply.  The
+step keeps each pair and
 correction in lowest terms by one gcd against the part of their common
 denominator made of primes of 2*num(y)*den(y) (the only primes a common
 factor can contain), because a full gcd at the sizes reached by long
@@ -70,6 +74,42 @@ ENV_MAX_BITS = "CERTISQRT_MAX_BITS"
 DEFAULT_MAX_BITS = 1 << 21
 
 
+class _Factored(NamedTuple):
+    """An exit pass's correction kept as factors: sign*prod(num)/prod(den)
+    with num = (c, m, m), the factors of the pass's norm c*m**2, and den =
+    (2*b, p, q), every factor >= 0.  Every common factor of the two
+    products divides s, the carried content of 2*b*p*q, so value()
+    builds the Fraction in lowest terms with one gcd, as an applied pass
+    builds its correction."""
+
+    sign: int
+    num: tuple[int, int, int]
+    den: tuple[int, int, int]
+    s: int
+
+    def value(self) -> Fraction:
+        return _reduced(self.sign * math.prod(self.num), math.prod(self.den),
+                        self.s)
+
+
+class _BuiltWhenRead:
+    """The descriptor of TraceStep.correction.  A _Factored record given
+    for it is built on the first read and stored in its place, so every
+    later read, ==, hash, repr, copy and pickle see the Fraction a step
+    built eagerly holds."""
+
+    def __get__(self, step, owner=None):
+        if step is None:  # no class-level default: the field is required
+            raise AttributeError("correction")
+        value = step.__dict__["correction"]
+        if type(value) is _Factored:
+            value = step.__dict__["correction"] = value.value()
+        return value
+
+    def __set__(self, step, value):
+        step.__dict__["correction"] = value
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One loop pass: value before, the computed correction, value after.
@@ -78,12 +118,28 @@ class TraceStep:
     exit test with x_after == x_before.  sqr_exact corrections are signed;
     the seeded variants record the directly computed non-negative
     correction, applied by subtraction.
+
+    That exit correction of an exact run is kept as its factors, the
+    pass's inputs, and built in lowest terms when correction is first
+    read; correction_factors reads the factors without building it.
     """
 
     k: int
     x_before: Fraction | FixVal
-    correction: Fraction
+    correction: Fraction = _BuiltWhenRead()
     x_after: Fraction | FixVal
+
+    def correction_factors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(num, den) with |correction| = prod(num)/prod(den), factors >= 0,
+        read off a correction kept as factors without building it."""
+        value = self.__dict__["correction"]
+        if type(value) is _Factored:
+            return value.num, value.den
+        return (abs(value.numerator),), (value.denominator,)
+
+    def __getstate__(self) -> dict:
+        self.correction  # copies and pickles hold the built value
+        return self.__dict__
 
 
 @dataclass(frozen=True)
@@ -160,14 +216,15 @@ def _reduced(num: int, den: int, s: int) -> Fraction:
     return fraction_from_coprime(num // g, den // g)
 
 
-def _next_norm(norm: int, g: int, b: int) -> int:
-    """b*(norm/g)**2, the norm of the next iterate, for the factor g
-    stripped from its pair.  g need not divide norm, but since the
-    result is an integer, g**2 divides b*norm**2: so for h = gcd(norm, g)
-    the square of g/h divides b, and no integer formed here is longer
-    than the result."""
+def _norm_factors(norm: int, g: int, b: int) -> tuple[int, int]:
+    """(c, m) with c*m**2 = b*(norm/g)**2, the norm of the next iterate,
+    for the factor g stripped from its pair, and c, m >= 0.  g need not
+    divide norm, but since that norm is an integer, g**2 divides
+    b*norm**2: so for h = gcd(norm, g) the square of g/h divides b, c =
+    b // (g/h)**2 and m = |norm| // h, and no integer formed here is
+    longer than norm or b."""
     h = math.gcd(norm, g)
-    return b // (g // h) ** 2 * (norm // h) ** 2
+    return b // (g // h) ** 2, abs(norm) // h
 
 
 def _check_rational(**inputs) -> None:
@@ -187,42 +244,46 @@ def _pow2(k: int) -> Fraction:
     return Fraction(2) ** k
 
 
-def _newton_steps(y: Fraction, x: Fraction, passes: int):
+def _newton_steps(y: Fraction, x: Fraction, passes: int,
+                  negate: bool = False):
     """Up to `passes` exact steps x -> x - (x*x - y)/(2x) from x > 0.
 
-    With x = p/q and y = a/b, each pass yields (k, x, norm), where norm
-    = b*p**2 - a*q**2 is the numerator of the correction magnitude ad =
-    (x*x - y)/(2x) = norm/(2*b*p*q).  The caller then calls send(apply)
-    and gets (ad, ad_den, x_after), with ad_den = 2*b*p*q: x_after is the
-    next iterate x - ad when apply is true, and the loop goes on from it;
-    else x itself, and the loop ends.  So the caller can decide its exit
-    from norm, p and q before ad_den exists.
+    With x = p/q and y = a/b, each pass yields (k, x, c, m), where the
+    norm c*m**2 = b*p**2 - a*q**2 is the numerator of the correction
+    magnitude ad = (x*x - y)/(2x) = c*m**2/(2*b*p*q), and m >= 0.  The
+    caller then calls send(apply) and gets (ad, x_after), ad negated when
+    negate is true: x_after is the next iterate x - ad when apply is
+    true, and the loop goes on from it; else x itself, and the loop ends.
+    So the caller can decide its exit from c, m, p and q before any
+    product of them exists.
 
     The norm of x in Q(sqrt(y)) is multiplicative, so the step carries
     it: the next pair is (b*p**2 + a*q**2, 2*b*p*q) over the factor g
-    stripped from it, and its norm is b*norm**2/g**2 (_next_norm), one
-    squaring at the head of the next pass.  A pass whose correction is
-    not applied then forms ad_den with one product, and builds no next
-    iterate.  An applied pass forms p**2 and (p + q)**2, gets q**2 =
+    stripped from it, and its norm is b*norm**2/g**2, which the next pass
+    keeps as the factors (c, m) of _norm_factors, with no squaring.  A
+    pass whose correction is not applied forms no product above its
+    inputs: it yields ad as a _Factored record of (c, m, m) over (2*b, p,
+    q), which TraceStep builds when the correction is first read.  An
+    applied pass forms the norm c*m*m, p**2 and (p + q)**2, gets q**2 =
     (b*p**2 - norm)/a by exact division and 2*p*q = (p + q)**2 - p**2 -
-    q**2.  Forming the norm afresh would take three squarings on every
-    pass, so the exit pass trades two squarings for one product.
+    q**2: three squarings.
 
-    Every common factor of norm or of the next numerator with ad_den
+    Every common factor of norm or of the next numerator with 2*b*p*q
     divides 2*a*b, so both are reduced by one gcd against s, the part of
-    ad_den = 2*b*p*q made of those primes.  s is carried too: s =
-    2*b*s_p*s_q for the parts s_p of p and s_q of q (2*b is all such
-    primes), the next q's part is s/g, and only the next p's part is
-    searched.  This avoids a full gcd, which is quadratic at the sizes
-    long runs reach.
+    2*b*p*q made of those primes.  s is carried too: s = 2*b*s_p*s_q for
+    the parts s_p of p and s_q of q (2*b is all such primes), the next
+    q's part is s/g, and only the next p's part is searched.  This avoids
+    a full gcd, which is quadratic at the sizes long runs reach.
 
     Before it forms anything, each pass refuses, with ResourceLimit, a
     pair that could exceed the CERTISQRT_MAX_BITS cap: b*p**2 + a*q**2,
     2*b*p*q and the norm have at most 2*max(bits(p), bits(q)) +
-    bits(max(a, b)) + 1 bits, so the pass forms its norm after that test.
+    bits(max(a, b)) + 1 bits, so the pass splits its norm after that
+    test.
     """
     a, b = y.numerator, y.denominator
     small, y_bits = 2 * a * b, max(a, b).bit_length()
+    sign = -1 if negate else 1
     limit = _env_limit(ENV_MAX_BITS, DEFAULT_MAX_BITS)
     p, q = x.numerator, x.denominator
     for k in range(passes):
@@ -234,27 +295,28 @@ def _newton_steps(y: Fraction, x: Fraction, passes: int):
                 f"exact Newton pass {k} may form {bits}-bit operands, "
                 f"above {ENV_MAX_BITS} = {limit}")
         if k == 0:
-            norm = b * p * p - a * q * q
+            c, m = b * p * p - a * q * q, 1
             s_p, s_q = _content(p, small), _content(q, small)
         else:
-            norm = _next_norm(norm, g, b)
+            c, m = _norm_factors(norm, g, b)
         s = 2 * b * s_p * s_q
-        apply = yield k, x, norm
+        apply = yield k, x, c, m
         if not apply:
-            ad_den = 2 * b * p * q
-            yield _reduced(norm, ad_den, s), ad_den, x
+            yield _Factored(sign * ((c > 0) - (c < 0)), (abs(c), m, m),
+                            (2 * b, p, q), s), x
             return
+        norm = c * m * m
         pp = p * p
         bpp = b * pp
         aqq = bpp - norm
         ad_den = b * ((p + q) ** 2 - pp - aqq // a)
-        ad = _reduced(norm, ad_den, s)
+        ad = _reduced(sign * norm, ad_den, s)
         num = bpp + aqq
         g = math.gcd(num, s)
         p, q = num // g, ad_den // g
         s_p, s_q = _content(p, small), s // g
         x = fraction_from_coprime(p, q)
-        yield ad, ad_den, x
+        yield ad, x
 
 
 def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
@@ -284,16 +346,23 @@ def _until_loop(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     { ad := (x*x - y)/(2x); exit when ad < eps/2; x := x - ad }, under a
     pass cap that only a diverging run reaches.  sqr_exact records -ad,
     and c_style applies the exit pass's correction too.  No iterate from
-    a seed >= sqrt(y) falls below sqrt(y), so ad >= 0 needs no abs()."""
+    a seed >= sqrt(y) falls below sqrt(y), so ad >= 0 needs no abs().
+
+    The exit test compares products of the pass's inputs with
+    cmp_products and forms none of them, and the exit pass (unless
+    c_style) records its correction as factors, built when read: a run
+    whose trace is checked and reported forms no integer on its exit
+    pass above the size of its iterate and norm factors."""
     en, ed, b = eps.numerator, eps.denominator, y.denominator
-    negate, steps = algorithm == "sqr_exact", []
-    newton = _newton_steps(y, seed, (y.numerator * ed).bit_length() + 65)
-    for k, x, norm in newton:
-        # ad < eps/2 as 2*ed*norm < en*(2*b*p*q), before 2*b*p*q is formed
-        stop = norm < 0 or cmp_products(ed, norm, en * b * x.numerator,
-                                        x.denominator) < 0
-        ad, _, x_after = newton.send(c_style or not stop)
-        steps.append(TraceStep(k, x, -ad if negate else ad, x_after))
+    steps = []
+    newton = _newton_steps(y, seed, (y.numerator * ed).bit_length() + 65,
+                           negate=algorithm == "sqr_exact")
+    for k, x, c, m in newton:
+        # ad < eps/2 as ed*c*m*m < en*b*p*q, with norm c*m*m, ad_den 2*b*p*q
+        stop = c < 0 or cmp_products((ed, c, m, m),
+                                     (en, b, x.numerator, x.denominator)) < 0
+        ad, x_after = newton.send(c_style or not stop)
+        steps.append(TraceStep(k, x, ad, x_after))
         if stop:
             return x_after, Trace(algorithm, y=y, eps=eps, final_x=x_after,
                                   steps=tuple(steps), seed=seed)
@@ -390,8 +459,8 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
             f"n={n} below the legal minimum for seed {_rat_text(seed)}")
     newton = _newton_steps(y, seed, n)
     steps = []
-    for k, x, _ in newton:
-        ad, _, x_after = newton.send(True)
+    for k, x, _, _ in newton:
+        ad, x_after = newton.send(True)
         steps.append(TraceStep(k, x, ad, x_after))
     final = steps[-1].x_after if steps else seed
     return final, Trace("fsqr_exact", y=y, eps=eps, final_x=final,

@@ -89,11 +89,17 @@ def applied_corrections(trace: Trace) -> int:
     return sum(1 for s in trace.steps if s.x_after != s.x_before)
 
 
-def halves(prev: Fraction, cur: Fraction) -> bool:
-    """Decide 2*|cur| < |prev| on integer parts, with no Fraction
-    arithmetic; False whenever prev is 0."""
-    return cmp_products(2 * abs(cur.numerator), prev.denominator,
-                        abs(prev.numerator), cur.denominator) < 0
+Factors = tuple[Sequence[int], Sequence[int]]
+
+
+def halves(prev: Factors, cur: Factors) -> bool:
+    """Decide 2*|cur| < |prev| for two corrections given as (num, den)
+    factor sequences of their magnitudes, as TraceStep.correction_factors
+    reads them: one cmp_products call, which forms no product that bit
+    lengths or brackets already settle.  False whenever prev is 0."""
+    (prev_num, prev_den), (cur_num, cur_den) = prev, cur
+    return cmp_products((2, *cur_num, *prev_den),
+                        (*prev_num, *cur_den)) < 0
 
 
 def _seed_of(trace: Trace, *algorithms: str) -> Fraction:
@@ -134,8 +140,9 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     seed = min(_seed_of(trace, "sqr_exact", "isqr_exact"), y)
     family = trace.algorithm.removesuffix("_exact")
 
-    boundary = [(s.k, s.x_before) for s in trace.steps]
-    boundary.append((len(trace.steps), trace.final_x))
+    steps = trace.steps
+    boundary = [(s.k, s.x_before) for s in steps]
+    boundary.append((len(steps), trace.final_x))
     top = "y" if family == "sqr" else "seed"
     invariant = _first_failure(
         f"sqrt(y) <= x <= {top} at every boundary", f"{family}.loop-invariant",
@@ -143,13 +150,15 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
         ({"k": k, "x": x} for k, x in boundary
          if cmp_sqrt(x, y) is Ordering.LESS or x > seed))
 
-    corrections = [s.correction for s in trace.steps]
+    # decided on factors, so an exit correction kept as factors is built
+    # only for a failure's witness
+    factors = [s.correction_factors() for s in steps]
     halving = _first_failure(
         "each correction below half its predecessor", f"{family}.halving",
-        {"pairs": max(0, len(corrections) - 1)},
-        ({"i": i, "d_i": prev, "d_next": cur}
-         for i, (prev, cur) in enumerate(zip(corrections, corrections[1:]))
-         if not halves(prev, cur)))
+        {"pairs": max(0, len(steps) - 1)},
+        ({"i": i, "d_i": prev.correction, "d_next": cur.correction}
+         for i, (prev, cur) in enumerate(zip(steps, steps[1:]))
+         if not halves(factors[i], factors[i + 1])))
 
     final = _final_error("final error within the accuracy",
                          f"{family}.final-error", trace.final_x, y, "eps", eps)
@@ -157,7 +166,7 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     witness = {"vacuous": True} if y <= 1 else {
         "applied": applied_corrections(trace),
         "cap": min_legal_iterations(y, eps, seed),
-        "loop_passes": len(trace.steps)}
+        "loop_passes": len(steps)}
     cap = check("applied corrections within the logarithmic cap",
                 f"{family}.iteration-cap",
                 y <= 1 or witness["applied"] <= witness["cap"], witness)

@@ -10,6 +10,7 @@ from certisqrt import exact, verify
 from certisqrt.errors import DomainError
 from certisqrt.exact import (
     Ordering,
+    cmp_products,
     cmp_sqrt,
     decide_radical_lt,
     encode_int,
@@ -167,6 +168,73 @@ class TestFilteredCmpSqrt:
             assert verify.check_sqr_annotations(trace, y, eps).overall
         assert counts["filtered"] > 1000
         assert counts["fallback"] < 0.01 * counts["filtered"], counts
+
+
+def product_sign(xs, ys):
+    """Sign of prod(xs) - prod(ys) from the full products."""
+    lhs, rhs = math.prod(xs), math.prod(ys)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+# factors >= 0 of up to 700 bits: 0 and 1 often, and lengths on both
+# sides of the 128-bit filter
+factor = st.one_of(st.integers(0, 3), wide_ints(1, 700))
+factor_lists = st.lists(factor, min_size=1, max_size=4)
+nonzero_lists = st.lists(wide_ints(1, 700), min_size=1, max_size=4)
+
+
+def regrouped(xs, cut):
+    """A sequence with the product of xs: its first `cut` factors
+    multiplied into one, then the rest."""
+    cut = max(1, min(cut, len(xs)))
+    return [math.prod(xs[:cut]), *xs[cut:]]
+
+
+class TestCmpProducts:
+    """cmp_products against the full products, 1 to 4 factors a side."""
+
+    @given(factor_lists, factor_lists)
+    @settings(max_examples=400, deadline=None)
+    def test_against_full_products(self, xs, ys):
+        assert cmp_products(xs, ys) == product_sign(xs, ys)
+        assert cmp_products(ys, xs) == -product_sign(xs, ys)
+
+    @given(nonzero_lists, st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_ties(self, xs, cut):
+        ys = regrouped(xs, cut)
+        assert cmp_products(xs, ys) == 0
+        assert cmp_products(ys, [*xs, 1, 1]) == 0
+
+    @given(nonzero_lists, st.sampled_from([-1, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_from_a_tie(self, xs, unit):
+        near = math.prod(xs) + unit
+        for ys in ([near], [near, 1], [1, near, 1, 1]):
+            assert cmp_products(xs, ys) == -unit == product_sign(xs, ys)
+            assert cmp_products(ys, xs) == unit
+
+    @given(factor_lists, factor_lists, st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_zero_factors(self, xs, ys, at):
+        xs = list(xs)
+        xs[at % len(xs)] = 0
+        assert cmp_products(xs, ys) == -(math.prod(ys) > 0)
+        assert cmp_products(ys, xs) == (math.prod(ys) > 0)
+        assert cmp_products(xs, [0]) == 0
+
+    @pytest.mark.parametrize("bits", [127, 128, 129, 256, 4000, 100_000])
+    def test_long_ties_and_neighbours(self, bits):
+        # one product split three ways; a unit moved on the longest factor
+        a, b = (1 << (bits - 1)) + 12345, (1 << (bits // 2)) + 77
+        xs = [a, b, 3]
+        for ys in ([a * b, 3], [3 * a, b], [a * b * 3]):
+            assert cmp_products(xs, ys) == 0
+        for unit in (-1, 1):
+            ys = [a * b * 3 + unit]
+            assert cmp_products(xs, ys) == -unit == product_sign(xs, ys)
+            ys = [a + unit, b, 3]
+            assert cmp_products(xs, ys) == -unit == product_sign(xs, ys)
 
 
 class TestWithinOfSqrt:
@@ -494,7 +562,8 @@ class TestSqrtSignThreshold:
                 n, a = n0 + dn, a0 + da
                 calls.clear()
                 got = exact._sqrt_sign(n, d, a, b)
-                assert got == want == real(n, n * b, a * d, d), (dn, da)
+                assert got == want == real((n, n * b), (a * d, d)), \
+                    (dn, da)
                 assert len(calls) == (max(n.bit_length(),
                                           d.bit_length()) > 256)
 

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import sys
 from collections import Counter
@@ -1011,24 +1014,25 @@ EXIT_RUNS = [(F(2), F(1, 100)), (F(3, 2), F(1, 10 ** 6)),
 
 
 def _recording_steps(mp, passes_seen, updates):
-    """Route _newton_steps through a proxy that records (y, x, norm) for
-    each pass it yields, and _next_norm through one that records its
-    arguments (norm, g, b)."""
-    real_steps, real_norm = newton._newton_steps, newton._next_norm
+    """Route _newton_steps through a proxy that records (y, x, c, m, ad)
+    for each pass it answers, ad being the correction it answered with,
+    and _norm_factors through one that records its arguments (norm, g,
+    b)."""
+    real_steps, real_split = newton._newton_steps, newton._norm_factors
 
-    def recording(y, x, passes):
-        steps = real_steps(y, x, passes)
-        for k, x_k, norm in steps:
-            passes_seen.append((y, x_k, norm))
-            apply = yield k, x_k, norm
-            yield steps.send(apply)
+    def recording(y, x, passes, negate=False):
+        steps = real_steps(y, x, passes, negate)
+        for k, x_k, c, m in steps:
+            answer = steps.send((yield k, x_k, c, m))
+            passes_seen.append((y, x_k, c, m, answer[0]))
+            yield answer
 
-    def next_norm(norm, g, b):
+    def norm_factors(norm, g, b):
         updates.append((norm, g, b))
-        return real_norm(norm, g, b)
+        return real_split(norm, g, b)
 
     mp.setattr(newton, "_newton_steps", recording)
-    mp.setattr(newton, "_next_norm", next_norm)
+    mp.setattr(newton, "_norm_factors", norm_factors)
 
 
 @st.composite
@@ -1055,8 +1059,9 @@ def _norm_of(y, x):
 
 
 class TestCarriedNorm:
-    """The norm the step carries from pass to pass is b*p**2 - a*q**2 of
-    the pass's iterate p/q, in every run of the exact family."""
+    """The norm the step carries from pass to pass as factors c*m**2 is
+    b*p**2 - a*q**2 of the pass's iterate p/q, in every run of the exact
+    family, with c, m >= 0 after the first pass."""
 
     @staticmethod
     def _runs(y, eps, seed):
@@ -1077,7 +1082,8 @@ class TestCarriedNorm:
             _recording_steps(mp, passes, updates)
             self._runs(y, eps, _exact_seeds(y)[1] if tight else y)
         assert passes
-        assert all(norm == _norm_of(y_k, x) for y_k, x, norm in passes)
+        assert all(c * m * m == _norm_of(y_k, x) and m >= 0
+                   for y_k, x, c, m, _ in passes)
 
     def test_common_factors_occur(self):
         passes, updates = [], []
@@ -1086,7 +1092,7 @@ class TestCarriedNorm:
             self._runs(F(10, 3), F(1, 1000), F(2))
             for y, eps, seed in G_NOT_DIVIDING:
                 isqr_exact(y, eps, seed)
-        assert all(norm == _norm_of(y, x) for y, x, norm in passes)
+        assert all(c * m * m == _norm_of(y, x) for y, x, c, m, _ in passes)
         assert any(g > 1 and norm % g == 0 for norm, g, _ in updates)
         assert any(norm % g for norm, g, _ in updates)
 
@@ -1100,7 +1106,9 @@ class TestCarriedNorm:
         for norm, g, b in updates:
             h = math.gcd(norm, g)
             assert b % (g // h) ** 2 == 0
-        assert all(norm == _norm_of(y, x) for _, x, norm in passes)
+        # g does not divide the norm exactly where c < b
+        assert any(c < y.denominator for _, _, c, _, _ in passes[1:])
+        assert all(c * m * m == _norm_of(y, x) for _, x, c, m, _ in passes)
         assert _mismatches(_exact_cases(y, eps, [seed], [0, 1, 3])) == []
 
 
@@ -1119,9 +1127,10 @@ class TestReducedByCarriedContent:
 
 
 class TestExactStep:
-    """_newton_steps forms an applied pass from two squarings and the
-    carried norm, and an exit pass from one product; it builds no iterate
-    on a pass whose correction is not applied."""
+    """_newton_steps forms an applied pass from the carried norm's factors
+    and two squarings, and an exit pass from nothing: its correction is a
+    record of the product formula's factors.  It builds no iterate on a
+    pass whose correction is not applied."""
 
     @given(ys, st.integers(1000, 200_000), st.integers(1000, 200_000),
            st.integers(0, 2 ** 64))
@@ -1134,10 +1143,12 @@ class TestExactStep:
         g = math.gcd(p, q)
         p, q = p // g, q // g
         one_pass = newton._newton_steps(y, fraction_from_coprime(p, q), 1)
-        _, _, ad_num = next(one_pass)
-        _, ad_den, x_after = one_pass.send(True)
-        assert (ad_num, ad_den, x_after.numerator,
-                x_after.denominator) == _plain_step(y, p, q)
+        _, _, c, m = next(one_pass)
+        ad, x_after = one_pass.send(True)
+        ad_num, ad_den, p1, q1 = _plain_step(y, p, q)
+        assert (c * m * m, x_after.numerator, x_after.denominator) == \
+            (ad_num, p1, q1)
+        assert ad.numerator * ad_den == ad_num * ad.denominator
 
     @given(ys, st.integers(1000, 200_000), st.integers(1000, 200_000),
            st.integers(0, 2 ** 64))
@@ -1150,10 +1161,15 @@ class TestExactStep:
         g = math.gcd(p, q)
         x = fraction_from_coprime(p // g, q // g)
         one_pass = newton._newton_steps(y, x, 1)
-        _, _, ad_num = next(one_pass)
-        ad, ad_den, x_after = one_pass.send(False)
-        assert (ad_num, ad_den) == _plain_correction(y, x.numerator,
-                                                     x.denominator)
+        _, _, c, m = next(one_pass)
+        record, x_after = one_pass.send(False)
+        ad_num, ad_den = _plain_correction(y, x.numerator, x.denominator)
+        assert type(record) is newton._Factored
+        assert record.num == (abs(c), m, m)
+        assert record.den == (2 * y.denominator, x.numerator, x.denominator)
+        assert (record.sign * math.prod(record.num),
+                math.prod(record.den)) == (ad_num, ad_den)
+        ad = record.value()
         assert ad.numerator * ad_den == ad_num * ad.denominator
         assert x_after is x
 
@@ -1188,6 +1204,98 @@ class TestExactStep:
         assert x == trace.steps[-1].x_after
 
 
+def _unbuilt(step):
+    """A fresh copy of an until-loop's exit step, its correction still
+    kept as factors."""
+    record = step.__dict__["correction"]
+    assert type(record) is newton._Factored
+    return TraceStep(step.k, step.x_before, record, step.x_after)
+
+
+def _until_runs(y, eps):
+    """(trace, reference trace) of sqr_exact and, for y > 1, of
+    isqr_exact from y and from a tight seed."""
+    runs = [(sqr_exact(y, eps)[1], reference_exact_run("sqr_exact", y, eps)[1])]
+    if y > 1:
+        runs += [(isqr_exact(y, eps, s)[1],
+                  reference_exact_run("isqr_exact", y, eps, s)[1])
+                 for s in _exact_seeds(y)[:2]]
+    return runs
+
+
+def _result_or_refusal(fn, value):
+    try:
+        return fn(value)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestExitCorrectionBuiltWhenRead:
+    """An until-loop's exit step keeps its correction as factors until it
+    is first read, and behaves as a step built eagerly from Fractions:
+    the same value, type and lowest terms, and the same ==, hash, repr,
+    copy, pickle and dataclasses.replace."""
+
+    @given(ys, epss)
+    @example(F(2), F(1, 10 ** 6))
+    @example(F(10 ** 4 - 1, 99), F(1, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_first_read(self, y, eps):
+        for trace, want in _until_runs(y, eps):
+            step, eager = _unbuilt(trace.steps[-1]), want.steps[-1].correction
+            d = step.correction
+            assert type(d) is F
+            assert d.denominator > 0
+            assert math.gcd(d.numerator, d.denominator) == 1
+            assert (d.numerator, d.denominator) == \
+                (eager.numerator, eager.denominator)
+            assert step.correction is d  # built once, then stored
+            assert trace.steps == want.steps
+
+    @given(ys, epss)
+    @example(F(2), F(1, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_dataclass_contract(self, y, eps):
+        for trace, want in _until_runs(y, eps):
+            step, eager = trace.steps[-1], want.steps[-1]
+            assert _unbuilt(step) == eager and eager == _unbuilt(step)
+            assert hash(_unbuilt(step)) == hash(eager)
+            # repr and pickle write long parts in decimal, which Python 3.11
+            # refuses past 4300 digits: for steps built eagerly too
+            assert _result_or_refusal(repr, _unbuilt(step)) == \
+                _result_or_refusal(repr, eager)
+            for dup in (copy.copy, copy.deepcopy):
+                twin = dup(_unbuilt(step))
+                assert twin == eager and twin.__dict__ == eager.__dict__
+            pickled = _result_or_refusal(pickle.dumps, _unbuilt(step))
+            assert pickled == _result_or_refusal(pickle.dumps, eager)
+            if type(pickled) is bytes:
+                assert pickle.loads(pickled) == eager
+            assert dataclasses.replace(_unbuilt(step), k=7) == \
+                dataclasses.replace(eager, k=7)
+            assert dataclasses.astuple(_unbuilt(step)) == \
+                dataclasses.astuple(eager)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                _unbuilt(step).correction = F(0)
+
+    def test_only_the_unapplied_exit_is_kept_as_factors(self):
+        y, eps = F(10 ** 4 - 1, 99), F(1, 10 ** 6)
+        kept = [type(s.__dict__["correction"]) for s in sqr_exact(y, eps)[1].steps]
+        assert kept == [F] * (len(kept) - 1) + [newton._Factored]
+        _, c_style = sqr_exact(y, eps, c_style=True)
+        assert {type(s.__dict__["correction"]) for s in c_style.steps} == {F}
+
+    def test_factors_without_building(self):
+        _, trace = isqr_exact(F(2), F(1, 10 ** 6), F(3, 2))
+        step = trace.steps[-1]
+        num, den = step.correction_factors()
+        assert type(step.__dict__["correction"]) is newton._Factored
+        assert F(math.prod(num), math.prod(den)) == abs(step.correction)
+        # a built or eager correction reads as its one-factor sequences
+        assert step.correction_factors() == \
+            ((abs(step.correction.numerator),), (step.correction.denominator,))
+
+
 def _pass_bits(y, x):
     """The step's bound on the bits of the pair it forms from x."""
     return (2 * max(x.numerator.bit_length(), x.denominator.bit_length())
@@ -1212,30 +1320,45 @@ class TestOperandCap:
                              [(y, eps, y) for y, eps in EXIT_RUNS]
                              + G_NOT_DIVIDING)
     def test_bound_covers_the_norm_update(self, monkeypatch, y, eps, seed):
-        updates = []
-        _recording_steps(monkeypatch, [], updates)
-        for run in (lambda: sqr_exact(y, eps, c_style=True),
+        passes, updates = [], []
+        _recording_steps(monkeypatch, passes, updates)
+        for run in (lambda: sqr_exact(y, eps),
+                    lambda: sqr_exact(y, eps, c_style=True),
                     lambda: isqr_exact(y, eps, seed)):
+            passes.clear()
             updates.clear()
             _, trace = run()
-            # pass k >= 1 updates the norm after its own cap test
+            # pass k >= 1 splits the norm after its own cap test
             assert len(updates) == len(trace.steps) - 1
             for (norm, g, b), step in zip(updates, trace.steps[1:]):
                 h = math.gcd(norm, g)
                 formed = (h, g // h, (g // h) ** 2, b // (g // h) ** 2,
-                          norm // h, (norm // h) ** 2,
-                          b // (g // h) ** 2 * (norm // h) ** 2)
-                assert formed[-1] == _norm_of(y, step.x_before)
+                          abs(norm) // h)
+                assert formed[-2] * formed[-1] ** 2 == \
+                    _norm_of(y, step.x_before)
                 assert max(abs(v).bit_length() for v in formed) \
                     <= _pass_bits(y, step.x_before)
+            # an applied pass forms c*m and the norm c*m*m; reading an
+            # exit correction kept as factors forms those and 2*b*p,
+            # 2*b*p*q, the gcd against s and the two quotients
+            assert len(passes) == len(trace.steps)
+            for _, x, c, m, ad in passes:
+                formed = [c * m, c * m * m]
+                if type(ad) is newton._Factored:
+                    num, den = math.prod(ad.num), math.prod(ad.den)
+                    g = math.gcd(num, ad.s)
+                    formed += [ad.s, ad.den[0] * ad.den[1], den, g,
+                               num // g, den // g]
+                assert max(abs(v).bit_length() for v in formed) \
+                    <= _pass_bits(y, x)
 
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_cap_at_the_run_maximum(self, monkeypatch, y, eps):
         runs = {"sqr": lambda: sqr_exact(y, eps),
                 "c": lambda: sqr_exact(y, eps, c_style=True),
                 "isqr": lambda: isqr_exact(y, eps, y)}
-        updates = []
-        _recording_steps(monkeypatch, [], updates)
+        passes, updates = [], []
+        _recording_steps(monkeypatch, passes, updates)
         for run in runs.values():
             monkeypatch.delenv("CERTISQRT_MAX_BITS", raising=False)
             x, trace = run()
@@ -1245,14 +1368,17 @@ class TestOperandCap:
             assert run() == (x, trace)
             monkeypatch.setenv("CERTISQRT_MAX_BITS", str(cap - 1))
             k = bits.index(cap)
+            passes.clear()
             updates.clear()
             with pytest.raises(ResourceLimit) as info:
                 run()
             assert str(info.value) == (
                 f"exact Newton pass {k} may form {cap}-bit operands, "
                 f"above CERTISQRT_MAX_BITS = {cap - 1}")
-            # the refused pass formed no norm: passes 1..k-1 updated it
+            # the refused pass formed nothing: passes 1..k-1 split their
+            # norms, and passes 0..k-1 were answered
             assert len(updates) == max(k - 1, 0)
+            assert len(passes) == k
 
     @pytest.mark.parametrize("cap", [None, "4096"])
     def test_refuses_before_the_work(self, monkeypatch, cap):

@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import random
 import re
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +16,7 @@ from certisqrt.errors import (CertisqrtError, DomainError, ProfileMismatch,
                               UsageError)
 from certisqrt.exact import (Ordering, sqrt_abs_err_lt, sqrt_enclosure,
                              within_of_sqrt)
+from certisqrt import newton
 from certisqrt.fixarith import FixProfile
 from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
 from certisqrt.lut import _round_up_count, build_root_table, sup_fn
@@ -312,6 +316,13 @@ def long_corrections():
     return [s.correction for s in trace.steps]
 
 
+def halves_q(prev, cur):
+    """halves on two Fractions, each given as the one-factor sequences
+    (|num|,), (den,) that TraceStep.correction_factors reads off it."""
+    return halves(((abs(prev.numerator),), (prev.denominator,)),
+                  ((abs(cur.numerator),), (cur.denominator,)))
+
+
 def signed(q):
     return (q, -q)
 
@@ -323,8 +334,8 @@ class TestHalves:
         for prev in long_corrections + [F(3, 7), F(1)]:
             for p in signed(prev):
                 for c in signed(prev / 2):
-                    assert not halves(p, c)
-                    assert halves(p, c) == fraction_halves(p, c)
+                    assert not halves_q(p, c)
+                    assert halves_q(p, c) == fraction_halves(p, c)
 
     def test_one_unit_either_side_of_the_tie(self, long_corrections):
         for prev in long_corrections:
@@ -332,7 +343,7 @@ class TestHalves:
             unit = F(1, half.denominator)
             for c in (half - unit, half + unit):
                 for p, cur in ((prev, c), (-prev, c), (prev, -c)):
-                    assert halves(p, cur) == fraction_halves(p, cur)
+                    assert halves_q(p, cur) == fraction_halves(p, cur)
 
     def test_equal_bit_lengths(self, long_corrections):
         for prev in long_corrections:
@@ -341,16 +352,16 @@ class TestHalves:
                         F(n, 2 * d - 1)):
                 assert cur.numerator.bit_length() <= n.bit_length()
                 for p, c in ((prev, cur), (cur, prev), (-prev, -cur)):
-                    assert halves(p, c) == fraction_halves(p, c)
+                    assert halves_q(p, c) == fraction_halves(p, c)
 
     def test_zero_predecessor(self, long_corrections):
         for cur in [F(0)] + long_corrections:
-            assert not halves(F(0), cur)
-            assert not halves(F(0), -cur)
+            assert not halves_q(F(0), cur)
+            assert not halves_q(F(0), -cur)
 
     def test_zero_successor(self, long_corrections):
         for prev in long_corrections:
-            assert halves(prev, F(0)) and halves(-prev, F(0))
+            assert halves_q(prev, F(0)) and halves_q(-prev, F(0))
 
     def test_consecutive_signed_corrections(self, long_corrections):
         pairs = list(zip(long_corrections, long_corrections[1:]))
@@ -358,8 +369,8 @@ class TestHalves:
         for prev, cur in pairs:
             for p in signed(prev):
                 for c in signed(cur):
-                    assert halves(p, c) and fraction_halves(p, c)
-                    assert not halves(c, p)
+                    assert halves_q(p, c) and fraction_halves(p, c)
+                    assert not halves_q(c, p)
                     assert not fraction_halves(c, p)
 
     @settings(max_examples=200, deadline=None)
@@ -370,7 +381,7 @@ class TestHalves:
         # cur moved onto or beside the tie half the time
         if units % 2:
             cur = prev / 2 + F(units, 10 ** 70)
-        assert halves(prev, cur) == fraction_halves(prev, cur)
+        assert halves_q(prev, cur) == fraction_halves(prev, cur)
 
     @pytest.mark.parametrize("index,factor", [
         (1, F(2)),      # 2|cur| = 2|prev|: far above
@@ -397,6 +408,124 @@ class TestHalves:
         report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
         assert {c.rule for c in report.failures()} == {"sqr.halving"}
         assert report.failures()[0].witness["i"] == 3
+
+
+def _exit_forged(trace, record):
+    """The trace with its exit correction replaced by a forged record of
+    factors."""
+    last = trace.steps[-1]
+    forged = TraceStep(last.k, last.x_before, record, last.x_after)
+    return dataclasses.replace(trace, steps=trace.steps[:-1] + (forged,))
+
+
+def _exact_certify_corpus(seed):
+    """The pairs perfbench's exact_certify workload runs at this seed."""
+    root = Path(__file__).resolve().parent.parent
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(root / "perfbench"))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", root / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module.stratified_rationals(seed, 40, 32)
+
+
+def _halving_agrees(trace):
+    """Each consecutive pair of corrections (and each pair swapped) is
+    decided on factors, before any correction is read, as fraction_halves
+    decides it on the values built from the same factors."""
+    steps = trace.steps
+    factors = [s.correction_factors() for s in steps]
+    pairs = list(zip(range(len(steps)), range(1, len(steps))))
+    pairs += [(j, i) for i, j in pairs]
+    decided = [halves(factors[i], factors[j]) for i, j in pairs]
+    values = [s.correction for s in steps]
+    return decided == [fraction_halves(values[i], values[j])
+                       for i, j in pairs]
+
+
+class TestHalvingOnFactors:
+    """check_sqr_annotations decides sqr.halving and isqr.halving on the
+    factors of each correction: a passing check builds no exit
+    correction, and the decision is the Fraction rule's."""
+
+    def test_check_and_report_build_no_exit_correction(self, monkeypatch):
+        built = []
+        real = newton._Factored.value
+
+        def counting(record):
+            built.append(record)
+            return real(record)
+
+        monkeypatch.setattr(newton._Factored, "value", counting)
+        for run in (lambda: sqr_exact(LONG_Y, LONG_EPS),
+                    lambda: isqr_exact(LONG_Y, LONG_EPS, LONG_Y)):
+            built.clear()
+            _, trace = run()
+            report = check_sqr_annotations(trace, LONG_Y, LONG_EPS)
+            report.to_json()
+            assert report.overall and len(trace.steps) >= 10
+            assert built == []
+            exit_step = trace.steps[-1]
+            first = exit_step.correction
+            assert len(built) == 1
+            assert exit_step.correction is first
+            assert exit_step == trace.steps[-1] and len(built) == 1
+
+    @pytest.mark.parametrize("family", ["sqr", "isqr"])
+    @pytest.mark.parametrize("scale", [(1, 1), (3, 2)])
+    def test_forged_exit_factors(self, family, scale):
+        # 2|d_f| = |d_(f-1)| exactly at scale 1/1, 3/2 times it at 3/2;
+        # the forged factors are 50K+-bit, like the run's own
+        if family == "sqr":
+            _, trace = sqr_exact(LONG_Y, LONG_EPS)
+        else:
+            _, trace = isqr_exact(LONG_Y, LONG_EPS, LONG_Y)
+        prev = trace.steps[-2].correction
+        real = trace.steps[-1].__dict__["correction"]
+        m = real.num[1]
+        assert m.bit_length() > 50_000
+        up, down = scale
+        num = (abs(prev.numerator) * up, m, m)
+        den = (2 * down, prev.denominator * m, m)
+        sign = -1 if family == "sqr" else 1
+        record = newton._Factored(sign, num, den, math.prod(den))
+        bad = _exit_forged(trace, record)
+        report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
+        assert {c.rule for c in report.failures()} == {f"{family}.halving"}
+        witness = report.failures()[0].witness
+        f = len(trace.steps) - 1
+        assert witness == {"i": f - 1, "d_i": prev,
+                           "d_next": F(sign * math.prod(num), math.prod(den))}
+        assert 2 * abs(witness["d_next"]) == abs(prev) * F(up, down)
+
+    def test_forged_exit_below_half_passes(self):
+        # a forged exit correction one unit of its denominator below the
+        # tie still halves
+        _, trace = sqr_exact(LONG_Y, LONG_EPS)
+        prev = trace.steps[-2].correction
+        den = (2, prev.denominator, 1)
+        num = (abs(prev.numerator) - 1, 1, 1)
+        bad = _exit_forged(trace, newton._Factored(-1, num, den, 2))
+        assert check_sqr_annotations(bad, LONG_Y, LONG_EPS).overall
+
+    def test_agrees_on_the_exact_certify_corpus(self):
+        for y, eps in _exact_certify_corpus(1):
+            _, trace = sqr_exact(y, eps)
+            assert _halving_agrees(trace), (y, eps)
+
+    @given(st.fractions(min_value=F(1), max_value=F(10 ** 6),
+                        max_denominator=1000),
+           st.fractions(min_value=F(1, 10 ** 6), max_value=F(1),
+                        max_denominator=10 ** 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_on_runs(self, y, eps, seeded):
+        if seeded and y > 1:
+            _, trace = isqr_exact(y, eps, y)
+        else:
+            _, trace = sqr_exact(y, eps)
+        assert _halving_agrees(trace)
 
 
 class TestCheckFsqr:
