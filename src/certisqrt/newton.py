@@ -26,18 +26,18 @@ factors c*m**2: each pass after the first gets c and m from the
 previous norm by one gcd and two exact divisions, for the factor g
 stripped from its pair.  The until-loop decides its exit on the
 factors (c, m, m) and (b, p, q) with exact.cmp_products, so the exit
-pass forms no product above its inputs: its correction c*m**2/(2*b*p*q)
-is recorded as those factors and built when a reader first asks for
-it, which a run that is only checked and reported never does (the
-halving rule reads the factors).  An applied pass squares m, p and
-p + q and gets q**2 from the norm by exact division.  No next iterate
-is built on a pass whose correction the caller does not apply.  The
-step keeps each pair and
-correction in lowest terms by one gcd against the part of their common
-denominator made of primes of 2*num(y)*den(y) (the only primes a common
-factor can contain), because a full gcd at the sizes reached by long
-runs is quadratic and would dominate the runtime.  CERTISQRT_MAX_BITS
-caps the size of the integers a pass may form.
+pass forms no product above its inputs (short of a comparison that bit
+lengths and brackets leave open): its correction c*m**2/(2*b*p*q) is
+recorded as those factors and built when a reader first asks for it,
+which a run that is only checked and reported never does (the halving
+rule reads the factors).  An applied pass squares m, p and p + q and
+gets q**2 from the norm by exact division.  No next iterate is built on
+a pass whose correction the caller does not apply.  The step keeps each
+pair and correction in lowest terms by one gcd against the part of
+their common denominator made of primes of 2*num(y)*den(y) (the only
+primes a common factor can contain), because a full gcd at the sizes
+reached by long runs is quadratic and would dominate the runtime.
+CERTISQRT_MAX_BITS caps the size of the integers a pass may form.
 fix_sqr, mix_sqr and flt_sqr share one grid loop on counts, headed by
 one request pass that checks each precondition once (a table checked
 its step when made).  Each pass is one call of fixarith._newton_step,
@@ -348,11 +348,12 @@ def _until_loop(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     and c_style applies the exit pass's correction too.  No iterate from
     a seed >= sqrt(y) falls below sqrt(y), so ad >= 0 needs no abs().
 
-    The exit test compares products of the pass's inputs with
-    cmp_products and forms none of them, and the exit pass (unless
-    c_style) records its correction as factors, built when read: a run
-    whose trace is checked and reported forms no integer on its exit
-    pass above the size of its iterate and norm factors."""
+    The exit test compares ed*c*m*m with en*b*p*q through cmp_products,
+    which forms those products only when bit lengths and 128-bit
+    brackets leave the comparison open, and the exit pass (unless
+    c_style) records its correction as factors, built when read.  So the
+    exit pass of a run that is checked and reported forms no product
+    above its inputs."""
     en, ed, b = eps.numerator, eps.denominator, y.denominator
     steps = []
     newton = _newton_steps(y, seed, (y.numerator * ed).bit_length() + 65,
