@@ -31,7 +31,8 @@ the verdict is too; the stages only skip multiplying operands of 100K+
 bits when bit lengths or 128-bit brackets already settle the
 comparison.  The same primitive decides newton's until-loop exit on the
 factors of the carried norm and verify's halving rule on the factors of
-two corrections, so neither forms the products it compares.
+two corrections, so neither forms the products it compares unless the
+first two stages leave the comparison open.
 
 Where a Fraction is wanted, the value count/d of a grid count, it is
 built by _lowest_terms in one call: one gcd, then object.__new__(Fraction)

@@ -140,9 +140,8 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     seed = min(_seed_of(trace, "sqr_exact", "isqr_exact"), y)
     family = trace.algorithm.removesuffix("_exact")
 
-    steps = trace.steps
-    boundary = [(s.k, s.x_before) for s in steps]
-    boundary.append((len(steps), trace.final_x))
+    boundary = [(s.k, s.x_before) for s in trace.steps]
+    boundary.append((len(trace.steps), trace.final_x))
     top = "y" if family == "sqr" else "seed"
     invariant = _first_failure(
         f"sqrt(y) <= x <= {top} at every boundary", f"{family}.loop-invariant",
@@ -152,6 +151,7 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
 
     # decided on factors, so an exit correction kept as factors is built
     # only for a failure's witness
+    steps = trace.steps
     factors = [s.correction_factors() for s in steps]
     halving = _first_failure(
         "each correction below half its predecessor", f"{family}.halving",
@@ -166,7 +166,7 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     witness = {"vacuous": True} if y <= 1 else {
         "applied": applied_corrections(trace),
         "cap": min_legal_iterations(y, eps, seed),
-        "loop_passes": len(steps)}
+        "loop_passes": len(trace.steps)}
     cap = check("applied corrections within the logarithmic cap",
                 f"{family}.iteration-cap",
                 y <= 1 or witness["applied"] <= witness["cap"], witness)
