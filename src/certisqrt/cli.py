@@ -172,7 +172,11 @@ def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
     """The table file at path, accepted when its roots are all ints and
     equal the upward walk that build_root_table takes.  Otherwise the
     first faulty entry in index order is reported, a non-integer as
-    FileFormatError and a wrong root as DomainError."""
+    FileFormatError and a wrong root as DomainError.
+
+    An accepted table holds the walk, not the file's list: the walk
+    shares one int per run of equal roots, where the parsed list holds
+    one int object per entry."""
     doc = _read_json(path)
     stored_hash = _require(doc, "profile_hash", "table")
     if stored_hash != profile_hash:
@@ -189,7 +193,7 @@ def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
     walk = _least_roots(fix, stp_count)
     # the type test comes first: 174.0 == 174 and True == 1 in Python
     if set(map(type, roots)) == {int} and table.roots == walk:
-        return table
+        return RootTable(fix, table.stp, walk)
     bad = next(i for i, (g, w) in enumerate(zip(roots, walk))
                if type(g) is not int or g != w)
     if type(roots[bad]) is not int:

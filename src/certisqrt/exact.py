@@ -8,9 +8,11 @@ participates in a verdict.
 
 Every predicate works on integer numerators and denominators; none
 builds or normalises a Fraction.  Every radical decision ends in one
-primitive, _sqrt_sign(n, d, a, b), the sign of n/d - sqrt(a/b) for
-unreduced parts.  cmp_sqrt is a thin wrapper over it; within_of_sqrt
-hands it the pairs of q - bound and q + bound.  decide_radical_lt and
+rule, the sign of n/d - sqrt(a/b) for unreduced parts, decided by the
+primitive _sqrt_sign(n, d, a, b).  cmp_sqrt is a thin wrapper over it;
+within_of_sqrt hands it the pairs of q - bound and q + bound, except
+that when all their parts are short _within_signs applies the rule to
+both pairs itself, against one shared product.  decide_radical_lt and
 sqrt_abs_err_lt multiply through by a positive common denominator and
 write sqrt(num/den) as sqrt(num*den)/den, so both end in _lt_radical,
 which decides L < K*sqrt(M) on integers as the sign of L/K - sqrt(M),
@@ -34,13 +36,14 @@ factors of the carried norm and verify's halving rule on the factors of
 two corrections, so neither forms the products it compares unless the
 first two stages leave the comparison open.
 
-Where a Fraction is wanted, the value count/d of a grid count, it is
-built by _lowest_terms in one call: one gcd, then object.__new__(Fraction)
-with its two slots, _numerator and _denominator, set once, as
-fraction_from_coprime builds exact iterates.  Fraction's constructor,
-Python code that checks its arguments and fills both slots itself,
-never runs; both helpers rely on fractions.py keeping a Fraction's
-parts in those two slots.
+Where a Fraction is wanted for a pair of integers, such as a float
+value's parts, it is built by _lowest_terms in one call: one gcd, then
+object.__new__(Fraction) with its two slots, _numerator and
+_denominator, set once, as fraction_from_coprime builds exact iterates
+and fixarith.FixVal.value builds the value count/d of a grid count.
+Fraction's constructor, Python code that checks its arguments and fills
+both slots itself, never runs; all three rely on fractions.py keeping
+a Fraction's parts in those two slots.
 """
 from __future__ import annotations
 
@@ -87,8 +90,10 @@ def fraction_from_coprime(num: int, den: int) -> Fraction:
 def _lowest_terms(num: int, den: int) -> Fraction:
     """Fraction(num, den) for integers num and den > 0, reduced by one
     math.gcd and built like fraction_from_coprime, inline, so a value
-    costs one Python call; fixarith, floatmodel and newton build every
-    grid value count/d through it."""
+    costs one Python call.  It builds the general pairs: a float
+    value's count*base**e/d, a profile's bounds and a grid trace's
+    corrections.  FixVal.value builds count/d the same way in its own
+    body, which saves that call on every read of a grid value."""
     g = math.gcd(num, den)
     f = object.__new__(Fraction)
     f._numerator = num // g
@@ -221,16 +226,30 @@ def cmp_sqrt(q: Fraction, y: Fraction) -> Ordering:
 
 def _within_signs(q: Fraction, y: Fraction,
                   bound: Fraction) -> tuple[int, int]:
-    """The signs of q - bound - sqrt(y) and q + bound - sqrt(y), from
-    _sqrt_sign on the unreduced pairs of q - bound and q + bound."""
+    """The signs of q - bound - sqrt(y) and q + bound - sqrt(y), for the
+    unreduced pairs (lo, den) and (hi, den) of q - bound and q + bound.
+
+    When lo, hi and den all have at most _SHORT_BITS bits, as on every
+    grid request, both signs are decided here, as _sqrt_sign decides
+    them, against the one product a*den**2; otherwise by two _sqrt_sign
+    calls.
+    """
     bn, bd = bound.numerator, bound.denominator
     if bn < 0:
         raise DomainError(f"bound must be >= 0, got {_rat_text(bound)}")
     a, b = _radicand(y)
     qn, qd = q.numerator, q.denominator
     centre, radius, den = qn * bd, bn * qd, qd * bd
-    return (_sqrt_sign(centre - radius, den, a, b),
-            _sqrt_sign(centre + radius, den, a, b))
+    lo, hi = centre - radius, centre + radius
+    if (lo.bit_length() <= _SHORT_BITS and hi.bit_length() <= _SHORT_BITS
+            and den.bit_length() <= _SHORT_BITS):
+        rhs = a * den * den
+        lhs = lo * lo * b
+        lo_sign = -1 if lo < 0 else (lhs > rhs) - (lhs < rhs)
+        lhs = hi * hi * b
+        hi_sign = -1 if hi < 0 else (lhs > rhs) - (lhs < rhs)
+        return lo_sign, hi_sign
+    return _sqrt_sign(lo, den, a, b), _sqrt_sign(hi, den, a, b)
 
 
 def within_of_sqrt(q: Fraction, y: Fraction, bound: Fraction,

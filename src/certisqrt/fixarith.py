@@ -9,10 +9,15 @@ _newton_step, one call on counts for x/2 + y/(x + x) with the roundings,
 range tests and messages of fix_add and fix_div; a test holds it equal
 to those operations on every count pair of a small grid, refusals
 included, so the probe of check_profile_assumptions covers the loop.
-A value is count/d in lowest terms, built by exact._lowest_terms.
+A FixVal reads as count/d in lowest terms, built in its value property
+with one gcd and without Fraction's constructor, as exact._lowest_terms
+builds a general pair.  FixVal is a frozen, slotted dataclass whose
+__init__ stores its two fields through their slot descriptors, which
+skips the generated frozen __init__'s object.__setattr__ calls by name.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -90,7 +95,7 @@ class FixProfile:
         return -self.inf_count <= count <= self.sup_count
 
     def val(self, count: int) -> "FixVal":
-        if not self.contains_count(count):
+        if not -self.inf_count <= count <= self.sup_count:
             raise RangeOverflow(f"count {encode_int(count)} outside "
                                 f"[-{self.inf_count}, {self.sup_count}]")
         return FixVal(count, self)
@@ -99,26 +104,45 @@ class FixProfile:
         return self.val(k * self.delta_den)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FixVal:
     """One grid point: the real value count/delta_den.
 
     Immutable, with no per-instance __dict__: the two fields are slots,
-    and equality, hashing and repr follow them.  value is built on each
-    read; caching it in a third slot was measured to gain no request
-    time and to cost memory.
+    and equality, hashing and repr follow them.  __init__ has the
+    generated one's signature and stores each field through its slot's
+    descriptor, bound once below the class.  value is built on each
+    read, in lowest terms by one gcd, into a Fraction made by
+    object.__new__ with its two slots set, like exact._lowest_terms
+    but without a call; caching it in a third slot was measured to gain
+    no request time and to cost memory.
     """
 
     count: int
     profile: FixProfile
 
+    def __init__(self, count: int, profile: FixProfile) -> None:
+        _set_count(self, count)
+        _set_profile(self, profile)
+
     @property
     def value(self) -> Fraction:
-        return _lowest_terms(self.count, self.profile.delta_den)
+        count, d = self.count, self.profile.delta_den
+        g = math.gcd(count, d)
+        f = object.__new__(Fraction)
+        f._numerator = count // g
+        f._denominator = d // g
+        return f
 
     def __str__(self) -> str:
         # deliberately unreduced: count/delta_den names the grid point
         return f"{self.count}/{self.profile.delta_den}"
+
+
+# the setters of the two slots' descriptors, which bypass the frozen
+# __setattr__; only FixVal.__init__ calls them
+_set_count = FixVal.__dict__["count"].__set__
+_set_profile = FixVal.__dict__["profile"].__set__
 
 
 def require_same_grid(a: FixProfile, b: FixProfile, message: str) -> None:
@@ -217,7 +241,9 @@ def _newton_step(x: int, y: int, profile: FixProfile) -> int:
     Two tests of those operations cannot fail here and are left out:
     x/2 is in range because 0 < x <= sup, and the divisor x + x is not
     zero because x > 0.  Both roundings go through round_half_even;
-    x/2 is x*d over 2*d in counts, which rounds as x over 2.
+    x/2 is x*d over 2*d in counts, which rounds as x over 2.  They stay
+    calls of the module name round_half_even, not inlined: tests ablate
+    the rounding by patching that name.
     """
     d, lo, hi = profile.delta_den, -profile.inf_count, profile.sup_count
     twice = x + x

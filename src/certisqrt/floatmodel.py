@@ -94,17 +94,25 @@ class FloatProfile:
         return self.fix.from_int(self.base)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FloatVal:
     """Zero, or a positive (mantissa, exponent) pair with its base.
 
     Immutable, with no per-instance __dict__: the three fields are
-    slots, and equality, hashing and repr follow them.
+    slots, and equality, hashing and repr follow them.  Like FixVal's,
+    __init__ has the generated one's signature and defaults and stores
+    each field through its slot's descriptor.
     """
 
     man: FixVal | None = None
     exp: int = 0
     base: int = 2
+
+    def __init__(self, man: FixVal | None = None, exp: int = 0,
+                 base: int = 2) -> None:
+        _set_man(self, man)
+        _set_exp(self, exp)
+        _set_base(self, base)
 
     @property
     def is_zero(self) -> bool:
@@ -118,6 +126,13 @@ class FloatVal:
         if self.is_zero:
             return "0"
         return f"{self.man}*{self.base}^{self.exp}"
+
+
+# the setters of the three slots' descriptors, which bypass the frozen
+# __setattr__; only FloatVal.__init__ calls them
+_set_man = FloatVal.__dict__["man"].__set__
+_set_exp = FloatVal.__dict__["exp"].__set__
+_set_base = FloatVal.__dict__["base"].__set__
 
 
 def _require_base(a: FloatVal, profile: FloatProfile) -> None:

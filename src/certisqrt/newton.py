@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -64,7 +64,8 @@ from .errors import (
     SeedContractError,
 )
 from .exact import (Ordering, _lowest_terms, _rat_text, cmp_products,
-                    cmp_sqrt, decide_radical_lt, fraction_from_coprime)
+                    cmp_sqrt, decide_radical_lt, encode_int,
+                    fraction_from_coprime)
 from .fixarith import FixVal, _newton_step, fix_mul, require_same_grid
 from .floatmodel import FloatProfile, FloatVal, _require_base, compose
 from .lut import (RootTable, _check_table_config, _env_limit, _seed_count,
@@ -110,7 +111,27 @@ class _BuiltWhenRead:
         step.__dict__["correction"] = value
 
 
-@dataclass(frozen=True)
+def _field_repr(value) -> str:
+    """repr(value) for a field of a Trace or TraceStep, with each integer
+    part of a Fraction written as encode_int writes it: in decimal while
+    every interpreter setting prints it, as a hex literal beyond."""
+    if type(value) is Fraction:
+        return (f"Fraction({encode_int(value.numerator)}, "
+                f"{encode_int(value.denominator)})")
+    if type(value) is tuple:
+        parts = [_field_repr(v) for v in value]
+        return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+    return repr(value)
+
+
+def _record_repr(record) -> str:
+    """The dataclass repr of record, with each field by _field_repr."""
+    body = ", ".join(f"{f.name}={_field_repr(getattr(record, f.name))}"
+                     for f in fields(record))
+    return f"{type(record).__qualname__}({body})"
+
+
+@dataclass(frozen=True, repr=False)
 class TraceStep:
     """One loop pass: value before, the computed correction, value after.
 
@@ -122,6 +143,10 @@ class TraceStep:
     That exit correction of an exact run is kept as its factors, the
     pass's inputs, and built in lowest terms when correction is first
     read; correction_factors reads the factors without building it.
+
+    repr is the dataclass one while every integer part is short; a part
+    too long for decimal under every interpreter setting is written as
+    a hex literal, so a long run's step has a repr on Python 3.11 too.
     """
 
     k: int
@@ -141,12 +166,14 @@ class TraceStep:
         self.correction  # copies and pickles hold the built value
         return self.__dict__
 
+    __repr__ = _record_repr
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Trace:
     """A run of sqr_exact, isqr_exact or fsqr_exact: its inputs, seed and
     result, and every loop pass as a TraceStep; n_planned is fsqr_exact's
-    iteration count."""
+    iteration count.  Its repr writes long parts as TraceStep's does."""
 
     algorithm: str
     y: Fraction
@@ -155,6 +182,8 @@ class Trace:
     steps: tuple[TraceStep, ...] = ()
     n_planned: int | None = None
     seed: Fraction | None = None
+
+    __repr__ = _record_repr
 
 
 class GridTrace(NamedTuple):

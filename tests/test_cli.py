@@ -102,6 +102,23 @@ class TestTableBuild:
         with pytest.raises(DomainError):
             load_table(demo_table_path, fix, "0" * 64)
 
+    def test_loaded_table_holds_the_walk(self, tmp_path):
+        """A loaded table equals the built one, every entry an int, and
+        holds one int object per distinct root, as the walk does, not one
+        per parsed entry; on this grid a third of the entries repeat the
+        root before them, all above the interpreter's small-int cache."""
+        from certisqrt.lut import build_root_table
+        fix = FixProfile(10000, 40000, 40000)
+        built = build_root_table(fix, fix.val(2))
+        path = tmp_path / "table.json"
+        path.write_bytes(table_file_bytes(built, "digest"))
+        table = load_table(str(path), fix, "digest")
+        assert table == built and type(table.roots) is tuple
+        assert {type(g) for g in table.roots} == {int}
+        distinct = len(set(table.roots))
+        assert distinct < len(table.roots) and min(table.roots) > 256
+        assert len({id(g) for g in table.roots}) == distinct
+
     def test_size_cap_env(self, demo_profile_path, tmp_path, monkeypatch):
         monkeypatch.setenv("CERTISQRT_MAX_TABLE", "10")
         code = main(["table-build", demo_profile_path,

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +258,90 @@ class TestWithinOfSqrt:
         q = F(3, 2)
         if within_of_sqrt(q, y, bound, strict=True):
             assert within_of_sqrt(q, y, bound)
+
+
+def _parts_of_bits(bits):
+    return st.integers(1 << (bits - 1), (1 << bits) - 1)
+
+
+# integer parts on both sides of _SHORT_BITS = 256, so a pair's products
+# cross it too
+_parts = st.sampled_from([1, 2, 9, 64, 127, 128, 129, 200, 255, 256, 257,
+                          300]).flatmap(_parts_of_bits)
+
+
+def _true_sign(r, y):
+    """Sign of r - sqrt(y) by Fraction arithmetic."""
+    if r < 0:
+        return -1
+    return (r * r > y) - (r * r < y)
+
+
+def _within_signs_counted(q, y, bound):
+    """(_within_signs(q, y, bound), its number of _sqrt_sign calls)."""
+    with mock.patch.object(exact, "_sqrt_sign",
+                           wraps=exact._sqrt_sign) as counted:
+        got = exact._within_signs(q, y, bound)
+    return got, counted.call_count
+
+
+def _short(q, bound):
+    """Whether q - bound and q + bound, over qd*bd, have all parts within
+    _SHORT_BITS bits."""
+    qn, qd, bn, bd = q.numerator, q.denominator, bound.numerator, \
+        bound.denominator
+    return all(n.bit_length() <= exact._SHORT_BITS
+               for n in (qn * bd - bn * qd, qn * bd + bn * qd, qd * bd))
+
+
+class TestWithinSigns:
+    """_within_signs decides both signs itself while every part of the
+    two pairs is short, and by two _sqrt_sign calls otherwise; either
+    way it returns what the two _sqrt_sign calls return."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_two_sqrt_sign_calls(self, data):
+        sign = data.draw(st.sampled_from([1, -1]))
+        q = F(sign * data.draw(_parts), data.draw(_parts))
+        bound = data.draw(st.one_of(st.just(F(0)),
+                                    st.builds(F, _parts, _parts)))
+        tie = data.draw(st.sampled_from([None, -1, 1]))
+        if tie is None:
+            y = F(data.draw(_parts), data.draw(_parts))
+        else:
+            # sqrt(y) is exactly |q - bound| or |q + bound|
+            y = (q + tie * bound) ** 2
+        (lo, hi), calls = _within_signs_counted(q, y, bound)
+        assert (lo, hi) == \
+            tuple(exact._sqrt_sign(r.numerator, r.denominator,
+                                   y.numerator, y.denominator)
+                  for r in (q - bound, q + bound)) == \
+            (_true_sign(q - bound, y), _true_sign(q + bound, y))
+        assert calls == (0 if _short(q, bound) else 2)
+
+    @pytest.mark.parametrize("bits", [255, 256, 257])
+    @pytest.mark.parametrize("case", ["centre", "den", "negative-lo",
+                                      "negative-both"])
+    def test_threshold(self, bits, case):
+        n = (1 << (bits - 1)) + 12345
+        q, bound = {"centre": (F(n, 7), F(0)),
+                    "den": (F(7, n), F(0)),
+                    "negative-lo": (F(1), F(n)),
+                    "negative-both": (F(-n), F(1))}[case]
+        assert _short(q, bound) is (bits <= 256)
+        for y in (q * q, (q + bound) ** 2, q * q + F(1, n),
+                  q * q - F(1, n) if q * q >= F(1, n) else F(0)):
+            (lo, hi), calls = _within_signs_counted(q, y, bound)
+            assert (lo, hi) == (_true_sign(q - bound, y),
+                                _true_sign(q + bound, y))
+            assert calls == (0 if bits <= 256 else 2)
+        if case == "centre":  # a tie on both sides
+            assert exact._within_signs(q, q * q, bound) == (0, 0)
+        if case.startswith("negative"):
+            assert exact._within_signs(q, q * q, bound)[0] == -1
+        if case == "negative-both":
+            assert exact._within_signs(q, F(3), bound) == (-1, -1)
 
 
 class TestSqrtEnclosure:

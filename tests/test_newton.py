@@ -1260,8 +1260,9 @@ class TestExitCorrectionBuiltWhenRead:
             step, eager = trace.steps[-1], want.steps[-1]
             assert _unbuilt(step) == eager and eager == _unbuilt(step)
             assert hash(_unbuilt(step)) == hash(eager)
-            # repr and pickle write long parts in decimal, which Python 3.11
-            # refuses past 4300 digits: for steps built eagerly too
+            # pickle writes long parts in decimal, which Python 3.11 refuses
+            # past 4300 digits, for steps built eagerly too; repr writes
+            # them in hex
             assert _result_or_refusal(repr, _unbuilt(step)) == \
                 _result_or_refusal(repr, eager)
             for dup in (copy.copy, copy.deepcopy):
@@ -1294,6 +1295,74 @@ class TestExitCorrectionBuiltWhenRead:
         # a built or eager correction reads as its one-factor sequences
         assert step.correction_factors() == \
             ((abs(step.correction.numerator),), (step.correction.denominator,))
+
+
+def _dataclass_repr(record):
+    """The repr dataclass generates: each field by repr()."""
+    body = ", ".join(f"{f.name}={getattr(record, f.name)!r}"
+                     for f in dataclasses.fields(record))
+    return f"{type(record).__qualname__}({body})"
+
+
+class TestTraceRepr:
+    """A Trace and its steps print as the dataclass repr while every
+    integer part is short, and write a longer part as a hex literal."""
+
+    def test_long_run(self):
+        _, trace = sqr_exact(F(26066, 3), F(1, 1000))
+        step = trace.steps[-1]
+        # the dataclass repr writes these parts in decimal, which Python
+        # 3.11 refuses past 4300 digits
+        assert step.correction.denominator.bit_length() > 4300 * 3.33
+        text = repr(step)
+        assert text.startswith(f"TraceStep(k={step.k}, x_before=Fraction(0x")
+        names = {"Fraction": F, "TraceStep": TraceStep, "Trace": Trace}
+        assert eval(text, names) == step
+        whole = repr(trace)
+        assert whole.startswith("Trace(algorithm='sqr_exact', "
+                                "y=Fraction(26066, 3), eps=Fraction(1, 1000), "
+                                "final_x=Fraction(0x")
+        assert eval(whole, names) == trace
+
+    @pytest.mark.parametrize("run", [
+        lambda: sqr_exact(F(2), F(1, 10 ** 6)),
+        lambda: sqr_exact(F(10 ** 4 - 1, 99), F(1, 10)),
+        lambda: sqr_exact(F(7, 3), F(1, 10 ** 6), c_style=True),
+        lambda: sqr_exact(F(1), F(1, 10)),
+        lambda: isqr_exact(F(2), F(1, 10 ** 6), F(3, 2)),
+        lambda: fsqr_exact(F(2), F(1, 100), F(3, 2),
+                           min_legal_iterations(F(2), F(1, 100), F(3, 2))),
+    ])
+    def test_short_runs_print_as_the_dataclass(self, run):
+        _, trace = run()
+        for step in trace.steps:
+            assert repr(step) == _dataclass_repr(step)
+        want = _dataclass_repr(trace).replace(
+            repr(trace.steps), "(" + ", ".join(map(_dataclass_repr,
+                                                   trace.steps))
+            + ("," if len(trace.steps) == 1 else "") + ")")
+        assert repr(trace) == want
+
+    def test_pinned(self):
+        _, trace = sqr_exact(F(4), F(1, 2))
+        assert repr(trace) == (
+            "Trace(algorithm='sqr_exact', y=Fraction(4, 1), "
+            "eps=Fraction(1, 2), final_x=Fraction(41, 20), steps=("
+            "TraceStep(k=0, x_before=Fraction(4, 1), "
+            "correction=Fraction(-3, 2), x_after=Fraction(5, 2)), "
+            "TraceStep(k=1, x_before=Fraction(5, 2), "
+            "correction=Fraction(-9, 20), x_after=Fraction(41, 20)), "
+            "TraceStep(k=2, x_before=Fraction(41, 20), "
+            "correction=Fraction(-81, 1640), x_after=Fraction(41, 20))), "
+            "n_planned=None, seed=Fraction(4, 1))")
+
+    def test_grid_steps(self):
+        fix = FixProfile(1000, 20000, 20000)
+        table = build_root_table(fix, fix.val(16))
+        _, trace = fix_sqr(fix.val(6434), fix.val(8), table, 3)
+        for step in trace.steps:
+            assert repr(step) == _dataclass_repr(step)
+            assert repr(step.x_before).startswith("FixVal(count=")
 
 
 def _pass_bits(y, x):

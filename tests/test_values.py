@@ -1,18 +1,25 @@
 """The value types and the Fraction builders the grid layers share.
 
 FixVal and FloatVal are immutable records whose equality, hashing, repr
-and str follow their fields, and which carry no per-instance __dict__.
-exact._lowest_terms and exact.fraction_from_coprime build Fractions
-that behave exactly like Fraction(n, d) without running Fraction's
-constructor, so reading a grid value costs no constructor call.
+and str follow their fields, and which carry no per-instance __dict__;
+their hand-written __init__ keeps the generated one's signature.
+FixVal.value, exact._lowest_terms and exact.fraction_from_coprime build
+Fractions that behave exactly like Fraction(n, d) without running
+Fraction's constructor, so reading a grid value costs no constructor
+call.
 """
 import copy
 import dataclasses
+import inspect
+import math
 import operator
 import pickle
+import typing
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certisqrt import exact
 from certisqrt.exact import fraction_from_coprime, within_of_sqrt
@@ -101,6 +108,82 @@ class TestValueContract:
         assert str(a) == "150/100*2^-3"
         assert repr(FloatVal.zero()) == "FloatVal(man=None, exp=0, base=2)"
         assert str(FloatVal.zero()) == "0"
+
+
+def _generated_init(cls):
+    """__init__ of a frozen, slotted dataclass with cls's fields and
+    defaults, as dataclass generates it."""
+    specs = [(f.name, f.type) if f.default is dataclasses.MISSING
+             else (f.name, f.type, dataclasses.field(default=f.default))
+             for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True,
+                                      slots=True).__init__
+
+
+class TestHandWrittenInit:
+    """FixVal and FloatVal store their fields through the slots'
+    descriptors in a hand-written __init__; callers see the generated
+    constructor's contract."""
+
+    @pytest.mark.parametrize("cls", [FixVal, FloatVal])
+    def test_signature_is_the_generated_one(self, cls):
+        ours, generated = (inspect.signature(cls.__init__),
+                           inspect.signature(_generated_init(cls)))
+        assert ours.parameters == generated.parameters
+        # the generated one holds None, ours the postponed text "None"
+        assert generated.return_annotation is None
+        names = {"FixVal": FixVal, "FixProfile": FixProfile}
+        hints = typing.get_type_hints(cls.__init__, localns=names)
+        assert hints["return"] is type(None)
+        assert inspect.signature(cls).parameters == \
+            dict(list(generated.parameters.items())[1:])
+
+    def test_keyword_and_default_construction(self):
+        man = FixVal(count=150, profile=P100)
+        assert man == FixVal(150, P100)
+        assert FloatVal(man=man, exp=-3, base=10) == FloatVal(man, -3, 10)
+        assert FloatVal(exp=4) == FloatVal(None, 4, 2)
+        assert FloatVal() == FloatVal.zero() == FloatVal(None, 0, 2)
+        assert repr(FloatVal()) == "FloatVal(man=None, exp=0, base=2)"
+        with pytest.raises(TypeError):
+            FixVal(150)
+        with pytest.raises(TypeError):
+            FixVal(150, P100, 3)
+        with pytest.raises(TypeError):
+            FloatVal(man, mantissa=3)
+
+    @pytest.mark.parametrize("v", VALUES, ids=str)
+    def test_replace_runs_the_constructor(self, v):
+        field = dataclasses.fields(v)[1].name
+        got = dataclasses.replace(v, **{field: 9})
+        assert type(got) is type(v) and getattr(got, field) == 9
+        assert not hasattr(got, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, field, 1)
+
+    def test_fields_are_slots(self):
+        for cls in (FixVal, FloatVal):
+            names = tuple(f.name for f in dataclasses.fields(cls))
+            assert cls.__slots__ == names
+
+
+class TestFixValValue:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_lowest_terms(self, data):
+        d = data.draw(st.sampled_from([1, 2, 3, 100, 997, 1000, 1024,
+                                       10 ** 6, 2 ** 70]))
+        inf = data.draw(st.integers(1, 40 * d))
+        sup = data.draw(st.integers(1, 40 * d))
+        count = data.draw(st.integers(-inf, sup))
+        got = FixVal(count, FixProfile(d, inf, sup)).value
+        want = exact._lowest_terms(count, d)
+        assert type(got) is type(want) is F
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+        assert got.denominator > 0
+        assert math.gcd(got.numerator, got.denominator) == 1
+        assert got == F(count, d) and hash(got) == hash(F(count, d))
 
 
 OTHERS = [3, 0.5, F(7, 3)]
