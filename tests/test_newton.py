@@ -1260,9 +1260,9 @@ class TestExitCorrectionBuiltWhenRead:
             step, eager = trace.steps[-1], want.steps[-1]
             assert _unbuilt(step) == eager and eager == _unbuilt(step)
             assert hash(_unbuilt(step)) == hash(eager)
-            # pickle writes long parts in decimal, which Python 3.11 refuses
-            # past 4300 digits, for steps built eagerly too; repr writes
-            # them in hex
+            # Python 3.10's Fraction pickles through str(), which refuses
+            # parts past 4300 digits, for steps built eagerly too; repr
+            # writes long parts in hex
             assert _result_or_refusal(repr, _unbuilt(step)) == \
                 _result_or_refusal(repr, eager)
             for dup in (copy.copy, copy.deepcopy):

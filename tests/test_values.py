@@ -161,11 +161,6 @@ class TestHandWrittenInit:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(got, field, 1)
 
-    def test_fields_are_slots(self):
-        for cls in (FixVal, FloatVal):
-            names = tuple(f.name for f in dataclasses.fields(cls))
-            assert cls.__slots__ == names
-
 
 class TestFixValValue:
     @given(st.data())
