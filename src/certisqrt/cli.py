@@ -28,7 +28,9 @@ from .floatmodel import (
 from .lut import (
     RootTable,
     StepConfig,
-    _least_roots,
+    _check_entry_count,
+    _check_table_config,
+    _walk_table,
     build_root_table,
     validate_step,
 )
@@ -189,11 +191,14 @@ def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
     roots = _require(doc, "roots", "table")
     if not isinstance(roots, list):
         raise FileFormatError("table.roots: expected a list of integers")
-    table = RootTable(fix, fix.val(stp_count), tuple(roots))
-    walk = _least_roots(fix, stp_count)
+    stp = fix.val(stp_count)
+    indices = _check_table_config(fix, stp)
+    _check_entry_count(len(roots), indices)
+    table = _walk_table(fix, stp, indices)
+    walk = table.roots
     # the type test comes first: 174.0 == 174 and True == 1 in Python
-    if set(map(type, roots)) == {int} and table.roots == walk:
-        return RootTable(fix, table.stp, walk)
+    if set(map(type, roots)) == {int} and walk == tuple(roots):
+        return table
     bad = next(i for i, (g, w) in enumerate(zip(roots, walk))
                if type(g) is not int or g != w)
     if type(roots[bad]) is not int:

@@ -41,8 +41,10 @@ class RootTable:
     Construction checks the configuration and the entry count, not the
     roots.  build_root_table computes its roots by the upward walk,
     whose loop invariant is the root rule, and load_table accepts a
-    file only when its roots equal that walk; first_bad_root is the
-    per-entry check for tables made any other way.
+    file only when its roots equal that walk; both check the
+    configuration once and hold the walk in a table _walk_table builds
+    without checking it again.  first_bad_root is the per-entry check
+    for tables made any other way.
     """
 
     profile: FixProfile
@@ -52,9 +54,7 @@ class RootTable:
 
     def __post_init__(self) -> None:
         indices = _check_table_config(self.profile, self.stp)
-        if len(self.roots) != len(indices):
-            raise DomainError(f"table has {len(self.roots)} entries, "
-                              f"expected {len(indices)}")
+        _check_entry_count(len(self.roots), indices)
         object.__setattr__(self, "k_min", indices.start)
 
     @property
@@ -131,6 +131,27 @@ def _check_table_config(profile: FixProfile, stp: FixVal) -> range:
     return table_indices(profile, stp.count)
 
 
+def _check_entry_count(entries: int, indices: range) -> None:
+    """Refuse a table whose entry count is not that of its indices."""
+    if entries != len(indices):
+        raise DomainError(f"table has {entries} entries, "
+                          f"expected {len(indices)}")
+
+
+def _walk_table(profile: FixProfile, stp: FixVal,
+                indices: range) -> RootTable:
+    """The RootTable of _least_roots for a configuration the caller has
+    checked, indices = _check_table_config(profile, stp).  The table is
+    built without __post_init__, which would check the configuration a
+    second time; the walk has one entry per index."""
+    roots = _least_roots(profile, stp.count)
+    table = object.__new__(RootTable)
+    for name, value in (("profile", profile), ("stp", stp),
+                        ("roots", roots), ("k_min", indices.start)):
+        object.__setattr__(table, name, value)
+    return table
+
+
 def _env_limit(name: str, default: int) -> int:
     """The integer cap set by environment variable `name`, else default."""
     raw = os.environ.get(name)
@@ -189,7 +210,7 @@ def build_root_table(profile: FixProfile, stp: FixVal) -> RootTable:
     if len(indices) > limit:
         raise ResourceLimit(f"table would need {len(indices)} entries, "
                             f"cap {limit}")
-    return RootTable(profile, stp, _least_roots(profile, stp.count))
+    return _walk_table(profile, stp, indices)
 
 
 def _round_up_count(count: int, stp_count: int, profile: FixProfile) -> int:

@@ -31,9 +31,11 @@ lengths and brackets leave open): its correction c*m**2/(2*b*p*q) is
 recorded as those factors and built when a reader first asks for it,
 which a run that is only checked and reported never does (the halving
 rule reads the factors).  An applied pass squares m, p and p + q and
-gets q**2 from the norm by exact division.  No next iterate is built on
-a pass whose correction the caller does not apply.  The step keeps each
-pair and correction in lowest terms by one gcd against the part of
+gets q**2 from the norm by exact division; it forms the norm as
+c*(m*m), a squaring, because the general product (c*m)*m costs about
+1.4x a squaring of the same size on CPython.  No next iterate is built
+on a pass whose correction the caller does not apply.  The step keeps
+each pair and correction in lowest terms by one gcd against the part of
 their common denominator made of primes of 2*num(y)*den(y) (the only
 primes a common factor can contain), because a full gcd at the sizes
 reached by long runs is quadratic and would dominate the runtime.
@@ -63,9 +65,9 @@ from .errors import (
     ResourceLimit,
     SeedContractError,
 )
-from .exact import (Ordering, _lowest_terms, _rat_text, cmp_products,
-                    cmp_sqrt, decide_radical_lt, encode_int,
-                    fraction_from_coprime)
+from .exact import (Ordering, _lowest_terms, _radicand, _rat_text,
+                    _sqrt_sign, cmp_products, cmp_sqrt, decide_radical_lt,
+                    encode_int, fraction_from_coprime)
 from .fixarith import FixVal, _newton_step, fix_mul, require_same_grid
 from .floatmodel import FloatProfile, FloatVal, _require_base, compose
 from .lut import (RootTable, _check_table_config, _env_limit, _seed_count,
@@ -80,8 +82,8 @@ class _Factored(NamedTuple):
     with num = (c, m, m), the factors of the pass's norm c*m**2, and den =
     (2*b, p, q), every factor >= 0.  Every common factor of the two
     products divides s, the carried content of 2*b*p*q, so value()
-    builds the Fraction in lowest terms with one gcd, as an applied pass
-    builds its correction."""
+    builds the Fraction in lowest terms with one gcd, its numerator as
+    c*(m*m), as an applied pass builds its correction."""
 
     sign: int
     num: tuple[int, int, int]
@@ -89,7 +91,8 @@ class _Factored(NamedTuple):
     s: int
 
     def value(self) -> Fraction:
-        return _reduced(self.sign * math.prod(self.num), math.prod(self.den),
+        c, m, _ = self.num
+        return _reduced(self.sign * (c * (m * m)), math.prod(self.den),
                         self.s)
 
 
@@ -131,6 +134,29 @@ def _record_repr(record) -> str:
     return f"{type(record).__qualname__}({body})"
 
 
+def _record_state(record) -> tuple[dict, dict]:
+    """The state copy and pickle keep of a Trace or TraceStep: its other
+    fields as they are, and each Fraction field as its (numerator,
+    denominator) pair.  Python 3.10's Fraction pickles through str(),
+    which refuses a part past 4,300 digits; int pairs pickle on every
+    version."""
+    kept, pairs = {}, {}
+    for name, value in record.__dict__.items():
+        if type(value) is Fraction:
+            pairs[name] = value.numerator, value.denominator
+        else:
+            kept[name] = value
+    return kept, pairs
+
+
+def _restore_record(record, state: tuple[dict, dict]) -> None:
+    """Set the fields of record from a state _record_state made."""
+    kept, pairs = state
+    record.__dict__.update(kept)
+    for name, (num, den) in pairs.items():
+        record.__dict__[name] = fraction_from_coprime(num, den)
+
+
 @dataclass(frozen=True, repr=False)
 class TraceStep:
     """One loop pass: value before, the computed correction, value after.
@@ -162,10 +188,11 @@ class TraceStep:
             return value.num, value.den
         return (abs(value.numerator),), (value.denominator,)
 
-    def __getstate__(self) -> dict:
+    def __getstate__(self) -> tuple[dict, dict]:
         self.correction  # copies and pickles hold the built value
-        return self.__dict__
+        return _record_state(self)
 
+    __setstate__ = _restore_record
     __repr__ = _record_repr
 
 
@@ -183,6 +210,8 @@ class Trace:
     n_planned: int | None = None
     seed: Fraction | None = None
 
+    __getstate__ = _record_state
+    __setstate__ = _restore_record
     __repr__ = _record_repr
 
 
@@ -293,9 +322,14 @@ def _newton_steps(y: Fraction, x: Fraction, passes: int,
     pass whose correction is not applied forms no product above its
     inputs: it yields ad as a _Factored record of (c, m, m) over (2*b, p,
     q), which TraceStep builds when the correction is first read.  An
-    applied pass forms the norm c*m*m, p**2 and (p + q)**2, gets q**2 =
+    applied pass forms the norm c*(m*m), p**2 and (p + q)**2, gets q**2 =
     (b*p**2 - norm)/a by exact division and 2*p*q = (p + q)**2 - p**2 -
-    q**2: three squarings.
+    q**2: three squarings.  The norm is c*(m*m) because c*m*m = (c*m)*m
+    multiplies two different long integers, and CPython takes its
+    squaring path only when both operands are one object: a general
+    product costs 1.35x to 1.47x a squaring of the same size (CPython
+    3.11, 20K to 120K bits).  After the first pass c is at most b (on
+    the first, m is 1), so c*(m*m) is a squaring and a short product.
 
     Every common factor of norm or of the next numerator with 2*b*p*q
     divides 2*a*b, so both are reduced by one gcd against s, the part of
@@ -334,7 +368,7 @@ def _newton_steps(y: Fraction, x: Fraction, passes: int,
             yield _Factored(sign * ((c > 0) - (c < 0)), (abs(c), m, m),
                             (2 * b, p, q), s), x
             return
-        norm = c * m * m
+        norm = c * (m * m)
         pp = p * p
         bpp = b * pp
         aqq = bpp - norm
@@ -449,8 +483,18 @@ def min_iterations_for_step(stp: FixVal, eps: FixVal) -> int:
 
 
 def _legal_count(y: Fraction, eps: Fraction, seed: Fraction, n: int) -> bool:
-    """fsqr_exact's rule for n: seed - eps*2**(n-1) <= sqrt(y)."""
-    return cmp_sqrt(seed - eps * _pow2(n - 1), y) is not Ordering.GREATER
+    """fsqr_exact's rule for n >= 0: seed - eps*2**(n-1) <= sqrt(y),
+    decided by _sqrt_sign on the unreduced integer parts of the left
+    side, so no Fraction is built: (sn*ed - (en*sd << (n - 1)))/(sd*ed)
+    for n >= 1, and (2*sn*ed - en*sd)/(2*sd*ed) for n = 0."""
+    a, b = _radicand(y)
+    sn, sd = seed.numerator, seed.denominator
+    en, ed = eps.numerator, eps.denominator
+    if n:
+        num, den = sn * ed - (en * sd << (n - 1)), sd * ed
+    else:
+        num, den = 2 * sn * ed - en * sd, 2 * sd * ed
+    return _sqrt_sign(num, den, a, b) <= 0
 
 
 def min_legal_iterations(y: Fraction, eps: Fraction,

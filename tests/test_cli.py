@@ -119,6 +119,50 @@ class TestTableBuild:
         assert distinct < len(table.roots) and min(table.roots) > 256
         assert len({id(g) for g in table.roots}) == distinct
 
+    def test_one_check_and_one_walk_per_load(self, demo_profile_path,
+                                             demo_table_path, monkeypatch):
+        """An accepted load checks the profile and step once and walks the
+        roots once; so does a build."""
+        from certisqrt import cli, lut
+        fix, fprof, step = load_profile(demo_profile_path)
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        check = counted("check", lut._check_table_config)
+        monkeypatch.setattr(lut, "_check_table_config", check)
+        monkeypatch.setattr(cli, "_check_table_config", check)
+        monkeypatch.setattr(lut, "_least_roots",
+                            counted("walk", lut._least_roots))
+        table = load_table(demo_table_path, fix,
+                           profile_digest(fix, fprof, step))
+        assert calls == ["check", "walk"]
+        calls.clear()
+        assert lut.build_root_table(fix, step.stp) == table
+        assert calls == ["check", "walk"]
+
+    @pytest.mark.parametrize("change", [
+        lambda roots: roots[:-1],
+        lambda roots: roots + roots[-1:],
+        lambda roots: [],
+        # the count is refused before any entry is read
+        lambda roots: ["x"] + roots[2:],
+    ])
+    def test_wrong_length_refused(self, demo_profile_path, demo_table_path,
+                                  tmp_path, change):
+        fix, fprof, step = load_profile(demo_profile_path)
+        doc = json.loads(Path(demo_table_path).read_text())
+        roots = change(doc["roots"])
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({**doc, "roots": roots}))
+        with pytest.raises(DomainError) as exc:
+            load_table(str(path), fix, profile_digest(fix, fprof, step))
+        assert str(exc.value) == f"table has {len(roots)} entries, expected 60"
+
     def test_size_cap_env(self, demo_profile_path, tmp_path, monkeypatch):
         monkeypatch.setenv("CERTISQRT_MAX_TABLE", "10")
         code = main(["table-build", demo_profile_path,

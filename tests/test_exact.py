@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction as F
 from unittest import mock
 
@@ -676,9 +677,23 @@ class TestLosslessEncoding:
         assert encode_int(-n) == -n
 
     def test_hex_above_the_threshold(self):
-        n = 1 << exact._DECIMAL_MAX_BITS
+        for n in (1 << exact._DECIMAL_MAX_BITS,
+                  (1 << exact._DECIMAL_MAX_BITS) + 1):
+            assert encode_int(n) == hex(n)
+            assert encode_int(-n) == "-" + hex(n)
+
+    @given(st.integers(exact._DECIMAL_MAX_BITS + 1, 200_000),
+           st.integers(0, 2 ** 64), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_hex_is_hex(self, bits, seed, negative):
+        """The to_bytes route writes what hex() writes, for every top
+        byte: below 16 it leaves one leading 0 nibble to strip."""
+        rng = random.Random(seed)
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        if negative:
+            n = -n
         assert encode_int(n) == hex(n)
-        assert encode_int(-n) == "-" + hex(n)
+        assert int(encode_int(n), 0) == n
 
     def test_message_text_is_str_while_parts_are_short(self):
         n = (1 << exact._DECIMAL_MAX_BITS) - 1

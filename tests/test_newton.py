@@ -284,6 +284,67 @@ class TestMinLegalIterations:
                     is Ordering.GREATER
 
 
+def _legal_by_fractions(y, eps, seed, n):
+    """fsqr_exact's rule for n as a Fraction formula."""
+    return cmp_sqrt(seed - eps * F(2) ** (n - 1), y) is not Ordering.GREATER
+
+
+class TestLegalCountOnIntegers:
+    """newton._legal_count decides seed - eps*2**(n-1) <= sqrt(y) on
+    integer parts as the Fraction formula does."""
+
+    @given(ys, epss, st.integers(0, 80), st.integers(-4, 2 ** 20))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_formula(self, y, eps, n, lift):
+        lo = sqrt_enclosure(y, 16).lo
+        for seed in (y, lo, lo + eps * lift, lo + eps * F(lift, 2 ** 20)):
+            assert newton._legal_count(y, eps, seed, n) == \
+                _legal_by_fractions(y, eps, seed, n)
+
+    @given(st.integers(1, 300), st.integers(1, 30), epss,
+           st.integers(0, 80))
+    @settings(max_examples=300, deadline=None)
+    def test_at_and_next_to_the_root(self, top, bottom, eps, n):
+        """y a square: a seed exactly at the root, on the rule's boundary
+        (seed - eps*2**(n-1) = sqrt(y)), and one unit of eps either side
+        of each."""
+        root = F(top, bottom)
+        y = root * root
+        edge = root + eps * F(2) ** (n - 1)
+        for seed in (root, root - eps, root + eps, edge, edge - eps,
+                     edge + eps):
+            assert newton._legal_count(y, eps, seed, n) == \
+                _legal_by_fractions(y, eps, seed, n)
+        assert newton._legal_count(y, eps, edge, n)
+        assert not newton._legal_count(y, eps, edge + eps, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 80])
+    def test_int_inputs(self, n):
+        for y, eps, seed in [(2, 1, 3), (4, 1, 2), (F(9, 4), 1, 7),
+                             (10 ** 6, F(1, 3), 10 ** 6)]:
+            assert newton._legal_count(y, eps, seed, n) == \
+                _legal_by_fractions(F(y), F(eps), F(seed), n)
+
+    def test_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        y, eps, seed = F(26066, 3), F(1, 1000), F(26066, 3)
+        want = [_legal_by_fractions(y, eps, seed, n) for n in range(30)]
+        assert want.index(True) == 25
+        monkeypatch.setattr(F, "__new__", refuse)
+        assert [newton._legal_count(y, eps, seed, n)
+                for n in range(30)] == want
+
+    def test_negative_radicand_refused(self):
+        for y in (F(-1), F(-3, 7)):
+            for seed in (F(1), F(-2)):
+                with pytest.raises(DomainError) as exc:
+                    min_legal_iterations(y, F(1, 10), seed)
+                assert str(exc.value) == \
+                    f"cmp_sqrt requires y >= 0, got {y}"
+
+
 def former_min_legal_iterations(y, eps, seed_value):
     """The linear search min_legal_iterations used first."""
     n = 0
@@ -1128,7 +1189,7 @@ class TestReducedByCarriedContent:
 
 class TestExactStep:
     """_newton_steps forms an applied pass from the carried norm's factors
-    and two squarings, and an exit pass from nothing: its correction is a
+    and three squarings, and an exit pass from nothing: its correction is a
     record of the product formula's factors.  It builds no iterate on a
     pass whose correction is not applied."""
 
@@ -1260,24 +1321,38 @@ class TestExitCorrectionBuiltWhenRead:
             step, eager = trace.steps[-1], want.steps[-1]
             assert _unbuilt(step) == eager and eager == _unbuilt(step)
             assert hash(_unbuilt(step)) == hash(eager)
-            # Python 3.10's Fraction pickles through str(), which refuses
-            # parts past 4300 digits, for steps built eagerly too; repr
-            # writes long parts in hex
+            # repr writes long parts in hex, and a step pickles its
+            # Fractions as int pairs, so neither refuses a long part
             assert _result_or_refusal(repr, _unbuilt(step)) == \
                 _result_or_refusal(repr, eager)
             for dup in (copy.copy, copy.deepcopy):
                 twin = dup(_unbuilt(step))
                 assert twin == eager and twin.__dict__ == eager.__dict__
-            pickled = _result_or_refusal(pickle.dumps, _unbuilt(step))
-            assert pickled == _result_or_refusal(pickle.dumps, eager)
-            if type(pickled) is bytes:
-                assert pickle.loads(pickled) == eager
+            pickled = pickle.dumps(_unbuilt(step))
+            assert pickled == pickle.dumps(eager)
+            assert pickle.loads(pickled) == eager
             assert dataclasses.replace(_unbuilt(step), k=7) == \
                 dataclasses.replace(eager, k=7)
             assert dataclasses.astuple(_unbuilt(step)) == \
                 dataclasses.astuple(eager)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 _unbuilt(step).correction = F(0)
+
+    @given(ys, epss)
+    @example(F(26066, 3), F(1, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_value_is_the_eager_correction(self, y, eps):
+        """value() builds the Fraction a reference run builds eagerly,
+        prod(num)/prod(den) in lowest terms."""
+        for trace, want in _until_runs(y, eps):
+            record = trace.steps[-1].__dict__["correction"]
+            assert type(record) is newton._Factored
+            d, eager = record.value(), want.steps[-1].correction
+            assert type(d) is F
+            assert (d.numerator, d.denominator) == \
+                (eager.numerator, eager.denominator)
+            assert d == F(record.sign * math.prod(record.num),
+                          math.prod(record.den))
 
     def test_only_the_unapplied_exit_is_kept_as_factors(self):
         y, eps = F(10 ** 4 - 1, 99), F(1, 10 ** 6)
@@ -1295,6 +1370,58 @@ class TestExitCorrectionBuiltWhenRead:
         # a built or eager correction reads as its one-factor sequences
         assert step.correction_factors() == \
             ((abs(step.correction.numerator),), (step.correction.denominator,))
+
+
+def _python_310_reduce(self):
+    """Fraction.__reduce__ as Python 3.10 defines it: through str(),
+    which refuses a part past 4,300 digits."""
+    return (type(self), (str(self),))
+
+
+class TestTracePickle:
+    """A Trace and its steps pickle each Fraction field as its int pair,
+    so a long run pickles on Python 3.10 too; loading, copy and deepcopy
+    give back equal records with equal hashes."""
+
+    def test_long_run_round_trips(self):
+        _, trace = sqr_exact(F(26066, 3), F(1, 1000))
+        step = trace.steps[-1]
+        unbuilt = _unbuilt(step)
+        assert step.correction.denominator.bit_length() > 4300 * 3.33
+        for record in (unbuilt, step, trace):
+            for back in (pickle.loads(pickle.dumps(record)),
+                         copy.copy(record), copy.deepcopy(record)):
+                assert type(back) is type(record)
+                assert back == record and hash(back) == hash(record)
+                assert back.__dict__ == record.__dict__
+        assert type(unbuilt.__dict__["correction"]) is F
+
+    def test_under_the_python_310_fraction_reduce(self, monkeypatch):
+        _, trace = sqr_exact(F(26066, 3), F(1, 1000))
+        pickled = [pickle.dumps(r) for r in (trace.steps[-1], trace)]
+        monkeypatch.setattr(F, "__reduce__", _python_310_reduce)
+        with pytest.raises(ValueError):
+            pickle.dumps(trace.steps[-1].correction)
+        assert [pickle.dumps(r) for r in (trace.steps[-1], trace)] == pickled
+        assert pickle.loads(pickled[1]) == trace
+
+    @pytest.mark.parametrize("run", [
+        lambda: sqr_exact(F(4), F(1, 2)),
+        lambda: fsqr_exact(F(2), F(1, 100), F(3, 2),
+                           min_legal_iterations(F(2), F(1, 100), F(3, 2))),
+        lambda: isqr_exact(F(2), F(1, 10 ** 6), F(3, 2)),
+    ])
+    def test_short_runs_round_trip(self, run):
+        _, trace = run()
+        back = pickle.loads(pickle.dumps(trace))
+        assert back == trace and repr(back) == repr(trace)
+
+    def test_grid_steps_round_trip(self):
+        fix = FixProfile(1000, 20000, 20000)
+        table = build_root_table(fix, fix.val(16))
+        _, trace = fix_sqr(fix.val(6434), fix.val(8), table, 3)
+        for step in trace.steps:
+            assert pickle.loads(pickle.dumps(step)) == step
 
 
 def _dataclass_repr(record):
