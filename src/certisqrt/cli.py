@@ -30,7 +30,7 @@ from .lut import (
     StepConfig,
     _check_entry_count,
     _check_table_config,
-    _walk_table,
+    _least_roots,
     build_root_table,
     validate_step,
 )
@@ -192,9 +192,8 @@ def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
     if not isinstance(roots, list):
         raise FileFormatError("table.roots: expected a list of integers")
     stp = fix.val(stp_count)
-    indices = _check_table_config(fix, stp)
-    _check_entry_count(len(roots), indices)
-    table = _walk_table(fix, stp, indices)
+    _check_entry_count(len(roots), _check_table_config(fix, stp))
+    table = RootTable(fix, stp, _least_roots(fix, stp.count))
     walk = table.roots
     # the type test comes first: 174.0 == 174 and True == 1 in Python
     if set(map(type, roots)) == {int} and walk == tuple(roots):

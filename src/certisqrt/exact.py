@@ -8,18 +8,19 @@ participates in a verdict.
 
 Every predicate works on integer numerators and denominators; none
 builds or normalises a Fraction.  Every radical decision ends in one
-rule, the sign of n/d - sqrt(a/b) for unreduced parts, decided by the
-primitive _sqrt_sign(n, d, a, b).  cmp_sqrt is a thin wrapper over it;
-within_of_sqrt hands it the pairs of q - bound and q + bound, except
-that when all their parts are short _within_signs applies the rule to
-both pairs itself, against one shared product.  decide_radical_lt and
-sqrt_abs_err_lt multiply through by a positive common denominator and
-write sqrt(num/den) as sqrt(num*den)/den, so both end in _lt_radical,
-which decides L < K*sqrt(M) on integers as the sign of L/K - sqrt(M),
-reversed when K < 0.  The sign is that of n**2*b - a*d**2.  When n and
-d both have at most _SHORT_BITS bits, as on every grid request,
-_sqrt_sign forms the two products itself.  Longer operands go to
-cmp_products as the factor sequences (n, n, b) and (a, d, d).
+rule, the sign of n/d - sqrt(a/b) for unreduced parts: -1 when n < 0,
+otherwise the sign of n**2*b - a*d**2.  _sqrt_sign applies it by one
+cmp_products call on the factor sequences (n, n, b) and (a, d, d), and
+cmp_sqrt is a thin wrapper over it.  within_of_sqrt needs the rule for
+the pairs of q - bound and q + bound; _within_signs hands them to
+_sqrt_sign, except that when all their parts have at most _SHORT_BITS
+bits, as on every grid request, it forms the short products itself,
+against one shared a*den**2.  It is the one place short products are
+formed.  decide_radical_lt and sqrt_abs_err_lt multiply through by a
+positive common denominator and write sqrt(num/den) as
+sqrt(num*den)/den, so both end in _lt_radical, which decides
+L < K*sqrt(M) on integers as the sign of L/K - sqrt(M), reversed when
+K < 0.
 
 cmp_products(xs, ys) decides the sign of prod(xs) - prod(ys) for two
 sequences of factors >= 0 in stages, and forms a product only in the
@@ -36,14 +37,14 @@ factors of the carried norm and verify's halving rule on the factors of
 two corrections, so neither forms the products it compares unless the
 first two stages leave the comparison open.
 
-Where a Fraction is wanted for a pair of integers, such as a float
-value's parts, it is built by _lowest_terms in one call: one gcd, then
-object.__new__(Fraction) with its two slots, _numerator and
-_denominator, set once, as fraction_from_coprime builds exact iterates
-and fixarith.FixVal.value builds the value count/d of a grid count.
-Fraction's constructor, Python code that checks its arguments and fills
-both slots itself, never runs; all three rely on fractions.py keeping
-a Fraction's parts in those two slots.
+A Fraction from a pair of integers is built without Fraction's
+constructor, which checks its arguments and fills both slots in Python
+code: fraction_from_coprime makes it by object.__new__(Fraction) with
+its two slots, _numerator and _denominator, set once, for parts already
+in lowest terms, and _lowest_terms divides out one gcd first.
+fixarith.FixVal.value builds count/d the same way in its own body.
+Both rely on fractions.py keeping a Fraction's parts in those two
+slots.
 """
 from __future__ import annotations
 
@@ -89,16 +90,11 @@ def fraction_from_coprime(num: int, den: int) -> Fraction:
 
 def _lowest_terms(num: int, den: int) -> Fraction:
     """Fraction(num, den) for integers num and den > 0, reduced by one
-    math.gcd and built like fraction_from_coprime, inline, so a value
-    costs one Python call.  It builds the general pairs: a float
-    value's count*base**e/d, a profile's bounds and a grid trace's
-    corrections.  FixVal.value builds count/d the same way in its own
-    body, which saves that call on every read of a grid value."""
+    math.gcd and built by fraction_from_coprime.  It builds the general
+    pairs: a float value's count*base**e/d, a profile's bounds and a
+    grid trace's corrections."""
     g = math.gcd(num, den)
-    f = object.__new__(Fraction)
-    f._numerator = num // g
-    f._denominator = den // g
-    return f
+    return fraction_from_coprime(num // g, den // g)
 
 
 # Below 2**2126 < 10**640 an integer has at most 640 decimal digits, the
@@ -136,9 +132,9 @@ def _rat_text(q: Fraction | int) -> str:
     return rat_str(q).removesuffix("/1")
 
 
-# The filter keeps the top _FILTER_BITS bits of each factor; cmp_sqrt
-# uses it once a part of q is longer than _SHORT_BITS = 2*_FILTER_BITS
-# bits.
+# The filter keeps the top _FILTER_BITS bits of each factor.
+# _within_signs forms its products itself while every part has at most
+# _SHORT_BITS bits; longer parts go through the filter.
 _FILTER_BITS = 128
 _SHORT_BITS = 2 * _FILTER_BITS
 
@@ -204,7 +200,7 @@ def cmp_products(xs: Sequence[int], ys: Sequence[int]) -> int:
 def _radicand(y: Fraction) -> tuple[int, int]:
     """(num(y), den(y)) of a radicand, which must be >= 0."""
     if y.numerator < 0:
-        raise DomainError(f"cmp_sqrt requires y >= 0, got {_rat_text(y)}")
+        raise DomainError(f"radicand must be >= 0, got {_rat_text(y)}")
     return y.numerator, y.denominator
 
 
@@ -213,17 +209,11 @@ def _sqrt_sign(n: int, d: int, a: int, b: int) -> int:
     parts need not be in lowest terms.
 
     Negative n/d is below the root; otherwise the sign is that of
-    n**2*b - a*d**2, through cmp_products once n or d is long, and from
-    the two products formed here when both are short.  Each bit length
-    is read on its own: (n | d).bit_length() would form an integer as
-    long as the operands.
+    n**2*b - a*d**2, decided by cmp_products on the factors.
     """
     if n < 0:
         return -1
-    if n.bit_length() > _SHORT_BITS or d.bit_length() > _SHORT_BITS:
-        return cmp_products((n, n, b), (a, d, d))
-    lhs, rhs = n * n * b, a * d * d
-    return (lhs > rhs) - (lhs < rhs)
+    return cmp_products((n, n, b), (a, d, d))
 
 
 def cmp_sqrt(q: Fraction, y: Fraction) -> Ordering:
@@ -238,9 +228,9 @@ def _within_signs(q: Fraction, y: Fraction,
     unreduced pairs (lo, den) and (hi, den) of q - bound and q + bound.
 
     When lo, hi and den all have at most _SHORT_BITS bits, as on every
-    grid request, both signs are decided here, as _sqrt_sign decides
-    them, against the one product a*den**2; otherwise by two _sqrt_sign
-    calls.
+    grid request, both signs are decided here, by _sqrt_sign's rule on
+    products formed here against the one product a*den**2; otherwise by
+    two _sqrt_sign calls.
     """
     bn, bd = bound.numerator, bound.denominator
     if bn < 0:

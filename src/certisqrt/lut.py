@@ -41,10 +41,10 @@ class RootTable:
     Construction checks the configuration and the entry count, not the
     roots.  build_root_table computes its roots by the upward walk,
     whose loop invariant is the root rule, and load_table accepts a
-    file only when its roots equal that walk; both check the
-    configuration once and hold the walk in a table _walk_table builds
-    without checking it again.  first_bad_root is the per-entry check
-    for tables made any other way.
+    file only when its roots equal that walk.  Both also check the
+    configuration before they walk, so a bad one is refused before any
+    root is computed.  first_bad_root is the per-entry check for tables
+    made any other way.
     """
 
     profile: FixProfile
@@ -138,20 +138,6 @@ def _check_entry_count(entries: int, indices: range) -> None:
                           f"expected {len(indices)}")
 
 
-def _walk_table(profile: FixProfile, stp: FixVal,
-                indices: range) -> RootTable:
-    """The RootTable of _least_roots for a configuration the caller has
-    checked, indices = _check_table_config(profile, stp).  The table is
-    built without __post_init__, which would check the configuration a
-    second time; the walk has one entry per index."""
-    roots = _least_roots(profile, stp.count)
-    table = object.__new__(RootTable)
-    for name, value in (("profile", profile), ("stp", stp),
-                        ("roots", roots), ("k_min", indices.start)):
-        object.__setattr__(table, name, value)
-    return table
-
-
 def _env_limit(name: str, default: int) -> int:
     """The integer cap set by environment variable `name`, else default."""
     raw = os.environ.get(name)
@@ -210,7 +196,7 @@ def build_root_table(profile: FixProfile, stp: FixVal) -> RootTable:
     if len(indices) > limit:
         raise ResourceLimit(f"table would need {len(indices)} entries, "
                             f"cap {limit}")
-    return _walk_table(profile, stp, indices)
+    return RootTable(profile, stp, _least_roots(profile, stp.count))
 
 
 def _round_up_count(count: int, stp_count: int, profile: FixProfile) -> int:

@@ -119,10 +119,11 @@ class TestTableBuild:
         assert distinct < len(table.roots) and min(table.roots) > 256
         assert len({id(g) for g in table.roots}) == distinct
 
-    def test_one_check_and_one_walk_per_load(self, demo_profile_path,
-                                             demo_table_path, monkeypatch):
-        """An accepted load checks the profile and step once and walks the
-        roots once; so does a build."""
+    def test_one_walk_per_load(self, demo_profile_path, demo_table_path,
+                               monkeypatch):
+        """An accepted load walks the roots once, after a check of the
+        profile and step, and the table checks them as it is made; so
+        does a build."""
         from certisqrt import cli, lut
         fix, fprof, step = load_profile(demo_profile_path)
         calls = []
@@ -136,14 +137,15 @@ class TestTableBuild:
         check = counted("check", lut._check_table_config)
         monkeypatch.setattr(lut, "_check_table_config", check)
         monkeypatch.setattr(cli, "_check_table_config", check)
-        monkeypatch.setattr(lut, "_least_roots",
-                            counted("walk", lut._least_roots))
+        walk = counted("walk", lut._least_roots)
+        monkeypatch.setattr(lut, "_least_roots", walk)
+        monkeypatch.setattr(cli, "_least_roots", walk)
         table = load_table(demo_table_path, fix,
                            profile_digest(fix, fprof, step))
-        assert calls == ["check", "walk"]
+        assert calls == ["check", "walk", "check"]
         calls.clear()
         assert lut.build_root_table(fix, step.stp) == table
-        assert calls == ["check", "walk"]
+        assert calls == ["check", "walk", "check"]
 
     @pytest.mark.parametrize("change", [
         lambda roots: roots[:-1],

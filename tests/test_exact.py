@@ -22,6 +22,9 @@ from certisqrt.exact import (
     sqrt_enclosure,
     within_of_sqrt,
 )
+from certisqrt.fixarith import FixProfile
+from certisqrt.lut import build_root_table
+from certisqrt.newton import min_legal_iterations, mix_sqr, sqr_exact
 from certisqrt.report import CheckResult, VerifyReport
 
 rationals = st.fractions(min_value=F(-100), max_value=F(100),
@@ -345,6 +348,58 @@ class TestWithinSigns:
             assert exact._within_signs(q, F(3), bound) == (-1, -1)
 
 
+def _sign_calls():
+    """Patches that count the calls of exact._sqrt_sign and
+    exact.cmp_products and still make them."""
+    return (mock.patch.object(exact, "_sqrt_sign", wraps=exact._sqrt_sign),
+            mock.patch.object(exact, "cmp_products",
+                              wraps=exact.cmp_products))
+
+
+class TestOneShortPath:
+    """_within_signs is the one place short sign products are formed: a
+    mix request's verdict reaches neither _sqrt_sign nor cmp_products,
+    and a long final-error check reaches cmp_products."""
+
+    def test_mix_verdicts_form_their_own_products(self):
+        # grid_serve's wide profile: d = 1000, stp 16/1000, eps 8/1000
+        fix = FixProfile(1000, 4_000_000, 4_000_000)
+        table = build_root_table(fix, fix.val(16))
+        eps = fix.val(8)
+        rng = random.Random(1)
+        counts = [1001, 2_000_000,
+                  *(rng.randint(1001, 2_000_000) for _ in range(200))]
+        ys = [fix.val(c) for c in counts]
+        runs = [(mix_sqr(y, eps, table)[0], y) for y in ys]
+        sign, products = _sign_calls()
+        with sign as sign_calls, products as product_calls:
+            assert all(within_of_sqrt(x.value, y.value, eps.value,
+                                      strict=True) for x, y in runs)
+        assert sign_calls.call_count == product_calls.call_count == 0
+
+    def test_long_final_error_reaches_cmp_products(self):
+        # a pair of verify.sample_rationals(300, 1) whose result has
+        # about 121,000-bit parts, as exact_certify's longest do
+        y, eps = F(848126182, 907), F(41969, 1000000)
+        x, _ = sqr_exact(y, eps)
+        assert x.denominator.bit_length() > 100_000
+        sign, products = _sign_calls()
+        with sign as sign_calls, products as product_calls:
+            assert within_of_sqrt(x, y, eps)
+        assert sign_calls.call_count == product_calls.call_count == 2
+
+
+@pytest.mark.parametrize("refused", [
+    lambda y: cmp_sqrt(F(1), y),
+    lambda y: within_of_sqrt(F(1), y, F(1)),
+    lambda y: min_legal_iterations(y, F(1, 10), F(1)),
+], ids=["cmp_sqrt", "within_of_sqrt", "min_legal_iterations"])
+def test_negative_radicand_message_names_the_rule(refused):
+    with pytest.raises(DomainError) as exc:
+        refused(F(-2, 3))
+    assert str(exc.value) == "radicand must be >= 0, got -2/3"
+
+
 class TestSqrtEnclosure:
     def test_perfect_square_degenerate(self):
         e = sqrt_enclosure(F(4), 10)
@@ -623,9 +678,9 @@ class TestLowestTerms:
 
 
 class TestSqrtSignThreshold:
-    """_sqrt_sign forms n**2*b and a*d**2 itself while n and d have at
-    most 2*_FILTER_BITS = 256 bits, and hands longer operands to
-    cmp_products; both decide every side of a tie alike."""
+    """_sqrt_sign decides a non-negative n/d by one cmp_products call
+    whatever the operand size, on every side of a tie, at lengths on
+    both sides of _within_signs' short size, 2*_FILTER_BITS = 256 bits."""
 
     @pytest.mark.parametrize("bits", [255, 256, 257])
     @pytest.mark.parametrize("long_part", ["n", "d"])
@@ -650,8 +705,7 @@ class TestSqrtSignThreshold:
                 got = exact._sqrt_sign(n, d, a, b)
                 assert got == want == real((n, n * b), (a * d, d)), \
                     (dn, da)
-                assert len(calls) == (max(n.bit_length(),
-                                          d.bit_length()) > 256)
+                assert len(calls) == 1
 
 
 def test_fraction_from_coprime_matches_fraction():

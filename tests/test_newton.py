@@ -342,7 +342,7 @@ class TestLegalCountOnIntegers:
                 with pytest.raises(DomainError) as exc:
                     min_legal_iterations(y, F(1, 10), seed)
                 assert str(exc.value) == \
-                    f"cmp_sqrt requires y >= 0, got {y}"
+                    f"radicand must be >= 0, got {y}"
 
 
 def former_min_legal_iterations(y, eps, seed_value):

@@ -3,7 +3,8 @@
 FixVal and FloatVal are immutable records whose equality, hashing, repr
 and str follow their fields, and which carry no per-instance __dict__;
 their hand-written __init__ keeps the generated one's signature.
-FixVal.value, exact._lowest_terms and exact.fraction_from_coprime build
+exact.fraction_from_coprime, which exact._lowest_terms calls after one
+gcd, and FixVal.value, which does the same in its own body, build
 Fractions that behave exactly like Fraction(n, d) without running
 Fraction's constructor, so reading a grid value costs no constructor
 call.
