@@ -28,10 +28,8 @@ from .floatmodel import (
 from .lut import (
     RootTable,
     StepConfig,
-    _check_entry_count,
-    _check_table_config,
-    _least_roots,
     build_root_table,
+    first_bad_root,
     validate_step,
 )
 from .newton import (
@@ -171,10 +169,12 @@ def table_file_bytes(table: RootTable, profile_hash: str) -> bytes:
 
 
 def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
-    """The table file at path, accepted when its roots are all ints and
-    equal the upward walk that build_root_table takes.  Otherwise the
-    first faulty entry in index order is reported, a non-integer as
-    FileFormatError and a wrong root as DomainError.
+    """The table file at path: build_root_table of its step, accepted
+    when the file's roots are all ints and equal the built ones, so a
+    load passes every check a build does, CERTISQRT_MAX_TABLE included.
+    A refused file is diagnosed by lut's rules: a RootTable of its roots
+    refuses a wrong entry count, and the entry first_bad_root finds is
+    reported as FileFormatError if not an int, else as DomainError.
 
     An accepted table holds the walk, not the file's list: the walk
     shares one int per run of equal roots, where the parsed list holds
@@ -191,19 +191,14 @@ def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
     roots = _require(doc, "roots", "table")
     if not isinstance(roots, list):
         raise FileFormatError("table.roots: expected a list of integers")
-    stp = fix.val(stp_count)
-    _check_entry_count(len(roots), _check_table_config(fix, stp))
-    table = RootTable(fix, stp, _least_roots(fix, stp.count))
-    walk = table.roots
+    table = build_root_table(fix, fix.val(stp_count))
     # the type test comes first: 174.0 == 174 and True == 1 in Python
-    if set(map(type, roots)) == {int} and walk == tuple(roots):
+    if set(map(type, roots)) == {int} and table.roots == tuple(roots):
         return table
-    bad = next(i for i, (g, w) in enumerate(zip(roots, walk))
-               if type(g) is not int or g != w)
-    if type(roots[bad]) is not int:
+    bad = first_bad_root(RootTable(fix, table.stp, tuple(roots)))
+    if type(roots[bad - table.k_min]) is not int:
         raise FileFormatError("table.roots: expected a list of integers")
-    raise DomainError(f"table {path} failed revalidation at index "
-                      f"{table.k_min + bad}")
+    raise DomainError(f"table {path} failed revalidation at index {bad}")
 
 
 def _bound_table(args: argparse.Namespace, fix: FixProfile,

@@ -277,12 +277,9 @@ class SqrtEnclosure:
 
 def sqrt_enclosure(y: Fraction, p: int) -> SqrtEnclosure:
     """Enclose sqrt(y) with lo**2 <= y <= hi**2 and hi - lo <= 2**-p."""
-    if y < 0:
-        raise DomainError(f"sqrt_enclosure requires y >= 0, "
-                          f"got {_rat_text(y)}")
+    a, b = _radicand(y)
     if p < 0:
         raise DomainError(f"precision must be >= 0, got {p}")
-    a, b = y.numerator, y.denominator
     if a == 0:
         zero = Fraction(0)
         return SqrtEnclosure(zero, zero)

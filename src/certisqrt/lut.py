@@ -39,12 +39,12 @@ class RootTable:
     only for a legal configuration.
 
     Construction checks the configuration and the entry count, not the
-    roots.  build_root_table computes its roots by the upward walk,
-    whose loop invariant is the root rule, and load_table accepts a
-    file only when its roots equal that walk.  Both also check the
-    configuration before they walk, so a bad one is refused before any
-    root is computed.  first_bad_root is the per-entry check for tables
-    made any other way.
+    roots.  build_root_table checks the configuration and the size cap,
+    so a bad one is refused before any root is computed, then computes
+    the roots by the upward walk, whose loop invariant is the root rule.
+    The CLI's table file is loaded as that build, accepted when the
+    file's roots equal it.  first_bad_root is the per-entry check for
+    tables made any other way, a refused file's roots included.
     """
 
     profile: FixProfile
@@ -113,7 +113,9 @@ def table_indices(profile: FixProfile, stp_count: int) -> range:
 
 def first_bad_root(table: RootTable) -> int | None:
     """Index of the first entry that is not an int (a bool is not) or not
-    the least count g with g**2 >= k*stp*d, or None when every entry is."""
+    the least count g with g**2 >= k*stp*d, or None when every entry is.
+    The one per-entry fault search: the table suite runs it, and a load
+    on a file whose roots differ from the build."""
     scale = table.stp.count * table.profile.delta_den
     for k, g in enumerate(table.roots, table.k_min):
         target = k * scale

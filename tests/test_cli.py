@@ -17,7 +17,7 @@ from certisqrt.cli import (
     table_file_bytes,
     trace_rows,
 )
-from certisqrt.errors import DomainError
+from certisqrt.errors import DomainError, ResourceLimit
 from certisqrt.fixarith import FixProfile, FixVal
 from certisqrt.newton import sqr_exact
 from certisqrt.verify import grid_values
@@ -123,7 +123,11 @@ class TestTableBuild:
                                monkeypatch):
         """An accepted load walks the roots once, after a check of the
         profile and step, and the table checks them as it is made; so
-        does a build."""
+        does a build.  The table rules live in lut alone: cli imports no
+        private name from it."""
+        import ast
+        import inspect
+
         from certisqrt import cli, lut
         fix, fprof, step = load_profile(demo_profile_path)
         calls = []
@@ -134,18 +138,23 @@ class TestTableBuild:
                 return real(*args)
             return wrapper
 
-        check = counted("check", lut._check_table_config)
-        monkeypatch.setattr(lut, "_check_table_config", check)
-        monkeypatch.setattr(cli, "_check_table_config", check)
-        walk = counted("walk", lut._least_roots)
-        monkeypatch.setattr(lut, "_least_roots", walk)
-        monkeypatch.setattr(cli, "_least_roots", walk)
+        monkeypatch.setattr(lut, "_check_table_config",
+                            counted("check", lut._check_table_config))
+        monkeypatch.setattr(lut, "_least_roots",
+                            counted("walk", lut._least_roots))
         table = load_table(demo_table_path, fix,
                            profile_digest(fix, fprof, step))
         assert calls == ["check", "walk", "check"]
         calls.clear()
         assert lut.build_root_table(fix, step.stp) == table
         assert calls == ["check", "walk", "check"]
+        imported = [alias.name
+                    for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "lut"
+                    for alias in node.names]
+        assert "build_root_table" in imported
+        assert not [name for name in imported if name.startswith("_")]
 
     @pytest.mark.parametrize("change", [
         lambda roots: roots[:-1],
@@ -170,6 +179,21 @@ class TestTableBuild:
         code = main(["table-build", demo_profile_path,
                      str(tmp_path / "t.json")])
         assert code == 1
+
+    def test_size_cap_env_on_load(self, demo_profile_path, demo_table_path,
+                                  monkeypatch, capsys):
+        """A load builds its table, so the cap refuses it as it refuses
+        the build, with the same text."""
+        fix, fprof, step = load_profile(demo_profile_path)
+        monkeypatch.setenv("CERTISQRT_MAX_TABLE", "10")
+        with pytest.raises(ResourceLimit) as exc:
+            load_table(demo_table_path, fix, profile_digest(fix, fprof, step))
+        assert str(exc.value) == "table would need 60 entries, cap 10"
+        capsys.readouterr()
+        assert main(["verify", demo_profile_path, demo_table_path,
+                     "--suite", "table"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ResourceLimit: table would need 60 entries, cap 10\n")
 
     def test_bit_cap_env(self, demo_profile_path, monkeypatch, capsys):
         monkeypatch.setenv("CERTISQRT_MAX_BITS", "4096")

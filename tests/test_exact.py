@@ -393,7 +393,10 @@ class TestOneShortPath:
     lambda y: cmp_sqrt(F(1), y),
     lambda y: within_of_sqrt(F(1), y, F(1)),
     lambda y: min_legal_iterations(y, F(1, 10), F(1)),
-], ids=["cmp_sqrt", "within_of_sqrt", "min_legal_iterations"])
+    lambda y: sqrt_enclosure(y, 64),
+    lambda y: verify.approx_abs_err(F(1), y),
+], ids=["cmp_sqrt", "within_of_sqrt", "min_legal_iterations",
+        "sqrt_enclosure", "approx_abs_err"])
 def test_negative_radicand_message_names_the_rule(refused):
     with pytest.raises(DomainError) as exc:
         refused(F(-2, 3))
