@@ -39,6 +39,7 @@ from .newton import (
     derive_eps_for_ulp,
     fix_sqr,
     flt_sqr,
+    min_iterations_for_step,
     mix_sqr,
     sqr_exact,
 )
@@ -403,6 +404,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fix, fprof, step = load_profile(args.profile)
     if args.kind == "more-worse":
         table = build_root_table(fix, step.stp)
+        if args.n_min is None:
+            args.n_min = min_iterations_for_step(step.stp, step.eps)
         if args.y is not None:
             y = _grid_exact(args.y, fix)
             rows = monotonicity_probe(y, step.eps, table, args.n_min,
@@ -543,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out")
     p.add_argument("--kind", required=True, choices=["more-worse", "balance"])
     p.add_argument("--y", type=_rational)
-    p.add_argument("--n-min", type=int, default=1)
+    p.add_argument("--n-min", type=int)  # default: the profile's least count
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--stp", type=_rational_list)
     p.set_defaults(func=cmd_sweep)

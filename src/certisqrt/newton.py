@@ -18,28 +18,11 @@ holds only the request's inputs, the seed count and each iterate count
 per-pass view, in the same TraceStep form, is built when a reader asks
 for it, so a request builds no record that nothing reads.
 
-The three exact variants make one request pass, _exact_request, and
-share one integer-pair step, _newton_steps; sqr_exact and isqr_exact
-are one until-loop, _until_loop, run from two seeds.  For x = p/q and
-y = a/b the step carries the norm b*p**2 - a*q**2 from pass to pass, as
-factors c*m**2: each pass after the first gets c and m from the
-previous norm by one gcd and two exact divisions, for the factor g
-stripped from its pair.  The until-loop decides its exit on the
-factors (c, m, m) and (b, p, q) with exact.cmp_products, so the exit
-pass forms no product above its inputs (short of a comparison that bit
-lengths and brackets leave open): its correction c*m**2/(2*b*p*q) is
-recorded as those factors and built when a reader first asks for it,
-which a run that is only checked and reported never does (the halving
-rule reads the factors).  An applied pass squares m, p and p + q and
-gets q**2 from the norm by exact division; it forms the norm as
-c*(m*m), a squaring, because the general product (c*m)*m costs about
-1.4x a squaring of the same size on CPython.  No next iterate is built
-on a pass whose correction the caller does not apply.  The step keeps
-each pair and correction in lowest terms by one gcd against the part of
-their common denominator made of primes of 2*num(y)*den(y) (the only
-primes a common factor can contain), because a full gcd at the sizes
-reached by long runs is quadratic and would dominate the runtime.
-CERTISQRT_MAX_BITS caps the size of the integers a pass may form.
+Each exact variant is one request pass, _exact_request, and one call of
+the exact loop, _exact_run: n passes for fsqr_exact, the until-loop for
+sqr_exact and isqr_exact.  _exact_run states how a pass carries the
+norm of its iterate, decides its exit on factors and keeps its pairs in
+lowest terms; CERTISQRT_MAX_BITS caps the integers a pass may form.
 fix_sqr, mix_sqr and flt_sqr share one grid loop on counts, headed by
 one request pass that checks each precondition once (a table checked
 its step when made).  Each pass is one call of fixarith._newton_step,
@@ -302,86 +285,6 @@ def _pow2(k: int) -> Fraction:
     return Fraction(2) ** k
 
 
-def _newton_steps(y: Fraction, x: Fraction, passes: int,
-                  negate: bool = False):
-    """Up to `passes` exact steps x -> x - (x*x - y)/(2x) from x > 0.
-
-    With x = p/q and y = a/b, each pass yields (k, x, c, m), where the
-    norm c*m**2 = b*p**2 - a*q**2 is the numerator of the correction
-    magnitude ad = (x*x - y)/(2x) = c*m**2/(2*b*p*q), and m >= 0.  The
-    caller then calls send(apply) and gets (ad, x_after), ad negated when
-    negate is true: x_after is the next iterate x - ad when apply is
-    true, and the loop goes on from it; else x itself, and the loop ends.
-    So the caller can decide its exit from c, m, p and q before any
-    product of them exists.
-
-    The norm of x in Q(sqrt(y)) is multiplicative, so the step carries
-    it: the next pair is (b*p**2 + a*q**2, 2*b*p*q) over the factor g
-    stripped from it, and its norm is b*norm**2/g**2, which the next pass
-    keeps as the factors (c, m) of _norm_factors, with no squaring.  A
-    pass whose correction is not applied forms no product above its
-    inputs: it yields ad as a _Factored record of (c, m, m) over (2*b, p,
-    q), which TraceStep builds when the correction is first read.  An
-    applied pass forms the norm c*(m*m), p**2 and (p + q)**2, gets q**2 =
-    (b*p**2 - norm)/a by exact division and 2*p*q = (p + q)**2 - p**2 -
-    q**2: three squarings.  The norm is c*(m*m) because c*m*m = (c*m)*m
-    multiplies two different long integers, and CPython takes its
-    squaring path only when both operands are one object: a general
-    product costs 1.35x to 1.47x a squaring of the same size (CPython
-    3.11, 20K to 120K bits).  After the first pass c is at most b (on
-    the first, m is 1), so c*(m*m) is a squaring and a short product.
-
-    Every common factor of norm or of the next numerator with 2*b*p*q
-    divides 2*a*b, so both are reduced by one gcd against s, the part of
-    2*b*p*q made of those primes.  s is carried too: s = 2*b*s_p*s_q for
-    the parts s_p of p and s_q of q (2*b is all such primes), the next
-    q's part is s/g, and only the next p's part is searched.  This avoids
-    a full gcd, which is quadratic at the sizes long runs reach.
-
-    Before it forms anything, each pass refuses, with ResourceLimit, a
-    pair that could exceed the CERTISQRT_MAX_BITS cap: b*p**2 + a*q**2,
-    2*b*p*q and the norm have at most 2*max(bits(p), bits(q)) +
-    bits(max(a, b)) + 1 bits, so the pass splits its norm after that
-    test.
-    """
-    a, b = y.numerator, y.denominator
-    small, y_bits = 2 * a * b, max(a, b).bit_length()
-    sign = -1 if negate else 1
-    limit = _env_limit(ENV_MAX_BITS, DEFAULT_MAX_BITS)
-    p, q = x.numerator, x.denominator
-    for k in range(passes):
-        if p <= 0:
-            raise InternalInvariantError("iterate left the positive half-line")
-        bits = 2 * max(p.bit_length(), q.bit_length()) + y_bits + 1
-        if bits > limit:
-            raise ResourceLimit(
-                f"exact Newton pass {k} may form {bits}-bit operands, "
-                f"above {ENV_MAX_BITS} = {limit}")
-        if k == 0:
-            c, m = b * p * p - a * q * q, 1
-            s_p, s_q = _content(p, small), _content(q, small)
-        else:
-            c, m = _norm_factors(norm, g, b)
-        s = 2 * b * s_p * s_q
-        apply = yield k, x, c, m
-        if not apply:
-            yield _Factored(sign * ((c > 0) - (c < 0)), (abs(c), m, m),
-                            (2 * b, p, q), s), x
-            return
-        norm = c * (m * m)
-        pp = p * p
-        bpp = b * pp
-        aqq = bpp - norm
-        ad_den = b * ((p + q) ** 2 - pp - aqq // a)
-        ad = _reduced(sign * norm, ad_den, s)
-        num = bpp + aqq
-        g = math.gcd(num, s)
-        p, q = num // g, ad_den // g
-        s_p, s_q = _content(p, small), s // g
-        x = fraction_from_coprime(p, q)
-        yield ad, x
-
-
 def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
                    seed: Fraction | None = None, n: int = 0) -> None:
     """The request pass of the exact runs: it refuses the first rule
@@ -403,34 +306,101 @@ def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
                                 f"{_rat_text(y)}) <= seed <= {_rat_text(y)}")
 
 
-def _until_loop(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
-                c_style: bool = False) -> tuple[Fraction, Trace]:
-    """The until-loop of sqr_exact and isqr_exact: x := seed; repeat
-    { ad := (x*x - y)/(2x); exit when ad < eps/2; x := x - ad }, under a
-    pass cap that only a diverging run reaches.  sqr_exact records -ad,
-    and c_style applies the exit pass's correction too.  No iterate from
-    a seed >= sqrt(y) falls below sqrt(y), so ad >= 0 needs no abs().
+def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
+               n: int | None = None,
+               c_style: bool = False) -> tuple[Fraction, Trace]:
+    """The loop of the exact runs, after their request pass: from x :=
+    seed > 0, each pass forms ad := (x*x - y)/(2x) and x := x - ad.  With
+    n it makes n passes (fsqr_exact).  Without, it is the until-loop of
+    sqr_exact and isqr_exact: it exits on the first pass with ad < eps/2,
+    leaving x as it is (c_style applies that pass too), under a pass cap
+    that only a diverging run reaches.  No iterate from a seed >= sqrt(y)
+    falls below sqrt(y), so ad >= 0 needs no abs().  sqr_exact records
+    -ad, the seeded runs ad.  Returns the result and the run's Trace.
 
-    The exit test compares ed*c*m*m with en*b*p*q through cmp_products,
-    which forms those products only when bit lengths and 128-bit
-    brackets leave the comparison open, and the exit pass (unless
-    c_style) records its correction as factors, built when read.  So the
-    exit pass of a run that is checked and reported forms no product
-    above its inputs."""
-    en, ed, b = eps.numerator, eps.denominator, y.denominator
+    With x = p/q and y = a/b, ad = c*m**2/(2*b*p*q), where the norm
+    c*m**2 = b*p**2 - a*q**2 and m >= 0.  The norm of x in Q(sqrt(y)) is
+    multiplicative, so the loop carries it: the next pair is (b*p**2 +
+    a*q**2, 2*b*p*q) over the factor g stripped from it, and its norm is
+    b*norm**2/g**2, which the next pass keeps as the factors (c, m) of
+    _norm_factors, with no squaring (on pass 0, m is 1).  The exit test
+    ad < eps/2 compares ed*c*m*m with en*b*p*q through cmp_products,
+    which forms those products only when bit lengths and 128-bit brackets
+    leave it open, and the exit pass records its correction as a
+    _Factored record of (c, m, m) over (2*b, p, q), which TraceStep
+    builds when it is first read.  So the exit pass of a run that is
+    checked and reported forms no product above its inputs, and builds
+    no next iterate.  An applied pass forms the norm c*(m*m), p**2 and (p
+    + q)**2, gets q**2 = (b*p**2 - norm)/a by exact division and 2*p*q =
+    (p + q)**2 - p**2 - q**2: three squarings.  The norm is c*(m*m)
+    because c*m*m = (c*m)*m multiplies two different long integers, and
+    CPython takes its squaring path only when both operands are one
+    object: a general product costs 1.35x to 1.47x a squaring of the same
+    size (CPython 3.11, 20K to 120K bits).  After the first pass c is at
+    most b, so c*(m*m) is a squaring and a short product.
+
+    Every common factor of norm or of the next numerator with 2*b*p*q
+    divides 2*a*b, so both are reduced by one gcd against s, the part of
+    2*b*p*q made of those primes.  s is carried too: s = 2*b*s_p*s_q for
+    the parts s_p of p and s_q of q (2*b is all such primes), the next
+    q's part is s/g, and only the next p's part is searched.  This avoids
+    a full gcd, which is quadratic at the sizes long runs reach.
+
+    Before it forms anything, each pass refuses, with ResourceLimit, a
+    pair that could exceed the CERTISQRT_MAX_BITS cap: b*p**2 + a*q**2,
+    2*b*p*q and the norm have at most 2*max(bits(p), bits(q)) +
+    bits(max(a, b)) + 1 bits, so the pass splits its norm after that
+    test.
+    """
+    a, b = y.numerator, y.denominator
+    en, ed = eps.numerator, eps.denominator
+    small, y_bits = 2 * a * b, max(a, b).bit_length()
+    sign = -1 if algorithm == "sqr_exact" else 1
+    limit = _env_limit(ENV_MAX_BITS, DEFAULT_MAX_BITS)
+    x, p, q = seed, seed.numerator, seed.denominator
     steps = []
-    newton = _newton_steps(y, seed, (y.numerator * ed).bit_length() + 65,
-                           negate=algorithm == "sqr_exact")
-    for k, x, c, m in newton:
+    for k in range((a * ed).bit_length() + 65 if n is None else n):
+        if p <= 0:
+            raise InternalInvariantError("iterate left the positive half-line")
+        bits = 2 * max(p.bit_length(), q.bit_length()) + y_bits + 1
+        if bits > limit:
+            raise ResourceLimit(
+                f"exact Newton pass {k} may form {bits}-bit operands, "
+                f"above {ENV_MAX_BITS} = {limit}")
+        if k == 0:
+            c, m = b * p * p - a * q * q, 1
+            s_p, s_q = _content(p, small), _content(q, small)
+        else:
+            c, m = _norm_factors(norm, g, b)
+        s = 2 * b * s_p * s_q
         # ad < eps/2 as ed*c*m*m < en*b*p*q, with norm c*m*m, ad_den 2*b*p*q
-        stop = c < 0 or cmp_products((ed, c, m, m),
-                                     (en, b, x.numerator, x.denominator)) < 0
-        ad, x_after = newton.send(c_style or not stop)
+        stop = n is None and (
+            c < 0 or cmp_products((ed, c, m, m), (en, b, p, q)) < 0)
+        if stop and not c_style:
+            ad = _Factored(sign * ((c > 0) - (c < 0)), (abs(c), m, m),
+                           (2 * b, p, q), s)
+            steps.append(TraceStep(k, x, ad, x))
+            break
+        norm = c * (m * m)
+        pp = p * p
+        bpp = b * pp
+        aqq = bpp - norm
+        ad_den = b * ((p + q) ** 2 - pp - aqq // a)
+        ad = _reduced(sign * norm, ad_den, s)
+        num = bpp + aqq
+        g = math.gcd(num, s)
+        p, q = num // g, ad_den // g
+        s_p, s_q = _content(p, small), s // g
+        x_after = fraction_from_coprime(p, q)
         steps.append(TraceStep(k, x, ad, x_after))
+        x = x_after
         if stop:
-            return x_after, Trace(algorithm, y=y, eps=eps, final_x=x_after,
-                                  steps=tuple(steps), seed=seed)
-    raise InternalInvariantError("iteration guard exceeded")
+            break
+    else:
+        if n is None:
+            raise InternalInvariantError("iteration guard exceeded")
+    return x, Trace(algorithm, y=y, eps=eps, final_x=x, steps=tuple(steps),
+                    n_planned=n, seed=seed)
 
 
 def sqr_exact(y: Fraction, eps: Fraction,
@@ -444,7 +414,7 @@ def sqr_exact(y: Fraction, eps: Fraction,
     Defined for y >= 1, eps > 0; the result satisfies |x - sqrt(y)| <= eps.
     """
     _exact_request("sqr_exact", y, eps)
-    return _until_loop("sqr_exact", y, eps, y, c_style)
+    return _exact_run("sqr_exact", y, eps, y, c_style=c_style)
 
 
 def isqr_exact(y: Fraction, eps: Fraction,
@@ -457,7 +427,7 @@ def isqr_exact(y: Fraction, eps: Fraction,
     call through the exact oracle.
     """
     _exact_request("isqr_exact", y, eps, seed)
-    return _until_loop("isqr_exact", y, eps, seed)
+    return _exact_run("isqr_exact", y, eps, seed)
 
 
 def _least_count(stp_count: int, eps_count: int) -> int:
@@ -531,14 +501,7 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
     if not _legal_count(y, eps, seed, n):
         raise IterationBudgetError(
             f"n={n} below the legal minimum for seed {_rat_text(seed)}")
-    newton = _newton_steps(y, seed, n)
-    steps = []
-    for k, x, _, _ in newton:
-        ad, x_after = newton.send(True)
-        steps.append(TraceStep(k, x, ad, x_after))
-    final = steps[-1].x_after if steps else seed
-    return final, Trace("fsqr_exact", y=y, eps=eps, final_x=final,
-                        steps=tuple(steps), n_planned=n, seed=seed)
+    return _exact_run("fsqr_exact", y, eps, seed, n)
 
 
 def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,

@@ -462,17 +462,17 @@ def run_fsqr_suite(table: RootTable, eps: FixVal,
     return VerifyReport(f"fsqr suite ({len(ys)} inputs)", tuple(checks))
 
 
-_ADJUST_COUNTS = range(1, 7)
-
-
 def run_adjust_suite(table: RootTable, eps: FixVal,
                      ys: Sequence[FixVal]) -> VerifyReport:
-    """Lockstep adjustment over grid inputs and iteration counts 1 to 6."""
+    """Lockstep adjustment over grid inputs and six iteration counts, from
+    the least count fix_sqr accepts for the table's step and eps."""
+    n_min = min_iterations_for_step(table.stp, eps)
+    counts = range(n_min, n_min + 6)
     checks = []
     for y in ys:
-        for n in _ADJUST_COUNTS:
+        for n in counts:
             _, rep = adjust_runs(y, eps, table, n)
             checks.append(_suite_check(f"y={y} n={n}", "suite.adjust", rep))
     return VerifyReport(
-        f"adjust suite ({len(ys)} inputs x {len(_ADJUST_COUNTS)} counts)",
+        f"adjust suite ({len(ys)} inputs x {len(counts)} counts)",
         tuple(checks))

@@ -244,7 +244,9 @@ class TestTableBuild:
         fix, fprof, step = load_profile(demo_profile_path)
         doc = json.loads(Path(demo_table_path).read_text())
         doc["roots"][3] -= 1
-        doc["roots"][9] = "7"
+        # the fault is index 8 (position 3); a later non-int entry sits at
+        # position 8, where an index read without k_min would land
+        doc["roots"][8] = "7"
         bad = tmp_path / "bad_table.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(DomainError, match="at index 8$"):
@@ -1044,3 +1046,26 @@ class TestTraceRows:
 def test_usage_error_exit_2():
     assert main(["sqrt"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+class TestStepAboveAccuracy:
+    """On the demo grid with a table step twice the accuracy, fix_sqr's
+    least count is 2: the adjust suite runs its six counts from 2, and
+    the more-worse sweep starts at 2 when no --n-min is given."""
+
+    def test_verify_all_and_sweep(self, fixtures_dir, tmp_path, capsys):
+        doc = json.loads((fixtures_dir / "demo_profile.json").read_text())
+        doc["step"]["stp_count"] = 2 * doc["step"]["eps_count"]
+        profile, table = str(tmp_path / "p.json"), str(tmp_path / "t.json")
+        Path(profile).write_text(json.dumps(doc))
+        assert main(["table-build", profile, table]) == 0
+        capsys.readouterr()
+        assert main(["verify", profile, table, "--suite", "all"]) == 0
+        adjust = json.loads(capsys.readouterr().out)["reports"][-1]
+        assert adjust["subject"] == "adjust suite (100 inputs x 6 counts)"
+        assert {c["name"].split(" n=")[1] for c in adjust["checks"]} == \
+            {"2", "3", "4", "5", "6", "7"}
+        out = tmp_path / "mw.csv"
+        assert main(["sweep", profile, str(out), "--kind", "more-worse"]) == 0
+        assert [row.split(",")[0] for row in out.read_text().splitlines()] \
+            == ["n", "2", "3", "4", "5", "6"]

@@ -1057,12 +1057,12 @@ def _plain_step(y, p, q):
 
 
 def _count_built(monkeypatch) -> list[int]:
-    """Record the bit length of every iterate _newton_steps builds."""
+    """Record the bit length of every iterate _exact_run builds."""
     built = []
     real = newton.fraction_from_coprime
 
     def counting(p, q):
-        if sys._getframe(1).f_code.co_name == "_newton_steps":
+        if sys._getframe(1).f_code.co_name == "_exact_run":
             built.append(max(p.bit_length(), q.bit_length()))
         return real(p, q)
 
@@ -1074,26 +1074,39 @@ EXIT_RUNS = [(F(2), F(1, 100)), (F(3, 2), F(1, 10 ** 6)),
              (F(10 ** 4), F(1, 1000)), (F(7, 3), F(1, 10 ** 12))]
 
 
-def _recording_steps(mp, passes_seen, updates):
-    """Route _newton_steps through a proxy that records (y, x, c, m, ad)
-    for each pass it answers, ad being the correction it answered with,
-    and _norm_factors through one that records its arguments (norm, g,
-    b)."""
-    real_steps, real_split = newton._newton_steps, newton._norm_factors
-
-    def recording(y, x, passes, negate=False):
-        steps = real_steps(y, x, passes, negate)
-        for k, x_k, c, m in steps:
-            answer = steps.send((yield k, x_k, c, m))
-            passes_seen.append((y, x_k, c, m, answer[0]))
-            yield answer
+def _recording_norms(mp, updates):
+    """Route _norm_factors through a proxy that records (norm, g, b, c, m)
+    for each call: its arguments and the factors it returns."""
+    real = newton._norm_factors
 
     def norm_factors(norm, g, b):
-        updates.append((norm, g, b))
-        return real_split(norm, g, b)
+        c, m = real(norm, g, b)
+        updates.append((norm, g, b, c, m))
+        return c, m
 
-    mp.setattr(newton, "_newton_steps", recording)
     mp.setattr(newton, "_norm_factors", norm_factors)
+
+
+def _recorded(mp, *runs):
+    """Call each run with _norm_factors recorded.  Returns the runs'
+    traces, (y, x, c, m, ad) for every pass of every run and (norm, g, b)
+    for every _norm_factors call.  x is the pass's iterate, c*m**2 the
+    norm it carried and ad its correction as recorded, a _Factored record
+    on an exit pass not yet read.  Pass 0 forms its norm as b*p**2 -
+    a*q**2 with m = 1; each later pass takes (c, m) from its own
+    _norm_factors call."""
+    traces, passes, updates = [], [], []
+    _recording_norms(mp, updates)
+    for run in runs:
+        start = len(updates)
+        _, trace = run()
+        y, steps = trace.y, trace.steps
+        carried = [(_norm_of(y, steps[0].x_before), 1)] if steps else []
+        carried += [(c, m) for *_, c, m in updates[start:]]
+        passes += [(y, s.x_before, c, m, s.__dict__["correction"])
+                   for s, (c, m) in zip(steps, carried, strict=True)]
+        traces.append(trace)
+    return traces, passes, [u[:3] for u in updates]
 
 
 @st.composite
@@ -1126,11 +1139,11 @@ class TestCarriedNorm:
 
     @staticmethod
     def _runs(y, eps, seed):
-        sqr_exact(y, eps)
-        sqr_exact(y, eps, c_style=True)
-        isqr_exact(y, eps, seed)
         # with eps = y every count is legal
-        fsqr_exact(y, y, seed, 5)
+        return (lambda: sqr_exact(y, eps),
+                lambda: sqr_exact(y, eps, c_style=True),
+                lambda: isqr_exact(y, eps, seed),
+                lambda: fsqr_exact(y, y, seed, 5))
 
     @given(st.one_of(even_over_odd(), ys.filter(lambda v: v > 1)), epss,
            st.booleans())
@@ -1138,31 +1151,28 @@ class TestCarriedNorm:
     @example(F(29, 9), F(1, 10 ** 6), False)
     @settings(max_examples=40, deadline=None)
     def test_norm_at_every_pass(self, y, eps, tight):
-        passes, updates = [], []
         with pytest.MonkeyPatch.context() as mp:
-            _recording_steps(mp, passes, updates)
-            self._runs(y, eps, _exact_seeds(y)[1] if tight else y)
+            _, passes, _ = _recorded(
+                mp, *self._runs(y, eps, _exact_seeds(y)[1] if tight else y))
         assert passes
         assert all(c * m * m == _norm_of(y_k, x) and m >= 0
                    for y_k, x, c, m, _ in passes)
 
     def test_common_factors_occur(self):
-        passes, updates = [], []
         with pytest.MonkeyPatch.context() as mp:
-            _recording_steps(mp, passes, updates)
-            self._runs(F(10, 3), F(1, 1000), F(2))
-            for y, eps, seed in G_NOT_DIVIDING:
-                isqr_exact(y, eps, seed)
+            _, passes, updates = _recorded(
+                mp, *self._runs(F(10, 3), F(1, 1000), F(2)),
+                *[lambda case=case: isqr_exact(*case)
+                  for case in G_NOT_DIVIDING])
         assert all(c * m * m == _norm_of(y, x) for y, x, c, m, _ in passes)
         assert any(g > 1 and norm % g == 0 for norm, g, _ in updates)
         assert any(norm % g for norm, g, _ in updates)
 
     @pytest.mark.parametrize("y, eps, seed", G_NOT_DIVIDING)
     def test_g_not_dividing_the_norm(self, y, eps, seed):
-        passes, updates = [], []
         with pytest.MonkeyPatch.context() as mp:
-            _recording_steps(mp, passes, updates)
-            isqr_exact(y, eps, seed)
+            _, passes, updates = _recorded(mp,
+                                           lambda: isqr_exact(y, eps, seed))
         assert any(norm % g for norm, g, _ in updates)
         for norm, g, b in updates:
             h = math.gcd(norm, g)
@@ -1188,7 +1198,7 @@ class TestReducedByCarriedContent:
 
 
 class TestExactStep:
-    """_newton_steps forms an applied pass from the carried norm's factors
+    """_exact_run forms an applied pass from the carried norm's factors
     and three squarings, and an exit pass from nothing: its correction is a
     record of the product formula's factors.  It builds no iterate on a
     pass whose correction is not applied."""
@@ -1203,12 +1213,18 @@ class TestExactStep:
         q = rng.getrandbits(q_bits) | 1 << (q_bits - 1)
         g = math.gcd(p, q)
         p, q = p // g, q // g
-        one_pass = newton._newton_steps(y, fraction_from_coprime(p, q), 1)
-        _, _, c, m = next(one_pass)
-        ad, x_after = one_pass.send(True)
+        # the applied pass reduces its correction norm/ad_den by _reduced
+        formed, real = [], newton._reduced
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(newton, "_reduced", lambda num, den, s: (
+                formed.append((num, den)) or real(num, den, s)))
+            x_after, trace = newton._exact_run(
+                "fsqr_exact", y, F(1), fraction_from_coprime(p, q), 1)
+        (norm, den), = formed
+        ad = trace.steps[0].correction
         ad_num, ad_den, p1, q1 = _plain_step(y, p, q)
-        assert (c * m * m, x_after.numerator, x_after.denominator) == \
-            (ad_num, p1, q1)
+        assert (norm, den, x_after.numerator, x_after.denominator) == \
+            (ad_num, ad_den, p1, q1)
         assert ad.numerator * ad_den == ad_num * ad.denominator
 
     @given(ys, st.integers(1000, 200_000), st.integers(1000, 200_000),
@@ -1221,10 +1237,13 @@ class TestExactStep:
         q = rng.getrandbits(q_bits) | 1 << (q_bits - 1)
         g = math.gcd(p, q)
         x = fraction_from_coprime(p // g, q // g)
-        one_pass = newton._newton_steps(y, x, 1)
-        _, _, c, m = next(one_pass)
-        record, x_after = one_pass.send(False)
         ad_num, ad_den = _plain_correction(y, x.numerator, x.denominator)
+        # an until run whose eps exceeds 2*|ad| exits on its first pass,
+        # whose norm is b*p**2 - a*q**2 = ad_num, with m = 1
+        x_after, trace = newton._exact_run("isqr_exact", y,
+                                           F(2 * abs(ad_num) + 1, ad_den), x)
+        (step,) = trace.steps
+        record, c, m = step.__dict__["correction"], ad_num, 1
         assert type(record) is newton._Factored
         assert record.num == (abs(c), m, m)
         assert record.den == (2 * y.denominator, x.numerator, x.denominator)
@@ -1232,12 +1251,12 @@ class TestExactStep:
                 math.prod(record.den)) == (ad_num, ad_den)
         ad = record.value()
         assert ad.numerator * ad_den == ad_num * ad.denominator
-        assert x_after is x
+        assert x_after is step.x_after is x
 
     def test_norm_below_the_root_exits(self):
         # a seed under sqrt(y), which the request pass refuses, has a
         # negative norm, and ad < eps/2 holds at once
-        x, trace = newton._until_loop("isqr_exact", F(2), F(1, 100), F(1))
+        x, trace = newton._exact_run("isqr_exact", F(2), F(1, 100), F(1))
         assert x == 1
         assert [(s.x_before, s.correction, s.x_after)
                 for s in trace.steps] == [(1, F(-1, 2), 1)]
@@ -1515,15 +1534,12 @@ class TestOperandCap:
     @pytest.mark.parametrize("y, eps, seed",
                              [(y, eps, y) for y, eps in EXIT_RUNS]
                              + G_NOT_DIVIDING)
-    def test_bound_covers_the_norm_update(self, monkeypatch, y, eps, seed):
-        passes, updates = [], []
-        _recording_steps(monkeypatch, passes, updates)
+    def test_bound_covers_the_norm_update(self, y, eps, seed):
         for run in (lambda: sqr_exact(y, eps),
                     lambda: sqr_exact(y, eps, c_style=True),
                     lambda: isqr_exact(y, eps, seed)):
-            passes.clear()
-            updates.clear()
-            _, trace = run()
+            with pytest.MonkeyPatch.context() as mp:
+                (trace,), passes, updates = _recorded(mp, run)
             # pass k >= 1 splits the norm after its own cap test
             assert len(updates) == len(trace.steps) - 1
             for (norm, g, b), step in zip(updates, trace.steps[1:]):
@@ -1553,8 +1569,9 @@ class TestOperandCap:
         runs = {"sqr": lambda: sqr_exact(y, eps),
                 "c": lambda: sqr_exact(y, eps, c_style=True),
                 "isqr": lambda: isqr_exact(y, eps, y)}
-        passes, updates = [], []
-        _recording_steps(monkeypatch, passes, updates)
+        updates = []
+        _recording_norms(monkeypatch, updates)
+        built = _count_built(monkeypatch)
         for run in runs.values():
             monkeypatch.delenv("CERTISQRT_MAX_BITS", raising=False)
             x, trace = run()
@@ -1564,17 +1581,17 @@ class TestOperandCap:
             assert run() == (x, trace)
             monkeypatch.setenv("CERTISQRT_MAX_BITS", str(cap - 1))
             k = bits.index(cap)
-            passes.clear()
             updates.clear()
+            built.clear()
             with pytest.raises(ResourceLimit) as info:
                 run()
             assert str(info.value) == (
                 f"exact Newton pass {k} may form {cap}-bit operands, "
                 f"above CERTISQRT_MAX_BITS = {cap - 1}")
             # the refused pass formed nothing: passes 1..k-1 split their
-            # norms, and passes 0..k-1 were answered
+            # norms, and passes 0..k-1 applied their corrections
             assert len(updates) == max(k - 1, 0)
-            assert len(passes) == k
+            assert len(built) == k
 
     @pytest.mark.parametrize("cap", [None, "4096"])
     def test_refuses_before_the_work(self, monkeypatch, cap):

@@ -4,10 +4,10 @@
 
 Each mutant is one exact text replacement in one file under src/, and the
 tier-1 tests that must fail on it.  For each mutant the runner copies src/
-to a temporary directory, applies the replacement there, runs those tests
-against the copy and prints one line.  The exit status is 1 when a mutant
-survives (its tests pass) or cannot be run, else 0.  The working tree is
-never changed.
+to a temporary directory, applies the replacement there, runs each of
+those tests against the copy in its own pytest run and prints one line.
+The exit status is 1 when a mutant survives (one of its tests passes) or
+cannot be run, else 0.  The working tree is never changed.
 """
 from __future__ import annotations
 
@@ -21,9 +21,13 @@ from time import perf_counter
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-CLI, LUT, EXACT = ("certisqrt/cli.py", "certisqrt/lut.py",
-                   "certisqrt/exact.py")
+CLI, LUT, EXACT, NEWTON, VERIFY = (
+    "certisqrt/cli.py", "certisqrt/lut.py", "certisqrt/exact.py",
+    "certisqrt/newton.py", "certisqrt/verify.py")
 LOAD_TESTS = "tests/test_cli.py::TestTableBuild::"
+STEP_TESTS = "tests/test_newton.py::TestExactStep::"
+DIGEST = "tests/test_newton.py::TestExactFamilyDigest"
+PRODUCT_TESTS = "tests/test_exact.py::TestCmpProducts::"
 
 
 class Mutant(NamedTuple):
@@ -54,6 +58,44 @@ MUTANTS = (
     Mutant("_radicand refuses zero", EXACT,
            "if y.numerator < 0:", "if y.numerator <= 0:",
            ("tests/test_exact.py::TestSqrtEnclosure::test_zero",)),
+    Mutant("_exact_run forms aqq as bpp + norm", NEWTON,
+           "aqq = bpp - norm", "aqq = bpp + norm",
+           (STEP_TESTS + "test_squarings_match_products", DIGEST)),
+    Mutant("_exact_run carries s_q as 1", NEWTON,
+           "s_p, s_q = _content(p, small), s // g",
+           "s_p, s_q = _content(p, small), 1",
+           ("tests/test_newton.py::TestReducedByCarriedContent",)),
+    Mutant("_exact_run carries s_p as 1", NEWTON,
+           "s_p, s_q = _content(p, small), s // g", "s_p, s_q = 1, s // g",
+           (DIGEST,)),
+    Mutant("_exact_run reduces by 2*b alone", NEWTON,
+           "s = 2 * b * s_p * s_q", "s = 2 * b",
+           ("tests/test_newton.py::TestReducedByCarriedContent",)),
+    Mutant("_norm_factors divides the norm by g, not h", NEWTON,
+           "abs(norm) // h", "abs(norm) // g",
+           ("tests/test_newton.py::TestCarriedNorm::"
+            "test_g_not_dividing_the_norm",)),
+    Mutant("exit record's den (b, p, q)", NEWTON,
+           "(2 * b, p, q), s)", "(b, p, q), s)",
+           (STEP_TESTS + "test_exit_pass_matches_products", DIGEST)),
+    Mutant("until-loop exit on ad <= eps/2", NEWTON,
+           "(en, b, p, q)) < 0", "(en, b, p, q)) <= 0",
+           ("tests/test_newton.py::TestExactLoopMatchesReference::"
+            "test_exit_ties",)),
+    Mutant("_legal_count shifts by n, not n - 1", NEWTON,
+           "en * sd << (n - 1)", "en * sd << n",
+           ("tests/test_newton.py::TestLegalCountOnIntegers::"
+            "test_int_inputs",)),
+    Mutant("halves holds on a tie", VERIFY,
+           "(*prev_num, *cur_den)) < 0", "(*prev_num, *cur_den)) <= 0",
+           ("tests/test_verify.py::TestHalves",)),
+    Mutant("cmp_products' bit-length stage one bit loose", EXACT,
+           "if lx <= ly - len(ys):", "if lx <= ly - len(ys) + 1:",
+           (PRODUCT_TESTS + "test_exact_ties",
+            PRODUCT_TESTS + "test_against_full_products")),
+    Mutant("_bracket's hi without + (s > 0)", EXACT,
+           "hi *= top + (s > 0)", "hi *= top",
+           (PRODUCT_TESTS + "test_long_ties_and_neighbours",)),
 )
 
 
@@ -77,12 +119,16 @@ def run_mutant(mutant: Mutant, scratch: Path) -> str:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(
                filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         *mutant.tests], cwd=ROOT, env=env, capture_output=True, text=True)
     # pytest exits 1 when tests ran and some failed, 0 when all passed
-    return {0: "SURVIVED", 1: "killed"}.get(
-        result.returncode, f"ERROR (pytest exit {result.returncode})")
+    codes = [subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         test], cwd=ROOT, env=env, capture_output=True, text=True).returncode
+        for test in mutant.tests]
+    for test, code in zip(mutant.tests, codes):
+        if code != 1:
+            return ("SURVIVED " if code == 0
+                    else f"ERROR (pytest exit {code}) ") + test
+    return "killed"
 
 
 def main() -> int:
