@@ -362,10 +362,16 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
     return 0 if verdict.passed else 1
 
 
+def _scan_counts(fix: FixProfile) -> range:
+    """The counts of grid_values(fix, sup/2): the grid values in
+    (1, sup/2]."""
+    return range(fix.delta_den + 1, fix.sup_count // 2 + 1)
+
+
 def _sample_scan_ys(fix: FixProfile, samples: int, seed: int) -> list[FixVal]:
     """The draw random.Random(seed).sample makes from grid_values(fix,
     sup/2), ascending; made on counts, so only the values drawn are built."""
-    counts = range(fix.delta_den + 1, fix.sup_count // 2 + 1)
+    counts = _scan_counts(fix)
     draw = random.Random(seed).sample(counts, min(samples, len(counts)))
     return [FixVal(c, fix) for c in sorted(draw)]
 
@@ -411,7 +417,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows = monotonicity_probe(y, step.eps, table, args.n_min,
                                       args.n_max)
         else:
-            for y in grid_values(fix, fix.sup_value / 2):
+            # one value at a time: a wide grid has millions below sup/2
+            for count in _scan_counts(fix):
+                y = FixVal(count, fix)
                 rows = monotonicity_probe(y, step.eps, table, args.n_min,
                                           args.n_max)
                 if any(r.error_increased for r in rows) and \

@@ -54,7 +54,9 @@ class RootTable:
 
     def __post_init__(self) -> None:
         indices = _check_table_config(self.profile, self.stp)
-        _check_entry_count(len(self.roots), indices)
+        if len(self.roots) != len(indices):
+            raise DomainError(f"table has {len(self.roots)} entries, "
+                              f"expected {len(indices)}")
         object.__setattr__(self, "k_min", indices.start)
 
     @property
@@ -131,13 +133,6 @@ def _check_table_config(profile: FixProfile, stp: FixVal) -> range:
     profile.validate()
     require("step configuration", validate_step(stp, stp, profile).checks)
     return table_indices(profile, stp.count)
-
-
-def _check_entry_count(entries: int, indices: range) -> None:
-    """Refuse a table whose entry count is not that of its indices."""
-    if entries != len(indices):
-        raise DomainError(f"table has {entries} entries, "
-                          f"expected {len(indices)}")
 
 
 def _env_limit(name: str, default: int) -> int:

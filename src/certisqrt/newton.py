@@ -281,10 +281,6 @@ def _check_count(n: int) -> None:
         raise DomainError(f"iteration count must be an integer, got {n!r}")
 
 
-def _pow2(k: int) -> Fraction:
-    return Fraction(2) ** k
-
-
 def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
                    seed: Fraction | None = None, n: int = 0) -> None:
     """The request pass of the exact runs: it refuses the first rule

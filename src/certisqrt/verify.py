@@ -33,7 +33,6 @@ from .lut import (RootTable, build_root_table, first_bad_root,
                   round_up_to_step, sup_fn, validate_step)
 from .newton import (
     Trace,
-    _pow2,
     fix_bound,
     fix_sqr,
     float_bound,
@@ -181,12 +180,12 @@ def check_fsqr_annotations(trace: Trace, y: Fraction,
     at y): the progress bound x_k - sqrt(y) <= (s - sqrt(y))/2**k on the
     x_after of every pass, and the final eps/2 bound."""
     seed = min(_seed_of(trace, "fsqr_exact"), y)
-    # x_k - s/2**k <= (1 - 2**-k) * sqrt(y), x_k the x after k passes
+    # (x_k*2**k - s) / (2**k - 1) <= sqrt(y), x_k the x after k passes
     progress = _first_failure(
         "progress bound holds at every boundary", "fsqr.progress",
         {"boundaries": len(trace.steps) + 1},
         ({"k": k, "x": s.x_after} for k, s in enumerate(trace.steps, 1)
-         if cmp_sqrt((s.x_after - seed * _pow2(-k)) / (1 - _pow2(-k)), y)
+         if cmp_sqrt((s.x_after * (1 << k) - seed) / ((1 << k) - 1), y)
          is Ordering.GREATER))
     final = _final_error("final error within half the accuracy",
                          "fsqr.final-error", trace.final_x, y, "bound",
@@ -373,12 +372,10 @@ def _sample_grid_values(profile: FixProfile, hi_count: int) -> list[FixVal]:
     lo = profile.delta_den + 1
     if hi_count < lo:
         return []
+    # a span of at most 63 takes steps of at most 1, so every count
     span = hi_count - lo
-    if span < _BALANCE_SAMPLES:
-        counts = range(lo, hi_count + 1)
-    else:
-        counts = sorted({lo + (span * i) // (_BALANCE_SAMPLES - 1)
-                         for i in range(_BALANCE_SAMPLES)})
+    counts = sorted({lo + (span * i) // (_BALANCE_SAMPLES - 1)
+                     for i in range(_BALANCE_SAMPLES)})
     return [FixVal(c, profile) for c in counts]
 
 
@@ -396,7 +393,7 @@ def balance_sweep(profile: FixProfile, eps: FixVal,
             continue
         table = build_root_table(profile, stp)
         n = min_iterations_for_step(stp, eps)
-        predicted = stp.value / _pow2(n) + n * delta
+        predicted = stp.value / (1 << n) + n * delta
         worst = 0.0
         all_within = True
         for y in _sample_grid_values(profile, profile.sup_count // 2):

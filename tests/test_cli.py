@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import re
+import sys
 from collections.abc import Sequence
 from fractions import Fraction as F
 from pathlib import Path
@@ -14,6 +16,7 @@ from certisqrt.cli import (
     load_table,
     main,
     profile_digest,
+    run,
     table_file_bytes,
     trace_rows,
 )
@@ -418,7 +421,10 @@ class TestGoldenDigests:
         (["--mode", "float", "--value", "0", "--eps", "0.25"],
          "53a664026c71f10bc9ec1d10f1480996fdc2949fd1850f03cd461c54e61cd41b",
          "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
-    ], ids=["mix", "fix", "float", "float-zero"])
+        (["--mode", "exact", "--value", "2", "--eps", "1/100"],
+         "b329f41c01e73dd4963c3d85f6ae862bbdc18719bbbe7c67c1bea9dd7215d45e",
+         "65fbc28f3d5b13b4f11d269e11d0f2c2866b644913be339d8edf7695e47fb5ec"),
+    ], ids=["mix", "fix", "float", "float-zero", "exact"])
     def test_sqrt_trace_bytes(self, demo_profile_path, demo_table_path,
                               tmp_path, args, csv_digest, json_digest):
         for suffix, expected in (("csv", csv_digest), ("json", json_digest)):
@@ -726,13 +732,18 @@ class TestVerifyCommand:
                      "--suite", suite, "--samples", "5", *flags]) == 0
 
     def test_corrupted_table_exit_1(self, demo_profile_path, demo_table_path,
-                                    tmp_path):
+                                    tmp_path, capsys):
         doc = json.loads(Path(demo_table_path).read_text())
         doc["roots"][0] -= 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
+        capsys.readouterr()
         assert main(["verify", demo_profile_path, str(bad),
                      "--suite", "table"]) == 1
+        # the first index is k_min = 5
+        assert capsys.readouterr().err == (
+            f"error: DomainError: table {bad} failed revalidation at index "
+            f"5\n")
 
 
 class TestSweepCommand:
@@ -788,6 +799,21 @@ class TestSweepCommand:
         assert main(["sweep", demo_profile_path, str(explicit),
                      "--kind", "more-worse", "--y", "102/100"]) == 0
         assert scan.read_bytes() == explicit.read_bytes()
+
+    def test_scan_builds_each_value_when_probed(self, demo_profile_path,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+        """The scan walks the counts of (1, sup/2] and builds no list of
+        every grid value before its first probe."""
+        def refuse(*_args):
+            raise AssertionError("the scan built every grid value")
+
+        monkeypatch.setattr("certisqrt.cli.grid_values", refuse)
+        out = tmp_path / "scan.csv"
+        assert main(["sweep", demo_profile_path, str(out),
+                     "--kind", "more-worse"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "witness: y=102/100 increases at n=[2, 4, 6]"
 
     def test_scan_without_witness_exit_1(self, demo_profile_path, tmp_path,
                                          capsys):
@@ -1069,3 +1095,150 @@ class TestStepAboveAccuracy:
         assert main(["sweep", profile, str(out), "--kind", "more-worse"]) == 0
         assert [row.split(",")[0] for row in out.read_text().splitlines()] \
             == ["n", "2", "3", "4", "5", "6"]
+
+
+@pytest.fixture
+def int_digits_640():
+    """The interpreter's int-to-str limit at 640 digits, the least it can
+    be set to, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("interpreter without an int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestIntToStrLimit:
+    """Under the least int-to-str limit, a long exact trace and a sampled
+    sqr verify still exit 0, and every integer part they write reads back
+    with int(text, 0): encode_int writes parts past 640 digits in hex."""
+
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_long_exact_trace(self, demo_profile_path, tmp_path, capsys,
+                              int_digits_640, suffix):
+        out = tmp_path / f"long.{suffix}"
+        assert main(["sqrt", demo_profile_path, "--mode", "exact",
+                     "--value", "26066/3", "--eps", "1/1000",
+                     "--trace", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        if suffix == "json":
+            rows = json.loads(out.read_text())
+        else:
+            header, *lines = out.read_text().splitlines()
+            rows = [dict(zip(header.split(","), line.split(",")))
+                    for line in lines]
+        parts = [str(r[k]) for r in rows for k in ("x_num", "x_den")]
+        parts += [p for r in rows if r["correction"]
+                  for p in r["correction"].split("/")]
+        for text in parts:
+            int(text, 0)
+        assert any(text.startswith("0x") for text in parts)
+
+    def test_sampled_sqr_verify(self, demo_profile_path, demo_table_path,
+                                capsys, int_digits_640):
+        capsys.readouterr()
+        assert main(["verify", demo_profile_path, demo_table_path,
+                     "--suite", "sqr", "--samples", "40"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        names = [c["name"] for r in doc["reports"] for c in r["checks"]]
+        assert doc["overall"] is True and len(names) == 40
+        for name in names:
+            for pair in re.findall(r"[-\w]+/[-\w]+", name):
+                for text in pair.split("/"):
+                    int(text, 0)
+
+
+class TestRunExits:
+    """run(), the console script's entry point, exits through SystemExit
+    with main's status and its error line."""
+
+    @pytest.mark.parametrize("argv,code,err", [
+        (["profile-check", "PROFILE"], 0, None),
+        (["sqrt", "PROFILE", "--mode", "exact", "--value", "1e-5000",
+          "--eps", "1"], 1, "error: DomainError: "),
+        (["sqrt", "PROFILE", "--mode", "mix", "--value", "3", "--eps", "1/4"],
+         2, "error: modes fix/mix/float require a table file\n"),
+    ], ids=["pass", "refusal", "usage"])
+    def test_exit_status(self, demo_profile_path, monkeypatch, capsys, argv,
+                         code, err):
+        monkeypatch.setattr(sys, "argv", ["certisqrt"] + [
+            demo_profile_path if a == "PROFILE" else a for a in argv])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        if err is None:
+            assert captured.err == ""
+        else:
+            assert captured.err.startswith(err) and \
+                captured.err.count("\n") == 1
+
+
+def _set_in(doc, path, value):
+    *parents, key = path
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+
+
+class TestFileFieldRefusals:
+    """A profile or table file whose field has the wrong kind exits with
+    one error line, 2 for a malformed file and 1 for a table that does
+    not fit the profile, and prints no traceback."""
+
+    @pytest.mark.parametrize("file,path,value,code,message", [
+        ("profile", ("fix", "delta_den"), "100", 2,
+         "profile.fix.delta_den: expected an integer, got '100'"),
+        ("profile", ("fix", "delta_den"), True, 2,
+         "profile.fix.delta_den: expected an integer, got True"),
+        ("profile", ("float", "inf_F"), True, 2,
+         "profile.float.inf_F: expected a rational, got True"),
+        ("profile", ("float", "inf_F"), 1.5, 2,
+         "profile.float.inf_F: expected a rational, got 1.5"),
+        ("profile", ("float", "inf_F"), "1/0", 2,
+         "profile.float.inf_F: not a rational: '1/0'"),
+        ("profile", ("float", "inf_F"), [1], 2,
+         "profile.float.inf_F: expected a rational, got [1]"),
+        ("profile", (), [], 2, "PATH: expected a JSON object"),
+        ("table", ("delta_den",), 1000, 1,
+         "DomainError: table PATH grid does not match the profile"),
+        ("table", ("roots",), {"5": 150}, 2,
+         "table.roots: expected a list of integers"),
+    ], ids=["int-as-string", "int-as-bool", "rational-as-bool",
+            "rational-as-float", "zero-denominator", "rational-as-list",
+            "top-level-array", "table-grid", "roots-not-a-list"])
+    def test_refused(self, demo_profile_path, demo_table_path, tmp_path,
+                     capsys, file, path, value, code, message):
+        source = demo_profile_path if file == "profile" else demo_table_path
+        doc = json.loads(Path(source).read_text())
+        if path:
+            _set_in(doc, path, value)
+        else:
+            doc = value
+        bad = tmp_path / f"{file}.json"
+        bad.write_text(json.dumps(doc))
+        argv = (["profile-check", str(bad)] if file == "profile" else
+                ["verify", demo_profile_path, str(bad), "--suite", "table"])
+        capsys.readouterr()
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: {message.replace('PATH', str(bad))}\n"
+
+    def test_int_rational_accepted(self, demo_profile_path, tmp_path):
+        """A plain int where a rational is read is that rational: the
+        profile it gives has the digest of the one written "65536/1"."""
+        digests = []
+        for written in (65536, "65536/1"):
+            doc = json.loads(Path(demo_profile_path).read_text())
+            doc["float"]["inf_F"] = written
+            path = tmp_path / "profile.json"
+            path.write_text(json.dumps(doc))
+            digests.append(profile_digest(*load_profile(str(path))))
+            assert main(["profile-check", str(path)]) == 0
+        assert digests[0] == digests[1]

@@ -5,7 +5,8 @@
 Each mutant is one exact text replacement in one file under src/, and the
 tier-1 tests that must fail on it.  For each mutant the runner copies src/
 to a temporary directory, applies the replacement there, runs each of
-those tests against the copy in its own pytest run and prints one line.
+those tests against the copy in its own pytest run, on a hypothesis
+database of its own that starts empty, and prints one line.
 The exit status is 1 when a mutant survives (one of its tests passes) or
 cannot be run, else 0.  The working tree is never changed.
 """
@@ -21,9 +22,9 @@ from time import perf_counter
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-CLI, LUT, EXACT, NEWTON, VERIFY = (
+CLI, LUT, EXACT, FIXARITH, NEWTON, VERIFY = (
     "certisqrt/cli.py", "certisqrt/lut.py", "certisqrt/exact.py",
-    "certisqrt/newton.py", "certisqrt/verify.py")
+    "certisqrt/fixarith.py", "certisqrt/newton.py", "certisqrt/verify.py")
 LOAD_TESTS = "tests/test_cli.py::TestTableBuild::"
 STEP_TESTS = "tests/test_newton.py::TestExactStep::"
 DIGEST = "tests/test_newton.py::TestExactFamilyDigest"
@@ -53,7 +54,7 @@ MUTANTS = (
            (LOAD_TESTS + "test_load_reports_first_fault",
             "tests/test_cli.py::TestLoadCorruptions")),
     Mutant("RootTable without its entry-count check", LUT,
-           "_check_entry_count(len(self.roots), indices)", "pass",
+           "if len(self.roots) != len(indices):", "if False:",
            (LOAD_TESTS + "test_wrong_length_refused",)),
     Mutant("_radicand refuses zero", EXACT,
            "if y.numerator < 0:", "if y.numerator <= 0:",
@@ -96,6 +97,33 @@ MUTANTS = (
     Mutant("_bracket's hi without + (s > 0)", EXACT,
            "hi *= top + (s > 0)", "hi *= top",
            (PRODUCT_TESTS + "test_long_ties_and_neighbours",)),
+    Mutant("cmp_sqrt returns the reversed ordering", EXACT,
+           "_ordering_of_sign(_sqrt_sign(q.numerator, q.denominator, a, b))",
+           "_ordering_of_sign(-_sqrt_sign(q.numerator, q.denominator, a, b))",
+           ("tests/test_exact.py::TestCmpSqrt::test_examples",)),
+    Mutant("_filtered_sign answers -1 when xs bracket above ys", EXACT,
+           "if x_lo > y_hi:\n        return 1",
+           "if x_lo > y_hi:\n        return -1",
+           (PRODUCT_TESTS + "test_long_ties_and_neighbours",)),
+    Mutant("_lowest_terms skips its gcd", EXACT,
+           "g = math.gcd(num, den)", "g = 1",
+           ("tests/test_exact.py::TestLowestTerms::"
+            "test_equals_fraction_in_lowest_terms",)),
+    Mutant("_least_roots walks while sq <= t", LUT,
+           "while sq < t:\n", "while sq <= t:\n",
+           ("tests/test_lut.py::TestLeastRootsWalk::"
+            "test_matches_isqrt_and_root_rule",)),
+    Mutant("round_half_even rounds ties up", FIXARITH,
+           "return floor if floor % 2 == 0 else floor + 1",
+           "return floor + 1",
+           ("tests/test_fixarith.py::TestRoundHalfEven::test_examples",)),
+    Mutant("fsqr.progress read from x_before", VERIFY,
+           "s.x_after * (1 << k) - seed", "s.x_before * (1 << k) - seed",
+           ("tests/test_verify.py::TestCheckFsqr::test_single_step_pass",)),
+    # 2**14284 < 10**4300, the default int-to-str limit, not the least
+    Mutant("encode_int's decimal bound sized for 4300 digits", EXACT,
+           "_DECIMAL_MAX_BITS = 2126", "_DECIMAL_MAX_BITS = 14284",
+           ("tests/test_cli.py::TestIntToStrLimit::test_long_exact_trace",)),
 )
 
 
@@ -110,13 +138,18 @@ def mutated_source(mutant: Mutant, text: str) -> str:
 
 def run_mutant(mutant: Mutant, scratch: Path) -> str:
     """'killed', 'SURVIVED' or an error note for one mutant."""
-    src = scratch / "src"
-    shutil.rmtree(src, ignore_errors=True)
+    src, storage = scratch / "src", scratch / "hypothesis"
+    for fresh in (src, storage):
+        shutil.rmtree(fresh, ignore_errors=True)
     shutil.copytree(ROOT / "src", src,
                     ignore=shutil.ignore_patterns("__pycache__"))
     target = src / mutant.path
     target.write_text(mutated_source(mutant, target.read_text()))
+    # hypothesis keeps its examples under the storage directory, by
+    # default .hypothesis/ in the cwd; a mutant's own empty one means no
+    # failing example saved by an earlier run is replayed
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "HYPOTHESIS_STORAGE_DIRECTORY": str(storage),
            "PYTHONPATH": os.pathsep.join(
                filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     # pytest exits 1 when tests ran and some failed, 0 when all passed
