@@ -61,6 +61,7 @@ from .newton import (
     fix_sqr,
     flt_sqr,
     fsqr_exact,
+    grid_inputs,
     isqr_exact,
     min_iterations_for_step,
     min_legal_iterations,

@@ -39,6 +39,7 @@ from .newton import (
     derive_eps_for_ulp,
     fix_sqr,
     flt_sqr,
+    grid_inputs,
     min_iterations_for_step,
     mix_sqr,
     sqr_exact,
@@ -71,7 +72,9 @@ MAX_BALANCE_TABLE = 256
 # ---------------------------------------------------------------------------
 
 def _require(doc: dict, key: str, where: str):
-    if not isinstance(doc, dict) or key not in doc:
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where}: expected an object, got {doc!r}")
+    if key not in doc:
         raise FileFormatError(f"{where}: missing field {key!r}")
     return doc[key]
 
@@ -362,16 +365,20 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
     return 0 if verdict.passed else 1
 
 
-def _scan_counts(fix: FixProfile) -> range:
-    """The counts of grid_values(fix, sup/2): the grid values in
-    (1, sup/2]."""
-    return range(fix.delta_den + 1, fix.sup_count // 2 + 1)
+def _require_grid_inputs(fix: FixProfile) -> range:
+    """grid_inputs(fix), refused when empty: a suite or sweep over the
+    grid runs' inputs would check nothing."""
+    counts = grid_inputs(fix)
+    if not counts:
+        raise DomainError(f"no grid value in (1, {fix.sup_value / 2}]: the "
+                          f"grid runs accept no input on this profile")
+    return counts
 
 
 def _sample_scan_ys(fix: FixProfile, samples: int, seed: int) -> list[FixVal]:
-    """The draw random.Random(seed).sample makes from grid_values(fix,
-    sup/2), ascending; made on counts, so only the values drawn are built."""
-    counts = _scan_counts(fix)
+    """The draw random.Random(seed).sample makes from grid_inputs(fix),
+    ascending; made on counts, so only the values drawn are built."""
+    counts = grid_inputs(fix)
     draw = random.Random(seed).sample(counts, min(samples, len(counts)))
     return [FixVal(c, fix) for c in sorted(draw)]
 
@@ -389,7 +396,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                       if args.exhaustive
                       else sample_rationals(args.samples, args.seed))
     if "fsqr" in suites or "adjust" in suites:
-        scan_ys = (grid_values(fix, fix.sup_value / 2) if args.exhaustive
+        counts = _require_grid_inputs(fix)
+        scan_ys = ([FixVal(c, fix) for c in counts] if args.exhaustive
                    else _sample_scan_ys(fix, args.samples, args.seed))
     for suite in suites:
         if suite == "table":
@@ -418,8 +426,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                       args.n_max)
         else:
             # one value at a time: a wide grid has millions below sup/2
-            for count in _scan_counts(fix):
-                y = FixVal(count, fix)
+            for y in map(fix.val, grid_inputs(fix)):
                 rows = monotonicity_probe(y, step.eps, table, args.n_min,
                                           args.n_max)
                 if any(r.error_increased for r in rows) and \
@@ -476,6 +483,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: no candidate step is valid for eps={step.eps}; "
               "nothing was checked", file=sys.stderr)
         return 1
+    _require_grid_inputs(fix)  # else no row ran a grid input
     return 0 if all(r.all_within_predicted for r in valid) else 1
 
 

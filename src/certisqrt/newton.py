@@ -13,7 +13,7 @@ Every run returns the result together with a record of its iterates;
 all correctness checks live in the verify module and operate on those
 records after the fact.  The exact variants return a Trace, which holds
 each pass as a TraceStep.  The grid variants return a GridTrace, which
-holds only the request's inputs, the seed count and each iterate count
+holds only the radicand, the seed count and each iterate count
 (flt_sqr's is the record of the loop it ran on its radicand): its
 per-pass view, in the same TraceStep form, is built when a reader asks
 for it, so a request builds no record that nothing reads.
@@ -51,7 +51,8 @@ from .errors import (
 from .exact import (Ordering, _lowest_terms, _radicand, _rat_text,
                     _sqrt_sign, cmp_products, cmp_sqrt, decide_radical_lt,
                     encode_int, fraction_from_coprime)
-from .fixarith import FixVal, _newton_step, fix_mul, require_same_grid
+from .fixarith import (FixProfile, FixVal, _newton_step, fix_mul,
+                       require_same_grid)
 from .floatmodel import FloatProfile, FloatVal, _require_base, compose
 from .lut import (RootTable, _check_table_config, _env_limit, _seed_count,
                   step_multiple_of_eps)
@@ -199,22 +200,22 @@ class Trace:
 
 
 class GridTrace(NamedTuple):
-    """A run of fix_sqr, mix_sqr or flt_sqr as it is recorded: its inputs,
-    the table step stp, the iteration count n_planned, and counts, the
-    seed count followed by each iterate count on the grid of y.  flt_sqr's
-    y is the radicand the loop ran on, and a zero input records y None and
-    no counts.
+    """A run of fix_sqr, mix_sqr or flt_sqr as it is recorded: the
+    algorithm, its radicand y and counts, the seed count followed by each
+    iterate count on the grid of y.  flt_sqr's y is the radicand the loop
+    ran on, and a zero input records y None and no counts.
 
-    seed, final_x and steps are views with the values of the Trace fields
-    of those names, built from the counts on every read.
+    n_planned, seed, final_x and steps are views with the values of the
+    Trace fields of those names, built from the counts on every read.
     """
 
     algorithm: str
     y: FixVal | None
-    eps: FixVal
-    stp: FixVal | None
-    n_planned: int | None
     counts: tuple[int, ...]
+
+    @property
+    def n_planned(self) -> int | None:
+        return len(self.counts) - 1 if self.counts else None
 
     @property
     def seed(self) -> FixVal | None:
@@ -500,6 +501,13 @@ def fsqr_exact(y: Fraction, eps: Fraction, seed: Fraction,
     return _exact_run("fsqr_exact", y, eps, seed, n)
 
 
+def grid_inputs(profile: FixProfile) -> range:
+    """The counts d + 1 ... sup // 2 of the values in (1, sup/2], the
+    radicands the grid runs accept.  _grid_newton's two refusals state
+    this domain inline, so that a request makes no call here."""
+    return range(profile.delta_den + 1, profile.sup_count // 2 + 1)
+
+
 def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
                  n: int | None = None, *,
                  mix: bool = False) -> tuple[FixVal, GridTrace]:
@@ -539,8 +547,7 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
             raise InternalInvariantError("iterate left the positive half-line")
         x = _newton_step(x, yc, profile)
         counts.append(x)
-    return FixVal(x, profile), GridTrace(algorithm, y, eps, table.stp, n,
-                                         tuple(counts))
+    return FixVal(x, profile), GridTrace(algorithm, y, tuple(counts))
 
 
 def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
@@ -590,15 +597,15 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     require_same_grid(table.profile, profile.fix,
                       "table belongs to a different grid")
     if a.is_zero:
-        return FloatVal.zero(), GridTrace("flt_sqr", None, eps, None, None,
-                                          ())
+        return FloatVal.zero(), GridTrace("flt_sqr", None, ())
     man, e = a.man, a.exp
     require_same_grid(man.profile, profile.fix,
                       "input belongs to a different grid")
     _require_base(a, profile)
-    y_fix, z = (fix_mul(man, profile.base_fix), e - 1) if e % 2 else (man, e)
+    # an odd e runs on man*base at e - 1, and (e - 1)//2 == e//2
+    y_fix = fix_mul(man, profile.base_fix) if e % 2 else man
     x, trace = _grid_newton("flt_sqr", y_fix, eps, table, mix=True)
-    return compose(x, z // 2, profile), trace
+    return compose(x, e // 2, profile), trace
 
 
 def float_bound(eps: FixVal, exp: int,

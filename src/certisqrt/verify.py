@@ -37,6 +37,7 @@ from .newton import (
     fix_sqr,
     float_bound,
     fsqr_exact,
+    grid_inputs,
     min_iterations_for_step,
     min_legal_iterations,
     sqr_exact,
@@ -364,19 +365,13 @@ class BalanceRow:
     all_within_predicted: bool
 
 
-_BALANCE_SAMPLES = 64
-
-
-def _sample_grid_values(profile: FixProfile, hi_count: int) -> list[FixVal]:
-    """Deterministic spread of up to 64 grid values in (1, hi_count/d]."""
-    lo = profile.delta_den + 1
-    if hi_count < lo:
-        return []
-    # a span of at most 63 takes steps of at most 1, so every count
-    span = hi_count - lo
-    counts = sorted({lo + (span * i) // (_BALANCE_SAMPLES - 1)
-                     for i in range(_BALANCE_SAMPLES)})
-    return [FixVal(c, profile) for c in counts]
+def _sample_grid_values(profile: FixProfile) -> list[FixVal]:
+    """Deterministic spread of 64 of grid_inputs(profile), or all of them
+    while there are at most 64, as the steps are then at most 1."""
+    counts = grid_inputs(profile)
+    last = len(counts) - 1
+    picks = {counts[last * i // 63] for i in range(64 if counts else 0)}
+    return [FixVal(c, profile) for c in sorted(picks)]
 
 
 def balance_sweep(profile: FixProfile, eps: FixVal,
@@ -386,6 +381,7 @@ def balance_sweep(profile: FixProfile, eps: FixVal,
     error of the grid run over a deterministic sample of inputs."""
     rows: list[BalanceRow] = []
     delta = profile.delta
+    ys = _sample_grid_values(profile)
     for stp in stp_candidates:
         if not validate_step(stp, eps, profile).overall:
             rows.append(BalanceRow(stp, False, 0, 0, Fraction(0),
@@ -396,7 +392,7 @@ def balance_sweep(profile: FixProfile, eps: FixVal,
         predicted = stp.value / (1 << n) + n * delta
         worst = 0.0
         all_within = True
-        for y in _sample_grid_values(profile, profile.sup_count // 2):
+        for y in ys:
             x, _ = fix_sqr(y, eps, table, n)
             if not within_of_sqrt(x.value, y.value, predicted):
                 all_within = False

@@ -23,7 +23,7 @@ from certisqrt.cli import (
 from certisqrt.errors import DomainError, ResourceLimit
 from certisqrt.fixarith import FixProfile, FixVal
 from certisqrt.newton import sqr_exact
-from certisqrt.verify import grid_values
+from certisqrt.verify import check_sqr_annotations, grid_values
 
 
 # a profile whose grid step is 1/2, not below it
@@ -714,9 +714,9 @@ class TestVerifyCommand:
         assert len(doc["reports"]) == 1
 
     @pytest.mark.parametrize("suite,flags,unread", [
-        ("table", [], ["sample_rationals", "_sample_scan_ys"]),
-        ("table", ["--exhaustive"], ["grid_values"]),
-        ("sqr", [], ["_sample_scan_ys"]),
+        ("table", [], ["sample_rationals", "_sample_scan_ys", "grid_inputs"]),
+        ("table", ["--exhaustive"], ["grid_values", "grid_inputs"]),
+        ("sqr", [], ["_sample_scan_ys", "grid_inputs"]),
         ("fsqr", [], ["sample_rationals"]),
         ("adjust", [], ["sample_rationals"]),
     ])
@@ -1031,6 +1031,61 @@ class _LazyGridValues(Sequence):
         return FixVal(self.counts[i], self.fix)
 
 
+# sup = 2*d + 1: the grid rules pass and a table builds, but no grid value
+# lies in (1, sup/2] = (1, 21/20], so the grid runs accept no input
+EMPTY_INPUTS_PROFILE = {
+    "fix": {"delta_den": 10, "inf_count": 40, "sup_count": 21},
+    "float": {"base": 2, "inf_F": "8/1", "sup_F": "8/1"},
+    "step": {"stp_count": 3, "eps_count": 3},
+}
+EMPTY_INPUTS_ERROR = ("error: DomainError: no grid value in (1, 21/20]: the "
+                      "grid runs accept no input on this profile\n")
+
+
+class TestEmptyGridInputs:
+    """A suite or sweep over the grid runs' inputs refuses a profile that
+    has none, with exit 1 and one error line, rather than pass having
+    checked nothing."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        profile, table = tmp_path / "p.json", tmp_path / "t.json"
+        profile.write_text(json.dumps(EMPTY_INPUTS_PROFILE))
+        assert main(["table-build", str(profile), str(table)]) == 0
+        return str(profile), str(table)
+
+    @pytest.mark.parametrize("suite", ["fsqr", "adjust", "all"])
+    @pytest.mark.parametrize("flags", [[], ["--exhaustive"]],
+                             ids=["sampled", "exhaustive"])
+    def test_verify_exit_1(self, paths, capsys, suite, flags):
+        capsys.readouterr()
+        assert main(["verify", *paths, "--suite", suite, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == EMPTY_INPUTS_ERROR
+
+    def test_other_suites_run(self, paths, capsys):
+        for suite in ("table", "sqr"):
+            assert main(["verify", *paths, "--suite", suite,
+                         "--samples", "3"]) == 0
+
+    def test_balance_writes_rows_then_exit_1(self, paths, tmp_path, capsys):
+        out = tmp_path / "bal.csv"
+        capsys.readouterr()
+        assert main(["sweep", paths[0], str(out), "--kind", "balance"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out}: 2 rows\n"
+        assert captured.err == EMPTY_INPUTS_ERROR
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_more_worse_exit_1(self, paths, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["sweep", paths[0], str(tmp_path / "mw.csv"),
+                     "--kind", "more-worse"]) == 1
+        assert capsys.readouterr().err == (
+            "error: no grid value in (1, 21/20] shows an error increase "
+            "within its bound for n in [1, 6]\n")
+
+
 class TestSampledScanDraw:
     """The sampled verify suites draw their grid inputs on counts; the draw
     is the one random.sample makes from the list of every grid value."""
@@ -1151,6 +1206,22 @@ class TestIntToStrLimit:
                     int(text, 0)
 
 
+    def test_sqr_report_json(self, int_digits_640):
+        """The library report of a long run: check_sqr_annotations names
+        the 7,526-bit final x, and every rational part of its JSON reads
+        back."""
+        y, eps = F(26066, 3), F(1, 1000)
+        _, trace = sqr_exact(y, eps)
+        assert trace.final_x.numerator.bit_length() == 7526
+        doc = json.loads(check_sqr_annotations(trace, y, eps).to_json())
+        texts = {key: value.split("/") for c in doc["checks"]
+                 for key, value in c["witness"].items() if key in ("x", "eps")}
+        assert F(*(int(t, 0) for t in texts["x"])) == trace.final_x
+        assert F(*(int(t, 0) for t in texts["eps"])) == eps
+        assert all(t.startswith("0x") for t in texts["x"])
+        assert doc["overall"] is True
+
+
 class TestRunExits:
     """run(), the console script's entry point, exits through SystemExit
     with main's status and its error line."""
@@ -1204,13 +1275,20 @@ class TestFileFieldRefusals:
         ("profile", ("float", "inf_F"), [1], 2,
          "profile.float.inf_F: expected a rational, got [1]"),
         ("profile", (), [], 2, "PATH: expected a JSON object"),
+        ("profile", ("fix",), [100, 1600, 1600], 2,
+         "profile.fix: expected an object, got [100, 1600, 1600]"),
+        ("profile", ("float",), "2", 2,
+         "profile.float: expected an object, got '2'"),
+        ("profile", ("step",), 25, 2,
+         "profile.step: expected an object, got 25"),
         ("table", ("delta_den",), 1000, 1,
          "DomainError: table PATH grid does not match the profile"),
         ("table", ("roots",), {"5": 150}, 2,
          "table.roots: expected a list of integers"),
     ], ids=["int-as-string", "int-as-bool", "rational-as-bool",
             "rational-as-float", "zero-denominator", "rational-as-list",
-            "top-level-array", "table-grid", "roots-not-a-list"])
+            "top-level-array", "fix-as-list", "float-as-string",
+            "step-as-int", "table-grid", "roots-not-a-list"])
     def test_refused(self, demo_profile_path, demo_table_path, tmp_path,
                      capsys, file, path, value, code, message):
         source = demo_profile_path if file == "profile" else demo_table_path

@@ -118,6 +118,9 @@ class TestAddSub:
 
     def test_sub(self, p100):
         assert fix_sub(p100.val(100), p100.val(250)).count == -150
+        with pytest.raises(RangeOverflow) as exc:
+            fix_sub(p100.val(-1600), p100.val(1))
+        assert str(exc.value) == "-1600/100 - 1/100 overflows the range"
 
     def test_profile_mismatch(self, p100, p10):
         with pytest.raises(ProfileMismatch):

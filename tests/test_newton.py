@@ -55,6 +55,7 @@ from certisqrt.newton import (
     float_bound,
     flt_sqr,
     fsqr_exact,
+    grid_inputs,
     isqr_exact,
     min_iterations_for_step,
     min_legal_iterations,
@@ -625,8 +626,7 @@ def reference_grid_run(algorithm, y, eps, stp, n=None):
     """The lean record of the reference loop: its own iterates as counts."""
     n, xs = _reference_iterates(algorithm, y, eps, stp, n)
     counts = tuple(_on_grid(x, y.profile).count for x in xs)
-    return _on_grid(xs[-1], y.profile), GridTrace(algorithm, y, eps, stp, n,
-                                                  counts)
+    return _on_grid(xs[-1], y.profile), GridTrace(algorithm, y, counts)
 
 
 def reference_flt_run(a, eps, fprof, stp):
@@ -844,6 +844,25 @@ class TestGridTraceViews:
             assert (got["seed"] != want["seed"]) == (i == 0)
             assert (got["final_x"] != want["final_x"]) == (i == last)
 
+    def test_record_fields(self, demo_profile, demo_eps, demo_float_profile,
+                           demo_table):
+        """A grid record holds the algorithm, y and the counts; n_planned
+        is the number of passes the counts show, None for a zero float."""
+        assert GridTrace._fields == ("algorithm", "y", "counts")
+        y = demo_profile.val(300)
+        for n in range(1, 5):
+            _, trace = fix_sqr(y, demo_eps, demo_table, n)
+            assert trace.n_planned == len(trace.counts) - 1 == n
+        _, trace = mix_sqr(y, demo_eps, demo_table)
+        assert trace.n_planned == len(trace.counts) - 1 == \
+            min_iterations_for_step(demo_table.stp, demo_eps)
+        _, trace = flt_sqr(compose(y, 3, demo_float_profile), demo_eps,
+                           demo_float_profile, demo_table)
+        assert trace.n_planned == len(trace.counts) - 1
+        _, trace = flt_sqr(FloatVal.zero(), demo_eps, demo_float_profile,
+                           demo_table)
+        assert trace.n_planned is None
+
     @pytest.mark.parametrize("mode", ["fix", "mix", "flt"])
     def test_request_builds_no_step_record(self, monkeypatch, mode):
         # eps = stp/2 takes two passes
@@ -862,6 +881,29 @@ class TestGridTraceViews:
         steps = trace.steps
         assert len(steps) == trace.n_planned >= 2
         assert built == Counter(TraceStep=len(steps), Fraction=len(steps))
+
+
+class TestGridInputs:
+    """grid_inputs(p) is the set of counts in [-inf, sup] that fix_sqr
+    accepts at its least iteration count; it refuses every other count
+    with DomainError."""
+
+    @pytest.mark.parametrize("fix,stp,size", [
+        (FixProfile(100, 1600, 1600), 25, 700),
+        (FixProfile(10, 40, 40), 8, 10),
+        (FixProfile(10, 40, 21), 3, 0),  # sup = 2*d + 1: (1, 21/20] is empty
+    ], ids=["demo", "micro", "empty"])
+    def test_equals_accepted_counts(self, fix, stp, size):
+        table = build_root_table(fix, fix.val(stp))
+        accepted = []
+        for count in range(-fix.inf_count, fix.sup_count + 1):
+            try:  # eps = stp, whose least count is 1
+                fix_sqr(fix.val(count), table.stp, table, 1)
+            except DomainError:
+                continue
+            accepted.append(count)
+        assert list(grid_inputs(fix)) == accepted
+        assert len(accepted) == size
 
 
 def reference_exact_run(algorithm, y, eps, seed=None, n=None,

@@ -31,10 +31,12 @@ from certisqrt.newton import (
     mix_sqr,
     sqr_exact,
 )
-from certisqrt.report import CheckResult
+from certisqrt.report import CheckResult, VerifyReport
 from certisqrt.verify import (
     _final_error,
     _first_failure,
+    _sample_grid_values,
+    _suite_check,
     adjust_runs,
     applied_corrections,
     approx_abs_err,
@@ -727,6 +729,8 @@ class TestCmpAbsErr:
         assert cmp_abs_err(F(3, 2), F(7, 5), F(2), ) is Ordering.GREATER
         assert cmp_abs_err(F(7, 5), F(3, 2), F(2)) is Ordering.LESS
         assert cmp_abs_err(F(3, 2), F(3, 2), F(2)) is Ordering.EQUAL
+        # 1 and 3 lie 1 either side of sqrt(4): the midpoint is the root
+        assert cmp_abs_err(F(1), F(3), F(4)) is Ordering.EQUAL
 
     def test_symmetric_pair(self):
         # 1.3 and 1.5 straddle sqrt(2) = 1.41421...
@@ -880,6 +884,18 @@ class TestBalanceSweep:
         rows = balance_sweep(demo_profile, demo_eps, [demo_profile.val(30)])
         assert not rows[0].valid
 
+    @pytest.mark.parametrize("d,sup", [(100, 1600), (10, 40), (10, 21),
+                                       (2, 130), (2, 132), (10, 1300)])
+    def test_sample_spreads_grid_inputs(self, d, sup):
+        """64 counts from d + 1 to sup // 2, both ends kept, or every count
+        when there are at most 64; none when the range is empty."""
+        lo, hi = d + 1, sup // 2
+        want = (sorted({lo + (hi - lo) * i // 63 for i in range(64)})
+                if hi >= lo else [])
+        got = [y.count for y in _sample_grid_values(FixProfile(d, sup, sup))]
+        assert got == want
+        assert len(got) == min(64, max(0, hi - lo + 1))
+
 
 class TestSuites:
     def test_sqr_suite_samples(self):
@@ -908,6 +924,13 @@ class TestSuites:
         assert report.subject == "adjust suite (20 inputs x 6 counts)"
         assert [c.name for c in report.checks[:6]] == \
             [f"y={ys[0]} n={n}" for n in range(1, 7)]
+
+    def test_failed_entry_names_its_rules(self):
+        rep = VerifyReport("run", (CheckResult("a", "r.a", True),
+                                   CheckResult("b", "r.b", False),
+                                   CheckResult("c", "r.c", False)))
+        entry = _suite_check("y=2", "suite.sqr", rep)
+        assert entry.as_dict()["witness"] == {"failed": ["r.b", "r.c"]}
 
     def test_grid_values_range(self, demo_profile):
         vals = grid_values(demo_profile, F(8))

@@ -53,6 +53,17 @@ MUTANTS = (
            "roots[bad - table.k_min]", "roots[bad]",
            (LOAD_TESTS + "test_load_reports_first_fault",
             "tests/test_cli.py::TestLoadCorruptions")),
+    Mutant("_require without its object test", CLI,
+           "if not isinstance(doc, dict):\n"
+           '        raise FileFormatError(f"{where}: expected an object',
+           "if False:\n"
+           '        raise FileFormatError(f"{where}: expected an object',
+           ("tests/test_cli.py::TestFileFieldRefusals::test_refused",)),
+    Mutant("an empty grid-input range passes the suites and sweeps", CLI,
+           "if not counts:", "if False:",
+           ("tests/test_cli.py::TestEmptyGridInputs::test_verify_exit_1",
+            "tests/test_cli.py::TestEmptyGridInputs::"
+            "test_balance_writes_rows_then_exit_1")),
     Mutant("RootTable without its entry-count check", LUT,
            "if len(self.roots) != len(indices):", "if False:",
            (LOAD_TESTS + "test_wrong_length_refused",)),
@@ -123,7 +134,8 @@ MUTANTS = (
     # 2**14284 < 10**4300, the default int-to-str limit, not the least
     Mutant("encode_int's decimal bound sized for 4300 digits", EXACT,
            "_DECIMAL_MAX_BITS = 2126", "_DECIMAL_MAX_BITS = 14284",
-           ("tests/test_cli.py::TestIntToStrLimit::test_long_exact_trace",)),
+           ("tests/test_cli.py::TestIntToStrLimit::test_long_exact_trace",
+            "tests/test_cli.py::TestIntToStrLimit::test_sqr_report_json")),
 )
 
 
