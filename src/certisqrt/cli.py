@@ -2,15 +2,20 @@
 evaluation with oracle verdicts, verification suites, and sweep reports.
 
 Exit status contract: 0 all checks pass, 1 domain or verification
-failure, 2 usage or parse failure.  All outputs are deterministic given
-the arguments (and --seed); structured artifacts are JSON, sweeps CSV.
+failure, 2 usage or parse failure or an unwritable output, stdout
+included; main prints the one error line.  All outputs are deterministic
+given the arguments (and --seed); structured artifacts are JSON, sweeps CSV.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -33,6 +38,7 @@ from .lut import (
     validate_step,
 )
 from .newton import (
+    ENV_MAX_BITS,
     GridTrace,
     Trace,
     _divisors_descending,
@@ -41,6 +47,7 @@ from .newton import (
     flt_sqr,
     grid_inputs,
     min_iterations_for_step,
+    max_bits,
     mix_sqr,
     sqr_exact,
 )
@@ -60,7 +67,8 @@ from .verify import (
 
 
 class FileFormatError(Exception):
-    """Unreadable or malformed input, or unwritable output; exit status 2."""
+    """Unreadable or malformed input, an output that cannot be written, or
+    a usage error the parser cannot see; main prints it, exit status 2."""
 
 
 # largest table a balance sweep without --stp builds for a candidate step
@@ -96,11 +104,28 @@ def _require_rational(doc: dict, key: str, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _fraction(value)
+        except (FileFormatError, DomainError) as exc:  # a non-integer cap
+            raise FileFormatError(f"{where}.{key}: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise FileFormatError(f"{where}.{key}: not a rational: "
                                   f"{value!r}") from exc
     raise FileFormatError(f"{where}.{key}: expected a rational, got {value!r}")
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text); a decimal exponent e is refused first, with
+    FileFormatError, when 10**|e|, which Fraction builds whole, would pass
+    the CERTISQRT_MAX_BITS cap, and always at 16 or more digits (DomainError
+    if the cap is no integer)."""
+    low = text.lower()
+    if "e" in low:
+        e = low.rpartition("e")[2].strip().replace("_", "").lstrip("+-0")
+        if e.isdecimal() and (len(e) > 15 or
+                              int(e) * math.log2(10) >= max_bits()):
+            raise FileFormatError(f"rational {text!r} needs 10**{e}, past "
+                                  f"{ENV_MAX_BITS} = {max_bits()}")
+    return Fraction(text)
 
 
 def _read_json(path: str) -> dict:
@@ -244,49 +269,46 @@ TRACE_COLUMNS = ["algorithm", "k", "x_num", "x_den", "x_count",
                  "correction", "exact_flag"]
 
 
-def _open_out(path: str):
-    """path opened for text output without newline translation."""
+def _write(path: str, text: str) -> None:
+    """The one writer of output files; text is written untranslated."""
     try:
-        return open(path, "w", newline="")
+        Path(path).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
-def write_trace(path: str, trace: Trace | GridTrace) -> None:
-    rows = trace_rows(trace)
-    with _open_out(path) as fh:
-        if path.endswith(".json"):
-            fh.write(json.dumps(rows, sort_keys=True, indent=2) + "\n")
-            return
-        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_profile_check(args: argparse.Namespace) -> int:
-    fix, fprof, step = load_profile(args.profile)
-    budget = "exhaustive" if args.exhaustive else args.samples
-    reports = [
-        check_profile_assumptions(fix, budget=budget, seed=args.seed),
-        check_float_profile(fprof),
-        validate_step(step.stp, step.eps, fix),
-    ]
+def _print_reports(reports: list[VerifyReport]) -> int:
     overall = all(r.overall for r in reports)
     doc = {"overall": overall, "reports": [r.as_dict() for r in reports]}
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0 if overall else 1
 
 
+def cmd_profile_check(args: argparse.Namespace) -> int:
+    fix, fprof, step = load_profile(args.profile)
+    budget = "exhaustive" if args.exhaustive else args.samples
+    return _print_reports([
+        check_profile_assumptions(fix, budget=budget, seed=args.seed),
+        check_float_profile(fprof),
+        validate_step(step.stp, step.eps, fix),
+    ])
+
+
 def cmd_table_build(args: argparse.Namespace) -> int:
     fix, fprof, step = load_profile(args.profile)
     table = build_root_table(fix, step.stp)
     payload = table_file_bytes(table, profile_digest(fix, fprof, step))
-    with _open_out(args.out) as fh:
-        fh.write(payload.decode("ascii"))
+    _write(args.out, payload.decode("ascii"))
     print(f"wrote {args.out}: {len(table)} entries, stp={step.stp}")
     return 0
 
@@ -314,9 +336,7 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
     table = None
     if need_table:
         if args.table is None:
-            print("error: modes fix/mix/float require a table file",
-                  file=sys.stderr)
-            return 2
+            raise FileFormatError("modes fix/mix/float require a table file")
         table = _bound_table(args, fix, fprof, step)
     if args.ulp is not None:
         eps_fix = derive_eps_for_ulp(args.ulp, fprof, step.stp)
@@ -333,8 +353,7 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
         y = _grid_exact(args.value, fix)
         if args.mode == "fix":
             if args.n is None:
-                print("error: mode fix requires --n", file=sys.stderr)
-                return 2
+                raise FileFormatError("mode fix requires --n")
             x, trace = fix_sqr(y, eps_fix, table, args.n)
         else:
             x, trace = mix_sqr(y, eps_fix, table)
@@ -361,7 +380,10 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
     lines.append(f"check = {'PASS' if verdict.passed else 'FAIL'}")
     print("\n".join(lines))
     if args.trace_out is not None:
-        write_trace(args.trace_out, trace)
+        rows, cols = trace_rows(trace), TRACE_COLUMNS
+        _write(args.trace_out, json.dumps(rows, sort_keys=True, indent=2) +
+               "\n" if args.trace_out.endswith(".json") else
+               _csv(cols, ([r[c] for c in cols] for r in rows)))
     return 0 if verdict.passed else 1
 
 
@@ -408,10 +430,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reports.append(run_fsqr_suite(table, eps, scan_ys))
         elif suite == "adjust":
             reports.append(run_adjust_suite(table, eps, scan_ys))
-    overall = all(r.overall for r in reports)
-    doc = {"overall": overall, "reports": [r.as_dict() for r in reports]}
-    print(json.dumps(doc, sort_keys=True, indent=2))
-    return 0 if overall else 1
+    return _print_reports(reports)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -439,19 +458,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 return 1
             print(f"witness: y={y} increases at "
                   f"n={[r.n for r in rows if r.error_increased]}")
-        with _open_out(args.out) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "x_count", "x_value", "err_display",
-                             "bound", "within_bound", "error_increased"])
-            for r in rows:
-                writer.writerow([r.n, r.x.count, rat_str(r.x.value),
-                                 f"{r.err_display:.12g}", rat_str(r.bound),
-                                 str(r.within_bound).lower(),
-                                 str(r.error_increased).lower()])
-        bad = [r.n for r in rows if not r.within_bound]
+        _write(args.out, _csv(
+            ["n", "x_count", "x_value", "err_display", "bound",
+             "within_bound", "error_increased"],
+            ([r.n, r.x.count, rat_str(r.x.value), f"{r.err_display:.12g}",
+              rat_str(r.bound), str(r.within_bound).lower(),
+              str(r.error_increased).lower()] for r in rows)))
         print(f"wrote {args.out}: {len(rows)} rows, "
               f"increases at n={[r.n for r in rows if r.error_increased]}")
-        return 0 if not bad else 1
+        return 0 if all(r.within_bound for r in rows) else 1
     # balance
     if args.stp is None:
         if step.eps.count <= 0:
@@ -461,22 +476,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                       if c % step.eps.count == 0
                       and fix.sup_count // c <= MAX_BALANCE_TABLE]
     elif not args.stp:
-        print("error: kind balance requires a non-empty --stp list",
-              file=sys.stderr)
-        return 2
+        raise FileFormatError("kind balance requires a non-empty --stp list")
     else:
         candidates = [_grid_exact(v, fix) for v in args.stp]
     rows = balance_sweep(fix, step.eps, candidates)
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stp", "valid", "table_size", "n",
-                         "predicted_bound", "worst_err_display",
-                         "all_within_predicted"])
-        for r in rows:
-            writer.writerow([rat_str(r.stp.value), str(r.valid).lower(),
-                             r.table_size, r.n, rat_str(r.predicted_bound),
-                             f"{r.worst_err_display:.12g}",
-                             str(r.all_within_predicted).lower()])
+    _write(args.out, _csv(
+        ["stp", "valid", "table_size", "n", "predicted_bound",
+         "worst_err_display", "all_within_predicted"],
+        ([rat_str(r.stp.value), str(r.valid).lower(), r.table_size, r.n,
+          rat_str(r.predicted_bound), f"{r.worst_err_display:.12g}",
+          str(r.all_within_predicted).lower()] for r in rows)))
     valid = [r for r in rows if r.valid]
     print(f"wrote {args.out}: {len(rows)} rows")
     if not valid:
@@ -502,7 +511,9 @@ def _count(text: str) -> int:
 def _rational(text: str) -> Fraction:
     """A rational argument such as 3, 0.25 or 1/4."""
     try:
-        return Fraction(text)
+        return _fraction(text)
+    except (FileFormatError, DomainError) as exc:  # a non-integer cap
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a rational, got {text!r}") from None
@@ -571,19 +582,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; the one place that prints an error line."""
+    error = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CertisqrtError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        try:
+            args = build_parser().parse_args(argv)
+            status = args.func(args)
+        except SystemExit as exc:  # argparse printed a usage error or help
+            status = int(exc.code or 0)
+        except FileFormatError as exc:
+            status, error = 2, str(exc)
+        except CertisqrtError as exc:
+            status, error = 1, f"{type(exc).__name__}: {exc}"
+        if sys.stdout is not None:  # None when started without fd 1
+            sys.stdout.flush()
+    except OSError as exc:  # stdout is a closed pipe or a full device
+        # a stdout with an fd now writes to devnull: the exit flush passes
+        with contextlib.suppress(OSError, ValueError):  # else in memory
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        status, error = 2, f"cannot write standard output: {exc}"
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 def run() -> None:

@@ -61,6 +61,11 @@ ENV_MAX_BITS = "CERTISQRT_MAX_BITS"
 DEFAULT_MAX_BITS = 1 << 21
 
 
+def max_bits() -> int:
+    """The CERTISQRT_MAX_BITS cap on the integers an exact pass may form."""
+    return _env_limit(ENV_MAX_BITS, DEFAULT_MAX_BITS)
+
+
 class _Factored(NamedTuple):
     """An exit pass's correction kept as factors: sign*prod(num)/prod(den)
     with num = (c, m, m), the factors of the pass's norm c*m**2, and den =
@@ -353,7 +358,7 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     en, ed = eps.numerator, eps.denominator
     small, y_bits = 2 * a * b, max(a, b).bit_length()
     sign = -1 if algorithm == "sqr_exact" else 1
-    limit = _env_limit(ENV_MAX_BITS, DEFAULT_MAX_BITS)
+    limit = max_bits()
     x, p, q = seed, seed.numerator, seed.denominator
     steps = []
     for k in range((a * ed).bit_length() + 65 if n is None else n):

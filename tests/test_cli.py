@@ -1,7 +1,12 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from collections.abc import Sequence
 from fractions import Fraction as F
@@ -11,6 +16,7 @@ import pytest
 
 from certisqrt.cli import (
     FileFormatError,
+    _rational,
     _sample_scan_ys,
     load_profile,
     load_table,
@@ -906,35 +912,88 @@ class TestSweepCommand:
         assert [r[1] for r in rows] == ["false", "true"]
 
 
+# each rational flag, with the text that precedes its last item
+RATIONAL_FLAGS = pytest.mark.parametrize("command,flag,text", [
+    (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--eps", "1/4"],
+     "--value", ""),
+    (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--value", "3"],
+     "--eps", ""),
+    (["sqrt", "PROFILE", "TABLE", "--mode", "float", "--value", "3"],
+     "--ulp", ""),
+    (["sweep", "PROFILE", "OUT", "--kind", "more-worse"], "--y", ""),
+    (["sweep", "PROFILE", "OUT", "--kind", "balance"], "--stp", "1/4, "),
+], ids=["value", "eps", "ulp", "y", "stp"])
+
+
 class TestRationalArguments:
     """A rational flag whose text is no rational, a zero denominator
-    included, is a usage error."""
+    included, is a usage error; so is one whose decimal exponent would
+    build a power of ten past the CERTISQRT_MAX_BITS cap."""
 
-    @pytest.mark.parametrize("command,flag,text", [
-        (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--eps", "1/4"],
-         "--value", "1/0"),
-        (["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--value", "3"],
-         "--eps", "1/0"),
-        (["sqrt", "PROFILE", "TABLE", "--mode", "float", "--value", "3"],
-         "--ulp", "1/0"),
-        (["sweep", "PROFILE", "OUT", "--kind", "more-worse"], "--y", "1/0"),
-        (["sweep", "PROFILE", "OUT", "--kind", "balance"], "--stp",
-         "1/4, 1/0"),
-    ], ids=["value", "eps", "ulp", "y", "stp"])
-    def test_zero_denominator_exit_2(self, demo_profile_path,
-                                     demo_table_path, tmp_path, capsys,
-                                     command, flag, text):
+    @staticmethod
+    def _usage_error(paths, tmp_path, capsys, command, flag, text):
+        """main's stderr for command with flag text; it must exit 2 with
+        nothing on stdout and no output file."""
         out = tmp_path / "out.csv"
-        argv = [{"PROFILE": demo_profile_path, "TABLE": demo_table_path,
-                 "OUT": str(out)}.get(a, a) for a in command]
+        argv = [{**paths, "OUT": str(out)}.get(a, a) for a in command]
         capsys.readouterr()
         assert main(argv + [flag, text]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        bad = text.split(", ")[-1]
-        assert f"argument {flag}: expected a rational, got '{bad}'" \
-            in captured.err
         assert not out.exists()
+        return captured.err
+
+    @RATIONAL_FLAGS
+    def test_zero_denominator_exit_2(self, demo_profile_path,
+                                     demo_table_path, tmp_path, capsys,
+                                     command, flag, text):
+        paths = {"PROFILE": demo_profile_path, "TABLE": demo_table_path}
+        err = self._usage_error(paths, tmp_path, capsys, command, flag,
+                                text + "1/0")
+        assert f"argument {flag}: expected a rational, got '1/0'" in err
+
+    @RATIONAL_FLAGS
+    def test_exponent_past_bit_cap_exit_2(self, demo_profile_path,
+                                          demo_table_path, tmp_path,
+                                          capsys, monkeypatch, command,
+                                          flag, text):
+        paths = {"PROFILE": demo_profile_path, "TABLE": demo_table_path}
+        monkeypatch.setenv("CERTISQRT_MAX_BITS", "64")
+        err = self._usage_error(paths, tmp_path, capsys, command, flag,
+                                text + "1e100")
+        assert err.endswith(f"argument {flag}: rational '1e100' needs "
+                            f"10**100, past CERTISQRT_MAX_BITS = 64\n")
+
+    def test_exponent_cap_boundary(self, monkeypatch):
+        """10**|e| is refused exactly when its bit length passes the cap:
+        10**19 has 64 bits and 10**20 has 67."""
+        monkeypatch.setenv("CERTISQRT_MAX_BITS", "64")
+        for e in range(100):
+            for text in (f"1e{e}", f"-2.5E-{e}", f" 1e+0_{e} "):
+                if (10 ** e).bit_length() > 64:
+                    with pytest.raises(argparse.ArgumentTypeError,
+                                       match="CERTISQRT_MAX_BITS = 64$"):
+                        _rational(text)
+                else:
+                    assert _rational(text) == F(text.replace("_", ""))
+        assert _rational("1e10") == 10 ** 10
+        assert _rational("1e0000000000000000019") == 10 ** 19
+        monkeypatch.setenv("CERTISQRT_MAX_BITS", "64 bits")
+        assert _rational("1/4") == F(1, 4)
+        with pytest.raises(argparse.ArgumentTypeError, match="^CERTISQRT_MAX"
+                           "_BITS must be an integer, got '64 bits'$"):
+            _rational("1e10")
+
+    @pytest.mark.parametrize("text", ["1e10000000", "-1E-10000000",
+                                      "1e" + "9" * 5000])
+    def test_huge_exponent_refused_at_the_default_cap(self, text,
+                                                      monkeypatch):
+        """Fraction would build 10**10000000 whole, in seconds; an
+        exponent of 16 or more digits is refused without reading it."""
+        monkeypatch.delenv("CERTISQRT_MAX_BITS", raising=False)
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="past CERTISQRT_MAX_BITS = 2097152$"):
+            _rational(text)
 
 
 class TestHugeRationalRefusals:
@@ -1013,6 +1072,114 @@ class TestUnwritableOutput:
         assert err.startswith(f"error: cannot write {out}: ")
         assert "No such file or directory" in err
         assert not out.parent.exists()
+
+
+def _run_cli(argv: list[str], stdout, cwd: Path,
+             **kwargs) -> subprocess.CompletedProcess:
+    """certisqrt run as its own process, so the flush of stdout at
+    interpreter exit happens as it does for the console script; it
+    imports the certisqrt these tests import."""
+    import certisqrt
+    where = str(Path(certisqrt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [where, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "certisqrt.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          cwd=cwd, env=env, check=False, **kwargs)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this system")
+
+
+class TestFailedWrites:
+    """A write that fails, to stdout or to an output file, ends like any
+    other refusal: exit 2 and one error line, with no traceback and no
+    error from the flush at interpreter exit."""
+
+    SQRT = ["sqrt", "PROFILE", "--mode", "exact", "--value", "2", "--eps",
+            "1/100"]
+
+    @staticmethod
+    def _argv(argv, demo_profile_path, demo_table_path):
+        return [{"PROFILE": demo_profile_path,
+                 "TABLE": demo_table_path}.get(a, a) for a in argv]
+
+    @staticmethod
+    def _one_line(proc, target):
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write {target}: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        SQRT, ["verify", "PROFILE", "TABLE", "--suite", "table"],
+    ], ids=["sqrt", "verify"])
+    def test_closed_stdout(self, demo_profile_path, demo_table_path,
+                           tmp_path, argv):
+        """stdout a pipe whose read end is closed before the process
+        starts, so the first write fails, as under `| head -1`."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _run_cli(
+                self._argv(argv, demo_profile_path, demo_table_path),
+                write_end, tmp_path)
+        finally:
+            os.close(write_end)
+        self._one_line(proc, "standard output")
+        assert "Broken pipe" in proc.stderr
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [["profile-check", "PROFILE"], SQRT],
+                             ids=["profile-check", "sqrt"])
+    def test_stdout_on_full_device(self, demo_profile_path, tmp_path, argv):
+        with open("/dev/full", "w") as full:
+            proc = _run_cli(self._argv(argv, demo_profile_path, None),
+                            full, tmp_path)
+        self._one_line(proc, "standard output")
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [
+        ["sqrt", "PROFILE", "TABLE", "--mode", "mix", "--value", "3",
+         "--eps", "1/4", "--trace", "/dev/full"],
+        ["table-build", "PROFILE", "/dev/full"],
+        ["sweep", "PROFILE", "/dev/full", "--kind", "more-worse", "--y", "2"],
+        ["sweep", "PROFILE", "/dev/full", "--kind", "balance", "--stp",
+         "1/4"],
+    ], ids=["sqrt-trace", "table-build", "sweep-more-worse", "sweep-balance"])
+    def test_output_on_full_device(self, demo_profile_path, demo_table_path,
+                                   tmp_path, argv):
+        proc = _run_cli(self._argv(argv, demo_profile_path, demo_table_path),
+                        subprocess.DEVNULL, tmp_path)
+        self._one_line(proc, "/dev/full")
+
+    def test_started_without_stdout(self, demo_profile_path, tmp_path):
+        """Started with fd 1 closed (`>&-`), the interpreter gives no
+        stdout object: print writes nothing, so nothing fails, and main's
+        flush must not fail on the missing object either."""
+        proc = _run_cli(["profile-check", demo_profile_path], None, tmp_path,
+                        preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_in_memory_stdout(self, demo_profile_path, capsys, monkeypatch):
+        """In process, as perfbench's call_main calls it, a stdout with no
+        file descriptor sees only the status and the line: no descriptor
+        is redirected."""
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        dup2 = []
+        monkeypatch.setattr(os, "dup2", lambda *fds: dup2.append(fds))
+        capsys.readouterr()
+        with contextlib.redirect_stdout(FullStdout()):
+            assert main(["profile-check", demo_profile_path]) == 2
+        assert capsys.readouterr().err == ("error: cannot write standard "
+                                           "output: [Errno 28] No space "
+                                           "left on device\n")
+        assert dup2 == []
 
 
 class _LazyGridValues(Sequence):
@@ -1307,6 +1474,25 @@ class TestFileFieldRefusals:
         assert captured.out == ""
         assert captured.err == \
             f"error: {message.replace('PATH', str(bad))}\n"
+
+    @pytest.mark.parametrize("key", ["inf_F", "sup_F"])
+    def test_exponent_past_bit_cap(self, demo_profile_path, tmp_path,
+                                   capsys, monkeypatch, key):
+        """A profile rational whose power of ten would pass the
+        CERTISQRT_MAX_BITS cap is a parse failure; 1e10 is read."""
+        monkeypatch.setenv("CERTISQRT_MAX_BITS", "64")
+        doc = json.loads(Path(demo_profile_path).read_text())
+        path = tmp_path / "profile.json"
+        doc["float"][key] = "1e100"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["profile-check", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: profile.float.{key}: rational '1e100' needs 10**100, "
+            f"past CERTISQRT_MAX_BITS = 64\n"))
+        doc["float"][key] = "1e10"
+        path.write_text(json.dumps(doc))
+        assert getattr(load_profile(str(path))[1], key.lower()) == 10 ** 10
 
     def test_int_rational_accepted(self, demo_profile_path, tmp_path):
         """A plain int where a rational is read is that rational: the

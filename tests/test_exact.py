@@ -767,10 +767,14 @@ class TestLosslessEncoding:
             assert _parse_rat(rat_str(q)) == q
 
     def test_report_value_round_trips(self):
+        """Long parts round-trip; a value of no listed type, such as a
+        grid value, is written as its str."""
         x = F(3 ** 20000 + 1, 2 ** 30000)
-        rep = VerifyReport("s", (CheckResult("c", "r", True,
-                                             {"x": x, "n": 7 ** 5000}),))
+        grid_value = FixProfile(100, 1600, 1600).val(5)
+        rep = VerifyReport("s", (CheckResult(
+            "c", "r", True, {"x": x, "n": 7 ** 5000, "v": grid_value}),))
         witness = json.loads(rep.to_json())["checks"][0]["witness"]
         assert witness["x"].startswith("0x")
         assert _parse_rat(witness["x"]) == x
         assert int(witness["n"], 0) == 7 ** 5000
+        assert witness["v"] == "5/100"

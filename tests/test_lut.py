@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certisqrt.errors import DomainError, InternalInvariantError, ResourceLimit
+from certisqrt.errors import (DomainError, InternalInvariantError,
+                              RangeOverflow, ResourceLimit)
 from certisqrt.exact import Ordering, cmp_sqrt
 from certisqrt.fixarith import FixProfile
 from certisqrt.lut import (
@@ -161,12 +162,18 @@ class TestRoundUp:
             round_up_to_step(demo_profile.val(100), demo_stp)
 
     def test_property_exhaustive(self, demo_profile, demo_stp):
+        """Every u in (1, sup] rounds up to the least step multiple >= u;
+        with a step that does not divide sup, the top of the range has
+        no such multiple within the bound and is refused."""
         stp_val = demo_stp.value
         for count in range(101, demo_profile.sup_count + 1):
             u = demo_profile.val(count)
             r = round_up_to_step(u, demo_stp)
             assert r.count % demo_stp.count == 0
             assert r.value - stp_val < u.value <= r.value
+        with pytest.raises(RangeOverflow, match=r"^rounded value 1602/100 "
+                           r"exceeds the range bound$"):
+            round_up_to_step(demo_profile.val(1600), demo_profile.val(3))
 
 
 class TestSupFn:

@@ -49,6 +49,11 @@ MUTANTS = (
            "if set(map(type, roots)) == {int}:",
            (LOAD_TESTS + "test_load_revalidation_catches_corruption",
             "tests/test_cli.py::TestLoadCorruptions")),
+    Mutant("load_table returns the file's table", CLI,
+           "        return table\n    bad = first_bad_root(",
+           "        return RootTable(fix, table.stp, tuple(roots))\n"
+           "    bad = first_bad_root(",
+           (LOAD_TESTS + "test_loaded_table_holds_the_walk",)),
     Mutant("load_table reads the fault without - table.k_min", CLI,
            "roots[bad - table.k_min]", "roots[bad]",
            (LOAD_TESTS + "test_load_reports_first_fault",
@@ -64,6 +69,22 @@ MUTANTS = (
            ("tests/test_cli.py::TestEmptyGridInputs::test_verify_exit_1",
             "tests/test_cli.py::TestEmptyGridInputs::"
             "test_balance_writes_rows_then_exit_1")),
+    Mutant("main without its stdout handler", CLI,
+           "except OSError as exc:  # stdout is a closed pipe",
+           "except MemoryError as exc:  # stdout is a closed pipe",
+           ("tests/test_cli.py::TestFailedWrites::test_closed_stdout",
+            "tests/test_cli.py::TestFailedWrites::test_in_memory_stdout")),
+    Mutant("_write without its OSError mapping", CLI,
+           'newline="")\n    except OSError as exc:',
+           'newline="")\n    except MemoryError as exc:',
+           ("tests/test_cli.py::TestUnwritableOutput::"
+            "test_missing_directory_exit_2",)),
+    Mutant("rational text parsed without the exponent check", CLI,
+           'if "e" in low:', "if False:",
+           ("tests/test_cli.py::TestRationalArguments::"
+            "test_exponent_cap_boundary",
+            "tests/test_cli.py::TestFileFieldRefusals::"
+            "test_exponent_past_bit_cap")),
     Mutant("RootTable without its entry-count check", LUT,
            "if len(self.roots) != len(indices):", "if False:",
            (LOAD_TESTS + "test_wrong_length_refused",)),
@@ -128,6 +149,24 @@ MUTANTS = (
            "return floor if floor % 2 == 0 else floor + 1",
            "return floor + 1",
            ("tests/test_fixarith.py::TestRoundHalfEven::test_examples",)),
+    Mutant("_first_failure reports the last witness", VERIFY,
+           "witness = next(failures, None)",
+           "witness = ([None] + list(failures))[-1]",
+           ("tests/test_verify.py::TestCheckSqr::"
+            "test_two_broken_boundaries_report_the_first",)),
+    Mutant("monotonicity_probe compares against xs[n - 2]", VERIFY,
+           "xs[n - 1].value", "xs[n - 2].value",
+           ("tests/test_verify.py::TestMonotonicityProbe::"
+            "test_witness_fixture",)),
+    Mutant("monotonicity_probe skips its n_min run", VERIFY,
+           "    fix_sqr(y, eps, table, n_min)  # a refusal",
+           "    # a refusal",
+           ("tests/test_verify.py::TestMonotonicityProbe::test_refusals",)),
+    Mutant("table.round-up's lower bound with <=", VERIFY,
+           "r.count - step < u.count <= r.count",
+           "r.count - step <= u.count <= r.count",
+           ("tests/test_verify.py::TestTableProperties::"
+            "test_skipped_index_fails_only_round_up",)),
     Mutant("fsqr.progress read from x_before", VERIFY,
            "s.x_after * (1 << k) - seed", "s.x_before * (1 << k) - seed",
            ("tests/test_verify.py::TestCheckFsqr::test_single_step_pass",)),
