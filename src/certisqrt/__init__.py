@@ -21,7 +21,6 @@ from .errors import (
 from .exact import (
     Ordering,
     cmp_sqrt,
-    decide_radical_lt,
     rat_str,
     sqrt_abs_err_lt,
     sqrt_enclosure,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -41,7 +42,6 @@ from .newton import (
     ENV_MAX_BITS,
     GridTrace,
     Trace,
-    _divisors_descending,
     derive_eps_for_ulp,
     fix_sqr,
     flt_sqr,
@@ -471,10 +471,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.stp is None:
         if step.eps.count <= 0:
             raise DomainError(f"accuracy must be positive, got {step.eps}")
-        candidates = [FixVal(c, fix)
-                      for c in reversed(_divisors_descending(fix.sup_count))
-                      if c % step.eps.count == 0
-                      and fix.sup_count // c <= MAX_BALANCE_TABLE]
+        # sup/t for each t = MAX_BALANCE_TABLE, ..., 1 dividing sup: the
+        # steps ascend, and no divisor search of sup runs
+        candidates = [FixVal(fix.sup_count // t, fix)
+                      for t in range(MAX_BALANCE_TABLE, 0, -1)
+                      if fix.sup_count % t == 0
+                      and fix.sup_count // t % step.eps.count == 0]
     elif not args.stp:
         raise FileFormatError("kind balance requires a non-empty --stp list")
     else:
@@ -594,11 +596,13 @@ def main(argv: list[str] | None = None) -> int:
             status, error = 2, str(exc)
         except CertisqrtError as exc:
             status, error = 1, f"{type(exc).__name__}: {exc}"
-        if sys.stdout is not None:  # None when started without fd 1
-            sys.stdout.flush()
-    except OSError as exc:  # stdout is a closed pipe or a full device
-        # a stdout with an fd now writes to devnull: the exit flush passes
-        with contextlib.suppress(OSError, ValueError):  # else in memory
+        if sys.stdout is None:  # started without fd 1: print wrote nothing
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.flush()
+    except OSError as exc:  # stdout is a closed pipe, a full device or none
+        # a stdout with an fd now writes to devnull: the exit flush passes;
+        # None or an in-memory stdout has no fd to redirect
+        with contextlib.suppress(AttributeError, OSError, ValueError):
             fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)

@@ -16,11 +16,12 @@ the pairs of q - bound and q + bound; _within_signs hands them to
 _sqrt_sign, except that when all their parts have at most _SHORT_BITS
 bits, as on every grid request, it forms the short products itself,
 against one shared a*den**2.  It is the one place short products are
-formed.  decide_radical_lt and sqrt_abs_err_lt multiply through by a
-positive common denominator and write sqrt(num/den) as
-sqrt(num*den)/den, so both end in _lt_radical, which decides
-L < K*sqrt(M) on integers as the sign of L/K - sqrt(M), reversed when
-K < 0.
+formed.  A one-radical bound such as c1 + c2*sqrt(m) < t, c2 >= 0, is
+the ordering cmp_sqrt(t - c1, c2**2*m), as newton.derive_eps_for_ulp
+decides it.  sqrt_abs_err_lt multiplies through by a positive common
+denominator and writes sqrt(num/den) as sqrt(num*den)/den, so it ends
+in _lt_radical, which decides L < K*sqrt(M) on integers, K >= 0, as the
+sign of L/K - sqrt(M), or of L when K = 0.
 
 cmp_products(xs, ys) decides the sign of prod(xs) - prod(ys) for two
 sequences of factors >= 0 in stages, and forms a product only in the
@@ -41,10 +42,9 @@ A Fraction from a pair of integers is built without Fraction's
 constructor, which checks its arguments and fills both slots in Python
 code: fraction_from_coprime makes it by object.__new__(Fraction) with
 its two slots, _numerator and _denominator, set once, for parts already
-in lowest terms, and _lowest_terms divides out one gcd first.
-fixarith.FixVal.value builds count/d the same way in its own body.
-Both rely on fractions.py keeping a Fraction's parts in those two
-slots.
+in lowest terms.  _lowest_terms and fixarith.FixVal.value divide out
+one gcd and call it, so it is the one function that relies on
+fractions.py keeping a Fraction's parts in those two slots.
 """
 from __future__ import annotations
 
@@ -293,32 +293,12 @@ def sqrt_enclosure(y: Fraction, p: int) -> SqrtEnclosure:
 
 
 def _lt_radical(lhs: int, k: int, m: int) -> bool:
-    """Decide lhs < k*sqrt(m) for integers, m >= 0: for k > 0 the sign
-    of lhs/k - sqrt(m) by _sqrt_sign, for k < 0 that of -lhs/-k with
-    the inequality reversed, and for k = 0 the sign of lhs."""
+    """Decide lhs < k*sqrt(m) for integers k >= 0 and m >= 0: for k > 0
+    the sign of lhs/k - sqrt(m) by _sqrt_sign, for k = 0 the sign of
+    lhs."""
     if k > 0:
         return _sqrt_sign(lhs, k, m, 1) < 0
-    if k < 0:
-        return _sqrt_sign(-lhs, -k, m, 1) > 0
     return lhs < 0
-
-
-def decide_radical_lt(lhs: Fraction, c1: Fraction, c2: Fraction,
-                      m: Fraction) -> bool:
-    """Decide lhs < c1 + c2*sqrt(m) exactly (m > 0).
-
-    With sqrt(m) = sqrt(num(m)*den(m))/den(m), multiplying through by
-    den(lhs)*den(c1)*den(c2)*den(m) > 0 leaves integers for _lt_radical.
-    """
-    mn, md = m.numerator, m.denominator
-    if mn <= 0:
-        raise DomainError(f"decide_radical_lt requires m > 0, "
-                          f"got {_rat_text(m)}")
-    ln, ld = lhs.numerator, lhs.denominator
-    an, ad = c1.numerator, c1.denominator
-    rest = ln * ad - an * ld  # lhs - c1 = rest/(ld*ad)
-    return _lt_radical(rest * c2.denominator * md, c2.numerator * ld * ad,
-                       mn * md)
 
 
 def sqrt_abs_err_lt(q: Fraction, y: Fraction, c1: Fraction, c2: Fraction,

@@ -10,11 +10,11 @@ range tests and messages of fix_add and fix_div; a test holds it equal
 to those operations on every count pair of a small grid, refusals
 included, so the probe of check_profile_assumptions covers the loop.
 A FixVal reads as count/d in lowest terms, built in its value property
-with one gcd and without Fraction's constructor, the way
-exact._lowest_terms builds a general pair through
-exact.fraction_from_coprime.  FixVal is a frozen, slotted dataclass whose
-__init__ stores its two fields through their slot descriptors, which
-skips the generated frozen __init__'s object.__setattr__ calls by name.
+with one gcd and exact.fraction_from_coprime, without Fraction's
+constructor; this module sets no slot of a Fraction.  FixVal is a
+frozen, slotted dataclass whose __init__ stores its two fields through
+their slot descriptors, which skips the generated frozen __init__'s
+object.__setattr__ calls by name.
 """
 from __future__ import annotations
 
@@ -30,7 +30,8 @@ from .errors import (
     ProfileMismatch,
     RangeOverflow,
 )
-from .exact import _lowest_terms, _rat_text, encode_int
+from .exact import (_lowest_terms, _rat_text, encode_int,
+                    fraction_from_coprime)
 from .report import CheckResult, VerifyReport, check, require
 
 
@@ -113,13 +114,12 @@ class FixVal:
     and equality, hashing and repr follow them.  __init__ has the
     generated one's signature and stores each field through its slot's
     descriptor, bound once below the class.  value is built on each
-    read, in lowest terms by one gcd, into a Fraction made by
-    object.__new__ with its two slots set.  That is what
-    exact._lowest_terms does, but without its two calls; routing value
-    through _lowest_terms was measured to cost 1.3% to 3% per mix
-    request, the path grid_serve's op_p50_ms follows.  Caching the
-    value in a third slot was measured to gain no request time and to
-    cost memory.
+    read, in lowest terms by one gcd, by exact.fraction_from_coprime.
+    That is what exact._lowest_terms does, but with one call, not two;
+    routing value through _lowest_terms was measured to cost 1.3% to 3%
+    per mix request, the path grid_serve's op_p50_ms follows.  Caching
+    the value in a third slot was measured to gain no request time and
+    to cost memory.
     """
 
     count: int
@@ -133,10 +133,7 @@ class FixVal:
     def value(self) -> Fraction:
         count, d = self.count, self.profile.delta_den
         g = math.gcd(count, d)
-        f = object.__new__(Fraction)
-        f._numerator = count // g
-        f._denominator = d // g
-        return f
+        return fraction_from_coprime(count // g, d // g)
 
     def __str__(self) -> str:
         # deliberately unreduced: count/delta_den names the grid point

@@ -54,9 +54,10 @@ class RootTable:
 
     def __post_init__(self) -> None:
         indices = _check_table_config(self.profile, self.stp)
-        if len(self.roots) != len(indices):
+        entries = indices.stop - indices.start  # len() fails past 2**63
+        if len(self.roots) != entries:
             raise DomainError(f"table has {len(self.roots)} entries, "
-                              f"expected {len(indices)}")
+                              f"expected {entries}")
         object.__setattr__(self, "k_min", indices.start)
 
     @property
@@ -190,8 +191,9 @@ def build_root_table(profile: FixProfile, stp: FixVal) -> RootTable:
     """
     indices = _check_table_config(profile, stp)
     limit = _env_limit(ENV_MAX_TABLE, DEFAULT_MAX_TABLE)
-    if len(indices) > limit:
-        raise ResourceLimit(f"table would need {len(indices)} entries, "
+    entries = indices.stop - indices.start  # len() fails past 2**63
+    if entries > limit:
+        raise ResourceLimit(f"table would need {entries} entries, "
                             f"cap {limit}")
     return RootTable(profile, stp, _least_roots(profile, stp.count))
 

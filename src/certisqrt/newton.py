@@ -49,8 +49,8 @@ from .errors import (
     SeedContractError,
 )
 from .exact import (Ordering, _lowest_terms, _radicand, _rat_text,
-                    _sqrt_sign, cmp_products, cmp_sqrt, decide_radical_lt,
-                    encode_int, fraction_from_coprime)
+                    _sqrt_sign, cmp_products, cmp_sqrt, encode_int,
+                    fraction_from_coprime)
 from .fixarith import (FixProfile, FixVal, _newton_step, fix_mul,
                        require_same_grid)
 from .floatmodel import FloatProfile, FloatVal, _require_base, compose
@@ -638,9 +638,9 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
     """Largest grid accuracy eps compatible with a half-ulp target.
 
     Constraints: the exponent-0 float bound eps + delta/(2*sqrt(base))
-    stays below ulp/2 (decided exactly), eps divides stp, and the mix_sqr
-    iteration-budget precondition holds.  Raises NoFeasibleEps when the
-    set is empty.
+    stays below ulp/2 (decided exactly by cmp_sqrt), eps divides stp, and
+    the mix_sqr iteration-budget precondition holds.  Raises
+    NoFeasibleEps when the set is empty.
     """
     profile.validate()
     if ulp <= 0:
@@ -651,8 +651,9 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
     for count in _divisors_descending(stp.count):
         eps = FixVal(count, profile.fix)
         c1, c2 = float_bound(eps, 0, profile)
-        # c1 + c2*sqrt(base) < ulp/2, as c1 < ulp/2 - c2*sqrt(base)
-        if not decide_radical_lt(c1, half_ulp, -c2, beta):
+        # c1 + c2*sqrt(base) < ulp/2, as ulp/2 - c1 > sqrt(c2**2*base)
+        # for c2 > 0; a negative ulp/2 - c1 reads LESS
+        if cmp_sqrt(half_ulp - c1, c2 * c2 * beta) is not Ordering.GREATER:
             continue
         if count < _mix_eps_floor(_least_count(stp.count, count)):
             continue

@@ -369,7 +369,7 @@ def _sample_grid_values(profile: FixProfile) -> list[FixVal]:
     """Deterministic spread of 64 of grid_inputs(profile), or all of them
     while there are at most 64, as the steps are then at most 1."""
     counts = grid_inputs(profile)
-    last = len(counts) - 1
+    last = counts.stop - counts.start - 1  # len() fails past 2**63
     picks = {counts[last * i // 63] for i in range(64 if counts else 0)}
     return [FixVal(c, profile) for c in sorted(picks)]
 

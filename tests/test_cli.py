@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from certisqrt.cli import (
+    MAX_BALANCE_TABLE,
     FileFormatError,
     _rational,
     _sample_scan_ys,
@@ -27,8 +28,10 @@ from certisqrt.cli import (
     trace_rows,
 )
 from certisqrt.errors import DomainError, ResourceLimit
+from certisqrt.exact import rat_str
 from certisqrt.fixarith import FixProfile, FixVal
-from certisqrt.newton import sqr_exact
+from certisqrt.lut import RootTable
+from certisqrt.newton import _divisors_descending, fix_sqr, sqr_exact
 from certisqrt.verify import check_sqr_annotations, grid_values
 
 
@@ -854,6 +857,45 @@ class TestSweepCommand:
                                         "8/1", "16/1"]
         assert all(r[6] == "true" for r in rows)
 
+    @pytest.mark.parametrize("fix,eps", [
+        ((100, 1600, 1600), 25), ((1000, 4_000_000, 4_000_000), 8),
+        ((10, 40, 40), 1), ((4, 40, 5120), 2), ((3, 30, 48), 3),
+    ], ids=["demo", "wide", "micro", "past-256", "third"])
+    def test_balance_default_candidates_walk(self, tmp_path, fix, eps):
+        """The candidates sup/t, t = 256 down to 1, are the divisors of sup
+        that are multiples of eps with a table of at most 256 entries."""
+        d, inf, sup = fix
+        profile, out = tmp_path / "p.json", tmp_path / "bal.csv"
+        profile.write_text(json.dumps({
+            "fix": {"delta_den": d, "inf_count": inf, "sup_count": sup},
+            "float": {"base": 2, "inf_F": "65536/1", "sup_F": "65536/1"},
+            "step": {"stp_count": eps, "eps_count": eps}}))
+        assert main(["sweep", str(profile), str(out), "--kind",
+                     "balance"]) in (0, 1)
+        want = [rat_str(F(c, d)) for c in reversed(_divisors_descending(sup))
+                if c % eps == 0 and sup // c <= MAX_BALANCE_TABLE]
+        assert [line.split(",")[0] for line in
+                out.read_text().splitlines()[1:]] == want
+
+    def test_balance_rows_outside_their_bound_exit_1(
+            self, demo_profile_path, tmp_path, capsys, monkeypatch):
+        """Negative control: a grid run 50 steps high at y = 101/100, the
+        first sampled input, leaves every row outside its bound."""
+        def high(y, eps, table, n):
+            x, trace = fix_sqr(y, eps, table, n)
+            return (FixVal(x.count + 50, x.profile) if y.count == 101
+                    else x), trace
+
+        monkeypatch.setattr("certisqrt.verify.fix_sqr", high)
+        out = tmp_path / "bal.csv"
+        capsys.readouterr()
+        assert main(["sweep", demo_profile_path, str(out),
+                     "--kind", "balance"]) == 1
+        assert capsys.readouterr() == (f"wrote {out}: 7 rows\n", "")
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 7
+        assert all(r[1] == "true" and r[6] == "false" for r in rows)
+
     @pytest.fixture
     def zero_eps_profile(self, demo_profile_path, tmp_path):
         """The demo profile with eps_count 0."""
@@ -1157,11 +1199,12 @@ class TestFailedWrites:
 
     def test_started_without_stdout(self, demo_profile_path, tmp_path):
         """Started with fd 1 closed (`>&-`), the interpreter gives no
-        stdout object: print writes nothing, so nothing fails, and main's
-        flush must not fail on the missing object either."""
+        stdout object and print writes nothing: the lost report ends as
+        a failed write, not as a success."""
         proc = _run_cli(["profile-check", demo_profile_path], None, tmp_path,
                         preexec_fn=lambda: os.close(1))
-        assert (proc.returncode, proc.stderr) == (0, "")
+        self._one_line(proc, "standard output")
+        assert "Bad file descriptor" in proc.stderr
 
     def test_in_memory_stdout(self, demo_profile_path, capsys, monkeypatch):
         """In process, as perfbench's call_main calls it, a stdout with no
@@ -1251,6 +1294,60 @@ class TestEmptyGridInputs:
         assert capsys.readouterr().err == (
             "error: no grid value in (1, 21/20] shows an error increase "
             "within its bound for n in [1, 6]\n")
+
+
+class TestGridPastSsizeT:
+    """The demo profile with sup_count 10**30: its table indices and grid
+    inputs are ranges longer than len() takes.  Each command that builds
+    the table is refused by the cap, and the default balance sweep finds
+    its candidates without a divisor search of sup."""
+
+    CAP = ("error: ResourceLimit: table would need "
+           "39999999999999999999999999996 entries, cap 1000000\n")
+
+    @pytest.fixture
+    def paths(self, demo_profile_path, tmp_path, monkeypatch):
+        monkeypatch.delenv("CERTISQRT_MAX_TABLE", raising=False)
+        doc = json.loads(Path(demo_profile_path).read_text())
+        doc["fix"]["sup_count"] = 10 ** 30
+        profile, table = tmp_path / "huge.json", tmp_path / "t.json"
+        profile.write_text(json.dumps(doc))
+        table.write_text(json.dumps({
+            "profile_hash": profile_digest(*load_profile(str(profile))),
+            "delta_den": 100, "sup_count": 10 ** 30, "stp_count": 25,
+            "roots": []}))
+        return {"PROFILE": str(profile), "TABLE": str(table),
+                "OUT": str(tmp_path / "out")}
+
+    @pytest.mark.parametrize("argv", [
+        ["table-build", "PROFILE", "OUT"],
+        ["sweep", "PROFILE", "OUT", "--kind", "more-worse", "--y", "2"],
+        ["sweep", "PROFILE", "OUT", "--kind", "balance", "--stp", "1/4"],
+        ["verify", "PROFILE", "TABLE", "--suite", "table"],
+    ], ids=["table-build", "sweep-more-worse", "sweep-balance", "load"])
+    def test_table_cap_refuses(self, paths, capsys, argv):
+        capsys.readouterr()
+        assert main([paths.get(a, a) for a in argv]) == 1
+        assert capsys.readouterr() == ("", self.CAP)
+        assert not Path(paths["OUT"]).exists()
+
+    def test_root_table_counts_its_indices(self):
+        fix = FixProfile(100, 1600, 10 ** 30)
+        with pytest.raises(DomainError, match="^table has 0 entries, "
+                           "expected 39999999999999999999999999996$"):
+            RootTable(fix, fix.val(25), ())
+
+    def test_default_balance_sweep(self, paths, capsys):
+        capsys.readouterr()
+        assert main(["sweep", paths["PROFILE"], paths["OUT"],
+                     "--kind", "balance"]) == 0
+        rows = [line.split(",") for line in
+                Path(paths["OUT"]).read_text().splitlines()[1:]]
+        # table sizes t = 2**a * 5**b <= 256, descending
+        assert [int(r[2]) for r in rows] == [
+            256, 250, 200, 160, 128, 125, 100, 80, 64, 50, 40, 32, 25, 20,
+            16, 10, 8, 5, 4, 2, 1]
+        assert all(r[1] == r[6] == "true" for r in rows)
 
 
 class TestSampledScanDraw:

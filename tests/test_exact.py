@@ -14,7 +14,6 @@ from certisqrt.exact import (
     Ordering,
     cmp_products,
     cmp_sqrt,
-    decide_radical_lt,
     encode_int,
     fraction_from_coprime,
     rat_str,
@@ -425,34 +424,38 @@ class TestSqrtEnclosure:
         assert e.hi - e.lo <= F(1, 2 ** p)
 
 
+def radical_order(lhs, c1, c2, m):
+    """The ordering of lhs against c1 + c2*sqrt(m), c2 >= 0, by one
+    cmp_sqrt call, as derive_eps_for_ulp decides c1 + c2*sqrt(base) <
+    ulp/2 (GREATER with lhs = ulp/2)."""
+    return cmp_sqrt(lhs - c1, c2 * c2 * m)
+
+
 class TestDecideRadicalLt:
+    """The one-radical decision, lhs against c1 + c2*sqrt(m) for c2 >= 0,
+    made by radical_order's one cmp_sqrt call."""
+
     @pytest.mark.parametrize("lhs,c1,c2,m,expected", [
         (F(0), F(1), F(0), F(2), True),
         (F(3, 2), F(0), F(1), F(2), False),
         (F(7, 5), F(0), F(1), F(2), True),
-        (F(-5), F(0), F(-1), F(2), True),   # -5 < -sqrt(2)
-        (F(-1), F(0), F(-1), F(2), False),  # -1 > -sqrt(2)
     ])
     def test_examples(self, lhs, c1, c2, m, expected):
-        assert decide_radical_lt(lhs, c1, c2, m) is expected
+        order = radical_order(lhs, c1, c2, m)
+        assert (order is Ordering.LESS) is expected
+        assert (order is Ordering.GREATER) is not expected
 
-    def test_nonpositive_radicand(self):
-        with pytest.raises(DomainError):
-            decide_radical_lt(F(0), F(0), F(1), F(0))
-
-    @given(rationals, rationals, rationals,
+    @given(rationals, rationals, nonneg_rationals,
            nonneg_rationals.filter(lambda m: m > 0))
     def test_cross_oracle_against_enclosure(self, lhs, c1, c2, m):
         # compare against an enclosure-based answer when the enclosure
         # at 256 bits separates the sides
         e = sqrt_enclosure(m, 256)
-        lo = c1 + (c2 * e.lo if c2 >= 0 else c2 * e.hi)
-        hi = c1 + (c2 * e.hi if c2 >= 0 else c2 * e.lo)
-        got = decide_radical_lt(lhs, c1, c2, m)
-        if lhs < lo:
-            assert got
-        elif lhs > hi:
-            assert not got
+        order = radical_order(lhs, c1, c2, m)
+        if lhs < c1 + c2 * e.lo:
+            assert order is Ordering.LESS
+        elif lhs > c1 + c2 * e.hi:
+            assert order is Ordering.GREATER
 
 
 class TestSqrtAbsErrLt:
@@ -530,9 +533,20 @@ def wide_rationals(lo_bits, hi_bits):
 UNIT = F(1, 1000)
 
 
+def check_radical_order(lhs, c1, c2, m):
+    """radical_order against reference_radical_lt, in both directions:
+    LESS is lhs < c1 + c2*sqrt(m), and GREATER, derive_eps_for_ulp's
+    test, is c1 < lhs - c2*sqrt(m)."""
+    order = radical_order(lhs, c1, c2, m)
+    args = (lhs, c1, c2, m)
+    assert (order is Ordering.LESS) is reference_radical_lt(*args), args
+    assert (order is Ordering.GREATER) is \
+        reference_radical_lt(c1, lhs, -c2, m), args
+
+
 class TestIntegerPairPredicates:
-    """within_of_sqrt, decide_radical_lt and sqrt_abs_err_lt on integer
-    pairs against their Fraction forms above."""
+    """within_of_sqrt, radical_order's one-radical decision and
+    sqrt_abs_err_lt on integer pairs against their Fraction forms above."""
 
     @pytest.mark.parametrize("q,y,bound", [
         (F(2), F(4), F(0)),              # q = sqrt(y), zero bound
@@ -553,17 +567,15 @@ class TestIntegerPairPredicates:
 
     @pytest.mark.parametrize("lhs,c1,c2,m", [
         (F(4), F(1), F(2), F(9, 4)),     # lhs = c1 + c2*sqrt(m)
-        (F(-2), F(1), F(-2), F(9, 4)),   # the same with c2 < 0
+        (F(81, 400), F(1, 5), F(1, 800), F(4)),  # derive_eps' base-4 tie
         (F(1), F(1), F(0), F(2)),        # zero c2: lhs = c1
         (F(0), F(0), F(1), F(2)),        # zero lhs and c1
-        (F(0), F(0), F(-1), F(2)),
+        (F(7, 6), F(1, 2), F(1, 3), F(4)),  # 1/2 + 2/3
         (F(5, 3), F(0), F(5, 6), F(4)),
     ])
     def test_radical_ties(self, lhs, c1, c2, m):
         for dl in (-UNIT, 0, UNIT):
-            args = (lhs + dl, c1, c2, m)
-            assert decide_radical_lt(*args) is reference_radical_lt(*args), \
-                args
+            check_radical_order(lhs + dl, c1, c2, m)
 
     @pytest.mark.parametrize("q,y,c1,c2,m", [
         (F(3), F(4), F(1), F(0), F(2)),          # |q - sqrt(y)| = c1
@@ -593,11 +605,10 @@ class TestIntegerPairPredicates:
             reference_within(q, y, bound, strict)
 
     @settings(max_examples=300, deadline=None)
-    @given(rationals, rationals, rationals,
+    @given(rationals, rationals, nonneg_rationals,
            nonneg_rationals.filter(lambda m: m > 0))
     def test_radical_small(self, lhs, c1, c2, m):
-        assert decide_radical_lt(lhs, c1, c2, m) is \
-            reference_radical_lt(lhs, c1, c2, m)
+        check_radical_order(lhs, c1, c2, m)
 
     @settings(max_examples=300, deadline=None)
     @given(nonneg_rationals, nonneg_rationals, nonneg_rationals,
@@ -615,12 +626,9 @@ class TestIntegerPairPredicates:
 
     @settings(max_examples=40, deadline=None)
     @given(wide_rationals(200, 20000), wide_rationals(200, 2000),
-           wide_rationals(200, 2000), nonneg_rationals.filter(lambda m: m > 0),
-           st.booleans())
-    def test_radical_wide(self, lhs, c1, c2, m, negative):
-        c2 = -c2 if negative else c2
-        assert decide_radical_lt(lhs, c1, c2, m) is \
-            reference_radical_lt(lhs, c1, c2, m)
+           wide_rationals(200, 2000), nonneg_rationals.filter(lambda m: m > 0))
+    def test_radical_wide(self, lhs, c1, c2, m):
+        check_radical_order(lhs, c1, c2, m)
 
     @settings(max_examples=40, deadline=None)
     @given(wide_rationals(200, 20000), nonneg_rationals,

@@ -304,6 +304,7 @@ class TestLegalCountOnIntegers:
 
     @given(st.integers(1, 300), st.integers(1, 30), epss,
            st.integers(0, 80))
+    @example(1, 1, F(1, 2), 0)  # a fixed tie: no search for one to shrink
     @settings(max_examples=300, deadline=None)
     def test_at_and_next_to_the_root(self, top, bottom, eps, n):
         """y a square: a seed exactly at the root, on the rule's boundary
@@ -1668,9 +1669,10 @@ class TestDeriveEps:
     def test_unit_ulp_demo(self, demo_stp, demo_float_profile):
         eps = derive_eps_for_ulp(F(1), demo_float_profile, demo_stp)
         assert eps.count == 25
-        # feasibility: eps + delta/(2 sqrt(2)) < 1/2, checked exactly
-        from certisqrt.exact import decide_radical_lt
-        assert decide_radical_lt(eps.value, F(1, 2), F(-1, 400), F(2))
+        # feasibility: eps + sqrt(2)/400 < 1/2, that is 0 < rest and
+        # 2/400**2 < rest**2 for rest = 1/2 - eps
+        rest = F(1, 2) - eps.value
+        assert rest > 0 and 2 * F(1, 400) ** 2 < rest * rest
 
     def test_ulp_at_grid_step_infeasible(self, demo_stp, demo_float_profile,
                                          demo_profile):
@@ -1696,10 +1698,19 @@ class TestDeriveEps:
         stp = demo_profile.val(20)
         eps = derive_eps_for_ulp(F(3, 10), demo_float_profile, stp)
         assert eps.count == 10  # 20 fails the margin, 10 passes everything
-        from certisqrt.exact import decide_radical_lt
-        for count in (20,):
-            assert not decide_radical_lt(F(count, 100), F(3, 20),
-                                         F(-1, 400), F(2))
+        rest = F(3, 20) - F(20, 100)  # 20/100 + sqrt(2)/400 >= 3/20
+        assert not (rest > 0 and 2 * F(1, 400) ** 2 < rest * rest)
+
+    def test_margin_tie_on_base_4_is_infeasible(self):
+        # on base 4 the bound eps + (1/200)/4*sqrt(4) = eps + 1/400 is
+        # rational: eps = 20/100 meets ulp/2 = 81/400 with equality, and
+        # the margin is strict
+        fix = FixProfile(100, 6400, 6400)
+        fprof = FloatProfile(4, fix, F(65536), F(65536))
+        stp = fix.val(40)
+        assert derive_eps_for_ulp(F(81, 200), fprof, stp) == fix.val(10)
+        assert derive_eps_for_ulp(F(81, 200) + F(1, 10 ** 9), fprof,
+                                  stp) == fix.val(20)
 
 
 class TestValidateOnce:

@@ -3,12 +3,13 @@
 FixVal and FloatVal are immutable records whose equality, hashing, repr
 and str follow their fields, and which carry no per-instance __dict__;
 their hand-written __init__ keeps the generated one's signature.
-exact.fraction_from_coprime, which exact._lowest_terms calls after one
-gcd, and FixVal.value, which does the same in its own body, build
-Fractions that behave exactly like Fraction(n, d) without running
-Fraction's constructor, so reading a grid value costs no constructor
-call.
+exact.fraction_from_coprime, which exact._lowest_terms and FixVal.value
+call after one gcd, builds Fractions that behave exactly like
+Fraction(n, d) without running Fraction's constructor, so reading a grid
+value costs no constructor call.  It is the one function in src/ that
+sets a Fraction's slots.
 """
+import ast
 import copy
 import dataclasses
 import inspect
@@ -17,6 +18,7 @@ import operator
 import pickle
 import typing
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -208,7 +210,53 @@ def _behaves_like(got, want):
             assert op(other, got) is op(other, want)
 
 
+class _SlotWriters(ast.NodeVisitor):
+    """The dotted scopes (module, class, function) of a module that call
+    object.__new__(Fraction), store to an attribute _numerator or
+    _denominator, or name either slot in a string, as setattr would."""
+
+    SLOTS = ("_numerator", "_denominator")
+
+    def __init__(self, module):
+        self.scope, self.found = [module], set()
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr == "__new__"
+                and isinstance(f.value, ast.Name) and f.value.id == "object"
+                and any(isinstance(a, ast.Name) and a.id == "Fraction"
+                        for a in node.args)):
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if node.attr in self.SLOTS and isinstance(node.ctx, ast.Store):
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if node.value in self.SLOTS:
+            self.found.add(".".join(self.scope))
+
+
 class TestFractionBuilders:
+    def test_one_function_sets_fraction_slots(self):
+        """Only exact.fraction_from_coprime relies on CPython keeping a
+        Fraction's parts in the slots _numerator and _denominator."""
+        writers = set()
+        for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+            visitor = _SlotWriters(path.stem)
+            visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+            writers |= visitor.found
+        assert writers == {"exact.fraction_from_coprime"}
+
     @pytest.mark.parametrize("d", [1, 100, 997, 1000])
     def test_equal_to_fraction(self, d):
         for n in range(-2000, 2001):

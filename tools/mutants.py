@@ -86,8 +86,13 @@ MUTANTS = (
             "tests/test_cli.py::TestFileFieldRefusals::"
             "test_exponent_past_bit_cap")),
     Mutant("RootTable without its entry-count check", LUT,
-           "if len(self.roots) != len(indices):", "if False:",
+           "if len(self.roots) != entries:", "if False:",
            (LOAD_TESTS + "test_wrong_length_refused",)),
+    Mutant("the table cap counted with len(indices)", LUT,
+           "entries = indices.stop - indices.start  # len() fails past 2**63\n"
+           "    if entries > limit:",
+           "entries = len(indices)\n    if entries > limit:",
+           ("tests/test_cli.py::TestGridPastSsizeT::test_table_cap_refuses",)),
     Mutant("_radicand refuses zero", EXACT,
            "if y.numerator < 0:", "if y.numerator <= 0:",
            ("tests/test_exact.py::TestSqrtEnclosure::test_zero",)),
@@ -119,6 +124,22 @@ MUTANTS = (
            "en * sd << (n - 1)", "en * sd << n",
            ("tests/test_newton.py::TestLegalCountOnIntegers::"
             "test_int_inputs",)),
+    Mutant("_legal_count at n = 0 on sn*ed, not 2*sn*ed", NEWTON,
+           "2 * sn * ed - en * sd", "sn * ed - en * sd",
+           ("tests/test_newton.py::TestIsqrExact::"
+            "test_iteration_cap_with_tight_seed",)),
+    Mutant("_legal_count strict at the root", NEWTON,
+           "_sqrt_sign(num, den, a, b) <= 0", "_sqrt_sign(num, den, a, b) < 0",
+           ("tests/test_newton.py::TestLegalCountOnIntegers::"
+            "test_at_and_next_to_the_root",)),
+    Mutant("derive_eps_for_ulp accepts a tie with ulp/2", NEWTON,
+           "is not Ordering.GREATER:", "is Ordering.LESS:",
+           ("tests/test_newton.py::TestDeriveEps::"
+            "test_margin_tie_on_base_4_is_infeasible",)),
+    Mutant("balance_sweep keeps all_within on a miss", VERIFY,
+           "all_within = False", "pass",
+           ("tests/test_cli.py::TestSweepCommand::"
+            "test_balance_rows_outside_their_bound_exit_1",)),
     Mutant("halves holds on a tie", VERIFY,
            "(*prev_num, *cur_den)) < 0", "(*prev_num, *cur_den)) <= 0",
            ("tests/test_verify.py::TestHalves",)),
@@ -141,6 +162,14 @@ MUTANTS = (
            "g = math.gcd(num, den)", "g = 1",
            ("tests/test_exact.py::TestLowestTerms::"
             "test_equals_fraction_in_lowest_terms",)),
+    Mutant("FixVal.value skips its gcd", FIXARITH,
+           "g = math.gcd(count, d)", "g = 1",
+           ("tests/test_values.py::TestFixValValue::"
+            "test_equals_lowest_terms",)),
+    Mutant("_lt_radical decides on <= 0", EXACT,
+           "_sqrt_sign(lhs, k, m, 1) < 0", "_sqrt_sign(lhs, k, m, 1) <= 0",
+           ("tests/test_exact.py::TestIntegerPairPredicates::"
+            "test_abs_err_ties",)),
     Mutant("_least_roots walks while sq <= t", LUT,
            "while sq < t:\n", "while sq <= t:\n",
            ("tests/test_lut.py::TestLeastRootsWalk::"
