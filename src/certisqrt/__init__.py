@@ -53,6 +53,7 @@ from .lut import (
     validate_step,
 )
 from .newton import (
+    Correction,
     GridTrace,
     Trace,
     TraceStep,

@@ -12,11 +12,12 @@ Six variants share the iteration x -> (x + y/x)/2:
 Every run returns the result together with a record of its iterates;
 all correctness checks live in the verify module and operate on those
 records after the fact.  The exact variants return a Trace, which holds
-each pass as a TraceStep.  The grid variants return a GridTrace, which
-holds only the radicand, the seed count and each iterate count
-(flt_sqr's is the record of the loop it ran on its radicand): its
-per-pass view, in the same TraceStep form, is built when a reader asks
-for it, so a request builds no record that nothing reads.
+each iterate once as its integer pair from the seed on, and each pass's
+correction as a Correction of integer factors.  The grid variants return
+a GridTrace, which holds only the radicand, the seed count and each
+iterate count (flt_sqr's is the record of the loop it ran on its
+radicand).  Both build their per-pass view, in one TraceStep form, when
+a reader asks for it, so a request builds no record that nothing reads.
 
 Each exact variant is one request pass, _exact_request, and one call of
 the exact loop, _exact_run: n passes for fsqr_exact, the until-loop for
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -66,141 +66,107 @@ def max_bits() -> int:
     return _env_limit(ENV_MAX_BITS, DEFAULT_MAX_BITS)
 
 
-class _Factored(NamedTuple):
-    """An exit pass's correction kept as factors: sign*prod(num)/prod(den)
-    with num = (c, m, m), the factors of the pass's norm c*m**2, and den =
-    (2*b, p, q), every factor >= 0.  Every common factor of the two
-    products divides s, the carried content of 2*b*p*q, so value()
-    builds the Fraction in lowest terms with one gcd, its numerator as
-    c*(m*m), as an applied pass builds its correction."""
+def _record_repr(value) -> str:
+    """repr(value) for a Trace or a part of one, as the NamedTuple repr
+    writes it, with each int written as encode_int writes it: in decimal
+    while every interpreter setting prints it, as a hex literal beyond,
+    so a long run has a repr on Python 3.11 too."""
+    if type(value) is int:
+        return str(encode_int(value))
+    if not isinstance(value, tuple):
+        return repr(value)
+    parts = [_record_repr(v) for v in value]
+    if hasattr(value, "_fields"):
+        body = ", ".join(f"{name}={part}"
+                         for name, part in zip(value._fields, parts))
+        return f"{type(value).__name__}({body})"
+    return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+
+
+class Correction(NamedTuple):
+    """One pass's correction as factors: sign*c*m**2/prod(den), with c, m
+    and every factor of den >= 0.  Every common factor of the two
+    products divides s, so value() builds the Fraction in lowest terms
+    with one gcd, its numerator as c*(m*m), as an applied pass forms its
+    norm.  An applied pass records its correction reduced: m = 1, den =
+    (ad_den/g,) and s = 1.  The exit pass of an until-loop, which applies
+    none, records the product formula's factors: (c, m) of the pass's
+    norm over (2*b, p, q), with the carried content s of 2*b*p*q."""
 
     sign: int
-    num: tuple[int, int, int]
-    den: tuple[int, int, int]
+    c: int
+    m: int
+    den: tuple[int, ...]
     s: int
 
+    def factors(self) -> tuple[tuple[int, int, int], tuple[int, ...]]:
+        """(num, den) with |correction| = prod(num)/prod(den), read off
+        the record without building it."""
+        return (self.c, self.m, self.m), self.den
+
     def value(self) -> Fraction:
-        c, m, _ = self.num
-        return _reduced(self.sign * (c * (m * m)), math.prod(self.den),
-                        self.s)
+        return _reduced(self.sign * (self.c * (self.m * self.m)),
+                        math.prod(self.den), self.s)
+
+    __repr__ = _record_repr
 
 
-class _BuiltWhenRead:
-    """The descriptor of TraceStep.correction.  A _Factored record given
-    for it is built on the first read and stored in its place, so every
-    later read, ==, hash, repr, copy and pickle see the Fraction a step
-    built eagerly holds."""
-
-    def __get__(self, step, owner=None):
-        if step is None:  # no class-level default: the field is required
-            raise AttributeError("correction")
-        value = step.__dict__["correction"]
-        if type(value) is _Factored:
-            value = step.__dict__["correction"] = value.value()
-        return value
-
-    def __set__(self, step, value):
-        step.__dict__["correction"] = value
-
-
-def _field_repr(value) -> str:
-    """repr(value) for a field of a Trace or TraceStep, with each integer
-    part of a Fraction written as encode_int writes it: in decimal while
-    every interpreter setting prints it, as a hex literal beyond."""
-    if type(value) is Fraction:
-        return (f"Fraction({encode_int(value.numerator)}, "
-                f"{encode_int(value.denominator)})")
-    if type(value) is tuple:
-        parts = [_field_repr(v) for v in value]
-        return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
-    return repr(value)
-
-
-def _record_repr(record) -> str:
-    """The dataclass repr of record, with each field by _field_repr."""
-    body = ", ".join(f"{f.name}={_field_repr(getattr(record, f.name))}"
-                     for f in fields(record))
-    return f"{type(record).__qualname__}({body})"
-
-
-def _record_state(record) -> tuple[dict, dict]:
-    """The state copy and pickle keep of a Trace or TraceStep: its other
-    fields as they are, and each Fraction field as its (numerator,
-    denominator) pair.  Python 3.10's Fraction pickles through str(),
-    which refuses a part past 4,300 digits; int pairs pickle on every
-    version."""
-    kept, pairs = {}, {}
-    for name, value in record.__dict__.items():
-        if type(value) is Fraction:
-            pairs[name] = value.numerator, value.denominator
-        else:
-            kept[name] = value
-    return kept, pairs
-
-
-def _restore_record(record, state: tuple[dict, dict]) -> None:
-    """Set the fields of record from a state _record_state made."""
-    kept, pairs = state
-    record.__dict__.update(kept)
-    for name, (num, den) in pairs.items():
-        record.__dict__[name] = fraction_from_coprime(num, den)
-
-
-@dataclass(frozen=True, repr=False)
-class TraceStep:
-    """One loop pass: value before, the computed correction, value after.
+class TraceStep(NamedTuple):
+    """One loop pass as a record's view builds it: value before, the
+    correction, value after.
 
     For until-loop runs the final pass records the correction that met the
     exit test with x_after == x_before.  sqr_exact corrections are signed;
     the seeded variants record the directly computed non-negative
     correction, applied by subtraction.
-
-    That exit correction of an exact run is kept as its factors, the
-    pass's inputs, and built in lowest terms when correction is first
-    read; correction_factors reads the factors without building it.
-
-    repr is the dataclass one while every integer part is short; a part
-    too long for decimal under every interpreter setting is written as
-    a hex literal, so a long run's step has a repr on Python 3.11 too.
     """
 
     k: int
     x_before: Fraction | FixVal
-    correction: Fraction = _BuiltWhenRead()
+    correction: Fraction
     x_after: Fraction | FixVal
 
-    def correction_factors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(num, den) with |correction| = prod(num)/prod(den), factors >= 0,
-        read off a correction kept as factors without building it."""
-        value = self.__dict__["correction"]
-        if type(value) is _Factored:
-            return value.num, value.den
-        return (abs(value.numerator),), (value.denominator,)
 
-    def __getstate__(self) -> tuple[dict, dict]:
-        self.correction  # copies and pickles hold the built value
-        return _record_state(self)
+class Trace(NamedTuple):
+    """A run of sqr_exact, isqr_exact or fsqr_exact as it is recorded:
+    the algorithm, y and eps as their (numerator, denominator) pairs,
+    fsqr_exact's iteration count n_planned (None for the until-loops),
+    each iterate once as its pair (p, q) in lowest terms from the seed
+    on, and each loop pass's Correction.  A pass that applies its
+    correction adds the next iterate; an until-loop's exit pass adds
+    none.  So each pass starts where the last one ended, and the last
+    iterate is the result.  Every part is an int, so a long run pickles
+    on every Python version, and its repr writes a long part as a hex
+    literal.
 
-    __setstate__ = _restore_record
-    __repr__ = _record_repr
-
-
-@dataclass(frozen=True, repr=False)
-class Trace:
-    """A run of sqr_exact, isqr_exact or fsqr_exact: its inputs, seed and
-    result, and every loop pass as a TraceStep; n_planned is fsqr_exact's
-    iteration count.  Its repr writes long parts as TraceStep's does."""
+    seed, final_x, iterates and steps are views, built on every read.
+    """
 
     algorithm: str
-    y: Fraction
-    eps: Fraction
-    final_x: Fraction
-    steps: tuple[TraceStep, ...] = ()
-    n_planned: int | None = None
-    seed: Fraction | None = None
+    y: tuple[int, int]
+    eps: tuple[int, int]
+    n_planned: int | None
+    pairs: tuple[tuple[int, int], ...]
+    corrections: tuple[Correction, ...]
 
-    __getstate__ = _record_state
-    __setstate__ = _restore_record
+    @property
+    def seed(self) -> Fraction:
+        return fraction_from_coprime(*self.pairs[0])
+
+    @property
+    def final_x(self) -> Fraction:
+        return fraction_from_coprime(*self.pairs[-1])
+
+    @property
+    def iterates(self) -> tuple[Fraction, ...]:
+        return tuple(fraction_from_coprime(p, q) for p, q in self.pairs)
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        xs, last = self.iterates, len(self.pairs) - 1
+        return tuple(TraceStep(k, xs[k], ad.value(), xs[min(k + 1, last)])
+                     for k, ad in enumerate(self.corrections))
+
     __repr__ = _record_repr
 
 
@@ -211,7 +177,8 @@ class GridTrace(NamedTuple):
     ran on, and a zero input records y None and no counts.
 
     n_planned, seed, final_x and steps are views with the values of the
-    Trace fields of those names, built from the counts on every read.
+    Trace field and views of those names, built from the counts on every
+    read.
     """
 
     algorithm: str
@@ -319,6 +286,9 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     that only a diverging run reaches.  No iterate from a seed >= sqrt(y)
     falls below sqrt(y), so ad >= 0 needs no abs().  sqr_exact records
     -ad, the seeded runs ad.  Returns the result and the run's Trace.
+    The loop keeps every iterate and correction as integers, and the
+    result is the one Fraction it builds: the seed itself when no pass
+    moved x.
 
     With x = p/q and y = a/b, ad = c*m**2/(2*b*p*q), where the norm
     c*m**2 = b*p**2 - a*q**2 and m >= 0.  The norm of x in Q(sqrt(y)) is
@@ -328,11 +298,11 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     _norm_factors, with no squaring (on pass 0, m is 1).  The exit test
     ad < eps/2 compares ed*c*m*m with en*b*p*q through cmp_products,
     which forms those products only when bit lengths and 128-bit brackets
-    leave it open, and the exit pass records its correction as a
-    _Factored record of (c, m, m) over (2*b, p, q), which TraceStep
-    builds when it is first read.  So the exit pass of a run that is
-    checked and reported forms no product above its inputs, and builds
-    no next iterate.  An applied pass forms the norm c*(m*m), p**2 and (p
+    leave it open, and the exit pass records its correction as the
+    Correction of (c, m) over (2*b, p, q), which only a reader of the
+    record's steps builds.  So the exit pass of a run that is checked and
+    reported forms no product above its inputs, and builds no next
+    iterate.  An applied pass forms the norm c*(m*m), p**2 and (p
     + q)**2, gets q**2 = (b*p**2 - norm)/a by exact division and 2*p*q =
     (p + q)**2 - p**2 - q**2: three squarings.  The norm is c*(m*m)
     because c*m*m = (c*m)*m multiplies two different long integers, and
@@ -359,8 +329,8 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     small, y_bits = 2 * a * b, max(a, b).bit_length()
     sign = -1 if algorithm == "sqr_exact" else 1
     limit = max_bits()
-    x, p, q = seed, seed.numerator, seed.denominator
-    steps = []
+    p, q = seed.numerator, seed.denominator
+    pairs, corrections = [(p, q)], []
     for k in range((a * ed).bit_length() + 65 if n is None else n):
         if p <= 0:
             raise InternalInvariantError("iterate left the positive half-line")
@@ -379,30 +349,30 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
         stop = n is None and (
             c < 0 or cmp_products((ed, c, m, m), (en, b, p, q)) < 0)
         if stop and not c_style:
-            ad = _Factored(sign * ((c > 0) - (c < 0)), (abs(c), m, m),
-                           (2 * b, p, q), s)
-            steps.append(TraceStep(k, x, ad, x))
+            corrections.append(Correction(sign * ((c > 0) - (c < 0)), abs(c),
+                                          m, (2 * b, p, q), s))
             break
         norm = c * (m * m)
         pp = p * p
         bpp = b * pp
         aqq = bpp - norm
         ad_den = b * ((p + q) ** 2 - pp - aqq // a)
-        ad = _reduced(sign * norm, ad_den, s)
+        h = math.gcd(norm, s)
+        corrections.append(Correction(sign * ((norm > 0) - (norm < 0)),
+                                      abs(norm) // h, 1, (ad_den // h,), 1))
         num = bpp + aqq
         g = math.gcd(num, s)
         p, q = num // g, ad_den // g
         s_p, s_q = _content(p, small), s // g
-        x_after = fraction_from_coprime(p, q)
-        steps.append(TraceStep(k, x, ad, x_after))
-        x = x_after
+        pairs.append((p, q))
         if stop:
             break
     else:
         if n is None:
             raise InternalInvariantError("iteration guard exceeded")
-    return x, Trace(algorithm, y=y, eps=eps, final_x=x, steps=tuple(steps),
-                    n_planned=n, seed=seed)
+    x = seed if len(pairs) == 1 else fraction_from_coprime(p, q)
+    return x, Trace(algorithm, (a, b), (en, ed), n, tuple(pairs),
+                    tuple(corrections))
 
 
 def sqr_exact(y: Fraction, eps: Fraction,

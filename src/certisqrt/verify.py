@@ -84,9 +84,9 @@ def iteration_cap(y: Fraction, eps: Fraction) -> int:
 
 
 def applied_corrections(trace: Trace) -> int:
-    """Number of x-changing passes; the exit pass of an until-loop trace
-    leaves x unchanged and is not counted."""
-    return sum(1 for s in trace.steps if s.x_after != s.x_before)
+    """Number of passes that applied their correction, one per iterate
+    after the seed; an until-loop's exit pass applies none."""
+    return len(trace.pairs) - 1
 
 
 Factors = tuple[Sequence[int], Sequence[int]]
@@ -94,9 +94,10 @@ Factors = tuple[Sequence[int], Sequence[int]]
 
 def halves(prev: Factors, cur: Factors) -> bool:
     """Decide 2*|cur| < |prev| for two corrections given as (num, den)
-    factor sequences of their magnitudes, as TraceStep.correction_factors
-    reads them: one cmp_products call, which forms no product that bit
-    lengths or brackets already settle.  False whenever prev is 0."""
+    factor sequences of their magnitudes, as Correction.factors reads them
+    off a Trace's records: one cmp_products call, which forms no product
+    that bit lengths or brackets already settle.  False whenever prev is
+    0."""
     (prev_num, prev_den), (cur_num, cur_den) = prev, cur
     return cmp_products((2, *cur_num, *prev_den),
                         (*prev_num, *cur_den)) < 0
@@ -107,8 +108,6 @@ def _seed_of(trace: Trace, *algorithms: str) -> Fraction:
     if trace.algorithm not in algorithms:
         raise UsageError(f"expected a trace from {' or '.join(algorithms)}, "
                          f"got {trace.algorithm}")
-    if trace.seed is None:
-        raise UsageError("trace carries no seed value")
     return trace.seed
 
 
@@ -139,34 +138,33 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     applied corrections <= min_legal_iterations(y, eps, seed)."""
     seed = min(_seed_of(trace, "sqr_exact", "isqr_exact"), y)
     family = trace.algorithm.removesuffix("_exact")
+    xs, corrections = trace.iterates, trace.corrections
 
-    boundary = [(s.k, s.x_before) for s in trace.steps]
-    boundary.append((len(trace.steps), trace.final_x))
+    # a boundary before each pass and one after the last: an exit pass's
+    # iterate is both, and is decided once
     top = "y" if family == "sqr" else "seed"
     invariant = _first_failure(
         f"sqrt(y) <= x <= {top} at every boundary", f"{family}.loop-invariant",
-        {"boundaries": len(boundary)},
-        ({"k": k, "x": x} for k, x in boundary
+        {"boundaries": len(corrections) + 1},
+        ({"k": k, "x": x} for k, x in enumerate(xs)
          if cmp_sqrt(x, y) is Ordering.LESS or x > seed))
 
-    # decided on factors, so an exit correction kept as factors is built
-    # only for a failure's witness
-    steps = trace.steps
-    factors = [s.correction_factors() for s in steps]
+    # decided on factors, so a correction is built only for a failure's
+    # witness
     halving = _first_failure(
         "each correction below half its predecessor", f"{family}.halving",
-        {"pairs": max(0, len(steps) - 1)},
-        ({"i": i, "d_i": prev.correction, "d_next": cur.correction}
-         for i, (prev, cur) in enumerate(zip(steps, steps[1:]))
-         if not halves(factors[i], factors[i + 1])))
+        {"pairs": max(0, len(corrections) - 1)},
+        ({"i": i, "d_i": prev.value(), "d_next": cur.value()}
+         for i, (prev, cur) in enumerate(zip(corrections, corrections[1:]))
+         if not halves(prev.factors(), cur.factors())))
 
     final = _final_error("final error within the accuracy",
-                         f"{family}.final-error", trace.final_x, y, "eps", eps)
+                         f"{family}.final-error", xs[-1], y, "eps", eps)
 
     witness = {"vacuous": True} if y <= 1 else {
         "applied": applied_corrections(trace),
         "cap": min_legal_iterations(y, eps, seed),
-        "loop_passes": len(trace.steps)}
+        "loop_passes": len(corrections)}
     cap = check("applied corrections within the logarithmic cap",
                 f"{family}.iteration-cap",
                 y <= 1 or witness["applied"] <= witness["cap"], witness)
@@ -179,18 +177,18 @@ def check_fsqr_annotations(trace: Trace, y: Fraction,
                            eps: Fraction) -> VerifyReport:
     """Check an fsqr_exact trace against its seed s (the trace's, capped
     at y): the progress bound x_k - sqrt(y) <= (s - sqrt(y))/2**k on the
-    x_after of every pass, and the final eps/2 bound."""
+    iterate after every pass, and the final eps/2 bound."""
     seed = min(_seed_of(trace, "fsqr_exact"), y)
+    xs = trace.iterates
     # (x_k*2**k - s) / (2**k - 1) <= sqrt(y), x_k the x after k passes
     progress = _first_failure(
         "progress bound holds at every boundary", "fsqr.progress",
-        {"boundaries": len(trace.steps) + 1},
-        ({"k": k, "x": s.x_after} for k, s in enumerate(trace.steps, 1)
-         if cmp_sqrt((s.x_after * (1 << k) - seed) / ((1 << k) - 1), y)
+        {"boundaries": len(trace.corrections) + 1},
+        ({"k": k, "x": x} for k, x in enumerate(xs[1:], 1)
+         if cmp_sqrt((x * (1 << k) - seed) / ((1 << k) - 1), y)
          is Ordering.GREATER))
     final = _final_error("final error within half the accuracy",
-                         "fsqr.final-error", trace.final_x, y, "bound",
-                         eps / 2)
+                         "fsqr.final-error", xs[-1], y, "bound", eps / 2)
     subject = f"fsqr_exact y={rat_str(y)} eps={rat_str(eps)} " \
               f"n={trace.n_planned}"
     return VerifyReport(subject, (progress, final))
@@ -260,7 +258,7 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
     x_fix, fix_trace = fix_sqr(y, eps, table, n)
     seed_value = fix_trace.seed.value
     _, exact_trace = fsqr_exact(y.value, eps.value, seed_value, n)
-    exact_seq = [seed_value] + [s.x_after for s in exact_trace.steps]
+    exact_seq = exact_trace.iterates
     fix_seq = [FixVal(c, profile) for c in fix_trace.counts]
     delta = profile.delta
     records = tuple(AdjustmentRecord(k, xe, xf, abs(xe - xf.value), k * delta)

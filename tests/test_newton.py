@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -8,6 +7,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -907,13 +907,37 @@ class TestGridInputs:
         assert len(accepted) == size
 
 
+class ExactViews(NamedTuple):
+    """What a Trace shows through its fields and views."""
+
+    algorithm: str
+    y: tuple[int, int]
+    eps: tuple[int, int]
+    n_planned: int | None
+    seed: F
+    steps: tuple[TraceStep, ...]
+    final_x: F
+
+
+def exact_views(trace):
+    return ExactViews(trace.algorithm, trace.y, trace.eps, trace.n_planned,
+                      trace.seed, trace.steps, trace.final_x)
+
+
+def viewed(run, *args):
+    """run(*args) with its Trace read through exact_views."""
+    x, trace = run(*args)
+    return x, exact_views(trace)
+
+
 def reference_exact_run(algorithm, y, eps, seed=None, n=None,
                         c_style=False):
     """sqr_exact(y, eps, c_style), isqr_exact(y, eps, seed) or
-    fsqr_exact(y, eps, seed, n) in plain Fraction arithmetic: the
-    correction d := (y - x*x)/(2x) formed as written, the exit rules of
-    the docstrings, the refusals in their order.  It calls nothing in
-    certisqrt.exact or newton's step, so it checks them."""
+    fsqr_exact(y, eps, seed, n) in plain Fraction arithmetic, with its
+    record's ExactViews: the correction d := (y - x*x)/(2x) formed as
+    written, the exit rules of the docstrings, the refusals in their
+    order.  It calls nothing in certisqrt.exact or newton's step, so it
+    checks them."""
     if algorithm == "sqr_exact":
         if y < 1:
             raise DomainError(f"sqr_exact requires y >= 1, got {y}")
@@ -929,6 +953,12 @@ def reference_exact_run(algorithm, y, eps, seed=None, n=None,
             f"seed {seed} violates sqrt({y}) <= seed <= {y}")
     x = y if seed is None else seed
     steps = []
+
+    def views(n_planned=None):
+        return x, ExactViews(algorithm, (y.numerator, y.denominator),
+                             (eps.numerator, eps.denominator), n_planned,
+                             y if seed is None else seed, tuple(steps), x)
+
     if algorithm == "fsqr_exact":
         # legal when seed - eps*2**(n-1) <= sqrt(y)
         t = seed - eps * F(2) ** (n - 1)
@@ -939,8 +969,7 @@ def reference_exact_run(algorithm, y, eps, seed=None, n=None,
             d = (y - x * x) / (2 * x)
             steps.append(TraceStep(k, x, -d, x + d))
             x += d
-        return x, Trace(algorithm, y=y, eps=eps, final_x=x,
-                        steps=tuple(steps), n_planned=n, seed=seed)
+        return views(n)
     for k in itertools.count():
         d = (y - x * x) / (2 * x)
         if algorithm == "sqr_exact":
@@ -960,11 +989,7 @@ def reference_exact_run(algorithm, y, eps, seed=None, n=None,
                 break
             steps.append(TraceStep(k, x, -d, x + d))
             x += d
-    if algorithm == "sqr_exact":
-        return x, Trace(algorithm, y=y, eps=eps, final_x=x,
-                        steps=tuple(steps), seed=y)
-    return x, Trace(algorithm, y=y, eps=eps, final_x=x, steps=tuple(steps),
-                    seed=seed)
+    return views()
 
 
 def _exact_seeds(y):
@@ -977,13 +1002,13 @@ def _exact_seeds(y):
 
 
 def _exact_cases(y, eps, seeds, counts):
-    cases = [((y, eps, c_style), (sqr_exact, y, eps, c_style),
+    cases = [((y, eps, c_style), (viewed, sqr_exact, y, eps, c_style),
               (reference_exact_run, "sqr_exact", y, eps, None, None, c_style))
              for c_style in (False, True)]
     for s in seeds:
-        cases.append(((y, eps, s), (isqr_exact, y, eps, s),
+        cases.append(((y, eps, s), (viewed, isqr_exact, y, eps, s),
                       (reference_exact_run, "isqr_exact", y, eps, s)))
-        cases += [((y, eps, s, n), (fsqr_exact, y, eps, s, n),
+        cases += [((y, eps, s, n), (viewed, fsqr_exact, y, eps, s, n),
                    (reference_exact_run, "fsqr_exact", y, eps, s, n))
                   for n in counts]
     return cases
@@ -991,8 +1016,8 @@ def _exact_cases(y, eps, seeds, counts):
 
 class TestExactLoopMatchesReference:
     """sqr_exact (both exits), isqr_exact and fsqr_exact give the
-    reference's traces and refusals, field for field and message for
-    message."""
+    reference's results, record views and refusals, field for field and
+    message for message."""
 
     @given(ys, epss, st.sampled_from(range(4)), st.integers(-1, 6))
     @settings(max_examples=150, deadline=None)
@@ -1113,6 +1138,20 @@ def _count_built(monkeypatch) -> list[int]:
     return built
 
 
+def _count_searched(monkeypatch) -> list[int]:
+    """Record the bit length of every integer whose content _exact_run
+    searches: the seed's p and q, then each next iterate's p."""
+    searched = []
+    real = newton._content
+
+    def counting(n, small):
+        searched.append(n.bit_length())
+        return real(n, small)
+
+    monkeypatch.setattr(newton, "_content", counting)
+    return searched
+
+
 EXIT_RUNS = [(F(2), F(1, 100)), (F(3, 2), F(1, 10 ** 6)),
              (F(10 ** 4), F(1, 1000)), (F(7, 3), F(1, 10 ** 12))]
 
@@ -1134,20 +1173,19 @@ def _recorded(mp, *runs):
     """Call each run with _norm_factors recorded.  Returns the runs'
     traces, (y, x, c, m, ad) for every pass of every run and (norm, g, b)
     for every _norm_factors call.  x is the pass's iterate, c*m**2 the
-    norm it carried and ad its correction as recorded, a _Factored record
-    on an exit pass not yet read.  Pass 0 forms its norm as b*p**2 -
-    a*q**2 with m = 1; each later pass takes (c, m) from its own
-    _norm_factors call."""
+    norm it carried and ad its Correction record.  Pass 0 forms its norm
+    as b*p**2 - a*q**2 with m = 1; each later pass takes (c, m) from its
+    own _norm_factors call."""
     traces, passes, updates = [], [], []
     _recording_norms(mp, updates)
     for run in runs:
         start = len(updates)
         _, trace = run()
-        y, steps = trace.y, trace.steps
-        carried = [(_norm_of(y, steps[0].x_before), 1)] if steps else []
+        y, xs, ads = F(*trace.y), trace.iterates, trace.corrections
+        carried = [(_norm_of(y, xs[0]), 1)] if ads else []
         carried += [(c, m) for *_, c, m in updates[start:]]
-        passes += [(y, s.x_before, c, m, s.__dict__["correction"])
-                   for s, (c, m) in zip(steps, carried, strict=True)]
+        passes += [(y, xs[k], c, m, ad) for k, (ad, (c, m))
+                   in enumerate(zip(ads, carried, strict=True))]
         traces.append(trace)
     return traces, passes, [u[:3] for u in updates]
 
@@ -1256,19 +1294,16 @@ class TestExactStep:
         q = rng.getrandbits(q_bits) | 1 << (q_bits - 1)
         g = math.gcd(p, q)
         p, q = p // g, q // g
-        # the applied pass reduces its correction norm/ad_den by _reduced
-        formed, real = [], newton._reduced
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(newton, "_reduced", lambda num, den, s: (
-                formed.append((num, den)) or real(num, den, s)))
-            x_after, trace = newton._exact_run(
-                "fsqr_exact", y, F(1), fraction_from_coprime(p, q), 1)
-        (norm, den), = formed
-        ad = trace.steps[0].correction
+        x_after, trace = newton._exact_run(
+            "fsqr_exact", y, F(1), fraction_from_coprime(p, q), 1)
+        # the applied pass records its correction norm/ad_den reduced
+        (ad,) = trace.corrections
         ad_num, ad_den, p1, q1 = _plain_step(y, p, q)
-        assert (norm, den, x_after.numerator, x_after.denominator) == \
-            (ad_num, ad_den, p1, q1)
-        assert ad.numerator * ad_den == ad_num * ad.denominator
+        assert (x_after.numerator, x_after.denominator) == (p1, q1)
+        assert trace.pairs == ((p, q), (p1, q1))
+        assert (ad.m, len(ad.den), ad.s) == (1, 1, 1)
+        assert math.gcd(ad.c, ad.den[0]) == 1
+        assert ad.sign * ad.c * ad_den == ad_num * ad.den[0]
 
     @given(ys, st.integers(1000, 200_000), st.integers(1000, 200_000),
            st.integers(0, 2 ** 64))
@@ -1285,16 +1320,19 @@ class TestExactStep:
         # whose norm is b*p**2 - a*q**2 = ad_num, with m = 1
         x_after, trace = newton._exact_run("isqr_exact", y,
                                            F(2 * abs(ad_num) + 1, ad_den), x)
-        (step,) = trace.steps
-        record, c, m = step.__dict__["correction"], ad_num, 1
-        assert type(record) is newton._Factored
-        assert record.num == (abs(c), m, m)
-        assert record.den == (2 * y.denominator, x.numerator, x.denominator)
-        assert (record.sign * math.prod(record.num),
-                math.prod(record.den)) == (ad_num, ad_den)
+        (record,) = trace.corrections
+        assert type(record) is newton.Correction
+        assert record.factors() == (
+            (abs(ad_num), 1, 1),
+            (2 * y.denominator, x.numerator, x.denominator))
+        num, den = record.factors()
+        assert (record.sign * math.prod(num), math.prod(den)) == \
+            (ad_num, ad_den)
         ad = record.value()
         assert ad.numerator * ad_den == ad_num * ad.denominator
-        assert x_after is step.x_after is x
+        # no pass moved x: the record holds the seed, the result is it
+        assert trace.pairs == ((x.numerator, x.denominator),)
+        assert x_after is x
 
     def test_norm_below_the_root_exits(self):
         # a seed under sqrt(y), which the request pass refuses, has a
@@ -1306,37 +1344,72 @@ class TestExactStep:
 
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_until_loop_exit_builds_no_iterate(self, monkeypatch, y, eps):
+        # the exit pass stores no iterate, and the run builds one
+        # Fraction, its result
         built = _count_built(monkeypatch)
-        _, trace = sqr_exact(y, eps)
+        x, trace = sqr_exact(y, eps)
         assert len(trace.steps) >= 2
-        assert len(built) == len(trace.steps) - 1
+        assert len(trace.pairs) == len(trace.steps)
+        assert built == [max(x.numerator.bit_length(),
+                             x.denominator.bit_length())]
         built.clear()
         _, trace = isqr_exact(y, eps, y)
-        assert len(built) == len(trace.steps) - 1
+        assert len(trace.pairs) == len(trace.steps) and len(built) == 1
 
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_applied_passes_build_their_iterates(self, monkeypatch, y, eps):
+        # each applied pass stores its iterate as a pair, which the steps
+        # view builds; the run itself builds only the last, its result
         built = _count_built(monkeypatch)
         x, trace = sqr_exact(y, eps, c_style=True)
-        assert len(built) == len(trace.steps)
+        assert len(built) == 1
+        assert len(trace.pairs) == len(trace.steps) + 1
         assert x == trace.steps[-1].x_after != trace.steps[-1].x_before
+        assert [s.x_after for s in trace.steps] == list(trace.iterates[1:])
         built.clear()
         # with eps = y every count is legal
         x, trace = fsqr_exact(y, y, y, 4)
-        assert len(built) == len(trace.steps) == 4
+        assert len(built) == 1 and len(trace.pairs) == 5
         assert x == trace.steps[-1].x_after
 
 
-def _unbuilt(step):
-    """A fresh copy of an until-loop's exit step, its correction still
-    kept as factors."""
-    record = step.__dict__["correction"]
-    assert type(record) is newton._Factored
-    return TraceStep(step.k, step.x_before, record, step.x_after)
+class TestExactTraceJoins:
+    """A Trace's views join up by construction: the first step starts at
+    the seed, each step starts where the last one ended, final_x is the
+    last iterate and the result, and only an until-loop's exit step
+    leaves x where it was."""
+
+    @given(ys, epss, st.sampled_from(["sqr", "c_style", "isqr", "fsqr"]),
+           st.integers(0, 4))
+    @example(F(4), F(1, 2), "sqr", 0)
+    @example(F(3), F(1, 4), "fsqr", 0)
+    @settings(max_examples=80, deadline=None)
+    def test_sampled_runs(self, y, eps, which, n):
+        if which == "c_style":
+            x, trace = sqr_exact(y, eps, c_style=True)
+        elif which == "isqr" and y > 1:
+            x, trace = isqr_exact(y, eps, y)
+        elif which == "fsqr" and y > 1:
+            x, trace = fsqr_exact(y, y, y,
+                                  max(n, min_legal_iterations(y, y, y)))
+        else:
+            which = "sqr"
+            x, trace = sqr_exact(y, eps)
+        steps, xs = trace.steps, trace.iterates
+        if steps:
+            assert steps[0].x_before == trace.seed
+        assert all(prev.x_after == cur.x_before
+                   for prev, cur in zip(steps, steps[1:]))
+        assert trace.seed == xs[0] and x == trace.final_x == xs[-1]
+        # an applied pass ends at the next iterate, the exit at its own
+        unapplied = len(steps) + 1 - len(xs)
+        assert [s.x_after for s in steps] == \
+            list(xs[1:]) + [xs[-1]] * unapplied
+        assert unapplied == (which in ("sqr", "isqr"))
 
 
 def _until_runs(y, eps):
-    """(trace, reference trace) of sqr_exact and, for y > 1, of
+    """(trace, reference views) of sqr_exact and, for y > 1, of
     isqr_exact from y and from a tight seed."""
     runs = [(sqr_exact(y, eps)[1], reference_exact_run("sqr_exact", y, eps)[1])]
     if y > 1:
@@ -1354,10 +1427,10 @@ def _result_or_refusal(fn, value):
 
 
 class TestExitCorrectionBuiltWhenRead:
-    """An until-loop's exit step keeps its correction as factors until it
-    is first read, and behaves as a step built eagerly from Fractions:
-    the same value, type and lowest terms, and the same ==, hash, repr,
-    copy, pickle and dataclasses.replace."""
+    """An until-loop's exit pass records its correction as factors, and
+    the steps view builds it when read, as a step built eagerly from
+    Fractions: the same value, type and lowest terms, and the same ==,
+    hash, repr, copy and pickle."""
 
     @given(ys, epss)
     @example(F(2), F(1, 10 ** 6))
@@ -1365,40 +1438,37 @@ class TestExitCorrectionBuiltWhenRead:
     @settings(max_examples=60, deadline=None)
     def test_first_read(self, y, eps):
         for trace, want in _until_runs(y, eps):
-            step, eager = _unbuilt(trace.steps[-1]), want.steps[-1].correction
-            d = step.correction
+            d, eager = trace.steps[-1].correction, want.steps[-1].correction
             assert type(d) is F
             assert d.denominator > 0
             assert math.gcd(d.numerator, d.denominator) == 1
             assert (d.numerator, d.denominator) == \
                 (eager.numerator, eager.denominator)
-            assert step.correction is d  # built once, then stored
             assert trace.steps == want.steps
 
     @given(ys, epss)
     @example(F(2), F(1, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_dataclass_contract(self, y, eps):
+        """The step view keeps, as a NamedTuple, the contract the step
+        dataclass had: ==, hash, repr, copy and pickle as an eagerly
+        built step's, _replace for dataclasses.replace, and no field
+        assignment."""
         for trace, want in _until_runs(y, eps):
             step, eager = trace.steps[-1], want.steps[-1]
-            assert _unbuilt(step) == eager and eager == _unbuilt(step)
-            assert hash(_unbuilt(step)) == hash(eager)
-            # repr writes long parts in hex, and a step pickles its
-            # Fractions as int pairs, so neither refuses a long part
-            assert _result_or_refusal(repr, _unbuilt(step)) == \
+            assert step == eager and eager == step
+            assert hash(step) == hash(eager)
+            assert _result_or_refusal(repr, step) == \
                 _result_or_refusal(repr, eager)
             for dup in (copy.copy, copy.deepcopy):
-                twin = dup(_unbuilt(step))
-                assert twin == eager and twin.__dict__ == eager.__dict__
-            pickled = pickle.dumps(_unbuilt(step))
+                assert dup(step) == eager
+            pickled = pickle.dumps(step)
             assert pickled == pickle.dumps(eager)
             assert pickle.loads(pickled) == eager
-            assert dataclasses.replace(_unbuilt(step), k=7) == \
-                dataclasses.replace(eager, k=7)
-            assert dataclasses.astuple(_unbuilt(step)) == \
-                dataclasses.astuple(eager)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                _unbuilt(step).correction = F(0)
+            assert step._replace(k=7) == eager._replace(k=7)
+            assert tuple(step) == tuple(eager)
+            with pytest.raises(AttributeError):
+                step.correction = F(0)
 
     @given(ys, epss)
     @example(F(26066, 3), F(1, 1000))
@@ -1407,31 +1477,43 @@ class TestExitCorrectionBuiltWhenRead:
         """value() builds the Fraction a reference run builds eagerly,
         prod(num)/prod(den) in lowest terms."""
         for trace, want in _until_runs(y, eps):
-            record = trace.steps[-1].__dict__["correction"]
-            assert type(record) is newton._Factored
+            record = trace.corrections[-1]
+            assert type(record) is newton.Correction
             d, eager = record.value(), want.steps[-1].correction
             assert type(d) is F
             assert (d.numerator, d.denominator) == \
                 (eager.numerator, eager.denominator)
-            assert d == F(record.sign * math.prod(record.num),
-                          math.prod(record.den))
+            num, den = record.factors()
+            assert d == F(record.sign * math.prod(num), math.prod(den))
 
     def test_only_the_unapplied_exit_is_kept_as_factors(self):
+        # an applied pass records its reduced correction: m = 1, one
+        # denominator factor, s = 1; the exit pass the formula's factors
         y, eps = F(10 ** 4 - 1, 99), F(1, 10 ** 6)
-        kept = [type(s.__dict__["correction"]) for s in sqr_exact(y, eps)[1].steps]
-        assert kept == [F] * (len(kept) - 1) + [newton._Factored]
+        _, trace = sqr_exact(y, eps)
+        *applied, exit_record = trace.corrections
+        assert exit_record.den == (2 * y.denominator, *trace.pairs[-1])
+        assert exit_record.m > 1
         _, c_style = sqr_exact(y, eps, c_style=True)
-        assert {type(s.__dict__["correction"]) for s in c_style.steps} == {F}
+        for record in applied + list(c_style.corrections):
+            assert (record.m, len(record.den), record.s) == (1, 1, 1)
+            assert math.gcd(record.c, record.den[0]) == 1
 
-    def test_factors_without_building(self):
+    def test_factors_without_building(self, monkeypatch):
         _, trace = isqr_exact(F(2), F(1, 10 ** 6), F(3, 2))
-        step = trace.steps[-1]
-        num, den = step.correction_factors()
-        assert type(step.__dict__["correction"]) is newton._Factored
-        assert F(math.prod(num), math.prod(den)) == abs(step.correction)
-        # a built or eager correction reads as its one-factor sequences
-        assert step.correction_factors() == \
-            ((abs(step.correction.numerator),), (step.correction.denominator,))
+        steps = trace.steps
+
+        def refuse(record):
+            raise AssertionError("factors() built the correction")
+
+        monkeypatch.setattr(newton.Correction, "value", refuse)
+        factors = [record.factors() for record in trace.corrections]
+        for (num, den), step in zip(factors, steps, strict=True):
+            assert F(math.prod(num), math.prod(den)) == abs(step.correction)
+        # an applied pass's factors are its reduced correction's parts
+        for (num, den), step in zip(factors[:-1], steps):
+            d = step.correction
+            assert (num, den) == ((abs(d.numerator), 1, 1), (d.denominator,))
 
 
 def _python_310_reduce(self):
@@ -1440,32 +1522,37 @@ def _python_310_reduce(self):
     return (type(self), (str(self),))
 
 
+# a run of one pass on a radicand with a 4,401-digit numerator
+LONG_Y = F(10 ** 4400 + 1, 3)
+
+
 class TestTracePickle:
-    """A Trace and its steps pickle each Fraction field as its int pair,
-    so a long run pickles on Python 3.10 too; loading, copy and deepcopy
-    give back equal records with equal hashes."""
+    """A Trace holds only ints, strs, tuples and None, so a long run
+    pickles on Python 3.10 too, where a Fraction pickles through str();
+    loading, copy and deepcopy give back equal records with equal
+    hashes.  A step view holds Fractions, and pickles as they do."""
 
     def test_long_run_round_trips(self):
         _, trace = sqr_exact(F(26066, 3), F(1, 1000))
         step = trace.steps[-1]
-        unbuilt = _unbuilt(step)
         assert step.correction.denominator.bit_length() > 4300 * 3.33
-        for record in (unbuilt, step, trace):
+        for record in (trace, trace.corrections[-1], step):
             for back in (pickle.loads(pickle.dumps(record)),
                          copy.copy(record), copy.deepcopy(record)):
                 assert type(back) is type(record)
                 assert back == record and hash(back) == hash(record)
-                assert back.__dict__ == record.__dict__
-        assert type(unbuilt.__dict__["correction"]) is F
 
     def test_under_the_python_310_fraction_reduce(self, monkeypatch):
-        _, trace = sqr_exact(F(26066, 3), F(1, 1000))
-        pickled = [pickle.dumps(r) for r in (trace.steps[-1], trace)]
+        runs = [sqr_exact(F(26066, 3), F(1, 1000))[1],
+                sqr_exact(LONG_Y, LONG_Y)[1]]
+        pickled = [pickle.dumps(r) for r in runs]
         monkeypatch.setattr(F, "__reduce__", _python_310_reduce)
-        with pytest.raises(ValueError):
-            pickle.dumps(trace.steps[-1].correction)
-        assert [pickle.dumps(r) for r in (trace.steps[-1], trace)] == pickled
-        assert pickle.loads(pickled[1]) == trace
+        for value in (runs[0].steps[-1], LONG_Y):
+            with pytest.raises(ValueError):
+                pickle.dumps(value)
+        assert [pickle.dumps(r) for r in runs] == pickled
+        assert [pickle.loads(p) for p in pickled] == runs
+        assert F(*pickle.loads(pickled[1]).y) == LONG_Y
 
     @pytest.mark.parametrize("run", [
         lambda: sqr_exact(F(4), F(1, 2)),
@@ -1486,32 +1573,39 @@ class TestTracePickle:
             assert pickle.loads(pickle.dumps(step)) == step
 
 
-def _dataclass_repr(record):
-    """The repr dataclass generates: each field by repr()."""
-    body = ", ".join(f"{f.name}={getattr(record, f.name)!r}"
-                     for f in dataclasses.fields(record))
-    return f"{type(record).__qualname__}({body})"
+def _plain_repr(value):
+    """The repr a NamedTuple generates, with each part by repr()."""
+    if not isinstance(value, tuple):
+        return repr(value)
+    parts = [_plain_repr(v) for v in value]
+    if hasattr(value, "_fields"):
+        body = ", ".join(f"{name}={part}"
+                         for name, part in zip(value._fields, parts))
+        return f"{type(value).__qualname__}({body})"
+    return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
 
 
 class TestTraceRepr:
-    """A Trace and its steps print as the dataclass repr while every
-    integer part is short, and write a longer part as a hex literal."""
+    """A Trace and its records print as the NamedTuple repr while every
+    integer part is short, write a longer part as a hex literal, and
+    read back with eval."""
 
     def test_long_run(self):
         _, trace = sqr_exact(F(26066, 3), F(1, 1000))
-        step = trace.steps[-1]
-        # the dataclass repr writes these parts in decimal, which Python
-        # 3.11 refuses past 4300 digits
-        assert step.correction.denominator.bit_length() > 4300 * 3.33
-        text = repr(step)
-        assert text.startswith(f"TraceStep(k={step.k}, x_before=Fraction(0x")
-        names = {"Fraction": F, "TraceStep": TraceStep, "Trace": Trace}
-        assert eval(text, names) == step
-        whole = repr(trace)
-        assert whole.startswith("Trace(algorithm='sqr_exact', "
-                                "y=Fraction(26066, 3), eps=Fraction(1, 1000), "
-                                "final_x=Fraction(0x")
-        assert eval(whole, names) == trace
+        # the NamedTuple repr writes these parts in decimal, which Python
+        # 3.11 can be set to refuse past 640 digits
+        assert trace.corrections[-1].m.bit_length() > 640 * 3.33
+        text = repr(trace)
+        assert text.startswith("Trace(algorithm='sqr_exact', y=(26066, 3), "
+                               "eps=(1, 1000), n_planned=None, "
+                               "pairs=((26066, 3), (")
+        assert ", m=0x" in text
+        names = {"Trace": Trace, "Correction": newton.Correction}
+        assert eval(text, names) == trace
+        record = trace.corrections[-1]
+        assert eval(repr(record), names) == record
+        _, trace = sqr_exact(LONG_Y, LONG_Y)
+        assert eval(repr(trace), names) == trace
 
     @pytest.mark.parametrize("run", [
         lambda: sqr_exact(F(2), F(1, 10 ** 6)),
@@ -1525,32 +1619,26 @@ class TestTraceRepr:
     def test_short_runs_print_as_the_dataclass(self, run):
         _, trace = run()
         for step in trace.steps:
-            assert repr(step) == _dataclass_repr(step)
-        want = _dataclass_repr(trace).replace(
-            repr(trace.steps), "(" + ", ".join(map(_dataclass_repr,
-                                                   trace.steps))
-            + ("," if len(trace.steps) == 1 else "") + ")")
-        assert repr(trace) == want
+            assert repr(step) == _plain_repr(step)
+        assert repr(trace) == _plain_repr(trace)
 
     def test_pinned(self):
         _, trace = sqr_exact(F(4), F(1, 2))
+        # -81/1640 = -(1*9*9)/(2*41*20): the exit keeps c*m**2 over
+        # 2*b*p*q, with s = 2*b*s_p*s_q = 2*1*1*4
         assert repr(trace) == (
-            "Trace(algorithm='sqr_exact', y=Fraction(4, 1), "
-            "eps=Fraction(1, 2), final_x=Fraction(41, 20), steps=("
-            "TraceStep(k=0, x_before=Fraction(4, 1), "
-            "correction=Fraction(-3, 2), x_after=Fraction(5, 2)), "
-            "TraceStep(k=1, x_before=Fraction(5, 2), "
-            "correction=Fraction(-9, 20), x_after=Fraction(41, 20)), "
-            "TraceStep(k=2, x_before=Fraction(41, 20), "
-            "correction=Fraction(-81, 1640), x_after=Fraction(41, 20))), "
-            "n_planned=None, seed=Fraction(4, 1))")
+            "Trace(algorithm='sqr_exact', y=(4, 1), eps=(1, 2), "
+            "n_planned=None, pairs=((4, 1), (5, 2), (41, 20)), corrections=("
+            "Correction(sign=-1, c=3, m=1, den=(2,), s=1), "
+            "Correction(sign=-1, c=9, m=1, den=(20,), s=1), "
+            "Correction(sign=-1, c=1, m=9, den=(2, 41, 20), s=8)))")
 
     def test_grid_steps(self):
         fix = FixProfile(1000, 20000, 20000)
         table = build_root_table(fix, fix.val(16))
         _, trace = fix_sqr(fix.val(6434), fix.val(8), table, 3)
         for step in trace.steps:
-            assert repr(step) == _dataclass_repr(step)
+            assert repr(step) == _plain_repr(step)
             assert repr(step.x_before).startswith("FixVal(count=")
 
 
@@ -1593,17 +1681,16 @@ class TestOperandCap:
                     _norm_of(y, step.x_before)
                 assert max(abs(v).bit_length() for v in formed) \
                     <= _pass_bits(y, step.x_before)
-            # an applied pass forms c*m and the norm c*m*m; reading an
-            # exit correction kept as factors forms those and 2*b*p,
-            # 2*b*p*q, the gcd against s and the two quotients
+            # an applied pass forms c*m and the norm c*m*m; reading a
+            # correction record forms its c*m*m, the product of its first
+            # two denominator factors, then of all, the gcd against s and
+            # the two quotients
             assert len(passes) == len(trace.steps)
             for _, x, c, m, ad in passes:
-                formed = [c * m, c * m * m]
-                if type(ad) is newton._Factored:
-                    num, den = math.prod(ad.num), math.prod(ad.den)
-                    g = math.gcd(num, ad.s)
-                    formed += [ad.s, ad.den[0] * ad.den[1], den, g,
-                               num // g, den // g]
+                num, den = ad.c * ad.m * ad.m, math.prod(ad.den)
+                g = math.gcd(num, ad.s)
+                formed = [c * m, c * m * m, ad.s, math.prod(ad.den[:2]), den,
+                          g, num // g, den // g]
                 assert max(abs(v).bit_length() for v in formed) \
                     <= _pass_bits(y, x)
 
@@ -1632,9 +1719,9 @@ class TestOperandCap:
                 f"exact Newton pass {k} may form {cap}-bit operands, "
                 f"above CERTISQRT_MAX_BITS = {cap - 1}")
             # the refused pass formed nothing: passes 1..k-1 split their
-            # norms, and passes 0..k-1 applied their corrections
+            # norms, and the refused run built no result
             assert len(updates) == max(k - 1, 0)
-            assert len(built) == k
+            assert built == []
 
     @pytest.mark.parametrize("cap", [None, "4096"])
     def test_refuses_before_the_work(self, monkeypatch, cap):
@@ -1644,19 +1731,20 @@ class TestOperandCap:
         else:
             monkeypatch.setenv("CERTISQRT_MAX_BITS", cap)
         limit = newton.DEFAULT_MAX_BITS if cap is None else int(cap)
-        built = _count_built(monkeypatch)
+        searched = _count_searched(monkeypatch)
         y, eps = F(10 ** 10), F(1, 10 ** 6)
         runs = [lambda: sqr_exact(y, eps),
                 lambda: isqr_exact(y, eps, y),
                 lambda: fsqr_exact(y, eps, y, 64)]
         for run in runs:
-            built.clear()
+            searched.clear()
             with pytest.raises(ResourceLimit,
                                match=r"^exact Newton pass \d+ may form "
                                      r"\d+-bit operands"):
                 run()
-            # the last iterate built is the one whose pass was refused
-            assert max(built) <= limit < _pass_bits(y, F(2 ** max(built)))
+            # the last iterate formed is the one whose pass was refused
+            assert max(searched) <= limit \
+                < _pass_bits(y, F(2 ** max(searched)))
 
     def test_cap_must_be_an_integer(self, monkeypatch):
         monkeypatch.setenv("CERTISQRT_MAX_BITS", "2**21")

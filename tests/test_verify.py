@@ -21,8 +21,8 @@ from certisqrt.fixarith import FixProfile
 from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
 from certisqrt.lut import _round_up_count, build_root_table, sup_fn
 from certisqrt.newton import (
+    Correction,
     Trace,
-    TraceStep,
     fix_sqr,
     flt_sqr,
     fsqr_exact,
@@ -79,17 +79,41 @@ class TestIterationCap:
             assert abs(cap - est) <= 1
 
 
+def record_of(d):
+    """The Correction an applied pass records for its correction d."""
+    return Correction((d > 0) - (d < 0), abs(d.numerator), 1,
+                      (d.denominator,), 1)
+
+
+def pair(x):
+    return x.numerator, x.denominator
+
+
+def with_iterates(trace, *changes):
+    """The trace with, for each (k, x) in changes, iterate k replaced by
+    x: the seed is iterate 0, and the x after pass k is iterate k + 1."""
+    pairs = list(trace.pairs)
+    for k, x in changes:
+        pairs[k] = pair(x)
+    return trace._replace(pairs=tuple(pairs))
+
+
+def with_correction(trace, k, d):
+    """The trace with pass k's correction replaced by d."""
+    corrections = list(trace.corrections)
+    corrections[k] = record_of(d)
+    return trace._replace(corrections=tuple(corrections))
+
+
 def with_extra_passes(trace, count, lo):
     """The trace with an even `count` of x-changing passes put in front,
     x going seed -> lo -> seed and so on (so every boundary stays in
     [lo, seed]); each correction is three times the next, the last three
     times the run's first."""
-    seed, first = trace.seed, trace.steps[0].correction
-    extra = tuple(TraceStep(j, (seed, lo)[j % 2], first * 3 ** (count - j),
-                            (lo, seed)[j % 2])
-                  for j in range(count))
-    return dataclasses.replace(trace, steps=extra + tuple(
-        dataclasses.replace(s, k=s.k + count) for s in trace.steps))
+    seed, first = trace.pairs[0], trace.steps[0].correction
+    extra = tuple(record_of(first * 3 ** (count - j)) for j in range(count))
+    return trace._replace(pairs=(seed, pair(lo)) * (count // 2) + trace.pairs,
+                          corrections=extra + trace.corrections)
 
 
 class TestCheckSqr:
@@ -115,9 +139,7 @@ class TestCheckSqr:
     def test_tampered_invariant_fails_only_invariant(self):
         y, eps = F(2), F(1, 100)
         _, trace = sqr_exact(y, eps)
-        bad_step = dataclasses.replace(trace.steps[1], x_before=F(1))
-        bad = dataclasses.replace(
-            trace, steps=(trace.steps[0], bad_step) + trace.steps[2:])
+        bad = with_iterates(trace, (1, F(1)))
         report = check_sqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"sqr.loop-invariant"}
         assert report.failures()[0].witness["k"] == 1
@@ -125,10 +147,7 @@ class TestCheckSqr:
     def test_two_broken_boundaries_report_the_first(self):
         y, eps = F(2), F(1, 100)
         _, trace = sqr_exact(y, eps)
-        low = [dataclasses.replace(s, x_before=F(1)) for s in trace.steps[1:3]]
-        assert len(low) == 2
-        bad = dataclasses.replace(
-            trace, steps=(trace.steps[0], *low) + trace.steps[3:])
+        bad = with_iterates(trace, (1, F(1)), (2, F(1)))
         report = check_sqr_annotations(bad, y, eps)
         assert report.failures()[0].witness == {"k": 1, "x": F(1)}
 
@@ -137,38 +156,22 @@ class TestCheckSqr:
         with pytest.raises(UsageError, match="sqr_exact or isqr_exact"):
             check_sqr_annotations(trace, F(3), F(1, 4))
 
-    def test_raised_seed_field_changes_nothing(self):
-        # the seed is capped at y, so a seed field above y cannot widen
-        # the invariant or the cap
-        y, eps = F(2), F(1, 100)
-        _, trace = sqr_exact(y, eps)
-        raised = dataclasses.replace(trace, seed=F(3))
-        assert check_sqr_annotations(raised, y, eps).to_json() == \
-            check_sqr_annotations(trace, y, eps).to_json()
-
     def test_raised_seed_and_boundary_fail_only_invariant(self):
-        # 5/2 lies below the raised seed 3 but above y
+        # the seed is capped at y, so the raised seed 3 is caught, and it
+        # does not widen the invariant for 5/2, which lies above y
         y, eps = F(2), F(1, 100)
         _, trace = sqr_exact(y, eps)
-        bad_step = dataclasses.replace(trace.steps[1], x_before=F(5, 2))
-        bad = dataclasses.replace(trace, seed=F(3), steps=(
-            trace.steps[0], bad_step) + trace.steps[2:])
+        bad = with_iterates(trace, (0, F(3)), (1, F(5, 2)))
         report = check_sqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"sqr.loop-invariant"}
-        assert report.failures()[0].witness == {"k": 1, "x": F(5, 2)}
-
-    def test_trace_without_seed_refused(self):
-        # the invariant and the cap are read against the trace's seed
-        _, trace = sqr_exact(F(2), F(1, 100))
-        with pytest.raises(UsageError, match="trace carries no seed value"):
-            check_sqr_annotations(dataclasses.replace(trace, seed=None),
-                                  F(2), F(1, 100))
+        assert report.failures()[0].witness == {"k": 0, "x": F(3)}
 
     def test_final_x_replaced_by_y_fails_only_final_error(self):
         # y is inside the invariant's [sqrt(y), y] but far from the root
         y, eps = F(2), F(1, 100)
         _, trace = sqr_exact(y, eps)
-        bad = dataclasses.replace(trace, final_x=y)
+        bad = with_iterates(trace, (-1, y))
+        assert bad.final_x == y
         report = check_sqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"sqr.final-error"}
         assert report.failures()[0].witness["x"] == y
@@ -262,34 +265,29 @@ class TestCheckIsqr:
 
     def test_boundary_above_seed_fails_only_invariant(self):
         # 5/2 lies in [sqrt(3), 3], so only the seed bound catches it
-        steps = list(self.run().steps)
-        steps[0] = dataclasses.replace(steps[0], x_after=F(5, 2))
-        steps[1] = dataclasses.replace(steps[1], x_before=F(5, 2))
-        bad = dataclasses.replace(self.run(), steps=tuple(steps))
+        bad = with_iterates(self.run(), (1, F(5, 2)))
         rules, failures = self.failed(bad)
         assert rules == {"isqr.loop-invariant"}
         assert failures[0].witness == {"k": 1, "x": F(5, 2)}
 
     def test_seed_raised_past_y_fails_only_invariant(self):
-        # the seed field raised to 4 > y is read as y, so 7/2 is caught
-        steps = list(self.run().steps)
-        steps[1] = dataclasses.replace(steps[1], x_before=F(7, 2))
-        bad = dataclasses.replace(self.run(), seed=F(4), steps=tuple(steps))
+        # the seed raised to 4 > y is read as y, so the seed is caught
+        bad = with_iterates(self.run(), (0, F(4)))
         rules, failures = self.failed(bad)
         assert rules == {"isqr.loop-invariant"}
-        assert failures[0].witness == {"k": 1, "x": F(7, 2)}
+        assert failures[0].witness == {"k": 0, "x": F(4)}
 
     def test_tied_correction_fails_only_halving(self):
-        steps = list(self.run().steps)
-        steps[2] = dataclasses.replace(steps[2],
-                                       correction=steps[1].correction / 2)
-        bad = dataclasses.replace(self.run(), steps=tuple(steps))
+        trace = self.run()
+        bad = with_correction(trace, 2, trace.steps[1].correction / 2)
         rules, failures = self.failed(bad)
         assert rules == {"isqr.halving"}
         assert failures[0].witness["i"] == 1
 
     def test_final_x_replaced_by_seed_fails_only_final_error(self):
-        bad = dataclasses.replace(self.run(), final_x=self.SEED)
+        trace = self.run()
+        bad = with_iterates(trace, (-1, self.SEED))
+        assert bad.final_x == self.SEED
         rules, failures = self.failed(bad)
         assert rules == {"isqr.final-error"}
         assert failures[0].witness["x"] == self.SEED
@@ -320,7 +318,7 @@ def long_corrections():
 
 def halves_q(prev, cur):
     """halves on two Fractions, each given as the one-factor sequences
-    (|num|,), (den,) that TraceStep.correction_factors reads off it."""
+    (|num|,), (den,) of its parts."""
     return halves(((abs(prev.numerator),), (prev.denominator,)),
                   ((abs(cur.numerator),), (cur.denominator,)))
 
@@ -393,20 +391,15 @@ class TestHalves:
     ])
     def test_negative_controls(self, index, factor):
         _, trace = sqr_exact(LONG_Y, LONG_EPS)
-        steps = list(trace.steps)
-        prev = steps[index - 1].correction
-        steps[index] = dataclasses.replace(steps[index],
-                                           correction=prev * factor)
-        bad = dataclasses.replace(trace, steps=tuple(steps))
+        prev = trace.steps[index - 1].correction
+        bad = with_correction(trace, index, prev * factor)
         report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
         assert {c.rule for c in report.failures()} == {"sqr.halving"}
         assert report.failures()[0].witness["i"] == index - 1
 
     def test_zero_predecessor_control(self):
         _, trace = sqr_exact(LONG_Y, LONG_EPS)
-        steps = list(trace.steps)
-        steps[3] = dataclasses.replace(steps[3], correction=F(0))
-        bad = dataclasses.replace(trace, steps=tuple(steps))
+        bad = with_correction(trace, 3, F(0))
         report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
         assert {c.rule for c in report.failures()} == {"sqr.halving"}
         assert report.failures()[0].witness["i"] == 3
@@ -415,9 +408,7 @@ class TestHalves:
 def _exit_forged(trace, record):
     """The trace with its exit correction replaced by a forged record of
     factors."""
-    last = trace.steps[-1]
-    forged = TraceStep(last.k, last.x_before, record, last.x_after)
-    return dataclasses.replace(trace, steps=trace.steps[:-1] + (forged,))
+    return trace._replace(corrections=trace.corrections[:-1] + (record,))
 
 
 def _exact_certify_corpus(seed):
@@ -437,12 +428,11 @@ def _halving_agrees(trace):
     """Each consecutive pair of corrections (and each pair swapped) is
     decided on factors, before any correction is read, as fraction_halves
     decides it on the values built from the same factors."""
-    steps = trace.steps
-    factors = [s.correction_factors() for s in steps]
-    pairs = list(zip(range(len(steps)), range(1, len(steps))))
+    factors = [record.factors() for record in trace.corrections]
+    pairs = list(zip(range(len(factors)), range(1, len(factors))))
     pairs += [(j, i) for i, j in pairs]
     decided = [halves(factors[i], factors[j]) for i, j in pairs]
-    values = [s.correction for s in steps]
+    values = [s.correction for s in trace.steps]
     return decided == [fraction_halves(values[i], values[j])
                        for i, j in pairs]
 
@@ -453,27 +443,43 @@ class TestHalvingOnFactors:
     correction, and the decision is the Fraction rule's."""
 
     def test_check_and_report_build_no_exit_correction(self, monkeypatch):
-        built = []
-        real = newton._Factored.value
+        """A checked run builds one Fraction, its result, in _exact_run:
+        the check and its report read the record's pairs and factors, and
+        build no TraceStep and no correction, though the exit correction
+        of the first run has a denominator past 14,300 bits."""
+        built, values, steps = [], [], []
+        real_build = newton.fraction_from_coprime
+        real_value, real_step = Correction.value, newton.TraceStep
 
-        def counting(record):
-            built.append(record)
-            return real(record)
+        def building(p, q):
+            if sys._getframe(1).f_code.co_name == "_exact_run":
+                built.append((p, q))
+            return real_build(p, q)
 
-        monkeypatch.setattr(newton._Factored, "value", counting)
-        for run in (lambda: sqr_exact(LONG_Y, LONG_EPS),
-                    lambda: isqr_exact(LONG_Y, LONG_EPS, LONG_Y)):
+        monkeypatch.setattr(newton, "fraction_from_coprime", building)
+        monkeypatch.setattr(Correction, "value",
+                            lambda record: values.append(record)
+                            or real_value(record))
+        monkeypatch.setattr(newton, "TraceStep",
+                            lambda *parts: steps.append(parts)
+                            or real_step(*parts))
+        runs = [(F(26066, 3), F(1, 1000), sqr_exact),
+                (LONG_Y, LONG_EPS, sqr_exact),
+                (LONG_Y, LONG_EPS, lambda y, eps: isqr_exact(y, eps, y))]
+        traces = []
+        for y, eps, run in runs:
             built.clear()
-            _, trace = run()
-            report = check_sqr_annotations(trace, LONG_Y, LONG_EPS)
+            x, trace = run(y, eps)
+            assert built == [trace.pairs[-1]] and x == trace.final_x
+            report = check_sqr_annotations(trace, y, eps)
             report.to_json()
-            assert report.overall and len(trace.steps) >= 10
-            assert built == []
-            exit_step = trace.steps[-1]
-            first = exit_step.correction
-            assert len(built) == 1
-            assert exit_step.correction is first
-            assert exit_step == trace.steps[-1] and len(built) == 1
+            assert report.overall and len(trace.corrections) >= 10
+            assert values == [] and steps == []
+            traces.append(trace)
+        # the steps view builds every step and correction
+        exit_step = traces[0].steps[-1]
+        assert exit_step.correction.denominator.bit_length() > 14_300
+        assert len(steps) == len(values) == len(traces[0].corrections)
 
     @pytest.mark.parametrize("family", ["sqr", "isqr"])
     @pytest.mark.parametrize("scale", [(1, 1), (3, 2)])
@@ -485,14 +491,13 @@ class TestHalvingOnFactors:
         else:
             _, trace = isqr_exact(LONG_Y, LONG_EPS, LONG_Y)
         prev = trace.steps[-2].correction
-        real = trace.steps[-1].__dict__["correction"]
-        m = real.num[1]
+        m = trace.corrections[-1].m
         assert m.bit_length() > 50_000
         up, down = scale
         num = (abs(prev.numerator) * up, m, m)
         den = (2 * down, prev.denominator * m, m)
         sign = -1 if family == "sqr" else 1
-        record = newton._Factored(sign, num, den, math.prod(den))
+        record = Correction(sign, num[0], m, den, math.prod(den))
         bad = _exit_forged(trace, record)
         report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
         assert {c.rule for c in report.failures()} == {f"{family}.halving"}
@@ -507,9 +512,9 @@ class TestHalvingOnFactors:
         # tie still halves
         _, trace = sqr_exact(LONG_Y, LONG_EPS)
         prev = trace.steps[-2].correction
-        den = (2, prev.denominator, 1)
-        num = (abs(prev.numerator) - 1, 1, 1)
-        bad = _exit_forged(trace, newton._Factored(-1, num, den, 2))
+        record = Correction(-1, abs(prev.numerator) - 1, 1,
+                            (2, prev.denominator, 1), 2)
+        bad = _exit_forged(trace, record)
         assert check_sqr_annotations(bad, LONG_Y, LONG_EPS).overall
 
     def test_agrees_on_the_exact_certify_corpus(self):
@@ -547,42 +552,31 @@ class TestCheckFsqr:
         # hand-build a run that stopped far from the root: the checker
         # must flag the final bound and nothing else
         y, eps, s = F(3), F(1, 100), F(3)
-        trace = Trace("fsqr_exact", y=y, eps=eps, final_x=s, steps=(),
-                      n_planned=0, seed=s)
+        trace = Trace("fsqr_exact", y=pair(y), eps=pair(eps), n_planned=0,
+                      pairs=(pair(s),), corrections=())
         report = check_fsqr_annotations(trace, y, eps)
         assert {c.rule for c in report.failures()} == {"fsqr.final-error"}
         assert "err_display" in report.failures()[0].witness
 
     def test_raised_iterate_fails_only_progress(self):
         # the x after two passes raised back to the seed, above
-        # sqrt(3) + (3 - sqrt(3))/4; the next pass's x_before is left
-        # alone, so only the x_after read catches it
+        # sqrt(3) + (3 - sqrt(3))/4
         y, eps, s = F(3), F(1, 10), F(3)
         _, trace = fsqr_exact(y, eps, s, 5)
-        steps = list(trace.steps)
-        steps[1] = dataclasses.replace(steps[1], x_after=s)
-        bad = dataclasses.replace(trace, steps=tuple(steps))
+        bad = with_iterates(trace, (2, s))
         report = check_fsqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"fsqr.progress"}
         assert report.failures()[0].witness == {"k": 2, "x": s}
 
     def test_seed_raised_past_y_fails_only_progress(self):
-        # against the seed field 9, x_1 = 4 keeps the progress bound;
-        # the seed is capped at y = 3, and against 3 it does not
+        # against the seed 9, x_1 = 4 keeps the progress bound; the seed
+        # is capped at y = 3, and against 3 it does not
         y, eps, s = F(3), F(1, 10), F(3)
         _, trace = fsqr_exact(y, eps, s, 5)
-        steps = list(trace.steps)
-        steps[0] = dataclasses.replace(steps[0], x_after=F(4))
-        bad = dataclasses.replace(trace, seed=F(9), steps=tuple(steps))
+        bad = with_iterates(trace, (0, F(9)), (1, F(4)))
         report = check_fsqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"fsqr.progress"}
         assert report.failures()[0].witness == {"k": 1, "x": F(4)}
-
-    def test_trace_without_seed_refused(self):
-        _, trace = fsqr_exact(F(3), F(1, 4), F(174, 100), 1)
-        with pytest.raises(UsageError, match="trace carries no seed value"):
-            check_fsqr_annotations(dataclasses.replace(trace, seed=None),
-                                   F(3), F(1, 4))
 
 
 class TestAdjustRuns:

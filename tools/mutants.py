@@ -103,6 +103,10 @@ MUTANTS = (
            "s_p, s_q = _content(p, small), s // g",
            "s_p, s_q = _content(p, small), 1",
            ("tests/test_newton.py::TestReducedByCarriedContent",)),
+    Mutant("_exact_run carries s_q as s_p", NEWTON,
+           "s_p, s_q = _content(p, small), s // g",
+           "s_q = s_p = _content(p, small)",
+           ("tests/test_newton.py::TestReducedByCarriedContent", DIGEST)),
     Mutant("_exact_run carries s_p as 1", NEWTON,
            "s_p, s_q = _content(p, small), s // g", "s_p, s_q = 1, s // g",
            (DIGEST,)),
@@ -110,12 +114,19 @@ MUTANTS = (
            "s = 2 * b * s_p * s_q", "s = 2 * b",
            ("tests/test_newton.py::TestReducedByCarriedContent",)),
     Mutant("_norm_factors divides the norm by g, not h", NEWTON,
-           "abs(norm) // h", "abs(norm) // g",
+           "(g // h) ** 2, abs(norm) // h", "(g // h) ** 2, abs(norm) // g",
            ("tests/test_newton.py::TestCarriedNorm::"
             "test_g_not_dividing_the_norm",)),
     Mutant("exit record's den (b, p, q)", NEWTON,
            "(2 * b, p, q), s)", "(b, p, q), s)",
            (STEP_TESTS + "test_exit_pass_matches_products", DIGEST)),
+    Mutant("exit record's den without 2*b", NEWTON,
+           "(2 * b, p, q), s)", "(p, q), s)",
+           (STEP_TESTS + "test_exit_pass_matches_products", DIGEST)),
+    Mutant("exit record's content s read as 1", NEWTON,
+           "(2 * b, p, q), s)", "(2 * b, p, q), 1)",
+           ("tests/test_newton.py::TestExitCorrectionBuiltWhenRead::"
+            "test_value_is_the_eager_correction", DIGEST)),
     Mutant("until-loop exit on ad <= eps/2", NEWTON,
            "(en, b, p, q)) < 0", "(en, b, p, q)) <= 0",
            ("tests/test_newton.py::TestExactLoopMatchesReference::"
@@ -197,7 +208,7 @@ MUTANTS = (
            ("tests/test_verify.py::TestTableProperties::"
             "test_skipped_index_fails_only_round_up",)),
     Mutant("fsqr.progress read from x_before", VERIFY,
-           "s.x_after * (1 << k) - seed", "s.x_before * (1 << k) - seed",
+           "enumerate(xs[1:], 1)", "enumerate(xs[:-1], 1)",
            ("tests/test_verify.py::TestCheckFsqr::test_single_step_pass",)),
     # 2**14284 < 10**4300, the default int-to-str limit, not the least
     Mutant("encode_int's decimal bound sized for 4300 digits", EXACT,
