@@ -67,12 +67,14 @@ def max_bits() -> int:
 
 
 def _record_repr(value) -> str:
-    """repr(value) for a Trace or a part of one, as the NamedTuple repr
-    writes it, with each int written as encode_int writes it: in decimal
-    while every interpreter setting prints it, as a hex literal beyond,
-    so a long run has a repr on Python 3.11 too."""
+    """repr(value) for a record or a part of one, as the NamedTuple repr
+    writes it, with each int, a Fraction's parts too, as encode_int
+    writes it: in decimal while every interpreter setting prints it, as
+    a hex literal beyond, so a long run has a repr on Python 3.11 too."""
     if type(value) is int:
         return str(encode_int(value))
+    if type(value) is Fraction:
+        return f"Fraction{_record_repr((value.numerator, value.denominator))}"
     if not isinstance(value, tuple):
         return repr(value)
     parts = [_record_repr(v) for v in value]
@@ -113,18 +115,17 @@ class Correction(NamedTuple):
 
 class TraceStep(NamedTuple):
     """One loop pass as a record's view builds it: value before, the
-    correction, value after.
-
-    For until-loop runs the final pass records the correction that met the
-    exit test with x_after == x_before.  sqr_exact corrections are signed;
-    the seeded variants record the directly computed non-negative
-    correction, applied by subtraction.
-    """
+    correction, value after.  An until-loop's exit pass records the
+    correction that met the exit test, with x_after == x_before.
+    sqr_exact corrections are signed; the seeded variants record the
+    directly computed non-negative correction, applied by subtraction."""
 
     k: int
     x_before: Fraction | FixVal
     correction: Fraction
     x_after: Fraction | FixVal
+
+    __repr__ = _record_repr
 
 
 class Trace(NamedTuple):

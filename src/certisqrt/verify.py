@@ -94,10 +94,9 @@ Factors = tuple[Sequence[int], Sequence[int]]
 
 def halves(prev: Factors, cur: Factors) -> bool:
     """Decide 2*|cur| < |prev| for two corrections given as (num, den)
-    factor sequences of their magnitudes, as Correction.factors reads them
-    off a Trace's records: one cmp_products call, which forms no product
-    that bit lengths or brackets already settle.  False whenever prev is
-    0."""
+    factor sequences of their magnitudes, as Correction.factors reads them:
+    one cmp_products call, which forms no product that bit lengths or
+    brackets already settle.  False whenever prev is 0."""
     (prev_num, prev_den), (cur_num, cur_den) = prev, cur
     return cmp_products((2, *cur_num, *prev_den),
                         (*prev_num, *cur_den)) < 0

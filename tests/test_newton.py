@@ -1530,13 +1530,20 @@ class TestTracePickle:
     """A Trace holds only ints, strs, tuples and None, so a long run
     pickles on Python 3.10 too, where a Fraction pickles through str();
     loading, copy and deepcopy give back equal records with equal
-    hashes.  A step view holds Fractions, and pickles as they do."""
+    hashes.  A step view holds Fractions, and pickles as they do: by
+    their int pair from Python 3.11 on, through str() on 3.10."""
 
     def test_long_run_round_trips(self):
         _, trace = sqr_exact(F(26066, 3), F(1, 1000))
         step = trace.steps[-1]
         assert step.correction.denominator.bit_length() > 4300 * 3.33
-        for record in (trace, trace.corrections[-1], step):
+        records = [trace, trace.corrections[-1]]
+        if sys.version_info >= (3, 11):
+            records.append(step)
+        else:
+            with pytest.raises(ValueError):
+                pickle.dumps(step)
+        for record in records:
             for back in (pickle.loads(pickle.dumps(record)),
                          copy.copy(record), copy.deepcopy(record)):
                 assert type(back) is type(record)
@@ -1604,6 +1611,12 @@ class TestTraceRepr:
         assert eval(text, names) == trace
         record = trace.corrections[-1]
         assert eval(repr(record), names) == record
+        # a step view writes each long part of its Fractions in hex too
+        step = trace.steps[-1]
+        assert step.correction.denominator.bit_length() > 4300 * 3.33
+        text = repr(step)
+        assert text.startswith("TraceStep(k=") and ", 0x" in text
+        assert eval(text, {"TraceStep": TraceStep, "Fraction": F}) == step
         _, trace = sqr_exact(LONG_Y, LONG_Y)
         assert eval(repr(trace), names) == trace
 
