@@ -68,11 +68,6 @@ class FixProfile:
     @cached_property
     def rule_checks(self) -> tuple[CheckResult, ...]:
         d = self.delta_den
-        # every integer in range must be a grid point inside the count range
-        int_lo = -(self.inf_count // d)
-        int_hi = self.sup_count // d
-        ints_ok = self.contains_count(int_lo * d) and \
-            self.contains_count(int_hi * d)
         return (
             check("grid step below one half", "profile.delta-range",
                   d >= 3, {"delta": self.delta}),
@@ -80,11 +75,6 @@ class FixProfile:
                   self.inf_count > 2 * d, {"inf": self.inf_value}),
             check("upper bound above two", "profile.sup-min",
                   self.sup_count > 2 * d, {"sup": self.sup_value}),
-            check("reciprocal step is a natural number", "profile.delta-unit",
-                  d >= 1, {"delta_den": d}),
-            check("integers in range are grid points",
-                  "profile.integers-on-grid", ints_ok,
-                  {"smallest": int_lo, "largest": int_hi}),
         )
 
     def is_valid(self) -> bool:

@@ -593,15 +593,21 @@ def float_bound(eps: FixVal, exp: int,
     return eps.value * beta ** h, profile.fix.delta / 2 * beta ** (h - 1)
 
 
-def _divisors_descending(n: int) -> list[int]:
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out, reverse=True)
+MAX_DIVISOR_TRIALS = 1 << 20  # derive_eps_for_ulp's trial divisions
+
+
+def _divisors_below(n: int, bound: int) -> list[int]:
+    """The divisors of n below bound, descending.  Each pairs an i <=
+    isqrt(n) with n//i >= isqrt(n), so while bound <= isqrt(n) only the
+    trials i < bound find one; past MAX_DIVISOR_TRIALS, ResourceLimit."""
+    root = math.isqrt(n)
+    last = root if bound > root else bound - 1
+    if last > MAX_DIVISOR_TRIALS:
+        raise ResourceLimit(f"the divisors of {encode_int(n)} below "
+                            f"{encode_int(bound)} need {encode_int(last)} "
+                            f"trial divisions, cap {MAX_DIVISOR_TRIALS}")
+    return sorted({c for i in range(1, last + 1) if n % i == 0
+                   for c in (i, n // i) if c < bound}, reverse=True)
 
 
 def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
@@ -619,7 +625,9 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
     _check_table_config(profile.fix, stp)
     half_ulp = ulp / 2
     beta = Fraction(profile.base)
-    for count in _divisors_descending(stp.count):
+    # eps >= ulp/2 fails the margin, as c2*sqrt(base) > 0
+    below = math.ceil(half_ulp * profile.fix.delta_den)
+    for count in _divisors_below(stp.count, below):
         eps = FixVal(count, profile.fix)
         c1, c2 = float_bound(eps, 0, profile)
         # c1 + c2*sqrt(base) < ulp/2, as ulp/2 - c1 > sqrt(c2**2*base)

@@ -11,6 +11,7 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction as F
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -31,7 +32,7 @@ from certisqrt.errors import DomainError, ResourceLimit
 from certisqrt.exact import rat_str
 from certisqrt.fixarith import FixProfile, FixVal
 from certisqrt.lut import RootTable
-from certisqrt.newton import _divisors_descending, fix_sqr, sqr_exact
+from certisqrt.newton import _divisors_below, fix_sqr, sqr_exact
 from certisqrt.verify import check_sqr_annotations, grid_values
 
 
@@ -393,8 +394,9 @@ class TestGoldenDigests:
         assert digest(capsys.readouterr().out.encode()) == \
             "b23d910e4a0165df72f3784e738eeaf02e3945193acf34626e78506e596bdbb4"
         assert main(["profile-check", demo_profile_path]) == 0
+        # retaken once the two profile rules no profile can fail were gone
         assert digest(capsys.readouterr().out.encode()) == \
-            "70582321cbf878abe8f9e4ee70e577adc848ef03320d85f7e2ba21c2ccd36cc6"
+            "f72ff1b8229895e3362fc6b6ad40e53e95c809b6d7b12ed9d44859e217748c36"
 
     @pytest.mark.parametrize("args,expected", [
         (["--mode", "mix", "--value", "3.00", "--eps", "0.25"],
@@ -502,8 +504,9 @@ class TestGoldenDigests:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
     def test_invalid_profile_check(self, tmp_path, capsys):
+        # retaken as test_demo_outputs' profile-check digest
         expected = \
-            "ee2c99545fd4c82d65e3fa68b6bc125164281092dd6d0a1cd805852f78c02e90"
+            "57e8c1b1faf56e6b1309f7899781d2a5096ac684179c83e7b385a325174fcd45"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(HALF_STEP_PROFILE))
         capsys.readouterr()
@@ -872,7 +875,8 @@ class TestSweepCommand:
             "step": {"stp_count": eps, "eps_count": eps}}))
         assert main(["sweep", str(profile), str(out), "--kind",
                      "balance"]) in (0, 1)
-        want = [rat_str(F(c, d)) for c in reversed(_divisors_descending(sup))
+        want = [rat_str(F(c, d))
+                for c in reversed(_divisors_below(sup, sup + 1))
                 if c % eps == 0 and sup // c <= MAX_BALANCE_TABLE]
         assert [line.split(",")[0] for line in
                 out.read_text().splitlines()[1:]] == want
@@ -1348,6 +1352,41 @@ class TestGridPastSsizeT:
             256, 250, 200, 160, 128, 125, 100, 80, 64, 50, 40, 32, 25, 20,
             16, 10, 8, 5, 4, 2, 1]
         assert all(r[1] == r[6] == "true" for r in rows)
+
+
+class TestUlpDivisorSearch:
+    """--ulp on the demo grid with sup_count 10**30 and a step of
+    2.5*10**29 counts: the accuracy search tries only the step's divisors
+    below ulp/2, and refuses a search past its trial cap before it
+    starts."""
+
+    @pytest.fixture
+    def profile(self, demo_profile_path, tmp_path):
+        doc = json.loads(Path(demo_profile_path).read_text())
+        doc["fix"]["sup_count"] = 10 ** 30
+        doc["step"] = {"stp_count": 25 * 10 ** 28, "eps_count": 25 * 10 ** 28}
+        path = tmp_path / "huge_step.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_unit_ulp_refused_quickly(self, profile, tmp_path):
+        start = perf_counter()
+        proc = _run_cli(["sqrt", profile, "--mode", "exact", "--value", "2",
+                         "--ulp", "1"], subprocess.PIPE, tmp_path, timeout=60)
+        elapsed = perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: NoFeasibleEps: ")
+        assert proc.stderr.count("\n") == 1
+        assert elapsed < 2
+
+    def test_search_past_the_cap_refused(self, profile, capsys):
+        capsys.readouterr()
+        assert main(["sqrt", profile, "--mode", "exact", "--value", "2",
+                     "--ulp", str(10 ** 40)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: ResourceLimit: the divisors of {25 * 10 ** 28} below "
+            f"{5 * 10 ** 41} need {5 * 10 ** 14} trial divisions, "
+            f"cap 1048576\n"))
 
 
 class TestSampledScanDraw:

@@ -1813,6 +1813,56 @@ class TestDeriveEps:
         assert derive_eps_for_ulp(F(81, 200) + F(1, 10 ** 9), fprof,
                                   stp) == fix.val(20)
 
+    @staticmethod
+    def every_divisor(ulp, fprof, stp):
+        """The search that also tried the divisors with eps >= ulp/2:
+        every divisor of stp, largest first."""
+        for count in range(stp.count, 0, -1):
+            if stp.count % count:
+                continue
+            c1, c2 = float_bound(fprof.fix.val(count), 0, fprof)
+            if cmp_sqrt(ulp / 2 - c1, c2 * c2 * fprof.base) \
+                    is Ordering.GREATER and count >= newton._mix_eps_floor(
+                        newton._least_count(stp.count, count)):
+                return fprof.fix.val(count)
+        return None
+
+    @pytest.mark.parametrize("base", [2, 4])
+    def test_skipped_divisors_change_no_result(self, base):
+        fix = FixProfile(100, 6400, 6400)
+        fprof = FloatProfile(base, fix, F(65536), F(65536))
+        for count in (2, 4, 8, 10, 20, 25, 40, 64, 100, 128, 320, 800, 6400):
+            stp = fix.val(count)
+            for ulp in (F(1, 100), F(1, 5), F(81, 200), F(1, 2), F(1),
+                        F(2), F(10), F(10 ** 6)):
+                try:
+                    got = derive_eps_for_ulp(ulp, fprof, stp)
+                except NoFeasibleEps:
+                    got = None
+                assert got == self.every_divisor(ulp, fprof, stp), \
+                    (count, ulp)
+
+    def test_divisors_below(self):
+        for n in range(1, 200):
+            for bound in range(-1, n + 3):
+                assert newton._divisors_below(n, bound) == [
+                    c for c in range(n, 0, -1) if n % c == 0 and c < bound]
+
+    def test_trial_divisions_capped(self):
+        """A step of 2.5*10**29 counts has divisors below ulp/2 up to
+        sqrt(stp) = 5*10**14 apart: refused before the first trial."""
+        fix = FixProfile(100, 1600, 10 ** 30)
+        fprof = FloatProfile(2, fix, F(65536), F(65536))
+        stp = fix.val(25 * 10 ** 28)
+        with pytest.raises(ResourceLimit, match=(
+                r"^the divisors of 250000000000000000000000000000 below "
+                r"\d+ need 500000000000000 trial divisions, cap 1048576$")):
+            derive_eps_for_ulp(F(10 ** 40), fprof, stp)
+        # at ulp 1 only the counts below 50 are tried, and none is
+        # feasible
+        with pytest.raises(NoFeasibleEps):
+            derive_eps_for_ulp(F(1), fprof, stp)
+
 
 class TestValidateOnce:
     """The profile, step and table rules are decided when a table and a

@@ -22,13 +22,15 @@ from time import perf_counter
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-CLI, LUT, EXACT, FIXARITH, NEWTON, VERIFY = (
+CLI, LUT, EXACT, FIXARITH, FLOATMODEL, NEWTON, VERIFY = (
     "certisqrt/cli.py", "certisqrt/lut.py", "certisqrt/exact.py",
-    "certisqrt/fixarith.py", "certisqrt/newton.py", "certisqrt/verify.py")
+    "certisqrt/fixarith.py", "certisqrt/floatmodel.py",
+    "certisqrt/newton.py", "certisqrt/verify.py")
 LOAD_TESTS = "tests/test_cli.py::TestTableBuild::"
 STEP_TESTS = "tests/test_newton.py::TestExactStep::"
 DIGEST = "tests/test_newton.py::TestExactFamilyDigest"
 PRODUCT_TESTS = "tests/test_exact.py::TestCmpProducts::"
+CONTROL = "tests/test_rules.py::test_control"
 
 
 class Mutant(NamedTuple):
@@ -93,6 +95,18 @@ MUTANTS = (
            "    if entries > limit:",
            "entries = len(indices)\n    if entries > limit:",
            ("tests/test_cli.py::TestGridPastSsizeT::test_table_cap_refuses",)),
+    Mutant("RootTable's k_min one too high", LUT,
+           '"k_min", indices.start)', '"k_min", indices.start + 1)',
+           ("tests/test_lut.py::TestBuildTable::test_demo_size_and_bounds",
+            "tests/test_lut.py::TestBuildTable::test_entries")),
+    Mutant("step.min-two-units tested at >= 1", LUT,
+           "stp.count >= 2, {", "stp.count >= 1, {",
+           (CONTROL + "[step.min-two-units]",
+            "tests/test_lut.py::TestValidateStep::"
+            "test_single_grid_unit_fails")),
+    Mutant("float.range-min always passes", FLOATMODEL,
+           "self.inf_f > 2 and self.sup_f > 2,", "True,",
+           (CONTROL + "[float.range-min]",)),
     Mutant("_radicand refuses zero", EXACT,
            "if y.numerator < 0:", "if y.numerator <= 0:",
            ("tests/test_exact.py::TestSqrtEnclosure::test_zero",)),
