@@ -19,7 +19,6 @@ from .errors import (
     UsageError,
 )
 from .exact import (
-    Ordering,
     cmp_sqrt,
     rat_str,
     sqrt_abs_err_lt,

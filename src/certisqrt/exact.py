@@ -7,21 +7,23 @@ inequalities containing one or two radicals.  Host floating point never
 participates in a verdict.
 
 Every predicate works on integer numerators and denominators; none
-builds or normalises a Fraction.  Every radical decision ends in one
-rule, the sign of n/d - sqrt(a/b) for unreduced parts: -1 when n < 0,
-otherwise the sign of n**2*b - a*d**2.  _sqrt_sign applies it by one
-cmp_products call on the factor sequences (n, n, b) and (a, d, d), and
-cmp_sqrt is a thin wrapper over it.  within_of_sqrt needs the rule for
-the pairs of q - bound and q + bound; _within_signs hands them to
-_sqrt_sign, except that when all their parts have at most _SHORT_BITS
-bits, as on every grid request, it forms the short products itself,
-against one shared a*den**2.  It is the one place short products are
-formed.  A one-radical bound such as c1 + c2*sqrt(m) < t, c2 >= 0, is
-the ordering cmp_sqrt(t - c1, c2**2*m), as newton.derive_eps_for_ulp
-decides it.  sqrt_abs_err_lt multiplies through by a positive common
-denominator and writes sqrt(num/den) as sqrt(num*den)/den, so it ends
-in _lt_radical, which decides L < K*sqrt(M) on integers, K >= 0, as the
-sign of L/K - sqrt(M), or of L when K = 0.
+builds or normalises a Fraction, and every ordering is answered as an
+int sign, -1, 0 or 1, which callers compare against 0.  Every radical
+decision ends in one rule, the sign of n/d - sqrt(a/b) for unreduced
+parts: -1 when n < 0, otherwise the sign of n**2*b - a*d**2.  _sqrt_sign
+applies it by one cmp_products call on the factor sequences (n, n, b)
+and (a, d, d), and cmp_sqrt returns its sign for a Fraction q.
+within_of_sqrt needs the rule for the pairs of q - bound and q + bound;
+_within_signs hands them to _sqrt_sign, except that when all their
+parts have at most _SHORT_BITS bits, as on every grid request, it forms
+the short products itself, against one shared a*den**2.  It is the one
+place short products are formed.  A one-radical bound such as c1 +
+c2*sqrt(m) < t, c2 >= 0, is the sign cmp_sqrt(t - c1, c2**2*m) > 0, as
+newton.derive_eps_for_ulp decides it.  sqrt_abs_err_lt multiplies
+through by a positive common denominator and writes sqrt(num/den) as
+sqrt(num*den)/den, so it ends in _lt_radical, which decides L <
+K*sqrt(M) on integers, K >= 0, as the sign of L/K - sqrt(M), or of L
+when K = 0.
 
 cmp_products(xs, ys) decides the sign of prod(xs) - prod(ys) for two
 sequences of factors >= 0 in stages, and forms a product only in the
@@ -33,10 +35,12 @@ of small integers, and disjoint brackets decide the sign.  Only
 overlapping brackets need the full products.  Each stage is exact, so
 the verdict is too; the stages only skip multiplying operands of 100K+
 bits when bit lengths or 128-bit brackets already settle the
-comparison.  The same primitive decides newton's until-loop exit on the
-factors of the carried norm and verify's halving rule on the factors of
-two corrections, so neither forms the products it compares unless the
-first two stages leave the comparison open.
+comparison.  halves, 2*|cur| < |prev| on the factors of two
+magnitudes, is one cmp_products call: it decides newton's until-loop
+exit, 2*|ad| < eps on the factors of the pass's correction, and
+verify's halving rule on the factors of two corrections, so neither
+forms the products it compares unless the first two stages leave the
+comparison open.
 
 A Fraction from a pair of integers is built without Fraction's
 constructor, which checks its arguments and fills both slots in Python
@@ -50,25 +54,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
-
-
-class Ordering(Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-def _ordering_of_sign(s: int) -> Ordering:
-    if s < 0:
-        return Ordering.LESS
-    if s > 0:
-        return Ordering.GREATER
-    return Ordering.EQUAL
 
 
 def fraction_from_coprime(num: int, den: int) -> Fraction:
@@ -197,6 +186,19 @@ def cmp_products(xs: Sequence[int], ys: Sequence[int]) -> int:
     return _filtered_sign(xs, ys) or _exact_sign(xs, ys)
 
 
+Factors = tuple[Sequence[int], Sequence[int]]
+
+
+def halves(prev: Factors, cur: Factors) -> bool:
+    """Decide 2*|cur| < |prev| for two magnitudes given as (num, den)
+    factor sequences, as Correction.factors reads them: one cmp_products
+    call, which forms no product that bit lengths or brackets already
+    settle.  False whenever prev is 0."""
+    (prev_num, prev_den), (cur_num, cur_den) = prev, cur
+    return cmp_products((2, *cur_num, *prev_den),
+                        (*prev_num, *cur_den)) < 0
+
+
 def _radicand(y: Fraction) -> tuple[int, int]:
     """(num(y), den(y)) of a radicand, which must be >= 0."""
     if y.numerator < 0:
@@ -216,10 +218,11 @@ def _sqrt_sign(n: int, d: int, a: int, b: int) -> int:
     return cmp_products((n, n, b), (a, d, d))
 
 
-def cmp_sqrt(q: Fraction, y: Fraction) -> Ordering:
-    """Order q relative to sqrt(y), decided exactly by _sqrt_sign."""
+def cmp_sqrt(q: Fraction, y: Fraction) -> int:
+    """The sign of q - sqrt(y), -1, 0 or 1, decided exactly by
+    _sqrt_sign."""
     a, b = _radicand(y)
-    return _ordering_of_sign(_sqrt_sign(q.numerator, q.denominator, a, b))
+    return _sqrt_sign(q.numerator, q.denominator, a, b)
 
 
 def _within_signs(q: Fraction, y: Fraction,
@@ -334,10 +337,7 @@ def sqrt_abs_err_lt(q: Fraction, y: Fraction, c1: Fraction, c2: Fraction,
     big_y, big_m = yn * yd, mn * md
     if lead < 0:
         return True
-    if ky == 0 or big_y == 0:
-        return _lt_radical(lead, km, big_m)
-    if km == 0:
-        return _lt_radical(lead, ky, big_y)
-    # lead**2 < ky**2*Y + km**2*M + 2*ky*km*sqrt(Y*M)
+    # lead**2 < ky**2*Y + km**2*M + 2*ky*km*sqrt(Y*M); when ky, Y or km is
+    # 0 the radical term is 0, and _lt_radical decides lead2 < 0
     lead2 = lead * lead - (ky * ky * big_y + km * km * big_m)
     return _lt_radical(lead2, 2 * ky * km, big_y * big_m)

@@ -48,9 +48,8 @@ from .errors import (
     ResourceLimit,
     SeedContractError,
 )
-from .exact import (Ordering, _lowest_terms, _radicand, _rat_text,
-                    _sqrt_sign, cmp_products, cmp_sqrt, encode_int,
-                    fraction_from_coprime)
+from .exact import (_lowest_terms, _radicand, _rat_text, _sqrt_sign,
+                    cmp_sqrt, encode_int, fraction_from_coprime, halves)
 from .fixarith import (FixProfile, FixVal, _newton_step, fix_mul,
                        require_same_grid)
 from .floatmodel import FloatProfile, FloatVal, _require_base, compose
@@ -87,13 +86,12 @@ def _record_repr(value) -> str:
 
 class Correction(NamedTuple):
     """One pass's correction as factors: sign*c*m**2/prod(den), with c, m
-    and every factor of den >= 0.  Every common factor of the two
-    products divides s, so value() builds the Fraction in lowest terms
-    with one gcd, its numerator as c*(m*m), as an applied pass forms its
-    norm.  An applied pass records its correction reduced: m = 1, den =
-    (ad_den/g,) and s = 1.  The exit pass of an until-loop, which applies
-    none, records the product formula's factors: (c, m) of the pass's
-    norm over (2*b, p, q), with the carried content s of 2*b*p*q."""
+    and every factor of den >= 0.  Every pass, applied or not, records
+    the product formula's factors: (c, m) of the norm of its iterate p/q
+    over den = (2*b, p, q), with the carried content s of 2*b*p*q.  Every
+    common factor of the two products divides s, so value() builds the
+    Fraction in lowest terms with one gcd, its numerator as c*(m*m), as
+    an applied pass forms its norm."""
 
     sign: int
     c: int
@@ -271,7 +269,7 @@ def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
     _check_count(n)
     if n < 0:
         raise DomainError(f"iteration count must be >= 0, got {n}")
-    if seeded and (cmp_sqrt(seed, y) is Ordering.LESS or seed > y):
+    if seeded and (cmp_sqrt(seed, y) < 0 or seed > y):
         raise SeedContractError(f"seed {_rat_text(seed)} violates sqrt("
                                 f"{_rat_text(y)}) <= seed <= {_rat_text(y)}")
 
@@ -296,16 +294,18 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     multiplicative, so the loop carries it: the next pair is (b*p**2 +
     a*q**2, 2*b*p*q) over the factor g stripped from it, and its norm is
     b*norm**2/g**2, which the next pass keeps as the factors (c, m) of
-    _norm_factors, with no squaring (on pass 0, m is 1).  The exit test
-    ad < eps/2 compares ed*c*m*m with en*b*p*q through cmp_products,
-    which forms those products only when bit lengths and 128-bit brackets
-    leave it open, and the exit pass records its correction as the
-    Correction of (c, m) over (2*b, p, q), which only a reader of the
-    record's steps builds.  So the exit pass of a run that is checked and
-    reported forms no product above its inputs, and builds no next
-    iterate.  An applied pass forms the norm c*(m*m), p**2 and (p
-    + q)**2, gets q**2 = (b*p**2 - norm)/a by exact division and 2*p*q =
-    (p + q)**2 - p**2 - q**2: three squarings.  The norm is c*(m*m)
+    _norm_factors, with no squaring (on pass 0, m is 1).  Each pass
+    records its correction before its exit test, as the Correction of
+    (c, m) over (2*b, p, q) with the carried content s, which only a
+    reader of the record's steps builds.  The exit test, 2*|ad| < eps, is
+    exact.halves on the factors of eps and of that record, the call the
+    halving rules make on two corrections, which forms those products
+    only when bit lengths and 128-bit brackets leave it open; a negative
+    norm (a seed below sqrt(y)) exits on its own.  So the exit pass of a
+    run that is checked and reported forms no product above its inputs,
+    and builds no next iterate.  An applied pass forms the norm c*(m*m),
+    p**2 and (p + q)**2, gets q**2 = (b*p**2 - norm)/a by exact division
+    and 2*p*q = (p + q)**2 - p**2 - q**2: three squarings.  The norm is c*(m*m)
     because c*m*m = (c*m)*m multiplies two different long integers, and
     CPython takes its squaring path only when both operands are one
     object: a general product costs 1.35x to 1.47x a squaring of the same
@@ -313,8 +313,9 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     most b, so c*(m*m) is a squaring and a short product.
 
     Every common factor of norm or of the next numerator with 2*b*p*q
-    divides 2*a*b, so both are reduced by one gcd against s, the part of
-    2*b*p*q made of those primes.  s is carried too: s = 2*b*s_p*s_q for
+    divides 2*a*b, so either is reduced by one gcd against s, the part of
+    2*b*p*q made of those primes: the next pair here, the correction
+    when its value is read.  s is carried too: s = 2*b*s_p*s_q for
     the parts s_p of p and s_q of q (2*b is all such primes), the next
     q's part is s/g, and only the next p's part is searched.  This avoids
     a full gcd, which is quadratic at the sizes long runs reach.
@@ -327,6 +328,7 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     """
     a, b = y.numerator, y.denominator
     en, ed = eps.numerator, eps.denominator
+    eps_factors = ((en,), (ed,))
     small, y_bits = 2 * a * b, max(a, b).bit_length()
     sign = -1 if algorithm == "sqr_exact" else 1
     limit = max_bits()
@@ -346,21 +348,17 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
         else:
             c, m = _norm_factors(norm, g, b)
         s = 2 * b * s_p * s_q
-        # ad < eps/2 as ed*c*m*m < en*b*p*q, with norm c*m*m, ad_den 2*b*p*q
-        stop = n is None and (
-            c < 0 or cmp_products((ed, c, m, m), (en, b, p, q)) < 0)
+        record = Correction(sign * ((c > 0) - (c < 0)), abs(c), m,
+                            (2 * b, p, q), s)
+        corrections.append(record)
+        stop = n is None and (c < 0 or halves(eps_factors, record.factors()))
         if stop and not c_style:
-            corrections.append(Correction(sign * ((c > 0) - (c < 0)), abs(c),
-                                          m, (2 * b, p, q), s))
             break
         norm = c * (m * m)
         pp = p * p
         bpp = b * pp
         aqq = bpp - norm
         ad_den = b * ((p + q) ** 2 - pp - aqq // a)
-        h = math.gcd(norm, s)
-        corrections.append(Correction(sign * ((norm > 0) - (norm < 0)),
-                                      abs(norm) // h, 1, (ad_den // h,), 1))
         num = bpp + aqq
         g = math.gcd(num, s)
         p, q = num // g, ad_den // g
@@ -428,16 +426,11 @@ def min_iterations_for_step(stp: FixVal, eps: FixVal) -> int:
 def _legal_count(y: Fraction, eps: Fraction, seed: Fraction, n: int) -> bool:
     """fsqr_exact's rule for n >= 0: seed - eps*2**(n-1) <= sqrt(y),
     decided by _sqrt_sign on the unreduced integer parts of the left
-    side, so no Fraction is built: (sn*ed - (en*sd << (n - 1)))/(sd*ed)
-    for n >= 1, and (2*sn*ed - en*sd)/(2*sd*ed) for n = 0."""
+    side, (2*sn*ed - (en*sd << n))/(2*sd*ed), so no Fraction is built."""
     a, b = _radicand(y)
     sn, sd = seed.numerator, seed.denominator
     en, ed = eps.numerator, eps.denominator
-    if n:
-        num, den = sn * ed - (en * sd << (n - 1)), sd * ed
-    else:
-        num, den = 2 * sn * ed - en * sd, 2 * sd * ed
-    return _sqrt_sign(num, den, a, b) <= 0
+    return _sqrt_sign(2 * sn * ed - (en * sd << n), 2 * sd * ed, a, b) <= 0
 
 
 def min_legal_iterations(y: Fraction, eps: Fraction,
@@ -566,6 +559,16 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     ProfileMismatch.  For a = man*base**e the result satisfies
     |b - sqrt(a)| < c1 + c2*sqrt(base), (c1, c2) = float_bound(eps, e,
     profile).
+
+    Domain: every positive a of the profile's base whose loop radicand,
+    man at an even e and man*base at an odd e, is at most sup/2; an odd e
+    with man > sup/(2*base) is refused with DomainError.  A loop result
+    x <= 1, which a radicand just above 1 can round onto, is no mantissa:
+    b is then x*base at exponent floor(e/2) - 1, the same value, and
+    x*base*base <= base**2 < sup keeps it in compose's range.  That
+    mantissa exceeds 1 whenever x > 1/base, which |x - sqrt(y)| < eps
+    gives for eps <= 1 - 1/base; past that compose refuses it with
+    MantissaRange.
     """
     profile.validate()
     require_same_grid(eps.profile, profile.fix,
@@ -581,7 +584,10 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     # an odd e runs on man*base at e - 1, and (e - 1)//2 == e//2
     y_fix = fix_mul(man, profile.base_fix) if e % 2 else man
     x, trace = _grid_newton("flt_sqr", y_fix, eps, table, mix=True)
-    return compose(x, e // 2, profile), trace
+    h = e // 2
+    if x.count <= profile.fix.delta_den:  # x <= 1: the same value as x*base
+        x, h = fix_mul(x, profile.base_fix), h - 1
+    return compose(x, h, profile), trace
 
 
 def float_bound(eps: FixVal, exp: int,
@@ -631,8 +637,8 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
         eps = FixVal(count, profile.fix)
         c1, c2 = float_bound(eps, 0, profile)
         # c1 + c2*sqrt(base) < ulp/2, as ulp/2 - c1 > sqrt(c2**2*base)
-        # for c2 > 0; a negative ulp/2 - c1 reads LESS
-        if cmp_sqrt(half_ulp - c1, c2 * c2 * beta) is not Ordering.GREATER:
+        # for c2 > 0; a negative ulp/2 - c1 reads -1
+        if cmp_sqrt(half_ulp - c1, c2 * c2 * beta) <= 0:
             continue
         if count < _mix_eps_floor(_least_count(stp.count, count)):
             continue

@@ -17,11 +17,10 @@ from typing import Any, Iterator, Sequence
 
 from .errors import DomainError, UsageError
 from .exact import (
-    Ordering,
     _rat_text,
     _within_signs,
-    cmp_products,
     cmp_sqrt,
+    halves,
     rat_str,
     sqrt_abs_err_lt,
     sqrt_enclosure,
@@ -59,19 +58,14 @@ def approx_abs_err(q: Fraction, y: Fraction) -> float:
     return abs(qn * md - m * qd) / (qd * md)
 
 
-def cmp_abs_err(a: Fraction, b: Fraction, y: Fraction) -> Ordering:
-    """Order |a - sqrt(y)| against |b - sqrt(y)| exactly.
+def cmp_abs_err(a: Fraction, b: Fraction, y: Fraction) -> int:
+    """The sign of |a - sqrt(y)| - |b - sqrt(y)|, decided exactly.
 
     Uses err(a)**2 - err(b)**2 = (a - b) * (a + b - 2*sqrt(y)).
     """
     if a == b:
-        return Ordering.EQUAL
-    mid_cmp = cmp_sqrt((a + b) / 2, y)
-    if mid_cmp is Ordering.EQUAL:
-        return Ordering.EQUAL
-    sign = 1 if a > b else -1
-    sign *= 1 if mid_cmp is Ordering.GREATER else -1
-    return Ordering.GREATER if sign > 0 else Ordering.LESS
+        return 0
+    return (1 if a > b else -1) * cmp_sqrt((a + b) / 2, y)
 
 
 def iteration_cap(y: Fraction, eps: Fraction) -> int:
@@ -87,19 +81,6 @@ def applied_corrections(trace: Trace) -> int:
     """Number of passes that applied their correction, one per iterate
     after the seed; an until-loop's exit pass applies none."""
     return len(trace.pairs) - 1
-
-
-Factors = tuple[Sequence[int], Sequence[int]]
-
-
-def halves(prev: Factors, cur: Factors) -> bool:
-    """Decide 2*|cur| < |prev| for two corrections given as (num, den)
-    factor sequences of their magnitudes, as Correction.factors reads them:
-    one cmp_products call, which forms no product that bit lengths or
-    brackets already settle.  False whenever prev is 0."""
-    (prev_num, prev_den), (cur_num, cur_den) = prev, cur
-    return cmp_products((2, *cur_num, *prev_den),
-                        (*prev_num, *cur_den)) < 0
 
 
 def _seed_of(trace: Trace, *algorithms: str) -> Fraction:
@@ -146,7 +127,7 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
         f"sqrt(y) <= x <= {top} at every boundary", f"{family}.loop-invariant",
         {"boundaries": len(corrections) + 1},
         ({"k": k, "x": x} for k, x in enumerate(xs)
-         if cmp_sqrt(x, y) is Ordering.LESS or x > seed))
+         if cmp_sqrt(x, y) < 0 or x > seed))
 
     # decided on factors, so a correction is built only for a failure's
     # witness
@@ -184,8 +165,7 @@ def check_fsqr_annotations(trace: Trace, y: Fraction,
         "progress bound holds at every boundary", "fsqr.progress",
         {"boundaries": len(trace.corrections) + 1},
         ({"k": k, "x": x} for k, x in enumerate(xs[1:], 1)
-         if cmp_sqrt((x * (1 << k) - seed) / ((1 << k) - 1), y)
-         is Ordering.GREATER))
+         if cmp_sqrt((x * (1 << k) - seed) / ((1 << k) - 1), y) > 0))
     final = _final_error("final error within half the accuracy",
                          "fsqr.final-error", xs[-1], y, "bound", eps / 2)
     subject = f"fsqr_exact y={rat_str(y)} eps={rat_str(eps)} " \
@@ -307,8 +287,7 @@ def monotonicity_probe(y: FixVal, eps: FixVal, table: RootTable,
     for n, x in enumerate(xs[n_min:], n_min):
         verdict = sqrt_verdict("fix", x, y, eps, n=n)
         increased = (n > n_min
-                     and cmp_abs_err(x.value, xs[n - 1].value, y.value)
-                     is Ordering.GREATER)
+                     and cmp_abs_err(x.value, xs[n - 1].value, y.value) > 0)
         rows.append(ProbeRow(n, x, approx_abs_err(x.value, y.value),
                              verdict.witness["bound"], verdict.passed,
                              increased))

@@ -12,7 +12,7 @@ from time import perf_counter
 import pytest
 
 from certisqrt.cli import main
-from certisqrt.errors import DomainError, MantissaRange
+from certisqrt.errors import DomainError
 from certisqrt.exact import sqrt_abs_err_lt, within_of_sqrt
 from certisqrt.fixarith import FixProfile, check_profile_assumptions
 from certisqrt.floatmodel import compose, value_of
@@ -138,7 +138,7 @@ def test_criterion_6_float_bound(demo_profile, demo_float_profile,
     t0 = perf_counter()
     bound_failures = []
     unexpected_errors = []
-    checked = skipped_domain = skipped_mantissa = 0
+    checked = skipped_domain = 0
     for man_count in range(101, 800):
         for exp in range(-4, 5):
             a = compose(demo_profile.val(man_count), exp,
@@ -153,11 +153,6 @@ def test_criterion_6_float_bound(demo_profile, demo_float_profile,
                 else:
                     unexpected_errors.append((man_count, exp, "DomainError"))
                 continue
-            except MantissaRange:
-                # result mantissa collapsed onto 1: documented outcome for
-                # radicands right above 1 on a coarse grid
-                skipped_mantissa += 1
-                continue
             checked += 1
             half = exp // 2
             c1 = demo_eps.value * beta ** half
@@ -169,7 +164,7 @@ def test_criterion_6_float_bound(demo_profile, demo_float_profile,
           and checked > 4000 and elapsed < 120.0)
     _report(6, "float runs meet the half-exponent-scaled bound", ok,
             f"{checked} checked, {skipped_domain} precondition-excluded, "
-            f"{skipped_mantissa} mantissa-range, {elapsed:.1f}s")
+            f"{elapsed:.1f}s")
 
 
 def test_criterion_7_table_properties(demo_table, demo_profile, demo_stp,

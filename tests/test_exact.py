@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from certisqrt import exact, verify
 from certisqrt.errors import DomainError
 from certisqrt.exact import (
-    Ordering,
     cmp_products,
     cmp_sqrt,
     encode_int,
@@ -34,13 +33,14 @@ nonneg_rationals = st.fractions(min_value=F(0), max_value=F(100),
 
 class TestCmpSqrt:
     @pytest.mark.parametrize("q,y,expected", [
-        (F(3, 2), F(2), Ordering.GREATER),
-        (F(2), F(4), Ordering.EQUAL),
-        (F(-1), F(2), Ordering.LESS),
-        (F(0), F(0), Ordering.EQUAL),
-    ])
+        (F(3, 2), F(2), 1),
+        (F(2), F(4), 0),
+        (F(-1), F(2), -1),
+        (F(0), F(0), 0),
+    ], ids=["above", "at", "negative-q", "zero"])
     def test_examples(self, q, y, expected):
-        assert cmp_sqrt(q, y) is expected
+        got = cmp_sqrt(q, y)
+        assert type(got) is int and got == expected
 
     def test_negative_radicand(self):
         with pytest.raises(DomainError):
@@ -51,22 +51,20 @@ class TestCmpSqrt:
         y = r * r
         got = cmp_sqrt(q, y)
         root = abs(r)
-        expected = (Ordering.LESS if q < root
-                    else Ordering.GREATER if q > root else Ordering.EQUAL)
-        assert got is expected
+        assert got == (q > root) - (q < root)
 
     @given(rationals, nonneg_rationals)
     def test_equal_iff_square(self, q, y):
-        assert (cmp_sqrt(q, y) is Ordering.EQUAL) == (q >= 0 and q * q == y)
+        assert (cmp_sqrt(q, y) == 0) == (q >= 0 and q * q == y)
 
 
 def reference_cmp(q, y):
     """q against sqrt(y) by plain cross-multiplication, with no filter."""
     if q < 0:
-        return Ordering.LESS
+        return -1
     lhs = q.numerator * q.numerator * y.denominator
     rhs = y.numerator * q.denominator * q.denominator
-    return Ordering((lhs > rhs) - (lhs < rhs))
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def wide_ints(lo_bits, hi_bits):
@@ -84,7 +82,7 @@ class TestFilteredCmpSqrt:
         for y, _eps, trace, _post, _cap in runs:
             xs = [s.x_before for s in trace.steps] + [trace.final_x]
             for x in xs:
-                assert cmp_sqrt(x, y) is reference_cmp(x, y), (y, x)
+                assert cmp_sqrt(x, y) == reference_cmp(x, y), (y, x)
                 filtered += x.denominator.bit_length() \
                     > 2 * exact._FILTER_BITS
         assert filtered > 1000
@@ -95,7 +93,7 @@ class TestFilteredCmpSqrt:
                         max_denominator=1000))
     def test_wide_rationals(self, num, den, y):
         q = F(num, den)
-        assert cmp_sqrt(q, y) is reference_cmp(q, y)
+        assert cmp_sqrt(q, y) == reference_cmp(q, y)
 
     @settings(max_examples=60, deadline=None)
     @given(st.fractions(min_value=F(0), max_value=F(10 ** 6),
@@ -106,7 +104,7 @@ class TestFilteredCmpSqrt:
         a, b = y.numerator, y.denominator
         n = math.isqrt((a * b) << (2 * p)) + offset
         q = F(n, b << p)
-        assert cmp_sqrt(q, y) is reference_cmp(q, y)
+        assert cmp_sqrt(q, y) == reference_cmp(q, y)
 
     def test_exact_root_with_huge_parts_falls_back(self, monkeypatch):
         calls = []
@@ -118,7 +116,7 @@ class TestFilteredCmpSqrt:
 
         monkeypatch.setattr(exact, "_exact_sign", counted)
         q = F(3 ** 400 + 2, 7 ** 150)  # coprime parts of ~630 and ~420 bits
-        assert cmp_sqrt(q, q * q) is Ordering.EQUAL
+        assert cmp_sqrt(q, q * q) == 0
         assert len(calls) == 1
 
     @pytest.mark.parametrize("p", [64, 128, 200, 256, 512, 1024, 4096])
@@ -129,7 +127,7 @@ class TestFilteredCmpSqrt:
         n = math.isqrt((a * b) << (2 * p))
         for offset in (-1, 0, 1, 2):
             q = F(n + offset, b << p)
-            assert cmp_sqrt(q, y) is reference_cmp(q, y), (offset, q)
+            assert cmp_sqrt(q, y) == reference_cmp(q, y), (offset, q)
 
     @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 2])
     def test_threshold_straddle(self, delta):
@@ -138,12 +136,12 @@ class TestFilteredCmpSqrt:
         for y in (F(2), F(10 ** 6 - 1, 7), F(0), F(1)):
             for q in (F(big, big - 1), F(big + 1, 3), F(5, big),
                       F(big, (1 << (bits - 1)) + 1)):
-                assert cmp_sqrt(q, y) is reference_cmp(q, y), (q, y)
+                assert cmp_sqrt(q, y) == reference_cmp(q, y), (q, y)
             # the nearest p-bit approximations of sqrt(y) at this size
             n = math.isqrt((y.numerator * y.denominator) << (2 * bits))
             for offset in (-1, 0, 1):
                 q = F(n + offset, y.denominator << bits)
-                assert cmp_sqrt(q, y) is reference_cmp(q, y), (q, y)
+                assert cmp_sqrt(q, y) == reference_cmp(q, y), (q, y)
 
     def test_fast_path_used(self, sqr_corpus, monkeypatch):
         """On 100 corpus checks, fewer than 1% of the filtered
@@ -164,8 +162,8 @@ class TestFilteredCmpSqrt:
             counts["fallback"] += bool(inside)
             return real_exact(*args)
 
+        # halves, which decides the halving rule, calls it from exact
         monkeypatch.setattr(exact, "cmp_products", products)
-        monkeypatch.setattr(verify, "cmp_products", products)
         monkeypatch.setattr(exact, "_exact_sign", exact_sign)
         runs, _ = sqr_corpus
         for y, eps, trace, _post, _cap in runs[:100]:
@@ -425,9 +423,9 @@ class TestSqrtEnclosure:
 
 
 def radical_order(lhs, c1, c2, m):
-    """The ordering of lhs against c1 + c2*sqrt(m), c2 >= 0, by one
-    cmp_sqrt call, as derive_eps_for_ulp decides c1 + c2*sqrt(base) <
-    ulp/2 (GREATER with lhs = ulp/2)."""
+    """The sign of lhs - (c1 + c2*sqrt(m)), c2 >= 0, by one cmp_sqrt
+    call, as derive_eps_for_ulp decides c1 + c2*sqrt(base) < ulp/2 (1
+    with lhs = ulp/2)."""
     return cmp_sqrt(lhs - c1, c2 * c2 * m)
 
 
@@ -442,8 +440,8 @@ class TestDecideRadicalLt:
     ])
     def test_examples(self, lhs, c1, c2, m, expected):
         order = radical_order(lhs, c1, c2, m)
-        assert (order is Ordering.LESS) is expected
-        assert (order is Ordering.GREATER) is not expected
+        assert (order < 0) is expected
+        assert (order > 0) is not expected
 
     @given(rationals, rationals, nonneg_rationals,
            nonneg_rationals.filter(lambda m: m > 0))
@@ -453,9 +451,9 @@ class TestDecideRadicalLt:
         e = sqrt_enclosure(m, 256)
         order = radical_order(lhs, c1, c2, m)
         if lhs < c1 + c2 * e.lo:
-            assert order is Ordering.LESS
+            assert order == -1
         elif lhs > c1 + c2 * e.hi:
-            assert order is Ordering.GREATER
+            assert order == 1
 
 
 class TestSqrtAbsErrLt:
@@ -493,8 +491,8 @@ def reference_within(q, y, bound, strict=False):
     lo = reference_cmp(q - bound, y)
     hi = reference_cmp(q + bound, y)
     if strict:
-        return lo is Ordering.LESS and hi is Ordering.GREATER
-    return lo is not Ordering.GREATER and hi is not Ordering.LESS
+        return lo < 0 < hi
+    return lo <= 0 <= hi
 
 
 def reference_radical_lt(lhs, c1, c2, m):
@@ -535,12 +533,12 @@ UNIT = F(1, 1000)
 
 def check_radical_order(lhs, c1, c2, m):
     """radical_order against reference_radical_lt, in both directions:
-    LESS is lhs < c1 + c2*sqrt(m), and GREATER, derive_eps_for_ulp's
-    test, is c1 < lhs - c2*sqrt(m)."""
+    -1 is lhs < c1 + c2*sqrt(m), and 1, derive_eps_for_ulp's test, is
+    c1 < lhs - c2*sqrt(m)."""
     order = radical_order(lhs, c1, c2, m)
     args = (lhs, c1, c2, m)
-    assert (order is Ordering.LESS) is reference_radical_lt(*args), args
-    assert (order is Ordering.GREATER) is \
+    assert (order == -1) is reference_radical_lt(*args), args
+    assert (order == 1) is \
         reference_radical_lt(c1, lhs, -c2, m), args
 
 
@@ -616,6 +614,17 @@ class TestIntegerPairPredicates:
     def test_abs_err_small(self, q, y, c1, c2, m):
         assert sqrt_abs_err_lt(q, y, c1, c2, m) is \
             reference_abs_err_lt(q, y, c1, c2, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonneg_rationals, nonneg_rationals, nonneg_rationals,
+           nonneg_rationals, nonneg_rationals.filter(lambda m: m > 0),
+           st.sampled_from(["q", "y", "c1", "c2"]))
+    def test_abs_err_zero_terms(self, q, y, c1, c2, m, zero):
+        """A zero q, y, c1 or c2 makes ky, Y or km 0, and the one
+        squaring path decides those inputs too."""
+        args = {"q": q, "y": y, "c1": c1, "c2": c2, "m": m}
+        args[zero] = F(0)
+        assert sqrt_abs_err_lt(**args) is reference_abs_err_lt(**args), args
 
     @settings(max_examples=40, deadline=None)
     @given(wide_rationals(200, 20000), nonneg_rationals,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from certisqrt.errors import (DomainError, InternalInvariantError,
                               RangeOverflow, ResourceLimit)
-from certisqrt.exact import Ordering, cmp_sqrt
+from certisqrt.exact import cmp_sqrt
 from certisqrt.fixarith import FixProfile
 from certisqrt.lut import (
     RootTable,
@@ -70,8 +70,8 @@ class TestBuildTable:
         delta = demo_profile.delta
         for k in range(demo_table.k_min, demo_table.k_max + 1):
             v, root = demo_table.index_value(k), demo_table.root_at(k)
-            assert cmp_sqrt(root.value, v.value) is not Ordering.LESS
-            assert cmp_sqrt(root.value - delta, v.value) is Ordering.LESS
+            assert cmp_sqrt(root.value, v.value) >= 0
+            assert cmp_sqrt(root.value - delta, v.value) < 0
 
     def test_rebuild_identical(self, demo_profile, demo_stp, demo_table):
         again = build_root_table(demo_profile, demo_stp)
@@ -196,9 +196,9 @@ class TestSupFn:
         for count in range(101, demo_profile.sup_count + 1):
             u = demo_profile.val(count)
             s = sup_fn(u, demo_table)
-            assert cmp_sqrt(s.value, u.value) is not Ordering.LESS
+            assert cmp_sqrt(s.value, u.value) >= 0
             assert s.count <= u.count
-            assert cmp_sqrt(s.value - stp_val, u.value) is not Ordering.GREATER
+            assert cmp_sqrt(s.value - stp_val, u.value) <= 0
 
     def _with_root(self, table, k, count):
         roots = list(table.roots)

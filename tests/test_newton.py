@@ -19,7 +19,6 @@ from certisqrt.errors import (
     DomainError,
     EpsTooSmall,
     IterationBudgetError,
-    MantissaRange,
     NoFeasibleEps,
     ProfileMismatch,
     RangeOverflow,
@@ -27,7 +26,6 @@ from certisqrt.errors import (
     SeedContractError,
 )
 from certisqrt.exact import (
-    Ordering,
     cmp_sqrt,
     fraction_from_coprime,
     rat_str,
@@ -62,7 +60,7 @@ from certisqrt.newton import (
     mix_sqr,
     sqr_exact,
 )
-from certisqrt.verify import iteration_cap, sample_rationals
+from certisqrt.verify import iteration_cap, sample_rationals, sqrt_verdict
 
 ys = st.fractions(min_value=F(1), max_value=F(10 ** 4), max_denominator=100)
 epss = st.fractions(min_value=F(1, 1000), max_value=F(1),
@@ -118,7 +116,7 @@ class TestSqrExact:
         x, trace = sqr_exact(y, eps)
         assert within_of_sqrt(x, y, eps)
         for s in trace.steps:
-            assert cmp_sqrt(s.x_before, y) is not Ordering.LESS
+            assert cmp_sqrt(s.x_before, y) >= 0
             assert s.x_before <= y
 
     @given(ys.filter(lambda v: v > 1), epss)
@@ -251,8 +249,8 @@ class TestFsqrExact:
             mid = (a + b) / 2
             sign = 1 if a > b else -1
             mid_cmp = cmp_sqrt(mid, y)
-            prod_positive = (sign > 0) == (mid_cmp is Ordering.GREATER)
-            assert mid_cmp is Ordering.EQUAL or not prod_positive
+            prod_positive = (sign > 0) == (mid_cmp > 0)
+            assert mid_cmp == 0 or not prod_positive
 
     @given(ys.filter(lambda v: v > 1), epss)
     @settings(max_examples=40, deadline=None)
@@ -267,7 +265,7 @@ class TestFsqrExact:
                 continue
             shrink = 1 - F(1, 2 ** k)
             lhs = (xk - seed_val * F(1, 2 ** k)) / shrink
-            assert cmp_sqrt(lhs, y) is not Ordering.GREATER
+            assert cmp_sqrt(lhs, y) <= 0
 
 
 class TestMinLegalIterations:
@@ -278,16 +276,14 @@ class TestMinLegalIterations:
         for y, eps, s in [(F(2), F(1, 8), F(3, 2)), (F(3), F(1, 4), F(3)),
                           (F(50), F(1, 100), F(50))]:
             n = min_legal_iterations(y, eps, s)
-            assert cmp_sqrt(s - eps * F(2) ** (n - 1), y) \
-                is not Ordering.GREATER
+            assert cmp_sqrt(s - eps * F(2) ** (n - 1), y) <= 0
             if n > 0:
-                assert cmp_sqrt(s - eps * F(2) ** (n - 2), y) \
-                    is Ordering.GREATER
+                assert cmp_sqrt(s - eps * F(2) ** (n - 2), y) > 0
 
 
 def _legal_by_fractions(y, eps, seed, n):
     """fsqr_exact's rule for n as a Fraction formula."""
-    return cmp_sqrt(seed - eps * F(2) ** (n - 1), y) is not Ordering.GREATER
+    return cmp_sqrt(seed - eps * F(2) ** (n - 1), y) <= 0
 
 
 class TestLegalCountOnIntegers:
@@ -350,8 +346,7 @@ class TestLegalCountOnIntegers:
 def former_min_legal_iterations(y, eps, seed_value):
     """The linear search min_legal_iterations used first."""
     n = 0
-    while cmp_sqrt(seed_value - eps * F(2) ** (n - 1), y) \
-            is Ordering.GREATER:
+    while cmp_sqrt(seed_value - eps * F(2) ** (n - 1), y) > 0:
         n += 1
     return n
 
@@ -530,13 +525,44 @@ class TestFltSqr:
         c2 = (demo_profile.delta / 2) * F(2) ** (half - 1)
         assert sqrt_abs_err_lt(value_of(b), value_of(a), c1, c2, F(2))
 
-    def test_mantissa_collapse_raises(self, demo_profile, demo_eps,
+    def test_mantissa_collapse_shifts(self, demo_profile, demo_eps,
                                       demo_float_profile, demo_table):
         # radicand 1.01 iterates onto exactly 1.00, which cannot be a
-        # mantissa; the documented error surfaces instead of a bad value
-        a = compose(demo_profile.val(101), 0, demo_float_profile)
-        with pytest.raises(MantissaRange):
-            flt_sqr(a, demo_eps, demo_float_profile, demo_table)
+        # mantissa: the result of 1.01*2**e, e even, is 2.00 at exponent
+        # e/2 - 1, the same value, and meets the float bound
+        for e in (-2, 0, 2):
+            a = compose(demo_profile.val(101), e, demo_float_profile)
+            b, trace = flt_sqr(a, demo_eps, demo_float_profile, demo_table)
+            assert trace.counts[-1] == 100
+            assert (b.man.count, b.exp, b.base) == (200, e // 2 - 1, 2)
+            assert value_of(b) == F(2) ** (e // 2)
+            assert sqrt_verdict("float", b, a, demo_eps,
+                                fprof=demo_float_profile).passed
+
+    def test_every_demo_mantissa(self, demo_profile, demo_eps,
+                                 demo_float_profile, demo_table):
+        # every input ends in a result within its float bound or in the
+        # loop's y <= sup/2 refusal, which only an odd exponent with a
+        # mantissa above sup/(2*base) meets
+        sup, beta = demo_profile.sup_count, demo_float_profile.base
+        passed, refused = 0, []
+        for count in range(101, 800):
+            for e in range(-3, 4):
+                a = compose(demo_profile.val(count), e, demo_float_profile)
+                try:
+                    b, _ = flt_sqr(a, demo_eps, demo_float_profile,
+                                   demo_table)
+                except DomainError:
+                    refused.append((count, e))
+                    continue
+                assert sqrt_verdict("float", b, a, demo_eps,
+                                    fprof=demo_float_profile).passed, \
+                    (count, e)
+                passed += 1
+        assert refused == [(count, e) for count in range(101, 800)
+                           for e in range(-3, 4)
+                           if e % 2 and 2 * beta * count > sup]
+        assert len(refused) == 4 * 399 and passed == 699 * 7 - 4 * 399
 
     def test_oversized_radicand_rejected(self, demo_profile, demo_eps,
                                          demo_float_profile, demo_table):
@@ -631,9 +657,13 @@ def reference_grid_run(algorithm, y, eps, stp, n=None):
 
 
 def reference_flt_run(a, eps, fprof, stp):
-    """flt_sqr on a positive a over reference_grid_run."""
+    """flt_sqr on a positive a over reference_grid_run: a loop result at
+    or below 1 is returned as x*base at the next lower exponent."""
     y, z = _flt_loop_input(a, fprof)
     x, trace = reference_grid_run("flt_sqr", y, eps, stp)
+    if x.value <= 1:
+        return compose(_on_grid(x.value * fprof.base, fprof.fix), z // 2 - 1,
+                       fprof), trace
     return compose(x, z // 2, fprof), trace
 
 
@@ -750,11 +780,11 @@ class TestGridLoopMatchesReference:
                                demo_float_profile, demo_table.stp)))
         assert _mismatches(cases) == []
         # odd exponents double mantissas above sup/4 past the loop's y
-        # range, and some results collapse onto the excluded mantissa 1
+        # range; a result that rounds onto 1 is shifted, not refused
         refused = Counter(got[0] for got in
                           (_outcome(*run) for _, run, _ in cases)
                           if isinstance(got[0], type))
-        assert refused[DomainError] > 0 and refused[MantissaRange] > 0
+        assert refused == Counter({DomainError: 4 * 399})
 
     @given(small_grid_requests())
     @settings(max_examples=300, deadline=None)
@@ -1296,14 +1326,19 @@ class TestExactStep:
         p, q = p // g, q // g
         x_after, trace = newton._exact_run(
             "fsqr_exact", y, F(1), fraction_from_coprime(p, q), 1)
-        # the applied pass records its correction norm/ad_den reduced
+        # the applied pass records the product formula's factors, as an
+        # exit pass does: its norm ad_num (m = 1 on pass 0) over
+        # (2*b, p, q), whose value is ad_num/ad_den in lowest terms
         (ad,) = trace.corrections
         ad_num, ad_den, p1, q1 = _plain_step(y, p, q)
         assert (x_after.numerator, x_after.denominator) == (p1, q1)
         assert trace.pairs == ((p, q), (p1, q1))
-        assert (ad.m, len(ad.den), ad.s) == (1, 1, 1)
-        assert math.gcd(ad.c, ad.den[0]) == 1
-        assert ad.sign * ad.c * ad_den == ad_num * ad.den[0]
+        assert ad.factors() == ((abs(ad_num), 1, 1),
+                                (2 * y.denominator, p, q))
+        assert ad.sign * ad.c == ad_num
+        d = ad.value()
+        assert math.gcd(d.numerator, d.denominator) == 1
+        assert d.numerator * ad_den == ad_num * d.denominator
 
     @given(ys, st.integers(1000, 200_000), st.integers(1000, 200_000),
            st.integers(0, 2 ** 64))
@@ -1486,19 +1521,6 @@ class TestExitCorrectionBuiltWhenRead:
             num, den = record.factors()
             assert d == F(record.sign * math.prod(num), math.prod(den))
 
-    def test_only_the_unapplied_exit_is_kept_as_factors(self):
-        # an applied pass records its reduced correction: m = 1, one
-        # denominator factor, s = 1; the exit pass the formula's factors
-        y, eps = F(10 ** 4 - 1, 99), F(1, 10 ** 6)
-        _, trace = sqr_exact(y, eps)
-        *applied, exit_record = trace.corrections
-        assert exit_record.den == (2 * y.denominator, *trace.pairs[-1])
-        assert exit_record.m > 1
-        _, c_style = sqr_exact(y, eps, c_style=True)
-        for record in applied + list(c_style.corrections):
-            assert (record.m, len(record.den), record.s) == (1, 1, 1)
-            assert math.gcd(record.c, record.den[0]) == 1
-
     def test_factors_without_building(self, monkeypatch):
         _, trace = isqr_exact(F(2), F(1, 10 ** 6), F(3, 2))
         steps = trace.steps
@@ -1510,10 +1532,41 @@ class TestExitCorrectionBuiltWhenRead:
         factors = [record.factors() for record in trace.corrections]
         for (num, den), step in zip(factors, steps, strict=True):
             assert F(math.prod(num), math.prod(den)) == abs(step.correction)
-        # an applied pass's factors are its reduced correction's parts
-        for (num, den), step in zip(factors[:-1], steps):
-            d = step.correction
-            assert (num, den) == ((abs(d.numerator), 1, 1), (d.denominator,))
+        # every pass's factors are (c, m, m) of its iterate's norm over
+        # (2*b, p, q), here b = 1
+        for k, (num, den) in enumerate(factors):
+            assert num[1] == num[2] and den == (2, *trace.pairs[k])
+
+
+class TestOneRecordForm:
+    """Every pass of every exact run, applied or not, records its
+    correction in one form: the factors (c, m) of the norm b*p**2 -
+    a*q**2 of the iterate p/q it starts at, over (2*b, p, q), with the
+    carried content s of that product."""
+
+    @pytest.mark.parametrize("run", [
+        lambda y, eps: sqr_exact(y, eps),
+        lambda y, eps: sqr_exact(y, eps, c_style=True),
+        lambda y, eps: isqr_exact(y, eps, y),
+        lambda y, eps: isqr_exact(y, eps, _exact_seeds(y)[1]),
+        lambda y, eps: fsqr_exact(y, y, y, 6),
+    ], ids=["sqr", "c_style", "isqr", "isqr-tight", "fsqr"])
+    @pytest.mark.parametrize("y, eps", [(F(10 ** 4 - 1, 99), F(1, 10 ** 6)),
+                                        (F(29, 9), F(1, 10 ** 6)),
+                                        (F(2), F(1, 100))])
+    def test_every_pass(self, run, y, eps):
+        _, trace = run(y, eps)
+        a, b = y.numerator, y.denominator
+        sign = -1 if trace.algorithm == "sqr_exact" else 1
+        assert trace.corrections
+        for k, record in enumerate(trace.corrections):
+            p, q = trace.pairs[k]
+            assert type(record) is newton.Correction
+            assert record.den == (2 * b, p, q)
+            assert record.sign * record.c * record.m ** 2 == \
+                sign * (b * p * p - a * q * q)
+            assert record.c >= 0 and record.m >= 0
+            assert math.prod(record.den) % record.s == 0
 
 
 def _python_310_reduce(self):
@@ -1637,14 +1690,18 @@ class TestTraceRepr:
 
     def test_pinned(self):
         _, trace = sqr_exact(F(4), F(1, 2))
-        # -81/1640 = -(1*9*9)/(2*41*20): the exit keeps c*m**2 over
-        # 2*b*p*q, with s = 2*b*s_p*s_q = 2*1*1*4
+        # each pass keeps c*m**2 over 2*b*p*q, with s = 2*b*s_p*s_q: the
+        # exit -81/1640 = -(1*9*9)/(2*41*20), s = 2*1*1*4, and the
+        # applied -3/2 = -12/(2*4*1), s = 2*1*4*1, and -9/20 =
+        # -(1*3*3)/(2*5*2), s = 2*1*1*2
         assert repr(trace) == (
             "Trace(algorithm='sqr_exact', y=(4, 1), eps=(1, 2), "
             "n_planned=None, pairs=((4, 1), (5, 2), (41, 20)), corrections=("
-            "Correction(sign=-1, c=3, m=1, den=(2,), s=1), "
-            "Correction(sign=-1, c=9, m=1, den=(20,), s=1), "
+            "Correction(sign=-1, c=12, m=1, den=(2, 4, 1), s=8), "
+            "Correction(sign=-1, c=1, m=3, den=(2, 5, 2), s=4), "
             "Correction(sign=-1, c=1, m=9, den=(2, 41, 20), s=8)))")
+        assert [record.value() for record in trace.corrections] == \
+            [F(-3, 2), F(-9, 20), F(-81, 1640)]
 
     def test_grid_steps(self):
         fix = FixProfile(1000, 20000, 20000)
@@ -1821,8 +1878,8 @@ class TestDeriveEps:
             if stp.count % count:
                 continue
             c1, c2 = float_bound(fprof.fix.val(count), 0, fprof)
-            if cmp_sqrt(ulp / 2 - c1, c2 * c2 * fprof.base) \
-                    is Ordering.GREATER and count >= newton._mix_eps_floor(
+            if cmp_sqrt(ulp / 2 - c1, c2 * c2 * fprof.base) > 0 \
+                    and count >= newton._mix_eps_floor(
                         newton._least_count(stp.count, count)):
                 return fprof.fix.val(count)
         return None

@@ -18,7 +18,6 @@ from certisqrt.errors import (
     EpsTooSmall,
     ExponentRange,
     IterationBudgetError,
-    MantissaRange,
     NoFeasibleEps,
     ProfileMismatch,
     ResourceLimit,
@@ -98,8 +97,6 @@ FLT_CASES = {
                          ProfileMismatch),
     "step-not-multiple-of-eps": (A, DEMO.val(10), FLOAT, TABLE, DomainError),
     "eps-too-small": (A, DEMO.val(5), FLOAT, TABLE, EpsTooSmall),
-    "result-mantissa-at-one": (FloatVal(DEMO.val(101), 0, 2), EPS, FLOAT,
-                               TABLE, MantissaRange),
     "result-exponent-above-max": (FloatVal(DEMO.val(300), 40, 2), EPS,
                                   FLOAT, TABLE, ExponentRange),
 }

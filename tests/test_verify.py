@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from certisqrt.errors import (CertisqrtError, DomainError, ProfileMismatch,
                               UsageError)
-from certisqrt.exact import (Ordering, sqrt_abs_err_lt, sqrt_enclosure,
-                             within_of_sqrt)
+from certisqrt.exact import sqrt_abs_err_lt, sqrt_enclosure, within_of_sqrt
 from certisqrt import newton
 from certisqrt.fixarith import FixProfile
 from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
@@ -690,7 +689,7 @@ class TestMonotonicityProbe:
             x, _ = fix_sqr(y, eps, table, n)
             verdict = sqrt_verdict("fix", x, y, eps, n=n)
             grew = prev is not None and cmp_abs_err(
-                x.value, prev.value, y.value) is Ordering.GREATER
+                x.value, prev.value, y.value) > 0
             rows.append((n, x, verdict.witness["bound"], verdict.passed, grew))
             prev = x
         return rows
@@ -720,15 +719,15 @@ class TestMonotonicityProbe:
 
 class TestCmpAbsErr:
     def test_ordering(self):
-        assert cmp_abs_err(F(3, 2), F(7, 5), F(2), ) is Ordering.GREATER
-        assert cmp_abs_err(F(7, 5), F(3, 2), F(2)) is Ordering.LESS
-        assert cmp_abs_err(F(3, 2), F(3, 2), F(2)) is Ordering.EQUAL
+        assert cmp_abs_err(F(3, 2), F(7, 5), F(2), ) == 1
+        assert cmp_abs_err(F(7, 5), F(3, 2), F(2)) == -1
+        assert cmp_abs_err(F(3, 2), F(3, 2), F(2)) == 0
         # 1 and 3 lie 1 either side of sqrt(4): the midpoint is the root
-        assert cmp_abs_err(F(1), F(3), F(4)) is Ordering.EQUAL
+        assert cmp_abs_err(F(1), F(3), F(4)) == 0
 
     def test_symmetric_pair(self):
         # 1.3 and 1.5 straddle sqrt(2) = 1.41421...
-        assert cmp_abs_err(F(13, 10), F(3, 2), F(2)) is Ordering.GREATER
+        assert cmp_abs_err(F(13, 10), F(3, 2), F(2)) == 1
 
 
 def fraction_abs_err(q, y):

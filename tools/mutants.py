@@ -31,6 +31,7 @@ STEP_TESTS = "tests/test_newton.py::TestExactStep::"
 DIGEST = "tests/test_newton.py::TestExactFamilyDigest"
 PRODUCT_TESTS = "tests/test_exact.py::TestCmpProducts::"
 CONTROL = "tests/test_rules.py::test_control"
+ONE_FORM = "tests/test_newton.py::TestOneRecordForm::test_every_pass"
 
 
 class Mutant(NamedTuple):
@@ -131,43 +132,57 @@ MUTANTS = (
            "(g // h) ** 2, abs(norm) // h", "(g // h) ** 2, abs(norm) // g",
            ("tests/test_newton.py::TestCarriedNorm::"
             "test_g_not_dividing_the_norm",)),
+    # every pass appends one record, so these three break the applied
+    # passes' records as well as the exit's
     Mutant("exit record's den (b, p, q)", NEWTON,
            "(2 * b, p, q), s)", "(b, p, q), s)",
-           (STEP_TESTS + "test_exit_pass_matches_products", DIGEST)),
+           (ONE_FORM, STEP_TESTS + "test_exit_pass_matches_products",
+            DIGEST)),
     Mutant("exit record's den without 2*b", NEWTON,
            "(2 * b, p, q), s)", "(p, q), s)",
-           (STEP_TESTS + "test_exit_pass_matches_products", DIGEST)),
+           (ONE_FORM, STEP_TESTS + "test_squarings_match_products",
+            STEP_TESTS + "test_exit_pass_matches_products", DIGEST)),
     Mutant("exit record's content s read as 1", NEWTON,
            "(2 * b, p, q), s)", "(2 * b, p, q), 1)",
            ("tests/test_newton.py::TestExitCorrectionBuiltWhenRead::"
             "test_value_is_the_eager_correction", DIGEST)),
-    Mutant("until-loop exit on ad <= eps/2", NEWTON,
-           "(en, b, p, q)) < 0", "(en, b, p, q)) <= 0",
-           ("tests/test_newton.py::TestExactLoopMatchesReference::"
-            "test_exit_ties",)),
+    Mutant("until-loop exit without its own c < 0 test", NEWTON,
+           "(c < 0 or halves(", "(halves(",
+           (STEP_TESTS + "test_norm_below_the_root_exits",)),
+    # 2**n over the formula's 2 is 2**(n - 1)
     Mutant("_legal_count shifts by n, not n - 1", NEWTON,
-           "en * sd << (n - 1)", "en * sd << n",
+           "(en * sd << n)", "(en * sd << (n + 1))",
            ("tests/test_newton.py::TestLegalCountOnIntegers::"
             "test_int_inputs",)),
     Mutant("_legal_count at n = 0 on sn*ed, not 2*sn*ed", NEWTON,
-           "2 * sn * ed - en * sd", "sn * ed - en * sd",
+           "2 * sn * ed - (en * sd << n)",
+           "(2 - (n == 0)) * sn * ed - (en * sd << n)",
            ("tests/test_newton.py::TestIsqrExact::"
             "test_iteration_cap_with_tight_seed",)),
     Mutant("_legal_count strict at the root", NEWTON,
-           "_sqrt_sign(num, den, a, b) <= 0", "_sqrt_sign(num, den, a, b) < 0",
+           "2 * sd * ed, a, b) <= 0", "2 * sd * ed, a, b) < 0",
            ("tests/test_newton.py::TestLegalCountOnIntegers::"
             "test_at_and_next_to_the_root",)),
     Mutant("derive_eps_for_ulp accepts a tie with ulp/2", NEWTON,
-           "is not Ordering.GREATER:", "is Ordering.LESS:",
+           "c2 * c2 * beta) <= 0:", "c2 * c2 * beta) < 0:",
            ("tests/test_newton.py::TestDeriveEps::"
             "test_margin_tie_on_base_4_is_infeasible",)),
+    Mutant("flt_sqr without the base shift of a result <= 1", NEWTON,
+           "if x.count <= profile.fix.delta_den:", "if False:",
+           ("tests/test_newton.py::TestFltSqr::test_mantissa_collapse_shifts",
+            "tests/test_newton.py::TestFltSqr::test_every_demo_mantissa")),
     Mutant("balance_sweep keeps all_within on a miss", VERIFY,
            "all_within = False", "pass",
            ("tests/test_cli.py::TestSweepCommand::"
             "test_balance_rows_outside_their_bound_exit_1",)),
-    Mutant("halves holds on a tie", VERIFY,
+    Mutant("halves holds on a tie", EXACT,
            "(*prev_num, *cur_den)) < 0", "(*prev_num, *cur_den)) <= 0",
            ("tests/test_verify.py::TestHalves",)),
+    # the same break as the one above: the until-loop's exit is halves
+    Mutant("until-loop exit on ad <= eps/2", EXACT,
+           "(*prev_num, *cur_den)) < 0", "(*prev_num, *cur_den)) <= 0",
+           ("tests/test_newton.py::TestExactLoopMatchesReference::"
+            "test_exit_ties",)),
     Mutant("cmp_products' bit-length stage one bit loose", EXACT,
            "if lx <= ly - len(ys):", "if lx <= ly - len(ys) + 1:",
            (PRODUCT_TESTS + "test_exact_ties",
@@ -176,13 +191,16 @@ MUTANTS = (
            "hi *= top + (s > 0)", "hi *= top",
            (PRODUCT_TESTS + "test_long_ties_and_neighbours",)),
     Mutant("cmp_sqrt returns the reversed ordering", EXACT,
-           "_ordering_of_sign(_sqrt_sign(q.numerator, q.denominator, a, b))",
-           "_ordering_of_sign(-_sqrt_sign(q.numerator, q.denominator, a, b))",
+           "return _sqrt_sign(q.numerator, q.denominator, a, b)",
+           "return -_sqrt_sign(q.numerator, q.denominator, a, b)",
            ("tests/test_exact.py::TestCmpSqrt::test_examples",)),
     Mutant("_filtered_sign answers -1 when xs bracket above ys", EXACT,
            "if x_lo > y_hi:\n        return 1",
            "if x_lo > y_hi:\n        return -1",
            (PRODUCT_TESTS + "test_long_ties_and_neighbours",)),
+    Mutant("encode_int keeps the leading 0 nibble", EXACT,
+           '.hex().lstrip("0")', ".hex()",
+           ("tests/test_exact.py::TestLosslessEncoding::test_hex_is_hex",)),
     Mutant("_lowest_terms skips its gcd", EXACT,
            "g = math.gcd(num, den)", "g = 1",
            ("tests/test_exact.py::TestLowestTerms::"
