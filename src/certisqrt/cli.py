@@ -230,9 +230,10 @@ def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
     raise DomainError(f"table {path} failed revalidation at index {bad}")
 
 
-def _bound_table(args: argparse.Namespace, fix: FixProfile,
-                 fprof: FloatProfile, step: StepConfig) -> RootTable:
+def _bound_table(args: argparse.Namespace, fprof: FloatProfile,
+                 step: StepConfig) -> RootTable:
     """The table file args.table, bound to the profile and to its step."""
+    fix = fprof.fix
     table = load_table(args.table, fix, profile_digest(fix, fprof, step))
     if table.stp != step.stp:
         raise DomainError(f"table {args.table} was built for another step")
@@ -300,7 +301,7 @@ def cmd_profile_check(args: argparse.Namespace) -> int:
     return _print_reports([
         check_profile_assumptions(fix, budget=budget, seed=args.seed),
         check_float_profile(fprof),
-        validate_step(step.stp, step.eps, fix),
+        validate_step(step.stp, step.eps),
     ])
 
 
@@ -337,7 +338,7 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
     if need_table:
         if args.table is None:
             raise FileFormatError("modes fix/mix/float require a table file")
-        table = _bound_table(args, fix, fprof, step)
+        table = _bound_table(args, fprof, step)
     if args.ulp is not None:
         eps_fix = derive_eps_for_ulp(args.ulp, fprof, step.stp)
     else:
@@ -398,16 +399,20 @@ def _require_grid_inputs(fix: FixProfile) -> range:
 
 
 def _sample_scan_ys(fix: FixProfile, samples: int, seed: int) -> list[FixVal]:
-    """The draw random.Random(seed).sample makes from grid_inputs(fix),
-    ascending; made on counts, so only the values drawn are built."""
-    counts = grid_inputs(fix)
-    draw = random.Random(seed).sample(counts, min(samples, len(counts)))
+    """random.Random(seed).sample of grid_inputs(fix), ascending; past
+    sys.maxsize inputs, more than sample takes, distinct randrange draws."""
+    counts, rng = grid_inputs(fix), random.Random(seed)
+    size = counts.stop - counts.start  # len() fails past 2**63
+    draw = set(rng.sample(counts, min(samples, size))
+               if size <= sys.maxsize else ())
+    while len(draw) < min(samples, size):
+        draw.add(counts.start + rng.randrange(size))
     return [FixVal(c, fix) for c in sorted(draw)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     fix, fprof, step = load_profile(args.profile)
-    table = _bound_table(args, fix, fprof, step)
+    table = _bound_table(args, fprof, step)
     eps = step.eps
     reports: list[VerifyReport] = []
     suites = ("table", "sqr", "fsqr", "adjust") if args.suite == "all" \
@@ -423,7 +428,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    else _sample_scan_ys(fix, args.samples, args.seed))
     for suite in suites:
         if suite == "table":
-            reports.append(check_table_properties(table, fix, step.stp, eps))
+            reports.append(check_table_properties(table, eps))
         elif suite == "sqr":
             reports.append(run_sqr_suite(sqr_inputs))
         elif suite == "fsqr":
@@ -481,7 +486,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise FileFormatError("kind balance requires a non-empty --stp list")
     else:
         candidates = [_grid_exact(v, fix) for v in args.stp]
-    rows = balance_sweep(fix, step.eps, candidates)
+    rows = balance_sweep(step.eps, candidates)
     _write(args.out, _csv(
         ["stp", "valid", "table_size", "n", "predicted_bound",
          "worst_err_display", "all_within_predicted"],

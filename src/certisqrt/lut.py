@@ -77,12 +77,13 @@ class RootTable:
         return FixVal(self.roots[k - self.k_min], self.profile)
 
 
-def validate_step(stp: FixVal, eps: FixVal, profile: FixProfile) -> VerifyReport:
-    """Report whether (stp, eps) is a legal step configuration.
-
-    With eps = stp it decides whether stp alone is a legal table step,
-    since a positive step is a multiple of itself.
-    """
+def validate_step(stp: FixVal, eps: FixVal) -> VerifyReport:
+    """Report whether (stp, eps) is a legal step configuration; an eps
+    off stp's grid is a ProfileMismatch.  With eps = stp it decides
+    whether stp alone is a legal table step, since a positive step is a
+    multiple of itself."""
+    require_same_grid(stp.profile, eps.profile,
+                      "step and accuracy from different grids")
     checks = (
         check("step positive", "step.positive",
               stp.count > 0, {"stp": str(stp)}),
@@ -92,8 +93,8 @@ def validate_step(stp: FixVal, eps: FixVal, profile: FixProfile) -> VerifyReport
               step_multiple_of_eps(stp, eps),
               {"stp": str(stp), "eps": str(eps)}),
         check("step divides the range bound", "step.divides-sup",
-              stp.count > 0 and profile.sup_count % stp.count == 0,
-              {"stp": str(stp), "sup": profile.sup_value}),
+              stp.count > 0 and stp.profile.sup_count % stp.count == 0,
+              {"stp": str(stp), "sup": stp.profile.sup_value}),
         check("step spans at least two grid units", "step.min-two-units",
               stp.count >= 2, {"stp_count": stp.count}),
     )
@@ -132,7 +133,7 @@ def _check_table_config(profile: FixProfile, stp: FixVal) -> range:
     require_same_grid(stp.profile, profile,
                       "step value belongs to a different grid")
     profile.validate()
-    require("step configuration", validate_step(stp, stp, profile).checks)
+    require("step configuration", validate_step(stp, stp).checks)
     return table_indices(profile, stp.count)
 
 

@@ -558,7 +558,7 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     Zero maps to zero; a positive a must carry the profile's base, else
     ProfileMismatch.  For a = man*base**e the result satisfies
     |b - sqrt(a)| < c1 + c2*sqrt(base), (c1, c2) = float_bound(eps, e,
-    profile).
+    base).
 
     Domain: every positive a of the profile's base whose loop radicand,
     man at an even e and man*base at an odd e, is at most sup/2; an odd e
@@ -590,13 +590,12 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     return compose(x, h, profile), trace
 
 
-def float_bound(eps: FixVal, exp: int,
-                profile: FloatProfile) -> tuple[Fraction, Fraction]:
+def float_bound(eps: FixVal, exp: int, base: int) -> tuple[Fraction, Fraction]:
     """flt_sqr's accuracy contract for exponent exp: (c1, c2) of the bound
     c1 + c2*sqrt(base), c1 = eps*base**h, c2 = (delta/2)*base**(h - 1),
-    h = floor(exp/2)."""
-    beta, h = Fraction(profile.base), exp // 2
-    return eps.value * beta ** h, profile.fix.delta / 2 * beta ** (h - 1)
+    h = floor(exp/2), delta the step of eps's grid."""
+    beta, h = Fraction(base), exp // 2
+    return eps.value * beta ** h, eps.profile.delta / 2 * beta ** (h - 1)
 
 
 MAX_DIVISOR_TRIALS = 1 << 20  # derive_eps_for_ulp's trial divisions
@@ -635,7 +634,7 @@ def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
     below = math.ceil(half_ulp * profile.fix.delta_den)
     for count in _divisors_below(stp.count, below):
         eps = FixVal(count, profile.fix)
-        c1, c2 = float_bound(eps, 0, profile)
+        c1, c2 = float_bound(eps, 0, profile.base)
         # c1 + c2*sqrt(base) < ulp/2, as ulp/2 - c1 > sqrt(c2**2*base)
         # for c2 > 0; a negative ulp/2 - c1 reads -1
         if cmp_sqrt(half_ulp - c1, c2 * c2 * beta) <= 0:

@@ -26,7 +26,7 @@ from .exact import (
     sqrt_enclosure,
     within_of_sqrt,
 )
-from .fixarith import FixProfile, FixVal
+from .fixarith import FixProfile, FixVal, require_same_grid
 from .floatmodel import FloatProfile, _require_base, value_of
 from .lut import (RootTable, build_root_table, first_bad_root,
                   round_up_to_step, sup_fn, validate_step)
@@ -181,12 +181,12 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
     * fix (FixVals, n iterations): |x - sqrt(y)| < fix_bound(eps, n);
     * mix (FixVals): |x - sqrt(y)| < eps;
     * float (FloatVals, eps a FixVal): |x - sqrt(y)| < c1 + c2*sqrt(base),
-      (c1, c2) = float_bound(eps, exponent of y, fprof); a zero y passes
+      (c1, c2) = float_bound(eps, exponent of y, base); a zero y passes
       exactly when x is zero.  The witness holds the bound or its terms.
 
     fix without an integer n, or float without fprof, is a UsageError; a
-    non-zero float x or y of a base other than fprof's is refused with
-    ProfileMismatch, as flt_sqr refuses it.
+    float eps off fprof's grid, or a non-zero x or y of another base, is
+    refused with ProfileMismatch, as flt_sqr refuses it.
     """
     rule, name = f"sqrt.{mode}-bound", f"{mode} result within its bound"
     if mode == "exact":
@@ -194,11 +194,12 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
     if mode == "float":
         if fprof is None:
             raise UsageError("a float verdict needs a float profile")
+        require_same_grid(eps.profile, fprof.fix, "eps from another grid")
         for v in (y, x):
             _require_base(v, fprof)
         if y.is_zero:
             return check(name, rule, x.is_zero, {"zero": True})
-        c1, c2 = float_bound(eps, y.exp, fprof)
+        c1, c2 = float_bound(eps, y.exp, fprof.base)
         ok = sqrt_abs_err_lt(value_of(x), value_of(y), c1, c2,
                              Fraction(fprof.base))
         return check(name, rule, ok, {"c1": c1, "c2": c2, "base": fprof.base})
@@ -294,35 +295,29 @@ def monotonicity_probe(y: FixVal, eps: FixVal, table: RootTable,
     return tuple(rows)
 
 
-def check_table_properties(table: RootTable, profile: FixProfile,
-                           stp: FixVal, eps: FixVal) -> VerifyReport:
-    """Exhaustively re-check the table: the step rules, every root entry
-    (least grid upper bound of the exact root), and the rounding-up
-    function over every grid value in (1, sup]."""
-    checks: list[CheckResult] = list(validate_step(stp, eps, profile).checks)
+def check_table_properties(table: RootTable, eps: FixVal) -> VerifyReport:
+    """Exhaustively re-check the table: the step rules for its step and
+    eps, every root entry (least grid upper bound of the exact root), and
+    the rounding-up function over every grid value in (1, sup]."""
+    profile, stp = table.profile, table.stp
+    checks: list[CheckResult] = list(validate_step(stp, eps).checks)
 
-    consistent = table.profile == profile and table.stp == stp
-    checks.append(check("table matches the profile and step",
-                        "table.consistent", consistent, {},
-                        {"table_stp": str(table.stp), "stp": str(stp)}))
+    bad = first_bad_root(table)
+    checks.append(check(
+        "every entry is the least grid upper root", "table.root",
+        bad is None, {"entries": len(table)},
+        None if bad is None else {"index": str(table.index_value(bad)),
+                                  "root": str(table.root_at(bad))}))
 
-    if consistent:
-        bad = first_bad_root(table)
-        checks.append(check(
-            "every entry is the least grid upper root", "table.root",
-            bad is None, {"entries": len(table)},
-            None if bad is None else {"index": str(table.index_value(bad)),
-                                      "root": str(table.root_at(bad))}))
-
-        d, sup, step = profile.delta_den, profile.sup_count, stp.count
-        units = (FixVal(c, profile) for c in range(d + 1, sup + 1))
-        rounded = ((u, round_up_to_step(u, stp)) for u in units)
-        checks.append(_first_failure(
-            "rounding up lands on the next index", "table.round-up",
-            {"grid_values": sup - d},
-            ({"u": str(u), "rounded": str(r)} for u, r in rounded
-             if not (r.count % step == 0 and d < r.count <= sup  # an index
-                     and r.count - step < u.count <= r.count))))
+    d, sup, step = profile.delta_den, profile.sup_count, stp.count
+    units = (FixVal(c, profile) for c in range(d + 1, sup + 1))
+    rounded = ((u, round_up_to_step(u, stp)) for u in units)
+    checks.append(_first_failure(
+        "rounding up lands on the next index", "table.round-up",
+        {"grid_values": sup - d},
+        ({"u": str(u), "rounded": str(r)} for u, r in rounded
+         if not (r.count % step == 0 and d < r.count <= sup  # an index
+                 and r.count - step < u.count <= r.count))))
 
     subject = f"table stp={stp} entries={len(table)}"
     return VerifyReport(subject, tuple(checks))
@@ -350,16 +345,16 @@ def _sample_grid_values(profile: FixProfile) -> list[FixVal]:
     return [FixVal(c, profile) for c in sorted(picks)]
 
 
-def balance_sweep(profile: FixProfile, eps: FixVal,
+def balance_sweep(eps: FixVal,
                   stp_candidates: Sequence[FixVal]) -> tuple[BalanceRow, ...]:
-    """For each candidate step: table size, minimal iteration count, the
-    predicted bound stp/2**n + n*step_of_grid, and the worst observed
-    error of the grid run over a deterministic sample of inputs."""
+    """For each candidate step on eps's grid: table size, minimal iteration
+    count, the predicted bound stp/2**n + n*step_of_grid, and the worst
+    observed error of the grid run over a deterministic sample of inputs."""
     rows: list[BalanceRow] = []
-    delta = profile.delta
+    profile, delta = eps.profile, eps.profile.delta
     ys = _sample_grid_values(profile)
     for stp in stp_candidates:
-        if not validate_step(stp, eps, profile).overall:
+        if not validate_step(stp, eps).overall:
             rows.append(BalanceRow(stp, False, 0, 0, Fraction(0),
                                    float("nan"), False))
             continue

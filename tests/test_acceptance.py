@@ -167,14 +167,12 @@ def test_criterion_6_float_bound(demo_profile, demo_float_profile,
             f"{elapsed:.1f}s")
 
 
-def test_criterion_7_table_properties(demo_table, demo_profile, demo_stp,
-                                      demo_eps):
-    report = check_table_properties(demo_table, demo_profile, demo_stp,
-                                    demo_eps)
+def test_criterion_7_table_properties(demo_table, demo_eps):
+    report = check_table_properties(demo_table, demo_eps)
     roots = list(demo_table.roots)
     roots[11] -= 1
     corrupted = dataclasses.replace(demo_table, roots=tuple(roots))
-    neg = check_table_properties(corrupted, demo_profile, demo_stp, demo_eps)
+    neg = check_table_properties(corrupted, demo_eps)
     neg_rules = {c.rule for c in neg.failures()}
     ok = report.overall and neg_rules == {"table.root"}
     _report(7, "table rules hold; corruption fails exactly the root rule",

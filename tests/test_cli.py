@@ -391,8 +391,10 @@ class TestGoldenDigests:
             "f0ac122dacb20b5d7b3ba1c0761abbf9e5b40e7f1bbdbb364df42ce9d441fa5e"
         assert main(["verify", demo_profile_path, demo_table_path,
                      "--suite", "all", "--exhaustive"]) == 0
+        # retaken once the table suite read its profile and step from the
+        # table and dropped table.consistent, which only they could fail
         assert digest(capsys.readouterr().out.encode()) == \
-            "b23d910e4a0165df72f3784e738eeaf02e3945193acf34626e78506e596bdbb4"
+            "79762341bca14fdd4ebfd2772fdcf153a69d61244cb3b5a9ecf76fb5b55a20ae"
         assert main(["profile-check", demo_profile_path]) == 0
         # retaken once the two profile rules no profile can fail were gone
         assert digest(capsys.readouterr().out.encode()) == \
@@ -1354,6 +1356,30 @@ class TestGridPastSsizeT:
         assert all(r[1] == r[6] == "true" for r in rows)
 
 
+class TestSampledSuitesPastSsizeT:
+    """The demo profile with sup, step and eps counts all 10**30: a
+    1-entry table and 5*10**29 - 100 grid inputs, more than
+    random.sample takes.  The sampled fsqr and adjust suites draw their
+    inputs by randrange instead, and pass."""
+
+    @pytest.mark.parametrize("suite,checks", [("fsqr", 3), ("adjust", 18)])
+    def test_sampled_suite_exit_0(self, demo_profile_path, tmp_path, capsys,
+                                  suite, checks):
+        doc = json.loads(Path(demo_profile_path).read_text())
+        doc["fix"]["sup_count"] = 10 ** 30
+        doc["step"] = {"stp_count": 10 ** 30, "eps_count": 10 ** 30}
+        profile, table = tmp_path / "huge.json", tmp_path / "t.json"
+        profile.write_text(json.dumps(doc))
+        assert main(["table-build", str(profile), str(table)]) == 0
+        proc = _run_cli(["verify", str(profile), str(table), "--suite",
+                         suite, "--samples", "3"], subprocess.PIPE, tmp_path,
+                        timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = json.loads(proc.stdout)
+        assert out["overall"] is True
+        assert len(out["reports"][0]["checks"]) == checks
+
+
 class TestUlpDivisorSearch:
     """--ulp on the demo grid with sup_count 10**30 and a step of
     2.5*10**29 counts: the accuracy search tries only the step's divisors
@@ -1415,6 +1441,15 @@ class TestSampledScanDraw:
             for samples in (1, 100, 5000):
                 drawn = _sample_scan_ys(fix, samples, seed)
                 assert drawn == self.list_draw(pool, samples, seed)
+
+    def test_past_ssize_t_draws_distinct_inputs(self):
+        # 5*10**29 - 100 inputs: random.sample would take their len()
+        fix = FixProfile(100, 1600, 10 ** 30)
+        for seed in range(4):
+            drawn = [y.count for y in _sample_scan_ys(fix, 5, seed)]
+            assert drawn == [y.count for y in _sample_scan_ys(fix, 5, seed)]
+            assert drawn == sorted(set(drawn)) and len(drawn) == 5
+            assert 100 < drawn[0] and drawn[-1] <= 5 * 10 ** 29
 
 
 class TestTraceRows:

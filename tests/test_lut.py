@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certisqrt.errors import (DomainError, InternalInvariantError,
-                              RangeOverflow, ResourceLimit)
+                              ProfileMismatch, RangeOverflow, ResourceLimit)
 from certisqrt.exact import cmp_sqrt
 from certisqrt.fixarith import FixProfile
 from certisqrt.lut import (
@@ -26,28 +26,34 @@ class TestValidateStep:
     def test_multiple_holds(self):
         # 1/4 against 1/64 needs a grid fine enough to carry both
         prof = FixProfile(6400, 16 * 6400, 16 * 6400)
-        report = validate_step(prof.val(1600), prof.val(100), prof)
+        report = validate_step(prof.val(1600), prof.val(100))
         assert report.overall
 
     def test_divides_sup(self, demo_profile):
-        report = validate_step(demo_profile.val(25), demo_profile.val(25),
-                               demo_profile)
+        report = validate_step(demo_profile.val(25), demo_profile.val(25))
         assert report.overall
 
     def test_multiplicity_fails(self, demo_profile):
-        report = validate_step(demo_profile.val(25), demo_profile.val(30),
-                               demo_profile)
+        report = validate_step(demo_profile.val(25), demo_profile.val(30))
         assert {c.rule for c in report.failures()} == {"step.multiple-of-eps"}
 
     def test_not_dividing_sup_fails(self, demo_profile):
-        report = validate_step(demo_profile.val(30), demo_profile.val(30),
-                               demo_profile)
+        report = validate_step(demo_profile.val(30), demo_profile.val(30))
         assert "step.divides-sup" in {c.rule for c in report.failures()}
 
     def test_single_grid_unit_fails(self, demo_profile):
-        report = validate_step(demo_profile.val(1), demo_profile.val(1),
-                               demo_profile)
+        report = validate_step(demo_profile.val(1), demo_profile.val(1))
         assert "step.min-two-units" in {c.rule for c in report.failures()}
+
+    def test_eps_from_another_grid_refused(self, demo_profile):
+        # 25/100 and 250/1000 are one number on two grids; the step's
+        # grid decides, so the pair is refused, not judged
+        fine = FixProfile(1000, 16000, 16000)
+        with pytest.raises(ProfileMismatch,
+                           match="step and accuracy from different grids"):
+            validate_step(demo_profile.val(25), fine.val(250))
+        with pytest.raises(ProfileMismatch):
+            validate_step(fine.val(250), demo_profile.val(25))
 
 
 class TestBuildTable:

@@ -392,16 +392,21 @@ class TestAccuracyContracts:
         (0, F(1, 4), F(1, 400)), (1, F(1, 4), F(1, 400)),
         (2, F(1, 2), F(1, 200)), (-1, F(1, 8), F(1, 800)),
         (-4, F(1, 16), F(1, 1600))])
-    def test_float_bound(self, demo_eps, demo_float_profile, exp, c1, c2):
-        assert float_bound(demo_eps, exp, demo_float_profile) == (c1, c2)
+    def test_float_bound(self, demo_eps, exp, c1, c2):
+        assert float_bound(demo_eps, exp, 2) == (c1, c2)
 
     def test_float_bound_at_exponent_zero(self, demo_float_profile):
         # c2 = delta/(2*base), the radical coefficient derive_eps_for_ulp
         # subtracts; c1 is eps itself
         fix = demo_float_profile.fix
         for count in (1, 5, 25):
-            c1, c2 = float_bound(fix.val(count), 0, demo_float_profile)
+            c1, c2 = float_bound(fix.val(count), 0, demo_float_profile.base)
             assert (c1, c2) == (F(count, 100), F(1, 2 * 100 * 2))
+
+    def test_float_bound_delta_is_eps_grid_step(self):
+        # delta is read from eps's grid: 1/1000 here, so c2 = 1/4000
+        fine = FixProfile(1000, 16000, 16000)
+        assert float_bound(fine.val(8), 0, 2) == (F(8, 1000), F(1, 4000))
 
     @pytest.mark.parametrize("stp", [25, 50, 100, 400, 1600])
     def test_mix_least_eps_count(self, demo_profile, stp):
@@ -1877,7 +1882,7 @@ class TestDeriveEps:
         for count in range(stp.count, 0, -1):
             if stp.count % count:
                 continue
-            c1, c2 = float_bound(fprof.fix.val(count), 0, fprof)
+            c1, c2 = float_bound(fprof.fix.val(count), 0, fprof.base)
             if cmp_sqrt(ulp / 2 - c1, c2 * c2 * fprof.base) > 0 \
                     and count >= newton._mix_eps_floor(
                         newton._least_count(stp.count, count)):

@@ -174,8 +174,8 @@ def _float(base: int, fix: FixProfile = DEMO, inf_f: F = RANGE):
 
 
 def _step(stp_count: int, eps_count: int):
-    return lambda mp: validate_step(DEMO.val(stp_count), DEMO.val(eps_count),
-                                    DEMO).checks
+    return lambda mp: validate_step(DEMO.val(stp_count),
+                                    DEMO.val(eps_count)).checks
 
 
 # sqr_exact(2, 1/100) has three iterates and three passes, isqr_exact(3,
@@ -230,12 +230,11 @@ def _sqrt(mode: str):
     return checks
 
 
-def _table(stp_count: int, roots=lambda roots: roots):
+def _table(roots=lambda roots: roots):
     def checks(mp):
         table = demo_table()
         table = dataclasses.replace(table, roots=roots(table.roots))
-        return check_table_properties(table, DEMO, DEMO.val(stp_count),
-                                      DEMO.val(25)).checks
+        return check_table_properties(table, DEMO.val(25)).checks
     return checks
 
 
@@ -276,7 +275,7 @@ def _round_up_skips(mp):
     round_up = lut._round_up_count
     mp.setattr(lut, "_round_up_count", lambda count, stp, profile:
                round_up(count, stp, profile) + stp * (count == 301))
-    return _table(25)(mp)
+    return _table()(mp)
 
 
 def _sqr_suite_early(mp):
@@ -335,9 +334,8 @@ CONTROLS = {
        for mode in FIELDS["mode"]},
     "adjust.gap-bound": _defect(_adjust_gap, "adjust.gap-bound"),
     "adjust.final-error": _defect(_adjust_final, "adjust.final-error"),
-    "table.consistent": _input(_table(50), "table.consistent"),
     # one root a grid step low
-    "table.root": _input(_table(25, lambda roots: (
+    "table.root": _input(_table(lambda roots: (
         *roots[:7], roots[7] - 1, *roots[8:])), "table.root"),
     "table.round-up": _defect(_round_up_skips, "table.round-up"),
     "suite.sqr": _defect(_sqr_suite_early, "suite.sqr"),
@@ -429,7 +427,7 @@ def test_step_rules_fail_only_with_their_clearer_causes():
             vals = [FixVal(c, profile) for c in range(-2, sup + 1)]
             for stp in vals:
                 for eps in vals:
-                    failed = _failed(validate_step(stp, eps, profile).checks)
+                    failed = _failed(validate_step(stp, eps).checks)
                     for rule, cause in (
                             ("step.positive", "step.min-two-units"),
                             ("step.eps-positive", "step.multiple-of-eps")):

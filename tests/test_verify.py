@@ -807,53 +807,49 @@ class TestFinalError:
 
 
 class TestTableProperties:
-    def test_demo_passes(self, demo_table, demo_profile, demo_stp, demo_eps):
-        report = check_table_properties(demo_table, demo_profile, demo_stp,
-                                        demo_eps)
+    def test_demo_passes(self, demo_table, demo_eps):
+        report = check_table_properties(demo_table, demo_eps)
         assert report.overall
+        assert report.subject == "table stp=25/100 entries=60"
 
-    def test_single_entry_corruption(self, demo_table, demo_profile,
-                                     demo_stp, demo_eps):
+    def test_single_entry_corruption(self, demo_table, demo_eps):
         roots = list(demo_table.roots)
         roots[7] -= 1  # one grid step down breaks the upper-root rule
         bad = dataclasses.replace(demo_table, roots=tuple(roots))
-        report = check_table_properties(bad, demo_profile, demo_stp, demo_eps)
+        report = check_table_properties(bad, demo_eps)
         assert {c.rule for c in report.failures()} == {"table.root"}
 
     @pytest.mark.parametrize("index,delta", [
         (0, -1), (0, 1), (7, 1), (30, -1), (59, -1), (59, 1), (12, -40)])
-    def test_corruption_fails_only_root(self, demo_table, demo_profile,
-                                        demo_stp, demo_eps, index, delta):
+    def test_corruption_fails_only_root(self, demo_table, demo_stp,
+                                        demo_eps, index, delta):
         roots = list(demo_table.roots)
         roots[index] += delta
         bad = dataclasses.replace(demo_table, roots=tuple(roots))
-        report = check_table_properties(bad, demo_profile, demo_stp,
-                                        demo_eps)
+        report = check_table_properties(bad, demo_eps)
         assert [c.rule for c in report.failures()] == ["table.root"]
         k = demo_table.k_min + index
         assert report.failures()[0].witness == {
             "index": f"{k * demo_stp.count}/100", "root": f"{roots[index]}/100"}
 
-    def test_step_mismatch_detected(self, demo_table, demo_profile,
-                                    demo_eps):
-        report = check_table_properties(demo_table, demo_profile,
-                                        demo_profile.val(50), demo_eps)
-        failed_rules = {c.rule for c in report.failures()}
-        assert "table.consistent" in failed_rules
+    def test_eps_from_another_grid_refused(self, demo_table):
+        # the profile and step are the table's own; an eps from another
+        # grid, here the same number 25/100 = 250/1000, is refused
+        fine = FixProfile(1000, 16000, 16000)
+        with pytest.raises(ProfileMismatch,
+                           match="step and accuracy from different grids"):
+            check_table_properties(demo_table, fine.val(250))
 
     # 325 is an index value itself, so rounding it up must not move it
     @pytest.mark.parametrize("skipped", [301, 325])
-    def test_skipped_index_fails_only_round_up(self, demo_table,
-                                               demo_profile, demo_stp,
-                                               demo_eps, monkeypatch,
-                                               skipped):
+    def test_skipped_index_fails_only_round_up(self, demo_table, demo_eps,
+                                               monkeypatch, skipped):
         def skip_one(count, stp_count, profile):
             up = _round_up_count(count, stp_count, profile)
             return up + stp_count if count == skipped else up
 
         monkeypatch.setattr("certisqrt.lut._round_up_count", skip_one)
-        report = check_table_properties(demo_table, demo_profile, demo_stp,
-                                        demo_eps)
+        report = check_table_properties(demo_table, demo_eps)
         assert [c.rule for c in report.failures()] == ["table.round-up"]
         assert report.failures()[0].witness == {"u": f"{skipped}/100",
                                                 "rounded": "350/100"}
@@ -861,21 +857,32 @@ class TestTableProperties:
 
 class TestBalanceSweep:
     def test_demo_three_candidates(self, demo_profile, demo_eps):
-        rows = balance_sweep(demo_profile, demo_eps,
-                             [demo_profile.val(25), demo_profile.val(50),
-                              demo_profile.val(100)])
+        rows = balance_sweep(demo_eps, [demo_profile.val(25),
+                                        demo_profile.val(50),
+                                        demo_profile.val(100)])
         assert [r.table_size for r in rows] == [64, 32, 16]
         assert [r.n for r in rows] == [1, 2, 3]
         assert rows[0].predicted_bound == F(1, 8) + F(1, 100)
         assert all(r.all_within_predicted for r in rows)
 
     def test_single_candidate_equal_to_eps(self, demo_profile, demo_eps):
-        rows = balance_sweep(demo_profile, demo_eps, [demo_profile.val(25)])
+        rows = balance_sweep(demo_eps, [demo_profile.val(25)])
         assert len(rows) == 1 and rows[0].n == 1
 
     def test_invalid_candidate_marked(self, demo_profile, demo_eps):
-        rows = balance_sweep(demo_profile, demo_eps, [demo_profile.val(30)])
+        rows = balance_sweep(demo_eps, [demo_profile.val(30)])
         assert not rows[0].valid
+
+    def test_candidate_from_another_grid_refused(self, demo_profile,
+                                                 demo_eps):
+        # a candidate, or eps, from another grid is refused before any
+        # table is built, not marked invalid
+        fine = FixProfile(1000, 16000, 16000)
+        with pytest.raises(ProfileMismatch,
+                           match="step and accuracy from different grids"):
+            balance_sweep(demo_eps, [demo_profile.val(25), fine.val(250)])
+        with pytest.raises(ProfileMismatch):
+            balance_sweep(fine.val(250), [demo_profile.val(25)])
 
     @pytest.mark.parametrize("d,sup", [(100, 1600), (10, 40), (10, 21),
                                        (2, 130), (2, 132), (10, 1300)])
@@ -931,10 +938,9 @@ class TestSuites:
         assert vals[0].count == 101 and vals[-1].count == 800
 
 
-def test_report_serialization_deterministic(demo_profile, demo_table,
-                                            demo_stp, demo_eps):
-    a = check_table_properties(demo_table, demo_profile, demo_stp, demo_eps)
-    b = check_table_properties(demo_table, demo_profile, demo_stp, demo_eps)
+def test_report_serialization_deterministic(demo_table, demo_eps):
+    a = check_table_properties(demo_table, demo_eps)
+    b = check_table_properties(demo_table, demo_eps)
     assert a.to_json() == b.to_json()
 
 
@@ -1081,6 +1087,17 @@ class TestSqrtVerdict:
             flt_sqr(FloatVal(demo_profile.val(300), 2, 3), demo_eps,
                     demo_float_profile, demo_table)
         assert str(flt_exc.value) == str(exc.value)
+
+    def test_float_eps_from_another_grid(self, demo_profile,
+                                         demo_float_profile):
+        # the bound's delta is eps's grid step, so an eps off the
+        # profile's grid is refused, as flt_sqr refuses it
+        fine = FixProfile(1000, 16000, 16000)
+        y = compose(demo_profile.val(300), 2, demo_float_profile)
+        x = compose(demo_profile.val(173), 1, demo_float_profile)
+        with pytest.raises(ProfileMismatch, match="eps from another grid"):
+            sqrt_verdict("float", x, y, fine.val(250),
+                         fprof=demo_float_profile)
 
 
 class TestSqrtVerdictMatchesFormerInline:

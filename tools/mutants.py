@@ -105,6 +105,14 @@ MUTANTS = (
            (CONTROL + "[step.min-two-units]",
             "tests/test_lut.py::TestValidateStep::"
             "test_single_grid_unit_fails")),
+    Mutant("validate_step without its grid check", LUT,
+           'require_same_grid(stp.profile, eps.profile,\n'
+           '                      "step and accuracy from different grids")',
+           "pass",
+           ("tests/test_lut.py::TestValidateStep::"
+            "test_eps_from_another_grid_refused",
+            "tests/test_verify.py::TestTableProperties::"
+            "test_eps_from_another_grid_refused")),
     Mutant("float.range-min always passes", FLOATMODEL,
            "self.inf_f > 2 and self.sup_f > 2,", "True,",
            (CONTROL + "[float.range-min]",)),
