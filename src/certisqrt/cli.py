@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import CertisqrtError, DomainError
-from .exact import _rat_text, encode_int, rat_str
+from .exact import _lowest_terms, _rat_text, encode_int, rat_str
 from .fixarith import FixProfile, FixVal, check_profile_assumptions
 from .floatmodel import (
     FloatProfile,
@@ -245,24 +245,25 @@ def _bound_table(args: argparse.Namespace, fprof: FloatProfile,
 # ---------------------------------------------------------------------------
 
 def trace_rows(trace: Trace | GridTrace) -> list[dict]:
-    rows = []
-
-    def value_cols(x) -> dict:
-        if isinstance(x, FixVal):
-            return {"x_num": "", "x_den": "", "x_count": x.count}
-        return {"x_num": encode_int(x.numerator),
-                "x_den": encode_int(x.denominator), "x_count": ""}
-
-    exact = not isinstance(trace.final_x, FixVal)
-    for s in trace.steps:
-        rows.append({"algorithm": trace.algorithm, "k": s.k,
-                     **value_cols(s.x_before),
-                     "correction": rat_str(s.correction),
-                     "exact_flag": str(exact).lower()})
-    if trace.final_x is not None:
-        rows.append({"algorithm": trace.algorithm, "k": len(trace.steps),
-                     **value_cols(trace.final_x), "correction": "",
-                     "exact_flag": str(exact).lower()})
+    """One row for each loop pass, its starting iterate and correction,
+    then one for the result, read off the record in one pass: an exact
+    run's pairs and corrections, a grid run's counts.  Pass k starts at
+    iterate k, the exit pass of an until-loop at the last."""
+    if isinstance(trace, Trace):
+        xs = [{"x_num": encode_int(p), "x_den": encode_int(q), "x_count": ""}
+              for p, q in trace.pairs]
+        ds = [c.value() for c in trace.corrections]
+    else:
+        counts = trace.counts
+        xs = [{"x_num": "", "x_den": "", "x_count": c} for c in counts]
+        d = trace.y.profile.delta_den if counts else 1
+        ds = [_lowest_terms(b - a, d) for a, b in zip(counts, counts[1:])]
+    base = {"algorithm": trace.algorithm,
+            "exact_flag": str(isinstance(trace, Trace)).lower()}
+    rows = [{**base, "k": k, **xs[k], "correction": rat_str(ad)}
+            for k, ad in enumerate(ds)]
+    if xs:
+        rows.append({**base, "k": len(ds), **xs[-1], "correction": ""})
     return rows
 
 

@@ -135,9 +135,14 @@ _set_exp = FloatVal.__dict__["exp"].__set__
 _set_base = FloatVal.__dict__["base"].__set__
 
 
-def _require_base(a: FloatVal, profile: FloatProfile) -> None:
-    """Refuse a positive value whose base is not the profile's."""
-    if not a.is_zero and a.base != profile.base:
+def _require_profile(a: FloatVal, profile: FloatProfile) -> None:
+    """Refuse a positive value whose grid, then base, is not the
+    profile's."""
+    if a.is_zero:
+        return
+    require_same_grid(a.man.profile, profile.fix,
+                      "input belongs to a different grid")
+    if a.base != profile.base:
         raise ProfileMismatch(f"input base {a.base} differs from the "
                               f"profile base {profile.base}")
 

@@ -90,7 +90,7 @@ def validate_step(stp: FixVal, eps: FixVal) -> VerifyReport:
         check("accuracy positive", "step.eps-positive",
               eps.count > 0, {"eps": str(eps)}),
         check("step is a multiple of the accuracy", "step.multiple-of-eps",
-              step_multiple_of_eps(stp, eps),
+              eps.count > 0 and stp.count % eps.count == 0,
               {"stp": str(stp), "eps": str(eps)}),
         check("step divides the range bound", "step.divides-sup",
               stp.count > 0 and stp.profile.sup_count % stp.count == 0,
@@ -99,11 +99,6 @@ def validate_step(stp: FixVal, eps: FixVal) -> VerifyReport:
               stp.count >= 2, {"stp_count": stp.count}),
     )
     return VerifyReport(f"step stp={stp} eps={eps}", checks)
-
-
-def step_multiple_of_eps(stp: FixVal, eps: FixVal) -> bool:
-    """Rule step.multiple-of-eps: eps is positive and divides stp."""
-    return eps.count > 0 and stp.count % eps.count == 0
 
 
 def table_indices(profile: FixProfile, stp_count: int) -> range:

@@ -16,8 +16,9 @@ each iterate once as its integer pair from the seed on, and each pass's
 correction as a Correction of integer factors.  The grid variants return
 a GridTrace, which holds only the radicand, the seed count and each
 iterate count (flt_sqr's is the record of the loop it ran on its
-radicand).  Both build their per-pass view, in one TraceStep form, when
-a reader asks for it, so a request builds no record that nothing reads.
+radicand).  Readers read those integers; a request builds no record that
+nothing reads.  Each record's steps view, in one TraceStep form, is kept
+for the benchmark's tracer.
 
 Each exact variant is one request pass, _exact_request, and one call of
 the exact loop, _exact_run: n passes for fsqr_exact, the until-loop for
@@ -52,9 +53,8 @@ from .exact import (_lowest_terms, _radicand, _rat_text, _sqrt_sign,
                     cmp_sqrt, encode_int, fraction_from_coprime, halves)
 from .fixarith import (FixProfile, FixVal, _newton_step, fix_mul,
                        require_same_grid)
-from .floatmodel import FloatProfile, FloatVal, _require_base, compose
-from .lut import (RootTable, _check_table_config, _env_limit, _seed_count,
-                  step_multiple_of_eps)
+from .floatmodel import FloatProfile, FloatVal, _require_profile, compose
+from .lut import RootTable, _check_table_config, _env_limit, _seed_count
 
 ENV_MAX_BITS = "CERTISQRT_MAX_BITS"
 DEFAULT_MAX_BITS = 1 << 21
@@ -112,11 +112,15 @@ class Correction(NamedTuple):
 
 
 class TraceStep(NamedTuple):
-    """One loop pass as a record's view builds it: value before, the
+    """One loop pass as a record's steps view builds it: value before, the
     correction, value after.  An until-loop's exit pass records the
     correction that met the exit test, with x_after == x_before.
     sqr_exact corrections are signed; the seeded variants record the
-    directly computed non-negative correction, applied by subtraction."""
+    directly computed non-negative correction, applied by subtraction.
+
+    No module of the package reads it: the steps views and this form are
+    kept for perfbench/tracer.py, whose Newton probe reads them, until
+    the benchmark change that moves that probe onto the records."""
 
     k: int
     x_before: Fraction | FixVal
@@ -173,28 +177,15 @@ class GridTrace(NamedTuple):
     """A run of fix_sqr, mix_sqr or flt_sqr as it is recorded: the
     algorithm, its radicand y and counts, the seed count followed by each
     iterate count on the grid of y.  flt_sqr's y is the radicand the loop
-    ran on, and a zero input records y None and no counts.
+    ran on, and a zero input records y None and no counts.  So pass k
+    goes from counts[k] to counts[k + 1], and counts[-1] is the result.
 
-    n_planned, seed, final_x and steps are views with the values of the
-    Trace field and views of those names, built from the counts on every
-    read.
+    steps is a view, built from the counts on every read (see TraceStep).
     """
 
     algorithm: str
     y: FixVal | None
     counts: tuple[int, ...]
-
-    @property
-    def n_planned(self) -> int | None:
-        return len(self.counts) - 1 if self.counts else None
-
-    @property
-    def seed(self) -> FixVal | None:
-        return FixVal(self.counts[0], self.y.profile) if self.counts else None
-
-    @property
-    def final_x(self) -> FixVal | None:
-        return FixVal(self.counts[-1], self.y.profile) if self.counts else None
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -297,7 +288,7 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     _norm_factors, with no squaring (on pass 0, m is 1).  Each pass
     records its correction before its exit test, as the Correction of
     (c, m) over (2*b, p, q) with the carried content s, which only a
-    reader of the record's steps builds.  The exit test, 2*|ad| < eps, is
+    reader of its value builds.  The exit test, 2*|ad| < eps, is
     exact.halves on the factors of eps and of that record, the call the
     halving rules make on two corrections, which forms those products
     only when bit lengths and 128-bit brackets leave it open; a negative
@@ -490,7 +481,7 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
         require_same_grid(other, profile, "inputs belong to different grids")
     if eps.count <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
-    if not step_multiple_of_eps(table.stp, eps):
+    if table.stp.count % eps.count:
         raise DomainError("step configuration invalid: step.multiple-of-eps")
     n_min = _least_count(table.stp.count, eps.count)
     if mix:
@@ -577,10 +568,8 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
                       "table belongs to a different grid")
     if a.is_zero:
         return FloatVal.zero(), GridTrace("flt_sqr", None, ())
+    _require_profile(a, profile)
     man, e = a.man, a.exp
-    require_same_grid(man.profile, profile.fix,
-                      "input belongs to a different grid")
-    _require_base(a, profile)
     # an odd e runs on man*base at e - 1, and (e - 1)//2 == e//2
     y_fix = fix_mul(man, profile.base_fix) if e % 2 else man
     x, trace = _grid_newton("flt_sqr", y_fix, eps, table, mix=True)

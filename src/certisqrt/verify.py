@@ -27,7 +27,7 @@ from .exact import (
     within_of_sqrt,
 )
 from .fixarith import FixProfile, FixVal, require_same_grid
-from .floatmodel import FloatProfile, _require_base, value_of
+from .floatmodel import FloatProfile, _require_profile, value_of
 from .lut import (RootTable, build_root_table, first_bad_root,
                   round_up_to_step, sup_fn, validate_step)
 from .newton import (
@@ -184,9 +184,10 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
       (c1, c2) = float_bound(eps, exponent of y, base); a zero y passes
       exactly when x is zero.  The witness holds the bound or its terms.
 
-    fix without an integer n, or float without fprof, is a UsageError; a
-    float eps off fprof's grid, or a non-zero x or y of another base, is
-    refused with ProfileMismatch, as flt_sqr refuses it.
+    fix without an integer n, or float without fprof, is a UsageError.
+    A fix or mix x or eps off y's grid, or a float eps, or a non-zero
+    float x or y, off fprof's grid or base, is refused with
+    ProfileMismatch, as the run that made x refuses it.
     """
     rule, name = f"sqrt.{mode}-bound", f"{mode} result within its bound"
     if mode == "exact":
@@ -196,7 +197,7 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
             raise UsageError("a float verdict needs a float profile")
         require_same_grid(eps.profile, fprof.fix, "eps from another grid")
         for v in (y, x):
-            _require_base(v, fprof)
+            _require_profile(v, fprof)
         if y.is_zero:
             return check(name, rule, x.is_zero, {"zero": True})
         c1, c2 = float_bound(eps, y.exp, fprof.base)
@@ -205,6 +206,9 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
         return check(name, rule, ok, {"c1": c1, "c2": c2, "base": fprof.base})
     if mode not in ("fix", "mix"):
         raise UsageError(f"unknown sqrt mode {mode!r}")
+    for v in (x, eps):
+        require_same_grid(v.profile, y.profile,
+                          "inputs belong to different grids")
     if mode == "fix" and not isinstance(n, int):
         raise UsageError(f"a fix verdict needs an integer iteration count, "
                          f"got {n!r}")
@@ -236,10 +240,9 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
     exactly as fix_sqr refuses it."""
     profile = y.profile
     x_fix, fix_trace = fix_sqr(y, eps, table, n)
-    seed_value = fix_trace.seed.value
-    _, exact_trace = fsqr_exact(y.value, eps.value, seed_value, n)
-    exact_seq = exact_trace.iterates
     fix_seq = [FixVal(c, profile) for c in fix_trace.counts]
+    _, exact_trace = fsqr_exact(y.value, eps.value, fix_seq[0].value, n)
+    exact_seq = exact_trace.iterates
     delta = profile.delta
     records = tuple(AdjustmentRecord(k, xe, xf, abs(xe - xf.value), k * delta)
                     for k, (xe, xf) in enumerate(zip(exact_seq, fix_seq)))
@@ -414,7 +417,10 @@ def run_sqr_suite(inputs: Sequence[tuple[Fraction, Fraction]]) -> VerifyReport:
 def run_fsqr_suite(table: RootTable, eps: FixVal,
                    ys: Sequence[FixVal]) -> VerifyReport:
     """fsqr_exact with table-derived seeds and minimal legal iteration
-    counts over grid inputs."""
+    counts over grid inputs; an eps off the table's grid is a
+    ProfileMismatch."""
+    require_same_grid(eps.profile, table.profile,
+                      "accuracy belongs to a different grid")
     checks = []
     for y in ys:
         y_val = y.value

@@ -69,7 +69,7 @@ def test_criterion_2_halving(sqr_corpus):
     runs, _ = sqr_corpus
     failures = 0
     for _y, _eps, trace, _p, _c in runs:
-        ds = [s.correction for s in trace.steps]
+        ds = [c.value() for c in trace.corrections]
         for prev, cur in zip(ds, ds[1:]):
             # 2*|cur| < |prev| as 2*|cur.num|*prev.den < |prev.num|*cur.den
             if prev == 0 or not _product_lt(
@@ -77,7 +77,7 @@ def test_criterion_2_halving(sqr_corpus):
                     abs(prev.numerator), cur.denominator):
                 failures += 1
     _report(2, "every consecutive correction pair halves", failures == 0,
-            f"{sum(len(r[2].steps) for r in runs)} corrections")
+            f"{sum(len(r[2].corrections) for r in runs)} corrections")
 
 
 def test_criterion_3_for_loop_half_eps(demo_scan, demo_table, demo_eps):

@@ -437,7 +437,12 @@ class TestGoldenDigests:
         (["--mode", "exact", "--value", "2", "--eps", "1/100"],
          "b329f41c01e73dd4963c3d85f6ae862bbdc18719bbbe7c67c1bea9dd7215d45e",
          "65fbc28f3d5b13b4f11d269e11d0f2c2866b644913be339d8edf7695e47fb5ec"),
-    ], ids=["mix", "fix", "float", "float-zero", "exact"])
+        # a 52,397-bit result, whose long parts are written in hex; taken
+        # while trace_rows still read the steps view
+        (["--mode", "exact", "--value", "99999989/991", "--eps", "1/1000"],
+         "e38aeb007cfc00e2d298eeea540eeadcf02074440b17b0e7aa86c9982157453a",
+         "817ac6c638d58fbdc6796f940584abfc51fe51e02ad1ec6bd6ec4f624f971f75"),
+    ], ids=["mix", "fix", "float", "float-zero", "exact", "exact-long"])
     def test_sqrt_trace_bytes(self, demo_profile_path, demo_table_path,
                               tmp_path, args, csv_digest, json_digest):
         for suffix, expected in (("csv", csv_digest), ("json", json_digest)):

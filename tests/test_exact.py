@@ -80,8 +80,7 @@ class TestFilteredCmpSqrt:
         runs, _ = sqr_corpus
         filtered = 0
         for y, _eps, trace, _post, _cap in runs:
-            xs = [s.x_before for s in trace.steps] + [trace.final_x]
-            for x in xs:
+            for x in trace.iterates:
                 assert cmp_sqrt(x, y) == reference_cmp(x, y), (y, x)
                 filtered += x.denominator.bit_length() \
                     > 2 * exact._FILTER_BITS

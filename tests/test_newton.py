@@ -1,6 +1,5 @@
 import copy
 import hashlib
-import itertools
 import math
 import pickle
 import random
@@ -67,42 +66,47 @@ epss = st.fractions(min_value=F(1, 1000), max_value=F(1),
                     max_denominator=1000)
 
 
+def _values(trace):
+    """Each pass's correction of an exact run, as a Fraction."""
+    return [c.value() for c in trace.corrections]
+
+
 class TestSqrExact:
     def test_trivial_one(self):
         x, trace = sqr_exact(F(1), F(1, 10))
         assert x == 1
-        assert len(trace.steps) == 1
-        assert trace.steps[0].correction == 0
+        assert len(trace.corrections) == 1
+        assert trace.corrections[0].value() == 0
 
     def test_four_coarse(self):
         x, trace = sqr_exact(F(4), F(1, 2))
         assert x == F(41, 20)
-        assert [s.correction for s in trace.steps] == \
-            [F(-3, 2), F(-9, 20), F(-81, 1640)]
-        # the last recorded correction met the exit test
-        assert abs(trace.steps[-1].correction) < F(1, 4)
-        assert trace.steps[-1].x_after == trace.steps[-1].x_before
+        assert _values(trace) == [F(-3, 2), F(-9, 20), F(-81, 1640)]
+        # the last recorded correction met the exit test and added no
+        # iterate
+        assert abs(trace.corrections[-1].value()) < F(1, 4)
+        assert len(trace.pairs) == len(trace.corrections)
 
     def test_two_fine(self):
         x, trace = sqr_exact(F(2), F(1, 100))
         assert x == F(17, 12)
-        assert [s.correction for s in trace.steps] == \
-            [F(-1, 2), F(-1, 12), F(-1, 408)]
+        assert _values(trace) == [F(-1, 2), F(-1, 12), F(-1, 408)]
 
     def test_exit_tie_is_applied(self):
         # the first correction is exactly -eps/2: |d| < eps/2 fails there
         x, trace = sqr_exact(F(4), F(3))
-        assert len(trace.steps) == 2
-        assert trace.steps[0].correction == -F(3) / 2
-        assert trace.steps[0].x_after == F(5, 2)
-        assert x == F(5, 2) == trace.steps[1].x_after
-        assert trace.steps[1].correction == F(-9, 20)
+        assert len(trace.corrections) == 2
+        assert trace.corrections[0].value() == -F(3) / 2
+        assert trace.iterates == (F(4), F(5, 2))
+        assert x == F(5, 2) == trace.iterates[-1]
+        assert trace.corrections[1].value() == F(-9, 20)
 
     def test_c_style_applies_final_correction(self):
         x_flow, _ = sqr_exact(F(4), F(1, 2))
         x_c, trace = sqr_exact(F(4), F(1, 2), c_style=True)
         assert x_c == x_flow + F(-81, 1640)
-        assert trace.steps[-1].x_after != trace.steps[-1].x_before
+        # the exit pass added its iterate
+        assert len(trace.pairs) == len(trace.corrections) + 1
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -115,15 +119,15 @@ class TestSqrExact:
     def test_postcondition_and_invariant(self, y, eps):
         x, trace = sqr_exact(y, eps)
         assert within_of_sqrt(x, y, eps)
-        for s in trace.steps:
-            assert cmp_sqrt(s.x_before, y) >= 0
-            assert s.x_before <= y
+        for x_k in trace.iterates:
+            assert cmp_sqrt(x_k, y) >= 0
+            assert x_k <= y
 
     @given(ys.filter(lambda v: v > 1), epss)
     @settings(max_examples=60, deadline=None)
     def test_halving(self, y, eps):
         _, trace = sqr_exact(y, eps)
-        ds = [s.correction for s in trace.steps]
+        ds = _values(trace)
         for prev, cur in zip(ds, ds[1:]):
             assert 2 * abs(cur) < abs(prev)
 
@@ -132,18 +136,18 @@ class TestIsqrExact:
     def test_exact_seed_exits_immediately(self):
         x, trace = isqr_exact(F(4), F(1, 10), F(2))
         assert x == 2
-        assert len(trace.steps) == 1
+        assert len(trace.corrections) == 1
 
     def test_table_like_seed(self):
         x, trace = isqr_exact(F(3), F(1, 10), F(174, 100))
         assert x == F(174, 100)  # AD ~ 0.0079 < 0.05 at entry
-        assert len(trace.steps) == 1
+        assert len(trace.corrections) == 1
 
     def test_degenerate_seed_y(self):
         x, trace = isqr_exact(F(3), F(1, 10), F(3))
         assert x == F(7, 4)
-        applied = [s.correction for s in trace.steps if
-                   s.x_after != s.x_before]
+        # each pass but the exit added an iterate
+        applied = _values(trace)[:len(trace.pairs) - 1]
         assert applied == [F(1), F(1, 4)]
 
     def test_seed_contract_enforced(self):
@@ -170,7 +174,7 @@ class TestIsqrExact:
         seed_val = min(sqrt_enclosure(y, 8).hi, y)
         cap = min_legal_iterations(y, eps, seed_val)
         _, trace = isqr_exact(y, eps, seed_val)
-        applied = sum(1 for s in trace.steps if s.x_after != s.x_before)
+        applied = len(trace.pairs) - 1
         assert applied <= cap
 
 
@@ -213,7 +217,7 @@ class TestMinIterations:
 class TestFsqrExact:
     def test_zero_iterations_with_exact_seed(self):
         x, trace = fsqr_exact(F(4), F(1, 4), F(2), 0)
-        assert x == 2 and trace.steps == ()
+        assert x == 2 and trace.corrections == () and trace.pairs == ((2, 1),)
 
     def test_single_step(self):
         x, _ = fsqr_exact(F(3), F(1, 4), F(174, 100), 1)
@@ -232,7 +236,7 @@ class TestFsqrExact:
 
     def test_planned_steps_recorded(self):
         _, trace = fsqr_exact(F(3), F(1, 4), F(3), 4)
-        assert trace.n_planned == 4 and len(trace.steps) == 4
+        assert trace.n_planned == 4 and len(trace.corrections) == 4
 
     @given(ys.filter(lambda v: v > 1), epss, st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -258,7 +262,8 @@ class TestFsqrExact:
         seed_val = min(sqrt_enclosure(y, 8).hi, y)
         n = min_legal_iterations(y, eps, seed_val)
         _, trace = fsqr_exact(y, eps, seed_val, n)
-        seq = [trace.seed] + [s.x_after for s in trace.steps]
+        seq = trace.iterates
+        assert len(seq) == n + 1
         for k, xk in enumerate(seq):
             if k == 0:
                 assert xk == seed_val
@@ -426,7 +431,7 @@ class TestFixSqr:
     def test_three(self, demo_profile, demo_table, demo_eps):
         x, trace = fix_sqr(demo_profile.val(300), demo_eps, demo_table, 1)
         assert x.count == 173
-        assert trace.seed.count == 174
+        assert trace.counts[0] == 174
         assert within_of_sqrt(x.value, F(3), F(1, 8) + F(1, 100), strict=True)
 
     def test_exact_square_is_fixed_point(self, demo_profile, demo_table,
@@ -437,7 +442,7 @@ class TestFixSqr:
 
     def test_two(self, demo_profile, demo_table, demo_eps):
         x, trace = fix_sqr(demo_profile.val(200), demo_eps, demo_table, 1)
-        assert trace.seed.count == 142
+        assert trace.counts[0] == 142
         assert x.count == 141
 
     def test_preconditions(self, demo_profile, demo_table, demo_eps):
@@ -451,8 +456,7 @@ class TestFixSqr:
 
     def test_trace_shape(self, demo_profile, demo_table, demo_eps):
         _, trace = fix_sqr(demo_profile.val(300), demo_eps, demo_table, 4)
-        assert trace.n_planned == 4
-        assert len(trace.steps) == 4
+        assert len(trace.counts) == 4 + 1
         assert trace.algorithm == "fix_sqr"
 
 
@@ -461,7 +465,7 @@ class TestMixSqr:
         x, trace = mix_sqr(demo_profile.val(300), demo_eps, demo_table)
         assert x.count == 173
         assert trace.algorithm == "mix_sqr"
-        assert trace.n_planned == 1
+        assert len(trace.counts) == 1 + 1
         assert within_of_sqrt(x.value, F(3), demo_eps.value, strict=True)
 
     def test_exact_square(self, demo_profile, demo_table, demo_eps):
@@ -681,29 +685,22 @@ def _flt_loop_input(a, fprof):
     return man, e
 
 
-def eager_grid_views(algorithm, y, eps, stp, n=None):
-    """seed, final_x and steps of a fix_sqr or mix_sqr run as the grid
-    loop built them eagerly, one TraceStep per pass, from the reference
-    loop's iterates."""
+def eager_grid_steps(algorithm, y, eps, stp, n=None):
+    """The steps of a fix_sqr or mix_sqr run as the grid loop built them
+    eagerly, one TraceStep per pass, from the reference loop's
+    iterates."""
     profile = y.profile
     _, xs = _reference_iterates(algorithm, y, eps, stp, n)
-    steps = tuple(TraceStep(k, _on_grid(x, profile), x_new - x,
-                            _on_grid(x_new, profile))
-                  for k, (x, x_new) in enumerate(zip(xs, xs[1:])))
-    return {"seed": _on_grid(xs[0], profile),
-            "final_x": _on_grid(xs[-1], profile), "steps": steps}
+    return tuple(TraceStep(k, _on_grid(x, profile), x_new - x,
+                           _on_grid(x_new, profile))
+                 for k, (x, x_new) in enumerate(zip(xs, xs[1:])))
 
 
-def eager_flt_views(a, eps, fprof, stp):
-    """The views of flt_sqr's eager record on a positive a: those of the
+def eager_flt_steps(a, eps, fprof, stp):
+    """The steps of flt_sqr's eager record on a positive a: those of the
     loop on its radicand."""
     y, _ = _flt_loop_input(a, fprof)
-    return eager_grid_views("flt_sqr", y, eps, stp)
-
-
-def _views(trace):
-    return {name: getattr(trace, name)
-            for name in ("seed", "final_x", "steps")}
+    return eager_grid_steps("flt_sqr", y, eps, stp)
 
 
 def _outcome(fn, *args):
@@ -823,9 +820,9 @@ def _count_records(monkeypatch) -> Counter:
 
 
 class TestGridTraceViews:
-    """A grid run records its iterate counts; the seed, final_x and steps
-    built from them on read equal the fields the loop used to build
-    eagerly, one TraceStep and one correction Fraction per pass."""
+    """A grid run records its iterate counts; the steps built from them
+    on read equal the field the loop used to build eagerly, one
+    TraceStep and one correction Fraction per pass."""
 
     def test_demo_fix_and_mix(self, demo_profile, demo_table, demo_eps):
         stp = demo_table.stp
@@ -834,11 +831,11 @@ class TestGridTraceViews:
             y = demo_profile.val(count)
             for n in range(1, 7):
                 _, trace = fix_sqr(y, demo_eps, demo_table, n)
-                if _views(trace) != eager_grid_views("fix_sqr", y, demo_eps,
-                                                     stp, n):
+                if trace.steps != eager_grid_steps("fix_sqr", y, demo_eps,
+                                                   stp, n):
                     bad.append((count, n))
             _, trace = mix_sqr(y, demo_eps, demo_table)
-            if _views(trace) != eager_grid_views("mix_sqr", y, demo_eps, stp):
+            if trace.steps != eager_grid_steps("mix_sqr", y, demo_eps, stp):
                 bad.append((count, "mix"))
         assert bad == []
 
@@ -854,50 +851,52 @@ class TestGridTraceViews:
                 except CertisqrtError:
                     continue
                 ran += 1
-                if _views(trace) != eager_flt_views(a, demo_eps,
-                                                    demo_float_profile,
-                                                    demo_table.stp):
+                if trace.steps != eager_flt_steps(a, demo_eps,
+                                                  demo_float_profile,
+                                                  demo_table.stp):
                     bad.append((count, e))
         assert bad == [] and ran > 3000
         _, trace = flt_sqr(FloatVal.zero(), demo_eps, demo_float_profile,
                            demo_table)
-        assert _views(trace) == {"seed": None, "final_x": None, "steps": ()}
+        assert trace.steps == ()
         assert trace.counts == () and trace.y is None
 
     def test_corrupted_record_changes_views(self, demo_profile, demo_eps,
                                             demo_table):
-        # negative control: every count feeds the views that read it
+        # negative control: every count feeds the steps that read it,
+        # the one that leaves it and the one that reaches it
         y = demo_profile.val(300)
         _, trace = fix_sqr(y, demo_eps, demo_table, 3)
-        want = eager_grid_views("fix_sqr", y, demo_eps, demo_table.stp, 3)
-        assert _views(trace) == want
-        last = len(trace.counts) - 1
-        for i in range(last + 1):
+        want = eager_grid_steps("fix_sqr", y, demo_eps, demo_table.stp, 3)
+        assert trace.steps == want
+        passes = len(trace.counts) - 1
+        for i in range(passes + 1):
             counts = list(trace.counts)
             counts[i] += 1
-            got = _views(trace._replace(counts=tuple(counts)))
-            assert got["steps"] != want["steps"]
-            assert (got["seed"] != want["seed"]) == (i == 0)
-            assert (got["final_x"] != want["final_x"]) == (i == last)
+            got = trace._replace(counts=tuple(counts)).steps
+            assert [g != w for g, w in zip(got, want, strict=True)] == \
+                [i in (k, k + 1) for k in range(passes)]
 
     def test_record_fields(self, demo_profile, demo_eps, demo_float_profile,
                            demo_table):
-        """A grid record holds the algorithm, y and the counts; n_planned
-        is the number of passes the counts show, None for a zero float."""
+        """A grid record holds the algorithm, y and the counts, and no
+        view but steps; the counts show the passes made, none for a zero
+        float."""
         assert GridTrace._fields == ("algorithm", "y", "counts")
+        assert not {"n_planned", "seed", "final_x"} & set(dir(GridTrace))
         y = demo_profile.val(300)
         for n in range(1, 5):
             _, trace = fix_sqr(y, demo_eps, demo_table, n)
-            assert trace.n_planned == len(trace.counts) - 1 == n
+            assert len(trace.counts) - 1 == n
+        n_min = min_iterations_for_step(demo_table.stp, demo_eps)
         _, trace = mix_sqr(y, demo_eps, demo_table)
-        assert trace.n_planned == len(trace.counts) - 1 == \
-            min_iterations_for_step(demo_table.stp, demo_eps)
+        assert len(trace.counts) - 1 == n_min
         _, trace = flt_sqr(compose(y, 3, demo_float_profile), demo_eps,
                            demo_float_profile, demo_table)
-        assert trace.n_planned == len(trace.counts) - 1
+        assert len(trace.counts) - 1 == n_min
         _, trace = flt_sqr(FloatVal.zero(), demo_eps, demo_float_profile,
                            demo_table)
-        assert trace.n_planned is None
+        assert trace.counts == ()
 
     @pytest.mark.parametrize("mode", ["fix", "mix", "flt"])
     def test_request_builds_no_step_record(self, monkeypatch, mode):
@@ -915,7 +914,7 @@ class TestGridTraceViews:
             _, trace = fix_sqr(fix.val(6434), eps, table, 3)
         assert built == Counter()
         steps = trace.steps
-        assert len(steps) == trace.n_planned >= 2
+        assert len(steps) == len(trace.counts) - 1 >= 2
         assert built == Counter(TraceStep=len(steps), Fraction=len(steps))
 
 
@@ -943,20 +942,19 @@ class TestGridInputs:
 
 
 class ExactViews(NamedTuple):
-    """What a Trace shows through its fields and views."""
+    """What a Trace records, each iterate and correction as a Fraction."""
 
     algorithm: str
     y: tuple[int, int]
     eps: tuple[int, int]
     n_planned: int | None
-    seed: F
-    steps: tuple[TraceStep, ...]
-    final_x: F
+    iterates: tuple[F, ...]
+    corrections: tuple[F, ...]
 
 
 def exact_views(trace):
     return ExactViews(trace.algorithm, trace.y, trace.eps, trace.n_planned,
-                      trace.seed, trace.steps, trace.final_x)
+                      trace.iterates, tuple(_values(trace)))
 
 
 def viewed(run, *args):
@@ -965,11 +963,21 @@ def viewed(run, *args):
     return x, exact_views(trace)
 
 
+def eager_steps(views):
+    """The TraceSteps of a reference run, as a loop that built its steps
+    eagerly held them: pass k from iterate k to iterate k + 1, an
+    until-loop's exit pass from the last iterate to itself."""
+    xs, last = views.iterates, len(views.iterates) - 1
+    return tuple(TraceStep(k, xs[k], d, xs[min(k + 1, last)])
+                 for k, d in enumerate(views.corrections))
+
+
 def reference_exact_run(algorithm, y, eps, seed=None, n=None,
                         c_style=False):
     """sqr_exact(y, eps, c_style), isqr_exact(y, eps, seed) or
     fsqr_exact(y, eps, seed, n) in plain Fraction arithmetic, with its
-    record's ExactViews: the correction d := (y - x*x)/(2x) formed as
+    record's ExactViews: each iterate from the seed on, and each pass's
+    correction d := (y - x*x)/(2x) formed as
     written, the exit rules of the docstrings, the refusals in their
     order.  It calls nothing in certisqrt.exact or newton's step, so it
     checks them."""
@@ -987,12 +995,12 @@ def reference_exact_run(algorithm, y, eps, seed=None, n=None,
         raise SeedContractError(
             f"seed {seed} violates sqrt({y}) <= seed <= {y}")
     x = y if seed is None else seed
-    steps = []
+    xs, ds = [x], []
 
     def views(n_planned=None):
         return x, ExactViews(algorithm, (y.numerator, y.denominator),
                              (eps.numerator, eps.denominator), n_planned,
-                             y if seed is None else seed, tuple(steps), x)
+                             tuple(xs), tuple(ds))
 
     if algorithm == "fsqr_exact":
         # legal when seed - eps*2**(n-1) <= sqrt(y)
@@ -1000,30 +1008,31 @@ def reference_exact_run(algorithm, y, eps, seed=None, n=None,
         if t > 0 and t * t > y:
             raise IterationBudgetError(
                 f"n={n} below the legal minimum for seed {seed}")
-        for k in range(n):
+        for _ in range(n):
             d = (y - x * x) / (2 * x)
-            steps.append(TraceStep(k, x, -d, x + d))
+            ds.append(-d)
             x += d
+            xs.append(x)
         return views(n)
-    for k in itertools.count():
+    while True:
         d = (y - x * x) / (2 * x)
         if algorithm == "sqr_exact":
             # exit when |d| < eps/2, c_style after applying d
             stop = abs(d) < eps / 2
+            ds.append(d)
             if stop and not c_style:
-                steps.append(TraceStep(k, x, d, x))
                 break
-            steps.append(TraceStep(k, x, d, x + d))
             x += d
+            xs.append(x)
             if stop:
                 break
         else:
             # the magnitude ad = -d is recorded and subtracted
+            ds.append(-d)
             if -d < eps / 2:
-                steps.append(TraceStep(k, x, -d, x))
                 break
-            steps.append(TraceStep(k, x, -d, x + d))
             x += d
+            xs.append(x)
     return views()
 
 
@@ -1075,14 +1084,15 @@ class TestExactLoopMatchesReference:
         runs = [reference_exact_run("sqr_exact", y, tiny)[1]]
         runs += [reference_exact_run("isqr_exact", y, tiny, s)[1]
                  for s in seeds]
-        ties = {2 * abs(step.correction) for run in runs for step in run.steps}
+        ties = {2 * abs(d) for run in runs for d in run.corrections}
         assert _mismatches([case for eps in sorted(ties)
                             for case in _exact_cases(y, eps, seeds, [0, 1])
                             ]) == []
 
 
 def _pass_views(trace):
-    return [(s.x_before, s.x_after, abs(s.correction)) for s in trace.steps]
+    """The iterates of an exact run and each pass's |correction|."""
+    return trace.iterates, [abs(d) for d in _values(trace)]
 
 
 def _outcome_line(fn, *args):
@@ -1092,10 +1102,14 @@ def _outcome_line(fn, *args):
         x, trace = fn(*args)
     except CertisqrtError as exc:
         return f"{type(exc).__name__}: {exc}"
-    steps = " ".join(f"{s.k}:{rat_str(s.x_before)}:{rat_str(s.correction)}:"
-                     f"{rat_str(s.x_after)}" for s in trace.steps)
+    # pass k leaves iterate k for the next, an until-loop's exit pass
+    # for none
+    xs = [rat_str(q) for q in trace.iterates]
+    ends = xs[1:] + xs[-1:] * (len(trace.corrections) + 1 - len(xs))
+    steps = " ".join(f"{k}:{xs[k]}:{rat_str(d)}:{end}"
+                     for k, (d, end) in enumerate(zip(_values(trace), ends)))
     return (f"{rat_str(x)} {trace.algorithm} {trace.n_planned} "
-            f"{rat_str(trace.seed)} {steps}")
+            f"{xs[0]} {steps}")
 
 
 class TestExactFamilyDigest:
@@ -1379,8 +1393,7 @@ class TestExactStep:
         # negative norm, and ad < eps/2 holds at once
         x, trace = newton._exact_run("isqr_exact", F(2), F(1, 100), F(1))
         assert x == 1
-        assert [(s.x_before, s.correction, s.x_after)
-                for s in trace.steps] == [(1, F(-1, 2), 1)]
+        assert trace.iterates == (1,) and _values(trace) == [F(-1, 2)]
 
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_until_loop_exit_builds_no_iterate(self, monkeypatch, y, eps):
@@ -1388,29 +1401,32 @@ class TestExactStep:
         # Fraction, its result
         built = _count_built(monkeypatch)
         x, trace = sqr_exact(y, eps)
-        assert len(trace.steps) >= 2
-        assert len(trace.pairs) == len(trace.steps)
+        assert len(trace.corrections) >= 2
+        assert len(trace.pairs) == len(trace.corrections)
         assert built == [max(x.numerator.bit_length(),
                              x.denominator.bit_length())]
         built.clear()
         _, trace = isqr_exact(y, eps, y)
-        assert len(trace.pairs) == len(trace.steps) and len(built) == 1
+        assert len(trace.pairs) == len(trace.corrections) and len(built) == 1
 
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_applied_passes_build_their_iterates(self, monkeypatch, y, eps):
-        # each applied pass stores its iterate as a pair, which the steps
-        # view builds; the run itself builds only the last, its result
+        # each applied pass stores its iterate as a pair, the iterate
+        # before it plus its correction; the run itself builds only the
+        # last, its result
         built = _count_built(monkeypatch)
         x, trace = sqr_exact(y, eps, c_style=True)
         assert len(built) == 1
-        assert len(trace.pairs) == len(trace.steps) + 1
-        assert x == trace.steps[-1].x_after != trace.steps[-1].x_before
-        assert [s.x_after for s in trace.steps] == list(trace.iterates[1:])
+        xs = trace.iterates
+        assert len(xs) == len(trace.corrections) + 1
+        assert x == xs[-1] != xs[-2]
+        assert [x_k + d for x_k, d in zip(xs, _values(trace))] == \
+            list(xs[1:])
         built.clear()
         # with eps = y every count is legal
         x, trace = fsqr_exact(y, y, y, 4)
         assert len(built) == 1 and len(trace.pairs) == 5
-        assert x == trace.steps[-1].x_after
+        assert x == trace.iterates[-1]
 
 
 class TestExactTraceJoins:
@@ -1478,13 +1494,13 @@ class TestExitCorrectionBuiltWhenRead:
     @settings(max_examples=60, deadline=None)
     def test_first_read(self, y, eps):
         for trace, want in _until_runs(y, eps):
-            d, eager = trace.steps[-1].correction, want.steps[-1].correction
+            d, eager = trace.steps[-1].correction, want.corrections[-1]
             assert type(d) is F
             assert d.denominator > 0
             assert math.gcd(d.numerator, d.denominator) == 1
             assert (d.numerator, d.denominator) == \
                 (eager.numerator, eager.denominator)
-            assert trace.steps == want.steps
+            assert trace.steps == eager_steps(want)
 
     @given(ys, epss)
     @example(F(2), F(1, 10 ** 6))
@@ -1495,7 +1511,7 @@ class TestExitCorrectionBuiltWhenRead:
         built step's, _replace for dataclasses.replace, and no field
         assignment."""
         for trace, want in _until_runs(y, eps):
-            step, eager = trace.steps[-1], want.steps[-1]
+            step, eager = trace.steps[-1], eager_steps(want)[-1]
             assert step == eager and eager == step
             assert hash(step) == hash(eager)
             assert _result_or_refusal(repr, step) == \
@@ -1519,7 +1535,7 @@ class TestExitCorrectionBuiltWhenRead:
         for trace, want in _until_runs(y, eps):
             record = trace.corrections[-1]
             assert type(record) is newton.Correction
-            d, eager = record.value(), want.steps[-1].correction
+            d, eager = record.value(), want.corrections[-1]
             assert type(d) is F
             assert (d.numerator, d.denominator) == \
                 (eager.numerator, eager.denominator)
@@ -1528,15 +1544,15 @@ class TestExitCorrectionBuiltWhenRead:
 
     def test_factors_without_building(self, monkeypatch):
         _, trace = isqr_exact(F(2), F(1, 10 ** 6), F(3, 2))
-        steps = trace.steps
+        values = _values(trace)
 
         def refuse(record):
             raise AssertionError("factors() built the correction")
 
         monkeypatch.setattr(newton.Correction, "value", refuse)
         factors = [record.factors() for record in trace.corrections]
-        for (num, den), step in zip(factors, steps, strict=True):
-            assert F(math.prod(num), math.prod(den)) == abs(step.correction)
+        for (num, den), d in zip(factors, values, strict=True):
+            assert F(math.prod(num), math.prod(den)) == abs(d)
         # every pass's factors are (c, m, m) of its iterate's norm over
         # (2*b, p, q), here b = 1
         for k, (num, den) in enumerate(factors):
@@ -1730,12 +1746,12 @@ class TestOperandCap:
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_bound_covers_the_pair(self, y, eps):
         _, trace = sqr_exact(y, eps, c_style=True)
-        for step in trace.steps:
-            p, q = step.x_before.numerator, step.x_before.denominator
+        for x in trace.iterates[:len(trace.corrections)]:
+            p, q = x.numerator, x.denominator
             bpp, aqq = y.denominator * p * p, y.numerator * q * q
             longest = max((bpp + aqq).bit_length(),
                           (2 * y.denominator * p * q).bit_length())
-            assert longest <= _pass_bits(y, step.x_before)
+            assert longest <= _pass_bits(y, x)
 
     @pytest.mark.parametrize("y, eps, seed",
                              [(y, eps, y) for y, eps in EXIT_RUNS]
@@ -1747,20 +1763,19 @@ class TestOperandCap:
             with pytest.MonkeyPatch.context() as mp:
                 (trace,), passes, updates = _recorded(mp, run)
             # pass k >= 1 splits the norm after its own cap test
-            assert len(updates) == len(trace.steps) - 1
-            for (norm, g, b), step in zip(updates, trace.steps[1:]):
+            assert len(updates) == len(trace.corrections) - 1
+            for (norm, g, b), x in zip(updates, trace.iterates[1:]):
                 h = math.gcd(norm, g)
                 formed = (h, g // h, (g // h) ** 2, b // (g // h) ** 2,
                           abs(norm) // h)
-                assert formed[-2] * formed[-1] ** 2 == \
-                    _norm_of(y, step.x_before)
+                assert formed[-2] * formed[-1] ** 2 == _norm_of(y, x)
                 assert max(abs(v).bit_length() for v in formed) \
-                    <= _pass_bits(y, step.x_before)
+                    <= _pass_bits(y, x)
             # an applied pass forms c*m and the norm c*m*m; reading a
             # correction record forms its c*m*m, the product of its first
             # two denominator factors, then of all, the gcd against s and
             # the two quotients
-            assert len(passes) == len(trace.steps)
+            assert len(passes) == len(trace.corrections)
             for _, x, c, m, ad in passes:
                 num, den = ad.c * ad.m * ad.m, math.prod(ad.den)
                 g = math.gcd(num, ad.s)
@@ -1780,7 +1795,8 @@ class TestOperandCap:
         for run in runs.values():
             monkeypatch.delenv("CERTISQRT_MAX_BITS", raising=False)
             x, trace = run()
-            bits = [_pass_bits(y, step.x_before) for step in trace.steps]
+            bits = [_pass_bits(y, x_k) for x_k
+                    in trace.iterates[:len(trace.corrections)]]
             cap = max(bits)
             monkeypatch.setenv("CERTISQRT_MAX_BITS", str(cap))
             assert run() == (x, trace)

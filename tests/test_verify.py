@@ -109,7 +109,7 @@ def with_extra_passes(trace, count, lo):
     x going seed -> lo -> seed and so on (so every boundary stays in
     [lo, seed]); each correction is three times the next, the last three
     times the run's first."""
-    seed, first = trace.pairs[0], trace.steps[0].correction
+    seed, first = trace.pairs[0], trace.corrections[0].value()
     extra = tuple(record_of(first * 3 ** (count - j)) for j in range(count))
     return trace._replace(pairs=(seed, pair(lo)) * (count // 2) + trace.pairs,
                           corrections=extra + trace.corrections)
@@ -278,7 +278,7 @@ class TestCheckIsqr:
 
     def test_tied_correction_fails_only_halving(self):
         trace = self.run()
-        bad = with_correction(trace, 2, trace.steps[1].correction / 2)
+        bad = with_correction(trace, 2, trace.corrections[1].value() / 2)
         rules, failures = self.failed(bad)
         assert rules == {"isqr.halving"}
         assert failures[0].witness["i"] == 1
@@ -312,7 +312,7 @@ LONG_Y, LONG_EPS = F(99999989, 991), F(1, 999999)
 @pytest.fixture(scope="module")
 def long_corrections():
     _, trace = sqr_exact(LONG_Y, LONG_EPS)
-    return [s.correction for s in trace.steps]
+    return [record.value() for record in trace.corrections]
 
 
 def halves_q(prev, cur):
@@ -390,7 +390,7 @@ class TestHalves:
     ])
     def test_negative_controls(self, index, factor):
         _, trace = sqr_exact(LONG_Y, LONG_EPS)
-        prev = trace.steps[index - 1].correction
+        prev = trace.corrections[index - 1].value()
         bad = with_correction(trace, index, prev * factor)
         report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
         assert {c.rule for c in report.failures()} == {"sqr.halving"}
@@ -431,7 +431,7 @@ def _halving_agrees(trace):
     pairs = list(zip(range(len(factors)), range(1, len(factors))))
     pairs += [(j, i) for i, j in pairs]
     decided = [halves(factors[i], factors[j]) for i, j in pairs]
-    values = [s.correction for s in trace.steps]
+    values = [record.value() for record in trace.corrections]
     return decided == [fraction_halves(values[i], values[j])
                        for i, j in pairs]
 
@@ -489,7 +489,7 @@ class TestHalvingOnFactors:
             _, trace = sqr_exact(LONG_Y, LONG_EPS)
         else:
             _, trace = isqr_exact(LONG_Y, LONG_EPS, LONG_Y)
-        prev = trace.steps[-2].correction
+        prev = trace.corrections[-2].value()
         m = trace.corrections[-1].m
         assert m.bit_length() > 50_000
         up, down = scale
@@ -501,7 +501,7 @@ class TestHalvingOnFactors:
         report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
         assert {c.rule for c in report.failures()} == {f"{family}.halving"}
         witness = report.failures()[0].witness
-        f = len(trace.steps) - 1
+        f = len(trace.corrections) - 1
         assert witness == {"i": f - 1, "d_i": prev,
                            "d_next": F(sign * math.prod(num), math.prod(den))}
         assert 2 * abs(witness["d_next"]) == abs(prev) * F(up, down)
@@ -510,7 +510,7 @@ class TestHalvingOnFactors:
         # a forged exit correction one unit of its denominator below the
         # tie still halves
         _, trace = sqr_exact(LONG_Y, LONG_EPS)
-        prev = trace.steps[-2].correction
+        prev = trace.corrections[-2].value()
         record = Correction(-1, abs(prev.numerator) - 1, 1,
                             (2, prev.denominator, 1), 2)
         bad = _exit_forged(trace, record)
@@ -742,8 +742,8 @@ class TestApproxAbsErr:
 
     def test_matches_fraction_formula_on_corpus(self):
         for y, eps in sample_rationals(40, 1):
-            x, trace = sqr_exact(y, eps)
-            for q in [x] + [s.x_before for s in trace.steps]:
+            _, trace = sqr_exact(y, eps)
+            for q in trace.iterates:
                 assert approx_abs_err(q, y) == fraction_abs_err(q, y)
 
     @given(st.integers(1, 2 ** 64), st.integers(1, 2 ** 64),

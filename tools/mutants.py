@@ -31,6 +31,7 @@ STEP_TESTS = "tests/test_newton.py::TestExactStep::"
 DIGEST = "tests/test_newton.py::TestExactFamilyDigest"
 PRODUCT_TESTS = "tests/test_exact.py::TestCmpProducts::"
 CONTROL = "tests/test_rules.py::test_control"
+GRID_CONTROL = "tests/test_one_grid.py::test_control"
 ONE_FORM = "tests/test_newton.py::TestOneRecordForm::test_every_pass"
 
 
@@ -77,6 +78,9 @@ MUTANTS = (
            "except MemoryError as exc:  # stdout is a closed pipe",
            ("tests/test_cli.py::TestFailedWrites::test_closed_stdout",
             "tests/test_cli.py::TestFailedWrites::test_in_memory_stdout")),
+    Mutant("trace_rows writes its last row from the first iterate", CLI,
+           '**xs[-1], "correction": ""', '**xs[0], "correction": ""',
+           ("tests/test_cli.py::TestGoldenDigests::test_sqrt_trace_bytes",)),
     Mutant("_write without its OSError mapping", CLI,
            'newline="")\n    except OSError as exc:',
            'newline="")\n    except MemoryError as exc:',
@@ -247,6 +251,30 @@ MUTANTS = (
            "r.count - step <= u.count <= r.count",
            ("tests/test_verify.py::TestTableProperties::"
             "test_skipped_index_fails_only_round_up",)),
+    Mutant("sqrt_verdict takes fix and mix values from two grids", VERIFY,
+           "        require_same_grid(v.profile, y.profile,\n"
+           '                          "inputs belong to different grids")',
+           "        pass",
+           (GRID_CONTROL + "[verify.sqrt_verdict-mix-y-eps]",
+            GRID_CONTROL + "[verify.sqrt_verdict-fix-y]")),
+    Mutant("sqrt_verdict takes a float eps from another grid", VERIFY,
+           'require_same_grid(eps.profile, fprof.fix, "eps from another grid")',
+           "pass",
+           ("tests/test_verify.py::TestSqrtVerdict::"
+            "test_float_eps_from_another_grid",
+            GRID_CONTROL + "[verify.sqrt_verdict-float-eps]")),
+    Mutant("a float input's mantissa grid goes unchecked", FLOATMODEL,
+           "    require_same_grid(a.man.profile, profile.fix,\n"
+           '                      "input belongs to a different grid")',
+           "    pass",
+           ("tests/test_preconditions.py::"
+            "test_profile_mismatch_message[float-input]",
+            GRID_CONTROL + "[verify.sqrt_verdict-float-y]")),
+    Mutant("run_fsqr_suite takes an eps off the table's grid", VERIFY,
+           "    require_same_grid(eps.profile, table.profile,\n"
+           '                      "accuracy belongs to a different grid")',
+           "    pass",
+           (GRID_CONTROL + "[verify.run_fsqr_suite-eps]",)),
     Mutant("fsqr.progress read from x_before", VERIFY,
            "enumerate(xs[1:], 1)", "enumerate(xs[:-1], 1)",
            ("tests/test_verify.py::TestCheckFsqr::test_single_step_pass",)),
