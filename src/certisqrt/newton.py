@@ -12,10 +12,10 @@ Six variants share the iteration x -> (x + y/x)/2:
 Every run returns the result together with a record of its iterates;
 all correctness checks live in the verify module and operate on those
 records after the fact.  The exact variants return a Trace, which holds
-each iterate once as its integer pair from the seed on, and each pass's
-correction as a Correction of integer factors.  The grid variants return
-a GridTrace, which holds only the radicand, the seed count and each
-iterate count (flt_sqr's is the record of the loop it ran on its
+y, eps and each iterate from the seed on as integer pairs, and each
+pass's correction as a Correction of integer factors.  The grid variants
+return a GridTrace, which holds only the radicand, the seed count and
+each iterate count (flt_sqr's is the record of the loop it ran on its
 radicand).  Readers read those integers; a request builds no record that
 nothing reads.  Each record's steps view, in one TraceStep form, is kept
 for the benchmark's tracer.
@@ -137,12 +137,11 @@ class Trace(NamedTuple):
     each iterate once as its pair (p, q) in lowest terms from the seed
     on, and each loop pass's Correction.  A pass that applies its
     correction adds the next iterate; an until-loop's exit pass adds
-    none.  So each pass starts where the last one ended, and the last
-    iterate is the result.  Every part is an int, so a long run pickles
-    on every Python version, and its repr writes a long part as a hex
-    literal.
-
-    seed, final_x, iterates and steps are views, built on every read.
+    none.  So each pass starts where the last one ended, pairs[0] is the
+    seed, and pairs[-1] the result: a check reads nothing else.  Every
+    part is an int, so a long run pickles on every Python version, and
+    its repr writes a long part as a hex literal.  steps is a view, built
+    on every read (see TraceStep).
     """
 
     algorithm: str
@@ -153,20 +152,9 @@ class Trace(NamedTuple):
     corrections: tuple[Correction, ...]
 
     @property
-    def seed(self) -> Fraction:
-        return fraction_from_coprime(*self.pairs[0])
-
-    @property
-    def final_x(self) -> Fraction:
-        return fraction_from_coprime(*self.pairs[-1])
-
-    @property
-    def iterates(self) -> tuple[Fraction, ...]:
-        return tuple(fraction_from_coprime(p, q) for p, q in self.pairs)
-
-    @property
     def steps(self) -> tuple[TraceStep, ...]:
-        xs, last = self.iterates, len(self.pairs) - 1
+        xs = [fraction_from_coprime(p, q) for p, q in self.pairs]
+        last = len(xs) - 1
         return tuple(TraceStep(k, xs[k], ad.value(), xs[min(k + 1, last)])
                      for k, ad in enumerate(self.corrections))
 

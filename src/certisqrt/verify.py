@@ -4,9 +4,9 @@ Every function here consumes finished traces (or tables) and produces a
 VerifyReport whose verdicts are decided exactly; floating-point numbers
 appear only in display fields.  Deliberately corrupted inputs fail the
 corresponding rule and no other, which the test suite exercises as
-negative controls.  The annotation checkers take (trace, y, eps) and read
-the seed from the trace; check_sqr_annotations serves both until-loops.
-A rule over every element of a run or table fails in _first_failure.
+negative controls.  The annotation checkers decide on the trace's integer
+pairs and refuse a y or eps it does not hold.  A rule over every element
+of a run or table fails in _first_failure.
 """
 from __future__ import annotations
 
@@ -18,8 +18,10 @@ from typing import Any, Iterator, Sequence
 from .errors import DomainError, UsageError
 from .exact import (
     _rat_text,
+    _sqrt_sign,
     _within_signs,
     cmp_sqrt,
+    fraction_from_coprime,
     halves,
     rat_str,
     sqrt_abs_err_lt,
@@ -50,12 +52,14 @@ def approx_abs_err(q: Fraction, y: Fraction) -> float:
     |q - m/md| for the midpoint m/md is formed on integer parts, with no
     Fraction arithmetic (whose gcds on long parts would cost more than
     the display is worth); int/int true division rounds correctly, so
-    the float is that of the exact difference.
+    the float is that of the exact difference, or inf past float range.
     """
     mid = sqrt_enclosure(y, 64).midpoint
-    m, md = mid.numerator, mid.denominator
-    qn, qd = q.numerator, q.denominator
-    return abs(qn * md - m * qd) / (qd * md)
+    m, md, qn, qd = mid.numerator, mid.denominator, q.numerator, q.denominator
+    try:
+        return abs(qn * md - m * qd) / (qd * md)
+    except OverflowError:
+        return float("inf")
 
 
 def cmp_abs_err(a: Fraction, b: Fraction, y: Fraction) -> int:
@@ -63,9 +67,7 @@ def cmp_abs_err(a: Fraction, b: Fraction, y: Fraction) -> int:
 
     Uses err(a)**2 - err(b)**2 = (a - b) * (a + b - 2*sqrt(y)).
     """
-    if a == b:
-        return 0
-    return (1 if a > b else -1) * cmp_sqrt((a + b) / 2, y)
+    return ((a > b) - (a < b)) * cmp_sqrt((a + b) / 2, y)
 
 
 def iteration_cap(y: Fraction, eps: Fraction) -> int:
@@ -83,12 +85,19 @@ def applied_corrections(trace: Trace) -> int:
     return len(trace.pairs) - 1
 
 
-def _seed_of(trace: Trace, *algorithms: str) -> Fraction:
-    """The seed of a trace, refused unless one of `algorithms` made it."""
-    if trace.algorithm not in algorithms:
-        raise UsageError(f"expected a trace from {' or '.join(algorithms)}, "
-                         f"got {trace.algorithm}")
-    return trace.seed
+def _record_of(trace: Trace, y: Fraction, eps: Fraction,
+               *algorithms: str) -> tuple[int, int, int, int]:
+    """(a, b, sn, sd): y = a/b and the seed sn/sd capped at y, of a trace
+    one of `algorithms` made for this y and eps, else UsageError."""
+    asked = (y.numerator, y.denominator), (eps.numerator, eps.denominator)
+    if trace.algorithm not in algorithms or (trace.y, trace.eps) != asked:
+        raise UsageError(
+            f"expected a trace from {' or '.join(algorithms)} of y="
+            f"{rat_str(y)} eps={rat_str(eps)}, got one from {trace.algorithm}"
+            f" of y={rat_str(Fraction(*trace.y))} eps="
+            f"{rat_str(Fraction(*trace.eps))}")
+    (a, b), (sn, sd) = trace.y, trace.pairs[0]
+    return (a, b, sn, sd) if sn * b <= a * sd else (a, b, a, b)
 
 
 def _first_failure(name: str, rule: str, counts: dict[str, Any],
@@ -116,9 +125,9 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     isqr_exact (isqr.*) against its seed, capped at y: loop invariant
     sqrt(y) <= x <= seed, correction halving, final error <= eps, and
     applied corrections <= min_legal_iterations(y, eps, seed)."""
-    seed = min(_seed_of(trace, "sqr_exact", "isqr_exact"), y)
+    a, b, sn, sd = _record_of(trace, y, eps, "sqr_exact", "isqr_exact")
     family = trace.algorithm.removesuffix("_exact")
-    xs, corrections = trace.iterates, trace.corrections
+    pairs, corrections = trace.pairs, trace.corrections
 
     # a boundary before each pass and one after the last: an exit pass's
     # iterate is both, and is decided once
@@ -126,11 +135,10 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     invariant = _first_failure(
         f"sqrt(y) <= x <= {top} at every boundary", f"{family}.loop-invariant",
         {"boundaries": len(corrections) + 1},
-        ({"k": k, "x": x} for k, x in enumerate(xs)
-         if cmp_sqrt(x, y) < 0 or x > seed))
+        ({"k": k, "x": fraction_from_coprime(p, q)} for k, (p, q) in
+         enumerate(pairs) if _sqrt_sign(p, q, a, b) < 0 or p * sd > sn * q))
 
-    # decided on factors, so a correction is built only for a failure's
-    # witness
+    # decided on factors: a correction is built only for a failure's witness
     halving = _first_failure(
         "each correction below half its predecessor", f"{family}.halving",
         {"pairs": max(0, len(corrections) - 1)},
@@ -139,11 +147,12 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
          if not halves(prev.factors(), cur.factors())))
 
     final = _final_error("final error within the accuracy",
-                         f"{family}.final-error", xs[-1], y, "eps", eps)
+                         f"{family}.final-error",
+                         fraction_from_coprime(*pairs[-1]), y, "eps", eps)
 
     witness = {"vacuous": True} if y <= 1 else {
         "applied": applied_corrections(trace),
-        "cap": min_legal_iterations(y, eps, seed),
+        "cap": min_legal_iterations(y, eps, fraction_from_coprime(sn, sd)),
         "loop_passes": len(corrections)}
     cap = check("applied corrections within the logarithmic cap",
                 f"{family}.iteration-cap",
@@ -158,16 +167,18 @@ def check_fsqr_annotations(trace: Trace, y: Fraction,
     """Check an fsqr_exact trace against its seed s (the trace's, capped
     at y): the progress bound x_k - sqrt(y) <= (s - sqrt(y))/2**k on the
     iterate after every pass, and the final eps/2 bound."""
-    seed = min(_seed_of(trace, "fsqr_exact"), y)
-    xs = trace.iterates
-    # (x_k*2**k - s) / (2**k - 1) <= sqrt(y), x_k the x after k passes
+    a, b, sn, sd = _record_of(trace, y, eps, "fsqr_exact")
+    # (x_k*2**k - s)/(2**k - 1) <= sqrt(y), x_k = p/q the x after k passes
     progress = _first_failure(
         "progress bound holds at every boundary", "fsqr.progress",
         {"boundaries": len(trace.corrections) + 1},
-        ({"k": k, "x": x} for k, x in enumerate(xs[1:], 1)
-         if cmp_sqrt((x * (1 << k) - seed) / ((1 << k) - 1), y) > 0))
+        ({"k": k, "x": fraction_from_coprime(p, q)}
+         for k, (p, q) in enumerate(trace.pairs[1:], 1)
+         if _sqrt_sign((p << k) * sd - sn * q, q * sd * (2**k - 1), a, b) > 0))
     final = _final_error("final error within half the accuracy",
-                         "fsqr.final-error", xs[-1], y, "bound", eps / 2)
+                         "fsqr.final-error",
+                         fraction_from_coprime(*trace.pairs[-1]), y, "bound",
+                         Fraction(eps, 2))
     subject = f"fsqr_exact y={rat_str(y)} eps={rat_str(eps)} " \
               f"n={trace.n_planned}"
     return VerifyReport(subject, (progress, final))
@@ -242,7 +253,7 @@ def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
     x_fix, fix_trace = fix_sqr(y, eps, table, n)
     fix_seq = [FixVal(c, profile) for c in fix_trace.counts]
     _, exact_trace = fsqr_exact(y.value, eps.value, fix_seq[0].value, n)
-    exact_seq = exact_trace.iterates
+    exact_seq = [fraction_from_coprime(p, q) for p, q in exact_trace.pairs]
     delta = profile.delta
     records = tuple(AdjustmentRecord(k, xe, xf, abs(xe - xf.value), k * delta)
                     for k, (xe, xf) in enumerate(zip(exact_seq, fix_seq)))

@@ -1555,11 +1555,11 @@ class TestIntToStrLimit:
         back."""
         y, eps = F(26066, 3), F(1, 1000)
         _, trace = sqr_exact(y, eps)
-        assert trace.final_x.numerator.bit_length() == 7526
+        assert trace.pairs[-1][0].bit_length() == 7526
         doc = json.loads(check_sqr_annotations(trace, y, eps).to_json())
         texts = {key: value.split("/") for c in doc["checks"]
                  for key, value in c["witness"].items() if key in ("x", "eps")}
-        assert F(*(int(t, 0) for t in texts["x"])) == trace.final_x
+        assert tuple(int(t, 0) for t in texts["x"]) == trace.pairs[-1]
         assert F(*(int(t, 0) for t in texts["eps"])) == eps
         assert all(t.startswith("0x") for t in texts["x"])
         assert doc["overall"] is True

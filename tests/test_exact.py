@@ -80,7 +80,7 @@ class TestFilteredCmpSqrt:
         runs, _ = sqr_corpus
         filtered = 0
         for y, _eps, trace, _post, _cap in runs:
-            for x in trace.iterates:
+            for x in (fraction_from_coprime(*xk) for xk in trace.pairs):
                 assert cmp_sqrt(x, y) == reference_cmp(x, y), (y, x)
                 filtered += x.denominator.bit_length() \
                     > 2 * exact._FILTER_BITS

@@ -71,6 +71,11 @@ def _values(trace):
     return [c.value() for c in trace.corrections]
 
 
+def _iterates(trace):
+    """Each iterate of an exact run, as the Fraction of its pair."""
+    return tuple(fraction_from_coprime(p, q) for p, q in trace.pairs)
+
+
 class TestSqrExact:
     def test_trivial_one(self):
         x, trace = sqr_exact(F(1), F(1, 10))
@@ -97,8 +102,8 @@ class TestSqrExact:
         x, trace = sqr_exact(F(4), F(3))
         assert len(trace.corrections) == 2
         assert trace.corrections[0].value() == -F(3) / 2
-        assert trace.iterates == (F(4), F(5, 2))
-        assert x == F(5, 2) == trace.iterates[-1]
+        assert trace.pairs == ((4, 1), (5, 2))
+        assert x == F(5, 2) == fraction_from_coprime(*trace.pairs[-1])
         assert trace.corrections[1].value() == F(-9, 20)
 
     def test_c_style_applies_final_correction(self):
@@ -119,7 +124,7 @@ class TestSqrExact:
     def test_postcondition_and_invariant(self, y, eps):
         x, trace = sqr_exact(y, eps)
         assert within_of_sqrt(x, y, eps)
-        for x_k in trace.iterates:
+        for x_k in _iterates(trace):
             assert cmp_sqrt(x_k, y) >= 0
             assert x_k <= y
 
@@ -262,7 +267,7 @@ class TestFsqrExact:
         seed_val = min(sqrt_enclosure(y, 8).hi, y)
         n = min_legal_iterations(y, eps, seed_val)
         _, trace = fsqr_exact(y, eps, seed_val, n)
-        seq = trace.iterates
+        seq = _iterates(trace)
         assert len(seq) == n + 1
         for k, xk in enumerate(seq):
             if k == 0:
@@ -948,13 +953,13 @@ class ExactViews(NamedTuple):
     y: tuple[int, int]
     eps: tuple[int, int]
     n_planned: int | None
-    iterates: tuple[F, ...]
+    xs: tuple[F, ...]
     corrections: tuple[F, ...]
 
 
 def exact_views(trace):
     return ExactViews(trace.algorithm, trace.y, trace.eps, trace.n_planned,
-                      trace.iterates, tuple(_values(trace)))
+                      _iterates(trace), tuple(_values(trace)))
 
 
 def viewed(run, *args):
@@ -967,7 +972,7 @@ def eager_steps(views):
     """The TraceSteps of a reference run, as a loop that built its steps
     eagerly held them: pass k from iterate k to iterate k + 1, an
     until-loop's exit pass from the last iterate to itself."""
-    xs, last = views.iterates, len(views.iterates) - 1
+    xs, last = views.xs, len(views.xs) - 1
     return tuple(TraceStep(k, xs[k], d, xs[min(k + 1, last)])
                  for k, d in enumerate(views.corrections))
 
@@ -1092,7 +1097,7 @@ class TestExactLoopMatchesReference:
 
 def _pass_views(trace):
     """The iterates of an exact run and each pass's |correction|."""
-    return trace.iterates, [abs(d) for d in _values(trace)]
+    return _iterates(trace), [abs(d) for d in _values(trace)]
 
 
 def _outcome_line(fn, *args):
@@ -1104,7 +1109,7 @@ def _outcome_line(fn, *args):
         return f"{type(exc).__name__}: {exc}"
     # pass k leaves iterate k for the next, an until-loop's exit pass
     # for none
-    xs = [rat_str(q) for q in trace.iterates]
+    xs = [rat_str(q) for q in _iterates(trace)]
     ends = xs[1:] + xs[-1:] * (len(trace.corrections) + 1 - len(xs))
     steps = " ".join(f"{k}:{xs[k]}:{rat_str(d)}:{end}"
                      for k, (d, end) in enumerate(zip(_values(trace), ends)))
@@ -1230,7 +1235,7 @@ def _recorded(mp, *runs):
     for run in runs:
         start = len(updates)
         _, trace = run()
-        y, xs, ads = F(*trace.y), trace.iterates, trace.corrections
+        y, xs, ads = F(*trace.y), _iterates(trace), trace.corrections
         carried = [(_norm_of(y, xs[0]), 1)] if ads else []
         carried += [(c, m) for *_, c, m in updates[start:]]
         passes += [(y, xs[k], c, m, ad) for k, (ad, (c, m))
@@ -1393,7 +1398,7 @@ class TestExactStep:
         # negative norm, and ad < eps/2 holds at once
         x, trace = newton._exact_run("isqr_exact", F(2), F(1, 100), F(1))
         assert x == 1
-        assert trace.iterates == (1,) and _values(trace) == [F(-1, 2)]
+        assert trace.pairs == ((1, 1),) and _values(trace) == [F(-1, 2)]
 
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_until_loop_exit_builds_no_iterate(self, monkeypatch, y, eps):
@@ -1417,7 +1422,7 @@ class TestExactStep:
         built = _count_built(monkeypatch)
         x, trace = sqr_exact(y, eps, c_style=True)
         assert len(built) == 1
-        xs = trace.iterates
+        xs = _iterates(trace)
         assert len(xs) == len(trace.corrections) + 1
         assert x == xs[-1] != xs[-2]
         assert [x_k + d for x_k, d in zip(xs, _values(trace))] == \
@@ -1426,14 +1431,22 @@ class TestExactStep:
         # with eps = y every count is legal
         x, trace = fsqr_exact(y, y, y, 4)
         assert len(built) == 1 and len(trace.pairs) == 5
-        assert x == trace.iterates[-1]
+        assert x == _iterates(trace)[-1]
 
 
 class TestExactTraceJoins:
-    """A Trace's views join up by construction: the first step starts at
-    the seed, each step starts where the last one ended, final_x is the
-    last iterate and the result, and only an until-loop's exit step
-    leaves x where it was."""
+    """A Trace's steps join up by construction: the first step starts at
+    the seed, each step starts where the last one ended, the last pair is
+    the result, and only an until-loop's exit step leaves x where it
+    was."""
+
+    def test_record_fields(self):
+        """An exact record holds its fields and no view but steps: its
+        seed and result are its first and last pairs."""
+        assert Trace._fields == ("algorithm", "y", "eps", "n_planned",
+                                 "pairs", "corrections")
+        assert not {"seed", "final_x", "iterates"} & set(dir(Trace))
+        assert "steps" in dir(Trace)
 
     @given(ys, epss, st.sampled_from(["sqr", "c_style", "isqr", "fsqr"]),
            st.integers(0, 4))
@@ -1451,12 +1464,14 @@ class TestExactTraceJoins:
         else:
             which = "sqr"
             x, trace = sqr_exact(y, eps)
-        steps, xs = trace.steps, trace.iterates
+        steps, xs = trace.steps, _iterates(trace)
+        seed, final_x = (fraction_from_coprime(*trace.pairs[k])
+                         for k in (0, -1))
         if steps:
-            assert steps[0].x_before == trace.seed
+            assert steps[0].x_before == seed
         assert all(prev.x_after == cur.x_before
                    for prev, cur in zip(steps, steps[1:]))
-        assert trace.seed == xs[0] and x == trace.final_x == xs[-1]
+        assert seed == xs[0] and x == final_x == xs[-1]
         # an applied pass ends at the next iterate, the exit at its own
         unapplied = len(steps) + 1 - len(xs)
         assert [s.x_after for s in steps] == \
@@ -1746,7 +1761,7 @@ class TestOperandCap:
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_bound_covers_the_pair(self, y, eps):
         _, trace = sqr_exact(y, eps, c_style=True)
-        for x in trace.iterates[:len(trace.corrections)]:
+        for x in _iterates(trace)[:len(trace.corrections)]:
             p, q = x.numerator, x.denominator
             bpp, aqq = y.denominator * p * p, y.numerator * q * q
             longest = max((bpp + aqq).bit_length(),
@@ -1764,7 +1779,7 @@ class TestOperandCap:
                 (trace,), passes, updates = _recorded(mp, run)
             # pass k >= 1 splits the norm after its own cap test
             assert len(updates) == len(trace.corrections) - 1
-            for (norm, g, b), x in zip(updates, trace.iterates[1:]):
+            for (norm, g, b), x in zip(updates, _iterates(trace)[1:]):
                 h = math.gcd(norm, g)
                 formed = (h, g // h, (g // h) ** 2, b // (g // h) ** 2,
                           abs(norm) // h)
@@ -1796,7 +1811,7 @@ class TestOperandCap:
             monkeypatch.delenv("CERTISQRT_MAX_BITS", raising=False)
             x, trace = run()
             bits = [_pass_bits(y, x_k) for x_k
-                    in trace.iterates[:len(trace.corrections)]]
+                    in _iterates(trace)[:len(trace.corrections)]]
             cap = max(bits)
             monkeypatch.setenv("CERTISQRT_MAX_BITS", str(cap))
             assert run() == (x, trace)

@@ -179,8 +179,8 @@ def _step(stp_count: int, eps_count: int):
 
 
 # sqr_exact(2, 1/100) has three iterates and three passes, isqr_exact(3,
-# 1/10**6, 2) four and four; checked at an eps of 1, each applied more
-# passes than the cap allows
+# 1/10**6, 2) four and four; with the record's eps raised to 1, each
+# applied more passes than the cap allows
 UNTIL_LOOPS = {"sqr": lambda: sqr_exact(F(2), F(1, 100)),
                "isqr": lambda: isqr_exact(F(3), F(1, 10 ** 6), F(2))}
 TAMPERS = {
@@ -192,27 +192,40 @@ TAMPERS = {
         corrections=t.corrections[:1] * 2 + t.corrections[2:]),
     # the result replaced by the seed, inside [sqrt(y), seed]
     "final-error": lambda t: t._replace(pairs=(*t.pairs[:-1], t.pairs[0])),
-    "iteration-cap": lambda t: t,
+    "iteration-cap": lambda t: t._replace(eps=(1, 1)),
 }
 
 
 def _until_loop(family: str, rule: str):
     def checks(mp):
         _, trace = UNTIL_LOOPS[family]()
-        eps = F(1) if rule == "iteration-cap" else F(*trace.eps)
-        return check_sqr_annotations(TAMPERS[rule](trace), F(*trace.y),
-                                     eps).checks
+        bad = TAMPERS[rule](trace)
+        return check_sqr_annotations(bad, F(*bad.y), F(*bad.eps)).checks
     return checks
 
 
-def _fsqr(k: int, x: tuple[int, int]):
-    """fsqr_exact(3, 1/10, 3, 5) with iterate k replaced by x."""
+# (k, x) for the record of fsqr_exact(3, 1/10, 3, 5) with iterate k
+# replaced by x
+FSQR_TAMPERS = {
+    # the iterate after two passes raised back to the seed
+    "progress": (2, (3, 1)),
+    # the result moved to 1, below the root, which keeps the progress bound
+    "final-error": (-1, (1, 1)),
+}
+
+
+def fsqr_tampered(rule: str):
+    _, trace = fsqr_exact(F(3), F(1, 10), F(3), 5)
+    k, x = FSQR_TAMPERS[rule]
+    pairs = list(trace.pairs)
+    pairs[k] = x
+    return trace._replace(pairs=tuple(pairs))
+
+
+def _fsqr(rule: str):
     def checks(mp):
-        _, trace = fsqr_exact(F(3), F(1, 10), F(3), 5)
-        pairs = list(trace.pairs)
-        pairs[k] = x
-        return check_fsqr_annotations(trace._replace(pairs=tuple(pairs)),
-                                      F(3), F(1, 10)).checks
+        bad = fsqr_tampered(rule)
+        return check_fsqr_annotations(bad, F(*bad.y), F(*bad.eps)).checks
     return checks
 
 
@@ -279,8 +292,8 @@ def _round_up_skips(mp):
 
 
 def _sqr_suite_early(mp):
-    # each run stops at a hundred times the accuracy it is checked at
-    mp.setattr(verify, "sqr_exact", lambda y, eps: sqr_exact(y, 100 * eps))
+    # each run exits at its first pass, with x = y = 2 far from the root
+    mp.setattr(newton, "halves", lambda prev, cur: True)
     return run_sqr_suite([(F(2), F(1, 100))]).checks
 
 
@@ -326,10 +339,8 @@ CONTROLS = {
     **{f"{family}.{rule}": _input(_until_loop(family, rule),
                                   f"{family}.{rule}")
        for family in UNTIL_LOOPS for rule in TAMPERS},
-    # the iterate after two passes raised back to the seed; the result
-    # moved to 1, below the root, which keeps the progress bound
-    "fsqr.progress": _input(_fsqr(2, (3, 1)), "fsqr.progress"),
-    "fsqr.final-error": _input(_fsqr(-1, (1, 1)), "fsqr.final-error"),
+    **{f"fsqr.{rule}": _input(_fsqr(rule), f"fsqr.{rule}")
+       for rule in FSQR_TAMPERS},
     **{f"sqrt.{mode}-bound": _input(_sqrt(mode), f"sqrt.{mode}-bound")
        for mode in FIELDS["mode"]},
     "adjust.gap-bound": _defect(_adjust_gap, "adjust.gap-bound"),

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from certisqrt.errors import (CertisqrtError, DomainError, ProfileMismatch,
                               UsageError)
-from certisqrt.exact import sqrt_abs_err_lt, sqrt_enclosure, within_of_sqrt
+from certisqrt.exact import (cmp_sqrt, fraction_from_coprime,
+                             sqrt_abs_err_lt, sqrt_enclosure, within_of_sqrt)
 from certisqrt import newton
 from certisqrt.fixarith import FixProfile
 from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
@@ -27,6 +28,7 @@ from certisqrt.newton import (
     fsqr_exact,
     isqr_exact,
     min_iterations_for_step,
+    min_legal_iterations,
     mix_sqr,
     sqr_exact,
 )
@@ -54,6 +56,7 @@ from certisqrt.verify import (
     sample_rationals,
     sqrt_verdict,
 )
+from test_rules import FSQR_TAMPERS, TAMPERS, UNTIL_LOOPS, fsqr_tampered
 
 
 class TestIterationCap:
@@ -170,7 +173,7 @@ class TestCheckSqr:
         y, eps = F(2), F(1, 100)
         _, trace = sqr_exact(y, eps)
         bad = with_iterates(trace, (-1, y))
-        assert bad.final_x == y
+        assert bad.pairs[-1] == pair(y)
         report = check_sqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"sqr.final-error"}
         assert report.failures()[0].witness["x"] == y
@@ -286,7 +289,7 @@ class TestCheckIsqr:
     def test_final_x_replaced_by_seed_fails_only_final_error(self):
         trace = self.run()
         bad = with_iterates(trace, (-1, self.SEED))
-        assert bad.final_x == self.SEED
+        assert bad.pairs[-1] == pair(self.SEED)
         rules, failures = self.failed(bad)
         assert rules == {"isqr.final-error"}
         assert failures[0].witness["x"] == self.SEED
@@ -469,7 +472,7 @@ class TestHalvingOnFactors:
         for y, eps, run in runs:
             built.clear()
             x, trace = run(y, eps)
-            assert built == [trace.pairs[-1]] and x == trace.final_x
+            assert built == [trace.pairs[-1]] and pair(x) == trace.pairs[-1]
             report = check_sqr_annotations(trace, y, eps)
             report.to_json()
             assert report.overall and len(trace.corrections) >= 10
@@ -576,6 +579,191 @@ class TestCheckFsqr:
         report = check_fsqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"fsqr.progress"}
         assert report.failures()[0].witness == {"k": 1, "x": F(4)}
+
+
+# the refusal of a trace whose record holds another y or eps
+OTHER_RUN = "^expected a trace from .*, got one from "
+
+
+class TestCheckedAgainstItsRecord:
+    """A checker takes y and eps once more and refuses any other than
+    the record's, so a report certifies only the run its record holds."""
+
+    @pytest.mark.parametrize("run, y, eps", [
+        (lambda: sqr_exact(F(2), F(1, 100)), F(2000000001, 10 ** 9),
+         F(1, 100)),
+        (lambda: sqr_exact(F(2), F(1, 100)), F(2), F(1, 10)),
+        (lambda: isqr_exact(F(3), F(1, 10 ** 6), F(2)), F(3000001, 10 ** 6),
+         F(1, 10 ** 6)),
+        (lambda: isqr_exact(F(3), F(1, 10 ** 6), F(2)), F(3), F(1, 10)),
+    ], ids=["sqr-y", "sqr-eps", "isqr-y", "isqr-eps"])
+    def test_until_loops(self, run, y, eps):
+        _, trace = run()
+        assert check_sqr_annotations(trace, F(*trace.y),
+                                     F(*trace.eps)).overall
+        with pytest.raises(UsageError, match=OTHER_RUN):
+            check_sqr_annotations(trace, y, eps)
+
+    @pytest.mark.parametrize("y, eps", [(F(3000001, 10 ** 6), F(1, 2)),
+                                        (F(3000001, 10 ** 6), F(1, 4)),
+                                        (F(3), F(1, 2))])
+    def test_fsqr(self, y, eps):
+        _, trace = fsqr_exact(F(3), F(1, 4), F(3), 4)
+        assert check_fsqr_annotations(trace, F(3), F(1, 4)).overall
+        with pytest.raises(UsageError, match=OTHER_RUN):
+            check_fsqr_annotations(trace, y, eps)
+
+    def test_message_names_both(self):
+        _, trace = sqr_exact(F(2), F(1, 100))
+        with pytest.raises(UsageError) as info:
+            check_sqr_annotations(trace, F(2000000001, 10 ** 9), F(1, 100))
+        assert str(info.value) == (
+            "expected a trace from sqr_exact or isqr_exact of y=2000000001/"
+            "1000000000 eps=1/100, got one from sqr_exact of y=2/1 eps=1/100")
+
+    def test_int_y_and_eps_match_the_record(self):
+        _, trace = sqr_exact(2, F(1, 100))
+        assert check_sqr_annotations(trace, 2, F(1, 100)).overall
+        _, trace = fsqr_exact(3, 1, 3, 2)
+        assert check_fsqr_annotations(trace, 3, 1).overall
+
+
+# a valid run that exits at pass 0 with x = y: its error, about 10**700,
+# is past float range
+HUGE_Y, HUGE_EPS = 10 ** 700, 10 ** 701
+
+
+class TestDisplayPastFloatRange:
+    """A run whose error display is past float range ends in a passing
+    report, its display inf, as in the report JSON."""
+
+    @pytest.mark.parametrize("y, eps", [(HUGE_Y, HUGE_EPS),
+                                        (F(HUGE_Y), F(HUGE_EPS))])
+    def test_until_loop(self, y, eps):
+        x, trace = sqr_exact(y, eps)
+        assert x == y and trace.pairs == ((HUGE_Y, 1),)
+        report = check_sqr_annotations(trace, y, eps)
+        assert report.overall
+        final = report.checks[2]
+        assert final.rule == "sqr.final-error"
+        assert final.witness["err_display"] == math.inf
+        assert '"err_display": "inf"' in report.to_json()
+
+    @pytest.mark.parametrize("y, eps", [(HUGE_Y, HUGE_EPS),
+                                        (F(HUGE_Y), F(HUGE_EPS))])
+    def test_fsqr(self, y, eps):
+        _, trace = fsqr_exact(y, eps, y, 0)
+        report = check_fsqr_annotations(trace, y, eps)
+        assert report.overall
+        final = report.checks[1]
+        assert final.rule == "fsqr.final-error"
+        assert final.witness["err_display"] == math.inf
+        assert final.witness["bound"] == F(HUGE_EPS, 2)
+        assert '"err_display": "inf"' in report.to_json()
+
+    def test_sqr_suite(self):
+        assert run_sqr_suite([(HUGE_Y, HUGE_EPS)]).overall
+
+
+def reference_invariant(trace):
+    """The k of each iterate outside sqrt(y) <= x <= seed, the seed
+    capped at y, by the Fraction formula the checker first used."""
+    y, xs = F(*trace.y), [fraction_from_coprime(*xk) for xk in trace.pairs]
+    seed = min(xs[0], y)
+    return [k for k, x in enumerate(xs) if cmp_sqrt(x, y) < 0 or x > seed]
+
+
+def reference_progress(trace):
+    """The k of each iterate after k passes that breaks the progress
+    bound, by the Fraction formula the checker first used."""
+    y, xs = F(*trace.y), [fraction_from_coprime(*xk) for xk in trace.pairs]
+    seed = min(xs[0], y)
+    return [k for k, x in enumerate(xs[1:], 1)
+            if cmp_sqrt((x * 2 ** k - seed) / (2 ** k - 1), y) > 0]
+
+
+def near_bounds(trace):
+    """Each record of the run's first k passes, its iterate k moved next
+    to a bound it is decided against, and that k.  The x tried are the
+    ends of a 24-bit enclosure of sqrt(y), the capped seed and 2**-24
+    above it; after a pass k of fsqr_exact, the two x whose progress
+    left side is an end of the enclosure."""
+    y = F(*trace.y)
+    root = sqrt_enclosure(y, 24)
+    seed = min(F(*trace.pairs[0]), y)
+    for k in range(len(trace.pairs)):
+        if trace.algorithm != "fsqr_exact":
+            xs = (root.lo, root.hi, seed, seed + F(1, 2 ** 24))
+        else:
+            xs = [(seed + (2 ** k - 1) * r) / 2 ** k
+                  for r in (root.lo, root.hi)] if k else []
+        for x in xs:
+            yield k, trace._replace(pairs=(*trace.pairs[:k], pair(x)),
+                                    corrections=trace.corrections[:k])
+
+
+def checker_first_failure(trace):
+    """The k of the first iterate the checker's invariant or progress
+    rule fails, None when it passes."""
+    if trace.algorithm == "fsqr_exact":
+        report = check_fsqr_annotations(trace, F(*trace.y), F(*trace.eps))
+    else:
+        report = check_sqr_annotations(trace, F(*trace.y), F(*trace.eps))
+    result = report.checks[0]
+    assert result.rule.endswith(("loop-invariant", "progress"))
+    return None if result.passed else result.witness["k"]
+
+
+def agree(trace):
+    """Assert that the checker first fails the iterate the Fraction
+    formula first fails, and return its k (None when both pass)."""
+    reference = (reference_progress if trace.algorithm == "fsqr_exact"
+                 else reference_invariant)(trace)
+    want = reference[0] if reference else None
+    assert checker_first_failure(trace) == want, (trace.y, trace.pairs)
+    return want
+
+
+class TestIntegerDecisionsMatchFractionFormulas:
+    """The loop invariant and fsqr.progress, decided on the record's
+    integer pairs, against the Fraction formulas they replaced: on real
+    runs, on the tampered records of the rule controls, and on records
+    with one iterate moved next to a bound."""
+
+    def test_digest_inputs(self):
+        for y, eps in DIGEST_INPUTS:
+            assert agree(sqr_exact(y, eps)[1]) is None
+
+    def test_fsqr_suite_runs(self, demo_profile, demo_table, demo_eps):
+        for y in grid_values(demo_profile, F(3))[:50]:
+            seed = sup_fn(y, demo_table).value
+            n = min_legal_iterations(y.value, demo_eps.value, seed)
+            _, trace = fsqr_exact(y.value, demo_eps.value, seed, n)
+            assert agree(trace) is None
+
+    def test_rule_controls(self):
+        for family, run in UNTIL_LOOPS.items():
+            got = {rule: agree(tamper(run()[1]))
+                   for rule, tamper in TAMPERS.items()}
+            assert got == {"loop-invariant": 1, "halving": None,
+                           "final-error": None, "iteration-cap": None}
+        got = {rule: agree(fsqr_tampered(rule)) for rule in FSQR_TAMPERS}
+        assert got == {"progress": 2, "final-error": None}
+
+    def test_near_bounds(self, demo_profile, demo_table, demo_eps):
+        # the digest inputs' runs from y and from a tight seed, each
+        # while its pairs are short, and fsqr_exact on the demo grid
+        runs = [sqr_exact(y, eps)[1] for y, eps in DIGEST_INPUTS[::5]]
+        runs += [isqr_exact(y, eps, isqr_seeds(y)[1])[1]
+                 for y, eps in DIGEST_INPUTS[::5] if y > 1]
+        runs = [t._replace(pairs=tuple(xk for xk in t.pairs
+                                       if xk[1].bit_length() < 2000))
+                for t in runs]
+        for y in grid_values(demo_profile, F(3))[:50:5]:
+            seed = sup_fn(y, demo_table).value
+            runs.append(fsqr_exact(y.value, demo_eps.value, seed, 6)[1])
+        at_k = [agree(bad) == k for t in runs for k, bad in near_bounds(t)]
+        assert len(at_k) > 500 and 0 < sum(at_k) < len(at_k)
 
 
 class TestAdjustRuns:
@@ -743,7 +931,7 @@ class TestApproxAbsErr:
     def test_matches_fraction_formula_on_corpus(self):
         for y, eps in sample_rationals(40, 1):
             _, trace = sqr_exact(y, eps)
-            for q in trace.iterates:
+            for q in (fraction_from_coprime(*xk) for xk in trace.pairs):
                 assert approx_abs_err(q, y) == fraction_abs_err(q, y)
 
     @given(st.integers(1, 2 ** 64), st.integers(1, 2 ** 64),
@@ -766,10 +954,13 @@ class TestApproxAbsErr:
         assert approx_abs_err(q, y) == fraction_abs_err(q, y)
 
     def test_too_large_for_a_float(self):
+        # where the float of the Fraction formula overflows, the display
+        # is inf
         q = F(2 ** 2000)
-        for err in (approx_abs_err, fraction_abs_err):
-            with pytest.raises(OverflowError):
-                err(q, F(2))
+        with pytest.raises(OverflowError):
+            fraction_abs_err(q, F(2))
+        assert approx_abs_err(q, F(2)) == math.inf
+        assert approx_abs_err(F(1, 2 ** 2000), F(2 ** 4000)) == math.inf
 
 
 class TestFinalError:

@@ -276,8 +276,23 @@ MUTANTS = (
            "    pass",
            (GRID_CONTROL + "[verify.run_fsqr_suite-eps]",)),
     Mutant("fsqr.progress read from x_before", VERIFY,
-           "enumerate(xs[1:], 1)", "enumerate(xs[:-1], 1)",
+           "enumerate(trace.pairs[1:], 1)", "enumerate(trace.pairs[:-1], 1)",
            ("tests/test_verify.py::TestCheckFsqr::test_single_step_pass",)),
+    Mutant("fsqr.progress over 2**k, not 2**k - 1", VERIFY,
+           "q * sd * (2**k - 1)", "q * sd * 2**k",
+           ("tests/test_verify.py::TestIntegerDecisionsMatchFractionFormulas"
+            "::test_near_bounds",)),
+    Mutant("a checker takes a y or eps the record does not hold", VERIFY,
+           " or (trace.y, trace.eps) != asked:", ":",
+           ("tests/test_verify.py::TestCheckedAgainstItsRecord",)),
+    Mutant("the seed left uncapped at y", VERIFY,
+           "if sn * b <= a * sd else", "if True else",
+           ("tests/test_verify.py::TestCheckSqr::"
+            "test_raised_seed_and_boundary_fail_only_invariant",
+            "tests/test_verify.py::TestCheckIsqr::"
+            "test_seed_raised_past_y_fails_only_invariant",
+            "tests/test_verify.py::TestCheckFsqr::"
+            "test_seed_raised_past_y_fails_only_progress")),
     # 2**14284 < 10**4300, the default int-to-str limit, not the least
     Mutant("encode_int's decimal bound sized for 4300 digits", EXACT,
            "_DECIMAL_MAX_BITS = 2126", "_DECIMAL_MAX_BITS = 14284",
