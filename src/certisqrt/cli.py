@@ -252,7 +252,7 @@ def trace_rows(trace: Trace | GridTrace) -> list[dict]:
     if isinstance(trace, Trace):
         xs = [{"x_num": encode_int(p), "x_den": encode_int(q), "x_count": ""}
               for p, q in trace.pairs]
-        ds = [c.value() for c in trace.corrections]
+        ds = [trace.correction(k) for k in range(len(trace.corrections))]
     else:
         counts = trace.counts
         xs = [{"x_num": "", "x_den": "", "x_count": c} for c in counts]

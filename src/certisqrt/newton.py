@@ -12,13 +12,13 @@ Six variants share the iteration x -> (x + y/x)/2:
 Every run returns the result together with a record of its iterates;
 all correctness checks live in the verify module and operate on those
 records after the fact.  The exact variants return a Trace, which holds
-y, eps and each iterate from the seed on as integer pairs, and each
-pass's correction as a Correction of integer factors.  The grid variants
-return a GridTrace, which holds only the radicand, the seed count and
-each iterate count (flt_sqr's is the record of the loop it ran on its
-radicand).  Readers read those integers; a request builds no record that
-nothing reads.  Each record's steps view, in one TraceStep form, is kept
-for the benchmark's tracer.
+y, eps and each iterate from the seed on as integer pairs, and what each
+pass decided as a Correction (sign, c, m), read against the pair the
+pass starts from.  The grid variants return a GridTrace, which holds
+only the radicand, the seed count and each iterate count (flt_sqr's is
+the record of the loop it ran on its radicand).  Readers read those
+integers; a request builds no record that nothing reads.  Each record's
+steps view, in one TraceStep form, is kept for the benchmark's tracer.
 
 Each exact variant is one request pass, _exact_request, and one call of
 the exact loop, _exact_run: n passes for fsqr_exact, the until-loop for
@@ -49,8 +49,9 @@ from .errors import (
     ResourceLimit,
     SeedContractError,
 )
-from .exact import (_lowest_terms, _radicand, _rat_text, _sqrt_sign,
-                    cmp_sqrt, encode_int, fraction_from_coprime, halves)
+from .exact import (Factors, _lowest_terms, _radicand, _rat_text,
+                    _sqrt_sign, cmp_sqrt, encode_int, fraction_from_coprime,
+                    halves)
 from .fixarith import (FixProfile, FixVal, _newton_step, fix_mul,
                        require_same_grid)
 from .floatmodel import FloatProfile, FloatVal, _require_profile, compose
@@ -85,42 +86,31 @@ def _record_repr(value) -> str:
 
 
 class Correction(NamedTuple):
-    """One pass's correction as factors: sign*c*m**2/prod(den), with c, m
-    and every factor of den >= 0.  Every pass, applied or not, records
-    the product formula's factors: (c, m) of the norm of its iterate p/q
-    over den = (2*b, p, q), with the carried content s of 2*b*p*q.  Every
-    common factor of the two products divides s, so value() builds the
-    Fraction in lowest terms with one gcd, its numerator as c*(m*m), as
-    an applied pass forms its norm."""
+    """What one pass decided: the sign of its correction and the factors
+    (c, m), c, m >= 0, of the norm c*m**2 = |b*p**2 - a*q**2| of the
+    iterate p/q it starts from, for y = a/b.  Its correction is
+    sign*c*m**2/(2*b*p*q); a Trace reads it against that pair, by
+    factors(k) and correction(k)."""
 
     sign: int
     c: int
     m: int
-    den: tuple[int, ...]
-    s: int
 
-    def factors(self) -> tuple[tuple[int, int, int], tuple[int, ...]]:
-        """(num, den) with |correction| = prod(num)/prod(den), read off
-        the record without building it."""
-        return (self.c, self.m, self.m), self.den
-
-    def value(self) -> Fraction:
-        return _reduced(self.sign * (self.c * (self.m * self.m)),
-                        math.prod(self.den), self.s)
+    def over(self, b: int, p: int, q: int) -> Factors:
+        """(num, den) = ((c, m, m), (2*b, p, q)), read against p/q."""
+        return (self.c, self.m, self.m), (2 * b, p, q)
 
     __repr__ = _record_repr
 
 
 class TraceStep(NamedTuple):
     """One loop pass as a record's steps view builds it: value before, the
-    correction, value after.  An until-loop's exit pass records the
-    correction that met the exit test, with x_after == x_before.
+    correction, value after (an until-loop's exit pass keeps x).
     sqr_exact corrections are signed; the seeded variants record the
-    directly computed non-negative correction, applied by subtraction.
-
-    No module of the package reads it: the steps views and this form are
-    kept for perfbench/tracer.py, whose Newton probe reads them, until
-    the benchmark change that moves that probe onto the records."""
+    non-negative correction they subtract.  No module of the package
+    reads it: the steps views and this form are kept for the Newton probe
+    of perfbench/tracer.py, until the benchmark change that moves that
+    probe onto the records."""
 
     k: int
     x_before: Fraction | FixVal
@@ -132,31 +122,45 @@ class TraceStep(NamedTuple):
 
 class Trace(NamedTuple):
     """A run of sqr_exact, isqr_exact or fsqr_exact as it is recorded:
-    the algorithm, y and eps as their (numerator, denominator) pairs,
-    fsqr_exact's iteration count n_planned (None for the until-loops),
-    each iterate once as its pair (p, q) in lowest terms from the seed
-    on, and each loop pass's Correction.  A pass that applies its
-    correction adds the next iterate; an until-loop's exit pass adds
-    none.  So each pass starts where the last one ended, pairs[0] is the
-    seed, and pairs[-1] the result: a check reads nothing else.  Every
-    part is an int, so a long run pickles on every Python version, and
-    its repr writes a long part as a hex literal.  steps is a view, built
-    on every read (see TraceStep).
+    the algorithm, y and eps as (numerator, denominator) pairs, each
+    iterate once as its pair (p, q) in lowest terms from the seed on, and
+    each pass's Correction.  An applied pass adds the next iterate, an
+    until-loop's exit pass none: so pass k starts from pairs[k], and
+    fsqr_exact's count is len(corrections).  Every part is an int, so a
+    long run pickles on every Python version; its repr writes a long
+    part in hex.  steps is a view, built on every read (see TraceStep).
     """
 
     algorithm: str
     y: tuple[int, int]
     eps: tuple[int, int]
-    n_planned: int | None
     pairs: tuple[tuple[int, int], ...]
     corrections: tuple[Correction, ...]
+
+    def factors(self, k: int) -> Factors:
+        """(num, den) with |correction k| = prod(num)/prod(den), read off
+        the record without building it."""
+        return self.corrections[k].over(self.y[1], *self.pairs[k])
+
+    def correction(self, k: int) -> Fraction:
+        """Pass k's correction, its numerator formed as c*(m*m), as an
+        applied pass forms its norm.  Every common factor of a run's norm
+        and 2*b*p*q divides 2*a*b, so one gcd against the part of 2*b*p*q
+        made of those primes puts it in lowest terms."""
+        sign, c, m = self.corrections[k]
+        (a, b), (p, q) = self.y, self.pairs[k]
+        if c == 0:
+            return Fraction(0)
+        small, num = 2 * a * b, sign * (c * (m * m))
+        g = math.gcd(num, 2 * b * _content(p, small) * _content(q, small))
+        return fraction_from_coprime(num // g, 2 * b * p * q // g)
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
         xs = [fraction_from_coprime(p, q) for p, q in self.pairs]
-        last = len(xs) - 1
-        return tuple(TraceStep(k, xs[k], ad.value(), xs[min(k + 1, last)])
-                     for k, ad in enumerate(self.corrections))
+        xs.append(xs[-1])  # an exit pass ends where it starts
+        return tuple(TraceStep(k, xs[k], self.correction(k), xs[k + 1])
+                     for k in range(len(self.corrections)))
 
     __repr__ = _record_repr
 
@@ -167,7 +171,6 @@ class GridTrace(NamedTuple):
     iterate count on the grid of y.  flt_sqr's y is the radicand the loop
     ran on, and a zero input records y None and no counts.  So pass k
     goes from counts[k] to counts[k + 1], and counts[-1] is the result.
-
     steps is a view, built from the counts on every read (see TraceStep).
     """
 
@@ -190,22 +193,13 @@ class GridTrace(NamedTuple):
 
 
 def _content(n: int, small: int) -> int:
-    """The largest divisor of n > 0 whose primes all divide small."""
-    s, g = 1, math.gcd(n, small)
-    while g > 1:
-        s *= g
-        n //= g
-        g = math.gcd(n, g)
-    return s
-
-
-def _reduced(num: int, den: int, s: int) -> Fraction:
-    """Fraction num/den (den > 0) for a divisor s of den that every
-    common factor of num and den divides, reduced by one gcd."""
-    if num == 0:
-        return Fraction(0)
-    g = math.gcd(num, s)
-    return fraction_from_coprime(num // g, den // g)
+    """The largest divisor of n > 0 whose primes all divide small (small
+    itself at n = 0), by squaring: gcd(n, h*h) holds each prime of h to
+    twice its power in h, or to its power in n, the least of the two."""
+    h = math.gcd(n, small)
+    while h > 1 and n and (g := math.gcd(n, h * h)) != h:
+        h = g
+    return h
 
 
 def _norm_factors(norm: int, g: int, b: int) -> tuple[int, int]:
@@ -263,41 +257,33 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     leaving x as it is (c_style applies that pass too), under a pass cap
     that only a diverging run reaches.  No iterate from a seed >= sqrt(y)
     falls below sqrt(y), so ad >= 0 needs no abs().  sqr_exact records
-    -ad, the seeded runs ad.  Returns the result and the run's Trace.
-    The loop keeps every iterate and correction as integers, and the
-    result is the one Fraction it builds: the seed itself when no pass
-    moved x.
+    -ad, the seeded runs ad.  Returns the result, the one Fraction the
+    loop builds (the seed itself when no pass moved x), and the Trace.
 
-    With x = p/q and y = a/b, ad = c*m**2/(2*b*p*q), where the norm
-    c*m**2 = b*p**2 - a*q**2 and m >= 0.  The norm of x in Q(sqrt(y)) is
-    multiplicative, so the loop carries it: the next pair is (b*p**2 +
-    a*q**2, 2*b*p*q) over the factor g stripped from it, and its norm is
-    b*norm**2/g**2, which the next pass keeps as the factors (c, m) of
-    _norm_factors, with no squaring (on pass 0, m is 1).  Each pass
-    records its correction before its exit test, as the Correction of
-    (c, m) over (2*b, p, q) with the carried content s, which only a
-    reader of its value builds.  The exit test, 2*|ad| < eps, is
-    exact.halves on the factors of eps and of that record, the call the
-    halving rules make on two corrections, which forms those products
-    only when bit lengths and 128-bit brackets leave it open; a negative
-    norm (a seed below sqrt(y)) exits on its own.  So the exit pass of a
-    run that is checked and reported forms no product above its inputs,
-    and builds no next iterate.  An applied pass forms the norm c*(m*m),
-    p**2 and (p + q)**2, gets q**2 = (b*p**2 - norm)/a by exact division
-    and 2*p*q = (p + q)**2 - p**2 - q**2: three squarings.  The norm is c*(m*m)
-    because c*m*m = (c*m)*m multiplies two different long integers, and
-    CPython takes its squaring path only when both operands are one
-    object: a general product costs 1.35x to 1.47x a squaring of the same
-    size (CPython 3.11, 20K to 120K bits).  After the first pass c is at
-    most b, so c*(m*m) is a squaring and a short product.
+    With x = p/q and y = a/b, ad = c*m**2/(2*b*p*q) for the norm c*m**2 =
+    b*p**2 - a*q**2 of x in Q(sqrt(y)), m >= 0.  The norm is
+    multiplicative: the next pair is (b*p**2 + a*q**2, 2*b*p*q) over the
+    factor g stripped from it, and the next pass keeps its norm
+    b*norm**2/g**2 as the factors (c, m) of _norm_factors, with no
+    squaring (on pass 0, m is 1).  Each pass records what it decided, the
+    Correction (sign, c, m), then exits on a negative norm (a seed below
+    sqrt(y)) or when exact.halves, on the factors of eps and of ad as
+    Trace.factors reads them, gives 2*|ad| < eps.  halves forms those
+    products only when bit lengths and 128-bit brackets leave it open, so
+    the exit pass forms no product above its inputs and builds no next
+    iterate.  An applied pass forms the norm c*(m*m), p**2 and (p + q)**2,
+    gets q**2 = (b*p**2 - norm)/a by exact division and 2*p*q = (p + q)**2
+    - p**2 - q**2: three squarings and a short product, since c <= b after
+    pass 0.  CPython squares only when both operands are one object, and
+    a general product of the same size costs 1.35x to 1.47x a squaring
+    (CPython 3.11, 20K to 120K bits).
 
     Every common factor of norm or of the next numerator with 2*b*p*q
-    divides 2*a*b, so either is reduced by one gcd against s, the part of
-    2*b*p*q made of those primes: the next pair here, the correction
-    when its value is read.  s is carried too: s = 2*b*s_p*s_q for
-    the parts s_p of p and s_q of q (2*b is all such primes), the next
-    q's part is s/g, and only the next p's part is searched.  This avoids
-    a full gcd, which is quadratic at the sizes long runs reach.
+    divides 2*a*b, so one gcd against s, the part of 2*b*p*q made of those
+    primes, reduces either: the next pair here, the correction in
+    Trace.correction.  The loop carries s = 2*b*s_p*s_q for the parts s_p
+    of p and s_q of q: the next q's part is s/g, and only the next p's is
+    searched.  A full gcd is quadratic at the sizes long runs reach.
 
     Before it forms anything, each pass refuses, with ResourceLimit, a
     pair that could exceed the CERTISQRT_MAX_BITS cap: b*p**2 + a*q**2,
@@ -326,11 +312,10 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
             s_p, s_q = _content(p, small), _content(q, small)
         else:
             c, m = _norm_factors(norm, g, b)
-        s = 2 * b * s_p * s_q
-        record = Correction(sign * ((c > 0) - (c < 0)), abs(c), m,
-                            (2 * b, p, q), s)
+        record = Correction(sign * ((c > 0) - (c < 0)), abs(c), m)
         corrections.append(record)
-        stop = n is None and (c < 0 or halves(eps_factors, record.factors()))
+        stop = n is None and (c < 0 or halves(eps_factors,
+                                              record.over(b, p, q)))
         if stop and not c_style:
             break
         norm = c * (m * m)
@@ -339,6 +324,7 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
         aqq = bpp - norm
         ad_den = b * ((p + q) ** 2 - pp - aqq // a)
         num = bpp + aqq
+        s = 2 * b * s_p * s_q
         g = math.gcd(num, s)
         p, q = num // g, ad_den // g
         s_p, s_q = _content(p, small), s // g
@@ -349,7 +335,7 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
         if n is None:
             raise InternalInvariantError("iteration guard exceeded")
     x = seed if len(pairs) == 1 else fraction_from_coprime(p, q)
-    return x, Trace(algorithm, (a, b), (en, ed), n, tuple(pairs),
+    return x, Trace(algorithm, (a, b), (en, ed), tuple(pairs),
                     tuple(corrections))
 
 

@@ -4,9 +4,9 @@ Every function here consumes finished traces (or tables) and produces a
 VerifyReport whose verdicts are decided exactly; floating-point numbers
 appear only in display fields.  Deliberately corrupted inputs fail the
 corresponding rule and no other, which the test suite exercises as
-negative controls.  The annotation checkers decide on the trace's integer
-pairs and refuse a y or eps it does not hold.  A rule over every element
-of a run or table fails in _first_failure.
+negative controls.  The annotation checkers decide on the trace's
+integers and refuse a record, y or eps they cannot check, typed.  A rule
+over every element of a run or table fails in _first_failure.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from typing import Any, Iterator, Sequence
 
 from .errors import DomainError, UsageError
 from .exact import (
+    _lowest_terms,
     _rat_text,
     _sqrt_sign,
     _within_signs,
@@ -34,6 +35,7 @@ from .lut import (RootTable, build_root_table, first_bad_root,
                   round_up_to_step, sup_fn, validate_step)
 from .newton import (
     Trace,
+    _check_rational,
     fix_bound,
     fix_sqr,
     float_bound,
@@ -88,13 +90,20 @@ def applied_corrections(trace: Trace) -> int:
 def _record_of(trace: Trace, y: Fraction, eps: Fraction,
                *algorithms: str) -> tuple[int, int, int, int]:
     """(a, b, sn, sd): y = a/b and the seed sn/sd capped at y, of a trace
-    one of `algorithms` made for this y and eps, else UsageError."""
+    one of `algorithms` made for this y and eps, every pair's q > 0, else
+    UsageError; a y or eps that is no int or Fraction is a DomainError."""
+    _check_rational(y=y, eps=eps)
+    expected = (f"expected a trace from {' or '.join(algorithms)} of y="
+                f"{rat_str(y)} eps={rat_str(eps)}")
+    if not (isinstance(trace, Trace) and len(trace.pairs) >= max(
+            1, len(trace.corrections)) and min(q for _, q in trace.pairs) > 0):
+        raise UsageError(f"{expected}, got a {type(trace).__name__} that "
+                         f"is no exact run's record")
     asked = (y.numerator, y.denominator), (eps.numerator, eps.denominator)
     if trace.algorithm not in algorithms or (trace.y, trace.eps) != asked:
         raise UsageError(
-            f"expected a trace from {' or '.join(algorithms)} of y="
-            f"{rat_str(y)} eps={rat_str(eps)}, got one from {trace.algorithm}"
-            f" of y={rat_str(Fraction(*trace.y))} eps="
+            f"{expected}, got one from {trace.algorithm} of y="
+            f"{rat_str(Fraction(*trace.y))} eps="
             f"{rat_str(Fraction(*trace.eps))}")
     (a, b), (sn, sd) = trace.y, trace.pairs[0]
     return (a, b, sn, sd) if sn * b <= a * sd else (a, b, a, b)
@@ -138,13 +147,17 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
         ({"k": k, "x": fraction_from_coprime(p, q)} for k, (p, q) in
          enumerate(pairs) if _sqrt_sign(p, q, a, b) < 0 or p * sd > sn * q))
 
+    def built(k: int) -> Fraction:  # lowest terms for a forged c, m too
+        d = trace.correction(k)
+        return _lowest_terms(d.numerator, d.denominator)
+
     # decided on factors: a correction is built only for a failure's witness
     halving = _first_failure(
         "each correction below half its predecessor", f"{family}.halving",
         {"pairs": max(0, len(corrections) - 1)},
-        ({"i": i, "d_i": prev.value(), "d_next": cur.value()}
-         for i, (prev, cur) in enumerate(zip(corrections, corrections[1:]))
-         if not halves(prev.factors(), cur.factors())))
+        ({"i": i, "d_i": built(i), "d_next": built(i + 1)}
+         for i in range(len(corrections) - 1)
+         if not halves(trace.factors(i), trace.factors(i + 1))))
 
     final = _final_error("final error within the accuracy",
                          f"{family}.final-error",
@@ -180,7 +193,7 @@ def check_fsqr_annotations(trace: Trace, y: Fraction,
                          fraction_from_coprime(*trace.pairs[-1]), y, "bound",
                          Fraction(eps, 2))
     subject = f"fsqr_exact y={rat_str(y)} eps={rat_str(eps)} " \
-              f"n={trace.n_planned}"
+              f"n={len(trace.corrections)}"
     return VerifyReport(subject, (progress, final))
 
 

@@ -66,3 +66,12 @@ def sqr_corpus():
         runs.append((y, eps, trace, post_ok, cap_ok))
     elapsed = perf_counter() - t0
     return runs, elapsed
+
+
+@pytest.fixture(scope="session")
+def corpus_corrections(sqr_corpus):
+    """Each correction of each sqr_corpus run, read once for the tests
+    that read them all."""
+    runs, _ = sqr_corpus
+    return [[trace.correction(k) for k in range(len(trace.corrections))]
+            for _, _, trace, _, _ in runs]

@@ -65,11 +65,10 @@ def _product_lt(a: int, b: int, c: int, d: int) -> bool:
     return a * b < c * d
 
 
-def test_criterion_2_halving(sqr_corpus):
+def test_criterion_2_halving(sqr_corpus, corpus_corrections):
     runs, _ = sqr_corpus
     failures = 0
-    for _y, _eps, trace, _p, _c in runs:
-        ds = [c.value() for c in trace.corrections]
+    for ds in corpus_corrections:
         for prev, cur in zip(ds, ds[1:]):
             # 2*|cur| < |prev| as 2*|cur.num|*prev.den < |prev.num|*cur.den
             if prev == 0 or not _product_lt(

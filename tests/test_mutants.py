@@ -40,3 +40,19 @@ def test_each_mutant_on_its_own_empty_database(tmp_path, monkeypatch):
                for s, _ in seen)
     # the first run of each mutant finds the directory empty
     assert [saved for _, saved in seen] == [False, True, False, True]
+
+
+def test_stale_test_id_stops_the_run(monkeypatch, capsys):
+    """A test id that collects no test stops the runner before its first
+    mutant, and is named: one pytest --collect-only run decides it."""
+    bogus = "tests/test_exact.py::TestWithinSigns::test_no_such_test"
+    mutant = mutants.MUTANTS[0]._replace(
+        tests=("tests/test_exact.py::TestWithinSigns", bogus))
+    monkeypatch.setattr(mutants, "MUTANTS", (mutant,))
+    runs = []
+    monkeypatch.setattr(mutants, "run_mutant",
+                        lambda *args: runs.append(args) or "killed")
+    assert mutants.main() == 1
+    assert capsys.readouterr().out == \
+        f"test ids that collect no test:\n  {bogus}\n"
+    assert runs == []

@@ -26,6 +26,7 @@ from certisqrt.errors import (
 )
 from certisqrt.exact import (
     cmp_sqrt,
+    encode_int,
     fraction_from_coprime,
     rat_str,
     sqrt_abs_err_lt,
@@ -68,7 +69,7 @@ epss = st.fractions(min_value=F(1, 1000), max_value=F(1),
 
 def _values(trace):
     """Each pass's correction of an exact run, as a Fraction."""
-    return [c.value() for c in trace.corrections]
+    return [trace.correction(k) for k in range(len(trace.corrections))]
 
 
 def _iterates(trace):
@@ -81,7 +82,7 @@ class TestSqrExact:
         x, trace = sqr_exact(F(1), F(1, 10))
         assert x == 1
         assert len(trace.corrections) == 1
-        assert trace.corrections[0].value() == 0
+        assert trace.correction(0) == 0
 
     def test_four_coarse(self):
         x, trace = sqr_exact(F(4), F(1, 2))
@@ -89,7 +90,7 @@ class TestSqrExact:
         assert _values(trace) == [F(-3, 2), F(-9, 20), F(-81, 1640)]
         # the last recorded correction met the exit test and added no
         # iterate
-        assert abs(trace.corrections[-1].value()) < F(1, 4)
+        assert abs(trace.correction(-1)) < F(1, 4)
         assert len(trace.pairs) == len(trace.corrections)
 
     def test_two_fine(self):
@@ -101,10 +102,10 @@ class TestSqrExact:
         # the first correction is exactly -eps/2: |d| < eps/2 fails there
         x, trace = sqr_exact(F(4), F(3))
         assert len(trace.corrections) == 2
-        assert trace.corrections[0].value() == -F(3) / 2
+        assert trace.correction(0) == -F(3) / 2
         assert trace.pairs == ((4, 1), (5, 2))
         assert x == F(5, 2) == fraction_from_coprime(*trace.pairs[-1])
-        assert trace.corrections[1].value() == F(-9, 20)
+        assert trace.correction(1) == F(-9, 20)
 
     def test_c_style_applies_final_correction(self):
         x_flow, _ = sqr_exact(F(4), F(1, 2))
@@ -241,7 +242,7 @@ class TestFsqrExact:
 
     def test_planned_steps_recorded(self):
         _, trace = fsqr_exact(F(3), F(1, 4), F(3), 4)
-        assert trace.n_planned == 4 and len(trace.corrections) == 4
+        assert len(trace.corrections) == 4 and len(trace.pairs) == 5
 
     @given(ys.filter(lambda v: v > 1), epss, st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -952,13 +953,12 @@ class ExactViews(NamedTuple):
     algorithm: str
     y: tuple[int, int]
     eps: tuple[int, int]
-    n_planned: int | None
     xs: tuple[F, ...]
     corrections: tuple[F, ...]
 
 
 def exact_views(trace):
-    return ExactViews(trace.algorithm, trace.y, trace.eps, trace.n_planned,
+    return ExactViews(trace.algorithm, trace.y, trace.eps,
                       _iterates(trace), tuple(_values(trace)))
 
 
@@ -1002,9 +1002,9 @@ def reference_exact_run(algorithm, y, eps, seed=None, n=None,
     x = y if seed is None else seed
     xs, ds = [x], []
 
-    def views(n_planned=None):
+    def views():
         return x, ExactViews(algorithm, (y.numerator, y.denominator),
-                             (eps.numerator, eps.denominator), n_planned,
+                             (eps.numerator, eps.denominator),
                              tuple(xs), tuple(ds))
 
     if algorithm == "fsqr_exact":
@@ -1018,7 +1018,7 @@ def reference_exact_run(algorithm, y, eps, seed=None, n=None,
             ds.append(-d)
             x += d
             xs.append(x)
-        return views(n)
+        return views()
     while True:
         d = (y - x * x) / (2 * x)
         if algorithm == "sqr_exact":
@@ -1113,8 +1113,11 @@ def _outcome_line(fn, *args):
     ends = xs[1:] + xs[-1:] * (len(trace.corrections) + 1 - len(xs))
     steps = " ".join(f"{k}:{xs[k]}:{rat_str(d)}:{end}"
                      for k, (d, end) in enumerate(zip(_values(trace), ends)))
-    return (f"{rat_str(x)} {trace.algorithm} {trace.n_planned} "
-            f"{xs[0]} {steps}")
+    # fsqr_exact's count, which the record held until it was read off
+    # its corrections; None for the until-loops
+    count = (len(trace.corrections) if trace.algorithm == "fsqr_exact"
+             else None)
+    return f"{rat_str(x)} {trace.algorithm} {count} {xs[0]} {steps}"
 
 
 class TestExactFamilyDigest:
@@ -1322,11 +1325,16 @@ class TestReducedByCarriedContent:
     """Each pass reduces by s = 2*b*s_p*s_q; these seeded runs need
     the q part s_q after the first pass: with y = 5/4 and seed 7/6, pass
     1's iterate is 47/42, and its correction 16/15792 = 16/(2*4*47*42)
-    reduces by 2**4, of which 2b = 8 alone holds only 2**3."""
+    reduces by 2**4, of which 2b = 8 alone holds only 2**3.  The pair a
+    pass forms needs s_q too: in the runs on 1727/49 and 1788/49, 7
+    divides pass 1's q once and b = 49 twice, so 7**3 divides b*p**2 +
+    a*q**2 and 2*b*p*q, and 2*b holds only 7**2."""
 
     @pytest.mark.parametrize("y, seed", [(F(5, 4), F(7, 6)),
                                          (F(5, 4), F(17, 14)),
-                                         (F(5, 4), F(31, 26))])
+                                         (F(5, 4), F(31, 26)),
+                                         (F(1727, 49), F(479, 21)),
+                                         (F(1788, 49), F(3425, 112))])
     def test_matches_reference(self, y, seed):
         assert _mismatches(_exact_cases(y, F(1, 10 ** 9), [seed],
                                         [2, 4])) == []
@@ -1357,10 +1365,10 @@ class TestExactStep:
         ad_num, ad_den, p1, q1 = _plain_step(y, p, q)
         assert (x_after.numerator, x_after.denominator) == (p1, q1)
         assert trace.pairs == ((p, q), (p1, q1))
-        assert ad.factors() == ((abs(ad_num), 1, 1),
-                                (2 * y.denominator, p, q))
+        assert trace.factors(0) == ((abs(ad_num), 1, 1),
+                                    (2 * y.denominator, p, q))
         assert ad.sign * ad.c == ad_num
-        d = ad.value()
+        d = trace.correction(0)
         assert math.gcd(d.numerator, d.denominator) == 1
         assert d.numerator * ad_den == ad_num * d.denominator
 
@@ -1381,13 +1389,13 @@ class TestExactStep:
                                            F(2 * abs(ad_num) + 1, ad_den), x)
         (record,) = trace.corrections
         assert type(record) is newton.Correction
-        assert record.factors() == (
+        assert trace.factors(0) == (
             (abs(ad_num), 1, 1),
             (2 * y.denominator, x.numerator, x.denominator))
-        num, den = record.factors()
+        num, den = trace.factors(0)
         assert (record.sign * math.prod(num), math.prod(den)) == \
             (ad_num, ad_den)
-        ad = record.value()
+        ad = trace.correction(0)
         assert ad.numerator * ad_den == ad_num * ad.denominator
         # no pass moved x: the record holds the seed, the result is it
         assert trace.pairs == ((x.numerator, x.denominator),)
@@ -1443,8 +1451,8 @@ class TestExactTraceJoins:
     def test_record_fields(self):
         """An exact record holds its fields and no view but steps: its
         seed and result are its first and last pairs."""
-        assert Trace._fields == ("algorithm", "y", "eps", "n_planned",
-                                 "pairs", "corrections")
+        assert Trace._fields == ("algorithm", "y", "eps", "pairs",
+                                 "corrections")
         assert not {"seed", "final_x", "iterates"} & set(dir(Trace))
         assert "steps" in dir(Trace)
 
@@ -1545,27 +1553,27 @@ class TestExitCorrectionBuiltWhenRead:
     @example(F(26066, 3), F(1, 1000))
     @settings(max_examples=60, deadline=None)
     def test_value_is_the_eager_correction(self, y, eps):
-        """value() builds the Fraction a reference run builds eagerly,
-        prod(num)/prod(den) in lowest terms."""
+        """correction(k) builds the Fraction a reference run builds
+        eagerly, prod(num)/prod(den) in lowest terms."""
         for trace, want in _until_runs(y, eps):
             record = trace.corrections[-1]
             assert type(record) is newton.Correction
-            d, eager = record.value(), want.corrections[-1]
+            d, eager = trace.correction(-1), want.corrections[-1]
             assert type(d) is F
             assert (d.numerator, d.denominator) == \
                 (eager.numerator, eager.denominator)
-            num, den = record.factors()
+            num, den = trace.factors(-1)
             assert d == F(record.sign * math.prod(num), math.prod(den))
 
     def test_factors_without_building(self, monkeypatch):
         _, trace = isqr_exact(F(2), F(1, 10 ** 6), F(3, 2))
         values = _values(trace)
 
-        def refuse(record):
-            raise AssertionError("factors() built the correction")
+        def refuse(record, k):
+            raise AssertionError("factors(k) built the correction")
 
-        monkeypatch.setattr(newton.Correction, "value", refuse)
-        factors = [record.factors() for record in trace.corrections]
+        monkeypatch.setattr(Trace, "correction", refuse)
+        factors = [trace.factors(k) for k in range(len(trace.corrections))]
         for (num, den), d in zip(factors, values, strict=True):
             assert F(math.prod(num), math.prod(den)) == abs(d)
         # every pass's factors are (c, m, m) of its iterate's norm over
@@ -1574,11 +1582,49 @@ class TestExitCorrectionBuiltWhenRead:
             assert num[1] == num[2] and den == (2, *trace.pairs[k])
 
 
+def _bad_passes(trace, ds=None):
+    """The passes k of an exact run whose record breaks its form: the
+    Correction (sign, c, m) with c*m**2 the norm |b*p**2 - a*q**2| of
+    pairs[k] = (p, q), the sign of the correction (y - x*x)/(2x) for
+    sqr_exact and of its magnitude (x*x - y)/(2x) for the seeded runs,
+    factors(k) == ((c, m, m), (2*b, p, q)), and correction(k) that
+    reference value in lowest terms.  No Fraction is built for the
+    reference: the value is compared by cross-multiplication, and the
+    lowest terms by short gcds.  A prime common to both parts of
+    norm/(2*b*p*q) divides 2*b, or p and then a (as p and q are
+    coprime), or q and then b; so every such prime divides h = 2*b*gcd(a,
+    p), and the parts are coprime when their gcds with h are.  ds, when
+    given, holds each correction(k) as read before."""
+    (a, b), flip = trace.y, -1 if trace.algorithm == "sqr_exact" else 1
+    bad = []
+    for k, record in enumerate(trace.corrections):
+        (p, q), (sign, c, m) = trace.pairs[k], record
+        norm = b * (p * p) - a * (q * q)  # squarings: long runs are read
+        d = trace.correction(k) if ds is None else ds[k]
+        den = 2 * b * p * q
+        h = 2 * b * math.gcd(a, p)
+        if not (type(record) is newton.Correction
+                and c >= 0 and m >= 0 and c * (m * m) == abs(norm)
+                and sign == flip * ((norm > 0) - (norm < 0))
+                and trace.factors(k) == ((c, m, m), (2 * b, p, q))
+                and type(d) is F and den % d.denominator == 0
+                and d.numerator * (den // d.denominator) == flip * norm
+                and math.gcd(math.gcd(d.numerator, h),
+                             math.gcd(d.denominator, h)) == 1):
+            bad.append(k)
+    return bad
+
+
 class TestOneRecordForm:
-    """Every pass of every exact run, applied or not, records its
-    correction in one form: the factors (c, m) of the norm b*p**2 -
-    a*q**2 of the iterate p/q it starts at, over (2*b, p, q), with the
-    carried content s of that product."""
+    """Every pass of every exact run, applied or not, records what it
+    decided in one form, the Correction (sign, c, m) of the norm of the
+    iterate it starts at, and a Trace reads each correction against
+    that pair: see _bad_passes."""
+
+    def test_fields(self):
+        assert newton.Correction._fields == ("sign", "c", "m")
+        assert Trace._fields == ("algorithm", "y", "eps", "pairs",
+                                 "corrections")
 
     @pytest.mark.parametrize("run", [
         lambda y, eps: sqr_exact(y, eps),
@@ -1592,17 +1638,47 @@ class TestOneRecordForm:
                                         (F(2), F(1, 100))])
     def test_every_pass(self, run, y, eps):
         _, trace = run(y, eps)
-        a, b = y.numerator, y.denominator
-        sign = -1 if trace.algorithm == "sqr_exact" else 1
         assert trace.corrections
-        for k, record in enumerate(trace.corrections):
-            p, q = trace.pairs[k]
-            assert type(record) is newton.Correction
-            assert record.den == (2 * b, p, q)
-            assert record.sign * record.c * record.m ** 2 == \
-                sign * (b * p * p - a * q * q)
-            assert record.c >= 0 and record.m >= 0
-            assert math.prod(record.den) % record.s == 0
+        assert _bad_passes(trace) == []
+
+    def test_tier1_corpus(self, sqr_corpus, corpus_corrections):
+        runs, _ = sqr_corpus
+        assert [(y, eps) for (y, eps, trace, *_), ds
+                in zip(runs, corpus_corrections, strict=True)
+                if _bad_passes(trace, ds)] == []
+        # every run's exit pass is among those read
+        assert all(len(trace.pairs) == len(trace.corrections)
+                   for _, _, trace, *_ in runs)
+
+    def test_seeded_and_c_style_runs(self):
+        """isqr_exact from y and from a tight seed, fsqr_exact at n = 0
+        to 6 (eps = y makes every count legal) and c_style sqr_exact, on
+        80 sampled pairs and the pairs of G_NOT_DIVIDING."""
+        cases = sample_rationals(80, 7) + [(y, eps) for y, eps, _
+                                           in G_NOT_DIVIDING]
+        traces = []
+        for y, eps in cases:
+            tight = _exact_seeds(y)[1]
+            traces += [isqr_exact(y, eps, y)[1], isqr_exact(y, eps, tight)[1],
+                       sqr_exact(y, eps, c_style=True)[1]]
+            traces += [fsqr_exact(y, y, tight, n)[1] for n in range(7)]
+        traces += [isqr_exact(*case)[1] for case in G_NOT_DIVIDING]
+        assert sum(len(t.corrections) for t in traces) > 3000
+        assert [t for t in traces if _bad_passes(t)] == []
+
+    def test_long_record_writes_each_pair_part_once(self):
+        """The repr of sqr_exact(99999989/991, 1/1000)'s record, a
+        52,397-bit result, writes each long pair part once: no
+        correction repeats its pair."""
+        _, trace = sqr_exact(F(99999989, 991), F(1, 1000))
+        text = repr(trace)
+        # parts past 80 bits, whose text occurs in no other by chance
+        long_parts = [str(encode_int(v)) for pair in trace.pairs
+                      for v in pair if v.bit_length() > 80]
+        assert len(long_parts) == 20
+        assert all(text.count(t) == 1 for t in long_parts)
+        # 132,791 characters while each Correction repeated its pair
+        assert len(text) <= 132_791 - 52_848
 
 
 def _python_310_reduce(self):
@@ -1616,7 +1692,7 @@ LONG_Y = F(10 ** 4400 + 1, 3)
 
 
 class TestTracePickle:
-    """A Trace holds only ints, strs, tuples and None, so a long run
+    """A Trace holds only ints, strs and tuples, so a long run
     pickles on Python 3.10 too, where a Fraction pickles through str();
     loading, copy and deepcopy give back equal records with equal
     hashes.  A step view holds Fractions, and pickles as they do: by
@@ -1693,8 +1769,7 @@ class TestTraceRepr:
         assert trace.corrections[-1].m.bit_length() > 640 * 3.33
         text = repr(trace)
         assert text.startswith("Trace(algorithm='sqr_exact', y=(26066, 3), "
-                               "eps=(1, 1000), n_planned=None, "
-                               "pairs=((26066, 3), (")
+                               "eps=(1, 1000), pairs=((26066, 3), (")
         assert ", m=0x" in text
         names = {"Trace": Trace, "Correction": newton.Correction}
         assert eval(text, names) == trace
@@ -1726,18 +1801,16 @@ class TestTraceRepr:
 
     def test_pinned(self):
         _, trace = sqr_exact(F(4), F(1, 2))
-        # each pass keeps c*m**2 over 2*b*p*q, with s = 2*b*s_p*s_q: the
-        # exit -81/1640 = -(1*9*9)/(2*41*20), s = 2*1*1*4, and the
-        # applied -3/2 = -12/(2*4*1), s = 2*1*4*1, and -9/20 =
-        # -(1*3*3)/(2*5*2), s = 2*1*1*2
+        # each pass keeps c*m**2, read over 2*b*p*q of its pair: the
+        # applied -3/2 = -12/(2*4*1) and -9/20 = -(1*3*3)/(2*5*2), and
+        # the exit -81/1640 = -(1*9*9)/(2*41*20)
         assert repr(trace) == (
             "Trace(algorithm='sqr_exact', y=(4, 1), eps=(1, 2), "
-            "n_planned=None, pairs=((4, 1), (5, 2), (41, 20)), corrections=("
-            "Correction(sign=-1, c=12, m=1, den=(2, 4, 1), s=8), "
-            "Correction(sign=-1, c=1, m=3, den=(2, 5, 2), s=4), "
-            "Correction(sign=-1, c=1, m=9, den=(2, 41, 20), s=8)))")
-        assert [record.value() for record in trace.corrections] == \
-            [F(-3, 2), F(-9, 20), F(-81, 1640)]
+            "pairs=((4, 1), (5, 2), (41, 20)), corrections=("
+            "Correction(sign=-1, c=12, m=1), "
+            "Correction(sign=-1, c=1, m=3), "
+            "Correction(sign=-1, c=1, m=9)))")
+        assert _values(trace) == [F(-3, 2), F(-9, 20), F(-81, 1640)]
 
     def test_grid_steps(self):
         fix = FixProfile(1000, 20000, 20000)
@@ -1787,15 +1860,18 @@ class TestOperandCap:
                 assert max(abs(v).bit_length() for v in formed) \
                     <= _pass_bits(y, x)
             # an applied pass forms c*m and the norm c*m*m; reading a
-            # correction record forms its c*m*m, the product of its first
-            # two denominator factors, then of all, the gcd against s and
-            # the two quotients
+            # correction forms its c*m*m, 2*b*p and 2*b*p*q of its pair,
+            # the content s of that product, the gcd against s and the
+            # two quotients
             assert len(passes) == len(trace.corrections)
             for _, x, c, m, ad in passes:
-                num, den = ad.c * ad.m * ad.m, math.prod(ad.den)
-                g = math.gcd(num, ad.s)
-                formed = [c * m, c * m * m, ad.s, math.prod(ad.den[:2]), den,
-                          g, num // g, den // g]
+                p, q, b = x.numerator, x.denominator, y.denominator
+                num, den = ad.c * ad.m * ad.m, 2 * b * p * q
+                s = 2 * b * newton._content(p, 2 * y.numerator * b) \
+                    * newton._content(q, 2 * y.numerator * b)
+                g = math.gcd(num, s)
+                formed = [c * m, c * m * m, s, 2 * b * p, den, g, num // g,
+                          den // g]
                 assert max(abs(v).bit_length() for v in formed) \
                     <= _pass_bits(y, x)
 

@@ -183,15 +183,25 @@ def _step(stp_count: int, eps_count: int):
 # applied more passes than the cap allows
 UNTIL_LOOPS = {"sqr": lambda: sqr_exact(F(2), F(1, 100)),
                "isqr": lambda: isqr_exact(F(3), F(1, 10 ** 6), F(2))}
+# A correction is read against the pair its pass starts from, so a
+# tampered pair moves that pass's correction too; each tamper keeps the
+# other rules' claims.
 TAMPERS = {
-    # iterate 1 at 1, below the root
+    # iterate 1 at 7/5, below both roots; pass 1's correction read
+    # against it, 1/70, still halves and is halved
     "loop-invariant": lambda t: t._replace(
-        pairs=(t.pairs[0], (1, 1), *t.pairs[2:])),
-    # correction 1 equal to correction 0
-    "halving": lambda t: t._replace(
-        corrections=t.corrections[:1] * 2 + t.corrections[2:]),
-    # the result replaced by the seed, inside [sqrt(y), seed]
-    "final-error": lambda t: t._replace(pairs=(*t.pairs[:-1], t.pairs[0])),
+        pairs=(t.pairs[0], (7, 5), *t.pairs[2:])),
+    # correction 1's m times p_1: p_1**2 times its value, above half
+    # correction 0's
+    "halving": lambda t: t._replace(corrections=(
+        t.corrections[0],
+        t.corrections[1]._replace(m=t.corrections[1].m * t.pairs[1][0]),
+        *t.corrections[2:])),
+    # the result replaced by the seed, inside [sqrt(y), seed], and the
+    # exit pass, which starts from it, claims no correction there
+    "final-error": lambda t: t._replace(
+        pairs=(*t.pairs[:-1], t.pairs[0]),
+        corrections=(*t.corrections[:-1], t.corrections[-1]._replace(c=0))),
     "iteration-cap": lambda t: t._replace(eps=(1, 1)),
 }
 

@@ -81,10 +81,13 @@ class TestIterationCap:
             assert abs(cap - est) <= 1
 
 
-def record_of(d):
-    """The Correction an applied pass records for its correction d."""
-    return Correction((d > 0) - (d < 0), abs(d.numerator), 1,
-                      (d.denominator,), 1)
+def record_for(trace, k, d):
+    """The Correction that reads d against pairs[k] = (p, q) of y = a/b:
+    c = |d|*2*b*p*q with m = 1, which must be an integer."""
+    (_, b), (p, q) = trace.y, trace.pairs[k]
+    c = abs(d) * 2 * b * p * q
+    assert c.denominator == 1, (k, d)
+    return Correction((d > 0) - (d < 0), c.numerator, 1)
 
 
 def pair(x):
@@ -100,10 +103,16 @@ def with_iterates(trace, *changes):
     return trace._replace(pairs=tuple(pairs))
 
 
+def exit_zeroed(trace):
+    """The trace with its exit pass's correction read as 0 (c = 0)."""
+    zero = trace.corrections[-1]._replace(c=0)
+    return trace._replace(corrections=trace.corrections[:-1] + (zero,))
+
+
 def with_correction(trace, k, d):
     """The trace with pass k's correction replaced by d."""
     corrections = list(trace.corrections)
-    corrections[k] = record_of(d)
+    corrections[k] = record_for(trace, k, d)
     return trace._replace(corrections=tuple(corrections))
 
 
@@ -112,10 +121,12 @@ def with_extra_passes(trace, count, lo):
     x going seed -> lo -> seed and so on (so every boundary stays in
     [lo, seed]); each correction is three times the next, the last three
     times the run's first."""
-    seed, first = trace.pairs[0], trace.corrections[0].value()
-    extra = tuple(record_of(first * 3 ** (count - j)) for j in range(count))
-    return trace._replace(pairs=(seed, pair(lo)) * (count // 2) + trace.pairs,
-                          corrections=extra + trace.corrections)
+    seed, first = trace.pairs[0], trace.correction(0)
+    longer = trace._replace(
+        pairs=(seed, pair(lo)) * (count // 2) + trace.pairs)
+    extra = tuple(record_for(longer, j, first * 3 ** (count - j))
+                  for j in range(count))
+    return longer._replace(corrections=extra + trace.corrections)
 
 
 class TestCheckSqr:
@@ -141,7 +152,9 @@ class TestCheckSqr:
     def test_tampered_invariant_fails_only_invariant(self):
         y, eps = F(2), F(1, 100)
         _, trace = sqr_exact(y, eps)
-        bad = with_iterates(trace, (1, F(1)))
+        # 7/5 lies below sqrt(2), and pass 1's correction read against
+        # it, 1/70, stays below half of pass 0's and above twice pass 2's
+        bad = with_iterates(trace, (1, F(7, 5)))
         report = check_sqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"sqr.loop-invariant"}
         assert report.failures()[0].witness["k"] == 1
@@ -172,7 +185,9 @@ class TestCheckSqr:
         # y is inside the invariant's [sqrt(y), y] but far from the root
         y, eps = F(2), F(1, 100)
         _, trace = sqr_exact(y, eps)
-        bad = with_iterates(trace, (-1, y))
+        # the exit pass, which starts from the result, claims no
+        # correction there
+        bad = exit_zeroed(with_iterates(trace, (-1, y)))
         assert bad.pairs[-1] == pair(y)
         report = check_sqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"sqr.final-error"}
@@ -281,14 +296,16 @@ class TestCheckIsqr:
 
     def test_tied_correction_fails_only_halving(self):
         trace = self.run()
-        bad = with_correction(trace, 2, trace.corrections[1].value() / 2)
+        bad = with_correction(trace, 2, trace.correction(1) / 2)
         rules, failures = self.failed(bad)
         assert rules == {"isqr.halving"}
         assert failures[0].witness["i"] == 1
 
     def test_final_x_replaced_by_seed_fails_only_final_error(self):
         trace = self.run()
-        bad = with_iterates(trace, (-1, self.SEED))
+        # the exit pass, which starts from the result, claims no
+        # correction there
+        bad = exit_zeroed(with_iterates(trace, (-1, self.SEED)))
         assert bad.pairs[-1] == pair(self.SEED)
         rules, failures = self.failed(bad)
         assert rules == {"isqr.final-error"}
@@ -315,7 +332,7 @@ LONG_Y, LONG_EPS = F(99999989, 991), F(1, 999999)
 @pytest.fixture(scope="module")
 def long_corrections():
     _, trace = sqr_exact(LONG_Y, LONG_EPS)
-    return [record.value() for record in trace.corrections]
+    return [trace.correction(k) for k in range(len(trace.corrections))]
 
 
 def halves_q(prev, cur):
@@ -389,11 +406,11 @@ class TestHalves:
         (1, F(2)),      # 2|cur| = 2|prev|: far above
         (4, F(1, 2)),   # exact tie 2|cur| = |prev|
         (12, F(1, 2)),  # tie between corrections with parts of 50K+ bits
-        (8, F(-3, 4)),  # signed, above the bound
+        (8, F(-3, 2)),  # signed, above the bound
     ])
     def test_negative_controls(self, index, factor):
         _, trace = sqr_exact(LONG_Y, LONG_EPS)
-        prev = trace.corrections[index - 1].value()
+        prev = trace.correction(index - 1)
         bad = with_correction(trace, index, prev * factor)
         report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
         assert {c.rule for c in report.failures()} == {"sqr.halving"}
@@ -430,11 +447,12 @@ def _halving_agrees(trace):
     """Each consecutive pair of corrections (and each pair swapped) is
     decided on factors, before any correction is read, as fraction_halves
     decides it on the values built from the same factors."""
-    factors = [record.factors() for record in trace.corrections]
-    pairs = list(zip(range(len(factors)), range(1, len(factors))))
+    passes = range(len(trace.corrections))
+    factors = [trace.factors(k) for k in passes]
+    pairs = list(zip(passes, passes[1:]))
     pairs += [(j, i) for i, j in pairs]
     decided = [halves(factors[i], factors[j]) for i, j in pairs]
-    values = [record.value() for record in trace.corrections]
+    values = [trace.correction(k) for k in passes]
     return decided == [fraction_halves(values[i], values[j])
                        for i, j in pairs]
 
@@ -451,7 +469,7 @@ class TestHalvingOnFactors:
         of the first run has a denominator past 14,300 bits."""
         built, values, steps = [], [], []
         real_build = newton.fraction_from_coprime
-        real_value, real_step = Correction.value, newton.TraceStep
+        real_value, real_step = Trace.correction, newton.TraceStep
 
         def building(p, q):
             if sys._getframe(1).f_code.co_name == "_exact_run":
@@ -459,9 +477,9 @@ class TestHalvingOnFactors:
             return real_build(p, q)
 
         monkeypatch.setattr(newton, "fraction_from_coprime", building)
-        monkeypatch.setattr(Correction, "value",
-                            lambda record: values.append(record)
-                            or real_value(record))
+        monkeypatch.setattr(Trace, "correction",
+                            lambda trace, k: values.append(k)
+                            or real_value(trace, k))
         monkeypatch.setattr(newton, "TraceStep",
                             lambda *parts: steps.append(parts)
                             or real_step(*parts))
@@ -484,39 +502,37 @@ class TestHalvingOnFactors:
         assert len(steps) == len(values) == len(traces[0].corrections)
 
     @pytest.mark.parametrize("family", ["sqr", "isqr"])
-    @pytest.mark.parametrize("scale", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("scale", [(1, 1), (2, 1)])
     def test_forged_exit_factors(self, family, scale):
-        # 2|d_f| = |d_(f-1)| exactly at scale 1/1, 3/2 times it at 3/2;
-        # the forged factors are 50K+-bit, like the run's own
+        # 2|d_f| = |d_(f-1)| exactly at scale 1/1, twice it at 2/1; the
+        # forged c is 100K+-bit, read against the exit pass's own pair
         if family == "sqr":
             _, trace = sqr_exact(LONG_Y, LONG_EPS)
         else:
             _, trace = isqr_exact(LONG_Y, LONG_EPS, LONG_Y)
-        prev = trace.corrections[-2].value()
-        m = trace.corrections[-1].m
-        assert m.bit_length() > 50_000
+        prev = trace.correction(-2)
         up, down = scale
-        num = (abs(prev.numerator) * up, m, m)
-        den = (2 * down, prev.denominator * m, m)
         sign = -1 if family == "sqr" else 1
-        record = Correction(sign, num[0], m, den, math.prod(den))
+        f = len(trace.corrections) - 1
+        forged = sign * abs(prev) * F(up, 2 * down)
+        record = record_for(trace, f, forged)
+        assert record.c.bit_length() > 50_000
         bad = _exit_forged(trace, record)
         report = check_sqr_annotations(bad, LONG_Y, LONG_EPS)
         assert {c.rule for c in report.failures()} == {f"{family}.halving"}
         witness = report.failures()[0].witness
-        f = len(trace.corrections) - 1
-        assert witness == {"i": f - 1, "d_i": prev,
-                           "d_next": F(sign * math.prod(num), math.prod(den))}
-        assert 2 * abs(witness["d_next"]) == abs(prev) * F(up, down)
+        assert witness == {"i": f - 1, "d_i": prev, "d_next": forged}
+        d_next = witness["d_next"]
+        assert math.gcd(d_next.numerator, d_next.denominator) == 1
+        assert 2 * abs(d_next) == abs(prev) * F(up, down)
 
     def test_forged_exit_below_half_passes(self):
         # a forged exit correction one unit of its denominator below the
         # tie still halves
         _, trace = sqr_exact(LONG_Y, LONG_EPS)
-        prev = trace.corrections[-2].value()
-        record = Correction(-1, abs(prev.numerator) - 1, 1,
-                            (2, prev.denominator, 1), 2)
-        bad = _exit_forged(trace, record)
+        prev = trace.correction(-2)
+        tie = record_for(trace, len(trace.corrections) - 1, -prev / 2)
+        bad = _exit_forged(trace, tie._replace(c=tie.c - 1))
         assert check_sqr_annotations(bad, LONG_Y, LONG_EPS).overall
 
     def test_agrees_on_the_exact_certify_corpus(self):
@@ -554,7 +570,7 @@ class TestCheckFsqr:
         # hand-build a run that stopped far from the root: the checker
         # must flag the final bound and nothing else
         y, eps, s = F(3), F(1, 100), F(3)
-        trace = Trace("fsqr_exact", y=pair(y), eps=pair(eps), n_planned=0,
+        trace = Trace("fsqr_exact", y=pair(y), eps=pair(eps),
                       pairs=(pair(s),), corrections=())
         report = check_fsqr_annotations(trace, y, eps)
         assert {c.rule for c in report.failures()} == {"fsqr.final-error"}
@@ -626,6 +642,53 @@ class TestCheckedAgainstItsRecord:
         assert check_sqr_annotations(trace, 2, F(1, 100)).overall
         _, trace = fsqr_exact(3, 1, 3, 2)
         assert check_fsqr_annotations(trace, 3, 1).overall
+
+
+class TestTypedRefusals:
+    """A checker refuses a y or eps that is no int or Fraction with the
+    DomainError the runs raise, and any record but an exact run's with
+    UsageError, before it reads a field."""
+
+    @pytest.mark.parametrize("y, eps", [(2.0, F(1, 100)), (F(2), 0.01),
+                                        ("2", F(1, 100))])
+    @pytest.mark.parametrize("checker", [check_sqr_annotations,
+                                         check_fsqr_annotations])
+    def test_non_rational_inputs(self, checker, y, eps):
+        _, trace = sqr_exact(F(2), F(1, 100))
+        name, value = ("y", y) if eps == F(1, 100) else ("eps", eps)
+        with pytest.raises(DomainError) as info:
+            checker(trace, y, eps)
+        assert str(info.value) == \
+            f"{name} must be an int or a Fraction, got {value!r}"
+        with pytest.raises(DomainError) as run_info:
+            sqr_exact(y, eps)
+        assert str(run_info.value) == str(info.value)
+
+    def test_grid_records(self, demo_profile, demo_table,
+                          demo_float_profile):
+        eps = demo_profile.val(25)
+        _, mix = mix_sqr(demo_profile.val(300), eps, demo_table)
+        _, zero = flt_sqr(FloatVal.zero(), eps, demo_float_profile,
+                          demo_table)
+        assert zero.y is None
+        for record in (mix, zero):
+            with pytest.raises(UsageError) as info:
+                check_sqr_annotations(record, 3, F(1, 4))
+            assert str(info.value) == (
+                "expected a trace from sqr_exact or isqr_exact of y=3/1 "
+                "eps=1/4, got a GridTrace that is no exact run's record")
+            with pytest.raises(UsageError, match="got a GridTrace that"):
+                check_fsqr_annotations(record, 3, F(1, 4))
+
+    def test_pass_without_its_pair_or_with_q_below_1(self):
+        _, trace = sqr_exact(F(2), F(1, 100))
+        for bad in (trace._replace(pairs=trace.pairs[:-1]),
+                    trace._replace(pairs=(), corrections=()),
+                    trace._replace(pairs=((2, 1), (1, 0), (17, 12))),
+                    trace._replace(pairs=((2, 1), (-3, -2), (17, 12)))):
+            with pytest.raises(UsageError, match="got a Trace that is no "
+                                                 "exact run's record$"):
+                check_sqr_annotations(bad, F(2), F(1, 100))
 
 
 # a valid run that exits at pass 0 with x = y: its error, about 10**700,

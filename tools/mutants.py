@@ -3,7 +3,9 @@
     python3 tools/mutants.py
 
 Each mutant is one exact text replacement in one file under src/, and the
-tier-1 tests that must fail on it.  For each mutant the runner copies src/
+tier-1 tests that must fail on it.  First the runner collects the files
+those tests are in, in one pytest --collect-only run, and exits 1 naming
+each test id that collects no test.  For each mutant it then copies src/
 to a temporary directory, applies the replacement there, runs each of
 those tests against the copy in its own pytest run, on a hypothesis
 database of its own that starts empty, and prints one line.
@@ -19,7 +21,7 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI, LUT, EXACT, FIXARITH, FLOATMODEL, NEWTON, VERIFY = (
@@ -33,6 +35,8 @@ PRODUCT_TESTS = "tests/test_exact.py::TestCmpProducts::"
 CONTROL = "tests/test_rules.py::test_control"
 GRID_CONTROL = "tests/test_one_grid.py::test_control"
 ONE_FORM = "tests/test_newton.py::TestOneRecordForm::test_every_pass"
+WITHIN = "tests/test_exact.py::TestWithinSigns::"
+TYPED = "tests/test_verify.py::TestTypedRefusals::"
 
 
 class Mutant(NamedTuple):
@@ -144,18 +148,18 @@ MUTANTS = (
            "(g // h) ** 2, abs(norm) // h", "(g // h) ** 2, abs(norm) // g",
            ("tests/test_newton.py::TestCarriedNorm::"
             "test_g_not_dividing_the_norm",)),
-    # every pass appends one record, so these three break the applied
-    # passes' records as well as the exit's
-    Mutant("exit record's den (b, p, q)", NEWTON,
-           "(2 * b, p, q), s)", "(b, p, q), s)",
+    # the loop's exit test reads a pass's factors as Trace.factors(k)
+    # does, so these two move the exits as well as every reading
+    Mutant("factors(k) reads den as (b, p, q)", NEWTON,
+           "self.m), (2 * b, p, q)", "self.m), (b, p, q)",
            (ONE_FORM, STEP_TESTS + "test_exit_pass_matches_products",
             DIGEST)),
-    Mutant("exit record's den without 2*b", NEWTON,
-           "(2 * b, p, q), s)", "(p, q), s)",
+    Mutant("factors(k) reads den without 2*b", NEWTON,
+           "self.m), (2 * b, p, q)", "self.m), (p, q)",
            (ONE_FORM, STEP_TESTS + "test_squarings_match_products",
             STEP_TESTS + "test_exit_pass_matches_products", DIGEST)),
-    Mutant("exit record's content s read as 1", NEWTON,
-           "(2 * b, p, q), s)", "(2 * b, p, q), 1)",
+    Mutant("correction(k) reads the content as 1", NEWTON,
+           "2 * b * _content(p, small) * _content(q, small))", "1)",
            ("tests/test_newton.py::TestExitCorrectionBuiltWhenRead::"
             "test_value_is_the_eager_correction", DIGEST)),
     Mutant("until-loop exit without its own c < 0 test", NEWTON,
@@ -210,6 +214,25 @@ MUTANTS = (
            "if x_lo > y_hi:\n        return 1",
            "if x_lo > y_hi:\n        return -1",
            (PRODUCT_TESTS + "test_long_ties_and_neighbours",)),
+    Mutant("encode_int without its sign prefix", EXACT,
+           'return f"-0x{digits}" if n < 0 else f"0x{digits}"',
+           'return f"0x{digits}"',
+           ("tests/test_exact.py::TestLosslessEncoding::"
+            "test_hex_above_the_threshold",)),
+    Mutant("_within_signs' short path with rhs plus one", EXACT,
+           "rhs = a * den * den", "rhs = a * den * den + 1",
+           (WITHIN + "test_threshold",
+            WITHIN + "test_equals_two_sqrt_sign_calls")),
+    Mutant("_within_signs' short path only below _SHORT_BITS", EXACT,
+           "if (lo.bit_length() <= _SHORT_BITS and hi.bit_length() <= "
+           "_SHORT_BITS\n            and den.bit_length() <= _SHORT_BITS):",
+           "if (lo.bit_length() < _SHORT_BITS and hi.bit_length() < "
+           "_SHORT_BITS\n            and den.bit_length() < _SHORT_BITS):",
+           (WITHIN + "test_threshold",)),
+    Mutant("_within_signs' short path reads a negative lo by its square",
+           EXACT, "lo_sign = -1 if lo < 0 else (lhs > rhs) - (lhs < rhs)",
+           "lo_sign = (lhs > rhs) - (lhs < rhs)",
+           (WITHIN + "test_threshold",)),
     Mutant("encode_int keeps the leading 0 nibble", EXACT,
            '.hex().lstrip("0")', ".hex()",
            ("tests/test_exact.py::TestLosslessEncoding::test_hex_is_hex",)),
@@ -282,6 +305,13 @@ MUTANTS = (
            "q * sd * (2**k - 1)", "q * sd * 2**k",
            ("tests/test_verify.py::TestIntegerDecisionsMatchFractionFormulas"
             "::test_near_bounds",)),
+    Mutant("a checker reads a y or eps that is no int or Fraction", VERIFY,
+           "    _check_rational(y=y, eps=eps)\n    expected",
+           "    expected",
+           (TYPED + "test_non_rational_inputs",)),
+    Mutant("a checker reads a grid record", VERIFY,
+           "isinstance(trace, Trace) and len(", "(",
+           (TYPED + "test_grid_records",)),
     Mutant("a checker takes a y or eps the record does not hold", VERIFY,
            " or (trace.y, trace.eps) != asked:", ":",
            ("tests/test_verify.py::TestCheckedAgainstItsRecord",)),
@@ -310,6 +340,32 @@ def mutated_source(mutant: Mutant, text: str) -> str:
     return text.replace(mutant.anchor, mutant.replacement)
 
 
+def _pytest_env(src: Path, **extra: str) -> dict[str, str]:
+    """The environment of a pytest run against the package under src."""
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", **extra,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
+def stale_ids(ids: Iterable[str]) -> list[str]:
+    """The ids, sorted, that name no test collected from their files, in
+    one pytest --collect-only run: an id names each test whose node id
+    it is, or is a prefix of up to a '::' or a '['."""
+    ids = sorted(set(ids))
+    files = sorted({path for path in (i.split("::")[0] for i in ids)
+                    if (ROOT / path).is_file()})
+    collected = []
+    if files:  # with no path pytest would collect every test
+        collected = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q",
+             "-p", "no:cacheprovider", *files], cwd=ROOT,
+            env=_pytest_env(ROOT / "src"), capture_output=True,
+            text=True).stdout.splitlines()
+    return [i for i in ids
+            if not any(n == i or n.startswith((i + "::", i + "["))
+                       for n in collected)]
+
+
 def run_mutant(mutant: Mutant, scratch: Path) -> str:
     """'killed', 'SURVIVED' or an error note for one mutant."""
     src, storage = scratch / "src", scratch / "hypothesis"
@@ -322,10 +378,7 @@ def run_mutant(mutant: Mutant, scratch: Path) -> str:
     # hypothesis keeps its examples under the storage directory, by
     # default .hypothesis/ in the cwd; a mutant's own empty one means no
     # failing example saved by an earlier run is replayed
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-           "HYPOTHESIS_STORAGE_DIRECTORY": str(storage),
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = _pytest_env(src, HYPOTHESIS_STORAGE_DIRECTORY=str(storage))
     # pytest exits 1 when tests ran and some failed, 0 when all passed
     codes = [subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -339,6 +392,10 @@ def run_mutant(mutant: Mutant, scratch: Path) -> str:
 
 
 def main() -> int:
+    stale = stale_ids(test for mutant in MUTANTS for test in mutant.tests)
+    if stale:
+        print("test ids that collect no test:", *stale, sep="\n  ")
+        return 1
     failed = 0
     with tempfile.TemporaryDirectory(prefix="certisqrt-mutants-") as tmp:
         for mutant in MUTANTS:
