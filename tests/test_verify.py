@@ -83,11 +83,14 @@ class TestIterationCap:
 
 def record_for(trace, k, d):
     """The Correction that reads d against pairs[k] = (p, q) of y = a/b:
-    c = |d|*2*b*p*q with m = 1, which must be an integer."""
+    c = |d|*2*b*p*q with m = 1, which must be an integer, for d of the
+    sign the record's algorithm gives each correction (<= 0 in sqr_exact,
+    >= 0 in the seeded runs)."""
     (_, b), (p, q) = trace.y, trace.pairs[k]
-    c = abs(d) * 2 * b * p * q
-    assert c.denominator == 1, (k, d)
-    return Correction((d > 0) - (d < 0), c.numerator, 1)
+    sign = -1 if trace.algorithm == "sqr_exact" else 1
+    c = sign * d * 2 * b * p * q
+    assert c.denominator == 1 and c >= 0, (k, d)
+    return Correction(c.numerator, 1)
 
 
 def pair(x):
@@ -158,6 +161,18 @@ class TestCheckSqr:
         report = check_sqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"sqr.loop-invariant"}
         assert report.failures()[0].witness["k"] == 1
+
+    def test_invariant_witness_in_lowest_terms(self):
+        # the pair a forged record writes as (14, 10) is reported as 7/5;
+        # pass 1's correction, read against it, breaks halving too
+        _, trace = sqr_exact(F(2), F(1, 100))
+        pairs = list(trace.pairs)
+        pairs[1] = (14, 10)
+        report = check_sqr_annotations(trace._replace(pairs=tuple(pairs)),
+                                       F(2), F(1, 100))
+        failed = {c.rule: c.witness for c in report.failures()}
+        x = failed["sqr.loop-invariant"]["x"]
+        assert x == F(7, 5) and (x.numerator, x.denominator) == (7, 5)
 
     def test_two_broken_boundaries_report_the_first(self):
         y, eps = F(2), F(1, 100)
@@ -406,7 +421,7 @@ class TestHalves:
         (1, F(2)),      # 2|cur| = 2|prev|: far above
         (4, F(1, 2)),   # exact tie 2|cur| = |prev|
         (12, F(1, 2)),  # tie between corrections with parts of 50K+ bits
-        (8, F(-3, 2)),  # signed, above the bound
+        (8, F(3, 2)),   # 2|cur| = 3|prev|: above the bound
     ])
     def test_negative_controls(self, index, factor):
         _, trace = sqr_exact(LONG_Y, LONG_EPS)
@@ -531,7 +546,7 @@ class TestHalvingOnFactors:
         # tie still halves
         _, trace = sqr_exact(LONG_Y, LONG_EPS)
         prev = trace.correction(-2)
-        tie = record_for(trace, len(trace.corrections) - 1, -prev / 2)
+        tie = record_for(trace, len(trace.corrections) - 1, prev / 2)
         bad = _exit_forged(trace, tie._replace(c=tie.c - 1))
         assert check_sqr_annotations(bad, LONG_Y, LONG_EPS).overall
 
@@ -595,6 +610,19 @@ class TestCheckFsqr:
         report = check_fsqr_annotations(bad, y, eps)
         assert {c.rule for c in report.failures()} == {"fsqr.progress"}
         assert report.failures()[0].witness == {"k": 1, "x": F(4)}
+
+    def test_progress_witness_in_lowest_terms(self):
+        # the iterate after two passes raised back to the seed, written
+        # (6, 2): the witness is 3/1
+        y, eps = F(3), F(1, 10)
+        _, trace = fsqr_exact(y, eps, F(3), 5)
+        pairs = list(trace.pairs)
+        pairs[2] = (6, 2)
+        report = check_fsqr_annotations(trace._replace(pairs=tuple(pairs)),
+                                        y, eps)
+        assert {c.rule for c in report.failures()} == {"fsqr.progress"}
+        x = report.failures()[0].witness["x"]
+        assert x == 3 and (x.numerator, x.denominator) == (3, 1)
 
 
 # the refusal of a trace whose record holds another y or eps
@@ -689,6 +717,26 @@ class TestTypedRefusals:
             with pytest.raises(UsageError, match="got a Trace that is no "
                                                  "exact run's record$"):
                 check_sqr_annotations(bad, F(2), F(1, 100))
+
+    def test_negative_factors(self):
+        """A correction with c or m below 0, which no run records, is
+        refused as a pair with q below 1 is.  Read, each of these would
+        pass all four rules: m enters squared, and a negative exit c
+        would turn sqr_exact's last correction positive."""
+        y, eps = F(10), F(1, 1000)
+        _, trace = sqr_exact(y, eps)
+        ads = trace.corrections
+        assert len(ads) == 5 and ads[-1].c > 0
+
+        def negated(k, field):
+            forged = ads[k]._replace(**{field: -getattr(ads[k], field)})
+            return trace._replace(corrections=(*ads[:k], forged,
+                                               *ads[k + 1:]))
+
+        for bad in [negated(k, "m") for k in range(5)] + [negated(4, "c")]:
+            with pytest.raises(UsageError, match="got a Trace that is no "
+                                                 "exact run's record$"):
+                check_sqr_annotations(bad, y, eps)
 
 
 # a valid run that exits at pass 0 with x = y: its error, about 10**700,

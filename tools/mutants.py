@@ -37,6 +37,8 @@ GRID_CONTROL = "tests/test_one_grid.py::test_control"
 ONE_FORM = "tests/test_newton.py::TestOneRecordForm::test_every_pass"
 WITHIN = "tests/test_exact.py::TestWithinSigns::"
 TYPED = "tests/test_verify.py::TestTypedRefusals::"
+REDUCED = "tests/test_newton.py::TestReducedByCarriedContent::"
+NEWTON_STEP = "tests/test_fixarith.py::TestNewtonStep::"
 
 
 class Mutant(NamedTuple):
@@ -130,22 +132,19 @@ MUTANTS = (
     Mutant("_exact_run forms aqq as bpp + norm", NEWTON,
            "aqq = bpp - norm", "aqq = bpp + norm",
            (STEP_TESTS + "test_squarings_match_products", DIGEST)),
-    Mutant("_exact_run carries s_q as 1", NEWTON,
-           "s_p, s_q = _content(p, small), s // g",
-           "s_p, s_q = _content(p, small), 1",
-           ("tests/test_newton.py::TestReducedByCarriedContent",)),
-    Mutant("_exact_run carries s_q as s_p", NEWTON,
-           "s_p, s_q = _content(p, small), s // g",
-           "s_q = s_p = _content(p, small)",
-           ("tests/test_newton.py::TestReducedByCarriedContent", DIGEST)),
-    Mutant("_exact_run carries s_p as 1", NEWTON,
-           "s_p, s_q = _content(p, small), s // g", "s_p, s_q = 1, s // g",
-           (DIGEST,)),
-    Mutant("_exact_run reduces by 2*b alone", NEWTON,
-           "s = 2 * b * s_p * s_q", "s = 2 * b",
-           ("tests/test_newton.py::TestReducedByCarriedContent",)),
+    # the one reduction rule of the loop's pairs and of correction(k)
+    Mutant("_common_factor reads the numerator's content as 1", NEWTON,
+           "return math.gcd(_content(num, small), den)",
+           "return math.gcd(1, den)",
+           (REDUCED + "test_one_rule_is_the_full_gcd",
+            STEP_TESTS + "test_squarings_match_products", DIGEST)),
+    Mutant("_common_factor reads the content as gcd(num, small)", NEWTON,
+           "return math.gcd(_content(num, small), den)",
+           "return math.gcd(math.gcd(num, small), den)",
+           (REDUCED + "test_matches_reference",
+            REDUCED + "test_one_rule_is_the_full_gcd")),
     Mutant("_norm_factors divides the norm by g, not h", NEWTON,
-           "(g // h) ** 2, abs(norm) // h", "(g // h) ** 2, abs(norm) // g",
+           "(g // h) ** 2, norm // h", "(g // h) ** 2, norm // g",
            ("tests/test_newton.py::TestCarriedNorm::"
             "test_g_not_dividing_the_norm",)),
     # the loop's exit test reads a pass's factors as Trace.factors(k)
@@ -159,11 +158,16 @@ MUTANTS = (
            (ONE_FORM, STEP_TESTS + "test_squarings_match_products",
             STEP_TESTS + "test_exit_pass_matches_products", DIGEST)),
     Mutant("correction(k) reads the content as 1", NEWTON,
-           "2 * b * _content(p, small) * _content(q, small))", "1)",
+           "g = _common_factor(num, den, 2 * a * b)", "g = 1",
            ("tests/test_newton.py::TestExitCorrectionBuiltWhenRead::"
-            "test_value_is_the_eager_correction", DIGEST)),
-    Mutant("until-loop exit without its own c < 0 test", NEWTON,
-           "(c < 0 or halves(", "(halves(",
+            "test_value_is_the_eager_correction",
+            REDUCED + "test_one_rule_is_the_full_gcd", DIGEST)),
+    Mutant("sqr_exact's correction sign read as +1", NEWTON,
+           'sign = -1 if self.algorithm == "sqr_exact" else 1', "sign = 1",
+           (ONE_FORM, "tests/test_newton.py::TestTraceRepr::test_pinned",
+            DIGEST)),
+    Mutant("_exact_run without its first-norm guard", NEWTON,
+           "if c < 0:", "if False:",
            (STEP_TESTS + "test_norm_below_the_root_exits",)),
     # 2**n over the formula's 2 is 2**(n - 1)
     Mutant("_legal_count shifts by n, not n - 1", NEWTON,
@@ -252,6 +256,20 @@ MUTANTS = (
            "while sq < t:\n", "while sq <= t:\n",
            ("tests/test_lut.py::TestLeastRootsWalk::"
             "test_matches_isqrt_and_root_rule",)),
+    # the grid roundings differ from the code only at ties, so each
+    # names a test of the tie or refusal itself
+    Mutant("fix_div rounds ties half up", FIXARITH,
+           "return FixVal(round_half_even(num, den), profile)",
+           "return FixVal((2 * num + den) // (2 * den), profile)",
+           (NEWTON_STEP + "test_quotient_rounds_ties_to_even",
+            NEWTON_STEP + "test_every_pair_of_a_small_grid")),
+    Mutant("_newton_step's quotient rounds ties half up", FIXARITH,
+           "round_half_even(num, twice)", "(2 * num + twice) // (2 * twice)",
+           (NEWTON_STEP + "test_quotient_rounds_ties_to_even",
+            NEWTON_STEP + "test_every_pair_of_a_small_grid")),
+    Mutant("_newton_step without its sum range test", FIXARITH,
+           "if not lo <= count <= hi:", "if False:",
+           (NEWTON_STEP + "test_every_pair_of_a_small_grid",)),
     Mutant("round_half_even rounds ties up", FIXARITH,
            "return floor if floor % 2 == 0 else floor + 1",
            "return floor + 1",
@@ -309,6 +327,10 @@ MUTANTS = (
            "    _check_rational(y=y, eps=eps)\n    expected",
            "    expected",
            (TYPED + "test_non_rational_inputs",)),
+    Mutant("a checker reads a correction with a negative factor", VERIFY,
+           "\n            and min(map(min, trace.corrections), default=0) >= 0)",
+           ")",
+           (TYPED + "test_negative_factors",)),
     Mutant("a checker reads a grid record", VERIFY,
            "isinstance(trace, Trace) and len(", "(",
            (TYPED + "test_grid_records",)),
