@@ -51,7 +51,7 @@ from .newton import (
     mix_sqr,
     sqr_exact,
 )
-from .report import VerifyReport
+from .report import VerifyReport, json_text
 from .verify import (
     approx_abs_err,
     balance_sweep,
@@ -291,8 +291,8 @@ def _csv(header: list[str], rows) -> str:
 
 def _print_reports(reports: list[VerifyReport]) -> int:
     overall = all(r.overall for r in reports)
-    doc = {"overall": overall, "reports": [r.as_dict() for r in reports]}
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json_text({"overall": overall,
+                     "reports": [r.fields() for r in reports]}))
     return 0 if overall else 1
 
 
@@ -383,7 +383,7 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
     print("\n".join(lines))
     if args.trace_out is not None:
         rows, cols = trace_rows(trace), TRACE_COLUMNS
-        _write(args.trace_out, json.dumps(rows, sort_keys=True, indent=2) +
+        _write(args.trace_out, json_text(rows) +
                "\n" if args.trace_out.endswith(".json") else
                _csv(cols, ([r[c] for c in cols] for r in rows)))
     return 0 if verdict.passed else 1

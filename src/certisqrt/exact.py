@@ -28,17 +28,17 @@ when K = 0.
 cmp_products(xs, ys) decides the sign of prod(xs) - prod(ys) for two
 sequences of factors >= 0 in stages, and forms a product only in the
 last.  Bit lengths come first: a product of k factors whose bit lengths
-sum to t has between t - (k - 1) and t bits.  Next each factor is cut
-to its top _FILTER_BITS bits: dropping low bits moves a factor by less
-than one unit of its last kept bit, so each product lies in a bracket
-of small integers, and disjoint brackets decide the sign.  Only
-overlapping brackets need the full products.  Each stage is exact, so
-the verdict is too; the stages only skip multiplying operands of 100K+
-bits when bit lengths or 128-bit brackets already settle the
-comparison.  halves, 2*|cur| < |prev| on the factors of two
-magnitudes, is one cmp_products call: it decides newton's until-loop
-exit, 2*|ad| < eps on the factors of the pass's correction, and
-verify's halving rule on the factors of two corrections, so neither
+sum to t has between t - (k - 1) and t bits.  Next each factor longer
+than _FILTER_BITS bits is cut to its top _FILTER_BITS bits: dropping
+low bits moves a factor by less than one unit of its last kept bit, so
+each product lies in a bracket of small integers, and disjoint brackets
+decide the sign.  Only overlapping brackets need the full products.
+Each stage is exact, so the verdict is too; the stages only skip
+multiplying operands of 100K+ bits when bit lengths or 128-bit brackets
+already settle the comparison.  halves, 2*|cur| < |prev| on the factors
+of two magnitudes, is one cmp_products call: it decides newton's
+until-loop exit, 2*|ad| < eps on the factors of the pass's correction,
+and verify's halving rule on the factors of two corrections, so neither
 forms the products it compares unless the first two stages leave the
 comparison open.
 
@@ -121,7 +121,7 @@ def _rat_text(q: Fraction | int) -> str:
     return rat_str(q).removesuffix("/1")
 
 
-# The filter keeps the top _FILTER_BITS bits of each factor.
+# The filter keeps the top _FILTER_BITS bits of each longer factor.
 # _within_signs forms its products itself while every part has at most
 # _SHORT_BITS bits; longer parts go through the filter.
 _FILTER_BITS = 128
@@ -135,17 +135,22 @@ def _exact_sign(xs: Sequence[int], ys: Sequence[int]) -> int:
 
 
 def _bracket(xs: Sequence[int]) -> tuple[int, int, int]:
-    """(lo, hi, s) with lo*2**s <= prod(xs) <= hi*2**s, from the top
-    _FILTER_BITS bits of each factor >= 0: dropping low bits moves a
-    factor by less than one unit of its last kept bit."""
+    """(lo, hi, s) with lo*2**s <= prod(xs) <= hi*2**s for factors >= 0:
+    a factor longer than _FILTER_BITS bits is cut to its top _FILTER_BITS
+    bits, n >> s, and lies in [n >> s, (n >> s) + 1] units of 2**s, as
+    dropping low bits moves it by less than one unit of its last kept
+    bit; a shorter factor enters both ends whole."""
     lo = hi = 1
     shift = 0
     for n in xs:
-        s = max(n.bit_length() - _FILTER_BITS, 0)
-        top = n >> s
-        lo *= top
-        hi *= top + (s > 0)
-        shift += s
+        s = n.bit_length() - _FILTER_BITS
+        if s > 0:
+            n >>= s
+            shift += s
+            hi *= n + 1
+        else:
+            hi *= n
+        lo *= n
     return lo, hi, shift
 
 
@@ -172,13 +177,13 @@ def cmp_products(xs: Sequence[int], ys: Sequence[int]) -> int:
     Each stage runs only when the one before cannot decide: bit lengths
     (a product of k factors whose bit lengths sum to t has between
     t - (k - 1) and t bits), then brackets from the top _FILTER_BITS
-    bits of each factor, then the full products.
+    bits of each longer factor, then the full products.
     """
     x_zero, y_zero = not all(xs), not all(ys)
     if x_zero or y_zero:
         return y_zero - x_zero
-    lx = sum(n.bit_length() for n in xs)
-    ly = sum(n.bit_length() for n in ys)
+    lx = sum(map(int.bit_length, xs))
+    ly = sum(map(int.bit_length, ys))
     if lx <= ly - len(ys):
         return -1
     if ly <= lx - len(xs):

@@ -90,14 +90,14 @@ def applied_corrections(trace: Trace) -> int:
 def _record_of(trace: Trace, y: Fraction, eps: Fraction,
                *algorithms: str) -> tuple[int, int, int, int]:
     """(a, b, sn, sd): y = a/b and the seed sn/sd capped at y, of a trace
-    one of `algorithms` made for this y and eps with each pair's q > 0 and
-    each correction's c, m >= 0, else UsageError; a y or eps that is no int
-    or Fraction is a DomainError."""
+    one of `algorithms` made for this y and eps with each pair's p, q > 0
+    and each correction's c, m >= 0, else UsageError; a y or eps that is no
+    int or Fraction is a DomainError."""
     _check_rational(y=y, eps=eps)
     expected = (f"expected a trace from {' or '.join(algorithms)} of y="
                 f"{rat_str(y)} eps={rat_str(eps)}")
     if not (isinstance(trace, Trace) and len(trace.pairs) >= max(
-            1, len(trace.corrections)) and min(q for _, q in trace.pairs) > 0
+            1, len(trace.corrections)) and min(map(min, trace.pairs)) > 0
             and min(map(min, trace.corrections), default=0) >= 0):
         raise UsageError(f"{expected}, got a {type(trace).__name__} that "
                          f"is no exact run's record")

@@ -224,6 +224,20 @@ class TestCmpProducts:
         assert cmp_products(ys, xs) == (math.prod(ys) > 0)
         assert cmp_products(xs, [0]) == 0
 
+    def test_factors_at_the_filter_width(self):
+        """Every pair of sequences of one or two factors of 0, 1, 128 and
+        129 bits, and each product's neighbours: a factor is cut only
+        when it is longer than _FILTER_BITS = 128."""
+        values = [0, 1, 1 << 127, (1 << 128) - 1, (1 << 127) + 12345,
+                  1 << 128, (1 << 129) - 1, (1 << 128) + 777]
+        seqs = [[v] for v in values] + [[v, w] for v in values
+                                        for w in values]
+        for xs in seqs:
+            near = [[math.prod(xs) + unit] for unit in (-1, 0, 1)
+                    if math.prod(xs) + unit >= 0]
+            for ys in seqs + near:
+                assert cmp_products(xs, ys) == product_sign(xs, ys), (xs, ys)
+
     @pytest.mark.parametrize("bits", [127, 128, 129, 256, 4000, 100_000])
     def test_long_ties_and_neighbours(self, bits):
         # one product split three ways; a unit moved on the longest factor

@@ -718,6 +718,24 @@ class TestTypedRefusals:
                                                  "exact run's record$"):
                 check_sqr_annotations(bad, F(2), F(1, 100))
 
+    @pytest.mark.parametrize("p", [-3, 0])
+    def test_pair_with_p_below_1(self, p):
+        """A pair with p below 1, which no run records, is refused as one
+        with q below 1 is.  Read, sqr_exact(2, 1/100)'s record with pair 1
+        written (-3, 2) would fail sqr.halving with the witness d_next =
+        Fraction(-1, -12), a Fraction with a negative denominator."""
+        _, trace = sqr_exact(F(2), F(1, 100))
+        _, fsqr = fsqr_exact(F(3), F(1, 4), F(174, 100), 2)
+        for checker, record, y, eps in (
+                (check_sqr_annotations, trace, F(2), F(1, 100)),
+                (check_fsqr_annotations, fsqr, F(3), F(1, 4))):
+            pairs = record.pairs
+            bad = record._replace(pairs=(pairs[0], (p, pairs[1][1]),
+                                         *pairs[2:]))
+            with pytest.raises(UsageError, match="got a Trace that is no "
+                                                 "exact run's record$"):
+                checker(bad, y, eps)
+
     def test_negative_factors(self):
         """A correction with c or m below 0, which no run records, is
         refused as a pair with q below 1 is.  Read, each of these would

@@ -24,10 +24,10 @@ from time import perf_counter
 from typing import Iterable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-CLI, LUT, EXACT, FIXARITH, FLOATMODEL, NEWTON, VERIFY = (
+CLI, LUT, EXACT, FIXARITH, FLOATMODEL, NEWTON, REPORT, VERIFY = (
     "certisqrt/cli.py", "certisqrt/lut.py", "certisqrt/exact.py",
     "certisqrt/fixarith.py", "certisqrt/floatmodel.py",
-    "certisqrt/newton.py", "certisqrt/verify.py")
+    "certisqrt/newton.py", "certisqrt/report.py", "certisqrt/verify.py")
 LOAD_TESTS = "tests/test_cli.py::TestTableBuild::"
 STEP_TESTS = "tests/test_newton.py::TestExactStep::"
 DIGEST = "tests/test_newton.py::TestExactFamilyDigest"
@@ -39,6 +39,7 @@ WITHIN = "tests/test_exact.py::TestWithinSigns::"
 TYPED = "tests/test_verify.py::TestTypedRefusals::"
 REDUCED = "tests/test_newton.py::TestReducedByCarriedContent::"
 NEWTON_STEP = "tests/test_fixarith.py::TestNewtonStep::"
+WITNESSES = "tests/test_report.py::test_witnesses"
 
 
 class Mutant(NamedTuple):
@@ -208,7 +209,7 @@ MUTANTS = (
            (PRODUCT_TESTS + "test_exact_ties",
             PRODUCT_TESTS + "test_against_full_products")),
     Mutant("_bracket's hi without + (s > 0)", EXACT,
-           "hi *= top + (s > 0)", "hi *= top",
+           "hi *= n + 1", "hi *= n",
            (PRODUCT_TESTS + "test_long_ties_and_neighbours",)),
     Mutant("cmp_sqrt returns the reversed ordering", EXACT,
            "return _sqrt_sign(q.numerator, q.denominator, a, b)",
@@ -327,6 +328,10 @@ MUTANTS = (
            "    _check_rational(y=y, eps=eps)\n    expected",
            "    expected",
            (TYPED + "test_non_rational_inputs",)),
+    Mutant("a checker reads a pair with p below 1", VERIFY,
+           "and min(map(min, trace.pairs)) > 0",
+           "and min(q for _, q in trace.pairs) > 0",
+           (TYPED + "test_pair_with_p_below_1",)),
     Mutant("a checker reads a correction with a negative factor", VERIFY,
            "\n            and min(map(min, trace.corrections), default=0) >= 0)",
            ")",
@@ -345,6 +350,13 @@ MUTANTS = (
             "test_seed_raised_past_y_fails_only_invariant",
             "tests/test_verify.py::TestCheckFsqr::"
             "test_seed_raised_past_y_fails_only_progress")),
+    Mutant("writer skips escaping a str", REPORT,
+           "        out.append(encode_basestring_ascii(value))",
+           """        out.append(f'"{value}"')""",
+           (WITNESSES,)),
+    Mutant("writer writes a long int in decimal", REPORT,
+           "n = encode_int(value)", "n = int(value)",
+           (WITNESSES,)),
     # 2**14284 < 10**4300, the default int-to-str limit, not the least
     Mutant("encode_int's decimal bound sized for 4300 digits", EXACT,
            "_DECIMAL_MAX_BITS = 2126", "_DECIMAL_MAX_BITS = 14284",
