@@ -69,7 +69,6 @@ from .newton import (
 )
 from .report import CheckResult, VerifyReport
 from .verify import (
-    AdjustmentRecord,
     BalanceRow,
     ProbeRow,
     adjust_runs,

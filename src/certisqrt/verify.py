@@ -34,6 +34,7 @@ from .floatmodel import FloatProfile, _require_profile, value_of
 from .lut import (RootTable, build_root_table, first_bad_root,
                   round_up_to_step, sup_fn, validate_step)
 from .newton import (
+    GridTrace,
     Trace,
     _check_rational,
     fix_bound,
@@ -246,49 +247,43 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
     return check(name, rule, ok, {"bound": bound})
 
 
-@dataclass(frozen=True)
-class AdjustmentRecord:
-    """Lockstep comparison of the exact and grid runs at iteration k."""
+def _adjust_report(y: FixVal, eps: FixVal, n: int, grid: GridTrace,
+                   exact: Trace) -> VerifyReport:
+    """The adjust report of count n off the first n passes of the twin
+    records: |x_exact_k - x_fix_k| <= k/d, for the k-th pair p/q and
+    count c, is decided as |p*d - c*q| <= k*q."""
+    d = y.profile.delta_den
+    gap = _first_failure(
+        "runs stay within k grid steps of each other", "adjust.gap-bound",
+        {"iterations": n},
+        ({"k": k, "gap": _lowest_terms(g, q * d), "bound": _lowest_terms(k, d)}
+         for k, c, (p, q) in zip(range(n + 1), grid.counts, exact.pairs)
+         if (g := abs(p * d - c * q)) > k * q))
+    x = FixVal(grid.counts[n], y.profile)
+    verdict = sqrt_verdict("fix", x, y, eps, n=n)
+    final = CheckResult("grid result within eps/2 + n*step of the root",
+                        "adjust.final-error", verdict.passed,
+                        {"x": str(x), "bound": verdict.witness["bound"],
+                         "err_display": approx_abs_err(x.value, y.value)},
+                        strict=verdict.passed)
+    return VerifyReport(f"adjust y={y} eps={eps} n={n}", (gap, final))
 
-    k: int
-    x_exact: Fraction
-    x_fix: FixVal
-    gap: Fraction
-    bound: Fraction
 
-
-def adjust_runs(y: FixVal, eps: FixVal, table: RootTable,
-                n: int) -> tuple[tuple[AdjustmentRecord, ...], VerifyReport]:
+def adjust_runs(y: FixVal, eps: FixVal, table: RootTable, n: int
+                ) -> tuple[tuple[GridTrace, Trace], VerifyReport]:
     """Run the grid for-loop algorithm, then its exact twin from the seed
     the grid record holds, and check |x_exact_k - x_fix_k| <= k *
     step_of_grid for all k, plus the combined final bound of the grid run.
+    Returns both records, whose first m passes are each loop's run of m.
 
     fix_sqr's n >= n_min gives 2**(n-1) * eps >= stp >= seed - sqrt(y),
     so the exact run refuses no request fix_sqr accepts (short of the
     CERTISQRT_MAX_BITS cap on its operands), and a request is refused
     exactly as fix_sqr refuses it."""
-    profile = y.profile
-    x_fix, fix_trace = fix_sqr(y, eps, table, n)
-    fix_seq = [FixVal(c, profile) for c in fix_trace.counts]
-    _, exact_trace = fsqr_exact(y.value, eps.value, fix_seq[0].value, n)
-    exact_seq = [fraction_from_coprime(p, q) for p, q in exact_trace.pairs]
-    delta = profile.delta
-    records = tuple(AdjustmentRecord(k, xe, xf, abs(xe - xf.value), k * delta)
-                    for k, (xe, xf) in enumerate(zip(exact_seq, fix_seq)))
-    checks = [_first_failure(
-        "runs stay within k grid steps of each other", "adjust.gap-bound",
-        {"iterations": n},
-        ({"k": r.k, "gap": r.gap, "bound": r.bound} for r in records
-         if r.gap > r.bound))]
-    final = sqrt_verdict("fix", x_fix, y, eps, n=n)
-    checks.append(CheckResult(
-        "grid result within eps/2 + n*step of the root",
-        "adjust.final-error", final.passed,
-        {"x": str(x_fix), "bound": final.witness["bound"],
-         "err_display": approx_abs_err(x_fix.value, y.value)},
-        strict=final.passed))
-    subject = f"adjust y={y} eps={eps} n={n}"
-    return records, VerifyReport(subject, tuple(checks))
+    _, grid = fix_sqr(y, eps, table, n)
+    seed = _lowest_terms(grid.counts[0], y.profile.delta_den)
+    _, exact = fsqr_exact(y.value, eps.value, seed, n)
+    return (grid, exact), _adjust_report(y, eps, n, grid, exact)
 
 
 @dataclass(frozen=True)
@@ -433,23 +428,25 @@ def _suite_check(name: str, rule: str, rep: VerifyReport) -> CheckResult:
 
 
 def run_sqr_suite(inputs: Sequence[tuple[Fraction, Fraction]]) -> VerifyReport:
-    """sqr_exact over a corpus; one aggregated verdict per input."""
-    checks = []
-    for y, eps in inputs:
-        _, trace = sqr_exact(y, eps)
-        rep = check_sqr_annotations(trace, y, eps)
-        checks.append(_suite_check(f"y={rat_str(y)} eps={rat_str(eps)}",
-                                   "suite.sqr", rep))
-    return VerifyReport(f"sqr suite ({len(inputs)} inputs)", tuple(checks))
+    """sqr_exact over a corpus, one verdict per input; none: DomainError."""
+    if not inputs:
+        raise DomainError("the sqr suite needs at least one input")
+    checks = tuple(_suite_check(
+        f"y={rat_str(y)} eps={rat_str(eps)}", "suite.sqr",
+        check_sqr_annotations(sqr_exact(y, eps)[1], y, eps))
+        for y, eps in inputs)
+    return VerifyReport(f"sqr suite ({len(inputs)} inputs)", checks)
 
 
 def run_fsqr_suite(table: RootTable, eps: FixVal,
                    ys: Sequence[FixVal]) -> VerifyReport:
     """fsqr_exact with table-derived seeds and minimal legal iteration
     counts over grid inputs; an eps off the table's grid is a
-    ProfileMismatch."""
+    ProfileMismatch, and no inputs a DomainError."""
     require_same_grid(eps.profile, table.profile,
                       "accuracy belongs to a different grid")
+    if not ys:
+        raise DomainError("the fsqr suite needs at least one input")
     checks = []
     for y in ys:
         y_val = y.value
@@ -463,15 +460,19 @@ def run_fsqr_suite(table: RootTable, eps: FixVal,
 
 def run_adjust_suite(table: RootTable, eps: FixVal,
                      ys: Sequence[FixVal]) -> VerifyReport:
-    """Lockstep adjustment over grid inputs and six iteration counts, from
-    the least count fix_sqr accepts for the table's step and eps."""
+    """Lockstep adjustment over grid inputs and six counts from fix_sqr's
+    least one: each input runs its twins once, at the last count, whose
+    first n passes are count n's runs.  No inputs is a DomainError."""
     n_min = min_iterations_for_step(table.stp, eps)
     counts = range(n_min, n_min + 6)
+    if not ys:
+        raise DomainError("the adjust suite needs at least one input")
     checks = []
     for y in ys:
-        for n in counts:
-            _, rep = adjust_runs(y, eps, table, n)
-            checks.append(_suite_check(f"y={y} n={n}", "suite.adjust", rep))
+        runs, last = adjust_runs(y, eps, table, counts[-1])
+        reports = [_adjust_report(y, eps, n, *runs) for n in counts[:-1]]
+        checks += (_suite_check(f"y={y} n={n}", "suite.adjust", rep)
+                   for n, rep in zip(counts, [*reports, last]))
     return VerifyReport(
         f"adjust suite ({len(ys)} inputs x {len(counts)} counts)",
         tuple(checks))

@@ -98,13 +98,20 @@ def test_criterion_3_for_loop_half_eps(demo_scan, demo_table, demo_eps):
 def test_criterion_4_run_adjustment(demo_scan, demo_table, demo_eps):
     from certisqrt.verify import adjust_runs
 
+    d = demo_eps.profile.delta_den
     t0 = perf_counter()
     failures = []
     for y in demo_scan:
         for n in range(1, 7):
-            records, report = adjust_runs(y, demo_eps, demo_table, n)
-            if not report.overall or \
-                    any(r.gap > r.bound for r in records):
+            (grid, exact), report = adjust_runs(y, demo_eps, demo_table, n)
+            twins = list(enumerate(zip(grid.counts, exact.pairs)))
+            # |p/q - x/d| <= k/d on integers, against its Fraction form
+            within = [abs(p * d - x * q) <= k * q
+                      for k, (x, (p, q)) in twins]
+            reference = [abs(F(p, q) - F(x, d)) <= F(k, d)
+                         for k, (x, (p, q)) in twins]
+            if not report.overall or len(twins) != n + 1 or \
+                    within != reference or not all(within):
                 failures.append((y, n))
     elapsed = perf_counter() - t0
     ok = not failures and elapsed < 120.0

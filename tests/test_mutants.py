@@ -56,3 +56,24 @@ def test_stale_test_id_stops_the_run(monkeypatch, capsys):
     assert capsys.readouterr().out == \
         f"test ids that collect no test:\n  {bogus}\n"
     assert runs == []
+
+
+def test_pytest_runs_load_only_hypothesis(tmp_path, monkeypatch):
+    """Every pytest run of the gate, the --collect-only run included,
+    turns plugin autoloading off and loads the hypothesis plugin by
+    name, so no other installed plugin slows or changes a run."""
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.append((cmd, env["PYTEST_DISABLE_PLUGIN_AUTOLOAD"]))
+        return subprocess.CompletedProcess(cmd, 1, stdout="")
+
+    monkeypatch.setattr(mutants.subprocess, "run", fake_run)
+    mutant = mutants.MUTANTS[0]
+    mutants.stale_ids(mutant.tests)
+    assert mutants.run_mutant(mutant, tmp_path) == "killed"
+    assert len(seen) == 1 + len(mutant.tests)
+    for cmd, autoload in seen:
+        assert autoload == "1"
+        assert cmd[1:5] == ["-m", "pytest",
+                            "-p", "hypothesis.extra.pytestplugin"]

@@ -56,7 +56,8 @@ from certisqrt.verify import (
     sample_rationals,
     sqrt_verdict,
 )
-from test_rules import FSQR_TAMPERS, TAMPERS, UNTIL_LOOPS, fsqr_tampered
+from test_rules import (FSQR_TAMPERS, TAMPERS, UNTIL_LOOPS, _floored,
+                        fsqr_tampered)
 
 
 class TestIterationCap:
@@ -895,25 +896,39 @@ class TestIntegerDecisionsMatchFractionFormulas:
         assert len(at_k) > 500 and 0 < sum(at_k) < len(at_k)
 
 
+def twin_gaps(grid, exact):
+    """|x_exact_k - x_fix_k| at each k, from the twin records' integers."""
+    d = grid.y.profile.delta_den
+    return [F(abs(p * d - x * q), q * d)
+            for x, (p, q) in zip(grid.counts, exact.pairs)]
+
+
 class TestAdjustRuns:
     def test_reference_gap(self, demo_profile, demo_table, demo_eps):
-        records, report = adjust_runs(demo_profile.val(300), demo_eps,
-                                      demo_table, 1)
+        (grid, exact), report = adjust_runs(demo_profile.val(300), demo_eps,
+                                            demo_table, 1)
         assert report.overall
-        assert records[0].gap == 0
-        assert records[1].gap == F(3, 1450)  # |5023/2900 - 173/100|
-        assert records[1].bound == F(1, 100)
+        assert (grid.counts, exact.pairs) == ((174, 173), ((87, 50),
+                                                           (5023, 2900)))
+        gaps = twin_gaps(grid, exact)
+        assert gaps[0] == 0
+        assert gaps[1] == F(3, 1450)  # |5023/2900 - 173/100|
+        assert gaps[1] <= F(1, 100)  # the bound at k = 1: one grid step
 
     def test_exact_square_all_zero(self, demo_profile, demo_table, demo_eps):
-        records, report = adjust_runs(demo_profile.val(400), demo_eps,
-                                      demo_table, 4)
+        (grid, exact), report = adjust_runs(demo_profile.val(400), demo_eps,
+                                            demo_table, 4)
         assert report.overall
-        assert all(r.gap == 0 for r in records)
+        assert len(grid.counts) == len(exact.pairs) == 5
+        assert all(gap == 0 for gap in twin_gaps(grid, exact))
 
     def test_seeds_agree(self, demo_profile, demo_table, demo_eps):
         y = demo_profile.val(613)
-        records, _ = adjust_runs(y, demo_eps, demo_table, 3)
-        assert records[0].x_exact == sup_fn(y, demo_table).value
+        (grid, exact), _ = adjust_runs(y, demo_eps, demo_table, 3)
+        seed = sup_fn(y, demo_table)
+        assert grid.counts[0] == seed.count
+        assert exact.pairs[0] == (seed.value.numerator,
+                                  seed.value.denominator)
 
     def test_refuses_as_fix_sqr(self, demo_profile, demo_table, demo_eps,
                                 micro_profile):
@@ -1244,6 +1259,96 @@ class TestSuites:
         assert report.subject == "adjust suite (20 inputs x 6 counts)"
         assert [c.name for c in report.checks[:6]] == \
             [f"y={ys[0]} n={n}" for n in range(1, 7)]
+
+    @pytest.mark.parametrize("grid", ["demo", "floored"])
+    def test_adjust_suite_equals_per_count_runs(self, grid, demo_profile,
+                                                demo_table, demo_eps,
+                                                monkeypatch):
+        """Each entry, and the report it is read from, is the one
+        adjust_runs gives at that count: on the demo scan, and with the
+        grid rounding floored, where 72 of the 342 entries fail."""
+        if grid == "demo":
+            profile, table, eps = demo_profile, demo_table, demo_eps
+            ys = grid_values(profile, F(8))
+        else:
+            _floored(monkeypatch)
+            profile = FixProfile(1000, 200000, 200000)
+            table = build_root_table(profile, profile.val(32))
+            eps, ys = profile.val(8), list(map(profile.val,
+                                               range(1092, 100001, 1750)))
+        n_min = min_iterations_for_step(table.stp, eps)
+        counts = range(n_min, n_min + 6)
+        read = []
+        entry = _suite_check
+        monkeypatch.setattr("certisqrt.verify._suite_check",
+                            lambda *args: read.append(args[2]) or entry(*args))
+        report = run_adjust_suite(table, eps, ys)
+        runs = [(y, n) for y in ys for n in counts]
+        want = [adjust_runs(y, eps, table, n)[1] for y, n in runs]
+        assert read == want
+        assert report.checks == tuple(
+            entry(f"y={y} n={n}", "suite.adjust", rep)
+            for (y, n), rep in zip(runs, want))
+        assert len(report.failures()) == (0 if grid == "demo" else 72)
+
+    def test_adjust_suite_runs_each_twin_once(self, demo_profile,
+                                              demo_table, demo_eps,
+                                              monkeypatch):
+        calls = []
+        for name in ("fix_sqr", "fsqr_exact"):
+            run = getattr(newton, name)
+            monkeypatch.setattr(
+                f"certisqrt.verify.{name}",
+                lambda *args, run=run, name=name:
+                calls.append((name, args[0], args[-1])) or run(*args))
+        ys = grid_values(demo_profile, F(3))[::10]
+        run_adjust_suite(demo_table, demo_eps, ys)
+        # one pair per input, at the last of the counts 1 ... 6
+        assert calls == [(name, arg, 6) for y in ys for name, arg in
+                         (("fix_sqr", y), ("fsqr_exact", y.value))]
+
+    @pytest.mark.parametrize("cap,count", [(None, 801), (40, 300),
+                                           (200, 300), (400, 300)])
+    def test_adjust_suite_refuses_as_its_first_count(
+            self, cap, count, demo_profile, demo_table, demo_eps,
+            monkeypatch):
+        """The one twin pair refuses as the first of the six per-count
+        runs refuses: a y above sup/2, or the exact run's ResourceLimit
+        at passes 2, 4 and 5, whichever count first reaches them."""
+        if cap is not None:
+            monkeypatch.setenv("CERTISQRT_MAX_BITS", str(cap))
+        y, refusals = demo_profile.val(count), []
+        for n in range(1, 7):
+            try:
+                adjust_runs(y, demo_eps, demo_table, n)
+            except CertisqrtError as refused:
+                refusals.append((type(refused), str(refused)))
+        assert refusals
+        with pytest.raises(CertisqrtError) as got:
+            run_adjust_suite(demo_table, demo_eps, [y])
+        assert (type(got.value), str(got.value)) == refusals[0]
+
+    def test_sqr_suite_refuses_no_inputs(self):
+        with pytest.raises(DomainError, match="^the sqr suite needs at "
+                                              "least one input$"):
+            run_sqr_suite([])
+
+    def test_fsqr_suite_refuses_no_inputs(self, demo_table, demo_eps,
+                                          micro_profile):
+        with pytest.raises(DomainError, match="^the fsqr suite needs at "
+                                              "least one input$"):
+            run_fsqr_suite(demo_table, demo_eps, [])
+        # the grid check comes first
+        with pytest.raises(ProfileMismatch):
+            run_fsqr_suite(demo_table, micro_profile.val(5), [])
+
+    def test_adjust_suite_refuses_no_inputs(self, demo_table, demo_eps,
+                                            micro_profile):
+        with pytest.raises(DomainError, match="^the adjust suite needs at "
+                                              "least one input$"):
+            run_adjust_suite(demo_table, demo_eps, [])
+        with pytest.raises(ProfileMismatch):
+            run_adjust_suite(demo_table, micro_profile.val(5), [])
 
     def test_failed_entry_names_its_rules(self):
         rep = VerifyReport("run", (CheckResult("a", "r.a", True),

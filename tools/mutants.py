@@ -8,7 +8,8 @@ those tests are in, in one pytest --collect-only run, and exits 1 naming
 each test id that collects no test.  For each mutant it then copies src/
 to a temporary directory, applies the replacement there, runs each of
 those tests against the copy in its own pytest run, on a hypothesis
-database of its own that starts empty, and prints one line.
+database of its own that starts empty, and prints one line.  Every pytest
+run loads the hypothesis plugin only, not every plugin installed.
 The exit status is 1 when a mutant survives (one of its tests passes) or
 cannot be run, else 0.  The working tree is never changed.
 """
@@ -40,6 +41,7 @@ TYPED = "tests/test_verify.py::TestTypedRefusals::"
 REDUCED = "tests/test_newton.py::TestReducedByCarriedContent::"
 NEWTON_STEP = "tests/test_fixarith.py::TestNewtonStep::"
 WITNESSES = "tests/test_report.py::test_witnesses"
+SUITES = "tests/test_verify.py::TestSuites::"
 
 
 class Mutant(NamedTuple):
@@ -350,6 +352,21 @@ MUTANTS = (
             "test_seed_raised_past_y_fails_only_invariant",
             "tests/test_verify.py::TestCheckFsqr::"
             "test_seed_raised_past_y_fails_only_progress")),
+    Mutant("gap compared with >=", VERIFY,
+           "if (g := abs(p * d - c * q)) > k * q))",
+           "if (g := abs(p * d - c * q)) >= k * q))",
+           ("tests/test_verify.py::TestAdjustRuns::test_reference_gap",)),
+    Mutant("gap bound read as (k + 1)*q", VERIFY,
+           "> k * q))", "> (k + 1) * q))",
+           (CONTROL + "[adjust.gap-bound]",)),
+    Mutant("the suite reads count n's report off n - 1 passes", VERIFY,
+           "_adjust_report(y, eps, n, *runs)",
+           "_adjust_report(y, eps, n - 1, *runs)",
+           (SUITES + "test_adjust_suite_equals_per_count_runs",)),
+    Mutant("an adjust suite of no inputs passes", VERIFY,
+           'if not ys:\n        raise DomainError("the adjust suite',
+           'if False:\n        raise DomainError("the adjust suite',
+           (SUITES + "test_adjust_suite_refuses_no_inputs",)),
     Mutant("writer skips escaping a str", REPORT,
            "        out.append(encode_basestring_ascii(value))",
            """        out.append(f'"{value}"')""",
@@ -374,9 +391,16 @@ def mutated_source(mutant: Mutant, text: str) -> str:
     return text.replace(mutant.anchor, mutant.replacement)
 
 
+# the one plugin the tests need; autoloading every installed plugin took
+# about half of a one-test run
+PYTEST = (sys.executable, "-m", "pytest",
+          "-p", "hypothesis.extra.pytestplugin", "-p", "no:cacheprovider")
+
+
 def _pytest_env(src: Path, **extra: str) -> dict[str, str]:
     """The environment of a pytest run against the package under src."""
-    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", **extra,
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+            "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1", **extra,
             "PYTHONPATH": os.pathsep.join(
                 filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
@@ -391,8 +415,7 @@ def stale_ids(ids: Iterable[str]) -> list[str]:
     collected = []
     if files:  # with no path pytest would collect every test
         collected = subprocess.run(
-            [sys.executable, "-m", "pytest", "--collect-only", "-q",
-             "-p", "no:cacheprovider", *files], cwd=ROOT,
+            [*PYTEST, "--collect-only", "-q", *files], cwd=ROOT,
             env=_pytest_env(ROOT / "src"), capture_output=True,
             text=True).stdout.splitlines()
     return [i for i in ids
@@ -415,8 +438,8 @@ def run_mutant(mutant: Mutant, scratch: Path) -> str:
     env = _pytest_env(src, HYPOTHESIS_STORAGE_DIRECTORY=str(storage))
     # pytest exits 1 when tests ran and some failed, 0 when all passed
     codes = [subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         test], cwd=ROOT, env=env, capture_output=True, text=True).returncode
+        [*PYTEST, "-q", "-x", test], cwd=ROOT, env=env, capture_output=True,
+        text=True).returncode
         for test in mutant.tests]
     for test, code in zip(mutant.tests, codes):
         if code != 1:
