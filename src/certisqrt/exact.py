@@ -12,35 +12,30 @@ int sign, -1, 0 or 1, which callers compare against 0.  Every radical
 decision ends in one rule, the sign of n/d - sqrt(a/b) for unreduced
 parts: -1 when n < 0, otherwise the sign of n**2*b - a*d**2.  _sqrt_sign
 applies it by one cmp_products call on the factor sequences (n, n, b)
-and (a, d, d), and cmp_sqrt returns its sign for a Fraction q.
-within_of_sqrt needs the rule for the pairs of q - bound and q + bound;
-_within_signs hands them to _sqrt_sign, except that when all their
-parts have at most _SHORT_BITS bits, as on every grid request, it forms
-the short products itself, against one shared a*den**2.  It is the one
-place short products are formed.  A one-radical bound such as c1 +
-c2*sqrt(m) < t, c2 >= 0, is the sign cmp_sqrt(t - c1, c2**2*m) > 0, as
-newton.derive_eps_for_ulp decides it.  sqrt_abs_err_lt multiplies
-through by a positive common denominator and writes sqrt(num/den) as
-sqrt(num*den)/den, so it ends in _lt_radical, which decides L <
-K*sqrt(M) on integers, K >= 0, as the sign of L/K - sqrt(M), or of L
-when K = 0.
+and (a, d, d), and cmp_sqrt returns its sign for a Fraction q.  Every
+bound decision needs the rule for q - bound and q + bound:
+_within_signs(qn, qd, bn, bd, a, b) takes the integer parts of q, bound
+and y, unreduced allowed, so verify's grid verdicts pass counts over d
+and build no Fraction.  When all parts of the two pairs have at most
+_SHORT_BITS bits, as on every grid request, it forms the short products
+itself against one shared a*den**2, the one place short products are
+formed.  A one-radical bound c1 + c2*sqrt(m) < t, c2 >= 0, is
+cmp_sqrt(t - c1, c2**2*m) > 0, as newton.derive_eps_for_ulp decides
+it.  sqrt_abs_err_lt multiplies through by a positive common
+denominator and writes sqrt(num/den) as sqrt(num*den)/den, so it ends
+in _lt_radical, which decides L < K*sqrt(M) on integers, K >= 0, as the
+sign of L/K - sqrt(M), or of L when K = 0.
 
 cmp_products(xs, ys) decides the sign of prod(xs) - prod(ys) for two
-sequences of factors >= 0 in stages, and forms a product only in the
-last.  Bit lengths come first: a product of k factors whose bit lengths
-sum to t has between t - (k - 1) and t bits.  Next each factor longer
-than _FILTER_BITS bits is cut to its top _FILTER_BITS bits: dropping
-low bits moves a factor by less than one unit of its last kept bit, so
-each product lies in a bracket of small integers, and disjoint brackets
-decide the sign.  Only overlapping brackets need the full products.
-Each stage is exact, so the verdict is too; the stages only skip
-multiplying operands of 100K+ bits when bit lengths or 128-bit brackets
-already settle the comparison.  halves, 2*|cur| < |prev| on the factors
-of two magnitudes, is one cmp_products call: it decides newton's
-until-loop exit, 2*|ad| < eps on the factors of the pass's correction,
-and verify's halving rule on the factors of two corrections, so neither
-forms the products it compares unless the first two stages leave the
-comparison open.
+sequences of factors >= 0 in exact stages, bit lengths, then brackets
+from the top _FILTER_BITS bits of each factor, and forms the products
+only when both leave the sign open: it skips multiplying operands of
+100K+ bits when bit lengths or 128-bit brackets settle the comparison.
+halves, 2*|cur| < |prev| on the factors of two magnitudes, is one
+cmp_products call: it decides newton's until-loop exit, 2*|ad| < eps on
+the factors of the pass's correction, and verify's halving rule on the
+factors of two corrections, so neither forms the products it compares
+unless the first two stages leave the comparison open.
 
 A Fraction from a pair of integers is built without Fraction's
 constructor, which checks its arguments and fills both slots in Python
@@ -204,11 +199,12 @@ def halves(prev: Factors, cur: Factors) -> bool:
                         (*prev_num, *cur_den)) < 0
 
 
-def _radicand(y: Fraction) -> tuple[int, int]:
-    """(num(y), den(y)) of a radicand, which must be >= 0."""
-    if y.numerator < 0:
-        raise DomainError(f"radicand must be >= 0, got {_rat_text(y)}")
-    return y.numerator, y.denominator
+def _radicand(a: int, b: int) -> tuple[int, int]:
+    """(a, b) of a radicand a/b >= 0, b > 0, named in lowest terms."""
+    if a < 0:
+        raise DomainError(f"radicand must be >= 0, "
+                          f"got {_rat_text(Fraction(a, b))}")
+    return a, b
 
 
 def _sqrt_sign(n: int, d: int, a: int, b: int) -> int:
@@ -226,25 +222,24 @@ def _sqrt_sign(n: int, d: int, a: int, b: int) -> int:
 def cmp_sqrt(q: Fraction, y: Fraction) -> int:
     """The sign of q - sqrt(y), -1, 0 or 1, decided exactly by
     _sqrt_sign."""
-    a, b = _radicand(y)
+    a, b = _radicand(y.numerator, y.denominator)
     return _sqrt_sign(q.numerator, q.denominator, a, b)
 
 
-def _within_signs(q: Fraction, y: Fraction,
-                  bound: Fraction) -> tuple[int, int]:
-    """The signs of q - bound - sqrt(y) and q + bound - sqrt(y), for the
-    unreduced pairs (lo, den) and (hi, den) of q - bound and q + bound.
+def _within_signs(qn: int, qd: int, bn: int, bd: int, a: int,
+                  b: int) -> tuple[int, int]:
+    """The signs of q - bound - sqrt(y) and q + bound - sqrt(y), q =
+    qn/qd, bound = bn/bd >= 0 and y = a/b >= 0, parts not necessarily in
+    lowest terms, for the unreduced pairs (lo, den) and (hi, den).
 
-    When lo, hi and den all have at most _SHORT_BITS bits, as on every
-    grid request, both signs are decided here, by _sqrt_sign's rule on
-    products formed here against the one product a*den**2; otherwise by
-    two _sqrt_sign calls.
+    When lo, hi and den have at most _SHORT_BITS bits each, as on every
+    grid request, _sqrt_sign's rule is applied here, to products formed
+    against the one product a*den**2; otherwise by two _sqrt_sign calls.
     """
-    bn, bd = bound.numerator, bound.denominator
     if bn < 0:
-        raise DomainError(f"bound must be >= 0, got {_rat_text(bound)}")
-    a, b = _radicand(y)
-    qn, qd = q.numerator, q.denominator
+        raise DomainError(f"bound must be >= 0, "
+                          f"got {_rat_text(Fraction(bn, bd))}")
+    _radicand(a, b)
     centre, radius, den = qn * bd, bn * qd, qd * bd
     lo, hi = centre - radius, centre + radius
     if (lo.bit_length() <= _SHORT_BITS and hi.bit_length() <= _SHORT_BITS
@@ -263,9 +258,10 @@ def within_of_sqrt(q: Fraction, y: Fraction, bound: Fraction,
     """Decide |q - sqrt(y)| <= bound (or < bound when strict) exactly.
 
     Equivalent to q - bound <= sqrt(y) <= q + bound, settled by the two
-    signs of _within_signs.
+    signs of _within_signs on the three rationals' parts.
     """
-    lo, hi = _within_signs(q, y, bound)
+    lo, hi = _within_signs(q.numerator, q.denominator, bound.numerator,
+                           bound.denominator, y.numerator, y.denominator)
     if strict:
         return lo < 0 < hi
     return lo <= 0 <= hi
@@ -285,7 +281,7 @@ class SqrtEnclosure:
 
 def sqrt_enclosure(y: Fraction, p: int) -> SqrtEnclosure:
     """Enclose sqrt(y) with lo**2 <= y <= hi**2 and hi - lo <= 2**-p."""
-    a, b = _radicand(y)
+    a, b = _radicand(y.numerator, y.denominator)
     if p < 0:
         raise DomainError(f"precision must be >= 0, got {p}")
     if a == 0:

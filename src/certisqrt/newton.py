@@ -386,7 +386,7 @@ def _legal_count(y: Fraction, eps: Fraction, seed: Fraction, n: int) -> bool:
     """fsqr_exact's rule for n >= 0: seed - eps*2**(n-1) <= sqrt(y),
     decided by _sqrt_sign on the unreduced integer parts of the left
     side, (2*sn*ed - (en*sd << n))/(2*sd*ed), so no Fraction is built."""
-    a, b = _radicand(y)
+    a, b = _radicand(y.numerator, y.denominator)
     sn, sd = seed.numerator, seed.denominator
     en, ed = eps.numerator, eps.denominator
     return _sqrt_sign(2 * sn * ed - (en * sd << n), 2 * sd * ed, a, b) <= 0

@@ -21,7 +21,6 @@ from .exact import (
     _rat_text,
     _sqrt_sign,
     _within_signs,
-    cmp_sqrt,
     fraction_from_coprime,
     halves,
     rat_str,
@@ -65,12 +64,11 @@ def approx_abs_err(q: Fraction, y: Fraction) -> float:
         return float("inf")
 
 
-def cmp_abs_err(a: Fraction, b: Fraction, y: Fraction) -> int:
-    """The sign of |a - sqrt(y)| - |b - sqrt(y)|, decided exactly.
-
-    Uses err(a)**2 - err(b)**2 = (a - b) * (a + b - 2*sqrt(y)).
-    """
-    return ((a > b) - (a < b)) * cmp_sqrt((a + b) / 2, y)
+def _err_order(a: int, b: int, y: int, d: int) -> int:
+    """The sign of err(a) - err(b), err(c) = |c/d - sqrt(y/d)|, for counts
+    a, b, y >= 0 over d, decided exactly: err(a)**2 - err(b)**2 is (a - b)/d
+    times (a + b)/d - 2*sqrt(y/d), the sign of (a + b)/(2*d) - sqrt(y/d)."""
+    return ((a > b) - (a < b)) * _sqrt_sign(a + b, 2 * d, y, d)
 
 
 def iteration_cap(y: Fraction, eps: Fraction) -> int:
@@ -124,7 +122,8 @@ def _final_error(name: str, rule: str, x: Fraction, y: Fraction,
                  key: str, bound: Fraction) -> CheckResult:
     """|x - sqrt(y)| <= bound, recording whether the strict form holds;
     both forms are read off one pair of signs."""
-    lo, hi = _within_signs(x, y, bound)
+    lo, hi = _within_signs(x.numerator, x.denominator, bound.numerator,
+                           bound.denominator, y.numerator, y.denominator)
     return CheckResult(name, rule, lo <= 0 <= hi,
                        {"x": x, key: bound,
                         "err_display": approx_abs_err(x, y)},
@@ -243,8 +242,10 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
         raise UsageError(f"a fix verdict needs an integer iteration count, "
                          f"got {n!r}")
     bound = fix_bound(eps, n) if mode == "fix" else eps.value
-    ok = within_of_sqrt(x.value, y.value, bound, strict=True)
-    return check(name, rule, ok, {"bound": bound})
+    d = y.profile.delta_den
+    lo, hi = _within_signs(x.count, d, bound.numerator, bound.denominator,
+                           y.count, d)
+    return check(name, rule, lo < 0 < hi, {"bound": bound})
 
 
 def _adjust_report(y: FixVal, eps: FixVal, n: int, grid: GridTrace,
@@ -310,12 +311,13 @@ def monotonicity_probe(y: FixVal, eps: FixVal, table: RootTable,
         raise DomainError(f"empty sweep range [{n_min}, {n_max}]")
     fix_sqr(y, eps, table, n_min)  # a refusal is the one n_min gets
     _, run = fix_sqr(y, eps, table, n_max)  # its n-th count: n passes
-    xs = [FixVal(c, y.profile) for c in run.counts]
+    counts, d = run.counts, y.profile.delta_den
     rows: list[ProbeRow] = []
-    for n, x in enumerate(xs[n_min:], n_min):
+    for n in range(n_min, n_max + 1):
+        x = FixVal(counts[n], y.profile)
         verdict = sqrt_verdict("fix", x, y, eps, n=n)
-        increased = (n > n_min
-                     and cmp_abs_err(x.value, xs[n - 1].value, y.value) > 0)
+        increased = (n > n_min and _err_order(
+            counts[n], counts[n - 1], y.count, d) > 0)
         rows.append(ProbeRow(n, x, approx_abs_err(x.value, y.value),
                              verdict.witness["bound"], verdict.passed,
                              increased))
@@ -378,7 +380,7 @@ def balance_sweep(eps: FixVal,
     count, the predicted bound stp/2**n + n*step_of_grid, and the worst
     observed error of the grid run over a deterministic sample of inputs."""
     rows: list[BalanceRow] = []
-    profile, delta = eps.profile, eps.profile.delta
+    profile, delta, d = eps.profile, eps.profile.delta, eps.profile.delta_den
     ys = _sample_grid_values(profile)
     for stp in stp_candidates:
         if not validate_step(stp, eps).overall:
@@ -388,11 +390,13 @@ def balance_sweep(eps: FixVal,
         table = build_root_table(profile, stp)
         n = min_iterations_for_step(stp, eps)
         predicted = stp.value / (1 << n) + n * delta
+        pn, pd = predicted.numerator, predicted.denominator
         worst = 0.0
         all_within = True
         for y in ys:
             x, _ = fix_sqr(y, eps, table, n)
-            if not within_of_sqrt(x.value, y.value, predicted):
+            lo, hi = _within_signs(x.count, d, pn, pd, y.count, d)
+            if not lo <= 0 <= hi:
                 all_within = False
             worst = max(worst, approx_abs_err(x.value, y.value))
         rows.append(BalanceRow(stp, True, profile.sup_count // stp.count,

@@ -291,11 +291,17 @@ def _true_sign(r, y):
     return (r * r > y) - (r * r < y)
 
 
+def _signs(q, y, bound):
+    """_within_signs on the parts of the Fractions q, bound and y."""
+    return exact._within_signs(q.numerator, q.denominator, bound.numerator,
+                               bound.denominator, y.numerator, y.denominator)
+
+
 def _within_signs_counted(q, y, bound):
-    """(_within_signs(q, y, bound), its number of _sqrt_sign calls)."""
+    """(_signs(q, y, bound), its number of _sqrt_sign calls)."""
     with mock.patch.object(exact, "_sqrt_sign",
                            wraps=exact._sqrt_sign) as counted:
-        got = exact._within_signs(q, y, bound)
+        got = _signs(q, y, bound)
     return got, counted.call_count
 
 
@@ -351,11 +357,40 @@ class TestWithinSigns:
                                 _true_sign(q + bound, y))
             assert calls == (0 if bits <= 256 else 2)
         if case == "centre":  # a tie on both sides
-            assert exact._within_signs(q, q * q, bound) == (0, 0)
+            assert _signs(q, q * q, bound) == (0, 0)
         if case.startswith("negative"):
-            assert exact._within_signs(q, q * q, bound)[0] == -1
+            assert _signs(q, q * q, bound)[0] == -1
         if case == "negative-both":
-            assert exact._within_signs(q, F(3), bound) == (-1, -1)
+            assert _signs(q, F(3), bound) == (-1, -1)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_unreduced_parts(self, data):
+        # parts scaled by factors > 0, as grid counts over d are, give the
+        # signs of the parts in lowest terms, ties included
+        draw = data.draw
+        q = F(draw(st.integers(-300, 300)), draw(st.integers(1, 99)))
+        bound = F(draw(st.integers(0, 300)), draw(st.integers(1, 99)))
+        y = draw(st.sampled_from([(q - bound) ** 2, (q + bound) ** 2,
+                                  F(draw(st.integers(0, 999)),
+                                    draw(st.integers(1, 99)))]))
+        k, j, i = (draw(st.sampled_from([1, 2, 6, 1000, 3 << 250]))
+                   for _ in range(3))
+        assert exact._within_signs(
+            k * q.numerator, k * q.denominator, j * bound.numerator,
+            j * bound.denominator, i * y.numerator, i * y.denominator) \
+            == _signs(q, y, bound) \
+            == (_true_sign(q - bound, y), _true_sign(q + bound, y))
+
+    def test_refusals_name_lowest_terms(self):
+        with pytest.raises(DomainError,
+                           match=r"^bound must be >= 0, got -1/2$"):
+            exact._within_signs(1, 1, -2, 4, 2, 1)
+        with pytest.raises(DomainError,
+                           match=r"^radicand must be >= 0, got -3/2$"):
+            exact._within_signs(1, 1, 1, 1, -6, 4)
+        with pytest.raises(DomainError, match=r"^bound must be >= 0, got -1$"):
+            exact._within_signs(1, 1, -4, 4, -6, 4)  # the bound comes first
 
 
 def _sign_calls():
@@ -385,6 +420,9 @@ class TestOneShortPath:
         with sign as sign_calls, products as product_calls:
             assert all(within_of_sqrt(x.value, y.value, eps.value,
                                       strict=True) for x, y in runs)
+            # and the verdict verify decides on the counts
+            assert all(verify.sqrt_verdict("mix", x, y, eps).passed
+                       for x, y in runs)
         assert sign_calls.call_count == product_calls.call_count == 0
 
     def test_long_final_error_reaches_cmp_products(self):

@@ -77,3 +77,30 @@ def test_pytest_runs_load_only_hypothesis(tmp_path, monkeypatch):
         assert autoload == "1"
         assert cmd[1:5] == ["-m", "pytest",
                             "-p", "hypothesis.extra.pytestplugin"]
+
+
+def test_a_run_past_its_timeout_fails_the_gate(tmp_path, monkeypatch,
+                                                capsys):
+    """A pytest run that outlasts TIMEOUT_S is stopped, reported as
+    ERROR (timeout) with its test id, and fails the gate: it is never
+    counted as a kill.  The collect-only run is bounded the same way."""
+    asked = []
+
+    def stuck(cmd, cwd, env, **kwargs):
+        asked.append(kwargs["timeout"])
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(mutants.subprocess, "run", stuck)
+    mutant = mutants.MUTANTS[0]
+    assert mutants.run_mutant(mutant, tmp_path) == \
+        f"ERROR (timeout) {mutant.tests[0]}"
+    assert mutants.main() == 1
+    assert capsys.readouterr().out == \
+        "ERROR (timeout) collecting the named tests\n"
+    monkeypatch.setattr(mutants, "stale_ids", lambda ids: [])
+    monkeypatch.setattr(mutants, "MUTANTS", (mutant,))
+    assert mutants.main() == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"ERROR (timeout) {mutant.tests[0]}")
+    assert out.endswith("\n0 of 1 mutants killed\n")
+    assert asked == [mutants.TIMEOUT_S] * 3

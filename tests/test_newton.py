@@ -1103,11 +1103,19 @@ def _pass_views(trace):
 
 def _outcome_line(fn, *args):
     """One outcome as text: the result and every field of the trace, or
-    the refusal's type and message; long parts are written in hex."""
+    the refusal's type and message; long parts are written in hex.  Each
+    pair of the record must be in lowest terms.  The seed is a Fraction,
+    and a prime common to the pair (b*p**2 + a*q**2, 2*b*p*q) a pass forms
+    divides 2*a*b, so no prime of 2*a*b may divide both parts: a linear-
+    time test, where the full gcd takes 3.6 s on the corpus's 4,801
+    pairs of up to 327K bits."""
     try:
         x, trace = fn(*args)
     except CertisqrtError as exc:
         return f"{type(exc).__name__}: {exc}"
+    small = 2 * trace.y[0] * trace.y[1]
+    for k, (p, q) in enumerate(trace.pairs):
+        assert math.gcd(math.gcd(p, small), q) == 1, (fn.__name__, args, k)
     # pass k leaves iterate k for the next, an until-loop's exit pass
     # for none
     xs = [rat_str(q) for q in _iterates(trace)]
@@ -1388,6 +1396,9 @@ class TestExactStep:
 
     @given(ys, st.integers(1000, 200_000), st.integers(1000, 200_000),
            st.integers(0, 2 ** 64))
+    # a pass whose next pair (b*p**2 + a*q**2, 2*b*p*q) has the common
+    # factor 14, first, so a reduction that misses it fails at once
+    @example(F(7, 3), 1000, 1000, 1)
     @example(F(10 ** 4 - 1, 99), 200_000, 199_999, 1)
     @settings(max_examples=25, deadline=None)
     def test_squarings_match_products(self, y, p_bits, q_bits, seed):

@@ -17,7 +17,7 @@ from certisqrt.errors import (CertisqrtError, DomainError, ProfileMismatch,
 from certisqrt.exact import (cmp_sqrt, fraction_from_coprime,
                              sqrt_abs_err_lt, sqrt_enclosure, within_of_sqrt)
 from certisqrt import newton
-from certisqrt.fixarith import FixProfile
+from certisqrt.fixarith import FixProfile, FixVal
 from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
 from certisqrt.lut import _round_up_count, build_root_table, sup_fn
 from certisqrt.newton import (
@@ -33,7 +33,9 @@ from certisqrt.newton import (
     sqr_exact,
 )
 from certisqrt.report import CheckResult, VerifyReport
+from certisqrt import verify
 from certisqrt.verify import (
+    _err_order,
     _final_error,
     _first_failure,
     _sample_grid_values,
@@ -45,7 +47,6 @@ from certisqrt.verify import (
     check_fsqr_annotations,
     check_sqr_annotations,
     check_table_properties,
-    cmp_abs_err,
     grid_values,
     halves,
     iteration_cap,
@@ -1020,7 +1021,7 @@ class TestMonotonicityProbe:
         for n in range(n_min, n_max + 1):
             x, _ = fix_sqr(y, eps, table, n)
             verdict = sqrt_verdict("fix", x, y, eps, n=n)
-            grew = prev is not None and cmp_abs_err(
+            grew = prev is not None and fraction_err_order(
                 x.value, prev.value, y.value) > 0
             rows.append((n, x, verdict.witness["bound"], verdict.passed, grew))
             prev = x
@@ -1049,17 +1050,42 @@ class TestMonotonicityProbe:
             monotonicity_probe(y, eps, demo_table, 4, 3)
 
 
-class TestCmpAbsErr:
+def fraction_err_order(a, b, y):
+    """The sign of |a - sqrt(y)| - |b - sqrt(y)| by Fraction arithmetic,
+    the probe's former rule: err(a)**2 - err(b)**2 = (a - b) * (a + b -
+    2*sqrt(y))."""
+    return ((a > b) - (a < b)) * cmp_sqrt((a + b) / 2, y)
+
+
+class TestErrOrder:
+    """The probe's rule on counts over d, each case also on the Fraction
+    rule: _err_order(a, b, y, d) is the sign of |a/d - sqrt(y/d)| -
+    |b/d - sqrt(y/d)|."""
+
+    @staticmethod
+    def both(a, b, y, d):
+        got = _err_order(a, b, y, d)
+        assert got == fraction_err_order(F(a, d), F(b, d), F(y, d))
+        return got
+
     def test_ordering(self):
-        assert cmp_abs_err(F(3, 2), F(7, 5), F(2), ) == 1
-        assert cmp_abs_err(F(7, 5), F(3, 2), F(2)) == -1
-        assert cmp_abs_err(F(3, 2), F(3, 2), F(2)) == 0
+        assert self.both(15, 14, 20, 10) == 1  # 3/2 and 7/5 at y = 2
+        assert self.both(14, 15, 20, 10) == -1
+        assert self.both(15, 15, 20, 10) == 0
         # 1 and 3 lie 1 either side of sqrt(4): the midpoint is the root
-        assert cmp_abs_err(F(1), F(3), F(4)) == 0
+        assert self.both(1, 3, 4, 1) == 0
+        assert self.both(100, 300, 400, 100) == 0  # the same tie over 100
 
     def test_symmetric_pair(self):
         # 1.3 and 1.5 straddle sqrt(2) = 1.41421...
-        assert cmp_abs_err(F(13, 10), F(3, 2), F(2)) == 1
+        assert self.both(13, 15, 20, 10) == 1
+        assert self.both(15, 13, 20, 10) == -1
+
+    @given(st.integers(0, 2000), st.integers(0, 2000), st.integers(0, 4000),
+           st.sampled_from([1, 2, 10, 100, 1000]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fraction_rule(self, a, b, y, d):
+        self.both(a, b, y, d)
 
 
 def fraction_abs_err(q, y):
@@ -1448,6 +1474,28 @@ class TestSqrtVerdict:
         inside = demo_profile.val(on.count - 1)
         assert sqrt_verdict(mode, inside, y, eps, n=n).passed
 
+    @pytest.mark.parametrize("mode,n", [("mix", None), ("fix", 1),
+                                        ("fix", 3)])
+    def test_grid_ties_on_both_sides(self, demo_profile, mode, n):
+        # y = (s/100)**2 on the grid, x = sqrt(y) -+ bound on the grid: the
+        # count verdict is strict at both ends, as the Fraction route is
+        eps = demo_profile.val(50)
+        b = 25 + n if n else 50  # counts of eps/2 + n*delta, or of eps
+        bound = F(b, 100)
+        for s in range(110, 290, 10):
+            y = demo_profile.val(s * s // 100)
+            assert y.value == F(s, 100) ** 2
+            for side in (-1, 1):
+                on = demo_profile.val(s + side * b)
+                inside = demo_profile.val(s + side * (b - 1))
+                verdict = sqrt_verdict(mode, on, y, eps, n=n)
+                assert verdict.witness == {"bound": bound}
+                assert not verdict.passed
+                assert not within_of_sqrt(on.value, y.value, bound,
+                                          strict=True)
+                assert within_of_sqrt(on.value, y.value, bound)
+                assert sqrt_verdict(mode, inside, y, eps, n=n).passed
+
     def test_float(self, demo_profile, demo_float_profile, demo_table,
                    demo_eps):
         fprof = demo_float_profile
@@ -1523,6 +1571,182 @@ class TestSqrtVerdict:
         with pytest.raises(ProfileMismatch, match="eps from another grid"):
             sqrt_verdict("float", x, y, fine.val(250),
                          fprof=demo_float_profile)
+
+
+def fraction_route(mode, x, y, eps, n=None):
+    """A fix or mix verdict as it was decided before it read the counts:
+    within_of_sqrt on the Fractions of x, y and the bound."""
+    bound = (eps.value / 2 + n * eps.profile.delta if mode == "fix"
+             else eps.value)
+    return within_of_sqrt(x.value, y.value, bound, strict=True)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """grid_serve's wide profile, d = 1000: its table (stp 16/1000), eps
+    8/1000 and 2,000 inputs, both ends of the range among them."""
+    fix = FixProfile(1000, 4_000_000, 4_000_000)
+    rng = random.Random(1)
+    counts = [1001, 2_000_000,
+              *(rng.randint(1001, 2_000_000) for _ in range(1998))]
+    return (build_root_table(fix, fix.val(16)), fix.val(8),
+            [fix.val(c) for c in counts])
+
+
+class TestCountVerdictsMatchFractionRoute:
+    """sqrt_verdict (fix and mix), balance_sweep and monotonicity_probe
+    decide on the counts of x and y over d; each verdict equals the one
+    the Fraction route gives."""
+
+    @staticmethod
+    def agree(ys, eps, table):
+        """Compare on each y: mix, and fix at n_min..n_min + 3, each result
+        also moved to either end of its bound and one step past it.
+        Returns the number of (passed, failed) verdicts."""
+        n_min = min_iterations_for_step(table.stp, eps)
+        outcomes = {True: 0, False: 0}
+        for y in ys:
+            runs = [("mix", None, mix_sqr(y, eps, table)[0])]
+            runs += [("fix", n, fix_sqr(y, eps, table, n)[0])
+                     for n in range(n_min, n_min + 4)]
+            for mode, n, x in runs:
+                verdict = sqrt_verdict(mode, x, y, eps, n=n)
+                b = math.floor(verdict.witness["bound"] * y.profile.delta_den)
+                for off in (0, -b, b, -b - 1, b + 1):
+                    moved = FixVal(x.count + off, x.profile)
+                    got = sqrt_verdict(mode, moved, y, eps, n=n).passed
+                    assert got == fraction_route(mode, moved, y, eps, n), \
+                        (mode, n, moved, y)
+                    outcomes[got] += 1
+        return outcomes[True], outcomes[False]
+
+    def test_every_demo_y(self, demo_profile, demo_table, demo_eps):
+        ys = grid_values(demo_profile, F(8))
+        assert len(ys) == 700
+        passed, failed = self.agree(ys, demo_eps, demo_table)
+        assert passed > 0 and failed > 0
+
+    def test_wide_ys(self, wide):
+        table, eps, ys = wide
+        passed, failed = self.agree(ys, eps, table)
+        assert passed > 0 and failed > 0
+
+    def test_refusals(self, demo_profile):
+        # a negative y or bound is refused in the Fraction route's words
+        x, y, eps = (demo_profile.val(c) for c in (150, 300, 50))
+        for args in ((x, demo_profile.val(-150), eps),
+                     (x, demo_profile.val(-6), eps),
+                     (x, y, demo_profile.val(-50))):
+            with pytest.raises(DomainError) as want:
+                fraction_route("mix", *args)
+            with pytest.raises(DomainError,
+                               match=f"^{re.escape(str(want.value))}$"):
+                sqrt_verdict("mix", *args)
+        with pytest.raises(DomainError,
+                           match=r"^radicand must be >= 0, got -3/2$"):
+            sqrt_verdict("fix", x, demo_profile.val(-150), eps, n=1)
+
+    def test_balance_sweep(self, demo_profile, monkeypatch):
+        # every sampled run placed off floor(sqrt(y*d)) by off steps; at
+        # y = 4 (count 400) x = 2 + off/100 exactly, so off = 26 and 27
+        # sit on the bounds 26/100 and 27/100, which the sweep includes
+        eps, stps = demo_profile.val(50), [demo_profile.val(c)
+                                           for c in (50, 100)]
+        ys = _sample_grid_values(demo_profile)
+        assert demo_profile.val(400) in ys
+        off = 0
+
+        def placed(y):
+            return FixVal(math.isqrt(y.count * 100) + off, y.profile)
+
+        monkeypatch.setattr(verify, "fix_sqr", lambda y, eps, table, n: (
+            placed(y), fix_sqr(y, eps, table, n)[1]))
+        seen = {}
+        for off in range(-30, 31):
+            rows = balance_sweep(eps, stps)
+            assert [r.predicted_bound for r in rows] == \
+                [F(26, 100), F(27, 100)]
+            seen[off] = [r.all_within_predicted for r in rows]
+            assert seen[off] == [
+                all(within_of_sqrt(placed(y).value, y.value,
+                                   r.predicted_bound) for y in ys)
+                for r in rows]
+        assert [seen[off] for off in (25, 26, 27, 28)] == \
+            [[True, True], [True, True], [False, True], [False, False]]
+
+    def test_probe_on_the_witness_fixture(self, demo_profile, demo_table,
+                                          demo_eps, fixtures_dir):
+        import json
+        doc = json.loads((fixtures_dir / "more_worse_witness.json")
+                         .read_text())
+        y = demo_profile.val(doc["y_count"])
+        rows = monotonicity_probe(y, demo_eps, demo_table, doc["n_min"],
+                                  doc["n_max"])
+        assert [r.error_increased for r in rows] == \
+            [prev is not None
+             and fraction_err_order(r.x.value, prev.x.value, y.value) > 0
+             for prev, r in zip([None, *rows], rows)]
+        assert [r.n for r in rows if r.error_increased] == \
+            doc["expect_increase_at"]
+        assert [r.within_bound for r in rows] == \
+            [fraction_route("fix", r.x, y, demo_eps, r.n) for r in rows]
+
+
+class TestGridVerdictsReadNoValue:
+    """The fix and mix verdicts, the probe and the sweep read FixVal.value
+    of an x or y only for a display field: every such read goes to
+    approx_abs_err, the display, and none to a decision."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """(reads, shown): each FixVal.value read as (value, Fraction), and
+        each Fraction handed to the display, which is patched to 0.0."""
+        real, reads, shown = FixVal.value.fget, [], []
+
+        def counted(v):
+            got = real(v)
+            reads.append((v, got))
+            return got
+
+        monkeypatch.setattr(FixVal, "value", property(counted))
+        monkeypatch.setattr(verify, "approx_abs_err",
+                            lambda q, y: shown.extend((q, y)) or 0.0)
+        return reads, shown
+
+    @staticmethod
+    def of_x_or_y(reads, *others):
+        """The Fractions read off FixVals other than `others`."""
+        return [got for v, got in reads if not any(v is o for o in others)]
+
+    @pytest.mark.parametrize("mode,n", [("mix", None), ("fix", 2)])
+    def test_verdicts(self, reads, demo_profile, demo_table, demo_eps,
+                      mode, n):
+        reads, shown = reads
+        for count in (101, 300, 400, 457, 800):
+            y = demo_profile.val(count)
+            x = (mix_sqr(y, demo_eps, demo_table)[0] if mode == "mix"
+                 else fix_sqr(y, demo_eps, demo_table, n)[0])
+            for moved in (x, demo_profile.val(x.count + 40)):
+                reads.clear()
+                sqrt_verdict(mode, moved, y, demo_eps, n=n)
+                assert self.of_x_or_y(reads, demo_eps) == []
+        assert shown == []
+
+    def test_probe(self, reads, demo_profile, demo_table, demo_eps):
+        reads, shown = reads
+        rows = monotonicity_probe(demo_profile.val(102), demo_eps,
+                                  demo_table, 1, 6)
+        assert len(shown) == 2 * len(rows)
+        assert list(map(id, self.of_x_or_y(reads, demo_eps))) == \
+            list(map(id, shown))
+
+    def test_sweep(self, reads, demo_profile, demo_eps):
+        reads, shown = reads
+        stps = [demo_profile.val(c) for c in (25, 50, 100)]
+        rows = balance_sweep(demo_eps, stps)
+        assert len(shown) == 2 * 64 * len(rows)
+        assert list(map(id, self.of_x_or_y(reads, demo_eps, *stps))) == \
+            list(map(id, shown))
 
 
 class TestSqrtVerdictMatchesFormerInline:

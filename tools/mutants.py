@@ -9,9 +9,11 @@ each test id that collects no test.  For each mutant it then copies src/
 to a temporary directory, applies the replacement there, runs each of
 those tests against the copy in its own pytest run, on a hypothesis
 database of its own that starts empty, and prints one line.  Every pytest
-run loads the hypothesis plugin only, not every plugin installed.
-The exit status is 1 when a mutant survives (one of its tests passes) or
-cannot be run, else 0.  The working tree is never changed.
+run loads the hypothesis plugin only, not every plugin installed, and is
+stopped after TIMEOUT_S seconds: a run that takes longer is reported as
+ERROR (timeout), never as a kill.  The exit status is 1 when a mutant
+survives (one of its tests passes) or cannot be run, else 0.  The working
+tree is never changed.
 """
 from __future__ import annotations
 
@@ -42,6 +44,8 @@ REDUCED = "tests/test_newton.py::TestReducedByCarriedContent::"
 NEWTON_STEP = "tests/test_fixarith.py::TestNewtonStep::"
 WITNESSES = "tests/test_report.py::test_witnesses"
 SUITES = "tests/test_verify.py::TestSuites::"
+VERDICT = "tests/test_verify.py::TestSqrtVerdict::"
+COUNTS = "tests/test_verify.py::TestCountVerdictsMatchFractionRoute::"
 
 
 class Mutant(NamedTuple):
@@ -130,7 +134,7 @@ MUTANTS = (
            "self.inf_f > 2 and self.sup_f > 2,", "True,",
            (CONTROL + "[float.range-min]",)),
     Mutant("_radicand refuses zero", EXACT,
-           "if y.numerator < 0:", "if y.numerator <= 0:",
+           "if a < 0:", "if a <= 0:",
            ("tests/test_exact.py::TestSqrtEnclosure::test_zero",)),
     Mutant("_exact_run forms aqq as bpp + norm", NEWTON,
            "aqq = bpp - norm", "aqq = bpp + norm",
@@ -229,7 +233,9 @@ MUTANTS = (
     Mutant("_within_signs' short path with rhs plus one", EXACT,
            "rhs = a * den * den", "rhs = a * den * den + 1",
            (WITHIN + "test_threshold",
-            WITHIN + "test_equals_two_sqrt_sign_calls")),
+            WITHIN + "test_equals_two_sqrt_sign_calls",
+            WITHIN + "test_unreduced_parts",
+            VERDICT + "test_grid_ties_on_both_sides")),
     Mutant("_within_signs' short path only below _SHORT_BITS", EXACT,
            "if (lo.bit_length() <= _SHORT_BITS and hi.bit_length() <= "
            "_SHORT_BITS\n            and den.bit_length() <= _SHORT_BITS):",
@@ -239,7 +245,7 @@ MUTANTS = (
     Mutant("_within_signs' short path reads a negative lo by its square",
            EXACT, "lo_sign = -1 if lo < 0 else (lhs > rhs) - (lhs < rhs)",
            "lo_sign = (lhs > rhs) - (lhs < rhs)",
-           (WITHIN + "test_threshold",)),
+           (WITHIN + "test_threshold", WITHIN + "test_unreduced_parts")),
     Mutant("encode_int keeps the leading 0 nibble", EXACT,
            '.hex().lstrip("0")', ".hex()",
            ("tests/test_exact.py::TestLosslessEncoding::test_hex_is_hex",)),
@@ -282,10 +288,17 @@ MUTANTS = (
            "witness = ([None] + list(failures))[-1]",
            ("tests/test_verify.py::TestCheckSqr::"
             "test_two_broken_boundaries_report_the_first",)),
-    Mutant("monotonicity_probe compares against xs[n - 2]", VERIFY,
-           "xs[n - 1].value", "xs[n - 2].value",
+    Mutant("monotonicity_probe compares against counts[n - 2]", VERIFY,
+           "counts[n], counts[n - 1], y.count",
+           "counts[n], counts[n - 2], y.count",
            ("tests/test_verify.py::TestMonotonicityProbe::"
             "test_witness_fixture",)),
+    Mutant("the probe's error order without the sign of a - b", VERIFY,
+           "return ((a > b) - (a < b)) * _sqrt_sign(a + b, 2 * d, y, d)",
+           "return _sqrt_sign(a + b, 2 * d, y, d)",
+           ("tests/test_verify.py::TestErrOrder::test_ordering",
+            "tests/test_verify.py::TestMonotonicityProbe::"
+            "test_witness_fixture")),
     Mutant("monotonicity_probe skips its n_min run", VERIFY,
            "    fix_sqr(y, eps, table, n_min)  # a refusal",
            "    # a refusal",
@@ -295,6 +308,21 @@ MUTANTS = (
            "r.count - step <= u.count <= r.count",
            ("tests/test_verify.py::TestTableProperties::"
             "test_skipped_index_fails_only_round_up",)),
+    # the fix and mix verdicts decide on counts over d; the strict form
+    # differs from <= only at ties, so a test of the ties themselves
+    Mutant("the fix/mix count verdict read non-strict", VERIFY,
+           "check(name, rule, lo < 0 < hi,",
+           "check(name, rule, lo <= 0 <= hi,",
+           (VERDICT + "test_grid_ties_on_both_sides",
+            VERDICT + "test_grid_bound_is_strict")),
+    Mutant("the fix/mix count verdict reads y's denominator as 1", VERIFY,
+           "bound.denominator,\n                           y.count, d)",
+           "bound.denominator,\n                           y.count, 1)",
+           (COUNTS + "test_every_demo_y", VERDICT + "test_grid")),
+    Mutant("balance_sweep reads y's denominator as 1", VERIFY,
+           "_within_signs(x.count, d, pn, pd, y.count, d)",
+           "_within_signs(x.count, d, pn, pd, y.count, 1)",
+           (COUNTS + "test_balance_sweep",)),
     Mutant("sqrt_verdict takes fix and mix values from two grids", VERIFY,
            "        require_same_grid(v.profile, y.profile,\n"
            '                          "inputs belong to different grids")',
@@ -391,6 +419,11 @@ def mutated_source(mutant: Mutant, text: str) -> str:
     return text.replace(mutant.anchor, mutant.replacement)
 
 
+# the longest pytest run of the gate takes about 8 s on a 2-vCPU host;
+# 300 s leaves room for slower runners and still ends a mutant that makes
+# a loop endless
+TIMEOUT_S = 300
+
 # the one plugin the tests need; autoloading every installed plugin took
 # about half of a one-test run
 PYTEST = (sys.executable, "-m", "pytest",
@@ -417,7 +450,7 @@ def stale_ids(ids: Iterable[str]) -> list[str]:
         collected = subprocess.run(
             [*PYTEST, "--collect-only", "-q", *files], cwd=ROOT,
             env=_pytest_env(ROOT / "src"), capture_output=True,
-            text=True).stdout.splitlines()
+            text=True, timeout=TIMEOUT_S).stdout.splitlines()
     return [i for i in ids
             if not any(n == i or n.startswith((i + "::", i + "["))
                        for n in collected)]
@@ -437,11 +470,13 @@ def run_mutant(mutant: Mutant, scratch: Path) -> str:
     # failing example saved by an earlier run is replayed
     env = _pytest_env(src, HYPOTHESIS_STORAGE_DIRECTORY=str(storage))
     # pytest exits 1 when tests ran and some failed, 0 when all passed
-    codes = [subprocess.run(
-        [*PYTEST, "-q", "-x", test], cwd=ROOT, env=env, capture_output=True,
-        text=True).returncode
-        for test in mutant.tests]
-    for test, code in zip(mutant.tests, codes):
+    for test in mutant.tests:
+        try:
+            code = subprocess.run(
+                [*PYTEST, "-q", "-x", test], cwd=ROOT, env=env,
+                capture_output=True, text=True, timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            return "ERROR (timeout) " + test
         if code != 1:
             return ("SURVIVED " if code == 0
                     else f"ERROR (pytest exit {code}) ") + test
@@ -449,7 +484,11 @@ def run_mutant(mutant: Mutant, scratch: Path) -> str:
 
 
 def main() -> int:
-    stale = stale_ids(test for mutant in MUTANTS for test in mutant.tests)
+    try:
+        stale = stale_ids(test for mutant in MUTANTS for test in mutant.tests)
+    except subprocess.TimeoutExpired:
+        print("ERROR (timeout) collecting the named tests")
+        return 1
     if stale:
         print("test ids that collect no test:", *stale, sep="\n  ")
         return 1
