@@ -53,6 +53,7 @@ from .newton import (
 )
 from .report import VerifyReport, json_text
 from .verify import (
+    _require_grid_inputs,
     approx_abs_err,
     balance_sweep,
     check_table_properties,
@@ -360,7 +361,7 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
         else:
             x, trace = mix_sqr(y, eps_fix, table)
         verdict = sqrt_verdict(args.mode, x, y, eps_fix, n=args.n)
-        err = approx_abs_err(x.value, y.value)
+        err = approx_abs_err(x.count, fix.delta_den, y.count, fix.delta_den)
         lines.append(f"x = {rat_str(x.value)} ({_display(x.value)})")
         lines.append(f"bound = {rat_str(verdict.witness['bound'])}")
         lines.append(f"err_display = {err:.6g}")
@@ -387,16 +388,6 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
                "\n" if args.trace_out.endswith(".json") else
                _csv(cols, ([r[c] for c in cols] for r in rows)))
     return 0 if verdict.passed else 1
-
-
-def _require_grid_inputs(fix: FixProfile) -> range:
-    """grid_inputs(fix), refused when empty: a suite or sweep over the
-    grid runs' inputs would check nothing."""
-    counts = grid_inputs(fix)
-    if not counts:
-        raise DomainError(f"no grid value in (1, {fix.sup_value / 2}]: the "
-                          f"grid runs accept no input on this profile")
-    return counts
 
 
 def _sample_scan_ys(fix: FixProfile, samples: int, seed: int) -> list[FixVal]:
@@ -500,7 +491,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: no candidate step is valid for eps={step.eps}; "
               "nothing was checked", file=sys.stderr)
         return 1
-    _require_grid_inputs(fix)  # else no row ran a grid input
     return 0 if all(r.all_within_predicted for r in valid) else 1
 
 

@@ -24,7 +24,9 @@ cmp_sqrt(t - c1, c2**2*m) > 0, as newton.derive_eps_for_ulp decides
 it.  sqrt_abs_err_lt multiplies through by a positive common
 denominator and writes sqrt(num/den) as sqrt(num*den)/den, so it ends
 in _lt_radical, which decides L < K*sqrt(M) on integers, K >= 0, as the
-sign of L/K - sqrt(M), or of L when K = 0.
+sign of L/K - sqrt(M), or of L when K = 0.  Every enclosure of a root
+is one integer rule, _enclosure(a, b, p): sqrt_enclosure is its Fraction
+wrapper, and verify's err_display uses its midpoint on integers.
 
 cmp_products(xs, ys) decides the sign of prod(xs) - prod(ys) for two
 sequences of factors >= 0 in exact stages, bit lengths, then brackets
@@ -267,6 +269,17 @@ def within_of_sqrt(q: Fraction, y: Fraction, bound: Fraction,
     return lo <= 0 <= hi
 
 
+def _enclosure(a: int, b: int, p: int) -> tuple[int, int, int]:
+    """(lo, hi, den), den = b << p, with (lo/den)**2 <= a/b <= (hi/den)**2
+    and hi - lo <= 1, 0 on an exact square, for a >= 0, b > 0, p >= 0."""
+    _radicand(a, b)
+    if p < 0:
+        raise DomainError(f"precision must be >= 0, got {p}")
+    scaled = (a * b) << (2 * p)
+    lo = math.isqrt(scaled)
+    return lo, lo + (lo * lo != scaled), b << p
+
+
 @dataclass(frozen=True)
 class SqrtEnclosure:
     """Rational bracket lo <= sqrt(y) <= hi; degenerate for exact squares."""
@@ -274,26 +287,11 @@ class SqrtEnclosure:
     lo: Fraction
     hi: Fraction
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def sqrt_enclosure(y: Fraction, p: int) -> SqrtEnclosure:
-    """Enclose sqrt(y) with lo**2 <= y <= hi**2 and hi - lo <= 2**-p."""
-    a, b = _radicand(y.numerator, y.denominator)
-    if p < 0:
-        raise DomainError(f"precision must be >= 0, got {p}")
-    if a == 0:
-        zero = Fraction(0)
-        return SqrtEnclosure(zero, zero)
-    scaled = (a * b) << (2 * p)
-    s = math.isqrt(scaled)
-    den = b << p
-    lo = Fraction(s, den)
-    if s * s == scaled:
-        return SqrtEnclosure(lo, lo)
-    return SqrtEnclosure(lo, Fraction(s + 1, den))
+    """lo**2 <= y <= hi**2, hi - lo <= 2**-p: _enclosure as Fractions."""
+    lo, hi, den = _enclosure(y.numerator, y.denominator, p)
+    return SqrtEnclosure(_lowest_terms(lo, den), _lowest_terms(hi, den))
 
 
 def _lt_radical(lhs: int, k: int, m: int) -> bool:

@@ -10,13 +10,16 @@ over every element of a run or table fails in _first_failure.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator, Sequence
 
+from . import lut
 from .errors import DomainError, UsageError
 from .exact import (
+    _enclosure,
     _lowest_terms,
     _rat_text,
     _sqrt_sign,
@@ -25,13 +28,12 @@ from .exact import (
     halves,
     rat_str,
     sqrt_abs_err_lt,
-    sqrt_enclosure,
     within_of_sqrt,
 )
 from .fixarith import FixProfile, FixVal, require_same_grid
 from .floatmodel import FloatProfile, _require_profile, value_of
-from .lut import (RootTable, build_root_table, first_bad_root,
-                  round_up_to_step, sup_fn, validate_step)
+from .lut import (RootTable, build_root_table, first_bad_root, sup_fn,
+                  validate_step)
 from .newton import (
     GridTrace,
     Trace,
@@ -48,16 +50,14 @@ from .newton import (
 from .report import CheckResult, VerifyReport, check
 
 
-def approx_abs_err(q: Fraction, y: Fraction) -> float:
-    """Display-only magnitude of |q - sqrt(y)| from a 64-bit enclosure.
-
-    |q - m/md| for the midpoint m/md is formed on integer parts, with no
-    Fraction arithmetic (whose gcds on long parts would cost more than
-    the display is worth); int/int true division rounds correctly, so
-    the float is that of the exact difference, or inf past float range.
-    """
-    mid = sqrt_enclosure(y, 64).midpoint
-    m, md, qn, qd = mid.numerator, mid.denominator, q.numerator, q.denominator
+def approx_abs_err(qn: int, qd: int, a: int, b: int) -> float:
+    """Display-only |q - sqrt(y)|, q = qn/qd and y = a/b (qd, b > 0): the
+    correctly rounded float of |q - m/md|, or inf past float range, for
+    the midpoint m/md of the 64-bit _enclosure of y in lowest terms (it
+    depends on how y is written), formed on integers."""
+    g = math.gcd(a, b)
+    lo, hi, den = _enclosure(a // g, b // g, 64)
+    m, md = lo + hi, den << 1
     try:
         return abs(qn * md - m * qd) / (qd * md)
     except OverflowError:
@@ -122,11 +122,11 @@ def _final_error(name: str, rule: str, x: Fraction, y: Fraction,
                  key: str, bound: Fraction) -> CheckResult:
     """|x - sqrt(y)| <= bound, recording whether the strict form holds;
     both forms are read off one pair of signs."""
-    lo, hi = _within_signs(x.numerator, x.denominator, bound.numerator,
-                           bound.denominator, y.numerator, y.denominator)
+    xn, xd, a, b = x.numerator, x.denominator, y.numerator, y.denominator
+    lo, hi = _within_signs(xn, xd, bound.numerator, bound.denominator, a, b)
     return CheckResult(name, rule, lo <= 0 <= hi,
                        {"x": x, key: bound,
-                        "err_display": approx_abs_err(x, y)},
+                        "err_display": approx_abs_err(xn, xd, a, b)},
                        strict=lo < 0 < hi)
 
 
@@ -265,7 +265,8 @@ def _adjust_report(y: FixVal, eps: FixVal, n: int, grid: GridTrace,
     final = CheckResult("grid result within eps/2 + n*step of the root",
                         "adjust.final-error", verdict.passed,
                         {"x": str(x), "bound": verdict.witness["bound"],
-                         "err_display": approx_abs_err(x.value, y.value)},
+                         "err_display": approx_abs_err(x.count, d,
+                                                      y.count, d)},
                         strict=verdict.passed)
     return VerifyReport(f"adjust y={y} eps={eps} n={n}", (gap, final))
 
@@ -318,7 +319,7 @@ def monotonicity_probe(y: FixVal, eps: FixVal, table: RootTable,
         verdict = sqrt_verdict("fix", x, y, eps, n=n)
         increased = (n > n_min and _err_order(
             counts[n], counts[n - 1], y.count, d) > 0)
-        rows.append(ProbeRow(n, x, approx_abs_err(x.value, y.value),
+        rows.append(ProbeRow(n, x, approx_abs_err(counts[n], d, y.count, d),
                              verdict.witness["bound"], verdict.passed,
                              increased))
     return tuple(rows)
@@ -338,15 +339,16 @@ def check_table_properties(table: RootTable, eps: FixVal) -> VerifyReport:
         None if bad is None else {"index": str(table.index_value(bad)),
                                   "root": str(table.root_at(bad))}))
 
+    # on counts, by the rounding sup_fn uses, as lut holds it at the call
     d, sup, step = profile.delta_den, profile.sup_count, stp.count
-    units = (FixVal(c, profile) for c in range(d + 1, sup + 1))
-    rounded = ((u, round_up_to_step(u, stp)) for u in units)
     checks.append(_first_failure(
         "rounding up lands on the next index", "table.round-up",
         {"grid_values": sup - d},
-        ({"u": str(u), "rounded": str(r)} for u, r in rounded
-         if not (r.count % step == 0 and d < r.count <= sup  # an index
-                 and r.count - step < u.count <= r.count))))
+        ({"u": str(FixVal(u, profile)), "rounded": str(FixVal(r, profile))}
+         for u in range(d + 1, sup + 1)
+         if not ((r := lut._round_up_count(u, step, profile)) % step == 0
+                 and d < r <= sup  # an index
+                 and r - step < u <= r))))
 
     subject = f"table stp={stp} entries={len(table)}"
     return VerifyReport(subject, tuple(checks))
@@ -363,6 +365,15 @@ class BalanceRow:
     predicted_bound: Fraction
     worst_err_display: float
     all_within_predicted: bool
+
+
+def _require_grid_inputs(profile: FixProfile) -> range:
+    """grid_inputs(profile); empty, a suite or sweep would check nothing."""
+    counts = grid_inputs(profile)
+    if not counts:
+        raise DomainError(f"no grid value in (1, {profile.sup_value / 2}]: "
+                          f"the grid runs accept no input on this profile")
+    return counts
 
 
 def _sample_grid_values(profile: FixProfile) -> list[FixVal]:
@@ -387,18 +398,18 @@ def balance_sweep(eps: FixVal,
             rows.append(BalanceRow(stp, False, 0, 0, Fraction(0),
                                    float("nan"), False))
             continue
+        _require_grid_inputs(profile)  # else the row would check nothing
         table = build_root_table(profile, stp)
         n = min_iterations_for_step(stp, eps)
         predicted = stp.value / (1 << n) + n * delta
         pn, pd = predicted.numerator, predicted.denominator
-        worst = 0.0
-        all_within = True
+        worst, all_within = 0.0, True
         for y in ys:
             x, _ = fix_sqr(y, eps, table, n)
             lo, hi = _within_signs(x.count, d, pn, pd, y.count, d)
             if not lo <= 0 <= hi:
                 all_within = False
-            worst = max(worst, approx_abs_err(x.value, y.value))
+            worst = max(worst, approx_abs_err(x.count, d, y.count, d))
         rows.append(BalanceRow(stp, True, profile.sup_count // stp.count,
                                n, predicted, worst, all_within))
     return tuple(rows)

@@ -1289,14 +1289,14 @@ class TestEmptyGridInputs:
             assert main(["verify", *paths, "--suite", suite,
                          "--samples", "3"]) == 0
 
-    def test_balance_writes_rows_then_exit_1(self, paths, tmp_path, capsys):
+    def test_balance_refused_exit_1(self, paths, tmp_path, capsys):
+        # balance_sweep refuses the valid step, so no CSV is written
         out = tmp_path / "bal.csv"
         capsys.readouterr()
         assert main(["sweep", paths[0], str(out), "--kind", "balance"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == f"wrote {out}: 2 rows\n"
-        assert captured.err == EMPTY_INPUTS_ERROR
-        assert len(out.read_text().splitlines()) == 3
+        assert captured.out == "" and captured.err == EMPTY_INPUTS_ERROR
+        assert not out.exists()
 
     def test_more_worse_exit_1(self, paths, tmp_path, capsys):
         capsys.readouterr()

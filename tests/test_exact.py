@@ -442,7 +442,7 @@ class TestOneShortPath:
     lambda y: within_of_sqrt(F(1), y, F(1)),
     lambda y: min_legal_iterations(y, F(1, 10), F(1)),
     lambda y: sqrt_enclosure(y, 64),
-    lambda y: verify.approx_abs_err(F(1), y),
+    lambda y: verify.approx_abs_err(1, 1, y.numerator, y.denominator),
 ], ids=["cmp_sqrt", "within_of_sqrt", "min_legal_iterations",
         "sqrt_enclosure", "approx_abs_err"])
 def test_negative_radicand_message_names_the_rule(refused):
@@ -471,6 +471,22 @@ class TestSqrtEnclosure:
         assert e.lo * e.lo <= y <= e.hi * e.hi
         assert 0 <= e.lo <= e.hi
         assert e.hi - e.lo <= F(1, 2 ** p)
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 10 ** 6),
+           st.integers(0, 128))
+    def test_fractions_of_the_integer_rule(self, a, b, p):
+        """On parts not in lowest terms too, _enclosure holds its rule, and
+        sqrt_enclosure of a/b is the Fractions of the rule on a/b reduced."""
+        lo, hi, den = exact._enclosure(a, b, p)
+        assert den == b << p
+        assert lo * lo * b <= a * den * den <= hi * hi * b
+        assert 0 <= hi - lo <= 1
+        scaled = a * b << 2 * p
+        assert (hi == lo) is (math.isqrt(scaled) ** 2 == scaled)
+        g = math.gcd(a, b)
+        lo, hi, den = exact._enclosure(a // g, b // g, p)
+        e = sqrt_enclosure(F(a, b), p)
+        assert (e.lo, e.hi) == (F(lo, den), F(hi, den))
 
 
 def radical_order(lhs, c1, c2, m):

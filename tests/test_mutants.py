@@ -104,3 +104,32 @@ def test_a_run_past_its_timeout_fails_the_gate(tmp_path, monkeypatch,
     assert out.startswith(f"ERROR (timeout) {mutant.tests[0]}")
     assert out.endswith("\n0 of 1 mutants killed\n")
     assert asked == [mutants.TIMEOUT_S] * 3
+
+
+def test_gate_ends_with_its_cost(monkeypatch, capsys):
+    """Before its count of kills the gate prints its wall time and its
+    five slowest mutants, slowest first, each with its time as the
+    mutant's own line gives it."""
+    clock, costs = [100.0], iter([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        clock[0] += next(costs)
+        return subprocess.CompletedProcess(cmd, 1)
+
+    monkeypatch.setattr(mutants.subprocess, "run", fake_run)
+    monkeypatch.setattr(mutants, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(mutants, "stale_ids", lambda ids: [])
+    first = mutants.MUTANTS[0]
+    monkeypatch.setattr(mutants, "MUTANTS", tuple(
+        first._replace(name=f"m{i}", tests=first.tests[:1])
+        for i in range(6)))
+    assert mutants.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    where = f"src/{first.path}"
+    assert lines[:6] == [f"killed   {cost:5.1f} s  {where}: m{i}" for i, cost
+                         in enumerate([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])]
+    assert lines[6:] == [
+        "gate wall time 21.1 s; slowest mutants:",
+        f"    9.0 s  {where}: m4", f"    4.0 s  {where}: m2",
+        f"    3.0 s  {where}: m0", f"    2.6 s  {where}: m5",
+        f"    1.5 s  {where}: m3", "6 of 6 mutants killed"]

@@ -7,7 +7,8 @@ profile; the one deliberate exception is mix_sqr with both an illegal
 step and an accuracy small enough for EpsTooSmall, which pins that the
 step is checked first.  MULTI_VIOLATION_CASES break two at once and pin
 the type and message of the first in the order the grid algorithms state
-their preconditions.
+their preconditions.  PUBLIC_REFUSALS pin the type and message of the
+public refusals outside the grid algorithms.
 """
 from fractions import Fraction as F
 
@@ -22,6 +23,7 @@ from certisqrt.errors import (
     ProfileMismatch,
     ResourceLimit,
 )
+from certisqrt.exact import sqrt_abs_err_lt, sqrt_enclosure
 from certisqrt.fixarith import FixProfile, FixVal, fix_add, fix_div
 from certisqrt.floatmodel import FloatProfile, FloatVal, compose
 from certisqrt.lut import RootTable, build_root_table, round_up_to_step, sup_fn
@@ -36,6 +38,7 @@ from certisqrt.newton import (
     mix_sqr,
     sqr_exact,
 )
+from certisqrt.verify import iteration_cap
 
 DEMO = FixProfile(100, 1600, 1600)
 MICRO = FixProfile(10, 40, 40)
@@ -372,3 +375,48 @@ def test_first_violation_reported(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# each breaks one precondition of a public function, at its boundary
+PUBLIC_REFUSALS = {
+    "enclosure-precision": (lambda: sqrt_enclosure(F(2), -1),
+                            "precision must be >= 0, got -1"),
+    "abs-err-m-zero": (lambda: sqrt_abs_err_lt(F(1), F(2), F(1), F(1), F(0)),
+                       "sqrt_abs_err_lt requires m > 0, got 0"),
+    "abs-err-m-negative": (
+        lambda: sqrt_abs_err_lt(F(1), F(2), F(1), F(1), F(-3, 2)),
+        "sqrt_abs_err_lt requires m > 0, got -3/2"),
+    "root-at-below": (lambda: TABLE.root_at(TABLE.k_min - 1),
+                      "table index 4 outside [5, 64]"),
+    "root-at-above": (lambda: TABLE.root_at(TABLE.k_max + 1),
+                      "table index 65 outside [5, 64]"),
+    "legal-iterations-eps-zero": (
+        lambda: min_legal_iterations(F(2), F(0), F(2)),
+        "accuracy must be positive, got 0"),
+    "legal-iterations-eps-negative": (
+        lambda: min_legal_iterations(F(2), F(-1, 3), F(2)),
+        "accuracy must be positive, got -1/3"),
+    "iteration-cap-y-one": (lambda: iteration_cap(F(1), F(1, 10)),
+                            "iteration cap defined for y > 1, got 1"),
+    "iteration-cap-y-below-one": (lambda: iteration_cap(F(1, 2), F(1, 10)),
+                                  "iteration cap defined for y > 1, got 1/2"),
+}
+
+
+@pytest.mark.parametrize("call,message", PUBLIC_REFUSALS.values(),
+                         ids=PUBLIC_REFUSALS.keys())
+def test_public_refusal(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError
+    assert str(info.value) == message
+
+
+def test_public_refusal_baselines():
+    """The calls next to each boundary above succeed."""
+    assert sqrt_enclosure(F(4), 0).lo == 2
+    assert sqrt_abs_err_lt(F(3, 2), F(2), F(1, 10), F(0), F(1, 10**9))
+    assert TABLE.root_at(TABLE.k_min) == DEMO.val(112)
+    assert TABLE.root_at(TABLE.k_max) == DEMO.val(400)
+    assert min_legal_iterations(F(2), F(1, 10**9), F(2)) > 0
+    assert iteration_cap(F(101, 100), F(1, 10)) >= 0

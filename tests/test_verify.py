@@ -16,7 +16,7 @@ from certisqrt.errors import (CertisqrtError, DomainError, ProfileMismatch,
                               UsageError)
 from certisqrt.exact import (cmp_sqrt, fraction_from_coprime,
                              sqrt_abs_err_lt, sqrt_enclosure, within_of_sqrt)
-from certisqrt import newton
+from certisqrt import exact, lut, newton
 from certisqrt.fixarith import FixProfile, FixVal
 from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
 from certisqrt.lut import _round_up_count, build_root_table, sup_fn
@@ -1036,8 +1036,9 @@ class TestMonotonicityProbe:
         assert [(r.n, r.x, r.bound, r.within_bound, r.error_increased)
                 for r in rows] == \
             self._per_count_rows(y, demo_eps, demo_table, n_min, 40)
+        d = demo_profile.delta_den
         assert [r.err_display for r in rows] == \
-            [approx_abs_err(r.x.value, y.value) for r in rows]
+            [approx_abs_err(r.x.count, d, count, d) for r in rows]
 
     def test_refusals(self, demo_profile, demo_table):
         y, eps = demo_profile.val(301), demo_profile.val(5)
@@ -1089,9 +1090,17 @@ class TestErrOrder:
 
 
 def fraction_abs_err(q, y):
-    """approx_abs_err's former formula: the float of a Fraction
-    difference."""
-    return float(abs(q - sqrt_enclosure(y, 64).midpoint))
+    """The display's Fraction reference: the float of |q - (lo + hi)/2|
+    for the ends of sqrt_enclosure(y, 64), taken on y in lowest terms as
+    every Fraction is."""
+    e = sqrt_enclosure(y, 64)
+    return float(abs(q - (e.lo + e.hi) / 2))
+
+
+def display(q, y):
+    """approx_abs_err on the parts of the Fractions q and y."""
+    return approx_abs_err(q.numerator, q.denominator, y.numerator,
+                          y.denominator)
 
 
 class TestApproxAbsErr:
@@ -1102,7 +1111,45 @@ class TestApproxAbsErr:
         for y, eps in sample_rationals(40, 1):
             _, trace = sqr_exact(y, eps)
             for q in (fraction_from_coprime(*xk) for xk in trace.pairs):
-                assert approx_abs_err(q, y) == fraction_abs_err(q, y)
+                assert display(q, y) == fraction_abs_err(q, y)
+
+    def test_every_demo_y_on_counts(self, demo_profile, demo_table,
+                                    demo_eps):
+        """The grid displays: counts over d against the Fractions of the
+        mix result and the fix results at n_min..n_min + 3."""
+        d, n_min = demo_profile.delta_den, min_iterations_for_step(
+            demo_table.stp, demo_eps)
+        for y in grid_values(demo_profile, F(8)):
+            xs = [mix_sqr(y, demo_eps, demo_table)[0]]
+            xs += [fix_sqr(y, demo_eps, demo_table, n)[0]
+                   for n in range(n_min, n_min + 4)]
+            for x in xs:
+                assert approx_abs_err(x.count, d, y.count, d) == \
+                    fraction_abs_err(x.value, y.value), (x, y)
+
+    def test_wide_counts_near_the_root(self):
+        """20,000 counts X over d = 1000 within 3 steps of sqrt(Y/d), the
+        wide profile's grid inputs, the exact squares among them."""
+        d, rng = 1000, random.Random(1)
+        ys = [rng.randint(1001, 2_000_000) for _ in range(19_900)]
+        ys += [10 * t * t for t in range(11, 111)]  # Y*d = (100*t)**2
+        for big_y in ys:
+            root = math.isqrt(big_y * d)
+            big_x = root + (rng.randint(-3, 3) if root * root != big_y * d
+                            else rng.randint(0, 1))
+            assert approx_abs_err(big_x, d, big_y, d) == \
+                fraction_abs_err(F(big_x, d), F(big_y, d)), (big_x, big_y)
+
+    # y = 125/100 = 5/4 and 818000/1000 = 409/500: the enclosure of the
+    # parts as written has another midpoint, and its float differs
+    @pytest.mark.parametrize("x, y, d", [(112, 125, 100),
+                                         (28600, 818000, 1000)])
+    def test_unreduced_y(self, x, y, d):
+        assert approx_abs_err(x, d, y, d) == fraction_abs_err(F(x, d),
+                                                              F(y, d))
+        lo, hi, den = exact._enclosure(y, d, 64)
+        assert approx_abs_err(x, d, y, d) != \
+            abs(x * 2 * den - (lo + hi) * d) / (d * 2 * den)
 
     @given(st.integers(1, 2 ** 64), st.integers(1, 2 ** 64),
            st.integers(64, 30_000), st.integers(-2 ** 40, 2 ** 40),
@@ -1115,13 +1162,12 @@ class TestApproxAbsErr:
         # q near sqrt(y) with parts of `bits` bits, as in long exact runs
         y, den = F(a, b), rng.getrandbits(bits) | 1 << (bits - 1)
         num = max(math.isqrt(a * den * den // b) + shift, 1)
-        assert approx_abs_err(F(num, den), y) == \
-            fraction_abs_err(F(num, den), y)
+        assert display(F(num, den), y) == fraction_abs_err(F(num, den), y)
 
     @pytest.mark.parametrize("q, y", [(F(2), F(4)), (F(3, 2), F(9, 4)),
                                       (F(17, 12), F(2)), (F(1), F(10 ** 40))])
     def test_exact_and_small_values(self, q, y):
-        assert approx_abs_err(q, y) == fraction_abs_err(q, y)
+        assert display(q, y) == fraction_abs_err(q, y)
 
     def test_too_large_for_a_float(self):
         # where the float of the Fraction formula overflows, the display
@@ -1129,8 +1175,8 @@ class TestApproxAbsErr:
         q = F(2 ** 2000)
         with pytest.raises(OverflowError):
             fraction_abs_err(q, F(2))
-        assert approx_abs_err(q, F(2)) == math.inf
-        assert approx_abs_err(F(1, 2 ** 2000), F(2 ** 4000)) == math.inf
+        assert display(q, F(2)) == math.inf
+        assert display(F(1, 2 ** 2000), F(2 ** 4000)) == math.inf
 
 
 class TestFinalError:
@@ -1141,7 +1187,7 @@ class TestFinalError:
     def former(x, y, bound):
         ok = within_of_sqrt(x, y, bound)
         return CheckResult("n", "r", ok, {"x": x, "eps": bound,
-                                          "err_display": approx_abs_err(x, y)},
+                                          "err_display": display(x, y)},
                            strict=ok and within_of_sqrt(x, y, bound,
                                                         strict=True))
 
@@ -1215,6 +1261,47 @@ class TestTableProperties:
         assert report.failures()[0].witness == {"u": f"{skipped}/100",
                                                 "rounded": "350/100"}
 
+    def test_rounding_off_the_indices_fails_only_round_up(
+            self, demo_table, demo_eps, monkeypatch):
+        # 301 left where it is: within one step above it, below sup, but
+        # no multiple of the step
+        def stay(count, stp_count, profile):
+            up = _round_up_count(count, stp_count, profile)
+            return count if count == 301 else up
+
+        monkeypatch.setattr("certisqrt.lut._round_up_count", stay)
+        report = check_table_properties(demo_table, demo_eps)
+        assert [c.rule for c in report.failures()] == ["table.round-up"]
+        assert report.failures()[0].witness == {"u": "301/100",
+                                                "rounded": "301/100"}
+
+    def test_walk_builds_values_for_its_witness_only(
+            self, demo_table, demo_eps, monkeypatch):
+        """The walk runs on counts: it builds no FixVal and calls no
+        round_up_to_step for a count that passes, and the two values of
+        the first failure's witness only."""
+        built, wrapped = [], []
+        real_init = FixVal.__init__
+
+        def counted_init(value, count, profile):
+            built.append(count)
+            real_init(value, count, profile)
+
+        monkeypatch.setattr(FixVal, "__init__", counted_init)
+        monkeypatch.setattr(lut, "round_up_to_step",
+                            lambda *args: wrapped.append(args))
+        assert check_table_properties(demo_table, demo_eps).overall
+        assert built == [] and wrapped == []
+
+        def skip_two(count, stp_count, profile):
+            up = _round_up_count(count, stp_count, profile)
+            return up + stp_count if count in (301, 302) else up
+
+        monkeypatch.setattr(lut, "_round_up_count", skip_two)
+        report = check_table_properties(demo_table, demo_eps)
+        assert not report.overall
+        assert built == [301, 350] and wrapped == []
+
 
 class TestBalanceSweep:
     def test_demo_three_candidates(self, demo_profile, demo_eps):
@@ -1233,6 +1320,20 @@ class TestBalanceSweep:
     def test_invalid_candidate_marked(self, demo_profile, demo_eps):
         rows = balance_sweep(demo_eps, [demo_profile.val(30)])
         assert not rows[0].valid
+
+    def test_profile_without_grid_inputs_refused(self, demo_profile):
+        """On a profile whose grid runs accept no input a valid step is
+        refused, not passed having run none; the grid check comes first,
+        and an invalid step is still a row."""
+        p = FixProfile(10, 40, 21)
+        with pytest.raises(DomainError, match="^" + re.escape(
+                "no grid value in (1, 21/20]: the grid runs accept no "
+                "input on this profile") + "$"):
+            balance_sweep(p.val(3), [p.val(3)])
+        with pytest.raises(ProfileMismatch):
+            balance_sweep(p.val(3), [demo_profile.val(3), p.val(3)])
+        rows = balance_sweep(p.val(3), [p.val(4)])
+        assert [r.valid for r in rows] == [False]
 
     def test_candidate_from_another_grid_refused(self, demo_profile,
                                                  demo_eps):
@@ -1693,14 +1794,14 @@ class TestCountVerdictsMatchFractionRoute:
 
 
 class TestGridVerdictsReadNoValue:
-    """The fix and mix verdicts, the probe and the sweep read FixVal.value
-    of an x or y only for a display field: every such read goes to
-    approx_abs_err, the display, and none to a decision."""
+    """The fix and mix verdicts, the probe and the sweep read no
+    FixVal.value of an x or y: every decision and every display takes the
+    counts over d."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
         """(reads, shown): each FixVal.value read as (value, Fraction), and
-        each Fraction handed to the display, which is patched to 0.0."""
+        the parts handed to each display, which is patched to 0.0."""
         real, reads, shown = FixVal.value.fget, [], []
 
         def counted(v):
@@ -1710,7 +1811,7 @@ class TestGridVerdictsReadNoValue:
 
         monkeypatch.setattr(FixVal, "value", property(counted))
         monkeypatch.setattr(verify, "approx_abs_err",
-                            lambda q, y: shown.extend((q, y)) or 0.0)
+                            lambda *parts: shown.append(parts) or 0.0)
         return reads, shown
 
     @staticmethod
@@ -1736,17 +1837,16 @@ class TestGridVerdictsReadNoValue:
         reads, shown = reads
         rows = monotonicity_probe(demo_profile.val(102), demo_eps,
                                   demo_table, 1, 6)
-        assert len(shown) == 2 * len(rows)
-        assert list(map(id, self.of_x_or_y(reads, demo_eps))) == \
-            list(map(id, shown))
+        assert self.of_x_or_y(reads, demo_eps) == []
+        assert shown == [(r.x.count, 100, 102, 100) for r in rows]
 
     def test_sweep(self, reads, demo_profile, demo_eps):
         reads, shown = reads
         stps = [demo_profile.val(c) for c in (25, 50, 100)]
         rows = balance_sweep(demo_eps, stps)
-        assert len(shown) == 2 * 64 * len(rows)
-        assert list(map(id, self.of_x_or_y(reads, demo_eps, *stps))) == \
-            list(map(id, shown))
+        assert self.of_x_or_y(reads, demo_eps, *stps) == []
+        assert len(shown) == 64 * len(rows)
+        assert {parts[1::2] for parts in shown} == {(100, 100)}
 
 
 class TestSqrtVerdictMatchesFormerInline:

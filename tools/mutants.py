@@ -12,8 +12,9 @@ database of its own that starts empty, and prints one line.  Every pytest
 run loads the hypothesis plugin only, not every plugin installed, and is
 stopped after TIMEOUT_S seconds: a run that takes longer is reported as
 ERROR (timeout), never as a kill.  The exit status is 1 when a mutant
-survives (one of its tests passes) or cannot be run, else 0.  The working
-tree is never changed.
+survives (one of its tests passes) or cannot be run, else 0.  Before its
+last line, the count of mutants killed, it prints the gate's wall time
+and its five slowest mutants.  The working tree is never changed.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ WITNESSES = "tests/test_report.py::test_witnesses"
 SUITES = "tests/test_verify.py::TestSuites::"
 VERDICT = "tests/test_verify.py::TestSqrtVerdict::"
 COUNTS = "tests/test_verify.py::TestCountVerdictsMatchFractionRoute::"
+BALANCE = "tests/test_verify.py::TestBalanceSweep::"
 
 
 class Mutant(NamedTuple):
@@ -81,11 +83,17 @@ MUTANTS = (
            "if False:\n"
            '        raise FileFormatError(f"{where}: expected an object',
            ("tests/test_cli.py::TestFileFieldRefusals::test_refused",)),
-    Mutant("an empty grid-input range passes the suites and sweeps", CLI,
+    Mutant("an empty grid-input range passes the suites and sweeps", VERIFY,
            "if not counts:", "if False:",
            ("tests/test_cli.py::TestEmptyGridInputs::test_verify_exit_1",
             "tests/test_cli.py::TestEmptyGridInputs::"
-            "test_balance_writes_rows_then_exit_1")),
+            "test_balance_refused_exit_1")),
+    Mutant("balance_sweep runs a valid step on no grid input", VERIFY,
+           "        _require_grid_inputs(profile)  # else the row",
+           "        pass  # else the row",
+           (BALANCE + "test_profile_without_grid_inputs_refused",
+            "tests/test_cli.py::TestEmptyGridInputs::"
+            "test_balance_refused_exit_1")),
     Mutant("main without its stdout handler", CLI,
            "except OSError as exc:  # stdout is a closed pipe",
            "except MemoryError as exc:  # stdout is a closed pipe",
@@ -113,6 +121,11 @@ MUTANTS = (
            "    if entries > limit:",
            "entries = len(indices)\n    if entries > limit:",
            ("tests/test_cli.py::TestGridPastSsizeT::test_table_cap_refuses",)),
+    Mutant("root_at reads one index past k_max", LUT,
+           "if not self.k_min <= k <= self.k_max:",
+           "if not self.k_min <= k <= self.k_max + 1:",
+           ("tests/test_preconditions.py::"
+            "test_public_refusal[root-at-above]",)),
     Mutant("RootTable's k_min one too high", LUT,
            '"k_min", indices.start)', '"k_min", indices.start + 1)',
            ("tests/test_lut.py::TestBuildTable::test_demo_size_and_bounds",
@@ -133,6 +146,16 @@ MUTANTS = (
     Mutant("float.range-min always passes", FLOATMODEL,
            "self.inf_f > 2 and self.sup_f > 2,", "True,",
            (CONTROL + "[float.range-min]",)),
+    Mutant("_enclosure's exact-square test inverted", EXACT,
+           "lo + (lo * lo != scaled)", "lo + (lo * lo == scaled)",
+           ("tests/test_exact.py::TestSqrtEnclosure::"
+            "test_perfect_square_degenerate",
+            "tests/test_exact.py::TestSqrtEnclosure::test_sqrt2_coarse")),
+    # the midpoint depends on how y is written; both cases have an
+    # unreduced y whose own enclosure prints another float
+    Mutant("the display's enclosure taken on y as written", VERIFY,
+           "g = math.gcd(a, b)", "g = 1",
+           ("tests/test_verify.py::TestApproxAbsErr::test_unreduced_y",)),
     Mutant("_radicand refuses zero", EXACT,
            "if a < 0:", "if a <= 0:",
            ("tests/test_exact.py::TestSqrtEnclosure::test_zero",)),
@@ -304,10 +327,14 @@ MUTANTS = (
            "    # a refusal",
            ("tests/test_verify.py::TestMonotonicityProbe::test_refusals",)),
     Mutant("table.round-up's lower bound with <=", VERIFY,
-           "r.count - step < u.count <= r.count",
-           "r.count - step <= u.count <= r.count",
+           "r - step < u <= r", "r - step <= u <= r",
            ("tests/test_verify.py::TestTableProperties::"
             "test_skipped_index_fails_only_round_up",)),
+    Mutant("table.round-up takes a rounding off the step multiples", VERIFY,
+           "(r := lut._round_up_count(u, step, profile)) % step == 0",
+           "(r := lut._round_up_count(u, step, profile)) > 0",
+           ("tests/test_verify.py::TestTableProperties::"
+            "test_rounding_off_the_indices_fails_only_round_up",)),
     # the fix and mix verdicts decide on counts over d; the strict form
     # differs from <= only at ties, so a test of the ties themselves
     Mutant("the fix/mix count verdict read non-strict", VERIFY,
@@ -484,6 +511,7 @@ def run_mutant(mutant: Mutant, scratch: Path) -> str:
 
 
 def main() -> int:
+    gate_start = perf_counter()
     try:
         stale = stale_ids(test for mutant in MUTANTS for test in mutant.tests)
     except subprocess.TimeoutExpired:
@@ -492,14 +520,20 @@ def main() -> int:
     if stale:
         print("test ids that collect no test:", *stale, sep="\n  ")
         return 1
-    failed = 0
+    failed, timed = 0, []
     with tempfile.TemporaryDirectory(prefix="certisqrt-mutants-") as tmp:
         for mutant in MUTANTS:
             start = perf_counter()
             verdict = run_mutant(mutant, Path(tmp))
+            seconds = perf_counter() - start
             failed += verdict != "killed"
-            print(f"{verdict:<8} {perf_counter() - start:5.1f} s  "
-                  f"src/{mutant.path}: {mutant.name}", flush=True)
+            line = f"{seconds:5.1f} s  src/{mutant.path}: {mutant.name}"
+            timed.append((seconds, line))
+            print(f"{verdict:<8} {line}", flush=True)
+    print(f"gate wall time {perf_counter() - gate_start:.1f} s; "
+          "slowest mutants:")
+    for _, line in sorted(timed, key=lambda t: -t[0])[:5]:
+        print(f"  {line}")
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
