@@ -19,14 +19,14 @@ and y, unreduced allowed, so verify's grid verdicts pass counts over d
 and build no Fraction.  When all parts of the two pairs have at most
 _SHORT_BITS bits, as on every grid request, it forms the short products
 itself against one shared a*den**2, the one place short products are
-formed.  A one-radical bound c1 + c2*sqrt(m) < t, c2 >= 0, is
-cmp_sqrt(t - c1, c2**2*m) > 0, as newton.derive_eps_for_ulp decides
-it.  sqrt_abs_err_lt multiplies through by a positive common
-denominator and writes sqrt(num/den) as sqrt(num*den)/den, so it ends
-in _lt_radical, which decides L < K*sqrt(M) on integers, K >= 0, as the
-sign of L/K - sqrt(M), or of L when K = 0.  Every enclosure of a root
-is one integer rule, _enclosure(a, b, p): sqrt_enclosure is its Fraction
-wrapper, and verify's err_display uses its midpoint on integers.
+formed.  newton.derive_eps_for_ulp decides its one-radical margin by
+one _sqrt_sign call.  _abs_err_lt decides |q - sqrt(y)| < c1 +
+c2*sqrt(m) on integer parts, unreduced allowed, by squaring twice into
+L < K*sqrt(M), K >= 0: sqrt_abs_err_lt is its Fraction wrapper, and
+verify's float verdict passes it the run's counts with base**h divided
+out.  Every enclosure of a root is one integer rule, _enclosure(a, b,
+p): sqrt_enclosure is its Fraction wrapper, and verify's err_display
+uses its midpoint on integers.
 
 cmp_products(xs, ys) decides the sign of prod(xs) - prod(ys) for two
 sequences of factors >= 0 in exact stages, bit lengths, then brackets
@@ -294,35 +294,23 @@ def sqrt_enclosure(y: Fraction, p: int) -> SqrtEnclosure:
     return SqrtEnclosure(_lowest_terms(lo, den), _lowest_terms(hi, den))
 
 
-def _lt_radical(lhs: int, k: int, m: int) -> bool:
-    """Decide lhs < k*sqrt(m) for integers k >= 0 and m >= 0: for k > 0
-    the sign of lhs/k - sqrt(m) by _sqrt_sign, for k = 0 the sign of
-    lhs."""
-    if k > 0:
-        return _sqrt_sign(lhs, k, m, 1) < 0
-    return lhs < 0
+def _abs_err_lt(qn: int, qd: int, yn: int, yd: int, an: int, ad: int,
+                bn: int, bd: int, mn: int, md: int) -> bool:
+    """Decide |q - sqrt(y)| < c1 + c2*sqrt(m) exactly for q = qn/qd, y =
+    yn/yd, c1 = an/ad, c2 = bn/bd, m = mn/md, denominators > 0 and the
+    parts not necessarily in lowest terms.
 
-
-def sqrt_abs_err_lt(q: Fraction, y: Fraction, c1: Fraction, c2: Fraction,
-                    m: Fraction) -> bool:
-    """Decide |q - sqrt(y)| < c1 + c2*sqrt(m) exactly.
-
-    Requires q >= 0, y >= 0, c1 >= 0, c2 >= 0, m > 0.  Both sides are then
-    non-negative, so squaring once reduces the two-radical comparison to
-    lead < pa*sqrt(y) + pb*sqrt(m), which is multiplied through by a
-    positive common denominator into integers; a second squaring leaves
-    one radical for _lt_radical.
+    Requires q, y, c1, c2 >= 0 and m > 0.  Both sides are then
+    non-negative, so squaring once reduces the comparison to lead <
+    pa*sqrt(y) + pb*sqrt(m), multiplied through by a positive common
+    denominator into integers; a second squaring leaves lead2 <
+    K*sqrt(M), K >= 0: the sign of lead2/K - sqrt(M), or of lead2 at K = 0.
     """
-    qn, qd = q.numerator, q.denominator
-    yn, yd = y.numerator, y.denominator
-    an, ad = c1.numerator, c1.denominator
-    bn, bd = c2.numerator, c2.denominator
-    mn, md = m.numerator, m.denominator
     if min(qn, yn, an, bn) < 0:
         raise DomainError("sqrt_abs_err_lt requires q, y, c1, c2 >= 0")
     if mn <= 0:
         raise DomainError(f"sqrt_abs_err_lt requires m > 0, "
-                          f"got {_rat_text(m)}")
+                          f"got {_rat_text(Fraction(mn, md))}")
     # |q - sqrt(y)| < R  <=>  q**2 + y - 2q*sqrt(y) < R**2, R = c1 + c2*sqrt(m)
     # lead = (q**2 + y) - (c1**2 + c2**2*m) = s_num/s_den - r_num/r_den
     s_num, s_den = qn * qn * yd + yn * qd * qd, qd * qd * yd
@@ -337,6 +325,15 @@ def sqrt_abs_err_lt(q: Fraction, y: Fraction, c1: Fraction, c2: Fraction,
     if lead < 0:
         return True
     # lead**2 < ky**2*Y + km**2*M + 2*ky*km*sqrt(Y*M); when ky, Y or km is
-    # 0 the radical term is 0, and _lt_radical decides lead2 < 0
+    # 0 the radical term is 0, and lead2 < 0 decides
     lead2 = lead * lead - (ky * ky * big_y + km * km * big_m)
-    return _lt_radical(lead2, 2 * ky * km, big_y * big_m)
+    k = 2 * ky * km
+    return _sqrt_sign(lead2, k, big_y * big_m, 1) < 0 if k else lead2 < 0
+
+
+def sqrt_abs_err_lt(q: Fraction, y: Fraction, c1: Fraction, c2: Fraction,
+                    m: Fraction) -> bool:
+    """Decide |q - sqrt(y)| < c1 + c2*sqrt(m) exactly: _abs_err_lt."""
+    return _abs_err_lt(q.numerator, q.denominator, y.numerator, y.denominator,
+                       c1.numerator, c1.denominator, c2.numerator,
+                       c2.denominator, m.numerator, m.denominator)

@@ -493,8 +493,9 @@ def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
 
 
 def fix_bound(eps: FixVal, n: int) -> Fraction:
-    """fix_sqr's accuracy contract after n iterations: eps/2 + n*delta."""
-    return eps.value / 2 + n * eps.profile.delta
+    """fix_sqr's accuracy contract after n iterations: eps/2 + n*delta,
+    (E + 2*n)/(2*d) for eps = E/d."""
+    return _lowest_terms(eps.count + 2 * n, 2 * eps.profile.delta_den)
 
 
 def mix_sqr(y: FixVal, eps: FixVal,
@@ -548,11 +549,16 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
 
 
 def float_bound(eps: FixVal, exp: int, base: int) -> tuple[Fraction, Fraction]:
-    """flt_sqr's accuracy contract for exponent exp: (c1, c2) of the bound
-    c1 + c2*sqrt(base), c1 = eps*base**h, c2 = (delta/2)*base**(h - 1),
-    h = floor(exp/2), delta the step of eps's grid."""
-    beta, h = Fraction(base), exp // 2
-    return eps.value * beta ** h, eps.profile.delta / 2 * beta ** (h - 1)
+    """flt_sqr's accuracy contract for exponent exp and base >= 2: (c1, c2)
+    of the bound c1 + c2*sqrt(base), c1 = eps*base**h and c2 = (delta/2) *
+    base**(h - 1), h = floor(exp/2), delta = 1/d the step of eps's grid,
+    each one integer pair: E*base**h/d and base**h/(2*d*base), eps = E/d."""
+    if base < 2:
+        raise DomainError(f"float_bound requires base >= 2, got {base}")
+    h, d = exp // 2, eps.profile.delta_den
+    up, down = base ** max(h, 0), base ** max(-h, 0)
+    return (_lowest_terms(eps.count * up, d * down),
+            _lowest_terms(up, 2 * d * base * down))
 
 
 MAX_DIVISOR_TRIALS = 1 << 20  # derive_eps_for_ulp's trial divisions
@@ -572,33 +578,29 @@ def _divisors_below(n: int, bound: int) -> list[int]:
                    for c in (i, n // i) if c < bound}, reverse=True)
 
 
-def derive_eps_for_ulp(ulp: Fraction, profile: FloatProfile,
+def derive_eps_for_ulp(ulp: Fraction | int, profile: FloatProfile,
                        stp: FixVal) -> FixVal:
     """Largest grid accuracy eps compatible with a half-ulp target.
 
     Constraints: the exponent-0 float bound eps + delta/(2*sqrt(base))
-    stays below ulp/2 (decided exactly by cmp_sqrt), eps divides stp, and
-    the mix_sqr iteration-budget precondition holds.  Raises
-    NoFeasibleEps when the set is empty.
+    stays below ulp/2, for ulp = un/ud and eps = E/d (un*d - 2*E*ud)/ud >
+    1/sqrt(base), decided by one _sqrt_sign call on integers; eps divides
+    stp; the mix_sqr iteration-budget precondition holds.  ulp is an int
+    or a Fraction, else DomainError.  NoFeasibleEps when none is left.
     """
     profile.validate()
+    _check_rational(ulp=ulp)
     if ulp <= 0:
         raise DomainError(f"ulp must be positive, got {_rat_text(ulp)}")
     _check_table_config(profile.fix, stp)
-    half_ulp = ulp / 2
-    beta = Fraction(profile.base)
+    un, ud = ulp.numerator, ulp.denominator
+    base, d = profile.base, profile.fix.delta_den
     # eps >= ulp/2 fails the margin, as c2*sqrt(base) > 0
-    below = math.ceil(half_ulp * profile.fix.delta_den)
-    for count in _divisors_below(stp.count, below):
-        eps = FixVal(count, profile.fix)
-        c1, c2 = float_bound(eps, 0, profile.base)
-        # c1 + c2*sqrt(base) < ulp/2, as ulp/2 - c1 > sqrt(c2**2*base)
-        # for c2 > 0; a negative ulp/2 - c1 reads -1
-        if cmp_sqrt(half_ulp - c1, c2 * c2 * beta) <= 0:
-            continue
-        if count < _mix_eps_floor(_least_count(stp.count, count)):
-            continue
-        return eps
+    for count in _divisors_below(stp.count, -(-un * d // (2 * ud))):
+        # (un*d - 2*E*ud)*base/ud > sqrt(base); a negative side reads -1
+        if _sqrt_sign((un * d - 2 * count * ud) * base, ud, base, 1) > 0 \
+                and count >= _mix_eps_floor(_least_count(stp.count, count)):
+            return FixVal(count, profile.fix)
     raise NoFeasibleEps(f"no grid accuracy below ulp/2 = "
-                        f"{_rat_text(half_ulp)} with step {stp} on a "
-                        f"{profile.fix.delta} grid")
+                        f"{_rat_text(_lowest_terms(un, 2 * ud))} with step "
+                        f"{stp} on a {profile.fix.delta} grid")

@@ -19,6 +19,7 @@ from typing import Any, Iterator, Sequence
 from . import lut
 from .errors import DomainError, UsageError
 from .exact import (
+    _abs_err_lt,
     _enclosure,
     _lowest_terms,
     _rat_text,
@@ -27,11 +28,10 @@ from .exact import (
     fraction_from_coprime,
     halves,
     rat_str,
-    sqrt_abs_err_lt,
     within_of_sqrt,
 )
 from .fixarith import FixProfile, FixVal, require_same_grid
-from .floatmodel import FloatProfile, _require_profile, value_of
+from .floatmodel import FloatProfile, _require_profile
 from .lut import (RootTable, build_root_table, first_bad_root, sup_fn,
                   validate_step)
 from .newton import (
@@ -210,8 +210,10 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
     * fix (FixVals, n iterations): |x - sqrt(y)| < fix_bound(eps, n);
     * mix (FixVals): |x - sqrt(y)| < eps;
     * float (FloatVals, eps a FixVal): |x - sqrt(y)| < c1 + c2*sqrt(base),
-      (c1, c2) = float_bound(eps, exponent of y, base); a zero y passes
-      exactly when x is zero.  The witness holds the bound or its terms.
+      (c1, c2) = float_bound(eps, e, base), e y's exponent; a zero y
+      passes exactly when x is zero.  The witness holds the bound or its
+      terms; the decision divides out base**h, h = floor(e/2), on the
+      counts of x and y, so it depends on e only through e mod 2.
 
     fix without an integer n, or float without fprof, is a UsageError.
     A fix or mix x or eps off y's grid, or a float eps, or a non-zero
@@ -229,10 +231,15 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
             _require_profile(v, fprof)
         if y.is_zero:
             return check(name, rule, x.is_zero, {"zero": True})
-        c1, c2 = float_bound(eps, y.exp, fprof.base)
-        ok = sqrt_abs_err_lt(value_of(x), value_of(y), c1, c2,
-                             Fraction(fprof.base))
-        return check(name, rule, ok, {"c1": c1, "c2": c2, "base": fprof.base})
+        beta, d, h = fprof.base, fprof.fix.delta_den, y.exp // 2
+        t, s = y.exp - 2 * h, x.exp - h
+        r1, r2 = float_bound(eps, t, beta)  # c1/beta**h, c2/beta**h
+        ok = _abs_err_lt(0 if x.is_zero else x.man.count * beta ** max(s, 0),
+                         d * beta ** max(-s, 0), y.man.count * beta ** t, d,
+                         r1.numerator, r1.denominator, r2.numerator,
+                         r2.denominator, beta, 1)
+        c1, c2 = float_bound(eps, y.exp, beta)
+        return check(name, rule, ok, {"c1": c1, "c2": c2, "base": beta})
     if mode not in ("fix", "mix"):
         raise UsageError(f"unknown sqrt mode {mode!r}")
     for v in (x, eps):
@@ -391,7 +398,7 @@ def balance_sweep(eps: FixVal,
     count, the predicted bound stp/2**n + n*step_of_grid, and the worst
     observed error of the grid run over a deterministic sample of inputs."""
     rows: list[BalanceRow] = []
-    profile, delta, d = eps.profile, eps.profile.delta, eps.profile.delta_den
+    profile, d = eps.profile, eps.profile.delta_den
     ys = _sample_grid_values(profile)
     for stp in stp_candidates:
         if not validate_step(stp, eps).overall:
@@ -401,8 +408,7 @@ def balance_sweep(eps: FixVal,
         _require_grid_inputs(profile)  # else the row would check nothing
         table = build_root_table(profile, stp)
         n = min_iterations_for_step(stp, eps)
-        predicted = stp.value / (1 << n) + n * delta
-        pn, pd = predicted.numerator, predicted.denominator
+        pn, pd = stp.count + (n << n), d << n  # stp/2**n + n/d
         worst, all_within = 0.0, True
         for y in ys:
             x, _ = fix_sqr(y, eps, table, n)
@@ -411,7 +417,7 @@ def balance_sweep(eps: FixVal,
                 all_within = False
             worst = max(worst, approx_abs_err(x.count, d, y.count, d))
         rows.append(BalanceRow(stp, True, profile.sup_count // stp.count,
-                               n, predicted, worst, all_within))
+                               n, _lowest_terms(pn, pd), worst, all_within))
     return tuple(rows)
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import Phase, settings
 
 from certisqrt.fixarith import FixProfile
 from certisqrt.floatmodel import FloatProfile
@@ -13,6 +14,13 @@ from certisqrt.verify import applied_corrections, iteration_cap, sample_rational
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORPUS_SEED = 20240801
+
+# Selected by --hypothesis-profile no-shrink, as tools/mutants.py runs
+# each test: a failing example is reported as found, not shrunk first, as
+# a mutant is killed by any failure.  A test's own @settings inherits
+# these phases; the default profile, which tier-1 runs, still shrinks.
+settings.register_profile(
+    "no-shrink", phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @pytest.fixture(scope="session")

@@ -43,6 +43,13 @@ HALF_STEP_PROFILE = {
     "step": {"stp_count": 25, "eps_count": 25},
 }
 
+# the demo profile at base 4, its grid widened to sup 32 > 4**2
+BASE_4_PROFILE = {
+    "fix": {"delta_den": 100, "inf_count": 3200, "sup_count": 3200},
+    "float": {"base": 4, "inf_F": "65536/1", "sup_F": "65536/1"},
+    "step": {"stp_count": 25, "eps_count": 25},
+}
+
 
 @pytest.fixture
 def demo_profile_path(fixtures_dir):
@@ -413,11 +420,32 @@ class TestGoldenDigests:
          "35fc3f612c398cddc228c41b3b650a5c98709b8cf5814e0e87762cc73354df43"),
         (["--mode", "float", "--value", "0", "--eps", "0.25"],
          "f4e4db5942e429763ab7b50f16573ab61c0619ceb1cdd461a0e9f181486ad870"),
-    ], ids=["mix", "float", "fix", "exact", "float-ulp", "float-zero"])
-    def test_sqrt_outputs(self, demo_profile_path, demo_table_path, capsys,
-                          args, expected):
+        # taken while the float verdict still built value_of and its
+        # base**h terms as Fractions: e = -3, e = -2, a loop result <= 1
+        # (x's exponent one below y's half), and base 4
+        (["--mode", "float", "--value", "3/16", "--eps", "0.25"],
+         "fbbd8e55244f0518456ad8824feb99c80b74fccad7b03292955b0bcc98261c41"),
+        (["--mode", "float", "--value", "0.3", "--eps", "0.25"],
+         "03b524c069916fea8063af176a20303ec86892e5deef3775656cc7ec05eb6dc1"),
+        (["--mode", "float", "--value", "1.01", "--eps", "0.25"],
+         "69f27b9c8a2754683f9ed82d27a7d870b5e934d49c8dea75e8d064e332680ace"),
+        (["--base-4", "--mode", "float", "--value", "3/64", "--eps", "0.25"],
+         "554533322f984b25fbbf6961c87f4817aea69c2dd91b32a7373a670f72963f2a"),
+        (["--base-4", "--mode", "float", "--value", "7", "--ulp", "1"],
+         "b5b48c4b2dae3c7f192d9939dec66da49318fb5cc29d5e6e454f70d822631abe"),
+    ], ids=["mix", "float", "fix", "exact", "float-ulp", "float-zero",
+            "float-e-3", "float-e-2", "float-result-at-most-1",
+            "float-base-4", "float-base-4-ulp"])
+    def test_sqrt_outputs(self, demo_profile_path, demo_table_path, tmp_path,
+                          capsys, args, expected):
+        paths = [demo_profile_path, demo_table_path]
+        if args[0] == "--base-4":  # the demo profile at base 4, sup 32
+            args, paths = args[1:], [str(tmp_path / "base4.json"),
+                                     str(tmp_path / "base4-table.json")]
+            Path(paths[0]).write_text(json.dumps(BASE_4_PROFILE))
+            assert main(["table-build", *paths]) == 0
         capsys.readouterr()
-        assert main(["sqrt", demo_profile_path, demo_table_path] + args) == 0
+        assert main(["sqrt", *paths] + args) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
             == expected
 

@@ -4,6 +4,7 @@ import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("mutants",
@@ -77,6 +78,37 @@ def test_pytest_runs_load_only_hypothesis(tmp_path, monkeypatch):
         assert autoload == "1"
         assert cmd[1:5] == ["-m", "pytest",
                             "-p", "hypothesis.extra.pytestplugin"]
+
+
+def test_pytest_runs_do_not_shrink(tmp_path, monkeypatch):
+    """Every pytest run of the gate selects the no-shrink profile, which
+    has every hypothesis phase but shrink; a test's own @settings, made
+    while that profile is loaded, inherits its phases.  The default
+    profile, which tier-1 runs, still shrinks."""
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.append(cmd)
+        return subprocess.CompletedProcess(cmd, 1, stdout="")
+
+    monkeypatch.setattr(mutants.subprocess, "run", fake_run)
+    mutant = mutants.MUTANTS[0]
+    mutants.stale_ids(mutant.tests)
+    mutants.run_mutant(mutant, tmp_path)
+    assert len(seen) == 1 + len(mutant.tests)
+    for cmd in seen:
+        at = cmd.index("--hypothesis-profile")
+        assert cmd[at + 1] == "no-shrink"
+    assert set(settings.get_profile("no-shrink").phases) == \
+        set(Phase) - {Phase.shrink}
+    current = settings.get_current_profile_name()
+    settings.load_profile("no-shrink")
+    try:
+        own = settings(max_examples=300, deadline=None)
+    finally:
+        settings.load_profile(current)
+    assert Phase.shrink not in own.phases
+    assert Phase.shrink in settings.get_profile("default").phases
 
 
 def test_a_run_past_its_timeout_fails_the_gate(tmp_path, monkeypatch,

@@ -420,6 +420,33 @@ class TestAccuracyContracts:
         fine = FixProfile(1000, 16000, 16000)
         assert float_bound(fine.val(8), 0, 2) == (F(8, 1000), F(1, 4000))
 
+    @pytest.mark.parametrize("base", [2, 3, 4, 10])
+    def test_float_bound_matches_fraction_formula(self, base):
+        """Each term one integer pair in lowest terms, equal to eps*base**h
+        and delta/2*base**(h - 1) for h = -40..40, both exponents 2h and
+        2h + 1."""
+        for fix, count in ((FixProfile(100, 1600, 1600), 25),
+                           (FixProfile(1000, 16000, 16000), 8),
+                           (FixProfile(7, 700, 700), 14)):
+            eps, beta = fix.val(count), F(base)
+            for h in range(-40, 41):
+                want = (eps.value * beta ** h, fix.delta / 2 * beta ** (h - 1))
+                for exp in (2 * h, 2 * h + 1):
+                    got = float_bound(eps, exp, base)
+                    assert got == want, (base, fix, h)
+                    assert [math.gcd(c.numerator, c.denominator)
+                            for c in got] == [1, 1]
+
+    def test_fix_bound_matches_fraction_formula(self):
+        for fix in (FixProfile(100, 1600, 1600), FixProfile(7, 700, 700),
+                    FixProfile(1000, 4_000_000, 4_000_000)):
+            for count in (1, 2, 7, 8, 25, 50, 100):
+                eps = fix.val(count)
+                for n in range(0, 12):
+                    got = fix_bound(eps, n)
+                    assert got == eps.value / 2 + n * fix.delta
+                    assert math.gcd(got.numerator, got.denominator) == 1
+
     @pytest.mark.parametrize("stp", [25, 50, 100, 400, 1600])
     def test_mix_least_eps_count(self, demo_profile, stp):
         # the former rule: eps count >= 2*(2 + ceil(log2(stp/eps)))
@@ -2026,18 +2053,34 @@ class TestDeriveEps:
                                   stp) == fix.val(20)
 
     @staticmethod
-    def every_divisor(ulp, fprof, stp):
+    def margin(ulp, eps, base):
+        """The half-ulp margin as a Fraction formula: c1 + c2*sqrt(base) <
+        ulp/2 for c1 = eps and c2 = delta/(2*base), as rest = ulp/2 - c1 >
+        0 and rest**2 > c2**2*base."""
+        rest = ulp / 2 - eps.value
+        c2 = eps.profile.delta / (2 * base)
+        return rest > 0 and rest * rest > c2 * c2 * base
+
+    @classmethod
+    def every_divisor(cls, ulp, fprof, stp):
         """The search that also tried the divisors with eps >= ulp/2:
-        every divisor of stp, largest first."""
+        every divisor of stp, largest first, with the margin as a Fraction
+        formula."""
         for count in range(stp.count, 0, -1):
             if stp.count % count:
                 continue
-            c1, c2 = float_bound(fprof.fix.val(count), 0, fprof.base)
-            if cmp_sqrt(ulp / 2 - c1, c2 * c2 * fprof.base) > 0 \
+            eps = fprof.fix.val(count)
+            if cls.margin(ulp, eps, fprof.base) \
                     and count >= newton._mix_eps_floor(
                         newton._least_count(stp.count, count)):
-                return fprof.fix.val(count)
+                return eps
         return None
+
+    def outcome(self, ulp, fprof, stp):
+        try:
+            return derive_eps_for_ulp(ulp, fprof, stp)
+        except NoFeasibleEps:
+            return None
 
     @pytest.mark.parametrize("base", [2, 4])
     def test_skipped_divisors_change_no_result(self, base):
@@ -2047,12 +2090,50 @@ class TestDeriveEps:
             stp = fix.val(count)
             for ulp in (F(1, 100), F(1, 5), F(81, 200), F(1, 2), F(1),
                         F(2), F(10), F(10 ** 6)):
-                try:
-                    got = derive_eps_for_ulp(ulp, fprof, stp)
-                except NoFeasibleEps:
-                    got = None
-                assert got == self.every_divisor(ulp, fprof, stp), \
-                    (count, ulp)
+                assert self.outcome(ulp, fprof, stp) == \
+                    self.every_divisor(ulp, fprof, stp), (count, ulp)
+
+    def test_margin_ties_on_base_4(self):
+        """On base 4 the margin's bound eps + delta/4 is rational: at ulp/2
+        equal to it each count fails the margin, and passes it just above,
+        as the Fraction formula decides."""
+        fix = FixProfile(100, 6400, 6400)
+        fprof = FloatProfile(4, fix, F(65536), F(65536))
+        stp = fix.val(6400)
+        for count in (1, 2, 5, 10, 16, 20, 25, 40, 64, 80, 100, 320):
+            tie = 2 * (fix.val(count).value + fix.delta / 4)
+            budget = count >= newton._mix_eps_floor(
+                newton._least_count(stp.count, count))
+            for ulp in (tie - F(1, 10 ** 9), tie, tie + F(1, 10 ** 9)):
+                want = self.every_divisor(ulp, fprof, stp)
+                assert self.outcome(ulp, fprof, stp) == want, (count, ulp)
+                # no larger count meets the margin, so the tie's count is
+                # the result just when it meets the budget and ulp > tie
+                assert (want == fix.val(count)) is (budget and ulp > tie)
+
+    def test_random_profiles_match_fraction_formula(self):
+        rng = random.Random(49)
+        feasible = 0
+        for _ in range(300):
+            base = rng.choice([2, 3, 4, 9, 10, 16])
+            d = rng.randint(3, 400)
+            stp_count = rng.randint(2, 240)
+            sup = stp_count * (-(-(base * base * d + 1) // stp_count)
+                               + rng.randint(0, 4))
+            fprof = FloatProfile(base, FixProfile(d, sup, sup), F(65536),
+                                 F(65536))
+            stp = fprof.fix.val(stp_count)
+            ulp = F(rng.randint(1, 4 * stp_count), rng.randint(1, 2 * d))
+            got = self.outcome(ulp, fprof, stp)
+            assert got == self.every_divisor(ulp, fprof, stp), \
+                (base, d, sup, stp_count, ulp)
+            feasible += got is not None
+        assert 30 < feasible < 270
+
+    def test_int_ulp(self, demo_float_profile, demo_stp):
+        for ulp in (1, 2, 10 ** 6):
+            assert derive_eps_for_ulp(ulp, demo_float_profile, demo_stp) \
+                == derive_eps_for_ulp(F(ulp), demo_float_profile, demo_stp)
 
     def test_divisors_below(self):
         for n in range(1, 200):

@@ -30,6 +30,7 @@ from certisqrt.lut import RootTable, build_root_table, round_up_to_step, sup_fn
 from certisqrt.newton import (
     derive_eps_for_ulp,
     fix_sqr,
+    float_bound,
     flt_sqr,
     fsqr_exact,
     isqr_exact,
@@ -136,6 +137,9 @@ DERIVE_CASES = {
     "step-not-dividing-sup": (F(1), FLOAT, DEMO.val(30), DomainError),
     "step-one-unit": (F(1), FLOAT, DEMO.val(1), DomainError),
     "no-feasible-eps": (F(1, 10 ** 6), FLOAT, DEMO.val(25), NoFeasibleEps),
+    # an ulp that is no int or Fraction, refused by name
+    "ulp-float": (0.5, FLOAT, DEMO.val(25), DomainError),
+    "ulp-text": ("1/2", FLOAT, DEMO.val(25), DomainError),
 }
 
 
@@ -181,6 +185,13 @@ def test_build_root_table(profile, stp, cap, error, monkeypatch):
 def test_derive_eps_for_ulp(ulp, profile, stp, error):
     with pytest.raises(error):
         derive_eps_for_ulp(ulp, profile, stp)
+
+
+def test_derive_eps_for_ulp_int_ulp():
+    """An int ulp is taken as the exact runs take one."""
+    for ulp in (1, 2):
+        assert derive_eps_for_ulp(ulp, FLOAT, DEMO.val(25)) == \
+            derive_eps_for_ulp(F(ulp), FLOAT, DEMO.val(25))
 
 
 def test_valid_baselines(monkeypatch):
@@ -400,6 +411,20 @@ PUBLIC_REFUSALS = {
                             "iteration cap defined for y > 1, got 1"),
     "iteration-cap-y-below-one": (lambda: iteration_cap(F(1, 2), F(1, 10)),
                                   "iteration cap defined for y > 1, got 1/2"),
+    # a base below 2 has no float model, and base**-h no positive
+    # denominator at base 0 or below
+    "float-bound-base-one": (lambda: float_bound(EPS, -3, 1),
+                             "float_bound requires base >= 2, got 1"),
+    "float-bound-base-zero": (lambda: float_bound(EPS, -3, 0),
+                              "float_bound requires base >= 2, got 0"),
+    "float-bound-base-negative": (lambda: float_bound(EPS, -3, -2),
+                                  "float_bound requires base >= 2, got -2"),
+    "derive-eps-ulp-float": (
+        lambda: derive_eps_for_ulp(0.5, FLOAT, DEMO.val(25)),
+        "ulp must be an int or a Fraction, got 0.5"),
+    "derive-eps-ulp-text": (
+        lambda: derive_eps_for_ulp("1/2", FLOAT, DEMO.val(25)),
+        "ulp must be an int or a Fraction, got '1/2'"),
 }
 
 
@@ -420,3 +445,4 @@ def test_public_refusal_baselines():
     assert TABLE.root_at(TABLE.k_max) == DEMO.val(400)
     assert min_legal_iterations(F(2), F(1, 10**9), F(2)) > 0
     assert iteration_cap(F(101, 100), F(1, 10)) >= 0
+    assert float_bound(EPS, -3, 2) == (F(1, 16), F(1, 1600))

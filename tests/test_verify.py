@@ -16,9 +16,10 @@ from certisqrt.errors import (CertisqrtError, DomainError, ProfileMismatch,
                               UsageError)
 from certisqrt.exact import (cmp_sqrt, fraction_from_coprime,
                              sqrt_abs_err_lt, sqrt_enclosure, within_of_sqrt)
-from certisqrt import exact, lut, newton
+from certisqrt import exact, floatmodel, lut, newton
 from certisqrt.fixarith import FixProfile, FixVal
-from certisqrt.floatmodel import FloatVal, compose, encode_rational, value_of
+from certisqrt.floatmodel import (FloatProfile, FloatVal, compose,
+                                  encode_rational, value_of)
 from certisqrt.lut import _round_up_count, build_root_table, sup_fn
 from certisqrt.newton import (
     Correction,
@@ -1894,3 +1895,210 @@ class TestSqrtVerdictMatchesFormerInline:
             x, _ = sqr_exact(y, eps)
             assert sqrt_verdict("exact", x, y, eps).passed \
                 == within_of_sqrt(x, y, eps)
+
+
+def former_float_verdict(x, y, eps, fprof):
+    """The float verdict as decided before it took the run's counts:
+    value_of of x and y and float_bound's terms as Fraction powers of the
+    base, into sqrt_abs_err_lt.  Returns the verdict and (c1, c2)."""
+    beta, h = F(fprof.base), y.exp // 2
+    c1 = eps.value * beta ** h
+    c2 = eps.profile.delta / 2 * beta ** (h - 1)
+    return sqrt_abs_err_lt(value_of(x), value_of(y), c1, c2, beta), (c1, c2)
+
+
+def float_cases(fprof, eps, table, ys):
+    """(x, y) for each positive y flt_sqr accepts: x its run's result,
+    moved by 0, +-1, +-3, +-7 and +-40 counts (a count below 1 skipped)
+    and by -1, 0 and 1 in its exponent."""
+    for y in ys:
+        try:
+            x, _ = flt_sqr(y, eps, fprof, table)
+        except CertisqrtError:
+            continue  # an odd exponent's mantissa above sup/(2*base)
+        for off in (0, -1, 1, -3, 3, -7, 7, -40, 40):
+            if x.man.count + off < 1:
+                continue
+            man = FixVal(x.man.count + off, fprof.fix)
+            for shift in (-1, 0, 1):
+                yield FloatVal(man, x.exp + shift, fprof.base), y
+
+
+def demo_ys(fprof, step=1, exps=range(-3, 4)):
+    """Every step-th demo mantissa count, in (1, sup/base), at each of
+    exps."""
+    fix = fprof.fix
+    return [FloatVal(fix.val(c), e, fprof.base) for e in exps
+            for c in range(fix.delta_den + 1, fix.sup_count, step)
+            if c * fprof.base < fix.sup_count]
+
+
+def demo_float(demo_profile, base):
+    return FloatProfile(base, demo_profile, F(65536), F(65536))
+
+
+@pytest.fixture(scope="module")
+def base_4():
+    """The demo grid widened to sup 32, so that base 4 is valid on it
+    (sup > base**2), and its table of step 25/100."""
+    fix = FixProfile(100, 3200, 3200)
+    return FloatProfile(4, fix, F(65536), F(65536)), \
+        build_root_table(fix, fix.val(25))
+
+
+class TestFloatVerdictOnCounts:
+    """The float verdict decides |x - sqrt(y)| < c1 + c2*sqrt(base) divided
+    by base**h, h = floor(e/2) for y's exponent e, on the counts of x and
+    y; it equals the route it replaced, and depends on e only through e mod
+    2."""
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_every_demo_mantissa(self, demo_profile, demo_table, demo_eps,
+                                 base):
+        fprof = demo_float(demo_profile, base)
+        decided = {True: 0, False: 0}
+        for x, y in float_cases(fprof, demo_eps, demo_table, demo_ys(fprof)):
+            got = sqrt_verdict("float", x, y, demo_eps, fprof=fprof)
+            want, (c1, c2) = former_float_verdict(x, y, demo_eps, fprof)
+            assert got.passed == want, (x, y)
+            assert got.witness == {"c1": c1, "c2": c2, "base": base}
+            decided[want] += 1
+        assert min(decided.values()) > 10_000
+
+    def test_wide_mantissas(self, wide):
+        table, eps, _ = wide
+        fprof = FloatProfile(2, eps.profile, F(65536), F(65536))
+        rng = random.Random(49)
+        ys = [FloatVal(eps.profile.val(rng.randint(1001, 1_999_999)),
+                       rng.choice([-1999, -1998, 1998, 1999,
+                                   rng.randint(-1999, 1999)]), 2)
+              for _ in range(400)]
+        decided = {True: 0, False: 0}
+        for x, y in float_cases(fprof, eps, table, ys):
+            want, _ = former_float_verdict(x, y, eps, fprof)
+            assert sqrt_verdict("float", x, y, eps, fprof=fprof).passed \
+                == want, (x, y)
+            decided[want] += 1
+        assert min(decided.values()) > 1000
+
+    @pytest.mark.parametrize("base", [2, 3, 4])
+    def test_depends_on_the_exponent_mod_2(self, demo_profile, demo_table,
+                                           base_4, base):
+        """(x*base**k, y*base**(2k)) has the verdict of (x, y), and its
+        witness is (x, y)'s times base**k."""
+        fprof, table = base_4 if base == 4 else (
+            demo_float(demo_profile, base), demo_table)
+        eps = fprof.fix.val(25)
+        decided = {True: 0, False: 0}
+        for x, y in float_cases(fprof, eps, table,
+                                demo_ys(fprof, step=13, exps=(-1, 0, 1))):
+            verdict = sqrt_verdict("float", x, y, eps, fprof=fprof)
+            for k in range(-3, 4):
+                scaled = sqrt_verdict(
+                    "float", FloatVal(x.man, x.exp + k, base),
+                    FloatVal(y.man, y.exp + 2 * k, base), eps, fprof=fprof)
+                assert scaled.passed == verdict.passed, (x, y, k)
+                assert scaled.witness == {
+                    "c1": verdict.witness["c1"] * F(base) ** k,
+                    "c2": verdict.witness["c2"] * F(base) ** k,
+                    "base": base}
+            decided[verdict.passed] += 1
+        assert min(decided.values()) > 100
+
+    @pytest.mark.parametrize("y_count,y_exp,x_count,side", [
+        (225, 0, 701, 1),    # 7.01/4 = 1.5 + 101/400
+        (225, 0, 499, -1),   # 4.99/4 = 1.5 - 101/400
+        (121, 1, 779, -1),   # 7.79/4 = sqrt(4.84) - 101/400
+    ])
+    def test_ties_on_base_4(self, base_4, y_count, y_exp, x_count, side):
+        """On base 4 the bound 1/4 + (1/800)*sqrt(4) = 101/400 is
+        rational: x at distance 101/400 from sqrt(y) fails the strict
+        bound, one count inside passes, one count past fails; at every
+        exponent of the same parity too."""
+        fprof, fix = base_4[0], base_4[0].fix
+        eps = fix.val(25)
+        for k in range(-3, 4):
+            y = FloatVal(fix.val(y_count), y_exp + 2 * k, 4)
+            for off, passed in ((0, False), (-side, True), (side, False)):
+                x = FloatVal(fix.val(x_count + off), k - 1, 4)
+                assert former_float_verdict(x, y, eps, fprof)[0] is passed
+                assert sqrt_verdict("float", x, y, eps,
+                                    fprof=fprof).passed is passed, (k, off)
+
+    def test_zero_result_of_positive_input(self, demo_profile, demo_eps,
+                                           demo_float_profile):
+        for e in (-3, 0, 3):
+            y = FloatVal(demo_profile.val(150), e, 2)
+            want, _ = former_float_verdict(FloatVal.zero(), y, demo_eps,
+                                           demo_float_profile)
+            assert sqrt_verdict("float", FloatVal.zero(), y, demo_eps,
+                                fprof=demo_float_profile).passed is want
+
+    def test_forms_no_fraction_and_calls_no_value_of(
+            self, demo_profile, demo_table, demo_eps, demo_float_profile,
+            monkeypatch):
+        """The decision and its witness read the counts: no value_of call
+        and no Fraction arithmetic, at |e| up to 1999 too."""
+        fprof = demo_float_profile
+        cases = list(float_cases(fprof, demo_eps, demo_table,
+                                 demo_ys(fprof, step=37)))
+        cases += [(FloatVal(x.man, x.exp + k, 2),
+                   FloatVal(y.man, y.exp + 2 * k, 2))
+                  for x, y in cases[:50] for k in (-999, 999)]
+        calls = count_fraction_arithmetic(monkeypatch)
+        real = floatmodel.value_of
+        monkeypatch.setattr(floatmodel, "value_of",
+                            lambda a: calls.append("value_of") or real(a))
+        assert not hasattr(verify, "value_of")
+        verdicts = [sqrt_verdict("float", x, y, demo_eps, fprof=fprof)
+                    for x, y in cases]
+        assert calls == []
+        assert {v.passed for v in verdicts} == {True, False}
+
+
+def count_fraction_arithmetic(monkeypatch):
+    """A list to which each Fraction arithmetic call made from now on in
+    the test appends its operator's name."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                 "__pow__", "__rpow__", "__neg__", "__abs__"):
+        real = getattr(F, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    return calls
+
+
+class TestBoundsFormNoFraction:
+    """fix_bound, float_bound and balance_sweep's predicted bound are each
+    one integer pair, built with no Fraction arithmetic; a whole sweep
+    forms none."""
+
+    def test_contracts(self, demo_profile, monkeypatch):
+        calls = count_fraction_arithmetic(monkeypatch)
+        for count in (1, 8, 25):
+            eps = demo_profile.val(count)
+            for n in range(8):
+                newton.fix_bound(eps, n)
+            for exp in range(-81, 82):
+                newton.float_bound(eps, exp, 3)
+        assert calls == []
+        assert F(1, 2) + F(1, 3) == F(5, 6)  # which is counted
+        assert calls == ["__add__"]
+
+    def test_predicted_bound(self, demo_profile, demo_eps, monkeypatch):
+        stps = [demo_profile.val(c) for c in (25, 50, 100, 400, 1600)]
+        want = [s.value / (1 << n) + n * demo_profile.delta
+                for s, n in ((s, min_iterations_for_step(s, demo_eps))
+                             for s in stps)]
+        calls = count_fraction_arithmetic(monkeypatch)
+        rows = balance_sweep(demo_eps, stps)
+        got = [r.predicted_bound for r in rows]
+        assert calls == []
+        monkeypatch.undo()
+        assert got == want
+        assert all(math.gcd(b.numerator, b.denominator) == 1 for b in got)

@@ -9,12 +9,14 @@ each test id that collects no test.  For each mutant it then copies src/
 to a temporary directory, applies the replacement there, runs each of
 those tests against the copy in its own pytest run, on a hypothesis
 database of its own that starts empty, and prints one line.  Every pytest
-run loads the hypothesis plugin only, not every plugin installed, and is
-stopped after TIMEOUT_S seconds: a run that takes longer is reported as
-ERROR (timeout), never as a kill.  The exit status is 1 when a mutant
-survives (one of its tests passes) or cannot be run, else 0.  Before its
-last line, the count of mutants killed, it prints the gate's wall time
-and its five slowest mutants.  The working tree is never changed.
+run loads the hypothesis plugin only, not every plugin installed, runs
+under tests/conftest.py's no-shrink hypothesis profile, so a failing
+example ends its test unshrunk, and is stopped after TIMEOUT_S seconds: a
+run that takes longer is reported as ERROR (timeout), never as a kill.
+The exit status is 1 when a mutant survives (one of its tests passes) or
+cannot be run, else 0.  Before its last line, the count of mutants
+killed, it prints the gate's wall time and its five slowest mutants.  The
+working tree is never changed.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ SUITES = "tests/test_verify.py::TestSuites::"
 VERDICT = "tests/test_verify.py::TestSqrtVerdict::"
 COUNTS = "tests/test_verify.py::TestCountVerdictsMatchFractionRoute::"
 BALANCE = "tests/test_verify.py::TestBalanceSweep::"
+FLOAT_COUNTS = "tests/test_verify.py::TestFloatVerdictOnCounts::"
 
 
 class Mutant(NamedTuple):
@@ -214,9 +217,14 @@ MUTANTS = (
            ("tests/test_newton.py::TestLegalCountOnIntegers::"
             "test_at_and_next_to_the_root",)),
     Mutant("derive_eps_for_ulp accepts a tie with ulp/2", NEWTON,
-           "c2 * c2 * beta) <= 0:", "c2 * c2 * beta) < 0:",
+           "ud, base, 1) > 0", "ud, base, 1) >= 0",
            ("tests/test_newton.py::TestDeriveEps::"
             "test_margin_tie_on_base_4_is_infeasible",)),
+    Mutant("fix_bound's 2*n read as n", NEWTON,
+           "eps.count + 2 * n", "eps.count + n",
+           ("tests/test_newton.py::TestAccuracyContracts::test_fix_bound",
+            "tests/test_newton.py::TestAccuracyContracts::"
+            "test_fix_bound_matches_fraction_formula")),
     Mutant("flt_sqr without the base shift of a result <= 1", NEWTON,
            "if x.count <= profile.fix.delta_den:", "if False:",
            ("tests/test_newton.py::TestFltSqr::test_mantissa_collapse_shifts",
@@ -280,8 +288,9 @@ MUTANTS = (
            "g = math.gcd(count, d)", "g = 1",
            ("tests/test_values.py::TestFixValValue::"
             "test_equals_lowest_terms",)),
-    Mutant("_lt_radical decides on <= 0", EXACT,
-           "_sqrt_sign(lhs, k, m, 1) < 0", "_sqrt_sign(lhs, k, m, 1) <= 0",
+    Mutant("_abs_err_lt decides its last radical on <= 0", EXACT,
+           "_sqrt_sign(lead2, k, big_y * big_m, 1) < 0",
+           "_sqrt_sign(lead2, k, big_y * big_m, 1) <= 0",
            ("tests/test_exact.py::TestIntegerPairPredicates::"
             "test_abs_err_ties",)),
     Mutant("_least_roots walks while sq <= t", LUT,
@@ -350,6 +359,21 @@ MUTANTS = (
            "_within_signs(x.count, d, pn, pd, y.count, d)",
            "_within_signs(x.count, d, pn, pd, y.count, 1)",
            (COUNTS + "test_balance_sweep",)),
+    # the float verdict divides base**h out of both sides: each mutant
+    # below scales one side only, or takes h off the floor at a negative
+    # odd exponent
+    Mutant("the float verdict's h read as int(y.exp / 2)", VERIFY,
+           "y.exp // 2", "int(y.exp / 2)",
+           (FLOAT_COUNTS + "test_every_demo_mantissa",
+            FLOAT_COUNTS + "test_depends_on_the_exponent_mod_2")),
+    Mutant("the float verdict drops an odd exponent's base**t", VERIFY,
+           "y.man.count * beta ** t", "y.man.count",
+           (FLOAT_COUNTS + "test_every_demo_mantissa",)),
+    Mutant("the float verdict drops x's base**-s denominator", VERIFY,
+           "d * beta ** max(-s, 0)", "d",
+           (FLOAT_COUNTS + "test_every_demo_mantissa",
+            "tests/test_cli.py::TestGoldenDigests::"
+            "test_sqrt_outputs[float-result-at-most-1]")),
     Mutant("sqrt_verdict takes fix and mix values from two grids", VERIFY,
            "        require_same_grid(v.profile, y.profile,\n"
            '                          "inputs belong to different grids")',
@@ -452,9 +476,13 @@ def mutated_source(mutant: Mutant, text: str) -> str:
 TIMEOUT_S = 300
 
 # the one plugin the tests need; autoloading every installed plugin took
-# about half of a one-test run
+# about half of a one-test run.  The no-shrink profile of tests/conftest.py
+# stops a hypothesis test at its first failing example: a kill needs no
+# shrunk one, and shrinking took 24.8 s of the 153-s gate on the
+# exact-square mutant of _enclosure
 PYTEST = (sys.executable, "-m", "pytest",
-          "-p", "hypothesis.extra.pytestplugin", "-p", "no:cacheprovider")
+          "-p", "hypothesis.extra.pytestplugin", "-p", "no:cacheprovider",
+          "--hypothesis-profile", "no-shrink")
 
 
 def _pytest_env(src: Path, **extra: str) -> dict[str, str]:
