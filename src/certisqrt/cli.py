@@ -326,11 +326,11 @@ def _display(q: Fraction, c2: Fraction = Fraction(0), m: int = 0) -> str:
 
 
 def _grid_exact(value: Fraction, profile: FixProfile) -> FixVal:
-    scaled = value * profile.delta_den
-    if scaled.denominator != 1:
+    count, rem = divmod(value.numerator * profile.delta_den, value.denominator)
+    if rem:
         raise DomainError(f"{_rat_text(value)} is not a grid value on a "
                           f"1/{profile.delta_den} grid")
-    return profile.val(int(scaled))
+    return profile.val(count)
 
 
 def cmd_sqrt(args: argparse.Namespace) -> int:

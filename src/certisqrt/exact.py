@@ -6,21 +6,21 @@ refinable enclosures of sqrt(y), and sign-tracked decisions for
 inequalities containing one or two radicals.  Host floating point never
 participates in a verdict.
 
-Every predicate works on integer numerators and denominators; none
-builds or normalises a Fraction, and every ordering is answered as an
-int sign, -1, 0 or 1, which callers compare against 0.  Every radical
-decision ends in one rule, the sign of n/d - sqrt(a/b) for unreduced
-parts: -1 when n < 0, otherwise the sign of n**2*b - a*d**2.  _sqrt_sign
-applies it by one cmp_products call on the factor sequences (n, n, b)
-and (a, d, d), and cmp_sqrt returns its sign for a Fraction q.  Every
-bound decision needs the rule for q - bound and q + bound:
-_within_signs(qn, qd, bn, bd, a, b) takes the integer parts of q, bound
-and y, unreduced allowed, so verify's grid verdicts pass counts over d
-and build no Fraction.  When all parts of the two pairs have at most
-_SHORT_BITS bits, as on every grid request, it forms the short products
-itself against one shared a*den**2, the one place short products are
-formed.  newton.derive_eps_for_ulp decides its one-radical margin by
-one _sqrt_sign call.  _abs_err_lt decides |q - sqrt(y)| < c1 +
+Fraction is a boundary type: a public function that takes a rational
+reads its integer parts through the one edge, _rational_parts, which
+refuses by name an input that is no int or Fraction (the hot wrappers
+call it only when a read fails).  Every predicate, here and in its
+callers, works on integer numerators and denominators, and answers an
+ordering as an int sign, -1, 0 or 1.  Every radical decision ends in
+one rule, the sign of n/d - sqrt(a/b) for unreduced parts: -1 when n <
+0, else the sign of n**2*b - a*d**2, which _sqrt_sign decides by one
+cmp_products call on the factors (n, n, b) and (a, d, d).  Every bound
+decision is the rule for q - bound and q + bound: _within_signs(qn, qd,
+bn, bd, a, b) takes the parts of q, bound and y, unreduced allowed, so
+the grid verdicts pass counts over d.  When all parts of the two pairs
+have at most _SHORT_BITS bits, as on every grid request, it forms the
+short products itself against one shared a*den**2, the one place short
+products are formed.  _abs_err_lt decides |q - sqrt(y)| < c1 +
 c2*sqrt(m) on integer parts, unreduced allowed, by squaring twice into
 L < K*sqrt(M), K >= 0: sqrt_abs_err_lt is its Fraction wrapper, and
 verify's float verdict passes it the run's counts with base**h divided
@@ -81,6 +81,27 @@ def _lowest_terms(num: int, den: int) -> Fraction:
     grid trace's corrections."""
     g = math.gcd(num, den)
     return fraction_from_coprime(num // g, den // g)
+
+
+def _rational_parts(**inputs) -> tuple[int, ...]:
+    """The one rational edge: the numerator and denominator of each
+    input, in order, in one flat tuple; the first input that is no int or
+    Fraction is refused by name, with DomainError."""
+    parts = []
+    for name, value in inputs.items():
+        if not isinstance(value, (int, Fraction)):
+            raise DomainError(f"{name} must be an int or a Fraction, "
+                              f"got {value!r}")
+        parts += value.numerator, value.denominator
+    return tuple(parts)
+
+
+def _check_int(name: str, value: object) -> None:
+    """Refuse, by name, a value that is no int, a bool included: a grid
+    parameter, a float base or an exponent, whose powers and products
+    must stay rationals."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an int, got {value!r}")
 
 
 # Below 2**2126 < 10**640 an integer has at most 640 decimal digits, the
@@ -224,8 +245,8 @@ def _sqrt_sign(n: int, d: int, a: int, b: int) -> int:
 def cmp_sqrt(q: Fraction, y: Fraction) -> int:
     """The sign of q - sqrt(y), -1, 0 or 1, decided exactly by
     _sqrt_sign."""
-    a, b = _radicand(y.numerator, y.denominator)
-    return _sqrt_sign(q.numerator, q.denominator, a, b)
+    qn, qd, a, b = _rational_parts(q=q, y=y)
+    return _sqrt_sign(qn, qd, *_radicand(a, b))
 
 
 def _within_signs(qn: int, qd: int, bn: int, bd: int, a: int,
@@ -262,8 +283,11 @@ def within_of_sqrt(q: Fraction, y: Fraction, bound: Fraction,
     Equivalent to q - bound <= sqrt(y) <= q + bound, settled by the two
     signs of _within_signs on the three rationals' parts.
     """
-    lo, hi = _within_signs(q.numerator, q.denominator, bound.numerator,
-                           bound.denominator, y.numerator, y.denominator)
+    try:
+        lo, hi = _within_signs(q.numerator, q.denominator, bound.numerator,
+                               bound.denominator, y.numerator, y.denominator)
+    except AttributeError:  # no int or Fraction: the edge names it
+        lo, hi = _within_signs(*_rational_parts(q=q, bound=bound, y=y))
     if strict:
         return lo < 0 < hi
     return lo <= 0 <= hi
@@ -290,7 +314,7 @@ class SqrtEnclosure:
 
 def sqrt_enclosure(y: Fraction, p: int) -> SqrtEnclosure:
     """lo**2 <= y <= hi**2, hi - lo <= 2**-p: _enclosure as Fractions."""
-    lo, hi, den = _enclosure(y.numerator, y.denominator, p)
+    lo, hi, den = _enclosure(*_rational_parts(y=y), p)
     return SqrtEnclosure(_lowest_terms(lo, den), _lowest_terms(hi, den))
 
 
@@ -334,6 +358,10 @@ def _abs_err_lt(qn: int, qd: int, yn: int, yd: int, an: int, ad: int,
 def sqrt_abs_err_lt(q: Fraction, y: Fraction, c1: Fraction, c2: Fraction,
                     m: Fraction) -> bool:
     """Decide |q - sqrt(y)| < c1 + c2*sqrt(m) exactly: _abs_err_lt."""
-    return _abs_err_lt(q.numerator, q.denominator, y.numerator, y.denominator,
-                       c1.numerator, c1.denominator, c2.numerator,
-                       c2.denominator, m.numerator, m.denominator)
+    try:
+        return _abs_err_lt(q.numerator, q.denominator, y.numerator,
+                           y.denominator, c1.numerator, c1.denominator,
+                           c2.numerator, c2.denominator, m.numerator,
+                           m.denominator)
+    except AttributeError:  # no int or Fraction: the edge names it
+        return _abs_err_lt(*_rational_parts(q=q, y=y, c1=c1, c2=c2, m=m))

@@ -30,8 +30,8 @@ from .errors import (
     ProfileMismatch,
     RangeOverflow,
 )
-from .exact import (_lowest_terms, _rat_text, encode_int,
-                    fraction_from_coprime)
+from .exact import (_check_int, _lowest_terms, _rat_text, _rational_parts,
+                    encode_int, fraction_from_coprime)
 from .report import CheckResult, VerifyReport, check, require
 
 
@@ -39,9 +39,10 @@ from .report import CheckResult, VerifyReport, check, require
 class FixProfile:
     """Grid parameters: step 1/delta_den on [-inf_count/d, sup_count/d].
 
-    Construction only checks positivity so that deliberately broken
-    profiles can still be fed to check_profile_assumptions; the grid
-    assumptions are decided once, on first use, into rule_checks.
+    Construction only checks that the parameters are positive ints, no
+    bool, so that deliberately broken profiles can still be fed to
+    check_profile_assumptions; the grid assumptions are decided once, on
+    first use, into rule_checks.
     """
 
     delta_den: int
@@ -49,6 +50,8 @@ class FixProfile:
     sup_count: int
 
     def __post_init__(self) -> None:
+        for name in ("delta_den", "inf_count", "sup_count"):
+            _check_int(name, getattr(self, name))
         if self.delta_den < 1 or self.inf_count < 1 or self.sup_count < 1:
             raise DomainError("profile parameters must be positive integers")
 
@@ -165,9 +168,8 @@ def quantize(q: Fraction, profile: FixProfile, mode: str = "nearest") -> FixVal:
 
     Modes: "nearest" (ties to even), "up", "down".
     """
-    d = profile.delta_den
-    num = q.numerator * d
-    den = q.denominator
+    num, den = _rational_parts(q=q)
+    num *= profile.delta_den
     if mode == "nearest":
         count = round_half_even(num, den)
     elif mode == "up":

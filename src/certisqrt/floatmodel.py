@@ -25,38 +25,48 @@ from .errors import (
     ProfileMismatch,
     RangeOverflow,
 )
-from .exact import _lowest_terms, _rat_text
+from .exact import _check_int, _lowest_terms, _rat_text, _rational_parts
 from .fixarith import FixProfile, FixVal, require_same_grid, round_half_even
 from .report import CheckResult, VerifyReport, check, require
 
 
 @dataclass(frozen=True)
 class FloatProfile:
-    """Exponent base plus the underlying grid and outer range bounds;
-    like FixProfile, it decides its rules once, on first use."""
+    """Exponent base plus the underlying grid and outer range bounds.
+    Construction refuses a base that is no int, a fix that is no
+    FixProfile and a range bound that is no int or Fraction, with
+    DomainError; like FixProfile, it decides its rules once, on first
+    use, each on integer parts."""
 
     base: int
     fix: FixProfile
     inf_f: Fraction
     sup_f: Fraction
 
+    def __post_init__(self) -> None:
+        _check_int("base", self.base)
+        if not isinstance(self.fix, FixProfile):
+            raise DomainError(f"fix must be a FixProfile, got {self.fix!r}")
+        _rational_parts(inf_f=self.inf_f, sup_f=self.sup_f)
+
     @cached_property
     def rule_checks(self) -> tuple[CheckResult, ...]:
-        fix, base = self.fix, self.base
+        fix, base, d = self.fix, self.base, self.fix.delta_den
         return (
             check("underlying grid valid", "float.fix-valid",
                   fix.is_valid(), {}),
             check("base at least two", "float.base-min",
                   base >= 2, {"base": base}),
             check("base inside the grid integers", "float.base-in-grid",
-                  Fraction(base) <= fix.sup_value,
+                  base * d <= fix.sup_count,
                   {"base": base, "sup": fix.sup_value}),
             check("grid bound exceeds base squared",
                   "float.sup-over-base-squared",
-                  fix.sup_value > base * base,
+                  fix.sup_count > base * base * d,
                   {"sup": fix.sup_value, "base_squared": base ** 2}),
             check("float range bounds above two", "float.range-min",
-                  self.inf_f > 2 and self.sup_f > 2,
+                  all(r.numerator > 2 * r.denominator
+                      for r in (self.inf_f, self.sup_f)),
                   {"inf_f": self.inf_f, "sup_f": self.sup_f}),
         )
 
@@ -137,7 +147,7 @@ _set_base = FloatVal.__dict__["base"].__set__
 
 def _require_profile(a: FloatVal, profile: FloatProfile) -> None:
     """Refuse a positive value whose grid, then base, is not the
-    profile's."""
+    profile's, or whose exponent is no int."""
     if a.is_zero:
         return
     require_same_grid(a.man.profile, profile.fix,
@@ -145,10 +155,11 @@ def _require_profile(a: FloatVal, profile: FloatProfile) -> None:
     if a.base != profile.base:
         raise ProfileMismatch(f"input base {a.base} differs from the "
                               f"profile base {profile.base}")
+    _check_int("exponent", a.exp)
 
 
 def compose(man: FixVal, exp: int, profile: FloatProfile) -> FloatVal:
-    """Couple a mantissa and an exponent into a positive value."""
+    """Couple a mantissa and an exponent, an int, into a positive value."""
     require_same_grid(man.profile, profile.fix,
                       "mantissa belongs to a different grid")
     d = profile.fix.delta_den
@@ -156,6 +167,7 @@ def compose(man: FixVal, exp: int, profile: FloatProfile) -> FloatVal:
         raise MantissaRange(
             f"mantissa {man} outside (1, "
             f"{profile.fix.sup_value}/{profile.base})")
+    _check_int("exponent", exp)
     if not (profile.exp_min <= exp <= profile.exp_max):
         raise ExponentRange(
             f"exponent {exp} outside [{profile.exp_min}, {profile.exp_max}]")
@@ -168,12 +180,13 @@ def value_of(a: FloatVal) -> Fraction:
     The pair count*base**exponent/d is built from the integer parts and
     reduced by exact._lowest_terms.  Its denominator d*base**-exponent is
     positive only for base >= 1, so a smaller base with a negative
-    exponent is refused.
+    exponent is refused, as is an exponent that is no int.
     """
     if a.is_zero:
         return Fraction(0)
     assert a.man is not None
     num, den, base, e = a.man.count, a.man.profile.delta_den, a.base, a.exp
+    _check_int("exponent", e)
     if e >= 0:
         num *= base ** e
     elif base >= 1:
@@ -231,7 +244,10 @@ def encode_rational(q: Fraction, profile: FloatProfile) -> tuple[FloatVal, bool]
     excluded endpoint 1), and reports whether the encoding is exact.
     """
     profile.validate()
-    num, den = q.numerator, q.denominator
+    try:
+        num, den = q.numerator, q.denominator
+    except AttributeError:  # no int or Fraction: the edge names it
+        num, den = _rational_parts(q=q)
     if num < 0:
         raise DomainError(f"only non-negative values are modeled, "
                           f"got {_rat_text(q)}")

@@ -50,8 +50,8 @@ from .errors import (
     SeedContractError,
 )
 from .exact import (Factors, _lowest_terms, _radicand, _rat_text,
-                    _sqrt_sign, cmp_sqrt, encode_int, fraction_from_coprime,
-                    halves)
+                    _rational_parts, _sqrt_sign, encode_int,
+                    fraction_from_coprime, halves)
 from .fixarith import (FixProfile, FixVal, _newton_step, fix_mul,
                        require_same_grid)
 from .floatmodel import FloatProfile, FloatVal, _require_profile, compose
@@ -216,14 +216,6 @@ def _norm_factors(norm: int, g: int, b: int) -> tuple[int, int]:
     return b // (g // h) ** 2, norm // h
 
 
-def _check_rational(**inputs) -> None:
-    """Refuse, by name, the first exact input that is no int or Fraction."""
-    for name, value in inputs.items():
-        if not isinstance(value, (int, Fraction)):
-            raise DomainError(f"{name} must be an int or a Fraction, "
-                              f"got {value!r}")
-
-
 def _check_count(n: int) -> None:
     if not isinstance(n, int):
         raise DomainError(f"iteration count must be an integer, got {n!r}")
@@ -234,18 +226,20 @@ def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
     """The request pass of the exact runs: it refuses the first rule
     broken, in order: y, eps and a seeded run's seed are ints or
     Fractions; y >= 1 for sqr_exact, else y > 1; eps > 0; n is an
-    integer >= 0; sqrt(y) <= seed <= y."""
+    integer >= 0; sqrt(y) <= seed <= y, each on integer parts."""
     seeded = algorithm != "sqr_exact"
-    _check_rational(y=y, eps=eps, **({"seed": seed} if seeded else {}))
-    if y < 1 or seeded and y == 1:
+    a, b, en, ed, *seed_parts = _rational_parts(
+        y=y, eps=eps, **({"seed": seed} if seeded else {}))
+    if a < b or seeded and a == b:
         raise DomainError(f"{algorithm} requires y {'>' if seeded else '>='}"
                           f" 1, got {_rat_text(y)}")
-    if eps <= 0:
+    if en <= 0:
         raise DomainError(f"accuracy must be positive, got {_rat_text(eps)}")
     _check_count(n)
     if n < 0:
         raise DomainError(f"iteration count must be >= 0, got {n}")
-    if seeded and (cmp_sqrt(seed, y) < 0 or seed > y):
+    sn, sd = seed_parts or (a, b)  # sqr_exact's seed is y
+    if seeded and (_sqrt_sign(sn, sd, a, b) < 0 or sn * b > a * sd):
         raise SeedContractError(f"seed {_rat_text(seed)} violates sqrt("
                                 f"{_rat_text(y)}) <= seed <= {_rat_text(y)}")
 
@@ -398,8 +392,8 @@ def min_legal_iterations(y: Fraction, eps: Fraction,
     decided exactly; 0 whenever the seed is already within eps/2.  The
     rule is monotone in n: 0 after one test, else doubling upward, then
     bisection in (hi/2, hi]."""
-    _check_rational(y=y, eps=eps, seed_value=seed_value)
-    if eps <= 0:
+    en = _rational_parts(y=y, eps=eps, seed_value=seed_value)[2]
+    if en <= 0:
         raise DomainError(f"accuracy must be positive, got {_rat_text(eps)}")
 
     def legal(n: int) -> bool:
@@ -589,11 +583,10 @@ def derive_eps_for_ulp(ulp: Fraction | int, profile: FloatProfile,
     or a Fraction, else DomainError.  NoFeasibleEps when none is left.
     """
     profile.validate()
-    _check_rational(ulp=ulp)
-    if ulp <= 0:
+    un, ud = _rational_parts(ulp=ulp)
+    if un <= 0:
         raise DomainError(f"ulp must be positive, got {_rat_text(ulp)}")
     _check_table_config(profile.fix, stp)
-    un, ud = ulp.numerator, ulp.denominator
     base, d = profile.base, profile.fix.delta_den
     # eps >= ulp/2 fails the margin, as c2*sqrt(base) > 0
     for count in _divisors_below(stp.count, -(-un * d // (2 * ud))):

@@ -23,21 +23,20 @@ from .exact import (
     _enclosure,
     _lowest_terms,
     _rat_text,
+    _rational_parts,
     _sqrt_sign,
     _within_signs,
     fraction_from_coprime,
     halves,
     rat_str,
-    within_of_sqrt,
 )
 from .fixarith import FixProfile, FixVal, require_same_grid
-from .floatmodel import FloatProfile, _require_profile
+from .floatmodel import FloatProfile, FloatVal, _require_profile
 from .lut import (RootTable, build_root_table, first_bad_root, sup_fn,
                   validate_step)
 from .newton import (
     GridTrace,
     Trace,
-    _check_rational,
     fix_bound,
     fix_sqr,
     float_bound,
@@ -74,7 +73,8 @@ def _err_order(a: int, b: int, y: int, d: int) -> int:
 def iteration_cap(y: Fraction, eps: Fraction) -> int:
     """max(0, 1 + ceil(log2((y - sqrt(y))/eps))) decided exactly, y > 1:
     the legal iteration count of a run seeded with y."""
-    if y <= 1:
+    a, b = _rational_parts(y=y)
+    if a <= b:
         raise DomainError(f"iteration cap defined for y > 1, "
                           f"got {_rat_text(y)}")
     return min_legal_iterations(y, eps, y)
@@ -92,7 +92,7 @@ def _record_of(trace: Trace, y: Fraction, eps: Fraction,
     one of `algorithms` made for this y and eps with each pair's p, q > 0
     and each correction's c, m >= 0, else UsageError; a y or eps that is no
     int or Fraction is a DomainError."""
-    _check_rational(y=y, eps=eps)
+    a, b, en, ed = _rational_parts(y=y, eps=eps)
     expected = (f"expected a trace from {' or '.join(algorithms)} of y="
                 f"{rat_str(y)} eps={rat_str(eps)}")
     if not (isinstance(trace, Trace) and len(trace.pairs) >= max(
@@ -100,13 +100,13 @@ def _record_of(trace: Trace, y: Fraction, eps: Fraction,
             and min(map(min, trace.corrections), default=0) >= 0):
         raise UsageError(f"{expected}, got a {type(trace).__name__} that "
                          f"is no exact run's record")
-    asked = (y.numerator, y.denominator), (eps.numerator, eps.denominator)
+    asked = (a, b), (en, ed)
     if trace.algorithm not in algorithms or (trace.y, trace.eps) != asked:
         raise UsageError(
             f"{expected}, got one from {trace.algorithm} of y="
             f"{rat_str(Fraction(*trace.y))} eps="
             f"{rat_str(Fraction(*trace.eps))}")
-    (a, b), (sn, sd) = trace.y, trace.pairs[0]
+    sn, sd = trace.pairs[0]
     return (a, b, sn, sd) if sn * b <= a * sd else (a, b, a, b)
 
 
@@ -168,13 +168,13 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
                          f"{family}.final-error",
                          fraction_from_coprime(*pairs[-1]), y, "eps", eps)
 
-    witness = {"vacuous": True} if y <= 1 else {
+    witness = {"vacuous": True} if a <= b else {
         "applied": applied_corrections(trace),
         "cap": min_legal_iterations(y, eps, fraction_from_coprime(sn, sd)),
         "loop_passes": len(corrections)}
     cap = check("applied corrections within the logarithmic cap",
                 f"{family}.iteration-cap",
-                y <= 1 or witness["applied"] <= witness["cap"], witness)
+                a <= b or witness["applied"] <= witness["cap"], witness)
 
     subject = f"{trace.algorithm} y={rat_str(y)} eps={rat_str(eps)}"
     return VerifyReport(subject, (invariant, halving, final, cap))
@@ -215,15 +215,22 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
       terms; the decision divides out base**h, h = floor(e/2), on the
       counts of x and y, so it depends on e only through e mod 2.
 
-    fix without an integer n, or float without fprof, is a UsageError.
-    A fix or mix x or eps off y's grid, or a float eps, or a non-zero
+    An exact x, y or eps that is no int or Fraction is a DomainError, as
+    the runs refuse it; a fix or mix x, y or eps that is no FixVal, a
+    float x or y that is no FloatVal or eps that is no FixVal, fix
+    without an integer n, or float without fprof, is a UsageError.  A fix
+    or mix x or eps off y's grid, or a float eps, or a non-zero
     float x or y, off fprof's grid or base, is refused with
     ProfileMismatch, as the run that made x refuses it.
     """
     rule, name = f"sqrt.{mode}-bound", f"{mode} result within its bound"
     if mode == "exact":
-        return check(name, rule, within_of_sqrt(x, y, eps), {"bound": eps})
+        xn, xd, a, b, en, ed = _rational_parts(x=x, y=y, eps=eps)
+        lo, hi = _within_signs(xn, xd, en, ed, a, b)
+        return check(name, rule, lo <= 0 <= hi, {"bound": eps})
     if mode == "float":
+        _takes(mode, FloatVal, x=x, y=y)
+        _takes(mode, FixVal, eps=eps)
         if fprof is None:
             raise UsageError("a float verdict needs a float profile")
         require_same_grid(eps.profile, fprof.fix, "eps from another grid")
@@ -242,6 +249,7 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
         return check(name, rule, ok, {"c1": c1, "c2": c2, "base": beta})
     if mode not in ("fix", "mix"):
         raise UsageError(f"unknown sqrt mode {mode!r}")
+    _takes(mode, FixVal, x=x, y=y, eps=eps)
     for v in (x, eps):
         require_same_grid(v.profile, y.profile,
                           "inputs belong to different grids")
@@ -253,6 +261,15 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
     lo, hi = _within_signs(x.count, d, bound.numerator, bound.denominator,
                            y.count, d)
     return check(name, rule, lo < 0 < hi, {"bound": bound})
+
+
+def _takes(mode: str, kind: type, **values) -> None:
+    """Refuse, by name, the first value that is no `kind`: the kind a
+    `mode` verdict takes, named in a UsageError."""
+    for name, value in values.items():
+        if not isinstance(value, kind):
+            raise UsageError(f"a {mode} verdict takes a {kind.__name__} "
+                             f"{name}, got {value!r}")
 
 
 def _adjust_report(y: FixVal, eps: FixVal, n: int, grid: GridTrace,
@@ -437,7 +454,8 @@ def sample_rationals(count: int,
 
 def grid_values(profile: FixProfile, hi: Fraction) -> list[FixVal]:
     """All grid values in (1, hi], ascending."""
-    hi_count = int(hi * profile.delta_den)
+    hn, hd = _rational_parts(hi=hi)
+    hi_count = hn * profile.delta_den // hd
     return [FixVal(c, profile)
             for c in range(profile.delta_den + 1, hi_count + 1)]
 

@@ -21,6 +21,9 @@ CORPUS_SEED = 20240801
 # these phases; the default profile, which tier-1 runs, still shrinks.
 settings.register_profile(
     "no-shrink", phases=[p for p in Phase if p is not Phase.shrink])
+# Selected by tools/covmap.py, so that every run of the coverage map
+# draws the same examples and reaches the same statements.
+settings.register_profile("derandomized", derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -476,6 +477,10 @@ BROKEN = {
     "add-sparse": ((("fix_add", _sparse_add),), {"fix.add-exact"}),
     "add-sub-pair": ((("fix_add", _pair_add), ("fix_sub", _pair_sub)),
                      {"fix.add-exact"}),
+    # both witnesses are found early, so the probe stops early
+    "add-and-mul": ((("fix_add", _sparse_add),
+                     ("fix_mul", _mul_rounding(lambda n, d: n // d))),
+                    {"fix.add-exact", "fix.rounding-contract"}),
 }
 
 PROBE_CORPORA = {
@@ -502,6 +507,40 @@ class TestProbeMatchesReference:
         assert report.as_dict() == want.as_dict()
         if budget == "exhaustive":
             assert {c.rule for c in report.failures()} == expected_failures
+
+    def test_stops_once_both_witnesses_are_known(self, monkeypatch):
+        """The probe forms no pair, and calls no operation, after the pair
+        on which the later of the two witnesses is found, well before
+        the last pair."""
+        profile = FixProfile(10, 40, 40)
+        lo, hi = -profile.inf_count, profile.sup_count
+        ops = {"fix_sub": _real_sub, "fix_div": _real_div,
+               **dict(BROKEN["add-and-mul"][0])}
+        calls, formed = [], []
+        for name, op in ops.items():
+            def recording(x, y, op=op):
+                calls.append((x.count, y.count))
+                return op(x, y)
+            monkeypatch.setattr(fixarith, name, recording)
+
+        def forming(count, grid):
+            if sys._getframe(1).f_code.co_name == "check_profile_assumptions":
+                formed.append(count)
+            return FixVal(count, grid)
+
+        monkeypatch.setattr(fixarith, "FixVal", forming)
+        report = check_profile_assumptions(profile, budget="exhaustive")
+        add, contract = (c.witness for c in report.checks[-2:])
+
+        def index(nx, ny):  # the exhaustive probe's order of pairs
+            return (nx - lo) * (hi - lo + 1) + ny - lo
+
+        last = max(index(add["x"], add["y"]),
+                   index(*(int(contract[k].partition("/")[0])
+                           for k in ("x", "y"))))
+        assert index(*calls[-1]) == last < add["pairs"] - 1
+        assert max(index(*pair) for pair in calls) == last
+        assert len(formed) == 2 * (last + 1)
 
     def test_add_sub_pair_reports_sub(self, monkeypatch):
         monkeypatch.setattr(fixarith, "fix_add", _pair_add)

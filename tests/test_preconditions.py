@@ -8,8 +8,11 @@ step and an accuracy small enough for EpsTooSmall, which pins that the
 step is checked first.  MULTI_VIOLATION_CASES break two at once and pin
 the type and message of the first in the order the grid algorithms state
 their preconditions.  PUBLIC_REFUSALS pin the type and message of the
-public refusals outside the grid algorithms.
+public refusals outside the grid algorithms, and the WRONG_KINDS cases
+those of an exponent, a profile field or a grid verdict input of the
+wrong kind.
 """
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -22,10 +25,11 @@ from certisqrt.errors import (
     NoFeasibleEps,
     ProfileMismatch,
     ResourceLimit,
+    UsageError,
 )
 from certisqrt.exact import sqrt_abs_err_lt, sqrt_enclosure
 from certisqrt.fixarith import FixProfile, FixVal, fix_add, fix_div
-from certisqrt.floatmodel import FloatProfile, FloatVal, compose
+from certisqrt.floatmodel import FloatProfile, FloatVal, compose, value_of
 from certisqrt.lut import RootTable, build_root_table, round_up_to_step, sup_fn
 from certisqrt.newton import (
     derive_eps_for_ulp,
@@ -39,7 +43,7 @@ from certisqrt.newton import (
     mix_sqr,
     sqr_exact,
 )
-from certisqrt.verify import iteration_cap
+from certisqrt.verify import iteration_cap, sqrt_verdict
 
 DEMO = FixProfile(100, 1600, 1600)
 MICRO = FixProfile(10, 40, 40)
@@ -446,3 +450,79 @@ def test_public_refusal_baselines():
     assert min_legal_iterations(F(2), F(1, 10**9), F(2)) > 0
     assert iteration_cap(F(101, 100), F(1, 10)) >= 0
     assert float_bound(EPS, -3, 2) == (F(1, 16), F(1, 1600))
+    # an int exponent, and an int range bound, as a profile file has
+    assert compose(DEMO.val(150), 3, FLOAT).exp == 3
+    assert flt_sqr(FloatVal(DEMO.val(150), 3, 2), EPS, FLOAT, TABLE)[0].exp \
+        == 1
+    assert value_of(FloatVal(DEMO.val(150), -1, 2)) == F(3, 4)
+    assert FloatProfile(2, DEMO, 65536, 65536).rule_checks == \
+        FLOAT.rule_checks
+
+
+# inputs of the wrong kind: each is refused, typed and by name, where it
+# enters; a bool is no int here
+WRONG_KINDS = [1.5, "2", None, Decimal("2"), True]
+
+
+def _float(exp):
+    return FloatVal(DEMO.val(150), exp, 2)
+
+
+@pytest.mark.parametrize("exp", WRONG_KINDS, ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda e: compose(DEMO.val(150), e, FLOAT),
+    lambda e: flt_sqr(_float(e), EPS, FLOAT, TABLE),
+    lambda e: value_of(_float(e)),
+    lambda e: sqrt_verdict("float", A, _float(e), EPS, fprof=FLOAT),
+    lambda e: sqrt_verdict("float", _float(e), A, EPS, fprof=FLOAT),
+], ids=["compose", "flt-sqr", "value-of", "float-verdict-y",
+        "float-verdict-x"])
+def test_exponent_not_an_int(call, exp):
+    """An exponent that is no int would give base**exp a float or a
+    bool's power: flt_sqr once returned 173/100*2^0.0 for 1.5*2^1.5."""
+    with pytest.raises(DomainError) as info:
+        call(exp)
+    assert str(info.value) == f"exponent must be an int, got {exp!r}"
+
+
+@pytest.mark.parametrize("value", WRONG_KINDS, ids=repr)
+@pytest.mark.parametrize("field", ["delta_den", "inf_count", "sup_count"])
+def test_fix_profile_parameter_not_an_int(field, value):
+    params = {"delta_den": 100, "inf_count": 1600, "sup_count": 1600}
+    with pytest.raises(DomainError) as info:
+        FixProfile(**{**params, field: value})
+    assert str(info.value) == f"{field} must be an int, got {value!r}"
+
+
+@pytest.mark.parametrize("value", WRONG_KINDS[:4], ids=repr)
+@pytest.mark.parametrize("field, message", [
+    ("base", "base must be an int"),
+    ("fix", "fix must be a FixProfile"),
+    ("inf_f", "inf_f must be an int or a Fraction"),
+    ("sup_f", "sup_f must be an int or a Fraction"),
+])
+def test_float_profile_field_of_another_kind(field, message, value):
+    params = {"base": 2, "fix": DEMO, "inf_f": F(65536), "sup_f": F(65536)}
+    with pytest.raises(DomainError) as info:
+        FloatProfile(**{**params, field: value})
+    assert str(info.value) == f"{message}, got {value!r}"
+
+
+def test_float_profile_base_bool():
+    with pytest.raises(DomainError, match="^base must be an int, got True$"):
+        FloatProfile(True, DEMO, F(65536), F(65536))
+
+
+@pytest.mark.parametrize("mode, kind", [("fix", "FixVal"), ("mix", "FixVal"),
+                                        ("float", "FloatVal")])
+@pytest.mark.parametrize("value", [F(3, 2), *WRONG_KINDS[:4]], ids=repr)
+def test_grid_verdict_input_of_another_kind(mode, kind, value):
+    """A fix, mix or float verdict names the kind its mode takes."""
+    good = A if mode == "float" else Y
+    for args, name in (((value, good, EPS), "x"), ((good, value, EPS), "y"),
+                       ((good, good, value), "eps")):
+        with pytest.raises(UsageError) as info:
+            sqrt_verdict(mode, *args, n=2, fprof=FLOAT)
+        want = "FixVal" if name == "eps" else kind
+        assert str(info.value) == \
+            f"a {mode} verdict takes a {want} {name}, got {value!r}"

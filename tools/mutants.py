@@ -51,6 +51,8 @@ VERDICT = "tests/test_verify.py::TestSqrtVerdict::"
 COUNTS = "tests/test_verify.py::TestCountVerdictsMatchFractionRoute::"
 BALANCE = "tests/test_verify.py::TestBalanceSweep::"
 FLOAT_COUNTS = "tests/test_verify.py::TestFloatVerdictOnCounts::"
+BY_NAME = "tests/test_boundary.py::test_non_rationals_refused_by_name"
+EXPONENT = "tests/test_preconditions.py::test_exponent_not_an_int"
 
 
 class Mutant(NamedTuple):
@@ -147,8 +149,24 @@ MUTANTS = (
             "tests/test_verify.py::TestTableProperties::"
             "test_eps_from_another_grid_refused")),
     Mutant("float.range-min always passes", FLOATMODEL,
-           "self.inf_f > 2 and self.sup_f > 2,", "True,",
+           "all(r.numerator > 2 * r.denominator\n"
+           "                      for r in (self.inf_f, self.sup_f)),",
+           "True,",
            (CONTROL + "[float.range-min]",)),
+    # the float-profile rules decide on integer parts; the controls of
+    # float.sup-over-base-squared and float.range-min are ties
+    Mutant("float.sup-over-base-squared read non-strict", FLOATMODEL,
+           "fix.sup_count > base * base * d,",
+           "fix.sup_count >= base * base * d,",
+           (CONTROL + "[float.sup-over-base-squared]",
+            "tests/test_floatmodel.py::TestProfile::"
+            "test_report_flags_failures")),
+    Mutant("an exponent or grid parameter that is no int passes", EXACT,
+           "    if type(value) is not int:\n", "    if False:\n",
+           (EXPONENT + "[compose-1.5]", EXPONENT + "[flt-sqr-True]",
+            EXPONENT + "[float-verdict-y-1.5]",
+            "tests/test_preconditions.py::"
+            "test_fix_profile_parameter_not_an_int")),
     Mutant("_enclosure's exact-square test inverted", EXACT,
            "lo + (lo * lo != scaled)", "lo + (lo * lo == scaled)",
            ("tests/test_exact.py::TestSqrtEnclosure::"
@@ -199,6 +217,17 @@ MUTANTS = (
            'sign = -1 if self.algorithm == "sqr_exact" else 1', "sign = 1",
            (ONE_FORM, "tests/test_newton.py::TestTraceRepr::test_pinned",
             DIGEST)),
+    # the exact request decides on the parts of y = a/b and the seed sn/sd
+    Mutant("the exact request's y < 1 read as a <= b", NEWTON,
+           "if a < b or seeded and a == b:", "if a <= b or seeded and a == b:",
+           ("tests/test_newton.py::TestSqrExact::test_trivial_one",)),
+    Mutant("the exact request refuses a seed equal to y", NEWTON,
+           "sn * b > a * sd", "sn * b >= a * sd",
+           ("tests/test_newton.py::TestIsqrExact::test_degenerate_seed_y",)),
+    # the until-loop's exit pass builds no next iterate
+    Mutant("the exit pass builds the exit iterate again", NEWTON,
+           "if stop and not c_style:", "if stop and c_style:",
+           (STEP_TESTS + "test_until_loop_exit_builds_no_iterate",)),
     Mutant("_exact_run without its first-norm guard", NEWTON,
            "if c < 0:", "if False:",
            (STEP_TESTS + "test_norm_below_the_root_exits",)),
@@ -249,9 +278,27 @@ MUTANTS = (
            "hi *= n + 1", "hi *= n",
            (PRODUCT_TESTS + "test_long_ties_and_neighbours",)),
     Mutant("cmp_sqrt returns the reversed ordering", EXACT,
-           "return _sqrt_sign(q.numerator, q.denominator, a, b)",
-           "return -_sqrt_sign(q.numerator, q.denominator, a, b)",
+           "return _sqrt_sign(qn, qd, *_radicand(a, b))",
+           "return -_sqrt_sign(qn, qd, *_radicand(a, b))",
            ("tests/test_exact.py::TestCmpSqrt::test_examples",)),
+    # the one rational edge, and the hot wrappers that call it only when
+    # reading an input's parts fails
+    Mutant("the rational edge accepts a float", EXACT,
+           "isinstance(value, (int, Fraction))",
+           "isinstance(value, (int, Fraction, float))",
+           ("tests/test_preconditions.py::"
+            "test_first_violation_reported[sqr-eps-float]", BY_NAME)),
+    Mutant("within_of_sqrt re-raises without the edge", EXACT,
+           "        lo, hi = _within_signs(*_rational_parts(q=q, bound=bound, "
+           "y=y))", "        raise",
+           (BY_NAME + "[within-bound-1.5]", BY_NAME + "[within-q-None]")),
+    Mutant("sqrt_abs_err_lt re-raises without the edge", EXACT,
+           "        return _abs_err_lt(*_rational_parts(q=q, y=y, c1=c1, c2=c2, "
+           "m=m))", "        raise",
+           (BY_NAME + "[abs-err-m-'3/2']",)),
+    Mutant("encode_rational re-raises without the edge", FLOATMODEL,
+           "        num, den = _rational_parts(q=q)", "        raise",
+           ("tests/test_boundary.py::test_encode_rational_refuses_by_name",)),
     Mutant("_filtered_sign answers -1 when xs bracket above ys", EXACT,
            "if x_lo > y_hi:\n        return 1",
            "if x_lo > y_hi:\n        return -1",
@@ -284,6 +331,11 @@ MUTANTS = (
            "g = math.gcd(num, den)", "g = 1",
            ("tests/test_exact.py::TestLowestTerms::"
             "test_equals_fraction_in_lowest_terms",)),
+    Mutant("the profile probe runs on past both witnesses", FIXARITH,
+           "                break\n\n    def reported(",
+           "                pass\n\n    def reported(",
+           ("tests/test_fixarith.py::TestProbeMatchesReference::"
+            "test_stops_once_both_witnesses_are_known",)),
     Mutant("FixVal.value skips its gcd", FIXARITH,
            "g = math.gcd(count, d)", "g = 1",
            ("tests/test_values.py::TestFixValValue::"
@@ -406,8 +458,9 @@ MUTANTS = (
            ("tests/test_verify.py::TestIntegerDecisionsMatchFractionFormulas"
             "::test_near_bounds",)),
     Mutant("a checker reads a y or eps that is no int or Fraction", VERIFY,
-           "    _check_rational(y=y, eps=eps)\n    expected",
-           "    expected",
+           "    a, b, en, ed = _rational_parts(y=y, eps=eps)\n",
+           "    a, b, en, ed = y.numerator, y.denominator, eps.numerator, "
+           "eps.denominator\n",
            (TYPED + "test_non_rational_inputs",)),
     Mutant("a checker reads a pair with p below 1", VERIFY,
            "and min(map(min, trace.pairs)) > 0",
