@@ -10,18 +10,16 @@ Fraction is a boundary type: a public function that takes a rational
 reads its integer parts through the one edge, _rational_parts, which
 refuses by name an input that is no int or Fraction (the hot wrappers
 call it only when a read fails).  Every predicate, here and in its
-callers, works on integer numerators and denominators, and answers an
-ordering as an int sign, -1, 0 or 1.  Every radical decision ends in
-one rule, the sign of n/d - sqrt(a/b) for unreduced parts: -1 when n <
-0, else the sign of n**2*b - a*d**2, which _sqrt_sign decides by one
-cmp_products call on the factors (n, n, b) and (a, d, d).  Every bound
-decision is the rule for q - bound and q + bound: _within_signs(qn, qd,
-bn, bd, a, b) takes the parts of q, bound and y, unreduced allowed, so
-the grid verdicts pass counts over d.  When all parts of the two pairs
-have at most _SHORT_BITS bits, as on every grid request, it forms the
-short products itself against one shared a*den**2, the one place short
-products are formed.  _abs_err_lt decides |q - sqrt(y)| < c1 +
-c2*sqrt(m) on integer parts, unreduced allowed, by squaring twice into
+callers, works on integer parts and answers an ordering as a sign, -1, 0
+or 1.  Every radical decision ends in one rule, the sign of n/d -
+sqrt(a/b) for unreduced parts: -1 when n < 0, else the sign of n**2*b -
+a*d**2, one cmp_products call in _sqrt_sign.  Every bound decision is
+the rule for q - bound and q + bound: _within_signs(qn, qd, bn, bd, a,
+b), unreduced allowed, so the grid verdicts pass counts over d.  When
+all its parts have at most _SHORT_BITS bits, as on every grid request,
+it forms the short products itself against one shared a*den**2, the one
+place short products are formed.  _abs_err_lt decides |q - sqrt(y)| < c1
++ c2*sqrt(m) on integer parts, unreduced allowed, by squaring twice into
 L < K*sqrt(M), K >= 0: sqrt_abs_err_lt is its Fraction wrapper, and
 verify's float verdict passes it the run's counts with base**h divided
 out.  Every enclosure of a root is one integer rule, _enclosure(a, b,

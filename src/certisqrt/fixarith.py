@@ -39,10 +39,9 @@ from .report import CheckResult, VerifyReport, check, require
 class FixProfile:
     """Grid parameters: step 1/delta_den on [-inf_count/d, sup_count/d].
 
-    Construction only checks that the parameters are positive ints, no
-    bool, so that deliberately broken profiles can still be fed to
-    check_profile_assumptions; the grid assumptions are decided once, on
-    first use, into rule_checks.
+    Construction only checks for positive ints so that deliberately
+    broken profiles can still be fed to check_profile_assumptions; the
+    grid assumptions are decided once, on first use, into rule_checks.
     """
 
     delta_den: int
@@ -50,10 +49,15 @@ class FixProfile:
     sup_count: int
 
     def __post_init__(self) -> None:
-        for name in ("delta_den", "inf_count", "sup_count"):
-            _check_int(name, getattr(self, name))
-        if self.delta_den < 1 or self.inf_count < 1 or self.sup_count < 1:
+        names = ("delta_den", "inf_count", "sup_count")
+        try:  # a number below 1 keeps this refusal's text
+            low = any(getattr(self, name) < 1 for name in names)
+        except TypeError:  # no number: named below
+            low = False
+        if low:
             raise DomainError("profile parameters must be positive integers")
+        for name in names:
+            _check_int(name, getattr(self, name))
 
     @property
     def delta(self) -> Fraction:

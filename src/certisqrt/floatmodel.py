@@ -32,11 +32,8 @@ from .report import CheckResult, VerifyReport, check, require
 
 @dataclass(frozen=True)
 class FloatProfile:
-    """Exponent base plus the underlying grid and outer range bounds.
-    Construction refuses a base that is no int, a fix that is no
-    FixProfile and a range bound that is no int or Fraction, with
-    DomainError; like FixProfile, it decides its rules once, on first
-    use, each on integer parts."""
+    """Exponent base plus the underlying grid and outer range bounds;
+    like FixProfile, it decides its rules once, on first use."""
 
     base: int
     fix: FixProfile
@@ -120,6 +117,8 @@ class FloatVal:
 
     def __init__(self, man: FixVal | None = None, exp: int = 0,
                  base: int = 2) -> None:
+        if type(exp) is not int and man is not None:
+            _check_int("exponent", exp)
         _set_man(self, man)
         _set_exp(self, exp)
         _set_base(self, base)
@@ -147,7 +146,7 @@ _set_base = FloatVal.__dict__["base"].__set__
 
 def _require_profile(a: FloatVal, profile: FloatProfile) -> None:
     """Refuse a positive value whose grid, then base, is not the
-    profile's, or whose exponent is no int."""
+    profile's."""
     if a.is_zero:
         return
     require_same_grid(a.man.profile, profile.fix,
@@ -155,11 +154,10 @@ def _require_profile(a: FloatVal, profile: FloatProfile) -> None:
     if a.base != profile.base:
         raise ProfileMismatch(f"input base {a.base} differs from the "
                               f"profile base {profile.base}")
-    _check_int("exponent", a.exp)
 
 
 def compose(man: FixVal, exp: int, profile: FloatProfile) -> FloatVal:
-    """Couple a mantissa and an exponent, an int, into a positive value."""
+    """Couple a mantissa and an exponent into a positive value."""
     require_same_grid(man.profile, profile.fix,
                       "mantissa belongs to a different grid")
     d = profile.fix.delta_den
@@ -167,10 +165,12 @@ def compose(man: FixVal, exp: int, profile: FloatProfile) -> FloatVal:
         raise MantissaRange(
             f"mantissa {man} outside (1, "
             f"{profile.fix.sup_value}/{profile.base})")
-    _check_int("exponent", exp)
-    if not (profile.exp_min <= exp <= profile.exp_max):
-        raise ExponentRange(
-            f"exponent {exp} outside [{profile.exp_min}, {profile.exp_max}]")
+    try:  # a number out of range keeps this refusal; FloatVal names the rest
+        if not (profile.exp_min <= exp <= profile.exp_max):
+            raise ExponentRange(f"exponent {exp} outside "
+                                f"[{profile.exp_min}, {profile.exp_max}]")
+    except TypeError:
+        pass
     return FloatVal(man, exp, profile.base)
 
 
@@ -180,13 +180,12 @@ def value_of(a: FloatVal) -> Fraction:
     The pair count*base**exponent/d is built from the integer parts and
     reduced by exact._lowest_terms.  Its denominator d*base**-exponent is
     positive only for base >= 1, so a smaller base with a negative
-    exponent is refused, as is an exponent that is no int.
+    exponent is refused.
     """
     if a.is_zero:
         return Fraction(0)
     assert a.man is not None
     num, den, base, e = a.man.count, a.man.profile.delta_den, a.base, a.exp
-    _check_int("exponent", e)
     if e >= 0:
         num *= base ** e
     elif base >= 1:

@@ -222,14 +222,13 @@ def _check_count(n: int) -> None:
 
 
 def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
-                   seed: Fraction | None = None, n: int = 0) -> None:
+                   seed: Fraction, n: int = 0) -> None:
     """The request pass of the exact runs: it refuses the first rule
-    broken, in order: y, eps and a seeded run's seed are ints or
+    broken, in order: y, eps and the seed (y for sqr_exact) are ints or
     Fractions; y >= 1 for sqr_exact, else y > 1; eps > 0; n is an
     integer >= 0; sqrt(y) <= seed <= y, each on integer parts."""
     seeded = algorithm != "sqr_exact"
-    a, b, en, ed, *seed_parts = _rational_parts(
-        y=y, eps=eps, **({"seed": seed} if seeded else {}))
+    a, b, en, _, sn, sd = _rational_parts(y=y, eps=eps, seed=seed)
     if a < b or seeded and a == b:
         raise DomainError(f"{algorithm} requires y {'>' if seeded else '>='}"
                           f" 1, got {_rat_text(y)}")
@@ -238,7 +237,6 @@ def _exact_request(algorithm: str, y: Fraction, eps: Fraction,
     _check_count(n)
     if n < 0:
         raise DomainError(f"iteration count must be >= 0, got {n}")
-    sn, sd = seed_parts or (a, b)  # sqr_exact's seed is y
     if seeded and (_sqrt_sign(sn, sd, a, b) < 0 or sn * b > a * sd):
         raise SeedContractError(f"seed {_rat_text(seed)} violates sqrt("
                                 f"{_rat_text(y)}) <= seed <= {_rat_text(y)}")
@@ -337,7 +335,7 @@ def sqr_exact(y: Fraction, eps: Fraction,
     testing (compatibility behaviour with no accuracy claim attached).
     Defined for y >= 1, eps > 0; the result satisfies |x - sqrt(y)| <= eps.
     """
-    _exact_request("sqr_exact", y, eps)
+    _exact_request("sqr_exact", y, eps, y)
     return _exact_run("sqr_exact", y, eps, y, c_style=c_style)
 
 

@@ -225,8 +225,7 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
     """
     rule, name = f"sqrt.{mode}-bound", f"{mode} result within its bound"
     if mode == "exact":
-        xn, xd, a, b, en, ed = _rational_parts(x=x, y=y, eps=eps)
-        lo, hi = _within_signs(xn, xd, en, ed, a, b)
+        lo, hi = _within_signs(*_rational_parts(x=x, eps=eps, y=y))
         return check(name, rule, lo <= 0 <= hi, {"bound": eps})
     if mode == "float":
         _takes(mode, FloatVal, x=x, y=y)

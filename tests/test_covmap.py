@@ -72,3 +72,10 @@ def test_statements_are_named_and_spanned(tmp_path):
         ("m.py C: def g(self):", 18, 18),
         ("m.py C.g: return 1", 19, 19),
     ]
+
+
+def test_arguments_are_refused(capsys):
+    """Tracing part of tier-1 always leaves statements unrun, so the map
+    takes no test selection."""
+    assert covmap.main(["tests/test_exact.py"]) == 2
+    assert "no arguments" in capsys.readouterr().err

@@ -494,6 +494,24 @@ def test_fix_profile_parameter_not_an_int(field, value):
     assert str(info.value) == f"{field} must be an int, got {value!r}"
 
 
+@pytest.mark.parametrize("value", [0.5, 0.0, False, Decimal("0.5"), F(1, 2)],
+                         ids=repr)
+def test_fix_profile_parameter_below_one_keeps_its_refusal(value):
+    """A number below 1 of any kind is refused as before the int check."""
+    with pytest.raises(DomainError,
+                       match="^profile parameters must be positive integers$"):
+        FixProfile(value, 1600, 1600)
+
+
+@pytest.mark.parametrize("exp", [1e9, -1e9, Decimal(10**9)], ids=repr)
+def test_exponent_out_of_range_keeps_its_refusal(exp):
+    """An exponent number out of range is refused as before the int
+    check."""
+    with pytest.raises(ExponentRange) as info:
+        compose(DEMO.val(150), exp, FLOAT)
+    assert str(info.value) == f"exponent {exp} outside [-16, 16]"
+
+
 @pytest.mark.parametrize("value", WRONG_KINDS[:4], ids=repr)
 @pytest.mark.parametrize("field, message", [
     ("base", "base must be an int"),

@@ -97,9 +97,9 @@ def read_listed(path: Path = LISTED) -> dict[str, str]:
     return listed
 
 
-def traced_lines(pytest_args: list[str]) -> tuple[set, int]:
+def traced_lines() -> tuple[set, int]:
     """(hits, status): the (path, line) pairs of src/certisqrt on which
-    a line event fell while pytest ran pytest_args in this process, and
+    a line event fell while pytest ran tier-1 in this process, and
     pytest's exit status."""
     targets = {str(p) for p in PACKAGE.glob("*.py")}
     hits: set[tuple[str, int]] = set()
@@ -119,7 +119,7 @@ def traced_lines(pytest_args: list[str]) -> tuple[set, int]:
         import pytest
         status = pytest.main(["-q", "-p", "no:cacheprovider",
                               "--hypothesis-profile", "derandomized",
-                              *pytest_args])
+                              "tests"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -134,11 +134,15 @@ def unrun(hits: set) -> list[Statement]:
 
 
 def main(argv: list[str]) -> int:
+    if argv:  # a part of tier-1 always leaves statements unrun
+        print("usage: python3 tools/covmap.py (no arguments)",
+              file=sys.stderr)
+        return 2
     if sys.version_info[:2] != (3, 11):
         print("covmap needs Python 3.11", file=sys.stderr)
         return 2
     os.chdir(ROOT)
-    hits, status = traced_lines(argv or ["tests"])
+    hits, status = traced_lines()
     if status != 0:
         print(f"tier-1 failed under the tracer (pytest exit {status})")
         return 1

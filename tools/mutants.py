@@ -167,6 +167,10 @@ MUTANTS = (
             EXPONENT + "[float-verdict-y-1.5]",
             "tests/test_preconditions.py::"
             "test_fix_profile_parameter_not_an_int")),
+    Mutant("FloatVal takes an exponent that is no int", FLOATMODEL,
+           "if type(exp) is not int and man is not None:", "if False:",
+           (EXPONENT + "[compose-1.5]", EXPONENT + "[value-of-True]",
+            EXPONENT + "[float-verdict-x-None]")),
     Mutant("_enclosure's exact-square test inverted", EXACT,
            "lo + (lo * lo != scaled)", "lo + (lo * lo == scaled)",
            ("tests/test_exact.py::TestSqrtEnclosure::"
