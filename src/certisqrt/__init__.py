@@ -72,6 +72,7 @@ from .verify import (
     BalanceRow,
     ProbeRow,
     adjust_runs,
+    answer,
     balance_sweep,
     check_fsqr_annotations,
     check_sqr_annotations,

@@ -43,17 +43,14 @@ from .newton import (
     GridTrace,
     Trace,
     derive_eps_for_ulp,
-    fix_sqr,
-    flt_sqr,
     grid_inputs,
     min_iterations_for_step,
     max_bits,
-    mix_sqr,
-    sqr_exact,
 )
 from .report import VerifyReport, json_text
 from .verify import (
     _require_grid_inputs,
+    answer,
     approx_abs_err,
     balance_sweep,
     check_table_properties,
@@ -63,7 +60,6 @@ from .verify import (
     run_fsqr_suite,
     run_sqr_suite,
     sample_rationals,
-    sqrt_verdict,
 )
 
 
@@ -335,51 +331,45 @@ def _grid_exact(value: Fraction, profile: FixProfile) -> FixVal:
 
 def cmd_sqrt(args: argparse.Namespace) -> int:
     fix, fprof, step = load_profile(args.profile)
-    need_table = args.mode in ("fix", "mix", "float")
-    table = None
-    if need_table:
+    mode, table = args.mode, None
+    if mode != "exact":
         if args.table is None:
             raise FileFormatError("modes fix/mix/float require a table file")
         table = _bound_table(args, fprof, step)
     if args.ulp is not None:
-        eps_fix = derive_eps_for_ulp(args.ulp, fprof, step.stp)
+        eps = derive_eps_for_ulp(args.ulp, fprof, step.stp)
+        if mode == "exact":
+            eps = eps.value
     else:
-        eps_fix = _grid_exact(args.eps, fix) if need_table else None
-    lines = [f"mode = {args.mode}"]
-    if args.mode == "exact":
-        eps_frac = args.eps if args.ulp is None else eps_fix.value
-        x, trace = sqr_exact(args.value, eps_frac)
-        verdict = sqrt_verdict("exact", x, args.value, eps_frac)
-        lines.append(f"x = {rat_str(x)} ({_display(x)})")
-        lines.append(f"bound = {rat_str(verdict.witness['bound'])}")
-    elif args.mode in ("fix", "mix"):
-        y = _grid_exact(args.value, fix)
-        if args.mode == "fix":
-            if args.n is None:
-                raise FileFormatError("mode fix requires --n")
-            x, trace = fix_sqr(y, eps_fix, table, args.n)
-        else:
-            x, trace = mix_sqr(y, eps_fix, table)
-        verdict = sqrt_verdict(args.mode, x, y, eps_fix, n=args.n)
-        err = approx_abs_err(x.count, fix.delta_den, y.count, fix.delta_den)
-        lines.append(f"x = {rat_str(x.value)} ({_display(x.value)})")
-        lines.append(f"bound = {rat_str(verdict.witness['bound'])}")
-        lines.append(f"err_display = {err:.6g}")
-    else:  # float
-        a, enc_exact = encode_rational(args.value, fprof)
-        b, trace = flt_sqr(a, eps_fix, fprof, table)
-        verdict = sqrt_verdict("float", b, a, eps_fix, fprof=fprof)
-        if b.is_zero:
-            lines.append("b = 0")
-        else:
-            b_val = value_of(b)
-            lines.append(f"a = {rat_str(value_of(a))} "
-                         f"(encoded exactly: {str(enc_exact).lower()})")
-            lines.append(f"b = {rat_str(b.man.value)} * {fprof.base}^{b.exp} "
-                         f"= {rat_str(b_val)} ({_display(b_val)})")
-            c1, c2 = verdict.witness["c1"], verdict.witness["c2"]
-            lines.append(f"bound = {rat_str(c1)} + {rat_str(c2)}*sqrt("
-                         f"{fprof.base}) (~{_display(c1, c2, fprof.base)})")
+        eps = args.eps if mode == "exact" else _grid_exact(args.eps, fix)
+    if mode == "float":
+        y, enc_exact = encode_rational(args.value, fprof)
+    else:
+        y = args.value if mode == "exact" else _grid_exact(args.value, fix)
+    if mode == "fix" and args.n is None:
+        raise FileFormatError("mode fix requires --n")
+    _, x, trace, verdict = answer(mode, y, eps, table=table, n=args.n,
+                                  fprof=fprof)
+    lines = [f"mode = {mode}"]
+    if mode != "float":
+        q = x if mode == "exact" else x.value
+        lines += [f"x = {rat_str(q)} ({_display(q)})",
+                  f"bound = {rat_str(verdict.witness['bound'])}"]
+        if mode != "exact":
+            err = approx_abs_err(x.count, fix.delta_den, y.count,
+                                 fix.delta_den)
+            lines.append(f"err_display = {err:.6g}")
+    elif x.is_zero:
+        lines.append("b = 0")
+    else:
+        x_val = value_of(x)
+        lines.append(f"a = {rat_str(value_of(y))} "
+                     f"(encoded exactly: {str(enc_exact).lower()})")
+        lines.append(f"b = {rat_str(x.man.value)} * {fprof.base}^{x.exp} "
+                     f"= {rat_str(x_val)} ({_display(x_val)})")
+        c1, c2 = verdict.witness["c1"], verdict.witness["c2"]
+        lines.append(f"bound = {rat_str(c1)} + {rat_str(c2)}*sqrt("
+                     f"{fprof.base}) (~{_display(c1, c2, fprof.base)})")
     lines.append(f"check = {'PASS' if verdict.passed else 'FAIL'}")
     print("\n".join(lines))
     if args.trace_out is not None:

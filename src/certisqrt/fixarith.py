@@ -94,6 +94,8 @@ class FixProfile:
         return -self.inf_count <= count <= self.sup_count
 
     def val(self, count: int) -> "FixVal":
+        if type(count) is not int:
+            _check_int("count", count)
         if not -self.inf_count <= count <= self.sup_count:
             raise RangeOverflow(f"count {encode_int(count)} outside "
                                 f"[-{self.inf_count}, {self.sup_count}]")

@@ -48,6 +48,7 @@ from .errors import (
     NoFeasibleEps,
     ResourceLimit,
     SeedContractError,
+    UsageError,
 )
 from .exact import (Factors, _lowest_terms, _radicand, _rat_text,
                     _rational_parts, _sqrt_sign, encode_int,
@@ -214,6 +215,15 @@ def _norm_factors(norm: int, g: int, b: int) -> tuple[int, int]:
     and no integer formed here is longer than norm or b."""
     h = math.gcd(norm, g)
     return b // (g // h) ** 2, norm // h
+
+
+def _takes(what: str, **inputs: tuple[object, type]) -> None:
+    """Refuse, by name, with UsageError, the first input, given as (value,
+    kind), whose value is no instance of the kind `what` takes."""
+    for name, (value, kind) in inputs.items():
+        if not isinstance(value, kind):
+            raise UsageError(f"{what} takes a {kind.__name__} {name}, "
+                             f"got {value!r}")
 
 
 def _check_count(n: int) -> None:
@@ -435,22 +445,28 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
     table-seeded loop.  The pass refuses the first rule broken, in order:
     one grid; eps > 0; eps divides stp; with mix, n := n_min and eps meets
     the budget (else EpsTooSmall); y > 1; y <= sup/2; integer n >= n_min.
-    The loop records each iterate count and nothing more."""
-    profile = y.profile
-    for other in (eps.profile, table.profile):
+    The loop records each iterate count and nothing more.  A y or eps that
+    is no FixVal, or a table that is no RootTable, is a UsageError."""
+    try:
+        profile, yc, ec = y.profile, y.count, eps.count
+        grids, stp = (eps.profile, table.profile), table.stp.count
+    except AttributeError:  # an input of another kind: named here
+        _takes(algorithm, y=(y, FixVal), eps=(eps, FixVal),
+               table=(table, RootTable))
+        raise
+    for other in grids:
         require_same_grid(other, profile, "inputs belong to different grids")
-    if eps.count <= 0:
+    if ec <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
-    if table.stp.count % eps.count:
+    if stp % ec:
         raise DomainError("step configuration invalid: step.multiple-of-eps")
-    n_min = _least_count(table.stp.count, eps.count)
+    n_min = _least_count(stp, ec)
     if mix:
         n, need = n_min, _mix_eps_floor(n_min)
-        if eps.count < need:
+        if ec < need:
             raise EpsTooSmall(
                 f"eps={eps} below 2*delta*(2 + ceil(log2(stp/eps))) = "
                 f"{_lowest_terms(need, profile.delta_den)}")
-    yc = y.count
     if yc <= profile.delta_den:
         raise DomainError(f"{algorithm} requires y > 1, got {y}")
     if 2 * yc > profile.sup_count:
@@ -508,7 +524,8 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     exponent, run mix_sqr on the adjusted mantissa, halve the exponent.
 
     Zero maps to zero; a positive a must carry the profile's base, else
-    ProfileMismatch.  For a = man*base**e the result satisfies
+    ProfileMismatch; an input of another kind than the signature's is a
+    UsageError.  For a = man*base**e the result satisfies
     |b - sqrt(a)| < c1 + c2*sqrt(base), (c1, c2) = float_bound(eps, e,
     base).
 
@@ -522,13 +539,18 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     gives for eps <= 1 - 1/base; past that compose refuses it with
     MantissaRange.
     """
-    profile.validate()
-    require_same_grid(eps.profile, profile.fix,
-                      "accuracy belongs to a different grid")
-    require_same_grid(table.profile, profile.fix,
-                      "table belongs to a different grid")
-    if a.is_zero:
-        return FloatVal.zero(), GridTrace("flt_sqr", None, ())
+    try:
+        profile.validate()
+        require_same_grid(eps.profile, profile.fix,
+                          "accuracy belongs to a different grid")
+        require_same_grid(table.profile, profile.fix,
+                          "table belongs to a different grid")
+        if a.is_zero:
+            return FloatVal.zero(), GridTrace("flt_sqr", None, ())
+    except AttributeError:  # an input of another kind: named here
+        _takes("flt_sqr", a=(a, FloatVal), eps=(eps, FixVal),
+               profile=(profile, FloatProfile), table=(table, RootTable))
+        raise
     _require_profile(a, profile)
     man, e = a.man, a.exp
     # an odd e runs on man*base at e - 1, and (e - 1)//2 == e//2

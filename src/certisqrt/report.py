@@ -21,7 +21,7 @@ reads a report's JSON back, so the mapping lives here only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
@@ -83,20 +83,30 @@ def json_text(value: Any) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CheckResult:
     """Outcome of one named rule applied to one subject.
 
     ``rule`` is a stable machine identifier (e.g. ``"sqr.final-error"``);
     ``strict`` records, for bounds checked in both forms, whether the
-    strict-inequality form also held (None when not applicable).
+    strict-inequality form also held (None when not applicable).  Like
+    FixVal's, its __init__ sets each slot through its descriptor.
     """
 
     name: str
     rule: str
     passed: bool
-    witness: dict[str, Any] = field(default_factory=dict)
-    strict: bool | None = None
+    witness: dict[str, Any]
+    strict: bool | None
+
+    def __init__(self, name: str, rule: str, passed: bool,
+                 witness: dict[str, Any] | None = None,
+                 strict: bool | None = None) -> None:
+        _set_name(self, name)
+        _set_rule(self, rule)
+        _set_passed(self, passed)
+        _set_witness(self, {} if witness is None else witness)
+        _set_strict(self, strict)
 
     def fields(self) -> dict[str, Any]:
         """The check as json_text writes it, its witness values as held."""
@@ -105,6 +115,11 @@ class CheckResult:
 
     def as_dict(self) -> dict[str, Any]:
         return json.loads(json_text(self.fields()))
+
+
+# the slots' setters, which bypass the frozen __setattr__, for __init__
+_set_name, _set_rule, _set_passed, _set_witness, _set_strict = (
+    CheckResult.__dict__[f].__set__ for f in CheckResult.__slots__)
 
 
 @dataclass(frozen=True)

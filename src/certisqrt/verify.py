@@ -37,13 +37,16 @@ from .lut import (RootTable, build_root_table, first_bad_root, sup_fn,
 from .newton import (
     GridTrace,
     Trace,
+    _takes,
     fix_bound,
     fix_sqr,
     float_bound,
+    flt_sqr,
     fsqr_exact,
     grid_inputs,
     min_iterations_for_step,
     min_legal_iterations,
+    mix_sqr,
     sqr_exact,
 )
 from .report import CheckResult, VerifyReport, check
@@ -221,54 +224,80 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
     without an integer n, or float without fprof, is a UsageError.  A fix
     or mix x or eps off y's grid, or a float eps, or a non-zero
     float x or y, off fprof's grid or base, is refused with
-    ProfileMismatch, as the run that made x refuses it.
+    ProfileMismatch, as the run that made x refuses it.  Past these
+    refusals the verdict is _decide's: answer makes the same decision on
+    its run, so the two share one decision per mode.
     """
-    rule, name = f"sqrt.{mode}-bound", f"{mode} result within its bound"
+    if mode not in ("exact", "fix", "mix", "float"):
+        raise UsageError(f"unknown sqrt mode {mode!r}")
     if mode == "exact":
-        lo, hi = _within_signs(*_rational_parts(x=x, eps=eps, y=y))
-        return check(name, rule, lo <= 0 <= hi, {"bound": eps})
-    if mode == "float":
-        _takes(mode, FloatVal, x=x, y=y)
-        _takes(mode, FixVal, eps=eps)
+        _rational_parts(x=x, eps=eps, y=y)
+    elif mode == "float":
+        _takes("a float verdict", x=(x, FloatVal), y=(y, FloatVal),
+               eps=(eps, FixVal))
         if fprof is None:
             raise UsageError("a float verdict needs a float profile")
         require_same_grid(eps.profile, fprof.fix, "eps from another grid")
         for v in (y, x):
             _require_profile(v, fprof)
-        if y.is_zero:
-            return check(name, rule, x.is_zero, {"zero": True})
-        beta, d, h = fprof.base, fprof.fix.delta_den, y.exp // 2
-        t, s = y.exp - 2 * h, x.exp - h
-        r1, r2 = float_bound(eps, t, beta)  # c1/beta**h, c2/beta**h
-        ok = _abs_err_lt(0 if x.is_zero else x.man.count * beta ** max(s, 0),
-                         d * beta ** max(-s, 0), y.man.count * beta ** t, d,
-                         r1.numerator, r1.denominator, r2.numerator,
-                         r2.denominator, beta, 1)
-        c1, c2 = float_bound(eps, y.exp, beta)
-        return check(name, rule, ok, {"c1": c1, "c2": c2, "base": beta})
-    if mode not in ("fix", "mix"):
+    else:
+        _takes(f"a {mode} verdict", x=(x, FixVal), y=(y, FixVal),
+               eps=(eps, FixVal))
+        for v in (x, eps):
+            require_same_grid(v.profile, y.profile,
+                              "inputs belong to different grids")
+        if mode == "fix" and not isinstance(n, int):
+            raise UsageError(f"a fix verdict needs an integer iteration "
+                             f"count, got {n!r}")
+    return _decide(mode, x, y, eps, n, fprof)
+
+
+def _decide(mode: str, x, y, eps, n: int | None,
+            fprof: FloatProfile | None) -> CheckResult:
+    """Rule sqrt.<mode>-bound, the one decision of sqrt_verdict and
+    answer, on inputs whose kinds, grids and base they have checked."""
+    name, rule = f"{mode} result within its bound", f"sqrt.{mode}-bound"
+    if mode == "mix" or mode == "fix":
+        bound = eps.value if mode == "mix" else fix_bound(eps, n)
+        d = y.profile.delta_den
+        lo, hi = _within_signs(x.count, d, bound.numerator,
+                               bound.denominator, y.count, d)
+        return CheckResult(name, rule, lo < 0 < hi, {"bound": bound})
+    if mode == "exact":
+        lo, hi = _within_signs(x.numerator, x.denominator, eps.numerator,
+                               eps.denominator, y.numerator, y.denominator)
+        return CheckResult(name, rule, lo <= 0 <= hi, {"bound": eps})
+    if y.is_zero:
+        return CheckResult(name, rule, x.is_zero, {"zero": True})
+    beta, d, h = fprof.base, fprof.fix.delta_den, y.exp // 2
+    c1, c2 = float_bound(eps, y.exp, beta)  # a base below 2 refused first
+    t, s = y.exp - 2 * h, x.exp - h
+    # c1/beta**h and c2/beta**h are eps and delta/(2*beta) at h = 0
+    ok = _abs_err_lt(0 if x.is_zero else x.man.count * beta ** max(s, 0),
+                     d * beta ** max(-s, 0), y.man.count * beta ** t, d,
+                     eps.count, d, 1, 2 * d * beta, beta, 1)
+    return CheckResult(name, rule, ok, {"c1": c1, "c2": c2, "base": beta})
+
+
+def answer(mode: str, y, eps, *, table: RootTable | None = None,
+           n: int | None = None, fprof: FloatProfile | None = None
+           ) -> tuple[Any, Any, Trace | GridTrace, CheckResult]:
+    """(y, x, trace, verdict): x = sqrt(y) by sqr_exact (exact), fix_sqr
+    (fix), mix_sqr (mix) or flt_sqr (float) on the inputs that run takes,
+    its record, and the verdict sqrt_verdict gives on x.  The run's request
+    pass refuses what it refuses, and _decide decides the rest with no
+    second kind or grid check.  An unknown mode is a UsageError."""
+    if mode == "mix":
+        x, trace = mix_sqr(y, eps, table)
+    elif mode == "float":
+        x, trace = flt_sqr(y, eps, fprof, table)
+    elif mode == "fix":
+        x, trace = fix_sqr(y, eps, table, n)
+    elif mode == "exact":
+        x, trace = sqr_exact(y, eps)
+    else:
         raise UsageError(f"unknown sqrt mode {mode!r}")
-    _takes(mode, FixVal, x=x, y=y, eps=eps)
-    for v in (x, eps):
-        require_same_grid(v.profile, y.profile,
-                          "inputs belong to different grids")
-    if mode == "fix" and not isinstance(n, int):
-        raise UsageError(f"a fix verdict needs an integer iteration count, "
-                         f"got {n!r}")
-    bound = fix_bound(eps, n) if mode == "fix" else eps.value
-    d = y.profile.delta_den
-    lo, hi = _within_signs(x.count, d, bound.numerator, bound.denominator,
-                           y.count, d)
-    return check(name, rule, lo < 0 < hi, {"bound": bound})
-
-
-def _takes(mode: str, kind: type, **values) -> None:
-    """Refuse, by name, the first value that is no `kind`: the kind a
-    `mode` verdict takes, named in a UsageError."""
-    for name, value in values.items():
-        if not isinstance(value, kind):
-            raise UsageError(f"a {mode} verdict takes a {kind.__name__} "
-                             f"{name}, got {value!r}")
+    return y, x, trace, _decide(mode, x, y, eps, n, fprof)
 
 
 def _adjust_report(y: FixVal, eps: FixVal, n: int, grid: GridTrace,

@@ -33,7 +33,7 @@ from certisqrt.exact import rat_str
 from certisqrt.fixarith import FixProfile, FixVal
 from certisqrt.lut import RootTable
 from certisqrt.newton import _divisors_below, fix_sqr, sqr_exact
-from certisqrt.verify import check_sqr_annotations, grid_values
+from certisqrt.verify import answer, check_sqr_annotations, grid_values
 
 
 # a profile whose grid step is 1/2, not below it
@@ -639,6 +639,24 @@ class TestSqrt:
         rows = json.loads(out.read_text())
         assert rows[0]["x_count"] == 174
         assert rows[-1]["x_count"] == 173
+
+    def test_one_answer_call(self, demo_profile_path, demo_table_path,
+                             monkeypatch, capsys):
+        """cmd_sqrt parses and prints around one answer call: it holds no
+        run and no verdict of its own."""
+        from certisqrt import cli
+        for name in ("sqr_exact", "fix_sqr", "mix_sqr", "flt_sqr",
+                     "sqrt_verdict"):
+            assert not hasattr(cli, name), name
+        calls = []
+        monkeypatch.setattr(cli, "answer", lambda *args, **kw: calls.append(
+            args[0]) or answer(*args, **kw))
+        for mode in ("exact", "fix", "mix", "float"):
+            assert main(["sqrt", demo_profile_path, demo_table_path,
+                         "--mode", mode, "--value", "3", "--eps", "1/4",
+                         "--n", "3"]) == 0
+        assert calls == ["exact", "fix", "mix", "float"]
+        capsys.readouterr()
 
 
 # the 1/1000 grid on [-4000, 4000]: float exponents reach +-4000

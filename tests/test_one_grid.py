@@ -4,7 +4,7 @@ from two grids.
 The functions are read from the package source by ast: each public
 function whose signature annotates two or more parameters with FixVal,
 FloatVal, RootTable or FixProfile (a Sequence of them included), and
-sqrt_verdict by name, whose x, y and eps carry no annotation.  CONTROLS
+sqrt_verdict and answer by name, whose y and eps carry no annotation.  CONTROLS
 holds, for each such function, calls that take one of those values from
 the grid g they are given.  On the demo grid each call must pass that
 check, on a finer grid it must raise ProfileMismatch.  So a new such
@@ -29,13 +29,13 @@ from certisqrt.lut import (build_root_table, round_up_to_step, sup_fn,
                            validate_step)
 from certisqrt.newton import (fix_sqr, flt_sqr, min_iterations_for_step,
                               mix_sqr)
-from certisqrt.verify import (adjust_runs, balance_sweep,
+from certisqrt.verify import (adjust_runs, answer, balance_sweep,
                               check_table_properties, monotonicity_probe,
                               run_adjust_suite, run_fsqr_suite, sqrt_verdict)
 
 PACKAGE = Path(certisqrt.__file__).resolve().parent
 GRID_TYPES = {"FixVal", "FloatVal", "RootTable", "FixProfile"}
-UNANNOTATED = {"verify.sqrt_verdict"}
+UNANNOTATED = {"verify.sqrt_verdict", "verify.answer"}
 
 
 @cache
@@ -136,6 +136,13 @@ CONTROLS = [
     ("verify.sqrt_verdict", "float-x",
      lambda g: sqrt_verdict("float", float_at(g, F(173, 100), 1),
                             float_at(DEMO, F(3), 2), EPS, fprof=FPROF)),
+    ("verify.answer", "mix-eps",
+     lambda g: answer("mix", Y, at(g, F(1, 4)), table=TABLE)),
+    ("verify.answer", "fix-y",
+     lambda g: answer("fix", at(g, F(3)), EPS, table=TABLE, n=3)),
+    ("verify.answer", "float-y",
+     lambda g: answer("float", float_at(g, F(3), 2), EPS, table=TABLE,
+                      fprof=FPROF)),
 ]
 
 

@@ -544,3 +544,54 @@ def test_grid_verdict_input_of_another_kind(mode, kind, value):
         want = "FixVal" if name == "eps" else kind
         assert str(info.value) == \
             f"a {mode} verdict takes a {want} {name}, got {value!r}"
+
+
+@pytest.mark.parametrize("value", WRONG_KINDS, ids=repr)
+def test_grid_count_not_an_int(value):
+    """FixProfile.val once returned FixVal(count=1.5)."""
+    with pytest.raises(DomainError) as info:
+        DEMO.val(value)
+    assert str(info.value) == f"count must be an int, got {value!r}"
+
+
+# each grid run's parameters, and a valid call that puts a value in one
+RUN_PARAMETERS = {
+    "fix_sqr": ({"y": FixVal, "eps": FixVal, "table": RootTable},
+                lambda y=Y, eps=EPS, table=TABLE: fix_sqr(y, eps, table, 2)),
+    "mix_sqr": ({"y": FixVal, "eps": FixVal, "table": RootTable},
+                lambda y=Y, eps=EPS, table=TABLE: mix_sqr(y, eps, table)),
+    "flt_sqr": ({"a": FloatVal, "eps": FixVal, "profile": FloatProfile,
+                 "table": RootTable},
+                lambda a=A, eps=EPS, profile=FLOAT, table=TABLE:
+                flt_sqr(a, eps, profile, table)),
+}
+
+
+OTHER_KINDS = [
+    (run, name, value) for run, (kinds, _) in RUN_PARAMETERS.items()
+    for name, kind in kinds.items()
+    for value in (F(3), 0.25, None, Y, A, DEMO, TABLE)
+    if not isinstance(value, kind)]
+
+
+@pytest.mark.parametrize("run, name, value", OTHER_KINDS, ids=[
+    f"{run}-{name}-{type(value).__name__}" for run, name, value in
+    OTHER_KINDS])
+def test_grid_run_input_of_another_kind(run, name, value):
+    """A grid run names, typed, an input that is not the kind its
+    signature takes, where it once raised AttributeError."""
+    kinds, call = RUN_PARAMETERS[run]
+    with pytest.raises(UsageError) as info:
+        call(**{name: value})
+    assert str(info.value) == \
+        f"{run} takes a {kinds[name].__name__} {name}, got {value!r}"
+
+
+@pytest.mark.parametrize("run, name, kind", [
+    ("fix_sqr", "y", FixVal), ("mix_sqr", "eps", FixVal),
+    ("flt_sqr", "a", FloatVal)])
+def test_grid_run_input_without_its_fields(run, name, kind):
+    """An input of the right kind whose fields were never set is no wrong
+    kind: its AttributeError is not renamed."""
+    with pytest.raises(AttributeError):
+        RUN_PARAMETERS[run][1](**{name: object.__new__(kind)})

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import math
 import random
 import re
@@ -25,6 +26,7 @@ from certisqrt.newton import (
     Correction,
     Trace,
     fix_sqr,
+    grid_inputs,
     flt_sqr,
     fsqr_exact,
     isqr_exact,
@@ -42,6 +44,7 @@ from certisqrt.verify import (
     _sample_grid_values,
     _suite_check,
     adjust_runs,
+    answer,
     applied_corrections,
     approx_abs_err,
     balance_sweep,
@@ -448,17 +451,25 @@ def _exit_forged(trace, record):
     return trace._replace(corrections=trace.corrections[:-1] + (record,))
 
 
-def _exact_certify_corpus(seed):
-    """The pairs perfbench's exact_certify workload runs at this seed."""
-    root = Path(__file__).resolve().parent.parent
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path, with perfbench/ on sys.path
+    while it imports its oracle."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(root / "perfbench"))
+        mp.syspath_prepend(str(BENCH))
         spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", root / "perfbench" / "workloads.py")
+            "perfbench_workloads", BENCH / "workloads.py")
         module = importlib.util.module_from_spec(spec)
         mp.setitem(sys.modules, spec.name, module)
         spec.loader.exec_module(module)
-        return module.stratified_rationals(seed, 40, 32)
+    return module
+
+
+def _exact_certify_corpus(seed):
+    """The pairs perfbench's exact_certify workload runs at this seed."""
+    return _perfbench_workloads().stratified_rationals(seed, 40, 32)
 
 
 def _halving_agrees(trace):
@@ -2102,3 +2113,174 @@ class TestBoundsFormNoFraction:
         monkeypatch.undo()
         assert got == want
         assert all(math.gcd(b.numerator, b.denominator) == 1 for b in got)
+
+
+class TestAnswer:
+    """answer runs its mode's algorithm and decides the run's bound by the
+    decision sqrt_verdict makes: its result and record are the run's, its
+    verdict is sqrt_verdict's on that result, and a request the run
+    refuses is refused in the same words."""
+
+    @staticmethod
+    def same(mode, y, eps, run, **kw):
+        """answer(mode, y, eps, **kw) against run(), the algorithm it runs;
+        the verdict's passed, or None for a refusal."""
+        try:
+            want = run()
+        except CertisqrtError as exc:
+            with pytest.raises(type(exc)) as got:
+                answer(mode, y, eps, **kw)
+            assert str(got.value) == str(exc)
+            return None
+        got_y, x, trace, verdict = answer(mode, y, eps, **kw)
+        assert got_y is y and (x, trace) == want
+        assert verdict == sqrt_verdict(mode, x, y, eps, n=kw.get("n"),
+                                       fprof=kw.get("fprof"))
+        return verdict.passed
+
+    def test_exact_on_the_seed_1_corpus(self):
+        outcomes = [self.same("exact", y, eps, lambda: sqr_exact(y, eps))
+                    for y, eps in sample_rationals(40, 1)]
+        assert outcomes == [True] * 40
+
+    def test_grid_on_every_demo_input(self, demo_profile, demo_table,
+                                      demo_eps):
+        n_min = min_iterations_for_step(demo_table.stp, demo_eps)
+        outcomes = []
+        for count in (100, *grid_inputs(demo_profile), 801):
+            y = demo_profile.val(count)
+            outcomes.append(self.same(
+                "mix", y, demo_eps, lambda: mix_sqr(y, demo_eps, demo_table),
+                table=demo_table))
+            for n in (n_min, n_min + 2):
+                outcomes.append(self.same(
+                    "fix", y, demo_eps,
+                    lambda: fix_sqr(y, demo_eps, demo_table, n),
+                    table=demo_table, n=n))
+        assert outcomes.count(None) == 6
+        assert outcomes.count(True) == len(outcomes) - 6
+
+    @pytest.mark.parametrize("base", [2, 4])
+    def test_float_on_every_demo_mantissa(self, demo_profile, demo_table,
+                                          demo_eps, base_4, base):
+        fprof, table = base_4 if base == 4 else (
+            demo_float(demo_profile, 2), demo_table)
+        eps = fprof.fix.val(25)
+        outcomes = {True: 0, False: 0, None: 0}
+        for y in [FloatVal.zero(), *demo_ys(fprof)]:
+            outcomes[self.same("float", y, eps,
+                               lambda: flt_sqr(y, eps, fprof, table),
+                               table=table, fprof=fprof)] += 1
+        assert outcomes[False] == 0
+        assert outcomes[True] > 3000 and outcomes[None] > 0
+
+    def test_grid_serve_requests(self, wide):
+        """On the benchmark's grid_serve stream at seed 1, answer returns
+        what the workload's own run and verdict copies return, refusals
+        included, and each verdict is the oracle's re-decision."""
+        bench = _perfbench_workloads()
+        spec = json.loads((BENCH / "spec.json").read_text())
+        doc, serve_spec = (spec["profiles"]["wide"],
+                           spec["workloads"]["grid_serve"])
+        table, _, _ = wide
+        fix, beta = table.profile, F(2)
+        assert (fix.delta_den, fix.sup_count, table.stp.count) == \
+            (doc["fix"]["delta_den"], doc["fix"]["sup_count"],
+             doc["step"]["stp_count"])
+        serve = object.__new__(bench.GridServe)
+        serve.fix, serve.table = fix, table
+        serve.fprof = FloatProfile(doc["float"]["base"], fix, F(65536),
+                                   F(65536))
+        serve.requests = bench.grid_requests(
+            1, serve_spec["inputs"], doc["fix"], doc["step"]["eps_count"],
+            serve_spec["mix_share"])
+        harness = serve.one_pass()
+        assert harness.failed == 0 and len(serve.requests) == 4000
+        decided = {"mix": 0, "float": 0, "refused": 0}
+        for (mode, arg, eps_count), want in zip(serve.requests,
+                                                harness.outputs):
+            eps = fix.val(eps_count)
+            try:
+                y = (fix.val(arg) if mode == "mix"
+                     else encode_rational(arg, serve.fprof)[0])
+                x, verdict = answer(mode, y, eps, table=table,
+                                    fprof=serve.fprof)[1::2]
+            except CertisqrtError as exc:
+                assert want == ("refused", type(exc).__name__)
+                decided["refused"] += 1
+                continue
+            assert verdict.rule == f"sqrt.{mode}-bound"
+            if mode == "mix":
+                got = x.count
+                assert verdict.witness == {"bound": eps.value}
+                holds = bench.compare_abs_err(x.value, y.value, eps.value)
+            else:
+                got, h = (x.man.count, x.exp), y.exp // 2
+                c1 = eps.value * beta ** h
+                c2 = fix.delta / 2 * beta ** (h - 1)
+                assert verdict.witness == {"c1": c1, "c2": c2, "base": 2}
+                holds = bench.compare_abs_err(value_of(x), value_of(y), c1,
+                                              c2, beta)
+            assert (got, verdict.passed) == want[:2]
+            assert verdict.passed is (holds < 0)
+            decided[mode] += 1
+        assert decided["refused"] == harness.refused
+        assert min(decided["mix"], decided["float"]) > 1000
+
+    def test_unknown_mode(self, demo_profile, demo_table, demo_eps):
+        with pytest.raises(UsageError, match="^unknown sqrt mode 'nearest'$"):
+            answer("nearest", demo_profile.val(300), demo_eps,
+                   table=demo_table)
+
+    @pytest.mark.parametrize("mode, inputs, kw, error, message", [
+        ("exact", lambda g, a: (1.5, F(1, 4)), {}, DomainError,
+         "y must be an int or a Fraction, got 1.5"),
+        ("exact", lambda g, a: (F(2), "1/4"), {}, DomainError,
+         "eps must be an int or a Fraction, got '1/4'"),
+        ("mix", lambda g, a: (F(3), g.val(25)), {}, UsageError,
+         "mix_sqr takes a FixVal y, got Fraction(3, 1)"),
+        ("fix", lambda g, a: (g.val(300), 0.25), {"n": 3}, UsageError,
+         "fix_sqr takes a FixVal eps, got 0.25"),
+        ("mix", lambda g, a: (g.val(300), g.val(25)), {"table": None},
+         UsageError, "mix_sqr takes a RootTable table, got None"),
+        ("fix", lambda g, a: (g.val(300), g.val(25)), {"n": None},
+         DomainError, "iteration count must be an integer, got None"),
+        ("float", lambda g, a: (F(12), g.val(25)), {}, UsageError,
+         "flt_sqr takes a FloatVal a, got Fraction(12, 1)"),
+        ("float", lambda g, a: (a, 0.25), {}, UsageError,
+         "flt_sqr takes a FixVal eps, got 0.25"),
+        ("float", lambda g, a: (a, g.val(25)), {"fprof": None}, UsageError,
+         "flt_sqr takes a FloatProfile profile, got None"),
+    ], ids=["exact-y", "exact-eps", "mix-y", "fix-eps", "mix-table",
+            "fix-n", "float-a", "float-eps", "float-profile"])
+    def test_refusals_of_another_kind(self, demo_profile, demo_table,
+                                      demo_float_profile, mode, inputs, kw,
+                                      error, message):
+        """A wrong kind is refused, typed and by name, by the run's request
+        pass, as the run refuses it."""
+        a = compose(demo_profile.val(300), 2, demo_float_profile)
+        kw = {"table": demo_table, "fprof": demo_float_profile, **kw}
+        with pytest.raises(error) as info:
+            answer(mode, *inputs(demo_profile, a), **kw)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("mode", ["exact", "fix", "mix", "float"])
+    def test_no_second_kind_or_grid_check(self, demo_profile, demo_table,
+                                          demo_eps, demo_float_profile,
+                                          monkeypatch, mode):
+        """The run's request pass checked kinds and grids: the decision
+        after it makes none of sqrt_verdict's checks again."""
+        y, eps = demo_profile.val(300), demo_eps
+        if mode == "exact":
+            y, eps = y.value, eps.value
+        elif mode == "float":
+            y = compose(y, 3, demo_float_profile)
+        for name in ("_takes", "require_same_grid", "_require_profile",
+                     "_rational_parts"):
+            monkeypatch.setattr(verify, name, None)  # a call would fail
+        _, x, _, verdict = answer(mode, y, eps, table=demo_table, n=3,
+                                  fprof=demo_float_profile)
+        assert verdict.passed
+        with pytest.raises(TypeError):
+            sqrt_verdict(mode, x, y, eps, n=3, fprof=demo_float_profile)

@@ -51,6 +51,8 @@ VERDICT = "tests/test_verify.py::TestSqrtVerdict::"
 COUNTS = "tests/test_verify.py::TestCountVerdictsMatchFractionRoute::"
 BALANCE = "tests/test_verify.py::TestBalanceSweep::"
 FLOAT_COUNTS = "tests/test_verify.py::TestFloatVerdictOnCounts::"
+ANSWER = "tests/test_verify.py::TestAnswer::"
+OTHER_KIND = "tests/test_preconditions.py::test_grid_run_input_of_another_kind"
 BY_NAME = "tests/test_boundary.py::test_non_rationals_refused_by_name"
 EXPONENT = "tests/test_preconditions.py::test_exponent_not_an_int"
 
@@ -400,40 +402,61 @@ MUTANTS = (
            "(r := lut._round_up_count(u, step, profile)) > 0",
            ("tests/test_verify.py::TestTableProperties::"
             "test_rounding_off_the_indices_fails_only_round_up",)),
-    # the fix and mix verdicts decide on counts over d; the strict form
-    # differs from <= only at ties, so a test of the ties themselves
+    # the fix and mix verdicts decide on counts over d, in the decision
+    # sqrt_verdict and answer share; the strict form differs from <= only
+    # at ties, so a test of the ties themselves
     Mutant("the fix/mix count verdict read non-strict", VERIFY,
-           "check(name, rule, lo < 0 < hi,",
-           "check(name, rule, lo <= 0 <= hi,",
+           "CheckResult(name, rule, lo < 0 < hi,",
+           "CheckResult(name, rule, lo <= 0 <= hi,",
            (VERDICT + "test_grid_ties_on_both_sides",
             VERDICT + "test_grid_bound_is_strict")),
+    Mutant("the shared decision reads mix non-strict", VERIFY,
+           "CheckResult(name, rule, lo < 0 < hi,",
+           'CheckResult(name, rule, lo < 0 < hi or mode == "mix" and '
+           "lo <= 0 <= hi,",
+           (VERDICT + "test_grid_ties_on_both_sides[mix-None]",
+            VERDICT + "test_grid_bound_is_strict[mix-None-50]")),
+    Mutant("the shared decision holds fix to eps, not fix_bound", VERIFY,
+           'bound = eps.value if mode == "mix" else fix_bound(eps, n)',
+           "bound = eps.value",
+           (VERDICT + "test_grid[fix-3-bound1]",
+            VERDICT + "test_grid_ties_on_both_sides[fix-1]")),
+    Mutant("answer pairs mix with the fix bound", VERIFY,
+           "        x, trace = mix_sqr(y, eps, table)\n",
+           "        x, trace = mix_sqr(y, eps, table)\n"
+           '        mode, n = "fix", len(trace.counts) - 1\n',
+           (ANSWER + "test_grid_on_every_demo_input",
+            ANSWER + "test_grid_serve_requests")),
     Mutant("the fix/mix count verdict reads y's denominator as 1", VERIFY,
-           "bound.denominator,\n                           y.count, d)",
-           "bound.denominator,\n                           y.count, 1)",
-           (COUNTS + "test_every_demo_y", VERDICT + "test_grid")),
+           "bound.denominator, y.count, d)",
+           "bound.denominator, y.count, 1)",
+           (COUNTS + "test_every_demo_y", VERDICT + "test_grid",
+            ANSWER + "test_grid_serve_requests")),
     Mutant("balance_sweep reads y's denominator as 1", VERIFY,
            "_within_signs(x.count, d, pn, pd, y.count, d)",
            "_within_signs(x.count, d, pn, pd, y.count, 1)",
            (COUNTS + "test_balance_sweep",)),
-    # the float verdict divides base**h out of both sides: each mutant
-    # below scales one side only, or takes h off the floor at a negative
-    # odd exponent
+    # the float verdict, in the decision sqrt_verdict and answer share,
+    # divides base**h out of both sides: each mutant below scales one side
+    # only, or takes h off the floor at a negative odd exponent
     Mutant("the float verdict's h read as int(y.exp / 2)", VERIFY,
            "y.exp // 2", "int(y.exp / 2)",
            (FLOAT_COUNTS + "test_every_demo_mantissa",
             FLOAT_COUNTS + "test_depends_on_the_exponent_mod_2")),
     Mutant("the float verdict drops an odd exponent's base**t", VERIFY,
            "y.man.count * beta ** t", "y.man.count",
-           (FLOAT_COUNTS + "test_every_demo_mantissa",)),
+           (FLOAT_COUNTS + "test_every_demo_mantissa",
+            ANSWER + "test_grid_serve_requests")),
     Mutant("the float verdict drops x's base**-s denominator", VERIFY,
            "d * beta ** max(-s, 0)", "d",
            (FLOAT_COUNTS + "test_every_demo_mantissa",
             "tests/test_cli.py::TestGoldenDigests::"
-            "test_sqrt_outputs[float-result-at-most-1]")),
+            "test_sqrt_outputs[float-result-at-most-1]",
+            ANSWER + "test_grid_serve_requests")),
     Mutant("sqrt_verdict takes fix and mix values from two grids", VERIFY,
-           "        require_same_grid(v.profile, y.profile,\n"
-           '                          "inputs belong to different grids")',
-           "        pass",
+           "            require_same_grid(v.profile, y.profile,\n"
+           '                              "inputs belong to different grids")',
+           "            pass",
            (GRID_CONTROL + "[verify.sqrt_verdict-mix-y-eps]",
             GRID_CONTROL + "[verify.sqrt_verdict-fix-y]")),
     Mutant("sqrt_verdict takes a float eps from another grid", VERIFY,
@@ -449,6 +472,21 @@ MUTANTS = (
            ("tests/test_preconditions.py::"
             "test_profile_mismatch_message[float-input]",
             GRID_CONTROL + "[verify.sqrt_verdict-float-y]")),
+    # a grid run names an input of another kind where it used to raise
+    # AttributeError
+    Mutant("the grid loop reads inputs of another kind unnamed", NEWTON,
+           "        _takes(algorithm, y=(y, FixVal), eps=(eps, FixVal),\n"
+           "               table=(table, RootTable))\n", "",
+           (OTHER_KIND, ANSWER + "test_refusals_of_another_kind")),
+    Mutant("flt_sqr reads inputs of another kind unnamed", NEWTON,
+           '        _takes("flt_sqr", a=(a, FloatVal), eps=(eps, FixVal),\n'
+           "               profile=(profile, FloatProfile), "
+           "table=(table, RootTable))\n", "",
+           (OTHER_KIND, ANSWER + "test_refusals_of_another_kind")),
+    Mutant("a grid value takes a count that is no int", FIXARITH,
+           "        if type(count) is not int:\n"
+           '            _check_int("count", count)\n', "",
+           ("tests/test_preconditions.py::test_grid_count_not_an_int",)),
     Mutant("run_fsqr_suite takes an eps off the table's grid", VERIFY,
            "    require_same_grid(eps.profile, table.profile,\n"
            '                      "accuracy belongs to a different grid")',
