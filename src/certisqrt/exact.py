@@ -55,6 +55,10 @@ from typing import Sequence
 from .errors import DomainError
 
 
+# bound once: each build then skips the lookup of object's __new__
+_new = object.__new__
+
+
 def fraction_from_coprime(num: int, den: int) -> Fraction:
     """Build a Fraction from integers already in lowest terms (den > 0).
 
@@ -66,7 +70,7 @@ def fraction_from_coprime(num: int, den: int) -> Fraction:
     slots before they are overwritten here.  Relies on Fraction keeping
     its parts in the slots _numerator and _denominator.
     """
-    f = object.__new__(Fraction)
+    f = _new(Fraction)
     f._numerator = num
     f._denominator = den
     return f

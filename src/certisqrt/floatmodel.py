@@ -24,6 +24,7 @@ from .errors import (
     MantissaRange,
     ProfileMismatch,
     RangeOverflow,
+    UsageError,
 )
 from .exact import _check_int, _lowest_terms, _rat_text, _rational_parts
 from .fixarith import FixProfile, FixVal, require_same_grid, round_half_even
@@ -107,7 +108,8 @@ class FloatVal:
 
     Immutable, with no per-instance __dict__: the three fields are
     slots, and equality, hashing and repr follow them.  Like FixVal's,
-    __init__ has the generated one's signature and defaults and stores
+    __init__ has the generated one's signature and defaults, refuses a
+    mantissa that is no FixVal and an exponent that is no int, and stores
     each field through its slot's descriptor.
     """
 
@@ -117,6 +119,8 @@ class FloatVal:
 
     def __init__(self, man: FixVal | None = None, exp: int = 0,
                  base: int = 2) -> None:
+        if type(man) is not FixVal and man is not None:
+            raise UsageError(f"FloatVal takes a FixVal mantissa, got {man!r}")
         if type(exp) is not int and man is not None:
             _check_int("exponent", exp)
         _set_man(self, man)
@@ -180,11 +184,13 @@ def value_of(a: FloatVal) -> Fraction:
     The pair count*base**exponent/d is built from the integer parts and
     reduced by exact._lowest_terms.  Its denominator d*base**-exponent is
     positive only for base >= 1, so a smaller base with a negative
-    exponent is refused.
+    exponent is refused, and a value of another kind is a UsageError.
     """
-    if a.is_zero:
-        return Fraction(0)
-    assert a.man is not None
+    try:
+        if a.is_zero:
+            return Fraction(0)
+    except AttributeError:  # a value of another kind: named here
+        raise UsageError(f"value_of takes a FloatVal, got {a!r}") from None
     num, den, base, e = a.man.count, a.man.profile.delta_den, a.base, a.exp
     if e >= 0:
         num *= base ** e

@@ -218,7 +218,8 @@ def _seed_count(u: int, table: RootTable) -> int:
     d < u <= sup, so k_min <= k <= k_max below."""
     profile, stp, d = table.profile, table.stp.count, table.profile.delta_den
     k = _round_up_count(u, stp, profile) // stp
-    result = min(u, table.roots[k - table.k_min])
+    root = table.roots[k - table.k_min]
+    result = root if root < u else u
     # for r >= 0, sign(r/d - sqrt(u/d)) = sign(r*r - u*d); a negative r
     # is below the root
     ud = u * d

@@ -449,13 +449,17 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
     is no FixVal, or a table that is no RootTable, is a UsageError."""
     try:
         profile, yc, ec = y.profile, y.count, eps.count
-        grids, stp = (eps.profile, table.profile), table.stp.count
+        eps_grid, table_grid = eps.profile, table.profile
+        stp = table.stp.count
     except AttributeError:  # an input of another kind: named here
         _takes(algorithm, y=(y, FixVal), eps=(eps, FixVal),
                table=(table, RootTable))
         raise
-    for other in grids:
-        require_same_grid(other, profile, "inputs belong to different grids")
+    # identity settles the usual case; require_same_grid states the rule
+    if eps_grid is not profile or table_grid is not profile:
+        for other in (eps_grid, table_grid):
+            require_same_grid(other, profile,
+                              "inputs belong to different grids")
     if ec <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
     if stp % ec:
@@ -483,7 +487,9 @@ def _grid_newton(algorithm: str, y: FixVal, eps: FixVal, table: RootTable,
             raise InternalInvariantError("iterate left the positive half-line")
         x = _newton_step(x, yc, profile)
         counts.append(x)
-    return FixVal(x, profile), GridTrace(algorithm, y, tuple(counts))
+    # tuple.__new__ makes no frame of the generated constructor
+    return FixVal(x, profile), tuple.__new__(
+        GridTrace, (algorithm, y, tuple(counts)))
 
 
 def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
@@ -503,6 +509,7 @@ def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
 def fix_bound(eps: FixVal, n: int) -> Fraction:
     """fix_sqr's accuracy contract after n iterations: eps/2 + n*delta,
     (E + 2*n)/(2*d) for eps = E/d."""
+    _check_count(n)
     return _lowest_terms(eps.count + 2 * n, 2 * eps.profile.delta_den)
 
 

@@ -10,8 +10,10 @@ the type and message of the first in the order the grid algorithms state
 their preconditions.  PUBLIC_REFUSALS pin the type and message of the
 public refusals outside the grid algorithms, and the WRONG_KINDS cases
 those of an exponent, a profile field or a grid verdict input of the
-wrong kind.
+wrong kind; a float mantissa and a value_of argument of another kind
+are named too.
 """
+import dataclasses
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -33,6 +35,7 @@ from certisqrt.floatmodel import FloatProfile, FloatVal, compose, value_of
 from certisqrt.lut import RootTable, build_root_table, round_up_to_step, sup_fn
 from certisqrt.newton import (
     derive_eps_for_ulp,
+    fix_bound,
     fix_sqr,
     float_bound,
     flt_sqr,
@@ -429,6 +432,9 @@ PUBLIC_REFUSALS = {
     "derive-eps-ulp-text": (
         lambda: derive_eps_for_ulp("1/2", FLOAT, DEMO.val(25)),
         "ulp must be an int or a Fraction, got '1/2'"),
+    # once a TypeError from the gcd of a float sum
+    "fix-bound-n-float": (lambda: fix_bound(EPS, 1.5),
+                          "iteration count must be an integer, got 1.5"),
 }
 
 
@@ -450,6 +456,7 @@ def test_public_refusal_baselines():
     assert min_legal_iterations(F(2), F(1, 10**9), F(2)) > 0
     assert iteration_cap(F(101, 100), F(1, 10)) >= 0
     assert float_bound(EPS, -3, 2) == (F(1, 16), F(1, 1600))
+    assert fix_bound(EPS, 2) == F(29, 200)
     # an int exponent, and an int range bound, as a profile file has
     assert compose(DEMO.val(150), 3, FLOAT).exp == 3
     assert flt_sqr(FloatVal(DEMO.val(150), 3, 2), EPS, FLOAT, TABLE)[0].exp \
@@ -595,3 +602,25 @@ def test_grid_run_input_without_its_fields(run, name, kind):
     kind: its AttributeError is not renamed."""
     with pytest.raises(AttributeError):
         RUN_PARAMETERS[run][1](**{name: object.__new__(kind)})
+
+
+@pytest.mark.parametrize("man", [F(3), 3, 1.5, "150"], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda m: FloatVal(m, 1, 2),
+    lambda m: dataclasses.replace(A, man=m)], ids=["FloatVal", "replace"])
+def test_float_mantissa_of_another_kind(call, man):
+    """FloatVal refuses a mantissa that is no FixVal where it is made, so
+    no float run or verdict reads one: flt_sqr, and answer("float", ...),
+    once raised AttributeError for FloatVal(Fraction(3), 1, 2)."""
+    with pytest.raises(UsageError) as info:
+        call(man)
+    assert str(info.value) == f"FloatVal takes a FixVal mantissa, got {man!r}"
+
+
+@pytest.mark.parametrize("value", [3, F(3), None, Y], ids=repr)
+def test_value_of_another_kind(value):
+    """value_of names a value that is no FloatVal, where it once raised
+    AttributeError."""
+    with pytest.raises(UsageError) as info:
+        value_of(value)
+    assert str(info.value) == f"value_of takes a FloatVal, got {value!r}"

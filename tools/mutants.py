@@ -55,6 +55,8 @@ ANSWER = "tests/test_verify.py::TestAnswer::"
 OTHER_KIND = "tests/test_preconditions.py::test_grid_run_input_of_another_kind"
 BY_NAME = "tests/test_boundary.py::test_non_rationals_refused_by_name"
 EXPONENT = "tests/test_preconditions.py::test_exponent_not_an_int"
+MANTISSA = "tests/test_preconditions.py::test_float_mantissa_of_another_kind"
+MISMATCH = "tests/test_preconditions.py::test_profile_mismatch_message"
 
 
 class Mutant(NamedTuple):
@@ -150,6 +152,9 @@ MUTANTS = (
             "test_eps_from_another_grid_refused",
             "tests/test_verify.py::TestTableProperties::"
             "test_eps_from_another_grid_refused")),
+    Mutant("the seed is the table root even above u", LUT,
+           "result = root if root < u else u", "result = root",
+           ("tests/test_lut.py::TestSupFn::test_sandwich_exhaustive",)),
     Mutant("float.range-min always passes", FLOATMODEL,
            "all(r.numerator > 2 * r.denominator\n"
            "                      for r in (self.inf_f, self.sup_f)),",
@@ -343,7 +348,7 @@ MUTANTS = (
            ("tests/test_fixarith.py::TestProbeMatchesReference::"
             "test_stops_once_both_witnesses_are_known",)),
     Mutant("FixVal.value skips its gcd", FIXARITH,
-           "g = math.gcd(count, d)", "g = 1",
+           "g = gcd(count, d)", "g = 1",
            ("tests/test_values.py::TestFixValValue::"
             "test_equals_lowest_terms",)),
     Mutant("_abs_err_lt decides its last radical on <= 0", EXACT,
@@ -483,6 +488,36 @@ MUTANTS = (
            "               profile=(profile, FloatProfile), "
            "table=(table, RootTable))\n", "",
            (OTHER_KIND, ANSWER + "test_refusals_of_another_kind")),
+    Mutant("FloatVal takes a mantissa of another kind", FLOATMODEL,
+           "        if type(man) is not FixVal and man is not None:\n"
+           '            raise UsageError(f"FloatVal takes a FixVal mantissa, '
+           'got {man!r}")\n', "",
+           (MANTISSA,)),
+    Mutant("value_of reads a value of another kind unnamed", FLOATMODEL,
+           '        raise UsageError(f"value_of takes a FloatVal, '
+           'got {a!r}") from None\n', "        raise\n",
+           ("tests/test_preconditions.py::test_value_of_another_kind",)),
+    Mutant("fix_bound takes a count that is no int", NEWTON,
+           "    _check_count(n)\n    return _lowest_terms(",
+           "    return _lowest_terms(",
+           ("tests/test_preconditions.py::"
+            "test_public_refusal[fix-bound-n-float]",)),
+    # the grid runs call require_same_grid only when identity fails
+    Mutant("the grid identity pre-test skips the helper on another grid",
+           NEWTON,
+           "if eps_grid is not profile or table_grid is not profile:",
+           "if False:",
+           (GRID_CONTROL + "[newton.mix_sqr-eps]",
+            MISMATCH + "[grid-eps]", MISMATCH + "[grid-table]")),
+    Mutant("the grid identity pre-test reads the eps grid only", NEWTON,
+           "if eps_grid is not profile or table_grid is not profile:",
+           "if eps_grid is not profile:",
+           (MISMATCH + "[grid-table]",)),
+    Mutant("the grid trace is built with its fields out of order", NEWTON,
+           "GridTrace, (algorithm, y, tuple(counts))",
+           "GridTrace, (y, algorithm, tuple(counts))",
+           ("tests/test_newton.py::TestGridLoopMatchesReference::"
+            "test_demo_fix_and_mix",)),
     Mutant("a grid value takes a count that is no int", FIXARITH,
            "        if type(count) is not int:\n"
            '            _check_int("count", count)\n', "",
