@@ -21,6 +21,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import CertisqrtError, DomainError
 from .exact import _lowest_terms, _rat_text, encode_int, rat_str
@@ -182,29 +183,52 @@ def profile_digest(fix: FixProfile, fprof: FloatProfile,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+# the table file's fields in sorted-key order, as json.dumps writes them
+_TABLE_FILE = (b'{"delta_den":%d,"profile_hash":%b,"roots":[%b],'
+               b'"stp_count":%d,"sup_count":%d}\n')
+
+
 def table_file_bytes(table: RootTable, profile_hash: str) -> bytes:
-    doc = {
-        "profile_hash": profile_hash,
-        "delta_den": table.profile.delta_den,
-        "sup_count": table.profile.sup_count,
-        "stp_count": table.stp.count,
-        "roots": table.roots,
-    }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) +
-            "\n").encode()
+    """The table file table-build writes: the bytes of json.dumps of
+    {profile_hash, delta_den, sup_count, stp_count, roots} with
+    sort_keys=True and separators (",", ":"), and a newline.  The roots
+    are written in one pass of bytes %-formatting, not by the JSON
+    encoder; a test holds the two byte-equal."""
+    roots = tuple(table.roots)
+    return _TABLE_FILE % (table.profile.delta_den,
+                          json.dumps(profile_hash).encode(),
+                          (b"%d," * len(roots) % roots)[:-1],
+                          table.stp.count, table.profile.sup_count)
 
 
 def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
-    """The table file at path: build_root_table of its step, accepted
-    when the file's roots are all ints and equal the built ones, so a
-    load passes every check a build does, CERTISQRT_MAX_TABLE included.
-    A refused file is diagnosed by lut's rules: a RootTable of its roots
-    refuses a wrong entry count, and the entry first_bad_root finds is
-    reported as FileFormatError if not an int, else as DomainError.
+    """The table file at path: build_root_table of the step its tail
+    names, accepted when the file's bytes equal table_file_bytes of that
+    table, so a load passes every check a build does, CERTISQRT_MAX_TABLE
+    included, and reads no root.  Any other file, or one whose step
+    builds no table, is diagnosed by _refuse_table.
 
-    An accepted table holds the walk, not the file's list: the walk
-    shares one int per run of equal roots, where the parsed list holds
-    one int object per entry."""
+    An accepted table holds the walk, which shares one int per run of
+    equal roots."""
+    try:
+        data = Path(path).read_bytes()
+        stp_text = data.rpartition(b'],"stp_count":')[2].partition(b",")[0]
+        table = build_root_table(fix, fix.val(int(stp_text)))
+        if table_file_bytes(table, profile_hash) == data:
+            return table
+    except (OSError, ValueError, CertisqrtError):
+        pass  # refused below, in the diagnosis's order
+    _refuse_table(path, fix, profile_hash)
+
+
+def _refuse_table(path: str, fix: FixProfile, profile_hash: str) -> NoReturn:
+    """Raise the first fault of a table file that is not table-build's
+    bytes: the JSON parse, the header fields, the build of its step, then
+    lut's rules.  A RootTable of the file's roots refuses a wrong entry
+    count, and the entry first_bad_root finds is reported as
+    FileFormatError if not an int, else as DomainError.  A file with no
+    such fault holds the right roots in another encoding, such as an
+    indent or another key order: FileFormatError names table-build."""
     doc = _read_json(path)
     stored_hash = _require(doc, "profile_hash", "table")
     if stored_hash != profile_hash:
@@ -218,10 +242,11 @@ def load_table(path: str, fix: FixProfile, profile_hash: str) -> RootTable:
     if not isinstance(roots, list):
         raise FileFormatError("table.roots: expected a list of integers")
     table = build_root_table(fix, fix.val(stp_count))
-    # the type test comes first: 174.0 == 174 and True == 1 in Python
-    if set(map(type, roots)) == {int} and table.roots == tuple(roots):
-        return table
     bad = first_bad_root(RootTable(fix, table.stp, tuple(roots)))
+    if bad is None:
+        raise FileFormatError(f"table {path} holds the right roots but not "
+                              f"the bytes table-build writes; rebuild it "
+                              f"with table-build")
     if type(roots[bad - table.k_min]) is not int:
         raise FileFormatError("table.roots: expected a list of integers")
     raise DomainError(f"table {path} failed revalidation at index {bad}")

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 
 # bound once: each build then skips the lookup of object's __new__
@@ -104,6 +104,15 @@ def _check_int(name: str, value: object) -> None:
     must stay rationals."""
     if type(value) is not int:
         raise DomainError(f"{name} must be an int, got {value!r}")
+
+
+def _takes(what: str, **inputs: tuple[object, type]) -> None:
+    """Refuse, by name, with UsageError, the first input, given as (value,
+    kind), whose value is no instance of the kind `what` takes."""
+    for name, (value, kind) in inputs.items():
+        if not isinstance(value, kind):
+            raise UsageError(f"{what} takes a {kind.__name__} {name}, "
+                             f"got {value!r}")
 
 
 # Below 2**2126 < 10**640 an integer has at most 640 decimal digits, the

@@ -153,8 +153,9 @@ def _require_profile(a: FloatVal, profile: FloatProfile) -> None:
     profile's."""
     if a.is_zero:
         return
-    require_same_grid(a.man.profile, profile.fix,
-                      "input belongs to a different grid")
+    if a.man.profile is not profile.fix:  # identity settles the usual case
+        require_same_grid(a.man.profile, profile.fix,
+                          "input belongs to a different grid")
     if a.base != profile.base:
         raise ProfileMismatch(f"input base {a.base} differs from the "
                               f"profile base {profile.base}")

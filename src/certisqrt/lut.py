@@ -18,6 +18,7 @@ from .errors import (
     RangeOverflow,
     ResourceLimit,
 )
+from .exact import _takes
 from .fixarith import FixProfile, FixVal, require_same_grid
 from .report import VerifyReport, check, require
 
@@ -43,8 +44,9 @@ class RootTable:
     so a bad one is refused before any root is computed, then computes
     the roots by the upward walk, whose loop invariant is the root rule.
     The CLI's table file is loaded as that build, accepted when the
-    file's roots equal it.  first_bad_root is the per-entry check for
-    tables made any other way, a refused file's roots included.
+    file's bytes are the ones table-build writes for it.  first_bad_root
+    is the per-entry check for tables made any other way, a refused
+    file's roots included.
     """
 
     profile: FixProfile
@@ -53,7 +55,7 @@ class RootTable:
     k_min: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        indices = _check_table_config(self.profile, self.stp)
+        indices = _check_table_config(self.profile, self.stp, "RootTable")
         entries = indices.stop - indices.start  # len() fails past 2**63
         if len(self.roots) != entries:
             raise DomainError(f"table has {len(self.roots)} entries, "
@@ -114,7 +116,7 @@ def first_bad_root(table: RootTable) -> int | None:
     """Index of the first entry that is not an int (a bool is not) or not
     the least count g with g**2 >= k*stp*d, or None when every entry is.
     The one per-entry fault search: the table suite runs it, and a load
-    on a file whose roots differ from the build."""
+    on a file that is not table-build's bytes."""
     scale = table.stp.count * table.profile.delta_den
     for k, g in enumerate(table.roots, table.k_min):
         target = k * scale
@@ -123,8 +125,10 @@ def first_bad_root(table: RootTable) -> int | None:
     return None
 
 
-def _check_table_config(profile: FixProfile, stp: FixVal) -> range:
-    """table_indices of stp, once the grid, profile and step rules pass."""
+def _check_table_config(profile: FixProfile, stp: FixVal, what: str) -> range:
+    """table_indices of stp, once the grid, profile and step rules pass; a
+    stp that is no FixVal is a UsageError that names `what`."""
+    _takes(what, stp=(stp, FixVal))
     require_same_grid(stp.profile, profile,
                       "step value belongs to a different grid")
     profile.validate()
@@ -185,7 +189,7 @@ def build_root_table(profile: FixProfile, stp: FixVal) -> RootTable:
     an upward walk whose loop invariant is exactly that rule, so the
     table needs no separate pass over its roots.
     """
-    indices = _check_table_config(profile, stp)
+    indices = _check_table_config(profile, stp, "build_root_table")
     limit = _env_limit(ENV_MAX_TABLE, DEFAULT_MAX_TABLE)
     entries = indices.stop - indices.start  # len() fails past 2**63
     if entries > limit:
@@ -238,7 +242,10 @@ def sup_fn(u: FixVal, table: RootTable) -> FixVal:
 
     The result s satisfies sqrt(u) <= s <= u and s - sqrt(u) <= stp; both
     are re-asserted on every call, on grid counts by integer squarings.
+    A u that is no FixVal, or a table that is no RootTable, is a
+    UsageError.
     """
+    _takes("sup_fn", u=(u, FixVal), table=(table, RootTable))
     require_same_grid(table.profile, u.profile,
                       "table belongs to a different grid")
     if not u.profile.delta_den < u.count <= u.profile.sup_count:

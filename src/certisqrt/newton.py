@@ -48,10 +48,9 @@ from .errors import (
     NoFeasibleEps,
     ResourceLimit,
     SeedContractError,
-    UsageError,
 )
 from .exact import (Factors, _lowest_terms, _radicand, _rat_text,
-                    _rational_parts, _sqrt_sign, encode_int,
+                    _rational_parts, _sqrt_sign, _takes, encode_int,
                     fraction_from_coprime, halves)
 from .fixarith import (FixProfile, FixVal, _newton_step, fix_mul,
                        require_same_grid)
@@ -215,15 +214,6 @@ def _norm_factors(norm: int, g: int, b: int) -> tuple[int, int]:
     and no integer formed here is longer than norm or b."""
     h = math.gcd(norm, g)
     return b // (g // h) ** 2, norm // h
-
-
-def _takes(what: str, **inputs: tuple[object, type]) -> None:
-    """Refuse, by name, with UsageError, the first input, given as (value,
-    kind), whose value is no instance of the kind `what` takes."""
-    for name, (value, kind) in inputs.items():
-        if not isinstance(value, kind):
-            raise UsageError(f"{what} takes a {kind.__name__} {name}, "
-                             f"got {value!r}")
 
 
 def _check_count(n: int) -> None:
@@ -508,8 +498,12 @@ def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
 
 def fix_bound(eps: FixVal, n: int) -> Fraction:
     """fix_sqr's accuracy contract after n iterations: eps/2 + n*delta,
-    (E + 2*n)/(2*d) for eps = E/d."""
+    (E + 2*n)/(2*d) for eps = E/d; n is an int >= 0, not a bool."""
+    if isinstance(n, bool):
+        raise DomainError(f"iteration count must be an integer, got {n!r}")
     _check_count(n)
+    if n < 0:
+        raise DomainError(f"iteration count must be >= 0, got {n}")
     return _lowest_terms(eps.count + 2 * n, 2 * eps.profile.delta_den)
 
 
@@ -548,10 +542,13 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
     """
     try:
         profile.validate()
-        require_same_grid(eps.profile, profile.fix,
-                          "accuracy belongs to a different grid")
-        require_same_grid(table.profile, profile.fix,
-                          "table belongs to a different grid")
+        fix, eps_grid, table_grid = profile.fix, eps.profile, table.profile
+        # identity settles the usual case; require_same_grid states the rule
+        if eps_grid is not fix or table_grid is not fix:
+            require_same_grid(eps_grid, fix,
+                              "accuracy belongs to a different grid")
+            require_same_grid(table_grid, fix,
+                              "table belongs to a different grid")
         if a.is_zero:
             return FloatVal.zero(), GridTrace("flt_sqr", None, ())
     except AttributeError:  # an input of another kind: named here
@@ -613,7 +610,7 @@ def derive_eps_for_ulp(ulp: Fraction | int, profile: FloatProfile,
     un, ud = _rational_parts(ulp=ulp)
     if un <= 0:
         raise DomainError(f"ulp must be positive, got {_rat_text(ulp)}")
-    _check_table_config(profile.fix, stp)
+    _check_table_config(profile.fix, stp, "derive_eps_for_ulp")
     base, d = profile.base, profile.fix.delta_den
     # eps >= ulp/2 fails the margin, as c2*sqrt(base) > 0
     for count in _divisors_below(stp.count, -(-un * d // (2 * ud))):

@@ -25,6 +25,7 @@ from .exact import (
     _rat_text,
     _rational_parts,
     _sqrt_sign,
+    _takes,
     _within_signs,
     fraction_from_coprime,
     halves,
@@ -37,7 +38,6 @@ from .lut import (RootTable, build_root_table, first_bad_root, sup_fn,
 from .newton import (
     GridTrace,
     Trace,
-    _takes,
     fix_bound,
     fix_sqr,
     float_bound,

@@ -14,6 +14,8 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certisqrt.cli import (
     MAX_BALANCE_TABLE,
@@ -28,7 +30,7 @@ from certisqrt.cli import (
     table_file_bytes,
     trace_rows,
 )
-from certisqrt.errors import DomainError, ResourceLimit
+from certisqrt.errors import CertisqrtError, DomainError, ResourceLimit
 from certisqrt.exact import rat_str
 from certisqrt.fixarith import FixProfile, FixVal
 from certisqrt.lut import RootTable
@@ -349,6 +351,120 @@ class TestLoadCorruptions:
             with pytest.raises(expected[0]) as exc:
                 load_table(str(bad), fix, digest)
             assert str(exc.value) == expected[1]
+
+    @pytest.mark.parametrize("kind", [*_CORRUPTIONS, "two-faults"])
+    def test_same_fault_in_table_build_encoding(self, demo_profile_path,
+                                                demo_table_path, tmp_path,
+                                                kind):
+        """The corruptions written as table-build writes a file, compact
+        with sorted keys, so only their roots differ from its bytes."""
+        fix, fprof, step = load_profile(demo_profile_path)
+        digest = profile_digest(fix, fprof, step)
+        doc = json.loads(Path(demo_table_path).read_text())
+        for seed in range(20):
+            rng = random.Random(seed)
+            kinds = (rng.choices(list(_CORRUPTIONS), k=2)
+                     if kind == "two-faults" else [kind])
+            roots = list(doc["roots"])
+            for each, i in zip(kinds, rng.sample(range(len(roots)),
+                                                 len(kinds))):
+                roots[i] = _CORRUPTIONS[each](roots[i])
+            bad = tmp_path / f"bad_{seed}.json"
+            bad.write_text(json.dumps({**doc, "roots": roots},
+                                      sort_keys=True,
+                                      separators=(",", ":")) + "\n")
+            expected = _reference_load_fault(str(bad), roots, 5, 2500)
+            with pytest.raises(expected[0]) as exc:
+                load_table(str(bad), fix, digest)
+            assert str(exc.value) == expected[1]
+
+
+def _json_table_bytes(table: RootTable, profile_hash: str) -> bytes:
+    """The table file as json.dumps writes it, table-build's writer
+    before it formatted the roots itself."""
+    doc = {"profile_hash": profile_hash,
+           "delta_den": table.profile.delta_den,
+           "sup_count": table.profile.sup_count,
+           "stp_count": table.stp.count, "roots": list(table.roots)}
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) +
+            "\n").encode()
+
+
+def _not_canonical(path) -> str:
+    return (f"table {path} holds the right roots but not the bytes "
+            f"table-build writes; rebuild it with table-build")
+
+
+class TestTableFileBytes:
+    """A table file is accepted when its bytes are table-build's: the
+    writer against json.dumps, a valid file in another encoding, and
+    every one-byte change of a canonical file."""
+
+    @pytest.mark.parametrize("profile,stp_count", [
+        (FixProfile(100, 1600, 1600), 25),
+        (FixProfile(1000, 4_000_000, 4_000_000), 16),
+        # one entry, k = 1: the root of 40*10
+        (FixProfile(10, 40, 40), 40),
+    ], ids=["demo", "wide", "one-entry"])
+    def test_writer_matches_json(self, tmp_path, profile, stp_count):
+        from certisqrt.lut import build_root_table
+        table = build_root_table(profile, profile.val(stp_count))
+        data = table_file_bytes(table, "digest")
+        assert data == _json_table_bytes(table, "digest")
+        # a file json.dumps wrote, as an older table-build did, loads
+        path = tmp_path / "table.json"
+        path.write_bytes(data)
+        assert load_table(str(path), profile, "digest") == table
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 300), st.integers(2, 400), st.integers(1, 60),
+           st.text(max_size=8))
+    def test_writer_matches_json_on_drawn_grids(self, d, stp_count, extra,
+                                                profile_hash):
+        from certisqrt.lut import build_root_table
+        sup = (2 * d // stp_count + extra) * stp_count
+        profile = FixProfile(d, sup, sup)
+        table = build_root_table(profile, profile.val(stp_count))
+        assert table_file_bytes(table, profile_hash) == \
+            _json_table_bytes(table, profile_hash)
+
+    @pytest.mark.parametrize("encode", [
+        lambda doc: json.dumps(doc, sort_keys=True, indent=2) + "\n",
+        lambda doc: json.dumps(doc, sort_keys=True) + "\n",
+        lambda doc: json.dumps(dict(reversed(doc.items())),
+                               separators=(",", ":")) + "\n",
+        lambda doc: json.dumps(doc, sort_keys=True, separators=(",", ":")),
+    ], ids=["indent-2", "default-separators", "reordered-keys",
+            "no-newline"])
+    def test_valid_file_in_another_encoding_refused(
+            self, demo_profile_path, demo_table_path, tmp_path, capsys,
+            encode):
+        fix, fprof, step = load_profile(demo_profile_path)
+        doc = json.loads(Path(demo_table_path).read_text())
+        path = tmp_path / "table.json"
+        path.write_text(encode(doc))
+        with pytest.raises(FileFormatError) as exc:
+            load_table(str(path), fix, profile_digest(fix, fprof, step))
+        assert str(exc.value) == _not_canonical(path)
+        capsys.readouterr()
+        assert main(["sqrt", demo_profile_path, str(path), "--mode", "mix",
+                     "--value", "3", "--eps", "1/4"]) == 2
+        assert capsys.readouterr() == ("", f"error: {_not_canonical(path)}\n")
+
+    def test_any_changed_byte_refused(self, demo_profile_path,
+                                      demo_table_path, tmp_path):
+        fix, fprof, step = load_profile(demo_profile_path)
+        digest = profile_digest(fix, fprof, step)
+        data = Path(demo_table_path).read_bytes()
+        path = tmp_path / "table.json"
+        for i in range(len(data)):
+            for mask in (0x01, 0x02, 0x10, 0x20, 0x80):
+                path.write_bytes(data[:i] + bytes([data[i] ^ mask]) +
+                                 data[i + 1:])
+                with pytest.raises((CertisqrtError, FileFormatError)):
+                    load_table(str(path), fix, digest)
+        path.write_bytes(data)
+        assert len(load_table(str(path), fix, digest)) == 60
 
 
 _UNPARSEABLE = {

@@ -30,7 +30,8 @@ from certisqrt.errors import (
     UsageError,
 )
 from certisqrt.exact import sqrt_abs_err_lt, sqrt_enclosure
-from certisqrt.fixarith import FixProfile, FixVal, fix_add, fix_div
+from certisqrt.fixarith import (FixProfile, FixVal, fix_add, fix_div,
+                                require_same_grid)
 from certisqrt.floatmodel import FloatProfile, FloatVal, compose, value_of
 from certisqrt.lut import RootTable, build_root_table, round_up_to_step, sup_fn
 from certisqrt.newton import (
@@ -259,6 +260,36 @@ def test_equal_profiles_match():
     assert mix_sqr(twin.val(300), EPS, TABLE)[0].count == 173
 
 
+# the messages of flt_sqr's eps and table checks and _require_profile's
+FLOAT_GRID_CHECKS = {"accuracy belongs to a different grid",
+                     "table belongs to a different grid",
+                     "input belongs to a different grid"}
+
+
+def test_same_grid_float_request_checks_each_grid_once(monkeypatch):
+    """flt_sqr's eps and table checks and _require_profile settle a
+    request on the profile's own grid by identity, as _grid_newton's do:
+    none calls require_same_grid, which a float request once called four
+    to five times.  On an equal grid that is another object each calls
+    it, and the request passes."""
+    from certisqrt import floatmodel, newton
+    messages = []
+
+    def counted(a, b, message):
+        messages.append(message)
+        require_same_grid(a, b, message)
+
+    monkeypatch.setattr(newton, "require_same_grid", counted)
+    monkeypatch.setattr(floatmodel, "require_same_grid", counted)
+    for a in (A, FloatVal(DEMO.val(150), 3, 2)):
+        flt_sqr(a, EPS, FLOAT, TABLE)
+    assert not FLOAT_GRID_CHECKS & set(messages)
+    twin = FixProfile(100, 1600, 1600)
+    flt_sqr(FloatVal(twin.val(300), 2, 2), twin.val(25), FLOAT,
+            build_root_table(twin, twin.val(25)))
+    assert FLOAT_GRID_CHECKS <= set(messages)
+
+
 # two preconditions broken at once: the request reports the first one in
 # the order grid match, eps > 0, step.multiple-of-eps, EpsTooSmall (mix and
 # flt), y > 1, y <= sup/2, n an integer and n >= n_min (fix)
@@ -435,15 +466,30 @@ PUBLIC_REFUSALS = {
     # once a TypeError from the gcd of a float sum
     "fix-bound-n-float": (lambda: fix_bound(EPS, 1.5),
                           "iteration count must be an integer, got 1.5"),
+    # once -3/40 and 27/200
+    "fix-bound-n-negative": (lambda: fix_bound(EPS, -20),
+                             "iteration count must be >= 0, got -20"),
+    "fix-bound-n-bool": (lambda: fix_bound(EPS, True),
+                         "iteration count must be an integer, got True"),
+    # a value of another kind, once an AttributeError; a table load runs
+    # build_root_table
+    "build-root-table-stp-int": (
+        lambda: build_root_table(DEMO, 25),
+        "build_root_table takes a FixVal stp, got 25", UsageError),
+    "sup-fn-u-int": (lambda: sup_fn(3, TABLE),
+                     "sup_fn takes a FixVal u, got 3", UsageError),
 }
 
 
-@pytest.mark.parametrize("call,message", PUBLIC_REFUSALS.values(),
+@pytest.mark.parametrize("case", PUBLIC_REFUSALS.values(),
                          ids=PUBLIC_REFUSALS.keys())
-def test_public_refusal(call, message):
-    with pytest.raises(DomainError) as info:
+def test_public_refusal(case):
+    """Each case is (call, message), refused with DomainError, or (call,
+    message, error)."""
+    call, message, error = (*case, DomainError)[:3]
+    with pytest.raises(error) as info:
         call()
-    assert type(info.value) is DomainError
+    assert type(info.value) is error
     assert str(info.value) == message
 
 
@@ -457,6 +503,9 @@ def test_public_refusal_baselines():
     assert iteration_cap(F(101, 100), F(1, 10)) >= 0
     assert float_bound(EPS, -3, 2) == (F(1, 16), F(1, 1600))
     assert fix_bound(EPS, 2) == F(29, 200)
+    assert fix_bound(EPS, 0) == F(1, 8)
+    assert build_root_table(DEMO, DEMO.val(25)) == TABLE
+    assert sup_fn(DEMO.val(300), TABLE) == DEMO.val(174)
     # an int exponent, and an int range bound, as a profile file has
     assert compose(DEMO.val(150), 3, FLOAT).exp == 3
     assert flt_sqr(FloatVal(DEMO.val(150), 3, 2), EPS, FLOAT, TABLE)[0].exp \

@@ -35,6 +35,7 @@ CLI, LUT, EXACT, FIXARITH, FLOATMODEL, NEWTON, REPORT, VERIFY = (
     "certisqrt/fixarith.py", "certisqrt/floatmodel.py",
     "certisqrt/newton.py", "certisqrt/report.py", "certisqrt/verify.py")
 LOAD_TESTS = "tests/test_cli.py::TestTableBuild::"
+FILE_BYTES = "tests/test_cli.py::TestTableFileBytes::"
 STEP_TESTS = "tests/test_newton.py::TestExactStep::"
 DIGEST = "tests/test_newton.py::TestExactFamilyDigest"
 PRODUCT_TESTS = "tests/test_exact.py::TestCmpProducts::"
@@ -57,6 +58,11 @@ BY_NAME = "tests/test_boundary.py::test_non_rationals_refused_by_name"
 EXPONENT = "tests/test_preconditions.py::test_exponent_not_an_int"
 MANTISSA = "tests/test_preconditions.py::test_float_mantissa_of_another_kind"
 MISMATCH = "tests/test_preconditions.py::test_profile_mismatch_message"
+PUBLIC = "tests/test_preconditions.py::test_public_refusal"
+SAME_GRID_FLOAT = ("tests/test_preconditions.py::"
+                   "test_same_grid_float_request_checks_each_grid_once")
+FIX_BOUND_NEGATIVE = ('        raise DomainError(f"iteration count must be '
+                      '>= 0, got {n}")\n    return _lowest_terms(')
 
 
 class Mutant(NamedTuple):
@@ -68,20 +74,23 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("load_table accepts without the type test", CLI,
-           "if set(map(type, roots)) == {int} and table.roots == tuple(roots):",
-           "if table.roots == tuple(roots):",
-           (LOAD_TESTS + "test_load_rejects_non_integer_entry",)),
-    Mutant("load_table accepts without the comparison", CLI,
-           "if set(map(type, roots)) == {int} and table.roots == tuple(roots):",
-           "if set(map(type, roots)) == {int}:",
-           (LOAD_TESTS + "test_load_revalidation_catches_corruption",
-            "tests/test_cli.py::TestLoadCorruptions")),
-    Mutant("load_table returns the file's table", CLI,
-           "        return table\n    bad = first_bad_root(",
-           "        return RootTable(fix, table.stp, tuple(roots))\n"
-           "    bad = first_bad_root(",
-           (LOAD_TESTS + "test_loaded_table_holds_the_walk",)),
+    # a table file is accepted on byte equality with table-build's output
+    Mutant("load_table accepts without the byte comparison", CLI,
+           "if table_file_bytes(table, profile_hash) == data:", "if True:",
+           (FILE_BYTES + "test_any_changed_byte_refused",
+            "tests/test_cli.py::TestLoadCorruptions::"
+            "test_same_fault_in_table_build_encoding")),
+    Mutant("load_table reads the step after the tail's comma", CLI,
+           '.partition(b",")[0]', '.partition(b",")[2]',
+           (LOAD_TESTS + "test_load_binds_to_profile",
+            FILE_BYTES + "test_writer_matches_json")),
+    Mutant("the table writer drops the last root's last digit", CLI,
+           "% roots)[:-1]", "% roots)[:-2]",
+           (FILE_BYTES + "test_writer_matches_json",
+            "tests/test_cli.py::TestGoldenDigests::test_demo_outputs")),
+    Mutant("a valid file in another encoding passes the diagnosis", CLI,
+           "    if bad is None:\n", "    if False:\n",
+           (FILE_BYTES + "test_valid_file_in_another_encoding_refused",)),
     Mutant("load_table reads the fault without - table.k_min", CLI,
            "roots[bad - table.k_min]", "roots[bad]",
            (LOAD_TESTS + "test_load_reports_first_fault",
@@ -471,9 +480,9 @@ MUTANTS = (
             "test_float_eps_from_another_grid",
             GRID_CONTROL + "[verify.sqrt_verdict-float-eps]")),
     Mutant("a float input's mantissa grid goes unchecked", FLOATMODEL,
-           "    require_same_grid(a.man.profile, profile.fix,\n"
-           '                      "input belongs to a different grid")',
-           "    pass",
+           "        require_same_grid(a.man.profile, profile.fix,\n"
+           '                          "input belongs to a different grid")',
+           "        pass",
            ("tests/test_preconditions.py::"
             "test_profile_mismatch_message[float-input]",
             GRID_CONTROL + "[verify.sqrt_verdict-float-y]")),
@@ -498,10 +507,42 @@ MUTANTS = (
            'got {a!r}") from None\n', "        raise\n",
            ("tests/test_preconditions.py::test_value_of_another_kind",)),
     Mutant("fix_bound takes a count that is no int", NEWTON,
-           "    _check_count(n)\n    return _lowest_terms(",
+           "    _check_count(n)\n    if n < 0:\n" + FIX_BOUND_NEGATIVE,
+           "    if n < 0:\n" + FIX_BOUND_NEGATIVE,
+           (PUBLIC + "[fix-bound-n-float]",)),
+    Mutant("fix_bound takes a negative count", NEWTON,
+           "    if n < 0:\n" + FIX_BOUND_NEGATIVE,
            "    return _lowest_terms(",
-           ("tests/test_preconditions.py::"
-            "test_public_refusal[fix-bound-n-float]",)),
+           (PUBLIC + "[fix-bound-n-negative]",)),
+    Mutant("fix_bound takes a bool count", NEWTON,
+           "    if isinstance(n, bool):\n", "    if False:\n",
+           (PUBLIC + "[fix-bound-n-bool]",)),
+    # a table step or a seed input of another kind is named
+    Mutant("the table config reads a stp of another kind unnamed", LUT,
+           "    _takes(what, stp=(stp, FixVal))\n", "",
+           (PUBLIC + "[build-root-table-stp-int]",)),
+    Mutant("sup_fn reads an input of another kind unnamed", LUT,
+           '    _takes("sup_fn", u=(u, FixVal), table=(table, RootTable))\n',
+           "", (PUBLIC + "[sup-fn-u-int]",)),
+    # flt_sqr and _require_profile call require_same_grid only when
+    # identity fails
+    Mutant("flt_sqr's identity pre-test skips the helper on another grid",
+           NEWTON, "if eps_grid is not fix or table_grid is not fix:",
+           "if False:",
+           (MISMATCH + "[float-eps]", MISMATCH + "[float-table]")),
+    Mutant("flt_sqr's identity pre-test reads the eps grid only", NEWTON,
+           "if eps_grid is not fix or table_grid is not fix:",
+           "if eps_grid is not fix:",
+           (MISMATCH + "[float-table]",)),
+    Mutant("flt_sqr calls the grid helper on its own grid", NEWTON,
+           "if eps_grid is not fix or table_grid is not fix:", "if True:",
+           (SAME_GRID_FLOAT,)),
+    Mutant("_require_profile's identity pre-test skips the helper",
+           FLOATMODEL, "if a.man.profile is not profile.fix:", "if False:",
+           (MISMATCH + "[float-input]",)),
+    Mutant("_require_profile calls the grid helper on its own grid",
+           FLOATMODEL, "if a.man.profile is not profile.fix:", "if True:",
+           (SAME_GRID_FLOAT,)),
     # the grid runs call require_same_grid only when identity fails
     Mutant("the grid identity pre-test skips the helper on another grid",
            NEWTON,
