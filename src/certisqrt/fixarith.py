@@ -31,7 +31,7 @@ from .errors import (
     RangeOverflow,
 )
 from .exact import (_check_int, _lowest_terms, _rat_text, _rational_parts,
-                    encode_int, fraction_from_coprime)
+                    _takes, encode_int, fraction_from_coprime)
 from .report import CheckResult, VerifyReport, check, require
 
 
@@ -153,10 +153,16 @@ def require_same_grid(a: FixProfile, b: FixProfile, message: str) -> None:
         raise ProfileMismatch(message.format(a, b))
 
 
-def _same_profile(x: FixVal, y: FixVal) -> FixProfile:
-    require_same_grid(x.profile, y.profile,
-                      "values from different grids: {} vs {}")
-    return x.profile
+def _same_profile(x: FixVal, y: FixVal, op: str) -> FixProfile:
+    """The one grid of op's inputs x and y; an input of another kind is
+    named by op, with UsageError."""
+    try:
+        profile, other = x.profile, y.profile
+    except AttributeError:  # an input of another kind: named here
+        _takes(op, x=(x, FixVal), y=(y, FixVal))
+        raise
+    require_same_grid(profile, other, "values from different grids: {} vs {}")
+    return profile
 
 
 def round_half_even(num: int, den: int) -> int:
@@ -192,7 +198,7 @@ def quantize(q: Fraction, profile: FixProfile, mode: str = "nearest") -> FixVal:
 
 
 def fix_add(x: FixVal, y: FixVal) -> FixVal:
-    profile = _same_profile(x, y)
+    profile = _same_profile(x, y, "fix_add")
     count = x.count + y.count
     if not profile.contains_count(count):
         raise RangeOverflow(f"{x} + {y} overflows the range")
@@ -200,7 +206,7 @@ def fix_add(x: FixVal, y: FixVal) -> FixVal:
 
 
 def fix_sub(x: FixVal, y: FixVal) -> FixVal:
-    profile = _same_profile(x, y)
+    profile = _same_profile(x, y, "fix_sub")
     count = x.count - y.count
     if not profile.contains_count(count):
         raise RangeOverflow(f"{x} - {y} overflows the range")
@@ -210,7 +216,7 @@ def fix_sub(x: FixVal, y: FixVal) -> FixVal:
 def fix_mul(x: FixVal, y: FixVal) -> FixVal:
     """Correctly rounded product: exact if representable, else the nearest
     grid point (ties to even), so |result - x*y| <= step/2."""
-    profile = _same_profile(x, y)
+    profile = _same_profile(x, y, "fix_mul")
     d = profile.delta_den
     prod = x.count * y.count  # exact product is prod / d**2
     if not (-profile.inf_count * d <= prod <= profile.sup_count * d):
@@ -220,7 +226,7 @@ def fix_mul(x: FixVal, y: FixVal) -> FixVal:
 
 def fix_div(x: FixVal, y: FixVal) -> FixVal:
     """Correctly rounded quotient under the fix_mul contract."""
-    profile = _same_profile(x, y)
+    profile = _same_profile(x, y, "fix_div")
     if y.count == 0:
         raise DivisionByZero(f"{x} / {y}")
     # the exact quotient in counts is num/den, den > 0

@@ -8,9 +8,10 @@ depends on the grid bounds.  Zero is modeled; negative values are not.
 Like a machine float, a value is worked on as integers: value_of builds
 count*base**exponent/d in lowest terms from the integer parts with one
 gcd, and encode_rational brackets the exponent by bit lengths before an
-integer bisection and builds its value without compose's re-checks.  A
-profile's exponent range, its base as a grid value and its validity are
-each decided once, on first use.
+integer bisection and builds its value without compose's re-checks.  As
+the base is an integer, scaling a mantissa by it is exact on counts:
+count*base on the same grid, with no rounding.  A profile's exponent
+range and its validity are each decided once, on first use.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ from .errors import (
     RangeOverflow,
     UsageError,
 )
-from .exact import _check_int, _lowest_terms, _rat_text, _rational_parts
+from .exact import (_check_int, _lowest_terms, _rat_text, _rational_parts,
+                    _takes)
 from .fixarith import FixProfile, FixVal, require_same_grid, round_half_even
 from .report import CheckResult, VerifyReport, check, require
 
@@ -97,10 +99,6 @@ class FloatProfile:
     def exp_max(self) -> int:
         return self.fix.sup_count // self.fix.delta_den
 
-    @cached_property
-    def base_fix(self) -> FixVal:
-        return self.fix.from_int(self.base)
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class FloatVal:
@@ -162,14 +160,19 @@ def _require_profile(a: FloatVal, profile: FloatProfile) -> None:
 
 
 def compose(man: FixVal, exp: int, profile: FloatProfile) -> FloatVal:
-    """Couple a mantissa and an exponent into a positive value."""
-    require_same_grid(man.profile, profile.fix,
-                      "mantissa belongs to a different grid")
-    d = profile.fix.delta_den
-    if not (man.count > d and man.count * profile.base < profile.fix.sup_count):
+    """Couple a mantissa and an exponent into a positive value; a man or
+    profile of another kind is a UsageError."""
+    try:
+        grid, fix = man.profile, profile.fix
+    except AttributeError:  # an input of another kind: named here
+        _takes("compose", man=(man, FixVal), profile=(profile, FloatProfile))
+        raise
+    if grid is not fix:  # identity settles the usual case
+        require_same_grid(grid, fix, "mantissa belongs to a different grid")
+    d = fix.delta_den
+    if not (man.count > d and man.count * profile.base < fix.sup_count):
         raise MantissaRange(
-            f"mantissa {man} outside (1, "
-            f"{profile.fix.sup_value}/{profile.base})")
+            f"mantissa {man} outside (1, {fix.sup_value}/{profile.base})")
     try:  # a number out of range keeps this refusal; FloatVal names the rest
         if not (profile.exp_min <= exp <= profile.exp_max):
             raise ExponentRange(f"exponent {exp} outside "

@@ -7,7 +7,8 @@ Six variants share the iteration x -> (x + y/x)/2:
 * fsqr_exact   - exact rationals, seeded, fixed iteration count;
 * fix_sqr      - grid arithmetic, table seed, fixed iteration count;
 * mix_sqr      - fix_sqr with the minimal sufficient iteration count;
-* flt_sqr      - mantissa/exponent wrapper around mix_sqr.
+* flt_sqr      - mix_sqr's request pass and loop on the radicand count of
+                 a mantissa/exponent pair.
 
 Every run returns the result together with a record of its iterates;
 all correctness checks live in the verify module and operate on those
@@ -46,14 +47,14 @@ from .errors import (
     InternalInvariantError,
     IterationBudgetError,
     NoFeasibleEps,
+    RangeOverflow,
     ResourceLimit,
     SeedContractError,
 )
 from .exact import (Factors, _lowest_terms, _radicand, _rat_text,
                     _rational_parts, _sqrt_sign, _takes, encode_int,
                     fraction_from_coprime, halves)
-from .fixarith import (FixProfile, FixVal, _newton_step, fix_mul,
-                       require_same_grid)
+from .fixarith import FixProfile, FixVal, _newton_step, require_same_grid
 from .floatmodel import FloatProfile, FloatVal, _require_profile, compose
 from .lut import RootTable, _check_table_config, _env_limit, _seed_count
 
@@ -216,8 +217,13 @@ def _norm_factors(norm: int, g: int, b: int) -> tuple[int, int]:
     return b // (g // h) ** 2, norm // h
 
 
+def _is_count(n: object) -> bool:
+    """The one rule of an iteration count's kind: an int, and no bool."""
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 def _check_count(n: int) -> None:
-    if not isinstance(n, int):
+    if not _is_count(n):
         raise DomainError(f"iteration count must be an integer, got {n!r}")
 
 
@@ -499,8 +505,6 @@ def fix_sqr(y: FixVal, eps: FixVal, table: RootTable,
 def fix_bound(eps: FixVal, n: int) -> Fraction:
     """fix_sqr's accuracy contract after n iterations: eps/2 + n*delta,
     (E + 2*n)/(2*d) for eps = E/d; n is an int >= 0, not a bool."""
-    if isinstance(n, bool):
-        raise DomainError(f"iteration count must be an integer, got {n!r}")
     _check_count(n)
     if n < 0:
         raise DomainError(f"iteration count must be >= 0, got {n}")
@@ -522,7 +526,9 @@ def mix_sqr(y: FixVal, eps: FixVal,
 def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
             table: RootTable) -> tuple[FloatVal, GridTrace]:
     """Square root in the float model: extract the mantissa, even out the
-    exponent, run mix_sqr on the adjusted mantissa, halve the exponent.
+    exponent, run mix_sqr's request pass and loop on the radicand count,
+    halve the exponent.  The base is an integer, so each scaling by it is
+    exact on counts: count*base on the same grid, never a rounded product.
 
     Zero maps to zero; a positive a must carry the profile's base, else
     ProfileMismatch; an input of another kind than the signature's is a
@@ -532,12 +538,13 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
 
     Domain: every positive a of the profile's base whose loop radicand,
     man at an even e and man*base at an odd e, is at most sup/2; an odd e
-    with man > sup/(2*base) is refused with DomainError.  A loop result
-    x <= 1, which a radicand just above 1 can round onto, is no mantissa:
-    b is then x*base at exponent floor(e/2) - 1, the same value, and
-    x*base*base <= base**2 < sup keeps it in compose's range.  That
-    mantissa exceeds 1 whenever x > 1/base, which |x - sqrt(y)| < eps
-    gives for eps <= 1 - 1/base; past that compose refuses it with
+    with man*base outside [-inf, sup] is refused with RangeOverflow, and
+    one with man > sup/(2*base) inside it with DomainError.  A loop
+    result x <= 1, which a radicand just above 1 can round onto, is no
+    mantissa: b is then x*base at exponent floor(e/2) - 1, the same
+    value, and x*base*base <= base**2 < sup keeps it in compose's range.
+    That mantissa exceeds 1 whenever x > 1/base, which |x - sqrt(y)| <
+    eps gives for eps <= 1 - 1/base; past that compose refuses it with
     MantissaRange.
     """
     try:
@@ -556,13 +563,19 @@ def flt_sqr(a: FloatVal, eps: FixVal, profile: FloatProfile,
                profile=(profile, FloatProfile), table=(table, RootTable))
         raise
     _require_profile(a, profile)
-    man, e = a.man, a.exp
-    # an odd e runs on man*base at e - 1, and (e - 1)//2 == e//2
-    y_fix = fix_mul(man, profile.base_fix) if e % 2 else man
-    x, trace = _grid_newton("flt_sqr", y_fix, eps, table, mix=True)
+    man, e, base = a.man, a.exp, profile.base
+    if e % 2:  # an odd e runs on man*base at e - 1, and (e - 1)//2 == e//2
+        grid, count = man.profile, man.count * base
+        if not -grid.inf_count <= count <= grid.sup_count:
+            d = grid.delta_den
+            raise RangeOverflow(f"{man} * {base * d}/{d} overflows the range")
+        man = FixVal(count, grid)
+    x, trace = _grid_newton("flt_sqr", man, eps, table, mix=True)
     h = e // 2
-    if x.count <= profile.fix.delta_den:  # x <= 1: the same value as x*base
-        x, h = fix_mul(x, profile.base_fix), h - 1
+    if x.count <= fix.delta_den:  # x <= 1: the same value as x*base
+        # no range test: x <= 1, and base*d <= sup by float.base-in-grid,
+        # which profile.validate() checked above
+        x, h = FixVal(x.count * base, x.profile), h - 1
     return compose(x, h, profile), trace
 
 

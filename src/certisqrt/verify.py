@@ -36,6 +36,7 @@ from .floatmodel import FloatProfile, FloatVal, _require_profile
 from .lut import (RootTable, build_root_table, first_bad_root, sup_fn,
                   validate_step)
 from .newton import (
+    _is_count,
     GridTrace,
     Trace,
     fix_bound,
@@ -246,7 +247,7 @@ def sqrt_verdict(mode: str, x, y, eps, n: int | None = None,
         for v in (x, eps):
             require_same_grid(v.profile, y.profile,
                               "inputs belong to different grids")
-        if mode == "fix" and not isinstance(n, int):
+        if mode == "fix" and not _is_count(n):
             raise UsageError(f"a fix verdict needs an integer iteration "
                              f"count, got {n!r}")
     return _decide(mode, x, y, eps, n, fprof)

@@ -14,6 +14,8 @@ wrong kind; a float mantissa and a value_of argument of another kind
 are named too.
 """
 import dataclasses
+import sys
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -26,12 +28,13 @@ from certisqrt.errors import (
     IterationBudgetError,
     NoFeasibleEps,
     ProfileMismatch,
+    RangeOverflow,
     ResourceLimit,
     UsageError,
 )
 from certisqrt.exact import sqrt_abs_err_lt, sqrt_enclosure
-from certisqrt.fixarith import (FixProfile, FixVal, fix_add, fix_div,
-                                require_same_grid)
+from certisqrt.fixarith import (FixProfile, FixVal, _newton_step, fix_add,
+                                fix_div, fix_mul, fix_sub, require_same_grid)
 from certisqrt.floatmodel import FloatProfile, FloatVal, compose, value_of
 from certisqrt.lut import RootTable, build_root_table, round_up_to_step, sup_fn
 from certisqrt.newton import (
@@ -47,7 +50,7 @@ from certisqrt.newton import (
     mix_sqr,
     sqr_exact,
 )
-from certisqrt.verify import iteration_cap, sqrt_verdict
+from certisqrt.verify import answer, iteration_cap, sqrt_verdict
 
 DEMO = FixProfile(100, 1600, 1600)
 MICRO = FixProfile(10, 40, 40)
@@ -260,34 +263,52 @@ def test_equal_profiles_match():
     assert mix_sqr(twin.val(300), EPS, TABLE)[0].count == 173
 
 
-# the messages of flt_sqr's eps and table checks and _require_profile's
+@contextmanager
+def calls_to(*functions):
+    """The calls each function gets while the block runs, as (name,
+    message) pairs, message the call's message argument or None; read by
+    code object, so a call through any module's name for it counts."""
+    names = {f.__code__: f.__name__ for f in functions}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls.append((names[frame.f_code],
+                          frame.f_locals.get("message")))
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(outer)
+
+
+# the messages of flt_sqr's eps and table checks, _require_profile's and
+# compose's
 FLOAT_GRID_CHECKS = {"accuracy belongs to a different grid",
                      "table belongs to a different grid",
-                     "input belongs to a different grid"}
+                     "input belongs to a different grid",
+                     "mantissa belongs to a different grid"}
 
 
-def test_same_grid_float_request_checks_each_grid_once(monkeypatch):
-    """flt_sqr's eps and table checks and _require_profile settle a
-    request on the profile's own grid by identity, as _grid_newton's do:
-    none calls require_same_grid, which a float request once called four
-    to five times.  On an equal grid that is another object each calls
-    it, and the request passes."""
-    from certisqrt import floatmodel, newton
-    messages = []
-
-    def counted(a, b, message):
-        messages.append(message)
-        require_same_grid(a, b, message)
-
-    monkeypatch.setattr(newton, "require_same_grid", counted)
-    monkeypatch.setattr(floatmodel, "require_same_grid", counted)
-    for a in (A, FloatVal(DEMO.val(150), 3, 2)):
-        flt_sqr(a, EPS, FLOAT, TABLE)
-    assert not FLOAT_GRID_CHECKS & set(messages)
+def test_same_grid_float_request_checks_each_grid_once():
+    """A float request on the profile's own grid checks each grid once,
+    by identity, as _grid_newton does: it calls require_same_grid from no
+    module, and it scales by the base on counts, with no fix_mul.  That
+    holds for an even exponent, an odd one, whose radicand is man*base,
+    and 1.01, whose loop ends on 1.00 and shifts to 2.00 at exponent -1.
+    On an equal grid that is another object each check calls the helper,
+    and the request passes."""
+    for a in (A, FloatVal(DEMO.val(150), 3, 2), FloatVal(DEMO.val(101), 0, 2)):
+        with calls_to(require_same_grid, fix_mul) as calls:
+            flt_sqr(a, EPS, FLOAT, TABLE)
+        assert calls == [], a
     twin = FixProfile(100, 1600, 1600)
-    flt_sqr(FloatVal(twin.val(300), 2, 2), twin.val(25), FLOAT,
-            build_root_table(twin, twin.val(25)))
-    assert FLOAT_GRID_CHECKS <= set(messages)
+    with calls_to(require_same_grid) as calls:
+        flt_sqr(FloatVal(twin.val(300), 2, 2), twin.val(25), FLOAT,
+                build_root_table(twin, twin.val(25)))
+    assert FLOAT_GRID_CHECKS <= {message for _, message in calls}
 
 
 # two preconditions broken at once: the request reports the first one in
@@ -401,6 +422,11 @@ MULTI_VIOLATION_CASES = {
         lambda: flt_sqr(FloatVal(DEMO.val(500), 1, 2), EPS, FLOAT, TABLE),
         DomainError, "flt_sqr requires y <= 16/2 so the loop's x + x "
                      "stays in range, got 1000/100"),
+    # a mantissa below 1 is no float's, but its odd radicand man*base is
+    # in range: the loop's request pass names it
+    "flt-odd-radicand-and-y-at-most-one": (
+        lambda: flt_sqr(FloatVal(DEMO.val(-150), 1, 2), EPS, FLOAT, TABLE),
+        DomainError, "flt_sqr requires y > 1, got -300/100"),
     "seed-grid-and-u-at-most-one": (
         lambda: sup_fn(MICRO.val(5), TABLE),
         ProfileMismatch, "table belongs to a different grid"),
@@ -478,7 +504,45 @@ PUBLIC_REFUSALS = {
         "build_root_table takes a FixVal stp, got 25", UsageError),
     "sup-fn-u-int": (lambda: sup_fn(3, TABLE),
                      "sup_fn takes a FixVal u, got 3", UsageError),
+    # the grid operations and compose, once an AttributeError
+    "fix-add-x-int": (lambda: fix_add(1, DEMO.val(300)),
+                      "fix_add takes a FixVal x, got 1", UsageError),
+    "fix-mul-y-int": (lambda: fix_mul(DEMO.val(300), 2),
+                      "fix_mul takes a FixVal y, got 2", UsageError),
+    "fix-div-y-fraction": (lambda: fix_div(DEMO.val(300), F(2)),
+                           "fix_div takes a FixVal y, got Fraction(2, 1)",
+                           UsageError),
+    "fix-sub-x-none": (lambda: fix_sub(None, DEMO.val(3)),
+                       "fix_sub takes a FixVal x, got None", UsageError),
+    "compose-man-fraction": (
+        lambda: compose(F(3), 1, FLOAT),
+        "compose takes a FixVal man, got Fraction(3, 1)", UsageError),
+    # a bool is no iteration count: once a one-pass run, or a refusal
+    # from the verdict after the run, or a budget text
+    "fix-sqr-n-bool": (lambda: fix_sqr(Y, EPS, TABLE, True),
+                       "iteration count must be an integer, got True"),
+    "fsqr-n-bool": (lambda: fsqr_exact(F(3), F(1, 4), F(2), True),
+                    "iteration count must be an integer, got True"),
+    "answer-fix-n-bool": (lambda: _without_a_grid_pass(
+        lambda: answer("fix", Y, EPS, table=TABLE, n=True)),
+        "iteration count must be an integer, got True"),
+    # an odd exponent's radicand man*base past the grid's range
+    "flt-odd-radicand-overflow": (
+        lambda: flt_sqr(FloatVal(DEMO.val(900), 1, 2), EPS, FLOAT, TABLE),
+        "900/100 * 200/100 overflows the range", RangeOverflow),
+    "flt-odd-radicand-underflow": (
+        lambda: flt_sqr(FloatVal(DEMO.val(-1000), 1, 2), EPS, FLOAT, TABLE),
+        "-1000/100 * 200/100 overflows the range", RangeOverflow),
 }
+
+
+def _without_a_grid_pass(call):
+    """call(), asserting that it makes no grid Newton pass."""
+    with calls_to(_newton_step) as calls:
+        try:
+            return call()
+        finally:
+            assert calls == []
 
 
 @pytest.mark.parametrize("case", PUBLIC_REFUSALS.values(),
@@ -651,6 +715,18 @@ def test_grid_run_input_without_its_fields(run, name, kind):
     kind: its AttributeError is not renamed."""
     with pytest.raises(AttributeError):
         RUN_PARAMETERS[run][1](**{name: object.__new__(kind)})
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: fix_add(v, Y), lambda v: fix_sub(Y, v),
+    lambda v: fix_mul(v, Y), lambda v: fix_div(Y, v),
+    lambda v: compose(v, 1, FLOAT)],
+    ids=["fix_add", "fix_sub", "fix_mul", "fix_div", "compose"])
+def test_grid_value_without_its_fields(call):
+    """A FixVal whose fields were never set is no wrong kind: the grid
+    operations and compose leave its AttributeError as it is."""
+    with pytest.raises(AttributeError):
+        call(object.__new__(FixVal))
 
 
 @pytest.mark.parametrize("man", [F(3), 3, 1.5, "150"], ids=repr)

@@ -1645,7 +1645,8 @@ class TestSqrtVerdict:
         with pytest.raises(UsageError):
             sqrt_verdict("nearest", y, y, demo_eps)
 
-    @pytest.mark.parametrize("n", [None, 3.0, "3"])
+    # a bool is refused by the one count rule the runs apply
+    @pytest.mark.parametrize("n", [None, 3.0, "3", True])
     def test_fix_without_integer_count(self, demo_profile, demo_eps, n):
         y = demo_profile.val(300)
         with pytest.raises(UsageError, match="integer iteration count"):

@@ -275,7 +275,7 @@ MUTANTS = (
             "tests/test_newton.py::TestAccuracyContracts::"
             "test_fix_bound_matches_fraction_formula")),
     Mutant("flt_sqr without the base shift of a result <= 1", NEWTON,
-           "if x.count <= profile.fix.delta_den:", "if False:",
+           "if x.count <= fix.delta_den:", "if False:",
            ("tests/test_newton.py::TestFltSqr::test_mantissa_collapse_shifts",
             "tests/test_newton.py::TestFltSqr::test_every_demo_mantissa")),
     Mutant("balance_sweep keeps all_within on a miss", VERIFY,
@@ -514,9 +514,12 @@ MUTANTS = (
            "    if n < 0:\n" + FIX_BOUND_NEGATIVE,
            "    return _lowest_terms(",
            (PUBLIC + "[fix-bound-n-negative]",)),
-    Mutant("fix_bound takes a bool count", NEWTON,
-           "    if isinstance(n, bool):\n", "    if False:\n",
-           (PUBLIC + "[fix-bound-n-bool]",)),
+    # one count rule: a bool is no iteration count, in a run or a bound
+    Mutant("_check_count takes a bool", NEWTON,
+           " and not isinstance(n, bool)", "",
+           (PUBLIC + "[fix-bound-n-bool]", PUBLIC + "[fix-sqr-n-bool]",
+            PUBLIC + "[fsqr-n-bool]", PUBLIC + "[answer-fix-n-bool]",
+            VERDICT + "test_fix_without_integer_count[True]")),
     # a table step or a seed input of another kind is named
     Mutant("the table config reads a stp of another kind unnamed", LUT,
            "    _takes(what, stp=(stp, FixVal))\n", "",
@@ -543,6 +546,36 @@ MUTANTS = (
     Mutant("_require_profile calls the grid helper on its own grid",
            FLOATMODEL, "if a.man.profile is not profile.fix:", "if True:",
            (SAME_GRID_FLOAT,)),
+    Mutant("compose's identity pre-test skips the helper on another grid",
+           FLOATMODEL, "    if grid is not fix:  # identity settles",
+           "    if False:  # identity settles",
+           (MISMATCH + "[compose]", SAME_GRID_FLOAT)),
+    Mutant("compose calls the grid helper on its own grid", FLOATMODEL,
+           "    if grid is not fix:  # identity settles",
+           "    if True:  # identity settles",
+           (SAME_GRID_FLOAT,)),
+    # flt_sqr scales by the base on counts: an odd exponent's radicand is
+    # man*base, range-tested as fix_mul tested it
+    Mutant("flt_sqr's odd radicand skips its range test", NEWTON,
+           "        if not -grid.inf_count <= count <= grid.sup_count:\n",
+           "        if False:\n",
+           (PUBLIC + "[flt-odd-radicand-overflow]",
+            PUBLIC + "[flt-odd-radicand-underflow]")),
+    Mutant("flt_sqr's odd radicand left as man", NEWTON,
+           "        man = FixVal(count, grid)\n", "",
+           ("tests/test_newton.py::TestFltSqr::test_twelve",
+            "tests/test_preconditions.py::test_first_violation_reported"
+            "[flt-odd-radicand-and-y-at-most-one]")),
+    # the grid operations and compose name an input of another kind where
+    # they used to raise AttributeError
+    Mutant("the grid operations read an input of another kind unnamed",
+           FIXARITH, "        _takes(op, x=(x, FixVal), y=(y, FixVal))\n",
+           "", (PUBLIC + "[fix-add-x-int]", PUBLIC + "[fix-mul-y-int]",
+                PUBLIC + "[fix-div-y-fraction]", PUBLIC + "[fix-sub-x-none]")),
+    Mutant("compose reads an input of another kind unnamed", FLOATMODEL,
+           '        _takes("compose", man=(man, FixVal), '
+           'profile=(profile, FloatProfile))\n', "",
+           (PUBLIC + "[compose-man-fraction]",)),
     # the grid runs call require_same_grid only when identity fails
     Mutant("the grid identity pre-test skips the helper on another grid",
            NEWTON,
