@@ -157,9 +157,25 @@ _FILTER_BITS = 128
 _SHORT_BITS = 2 * _FILTER_BITS
 
 
+def _product(xs: Sequence[int]) -> int:
+    """prod(xs), with a factor that occurs twice, as n in _sqrt_sign's (n,
+    n, b) and d in its (a, d, d), formed as one squaring n*n.  CPython
+    squares only when both operands are one object, which math.prod's
+    running product never is."""
+    rest = list(xs)
+    total = 1
+    while rest:
+        n = rest.pop()
+        if n in rest:
+            rest.remove(n)
+            n *= n
+        total *= n
+    return total
+
+
 def _exact_sign(xs: Sequence[int], ys: Sequence[int]) -> int:
     """Sign of prod(xs) - prod(ys), from the full products."""
-    lhs, rhs = math.prod(xs), math.prod(ys)
+    lhs, rhs = _product(xs), _product(ys)
     return (lhs > rhs) - (lhs < rhs)
 
 

@@ -153,16 +153,18 @@ def require_same_grid(a: FixProfile, b: FixProfile, message: str) -> None:
         raise ProfileMismatch(message.format(a, b))
 
 
-def _same_profile(x: FixVal, y: FixVal, op: str) -> FixProfile:
-    """The one grid of op's inputs x and y; an input of another kind is
-    named by op, with UsageError."""
+def _same_profile(x: FixVal, y: FixVal,
+                  op: str) -> tuple[FixProfile, int, int]:
+    """The one grid of op's inputs x and y, and their counts; an input of
+    another kind, one with a profile but no count too, is named by op,
+    with UsageError."""
     try:
-        profile, other = x.profile, y.profile
+        profile, other, xc, yc = x.profile, y.profile, x.count, y.count
     except AttributeError:  # an input of another kind: named here
         _takes(op, x=(x, FixVal), y=(y, FixVal))
         raise
     require_same_grid(profile, other, "values from different grids: {} vs {}")
-    return profile
+    return profile, xc, yc
 
 
 def round_half_even(num: int, den: int) -> int:
@@ -198,16 +200,16 @@ def quantize(q: Fraction, profile: FixProfile, mode: str = "nearest") -> FixVal:
 
 
 def fix_add(x: FixVal, y: FixVal) -> FixVal:
-    profile = _same_profile(x, y, "fix_add")
-    count = x.count + y.count
+    profile, xc, yc = _same_profile(x, y, "fix_add")
+    count = xc + yc
     if not profile.contains_count(count):
         raise RangeOverflow(f"{x} + {y} overflows the range")
     return FixVal(count, profile)
 
 
 def fix_sub(x: FixVal, y: FixVal) -> FixVal:
-    profile = _same_profile(x, y, "fix_sub")
-    count = x.count - y.count
+    profile, xc, yc = _same_profile(x, y, "fix_sub")
+    count = xc - yc
     if not profile.contains_count(count):
         raise RangeOverflow(f"{x} - {y} overflows the range")
     return FixVal(count, profile)
@@ -216,9 +218,9 @@ def fix_sub(x: FixVal, y: FixVal) -> FixVal:
 def fix_mul(x: FixVal, y: FixVal) -> FixVal:
     """Correctly rounded product: exact if representable, else the nearest
     grid point (ties to even), so |result - x*y| <= step/2."""
-    profile = _same_profile(x, y, "fix_mul")
+    profile, xc, yc = _same_profile(x, y, "fix_mul")
     d = profile.delta_den
-    prod = x.count * y.count  # exact product is prod / d**2
+    prod = xc * yc  # exact product is prod / d**2
     if not (-profile.inf_count * d <= prod <= profile.sup_count * d):
         raise RangeOverflow(f"{x} * {y} overflows the range")
     return FixVal(round_half_even(prod, d), profile)
@@ -226,12 +228,12 @@ def fix_mul(x: FixVal, y: FixVal) -> FixVal:
 
 def fix_div(x: FixVal, y: FixVal) -> FixVal:
     """Correctly rounded quotient under the fix_mul contract."""
-    profile = _same_profile(x, y, "fix_div")
-    if y.count == 0:
+    profile, xc, yc = _same_profile(x, y, "fix_div")
+    if yc == 0:
         raise DivisionByZero(f"{x} / {y}")
     # the exact quotient in counts is num/den, den > 0
-    sign = 1 if y.count > 0 else -1
-    num, den = sign * x.count * profile.delta_den, sign * y.count
+    sign = 1 if yc > 0 else -1
+    num, den = sign * xc * profile.delta_den, sign * yc
     if not -profile.inf_count * den <= num <= profile.sup_count * den:
         raise RangeOverflow(f"{x} / {y} overflows the range")
     return FixVal(round_half_even(num, den), profile)

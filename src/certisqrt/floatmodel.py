@@ -161,16 +161,17 @@ def _require_profile(a: FloatVal, profile: FloatProfile) -> None:
 
 def compose(man: FixVal, exp: int, profile: FloatProfile) -> FloatVal:
     """Couple a mantissa and an exponent into a positive value; a man or
-    profile of another kind is a UsageError."""
+    profile of another kind, a man with a profile but no count too, is a
+    UsageError."""
     try:
-        grid, fix = man.profile, profile.fix
+        grid, count, fix = man.profile, man.count, profile.fix
     except AttributeError:  # an input of another kind: named here
         _takes("compose", man=(man, FixVal), profile=(profile, FloatProfile))
         raise
     if grid is not fix:  # identity settles the usual case
         require_same_grid(grid, fix, "mantissa belongs to a different grid")
     d = fix.delta_den
-    if not (man.count > d and man.count * profile.base < fix.sup_count):
+    if not (count > d and count * profile.base < fix.sup_count):
         raise MantissaRange(
             f"mantissa {man} outside (1, {fix.sup_value}/{profile.base})")
     try:  # a number out of range keeps this refusal; FloatVal names the rest

@@ -24,8 +24,12 @@ steps view, in one TraceStep form, is kept for the benchmark's tracer.
 Each exact variant is one request pass, _exact_request, and one call of
 the exact loop, _exact_run: n passes for fsqr_exact, the until-loop for
 sqr_exact and isqr_exact.  _exact_run states how a pass carries the
-norm of its iterate and decides its exit on factors; _common_factor puts
-its pairs, and Trace's corrections, in lowest terms by one rule.
+norm of its iterate and decides its exit on factors.  Until its pair
+meets an inductive invariant, I, a pass puts the next pair in lowest
+terms by _common_factor, which also reduces Trace's corrections, and
+splits the next norm by _norm_factors; from then on it does both in
+closed form, from the common factor odd(b)*2**e it knows, with one short
+division and no gcd.
 fix_sqr, mix_sqr and flt_sqr share one grid loop on counts, headed by
 one request pass that checks each precondition once (a table checked
 its step when made).  Each pass is one call of fixarith._newton_step,
@@ -217,6 +221,17 @@ def _norm_factors(norm: int, g: int, b: int) -> tuple[int, int]:
     return b // (g // h) ** 2, norm // h
 
 
+_LOW_WORD = (1 << 64) - 1
+
+
+def _twos(n: int) -> int:
+    """v2(n), the exponent of 2 in n > 0; -1 at n = 0.  It reads n's low
+    word while that is not 0: n & -n copies all of a long n, and so cost
+    3% of sqr_exact on the 40 seed-1 exact_certify pairs."""
+    low = n & _LOW_WORD or n & -n
+    return (low & -low).bit_length() - 1
+
+
 def _is_count(n: object) -> bool:
     """The one rule of an iteration count's kind: an int, and no bool."""
     return isinstance(n, int) and not isinstance(n, bool)
@@ -265,34 +280,69 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
     With x = p/q and y = a/b, ad = c*m**2/(2*b*p*q) for the norm c*m**2 =
     b*p**2 - a*q**2 of x in Q(sqrt(y)), c, m >= 0.  The norm is
     multiplicative: the next pair is (b*p**2 + a*q**2, 2*b*p*q) over their
-    gcd g, which _common_factor takes (a common prime divides 2*b, or p and
-    so a, or q and so b), and the next pass keeps its norm b*norm**2/g**2 as
-    the factors (c, m) of _norm_factors, with no squaring (on pass 0, m is
-    1): the loop carries its pair and these factors only.  Each pass records
-    them, the Correction (c, m), then exits when exact.halves, on the
-    factors of eps and of ad as Trace.factors reads them, gives 2*ad < eps.
-    halves forms those products only when bit lengths and 128-bit brackets
-    leave it open, so the exit pass forms no product above its inputs and
-    builds no next iterate.  An applied pass forms the norm c*(m*m), p**2
-    and (p + q)**2, gets q**2 = (b*p**2 - norm)/a by exact division and
-    2*p*q = (p + q)**2 - p**2 - q**2: three squarings and a short product,
-    since c <= b after pass 0.  CPython squares only when both operands are
-    one object, and a general product of the same size costs 1.35x to 1.47x
-    a squaring (CPython 3.11, 20K to 120K bits).
+    gcd g, and the next pass keeps its norm b*norm**2/g**2 as the factors
+    (c, m) = (b // (g/h)**2, norm // h), h = gcd(norm, g), with no
+    squaring (on pass 0, m is 1): the loop carries its pair and these
+    factors only.  Each pass records them, the Correction (c, m), then
+    exits when exact.halves, on the factors of eps and of ad as
+    Trace.factors reads them, gives 2*ad < eps.  halves forms those
+    products only when bit lengths and 128-bit brackets leave it open, so
+    the exit pass forms no product above its inputs and builds no next
+    iterate.
+
+    An applied pass takes g and the next (c, m) by one of two rules.
+    Write b = bo*2**t with bo odd, and ao for the odd part of a.  A pass
+    takes the closed form once I(p, q) holds: gcd(p, ao) = 1, bo divides
+    q, and gcd(q~, bo) = 1 for q~ = q // bo, the pass's one division; the
+    last two say that each prime of bo divides q exactly as often as bo,
+    so I is tested as gcd(p, ao) = 1 and gcd(q, bo**2) = bo.  Then
+    b*p**2 + a*q**2 = bo*A and 2*b*p*q = bo*D for A = (p**2 << t) +
+    a*bo*q~**2 and D = ((p + q)**2 - p**2 - q**2) << t, and the norm is
+    bo*B, B = (p**2 << t) - a*bo*q~**2.  Lemma: under I, g = bo*2**e,
+    e = min(v2(A), v2(D)), and gcd(norm, g) = bo*2**f, f = min(v2(B), e)
+    (f = e at B = 0).  For an odd prime r of both A and D = 2**(t+1)*p*
+    bo*q~: r dividing p divides a*bo*q~**2, but not q, so it divides ao,
+    against I; r dividing bo or q~ divides q, so it divides 2**t*p**2 and
+    p, against gcd(p, q) = 1.  So no odd prime of A divides D, and the
+    next pair is (A >> e, D >> e), the next factors (b >> 2*(e - f), B >>
+    f).  Induction: the next q~ is D >> e over bo, 2**(t+1-e)*p*q~, prime
+    to bo; and an odd prime of ao dividing A >> e divides 2**t*p**2, so
+    p.  So a pass tests I until it holds, then never again.  sqr_exact's
+    pass 0, from (a, b), fails it unless ao = 1, and gives ((a + b)/h,
+    2*b/h), h = gcd(a + b, 2), which meets it; a seed can fail it on
+    every pass.  Before I holds, _common_factor takes g (a common
+    prime divides 2*b, or p and so a, or q and so b) and _norm_factors
+    the next (c, m): the gcd rule.  Both rules give the same pairs and
+    records.
+
+    Either rule makes three squarings: the closed form squares q~, p and
+    p + q; the other forms the norm c*(m*m), p**2 and (p + q)**2, gets
+    q**2 = (b*p**2 - norm)/a by exact division and 2*p*q = (p + q)**2 -
+    p**2 - q**2, a short product since c <= b after pass 0.  CPython
+    squares only when both operands are one object, and a general product
+    of the same size costs 1.35x to 1.47x a squaring (CPython 3.11, 20K
+    to 120K bits).  The gcd rule adds seven long divisions by short
+    integers a pass (aqq // a, the gcds of _common_factor and
+    _norm_factors and their quotients), the closed form one, q // bo, and
+    shifts.
 
     Before it forms anything, each pass refuses, with ResourceLimit, a
     pair that could exceed the CERTISQRT_MAX_BITS cap: b*p**2 + a*q**2,
     2*b*p*q and the norm have at most 2*max(bits(p), bits(q)) +
-    bits(max(a, b)) + 1 bits, so the pass splits its norm after that
-    test.
+    bits(max(a, b)) + 1 bits, and so do A, D and B; the pass forms its
+    integers, and splits a norm, only after that test.
     """
     a, b = y.numerator, y.denominator
     en, ed = eps.numerator, eps.denominator
     eps_factors = ((en,), (ed,))
     small, y_bits = 2 * a * b, max(a, b).bit_length()
+    t = _twos(b)
+    ao, bo = a >> _twos(a), b >> t
+    abo, bo2 = a * bo, bo * bo
     limit = max_bits()
     p, q = seed.numerator, seed.denominator
     pairs, corrections = [(p, q)], []
+    closed = False
     for k in range((a * ed).bit_length() + 65 if n is None else n):
         if p <= 0:
             raise InternalInvariantError("iterate left the positive half-line")
@@ -305,21 +355,36 @@ def _exact_run(algorithm: str, y: Fraction, eps: Fraction, seed: Fraction,
             c, m = b * p * p - a * q * q, 1
             if c < 0:
                 raise InternalInvariantError("seed below sqrt(y)")
-        else:
+        elif not closed:
             c, m = _norm_factors(norm, g, b)
         record = Correction(c, m)
         corrections.append(record)
         stop = n is None and halves(eps_factors, record.over(b, p, q))
         if stop and not c_style:
             break
-        norm = c * (m * m)
-        pp = p * p
-        bpp = b * pp
-        aqq = bpp - norm
-        ad_den = b * ((p + q) ** 2 - pp - aqq // a)
-        num = bpp + aqq
-        g = _common_factor(num, ad_den, small)
-        p, q = num // g, ad_den // g
+        if not closed:  # I(p, q), inductive: tested until it holds
+            closed = math.gcd(p, ao) == 1 and math.gcd(q, bo2) == bo
+        if closed:  # A (big), D (ad_den) and B (norm) of the lemma above
+            qt = q // bo
+            qq = qt * qt
+            pp = p * p
+            ppt = pp << t
+            aqq = abo * qq
+            big, norm = ppt + aqq, ppt - aqq
+            ad_den = ((p + q) ** 2 - pp - bo2 * qq) << t
+            e = min(_twos(big), _twos(ad_den))
+            f = e if norm == 0 else min(_twos(norm), e)
+            p, q = big >> e, ad_den >> e
+            c, m = b >> 2 * (e - f), norm >> f
+        else:
+            norm = c * (m * m)
+            pp = p * p
+            bpp = b * pp
+            aqq = bpp - norm
+            ad_den = b * ((p + q) ** 2 - pp - aqq // a)
+            num = bpp + aqq
+            g = _common_factor(num, ad_den, small)
+            p, q = num // g, ad_den // g
         pairs.append((p, q))
         if stop:
             break

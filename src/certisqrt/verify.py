@@ -141,8 +141,9 @@ def check_sqr_annotations(trace: Trace, y: Fraction,
     sqrt(y) <= x <= seed, correction halving, final error <= eps, and
     applied corrections <= min_legal_iterations(y, eps, seed).  Failure
     witnesses are in lowest terms; the final-error x, built on every
-    check, is the last pair as written (its gcd took 0.26-0.37 s on the
-    40 seed-1 exact_certify runs, the runs 0.08-0.12 s, CPython 3.11)."""
+    check, is the last pair as written (its gcd took 0.32-0.34 s on the
+    40 seed-1 exact_certify runs, the runs 0.08-0.10 s in the same five
+    rounds, CPython 3.11)."""
     a, b, sn, sd = _record_of(trace, y, eps, "sqr_exact", "isqr_exact")
     family = trace.algorithm.removesuffix("_exact")
     pairs, corrections = trace.pairs, trace.corrections

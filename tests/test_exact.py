@@ -191,6 +191,27 @@ def regrouped(xs, cut):
     return [math.prod(xs[:cut]), *xs[cut:]]
 
 
+class TestExactSign:
+    """_exact_sign forms a factor that occurs twice as one squaring; its
+    product and sign are the full products'."""
+
+    @given(factor_lists, factor_lists, st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=200)
+    def test_repeated_factors(self, xs, ys, i, j):
+        # repeat one factor a side, as _sqrt_sign's (n, n, b), (a, d, d)
+        xs, ys = [*xs, xs[i % len(xs)]], [ys[j % len(ys)], *ys]
+        assert exact._product(xs) == math.prod(xs)
+        assert exact._exact_sign(xs, ys) == product_sign(xs, ys)
+        assert exact._exact_sign(ys, xs) == -product_sign(xs, ys)
+
+    @given(wide_ints(1, 700), wide_ints(1, 700), wide_ints(1, 700),
+           wide_ints(1, 700))
+    def test_sqrt_sign_shapes(self, n, b, a, d):
+        for xs, ys in (((n, n, b), (a, d, d)), ((n, n, b), (n, n, b)),
+                       ((d, d, d), (d, d * d))):
+            assert exact._exact_sign(xs, ys) == product_sign(xs, ys)
+
+
 class TestCmpProducts:
     """cmp_products against the full products, 1 to 4 factors a side."""
 

@@ -45,6 +45,7 @@ from certisqrt.floatmodel import (
 )
 from certisqrt.lut import build_root_table
 from certisqrt.newton import (
+    Correction,
     GridTrace,
     Trace,
     TraceStep,
@@ -1231,56 +1232,56 @@ def _count_built(monkeypatch) -> list[int]:
     return built
 
 
-def _count_searched(monkeypatch) -> list[int]:
-    """Record the bit length of every integer whose content _exact_run
-    searches: each next pair's numerator, before its reduction."""
-    searched = []
-    real = newton._content
+def _count_corrections(monkeypatch) -> list[Correction]:
+    """Record every Correction _exact_run makes, one a pass."""
+    records = []
+    real = newton.Correction
 
-    def counting(n, small):
-        searched.append(n.bit_length())
-        return real(n, small)
+    def counting(c, m):
+        records.append(real(c, m))
+        return records[-1]
 
-    monkeypatch.setattr(newton, "_content", counting)
-    return searched
+    monkeypatch.setattr(newton, "Correction", counting)
+    return records
 
 
 EXIT_RUNS = [(F(2), F(1, 100)), (F(3, 2), F(1, 10 ** 6)),
              (F(10 ** 4), F(1, 1000)), (F(7, 3), F(1, 10 ** 12))]
 
 
-def _recording_norms(mp, updates):
-    """Route _norm_factors through a proxy that records (norm, g, b, c, m)
-    for each call: its arguments and the factors it returns."""
-    real = newton._norm_factors
+def _norm_updates(trace):
+    """(norm, g, b) of each norm update of a run, read off its record:
+    pass k >= 1 carries the norm c*m**2 of pass k - 1, split over the
+    factor g = gcd(b*p**2 + a*q**2, 2*b*p*q) that pass k - 1 stripped
+    from its next pair, for (p, q) = pairs[k - 1]."""
+    a, b = trace.y
+    updates = []
+    for (c, m), (p, q) in zip(trace.corrections[:-1], trace.pairs):
+        g = math.gcd(b * p * p + a * q * q, 2 * b * p * q)
+        updates.append((c * m * m, g, b))
+    return updates
 
-    def norm_factors(norm, g, b):
-        c, m = real(norm, g, b)
-        updates.append((norm, g, b, c, m))
-        return c, m
 
-    mp.setattr(newton, "_norm_factors", norm_factors)
-
-
-def _recorded(mp, *runs):
-    """Call each run with _norm_factors recorded.  Returns the runs'
-    traces, (y, x, c, m, ad) for every pass of every run and (norm, g, b)
-    for every _norm_factors call.  x is the pass's iterate, c*m**2 the
-    norm it carried and ad its Correction record.  Pass 0 forms its norm
-    as b*p**2 - a*q**2 with m = 1; each later pass takes (c, m) from its
-    own _norm_factors call."""
+def _recorded(*runs):
+    """Call each run.  Returns the runs' traces, (y, x, c, m, ad) for
+    every pass of every run and (norm, g, b) for every norm update, as
+    _norm_updates reads it.  x is the pass's iterate, (c, m) the factors
+    of the norm it carried, read from trace.corrections, and ad its
+    Correction record.  Pass 0 forms its norm as b*p**2 - a*q**2 with m =
+    1; each later pass carries its (c, m) from the pass before, by
+    _norm_factors' rule or by the closed form, which give one split."""
     traces, passes, updates = [], [], []
-    _recording_norms(mp, updates)
     for run in runs:
-        start = len(updates)
         _, trace = run()
         y, xs, ads = F(*trace.y), _iterates(trace), trace.corrections
-        carried = [(_norm_of(y, xs[0]), 1)] if ads else []
-        carried += [(c, m) for *_, c, m in updates[start:]]
         passes += [(y, xs[k], c, m, ad) for k, (ad, (c, m))
-                   in enumerate(zip(ads, carried, strict=True))]
+                   in enumerate(zip(ads, trace.corrections, strict=True))]
+        for (norm, g, b), ad in zip(_norm_updates(trace), ads[1:],
+                                    strict=True):
+            assert newton._norm_factors(norm, g, b) == ad
+            updates.append((norm, g, b))
         traces.append(trace)
-    return traces, passes, [u[:3] for u in updates]
+    return traces, passes, updates
 
 
 @st.composite
@@ -1325,28 +1326,23 @@ class TestCarriedNorm:
     @example(F(29, 9), F(1, 10 ** 6), False)
     @settings(max_examples=40, deadline=None)
     def test_norm_at_every_pass(self, y, eps, tight):
-        with pytest.MonkeyPatch.context() as mp:
-            _, passes, _ = _recorded(
-                mp, *self._runs(y, eps, _exact_seeds(y)[1] if tight else y))
+        _, passes, _ = _recorded(
+            *self._runs(y, eps, _exact_seeds(y)[1] if tight else y))
         assert passes
         assert all(c * m * m == _norm_of(y_k, x) and m >= 0
                    for y_k, x, c, m, _ in passes)
 
     def test_common_factors_occur(self):
-        with pytest.MonkeyPatch.context() as mp:
-            _, passes, updates = _recorded(
-                mp, *self._runs(F(10, 3), F(1, 1000), F(2)),
-                *[lambda case=case: isqr_exact(*case)
-                  for case in G_NOT_DIVIDING])
+        _, passes, updates = _recorded(
+            *self._runs(F(10, 3), F(1, 1000), F(2)),
+            *[lambda case=case: isqr_exact(*case) for case in G_NOT_DIVIDING])
         assert all(c * m * m == _norm_of(y, x) for y, x, c, m, _ in passes)
         assert any(g > 1 and norm % g == 0 for norm, g, _ in updates)
         assert any(norm % g for norm, g, _ in updates)
 
     @pytest.mark.parametrize("y, eps, seed", G_NOT_DIVIDING)
     def test_g_not_dividing_the_norm(self, y, eps, seed):
-        with pytest.MonkeyPatch.context() as mp:
-            _, passes, updates = _recorded(mp,
-                                           lambda: isqr_exact(y, eps, seed))
+        _, passes, updates = _recorded(lambda: isqr_exact(y, eps, seed))
         assert any(norm % g for norm, g, _ in updates)
         for norm, g, b in updates:
             h = math.gcd(norm, g)
@@ -1355,6 +1351,202 @@ class TestCarriedNorm:
         assert any(c < y.denominator for _, _, c, _, _ in passes[1:])
         assert all(c * m * m == _norm_of(y, x) for _, x, c, m, _ in passes)
         assert _mismatches(_exact_cases(y, eps, [seed], [0, 1, 3])) == []
+
+
+def _odd(n):
+    """n > 0 over its largest power of 2."""
+    return n >> ((n & -n).bit_length() - 1)
+
+
+def _invariant(y, p, q):
+    """I(p, q) of the exact loop's closed form, for y = a/b: no odd prime
+    of a divides p, odd(b) divides q, and q/odd(b) is prime to odd(b)."""
+    ao, bo = _odd(y.numerator), _odd(y.denominator)
+    return (math.gcd(p, ao) == 1 and q % bo == 0
+            and math.gcd(q // bo, bo) == 1)
+
+
+def _closed_passes(trace):
+    """The applied passes of a run that take the closed form: from the
+    first whose pair satisfies I on, as I is inductive."""
+    y, applied = F(*trace.y), len(trace.pairs) - 1
+    first = next((k for k in range(applied)
+                  if _invariant(y, *trace.pairs[k])), applied)
+    return range(first, applied)
+
+
+def _closed_parts(y, p, q):
+    """The integers a closed-form pass forms from (p, q), for b = bo*2**t,
+    bo odd, and q~ = q/bo: q~**2, p**2 << t, a*bo*q~**2, A and B (their
+    sum and difference), (p + q)**2 and D = 2*p*q << t."""
+    a, b = y.numerator, y.denominator
+    bo = _odd(b)
+    t = (b // bo).bit_length() - 1
+    qq = (q // bo) ** 2
+    ppt, aqq = p * p << t, a * bo * qq
+    return qq, ppt, aqq, ppt + aqq, ppt - aqq, (p + q) ** 2, 2 * p * q << t
+
+
+def _gcd_loop(y, eps, seed, n=None, c_style=False):
+    """The exact loop by its definition, with plain math.gcd: pass k
+    records (c, m), c*m**2 the norm of its pair (p, q), and exits (n None)
+    when 2*c*m**2/(2*b*p*q) < eps, after applying it with c_style; an
+    applied pass forms (b*p**2 + a*q**2, 2*b*p*q) over their gcd g and
+    the next factors (b // (g/h)**2, norm // h), h = gcd(norm, g).
+    Returns the result, the pairs and the corrections."""
+    a, b = y.numerator, y.denominator
+    en, ed = eps.numerator, eps.denominator
+    p, q = seed.numerator, seed.denominator
+    pairs, corrections = [(p, q)], []
+    c, m = b * p * p - a * q * q, 1
+    for _ in range(10 ** 6 if n is None else n):
+        corrections.append((c, m))
+        norm = c * m * m
+        stop = n is None and norm * ed < en * b * p * q
+        if stop and not c_style:
+            break
+        num, den = b * p * p + a * q * q, 2 * b * p * q
+        g = math.gcd(num, den)
+        h = math.gcd(norm, g)
+        c, m = b // (g // h) ** 2, norm // h
+        p, q = num // g, den // g
+        pairs.append((p, q))
+        if stop:
+            break
+    return F(p, q), pairs, corrections
+
+
+def _old_rule_calls(mp):
+    """Count the calls of _common_factor and _norm_factors, which only
+    the passes before I holds make (no Trace read in between)."""
+    calls = Counter()
+    for name in ("_common_factor", "_norm_factors"):
+        def counting(*args, _name=name, _real=getattr(newton, name)):
+            calls[_name] += 1
+            return _real(*args)
+        mp.setattr(newton, name, counting)
+    return calls
+
+
+def _same_as_gcd_loop(run, y, eps, seed, n=None, c_style=False):
+    """run()'s result, pairs and corrections equal _gcd_loop's, and the
+    passes that make the old rule's calls are those before I holds."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _old_rule_calls(mp)
+        x, trace = run()
+    want = _gcd_loop(y, eps, seed, n, c_style)
+    assert (x, list(trace.pairs), list(trace.corrections)) == want
+    closed = _closed_passes(trace)
+    assert calls["_common_factor"] == closed.start
+    # pass k >= 1 splits its norm by _norm_factors when pass k - 1 did not
+    # take the closed form
+    assert calls["_norm_factors"] == min(closed.start,
+                                         len(trace.corrections) - 1)
+    return trace, closed
+
+
+@st.composite
+def shaped_cases(draw):
+    """(y, eps, seed) with y > 1: b and the seed's denominator products of
+    2, 3, 5 and 7 with repeats, and a seed in [sqrt(y), y]."""
+    primes = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=4)
+    b = math.prod(draw(primes))
+    a = draw(st.integers(b + 1, 300 * b).filter(
+        lambda h: math.gcd(h, b) == 1))
+    sd = math.prod(draw(primes))
+    lo = math.isqrt(a * sd * sd // b)
+    lo += lo * lo * b < a * sd * sd
+    hi = a * sd // b
+    seed = F(draw(st.integers(lo, hi)), sd) if lo <= hi else F(a, b)
+    eps = F(1, 10 ** draw(st.integers(1, 15)))
+    return F(a, b), eps, seed
+
+
+class TestClosedForm:
+    """While I(p, q) holds, an applied pass of the exact loop reduces its
+    pair and splits the next norm in closed form, by the common factor
+    odd(b)*2**e; before, by _common_factor and _norm_factors.  Either way
+    every run gives the pairs, corrections and result of _gcd_loop."""
+
+    @given(shaped_cases(), st.integers(1, 6))
+    @example((F(29, 9), F(1, 10 ** 6), F(7, 3)), 3)
+    @example((F(54), F(1, 10 ** 12), F(12)), 4)
+    @example((F(1727, 49), F(1, 10 ** 9), F(479, 21)), 2)
+    @example((F(7, 4), F(1, 10 ** 6), F(3, 2)), 1)
+    @example((F(3), F(1, 10 ** 6), F(7, 3)), 1)
+    @settings(max_examples=60, deadline=None)
+    def test_runs_match_the_gcd_loop(self, case, n):
+        y, eps, seed = case
+        for c_style in (False, True):
+            _same_as_gcd_loop(lambda: sqr_exact(y, eps, c_style=c_style),
+                              y, eps, y, c_style=c_style)
+        _same_as_gcd_loop(lambda: isqr_exact(y, eps, seed), y, eps, seed)
+        # with eps = y every count n >= 1 is legal
+        _same_as_gcd_loop(lambda: fsqr_exact(y, y, seed, n), y, y, seed, n)
+
+    def test_sampled_runs_take_the_closed_form(self):
+        closed = applied = 0
+        for y, eps in sample_rationals(40, 3):
+            for c_style in (False, True):
+                trace, passes = _same_as_gcd_loop(
+                    lambda: sqr_exact(y, eps, c_style=c_style),
+                    y, eps, y, c_style=c_style)
+                # sqr_exact starts from y = a/b, so I fails at pass 0
+                # unless odd(a) = 1, and holds from pass 1 on
+                assert passes.start == (_odd(y.numerator) > 1) \
+                    or not passes
+                closed += len(passes)
+                applied += len(trace.pairs) - 1
+        assert closed > 0.7 * applied
+
+    @pytest.mark.parametrize("run, y, eps, seed, n, c_style, first", [
+        # a zero norm: B = 0, so f = e
+        (lambda: fsqr_exact(F(4), F(1, 10), F(2), 3),
+         F(4), F(1, 10), F(2), 3, False, 0),
+        (lambda: sqr_exact(F(1), F(1, 10), c_style=True),
+         F(1), F(1, 10), F(1), None, True, 0),
+        # b a power of two: odd(b) = 1
+        (lambda: sqr_exact(F(17, 8), F(1, 10 ** 9)),
+         F(17, 8), F(1, 10 ** 9), F(17, 8), None, False, 1),
+        (lambda: sqr_exact(F(1001, 16), F(1, 10 ** 9)),
+         F(1001, 16), F(1, 10 ** 9), F(1001, 16), None, False, 1),
+        # a a power of two: I holds at pass 0
+        (lambda: sqr_exact(F(8, 3), F(1, 10 ** 9)),
+         F(8, 3), F(1, 10 ** 9), F(8, 3), None, False, 0),
+        (lambda: sqr_exact(F(1024, 9), F(1, 10 ** 9)),
+         F(1024, 9), F(1, 10 ** 9), F(1024, 9), None, False, 0),
+        # repeated odd primes in b
+        (lambda: sqr_exact(F(29, 9), F(1, 10 ** 6)),
+         F(29, 9), F(1, 10 ** 6), F(29, 9), None, False, 1),
+        (lambda: sqr_exact(F(1727, 49), F(1, 10 ** 9)),
+         F(1727, 49), F(1, 10 ** 9), F(1727, 49), None, False, 1),
+        # pass 0 has v2(A) = 2 > v2(D) = 1, so e is D's
+        (lambda: isqr_exact(F(3), F(1, 10 ** 6), F(7, 3)),
+         F(3), F(1, 10 ** 6), F(7, 3), None, False, 0),
+        # pass 0 has v2(B) = 1 < e = 2, so m keeps a factor 2 and c = b
+        (lambda: isqr_exact(F(7, 4), F(1, 10 ** 6), F(3, 2)),
+         F(7, 4), F(1, 10 ** 6), F(3, 2), None, False, 0),
+        # I never holds: 3 divides every p and a = 54
+        (lambda: isqr_exact(F(54), F(1, 10 ** 12), F(12)),
+         F(54), F(1, 10 ** 12), F(12), None, False, None),
+        # I never holds: 49 divides q from pass 3 on, and 7 divides q/49
+        (lambda: isqr_exact(F(1727, 49), F(1, 10 ** 9), F(479, 21)),
+         F(1727, 49), F(1, 10 ** 9), F(479, 21), None, False, None),
+        # I holds only from pass 2: 9 divides no q before
+        (lambda: isqr_exact(F(29, 9), F(1, 10 ** 6), F(7, 3)),
+         F(29, 9), F(1, 10 ** 6), F(7, 3), None, False, 2),
+    ], ids=["fsqr-zero-norm", "c-style-zero-norm", "b-17/8", "b-1001/16",
+            "a-8/3", "a-1024/9", "b-29/9", "b-1727/49", "e-of-D-3",
+            "f-below-e-7/4", "never-54", "never-1727/49",
+            "later-29/9"])
+    def test_edges(self, run, y, eps, seed, n, c_style, first):
+        trace, closed = _same_as_gcd_loop(run, y, eps, seed, n, c_style)
+        if first is None:
+            assert not closed and len(trace.pairs) > 2
+        else:
+            assert closed.start == first and len(closed) > 0
+        if y in (F(4), F(1)):
+            assert all(c * m == 0 for c, m in trace.corrections)
 
 
 # seeded runs whose reductions need the full content of the numerator
@@ -1919,9 +2111,8 @@ class TestOperandCap:
         for run in (lambda: sqr_exact(y, eps),
                     lambda: sqr_exact(y, eps, c_style=True),
                     lambda: isqr_exact(y, eps, seed)):
-            with pytest.MonkeyPatch.context() as mp:
-                (trace,), passes, updates = _recorded(mp, run)
-            # pass k >= 1 splits the norm after its own cap test
+            (trace,), passes, updates = _recorded(run)
+            # pass k >= 1 carries the norm of pass k - 1, split once
             assert len(updates) == len(trace.corrections) - 1
             for (norm, g, b), x in zip(updates, _iterates(trace)[1:]):
                 h = math.gcd(norm, g)
@@ -1930,7 +2121,7 @@ class TestOperandCap:
                 assert formed[-2] * formed[-1] ** 2 == _norm_of(y, x)
                 assert max(abs(v).bit_length() for v in formed) \
                     <= _pass_bits(y, x)
-            # an applied pass forms c*m and the norm c*m*m; reading a
+            # a gcd-rule pass forms c*m and the norm c*m*m; reading a
             # correction forms its c*m*m, 2*b*p and 2*b*p*q of its pair,
             # the norm's content, the gcd against it and the two quotients
             assert len(passes) == len(trace.corrections)
@@ -1943,14 +2134,20 @@ class TestOperandCap:
                           den // g]
                 assert max(abs(v).bit_length() for v in formed) \
                     <= _pass_bits(y, x)
+            # a closed-form pass splits the next norm from integers no
+            # longer than its own pair's bound
+            xs = _iterates(trace)
+            for k in _closed_passes(trace):
+                assert max(v.bit_length() for v
+                           in _closed_parts(y, *trace.pairs[k])) \
+                    <= _pass_bits(y, xs[k])
 
     @pytest.mark.parametrize("y, eps", EXIT_RUNS)
     def test_cap_at_the_run_maximum(self, monkeypatch, y, eps):
         runs = {"sqr": lambda: sqr_exact(y, eps),
                 "c": lambda: sqr_exact(y, eps, c_style=True),
                 "isqr": lambda: isqr_exact(y, eps, y)}
-        updates = []
-        _recording_norms(monkeypatch, updates)
+        records = _count_corrections(monkeypatch)
         built = _count_built(monkeypatch)
         for run in runs.values():
             monkeypatch.delenv("CERTISQRT_MAX_BITS", raising=False)
@@ -1962,16 +2159,18 @@ class TestOperandCap:
             assert run() == (x, trace)
             monkeypatch.setenv("CERTISQRT_MAX_BITS", str(cap - 1))
             k = bits.index(cap)
-            updates.clear()
+            records.clear()
             built.clear()
             with pytest.raises(ResourceLimit) as info:
                 run()
             assert str(info.value) == (
                 f"exact Newton pass {k} may form {cap}-bit operands, "
                 f"above CERTISQRT_MAX_BITS = {cap - 1}")
-            # the refused pass formed nothing: passes 1..k-1 split their
-            # norms, and the refused run built no result
-            assert len(updates) == max(k - 1, 0)
+            # the refused pass formed nothing: passes 0..k-1 recorded
+            # their Corrections, pass k none (an old-rule pass splits its
+            # norm just before it records), and the refused run built no
+            # result
+            assert len(records) == k
             assert built == []
 
     @pytest.mark.parametrize("cap", [None, "4096"])
@@ -1982,21 +2181,22 @@ class TestOperandCap:
         else:
             monkeypatch.setenv("CERTISQRT_MAX_BITS", cap)
         limit = newton.DEFAULT_MAX_BITS if cap is None else int(cap)
-        searched = _count_searched(monkeypatch)
         y, eps = F(10 ** 10), F(1, 10 ** 6)
         runs = [lambda: sqr_exact(y, eps),
                 lambda: isqr_exact(y, eps, y),
                 lambda: fsqr_exact(y, eps, y, 64)]
         for run in runs:
-            searched.clear()
             with pytest.raises(ResourceLimit,
                                match=r"^exact Newton pass \d+ may form "
-                                     r"\d+-bit operands"):
+                                     r"\d+-bit operands") as info:
                 run()
-            # the last pair formed, its numerator searched, is the one
-            # whose pass was refused
-            assert max(searched) <= limit \
-                < _pass_bits(y, F(2 ** max(searched)))
+            # the last pair formed is the one whose pass was refused: the
+            # k passes before it run under the cap (eps = y makes every
+            # count legal), and each formed no integer past its bound
+            k = int(str(info.value).split()[3])
+            *formed, last = _iterates(fsqr_exact(y, y, y, k)[1])
+            assert max(_pass_bits(y, x) for x in formed) <= limit \
+                < _pass_bits(y, last)
 
     def test_cap_must_be_an_integer(self, monkeypatch):
         monkeypatch.setenv("CERTISQRT_MAX_BITS", "2**21")

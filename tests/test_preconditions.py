@@ -517,6 +517,23 @@ PUBLIC_REFUSALS = {
     "compose-man-fraction": (
         lambda: compose(F(3), 1, FLOAT),
         "compose takes a FixVal man, got Fraction(3, 1)", UsageError),
+    # an input with a profile but no count: once an AttributeError on
+    # its count, after the grid test passed
+    "fix-add-x-table": (lambda: fix_add(TABLE, DEMO.val(300)),
+                        f"fix_add takes a FixVal x, got {TABLE!r}",
+                        UsageError),
+    "fix-sub-y-table": (lambda: fix_sub(DEMO.val(300), TABLE),
+                        f"fix_sub takes a FixVal y, got {TABLE!r}",
+                        UsageError),
+    "fix-mul-y-table": (lambda: fix_mul(DEMO.val(300), TABLE),
+                        f"fix_mul takes a FixVal y, got {TABLE!r}",
+                        UsageError),
+    "fix-div-x-table": (lambda: fix_div(TABLE, DEMO.val(300)),
+                        f"fix_div takes a FixVal x, got {TABLE!r}",
+                        UsageError),
+    "compose-man-table": (lambda: compose(TABLE, 1, FLOAT),
+                          f"compose takes a FixVal man, got {TABLE!r}",
+                          UsageError),
     # a bool is no iteration count: once a one-pass run, or a refusal
     # from the verdict after the run, or a budget text
     "fix-sqr-n-bool": (lambda: fix_sqr(Y, EPS, TABLE, True),

@@ -45,6 +45,7 @@ ONE_FORM = "tests/test_newton.py::TestOneRecordForm::test_every_pass"
 WITHIN = "tests/test_exact.py::TestWithinSigns::"
 TYPED = "tests/test_verify.py::TestTypedRefusals::"
 REDUCED = "tests/test_newton.py::TestReducedByCarriedContent::"
+CLOSED = "tests/test_newton.py::TestClosedForm::"
 NEWTON_STEP = "tests/test_fixarith.py::TestNewtonStep::"
 WITNESSES = "tests/test_report.py::test_witnesses"
 SUITES = "tests/test_verify.py::TestSuites::"
@@ -248,6 +249,33 @@ MUTANTS = (
     Mutant("the exit pass builds the exit iterate again", NEWTON,
            "if stop and not c_style:", "if stop and c_style:",
            (STEP_TESTS + "test_until_loop_exit_builds_no_iterate",)),
+    # the closed form of an applied pass, once I(p, q) holds
+    Mutant("the closed form runs before I holds", NEWTON,
+           "closed = math.gcd(p, ao) == 1 and math.gcd(q, bo2) == bo",
+           "closed = True",
+           (CLOSED + "test_runs_match_the_gcd_loop",
+            CLOSED + "test_edges[b-1727/49]", DIGEST)),
+    Mutant("I read as odd(b) dividing q", NEWTON,
+           "math.gcd(q, bo2) == bo", "q % bo == 0",
+           (CLOSED + "test_runs_match_the_gcd_loop",
+            CLOSED + "test_edges[never-1727/49]")),
+    Mutant("the closed form reads e from A only", NEWTON,
+           "e = min(_twos(big), _twos(ad_den))", "e = _twos(big)",
+           (CLOSED + "test_runs_match_the_gcd_loop",
+            CLOSED + "test_edges[e-of-D-3]")),
+    Mutant("the closed form reads f as e", NEWTON,
+           "f = e if norm == 0 else min(_twos(norm), e)", "f = e",
+           (CLOSED + "test_runs_match_the_gcd_loop",
+            CLOSED + "test_edges[f-below-e-7/4]")),
+    Mutant("the closed form takes q~ as q", NEWTON,
+           "qt = q // bo", "qt = q",
+           (CLOSED + "test_runs_match_the_gcd_loop",
+            CLOSED + "test_edges[b-29/9]")),
+    Mutant("the closed form without its zero-norm guard", NEWTON,
+           "f = e if norm == 0 else min(_twos(norm), e)",
+           "f = min(_twos(norm), e)",
+           (CLOSED + "test_edges[fsqr-zero-norm]",
+            CLOSED + "test_edges[c-style-zero-norm]")),
     Mutant("_exact_run without its first-norm guard", NEWTON,
            "if c < 0:", "if False:",
            (STEP_TESTS + "test_norm_below_the_root_exits",)),
@@ -571,11 +599,13 @@ MUTANTS = (
     Mutant("the grid operations read an input of another kind unnamed",
            FIXARITH, "        _takes(op, x=(x, FixVal), y=(y, FixVal))\n",
            "", (PUBLIC + "[fix-add-x-int]", PUBLIC + "[fix-mul-y-int]",
-                PUBLIC + "[fix-div-y-fraction]", PUBLIC + "[fix-sub-x-none]")),
+                PUBLIC + "[fix-div-y-fraction]", PUBLIC + "[fix-sub-x-none]",
+                PUBLIC + "[fix-add-x-table]", PUBLIC + "[fix-div-x-table]")),
     Mutant("compose reads an input of another kind unnamed", FLOATMODEL,
            '        _takes("compose", man=(man, FixVal), '
            'profile=(profile, FloatProfile))\n', "",
-           (PUBLIC + "[compose-man-fraction]",)),
+           (PUBLIC + "[compose-man-fraction]",
+            PUBLIC + "[compose-man-table]")),
     # the grid runs call require_same_grid only when identity fails
     Mutant("the grid identity pre-test skips the helper on another grid",
            NEWTON,
